@@ -280,7 +280,7 @@ def test_ablation_minibatch_sampling(benchmark, report):
     FlexGraph on the dense Reddit stand-in — the failure mode that sinks
     the naive mini-batch baselines (§7.1) does not apply when sampling is
     HDG-native."""
-    from repro.core import MiniBatchTrainer
+    from repro.core import MiniBatchTrainer, build_seed_blocks
     from repro.models import gcn
     from repro.tensor import Adam, Tensor
 
@@ -309,8 +309,9 @@ def test_ablation_minibatch_sampling(benchmark, report):
             trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, 0)
             mb = trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, 1)
             results[fanout] = mb.seconds
-            hdg = trainer._ensure_hdg(0)
-            blocks = trainer._build_blocks(hdg, np.arange(256))
+            blocks = build_seed_blocks(trainer.hdgs.block_source(0),
+                                       np.arange(256), trainer.fanouts,
+                                       trainer.hdgs.rng)
             block_size = blocks[0][1].size
             rows.append([
                 f"sampled fanout={fanout}", f"{mb.seconds:.3f}",

@@ -47,8 +47,7 @@ def main() -> None:
     for era in range(4):
         # Train a few epochs on the current HDG (injected, no re-selection).
         engine = FlexGraphEngine(model, maintainer.graph)
-        engine._model_hdg = hdg  # reuse the maintained HDG
-        engine._hdg_epoch = 0
+        engine.hdgs.pin(hdg)  # reuse the maintained HDG
         for epoch in range(3):
             logits = engine.forward(features, 0)
             loss = cross_entropy(logits, dataset.labels, dataset.train_mask)

@@ -19,7 +19,7 @@ Run:  python examples/minibatch_sampling.py
 
 import numpy as np
 
-from repro.core import FlexGraphEngine, MiniBatchTrainer
+from repro.core import FlexGraphEngine, MiniBatchTrainer, build_seed_blocks
 from repro.datasets import reddit_like
 from repro.models import gcn
 from repro.tensor import Adam, Tensor
@@ -64,8 +64,8 @@ def main() -> None:
         mb_stats = trainer.train_epoch(features, dataset.labels, opt,
                                        dataset.train_mask, epoch)
     mb_acc = trainer.evaluate(features, dataset.labels, dataset.test_mask)
-    hdg = trainer._ensure_hdg(0)
-    sampled_blocks = trainer._build_blocks(hdg, seeds)
+    sampled_blocks = build_seed_blocks(trainer.hdgs.block_source(0), seeds,
+                                       trainer.fanouts, trainer.hdgs.rng)
     input_vertices = sampled_blocks[0][1]
     print(f"sampled GCN:      test acc {mb_acc:.3f} "
           f"({mb_stats.seconds * 1000:.0f} ms/epoch, "

@@ -43,12 +43,22 @@ from .hdg import (
 )
 from .hybrid import ExecutionStrategy, hierarchical_aggregate
 from .nau import GNNLayer, NAUModel, SelectionScope
-from .sampling import (
-    MiniBatchEpochStats,
-    MiniBatchTrainer,
+from .sampling import MiniBatchEpochStats, MiniBatchTrainer
+from .step import (
+    CompactBlocks,
+    ModelHDGs,
+    Partition,
     build_block,
     build_seed_blocks,
+    check_block_source,
+    compact_blocks,
+    edge_scores,
+    link_loss,
+    node_loss,
+    run_local_blocks,
+    sample_blocks,
     sample_fanout,
+    train_step,
 )
 from .schema import NeighborRecord, SchemaTree
 from .validate import HDGInvariantError, hdg_summary, validate_hdg
@@ -74,8 +84,11 @@ __all__ = [
     "LSTMAggregator",
     "get_aggregator",
     "FlexGraphEngine", "StageTimes", "EpochStats",
-    "MiniBatchTrainer", "MiniBatchEpochStats", "sample_fanout",
-    "build_block", "build_seed_blocks",
+    "MiniBatchTrainer", "MiniBatchEpochStats",
+    "ModelHDGs", "check_block_source", "sample_fanout", "build_block",
+    "build_seed_blocks", "CompactBlocks", "compact_blocks", "sample_blocks",
+    "run_local_blocks", "Partition", "train_step", "node_loss",
+    "edge_scores", "link_loss",
     "validate_hdg", "hdg_summary", "HDGInvariantError",
     "MetapathHDGMaintainer", "instances_through_edges",
     "TypeProjection",

@@ -1,8 +1,9 @@
 """Single-machine GNN execution engine (the core of Figure 12).
 
-The engine owns HDG construction/caching, runs each layer's stages under
-:mod:`repro.obs` spans (the per-stage breakdown of Table 4), and drives
-the training loop (forward, loss, backward, optimizer step).
+The engine runs each layer's stages under :mod:`repro.obs` spans (the
+per-stage breakdown of Table 4) and drives the full-batch training loop
+on the shared step core (:mod:`repro.core.step`): HDG lifecycle, loss
+head and optimise step live there.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import numpy as np
 
 from .. import obs
 from ..graph.graph import Graph
-from ..tensor.loss import accuracy, cross_entropy
+from ..tensor.loss import accuracy
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.scatter import MATERIALIZED_BYTES_COUNTER
 from ..tensor.tensor import Tensor, no_grad
 from .hdg import HDG
 from .hybrid import ExecutionStrategy
-from .nau import NAUModel, SelectionScope
+from .nau import NAUModel
+from .step import ModelHDGs, node_loss, train_step
 
 __all__ = ["StageTimes", "EpochStats", "FlexGraphEngine", "STAGE_SPANS"]
 
@@ -110,56 +112,16 @@ class FlexGraphEngine:
         self.model = model
         self.graph = graph
         self.strategy = ExecutionStrategy.parse(strategy)
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._layer_hdgs: dict[int, HDG] = {}
-        self._hdg_epoch = -1
-        # PER_LAYER scope: the model-level fallback HDG is shared by every
-        # layer of one forward pass instead of being rebuilt per layer.
-        self._forward_pass = 0
-        self._per_layer_fallback: tuple[int, HDG] | None = None
+        self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed))
         self.last_times = StageTimes()
 
-    # ------------------------------------------------------------------
-    # HDG lifecycle (NAU's caching discussion, Section 3.2)
-    # ------------------------------------------------------------------
     def hdg_for_layer(self, layer_index: int, epoch: int = 0) -> HDG:
         """HDG for a layer, honoring the model's selection scope."""
-        layer = self.model.layers[layer_index]
-        scope = self.model.selection_scope
-        if scope is SelectionScope.PER_LAYER:
-            own = layer.neighbor_selection(self.graph, self._rng)
-            if own is not None:
-                return own
-            # Layers without their own selection share one model-level HDG
-            # per forward pass; rebuilding it for every layer repeated the
-            # same (possibly expensive) construction L times per forward.
-            cached = self._per_layer_fallback
-            if cached is None or cached[0] != self._forward_pass:
-                hdg = self.model.neighbor_selection(self.graph, self._rng)
-                self._per_layer_fallback = (self._forward_pass, hdg)
-                return hdg
-            return cached[1]
-        if scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch:
-            self.invalidate_hdgs()
-            self._hdg_epoch = epoch
-        if layer_index in self._layer_hdgs:
-            return self._layer_hdgs[layer_index]
-        own = layer.neighbor_selection(self.graph, self._rng)
-        if own is not None:
-            self._layer_hdgs[layer_index] = own
-            return own
-        if self._model_hdg is None:
-            self._model_hdg = self.model.neighbor_selection(self.graph, self._rng)
-            self._hdg_epoch = epoch
-        return self._model_hdg
+        return self.hdgs.for_layer(layer_index, epoch)
 
     def invalidate_hdgs(self) -> None:
         """Drop all cached HDGs (e.g. after the graph changed)."""
-        self._model_hdg = None
-        self._layer_hdgs.clear()
-        self._hdg_epoch = -1
-        self._per_layer_fallback = None
+        self.hdgs.invalidate()
 
     # ------------------------------------------------------------------
     # Forward / training
@@ -171,7 +133,7 @@ class FlexGraphEngine:
         the per-stage sum of those spans' durations.
         """
         times = StageTimes()
-        self._forward_pass += 1
+        self.hdgs.begin_forward()
         h = feats
         for i, layer in enumerate(self.model.layers):
             with obs.span(STAGE_SPANS["neighbor_selection"],
@@ -210,11 +172,9 @@ class FlexGraphEngine:
         plan_mark = (plan_cache.hits, plan_cache.misses)
         with obs.span("engine.train_epoch", epoch=epoch):
             logits = self.forward(feats, epoch)
-            loss = cross_entropy(logits, labels, mask)
+            loss = node_loss(logits, labels, mask)
             with obs.span(STAGE_SPANS["backward"], epoch=epoch) as s_back:
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
+                train_step(loss, optimizer)
             self.last_times.backward = s_back.duration
         # Per-edge intermediates die with the tape after backward; release
         # them so the counter's peak tracks per-epoch concurrent bytes

@@ -81,9 +81,18 @@ class GNNLayer(Module):
         raise NotImplementedError
 
     def forward(self, feats: Tensor, hdg: HDG,
-                strategy: ExecutionStrategy = ExecutionStrategy.HA) -> Tensor:
+                strategy: ExecutionStrategy = ExecutionStrategy.HA,
+                rows: np.ndarray | None = None) -> Tensor:
+        """Aggregate over ``hdg`` and update its roots.
+
+        ``hdg`` may be a *block* — a sub-HDG whose roots are only some
+        of ``feats``' rows (a sampled batch, a worker's partition
+        slice); ``rows`` then names the roots' feature rows and the
+        result has one row per root.  ``rows=None`` is the full-graph
+        case: the roots are every row, in order.
+        """
         nbr_feats = self.aggregation(feats, hdg, strategy)
-        return self.update(feats, nbr_feats)
+        return self.update(feats if rows is None else feats[rows], nbr_feats)
 
     @property
     def output_dim(self) -> int:

@@ -1,130 +1,29 @@
-"""Sampled mini-batch training over HDGs — the FlexGraph-native answer
-to Euler/DistDGL-style training.
+"""Sampled mini-batch training over HDGs — GraphSAGE-style fan-out
+sampling for flat-HDG (DNFA and INFA) NAU models.
 
-The paper trains full-batch and shows that mini-batch systems collapse
-on GCN because they expand *full* k-hop neighborhoods per batch (§7.1).
-The fix those systems actually deploy — and a natural FlexGraph
-extension, since HDGs make neighborhoods first-class — is *fan-out
-sampling*: cap each root's neighborhood at a fixed budget per layer
-(GraphSAGE-style).  Because flat HDGs already group each root's
-neighbors contiguously, sampling is a per-segment top-``fanout``
-selection, and the per-layer blocks are just root-restricted sub-HDGs.
-
-:class:`MiniBatchTrainer` supports any model whose HDGs are flat (DNFA
-and INFA); hierarchical models bound work through
+The block machinery (fan-out sampling, seed blocks, batch-local
+coordinates) lives in :mod:`repro.core.step`; this module is the
+single-machine trainer over it.  Hierarchical models bound work through
 ``max_instances_per_root`` at selection time instead.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .. import obs
 from ..graph.graph import Graph
-from ..tensor.loss import accuracy, cross_entropy
+from ..tensor.loss import accuracy
 from ..tensor.optim import Optimizer
-from ..tensor.tensor import Tensor
-from .hdg import HDG
+from ..tensor.tensor import Tensor, no_grad
 from .hybrid import ExecutionStrategy
-from .nau import NAUModel, SelectionScope
+from .nau import NAUModel
+from .step import ModelHDGs, node_loss, run_local_blocks, train_step
 
-__all__ = [
-    "sample_fanout",
-    "build_block",
-    "build_seed_blocks",
-    "MiniBatchTrainer",
-    "MiniBatchEpochStats",
-]
-
-
-def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
-    """Uniformly keep at most ``fanout`` leaves per root of a flat HDG.
-
-    Per-edge random keys are ranked within each root's contiguous
-    segment — fully vectorized.  PinSage-style importance weights are
-    renormalized over the kept edges so the weighted sum stays a proper
-    average.
-    """
-    if hdg.depth != 1:
-        raise ValueError(
-            "fan-out sampling applies to flat HDGs; bound hierarchical "
-            "models with max_instances_per_root at selection time"
-        )
-    if fanout <= 0:
-        raise ValueError("fanout must be positive")
-    counts = np.diff(hdg.leaf_offsets)
-    if counts.size == 0 or counts.max() <= fanout:
-        return hdg
-    num_edges = hdg.leaf_vertices.size
-    owner = np.repeat(np.arange(hdg.num_roots, dtype=np.int64), counts)
-    keys = rng.random(num_edges)
-    order = np.lexsort((keys, owner))
-    group_start = np.zeros(num_edges, dtype=np.int64)
-    change = np.flatnonzero(np.diff(owner[order], prepend=owner[order[0]] - 1))
-    group_start[change] = change
-    group_start = np.maximum.accumulate(group_start)
-    rank = np.arange(num_edges) - group_start
-    keep = np.sort(order[rank < fanout])
-
-    new_counts = np.minimum(counts, fanout)
-    new_offsets = np.zeros(hdg.num_roots + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=new_offsets[1:])
-    weights = None
-    if hdg.leaf_weights is not None:
-        kept_owner = owner[keep]
-        raw = hdg.leaf_weights[keep]
-        sums = np.bincount(kept_owner, weights=raw, minlength=hdg.num_roots)
-        weights = raw / np.maximum(sums[kept_owner], 1e-12)
-    return HDG(
-        hdg.roots, hdg.schema, hdg.leaf_vertices[keep], new_offsets,
-        instance_offsets=None, leaf_weights=weights,
-        num_input_vertices=hdg.num_input_vertices,
-    )
-
-
-def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
-                rng: np.random.Generator | None = None) -> HDG:
-    """One layer's seed-restricted block: the sub-HDG rooted at
-    ``vertices``, optionally fan-out sampled.
-
-    Requires an HDG whose roots cover all input vertices in id order
-    (so vertex ids double as root orders) — the layout every model-level
-    NeighborSelection in this repo produces.  ``fanout=None`` keeps the
-    full neighborhoods (exact inference); a positive ``fanout`` applies
-    :func:`sample_fanout` (flat HDGs only) and needs ``rng``.
-    """
-    block = hdg.restrict_to_roots(np.asarray(vertices, dtype=np.int64))
-    if fanout is not None:
-        if rng is None:
-            raise ValueError("fan-out sampling needs an rng")
-        block = sample_fanout(block, fanout, rng)
-    return block
-
-
-def build_seed_blocks(
-    hdg: HDG,
-    seeds: np.ndarray,
-    fanouts: list[int | None],
-    rng: np.random.Generator | None = None,
-) -> list[tuple[HDG, np.ndarray]]:
-    """Per-layer ``(block HDG, output vertices)``, input layer first.
-
-    Built top-down: the last layer needs the seeds; each earlier layer
-    needs everything the next layer's block references.  Shared by
-    :class:`MiniBatchTrainer` (sampled training) and
-    :class:`repro.serve.InferenceSession` (exact or sampled serving);
-    ``fanouts`` entries may be ``None`` for exact full-neighborhood
-    blocks.
-    """
-    need = np.unique(np.asarray(seeds, dtype=np.int64))
-    reversed_blocks: list[tuple[HDG, np.ndarray]] = []
-    for fanout in reversed(list(fanouts)):
-        block = build_block(hdg, need, fanout, rng)
-        reversed_blocks.append((block, need))
-        need = np.unique(np.concatenate([need, block.leaf_vertices]))
-    return list(reversed(reversed_blocks))
+__all__ = ["MiniBatchTrainer", "MiniBatchEpochStats"]
 
 
 @dataclass
@@ -224,32 +123,7 @@ class MiniBatchTrainer:
             feature_dtype = resolve_codec(feature_dtype)
         self.feature_dtype = feature_dtype
         self._source_cache: tuple | None = None
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
-
-    # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            self._model_hdg = self.model.neighbor_selection(self.graph, self._rng)
-            if self._model_hdg.depth != 1:
-                raise ValueError("MiniBatchTrainer requires flat HDGs")
-            if not np.array_equal(
-                self._model_hdg.roots,
-                np.arange(self.graph.num_vertices, dtype=np.int64),
-            ):
-                raise ValueError("MiniBatchTrainer expects HDG roots to cover "
-                                 "all vertices in id order")
-            self._hdg_epoch = epoch
-        return self._model_hdg
-
-    def _build_blocks(self, hdg: HDG, seeds: np.ndarray) -> list[tuple[HDG, np.ndarray]]:
-        """Per-layer (block HDG, output vertices) via the shared builder."""
-        return build_seed_blocks(hdg, seeds, self.fanouts, self._rng)
+        self.hdgs = ModelHDGs(model, self.graph, np.random.default_rng(seed))
 
     def _resolve_source(self, feats, labels):
         """Normalize ``train_epoch`` input into a loader source."""
@@ -288,14 +162,13 @@ class MiniBatchTrainer:
         The per-batch RNG seeds are pre-drawn from ``(seed, epoch)``, so
         the losses do not depend on prefetch depth or worker count.
         """
-        from .. import obs
-        from ..loader.pipeline import StreamingLoader, run_local_blocks
+        from ..loader.pipeline import StreamingLoader
 
         if optimizer is None:
             raise ValueError("train_epoch needs an optimizer")
         self.model.train()
         t0 = time.perf_counter()
-        hdg = self._ensure_hdg(epoch)
+        hdg = self.hdgs.block_source(epoch)
         n = self.graph.num_vertices
         pool = np.flatnonzero(mask) if mask is not None else np.arange(n)
         loader = StreamingLoader(
@@ -318,10 +191,8 @@ class MiniBatchTrainer:
             h = run_local_blocks(self.model, batch.compact, batch.feats,
                                  self.strategy)
             logits = h[batch.seed_rows]
-            loss = cross_entropy(logits, batch.labels)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            loss = node_loss(logits, batch.labels)
+            train_step(loss, optimizer)
             train_s += time.perf_counter() - t_train
             losses.append(loss.item())
             correct += int(
@@ -347,33 +218,21 @@ class MiniBatchTrainer:
             overlap_efficiency=overlap,
             prefetch_depth=self.prefetch_depth,
         )
-        obs.epoch_log("minibatch").log(
-            epoch,
-            loss=stats.loss,
-            seconds=seconds,
-            train_accuracy=stats.train_accuracy,
-            sample_seconds=sample_s,
-            gather_seconds=gather_s,
-            transfer_seconds=transfer_s,
-            train_seconds=train_s,
-            wait_seconds=wait_s,
-            overlap_efficiency=overlap,
-            prefetch_depth=self.prefetch_depth,
-        )
+        logged = asdict(stats)
+        del logged["epoch"], logged["num_batches"]
+        obs.epoch_log("minibatch").log(epoch, **logged)
         return stats
 
     def evaluate(self, feats: Tensor, labels: np.ndarray,
                  mask: np.ndarray | None = None) -> float:
         """Full-neighborhood inference accuracy (standard for sampled
         training: sample at train time, exact at eval time)."""
-        from ..tensor.tensor import no_grad
-
         self.model.eval()
-        hdg = self._ensure_hdg(self._hdg_epoch if self._hdg_epoch >= 0 else 0)
+        hdg = self.hdgs.model_hdg
+        if hdg is None:
+            hdg = self.hdgs.block_source(0)
         with no_grad():
-            h = feats
-            for layer in self.model.layers:
-                nbr = layer.aggregation(h, hdg, self.strategy)
-                h = layer.update(h, nbr)
+            h = self.model.forward(feats, [hdg] * self.model.num_layers,
+                                   self.strategy)
         self.model.train()
         return accuracy(h, labels, mask)

@@ -1,0 +1,422 @@
+"""The step core every epoch loop is built on.
+
+A GNN is one NAU program; full-batch, sampled, partitioned and
+multi-process training differ in *where batches come from* and *how
+workers talk*, not in what a training step is.  This module owns the
+four decisions those loops used to re-make by hand:
+
+* :class:`ModelHDGs` — when the HDGs NeighborSelection built go stale
+  (``SelectionScope``), and who rebuilds them;
+* the block forward — a seed batch becomes per-layer blocks
+  (:func:`build_seed_blocks`), is relabeled into batch-local
+  coordinates (:func:`compact_blocks`) and runs there
+  (:func:`run_local_blocks`).  One layer over one block is
+  :meth:`GNNLayer.forward(rows=...) <repro.core.nau.GNNLayer.forward>`;
+  the full graph is the one-block case (``rows=None``);
+* :class:`Partition` — validated vertex → worker labels, the per-worker
+  root orders and the permutation that reassembles worker outputs;
+* :func:`train_step` and the two loss heads, :func:`node_loss` and
+  :func:`link_loss`.
+
+Fan-out sampling is the FlexGraph-native answer to Euler/DistDGL-style
+training: the paper shows mini-batch systems collapse on GCN because
+they expand *full* k-hop neighborhoods per batch (§7.1).  Because flat
+HDGs already group each root's neighbors contiguously, sampling is a
+per-segment top-``fanout`` selection, and the per-layer blocks are just
+root-restricted sub-HDGs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .. import obs
+from ..graph.graph import Graph
+from ..tensor.loss import binary_cross_entropy_with_logits, cross_entropy
+from ..tensor.ops import concat, scatter_rows
+from ..tensor.optim import Optimizer
+from ..tensor.tensor import Tensor
+from .hdg import HDG
+from .nau import GNNLayer, NAUModel, SelectionScope
+
+__all__ = [
+    "ModelHDGs",
+    "check_block_source",
+    "sample_fanout",
+    "build_block",
+    "build_seed_blocks",
+    "CompactBlocks",
+    "compact_blocks",
+    "sample_blocks",
+    "run_local_blocks",
+    "Partition",
+    "train_step",
+    "node_loss",
+    "edge_scores",
+    "link_loss",
+]
+
+
+# ----------------------------------------------------------------------
+# HDG lifecycle (NAU's caching discussion, Section 3.2)
+# ----------------------------------------------------------------------
+class ModelHDGs:
+    """The HDGs of one (model, graph) pair, rebuilt when their scope says.
+
+    ``STATIC`` HDGs are built once, ``PER_EPOCH`` ones whenever the
+    epoch changes, ``PER_LAYER`` ones on every layer invocation; a layer
+    that defines its own ``neighbor_selection`` overrides the model's.
+    :meth:`for_layer` serves all of that; :meth:`model_level` serves
+    callers that slice, sample or pin *one* HDG for the whole model and
+    refuses models that cannot provide one.
+
+    ``span``, when given, names the obs span model-level builds run
+    under (the distributed trainers report selection time from it).
+    """
+
+    def __init__(self, model: NAUModel, graph: Graph,
+                 rng: np.random.Generator, span: str | None = None):
+        self.model = model
+        self.graph = graph
+        self.rng = rng
+        self.span = span
+        #: the cached model-level HDG (``None`` until first needed)
+        self.model_hdg: HDG | None = None
+        #: seconds the latest :meth:`model_level` call spent building
+        #: (0.0 when it reused the cache)
+        self.build_seconds = 0.0
+        self._layer_hdgs: dict[int, HDG] = {}
+        self._epoch = -1
+        # PER_LAYER scope: layers without their own selection share one
+        # model-level HDG per forward pass (see begin_forward).
+        self._pass_hdg: HDG | None = None
+
+    def invalidate(self) -> None:
+        """Drop every cached HDG (e.g. after the graph changed)."""
+        self.model_hdg = None
+        self._layer_hdgs.clear()
+        self._epoch = -1
+        self._pass_hdg = None
+
+    def pin(self, hdg: HDG, epoch: int = 0) -> None:
+        """Install an externally built model-level HDG (a maintainer's
+        incrementally repaired one, or the exact HDG a training engine
+        used) as if NeighborSelection had produced it at ``epoch``."""
+        self.model_hdg = hdg
+        self._epoch = epoch
+
+    def begin_forward(self) -> None:
+        """Start a forward pass: the PER_LAYER fallback HDG is shared by
+        the layers of one pass, not across passes."""
+        self._pass_hdg = None
+
+    def _build(self, epoch: int) -> HDG:
+        if self.span is None:
+            return self.model.neighbor_selection(self.graph, self.rng)
+        with obs.span(self.span, epoch=epoch) as s_sel:
+            hdg = self.model.neighbor_selection(self.graph, self.rng)
+            obs.record_op("neighbor_selection.hdg", bytes_read=hdg.nbytes)
+        self.build_seconds = s_sel.duration
+        return hdg
+
+    def _expire(self, epoch: int) -> None:
+        if (self.model.selection_scope is SelectionScope.PER_EPOCH
+                and self._epoch != epoch):
+            self.invalidate()
+            self._epoch = epoch
+
+    def _cached_model_level(self, epoch: int) -> tuple[HDG, bool]:
+        self._expire(epoch)
+        self.build_seconds = 0.0
+        rebuilt = self.model_hdg is None
+        if rebuilt:
+            self.model_hdg = self._build(epoch)
+            self._epoch = epoch
+        return self.model_hdg, rebuilt
+
+    def for_layer(self, layer_index: int, epoch: int = 0) -> HDG:
+        """HDG for one layer invocation, honoring scope and overrides."""
+        layer = self.model.layers[layer_index]
+        if self.model.selection_scope is SelectionScope.PER_LAYER:
+            own = layer.neighbor_selection(self.graph, self.rng)
+            if own is not None:
+                return own
+            # Rebuilding the fallback for every layer repeated the same
+            # (possibly expensive) construction L times per forward.
+            if self._pass_hdg is None:
+                self._pass_hdg = self._build(epoch)
+            return self._pass_hdg
+        self._expire(epoch)
+        if layer_index in self._layer_hdgs:
+            return self._layer_hdgs[layer_index]
+        own = layer.neighbor_selection(self.graph, self.rng)
+        if own is not None:
+            self._layer_hdgs[layer_index] = own
+            return own
+        return self._cached_model_level(epoch)[0]
+
+    def model_level(self, epoch: int = 0) -> tuple[HDG, bool]:
+        """``(hdg, rebuilt)``: the one HDG every layer of the model uses.
+
+        ``rebuilt`` is true when this call ran NeighborSelection, i.e.
+        anything derived from the previous HDG (worker slices,
+        dependency statistics, shipped sub-HDGs) is now stale.  Raises a
+        ``ValueError`` naming the model and scope when the model has no
+        single model-level HDG: ``PER_LAYER`` scope, or a layer with its
+        own ``neighbor_selection``.
+        """
+        scope = self.model.selection_scope
+        own = [
+            i for i, layer in enumerate(self.model.layers)
+            if type(layer).neighbor_selection is not GNNLayer.neighbor_selection
+        ]
+        if scope is SelectionScope.PER_LAYER or own:
+            why = (f"layers {own} define their own neighbor_selection" if own
+                   else "its HDGs are rebuilt for every layer invocation")
+            raise ValueError(
+                f"model {self.model.name!r} (selection scope {scope.value!r}) "
+                f"has no single model-level HDG: {why}; only FlexGraphEngine "
+                f"runs per-layer NeighborSelection"
+            )
+        return self._cached_model_level(epoch)
+
+    def block_source(self, epoch: int = 0) -> HDG:
+        """The model-level HDG sampled blocks are cut from (validated
+        by :func:`check_block_source` whenever it is rebuilt)."""
+        hdg, rebuilt = self.model_level(epoch)
+        if rebuilt:
+            check_block_source(hdg, self.graph.num_vertices, flat=True)
+        return hdg
+
+
+# ----------------------------------------------------------------------
+# Blocks: seed batch -> per-layer sub-HDGs -> batch-local coordinates
+# ----------------------------------------------------------------------
+def check_block_source(hdg: HDG, num_vertices: int, *, flat: bool) -> None:
+    """Validate a model-level HDG that blocks will be cut from.
+
+    Blocks are addressed by vertex id, so the roots must be every vertex
+    in id order (the layout every model-level NeighborSelection in this
+    repo produces); fan-out sampling additionally needs a flat HDG.
+    """
+    if flat and hdg.depth != 1:
+        raise ValueError(
+            "sampled mini-batch training requires flat HDGs; bound "
+            "hierarchical models with max_instances_per_root instead"
+        )
+    if not np.array_equal(hdg.roots, np.arange(num_vertices, dtype=np.int64)):
+        raise ValueError(
+            "seed-restricted blocks expect HDG roots to cover all vertices "
+            "in id order"
+        )
+
+
+def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
+    """Uniformly keep at most ``fanout`` leaves per root of a flat HDG.
+
+    Per-edge random keys are ranked within each root's contiguous
+    segment — fully vectorized.  PinSage-style importance weights are
+    renormalized over the kept edges so the weighted sum stays a proper
+    average.
+    """
+    if hdg.depth != 1:
+        raise ValueError(
+            "fan-out sampling applies to flat HDGs; bound hierarchical "
+            "models with max_instances_per_root at selection time"
+        )
+    if fanout <= 0:
+        raise ValueError("fanout must be positive")
+    counts = np.diff(hdg.leaf_offsets)
+    if counts.size == 0 or counts.max() <= fanout:
+        return hdg
+    num_edges = hdg.leaf_vertices.size
+    owner = np.repeat(np.arange(hdg.num_roots, dtype=np.int64), counts)
+    keys = rng.random(num_edges)
+    order = np.lexsort((keys, owner))
+    group_start = np.zeros(num_edges, dtype=np.int64)
+    change = np.flatnonzero(np.diff(owner[order], prepend=owner[order[0]] - 1))
+    group_start[change] = change
+    group_start = np.maximum.accumulate(group_start)
+    rank = np.arange(num_edges) - group_start
+    keep = np.sort(order[rank < fanout])
+
+    new_counts = np.minimum(counts, fanout)
+    new_offsets = np.zeros(hdg.num_roots + 1, dtype=np.int64)
+    np.cumsum(new_counts, out=new_offsets[1:])
+    weights = None
+    if hdg.leaf_weights is not None:
+        kept_owner = owner[keep]
+        raw = hdg.leaf_weights[keep]
+        sums = np.bincount(kept_owner, weights=raw, minlength=hdg.num_roots)
+        weights = raw / np.maximum(sums[kept_owner], 1e-12)
+    return HDG(
+        hdg.roots, hdg.schema, hdg.leaf_vertices[keep], new_offsets,
+        instance_offsets=None, leaf_weights=weights,
+        num_input_vertices=hdg.num_input_vertices,
+    )
+
+
+def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
+                rng: np.random.Generator | None = None) -> HDG:
+    """One layer's seed-restricted block: the sub-HDG rooted at
+    ``vertices``, optionally fan-out sampled.
+
+    Requires an HDG that passes :func:`check_block_source` (vertex ids
+    double as root orders).  ``fanout=None`` keeps the full
+    neighborhoods (exact inference); a positive ``fanout`` applies
+    :func:`sample_fanout` (flat HDGs only) and needs ``rng``.
+    """
+    block = hdg.restrict_to_roots(np.asarray(vertices, dtype=np.int64))
+    if fanout is not None:
+        if rng is None:
+            raise ValueError("fan-out sampling needs an rng")
+        block = sample_fanout(block, fanout, rng)
+    return block
+
+
+def build_seed_blocks(
+    hdg: HDG,
+    seeds: np.ndarray,
+    fanouts: list[int | None],
+    rng: np.random.Generator | None = None,
+) -> list[tuple[HDG, np.ndarray]]:
+    """Per-layer ``(block HDG, output vertices)``, input layer first.
+
+    Built top-down: the last layer needs the seeds; each earlier layer
+    needs everything the next layer's block references.  ``fanouts``
+    entries may be ``None`` for exact full-neighborhood blocks.
+    """
+    need = np.unique(np.asarray(seeds, dtype=np.int64))
+    reversed_blocks: list[tuple[HDG, np.ndarray]] = []
+    for fanout in reversed(list(fanouts)):
+        block = build_block(hdg, need, fanout, rng)
+        reversed_blocks.append((block, need))
+        need = np.unique(np.concatenate([need, block.leaf_vertices]))
+    return list(reversed(reversed_blocks))
+
+
+@dataclass
+class CompactBlocks:
+    """Seed blocks relabeled into batch-local coordinates.
+
+    ``input_vertices`` (sorted unique global ids) is the batch's feature
+    universe; every block's leaf/root ids are positions into it, so the
+    whole forward pass runs on arrays of size O(batch) — never O(graph).
+    """
+
+    input_vertices: np.ndarray
+    blocks: list[tuple[HDG, np.ndarray]]   # (local block, local out rows)
+    seed_rows: np.ndarray                  # final-layer rows of the seeds
+
+    @property
+    def num_local(self) -> int:
+        return int(self.input_vertices.size)
+
+
+def compact_blocks(blocks: list[tuple[HDG, np.ndarray]],
+                   seeds: np.ndarray) -> CompactBlocks:
+    """Relabel :func:`build_seed_blocks` output into local coordinates."""
+    first_block, first_out = blocks[0]
+    input_vertices = np.union1d(first_out, first_block.leaf_vertices)
+
+    def local(ids: np.ndarray) -> np.ndarray:
+        return np.searchsorted(input_vertices, ids)
+
+    local_blocks: list[tuple[HDG, np.ndarray]] = []
+    for block, out_vertices in blocks:
+        out_local = local(out_vertices)
+        local_blocks.append((
+            HDG(
+                out_local, block.schema, local(block.leaf_vertices),
+                block.leaf_offsets, instance_offsets=None,
+                leaf_weights=block.leaf_weights,
+                num_input_vertices=input_vertices.size,
+            ),
+            out_local,
+        ))
+    return CompactBlocks(
+        input_vertices=input_vertices,
+        blocks=local_blocks,
+        seed_rows=local(np.asarray(seeds, dtype=np.int64)),
+    )
+
+
+def sample_blocks(hdg: HDG, seeds: np.ndarray, fanouts: list[int | None],
+                  rng: np.random.Generator | None = None) -> CompactBlocks:
+    """A seed batch's sampled blocks, already in local coordinates."""
+    return compact_blocks(build_seed_blocks(hdg, seeds, fanouts, rng), seeds)
+
+
+def run_local_blocks(model: NAUModel, compact: CompactBlocks, feats: Tensor,
+                     strategy) -> Tensor:
+    """Layer-wise forward over local-coordinate blocks.
+
+    ``feats`` holds the gathered input rows (one per
+    ``input_vertices``); the result stays in the same local universe —
+    index it with ``compact.seed_rows`` for the seed logits.
+    """
+    h = feats
+    for layer, (block, out_local) in zip(model.layers, compact.blocks):
+        h_rows = layer.forward(h, block, strategy, rows=out_local)
+        h = scatter_rows(h_rows, out_local, compact.num_local)
+    return h
+
+
+# ----------------------------------------------------------------------
+# Partition: vertex -> worker
+# ----------------------------------------------------------------------
+class Partition:
+    """A validated vertex → worker assignment (from Hash/PuLP/ADB).
+
+    ``parts[w]`` are worker ``w``'s vertices in id order — equivalently
+    its root orders in any HDG that passes :func:`check_block_source`.
+    Everything here depends only on the fixed labels, so it is computed
+    once instead of per layer per epoch.
+    """
+
+    def __init__(self, labels: np.ndarray, num_vertices: int):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if self.labels.shape != (num_vertices,):
+            raise ValueError("partition labels must cover every vertex")
+        self.k = int(self.labels.max()) + 1
+        self.parts = [np.flatnonzero(self.labels == w) for w in range(self.k)]
+        #: worker-concatenation order, and its inverse (→ vertex order)
+        self.order = np.concatenate(self.parts)
+        self.inverse = np.empty(num_vertices, dtype=np.int64)
+        self.inverse[self.order] = np.arange(num_vertices)
+
+    def reassemble(self, outputs: list[Tensor]) -> Tensor:
+        """Per-worker root rows → one matrix in vertex order (a
+        differentiable permutation)."""
+        return concat(outputs, axis=0)[self.inverse]
+
+
+# ----------------------------------------------------------------------
+# The optimise step and the two loss heads
+# ----------------------------------------------------------------------
+def train_step(loss: Tensor, optimizer: Optimizer) -> None:
+    """Clear stale gradients, backpropagate ``loss``, apply the update."""
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step()
+
+
+def node_loss(logits: Tensor, labels: np.ndarray,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Node-classification head: cross-entropy over the (masked) rows."""
+    return cross_entropy(logits, labels, mask)
+
+
+def edge_scores(embeddings: Tensor, edges: np.ndarray) -> Tensor:
+    """Dot-product decoder: one logit per ``(head, tail)`` row."""
+    return (embeddings[edges[:, 0]] * embeddings[edges[:, 1]]).sum(axis=1)
+
+
+def link_loss(embeddings: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
+    """Link-scoring head: BCE of positive vs negative edge logits."""
+    logits = concat([edge_scores(embeddings, pos).reshape(-1, 1),
+                     edge_scores(embeddings, neg).reshape(-1, 1)], axis=0)
+    targets = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
+    return binary_cross_entropy_with_logits(logits.reshape(-1), targets)

@@ -6,11 +6,11 @@ standard design for synchronous data-parallel GNN training:
 
 * :class:`CheckpointManager` — periodic model checkpoints through the
   storage tier, with bounded retention;
-* :class:`FaultTolerantTrainer` — wraps a
-  :class:`~repro.distributed.trainer.DistributedTrainer`; on a worker
-  failure it rolls the model back to the last checkpoint, re-attaches
-  the failed worker's HDG slice (its state is reconstructable from the
-  globally partitioned inputs) and replays the lost epochs.
+* :class:`FaultTolerantTrainer` — wraps either partitioned trainer
+  (simulated or multi-process); on a worker failure it rolls the model
+  back to the last checkpoint, has the trainer ``recover`` the failed
+  worker (its state is reconstructable from the globally partitioned
+  inputs) and replays the lost epochs.
 
 Failures are injected deterministically for testing via a
 ``{epoch: worker_id}`` schedule.
@@ -21,13 +21,16 @@ from __future__ import annotations
 import bisect
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..storage.store import load_checkpoint, save_checkpoint
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
-from .trainer import DistributedEpochStats, DistributedTrainer
+
+if TYPE_CHECKING:  # the trainers import WorkerFailure from this module
+    from .trainer import DistributedEpochStats, DistributedTrainer
 
 __all__ = ["CheckpointManager", "FaultTolerantTrainer", "WorkerFailure", "RecoveryEvent"]
 
@@ -121,7 +124,13 @@ class CheckpointManager:
 
 
 class FaultTolerantTrainer:
-    """Checkpoint-and-replay recovery around a distributed trainer."""
+    """Checkpoint-and-replay recovery around a distributed trainer.
+
+    The wrapped trainer provides ``train_epoch`` plus two methods:
+    ``inject_failure(worker_id)`` makes its next epoch raise
+    :class:`WorkerFailure`, and ``recover(worker_id)`` restores the
+    failed worker so training can resume.
+    """
 
     def __init__(self, trainer: DistributedTrainer, checkpoint_dir: str,
                  interval: int = 1, keep: int = 3):
@@ -131,7 +140,17 @@ class FaultTolerantTrainer:
         # Pre-training model + optimizer snapshot, captured at train()
         # entry: the no-checkpoint recovery path restores it so a
         # "restart from scratch" really is bit-identical to a fresh run.
-        self._initial_state: tuple[dict, dict] | None = None
+        self._initial_state: dict[str, np.ndarray] = {}
+
+    def _snapshot(self, optimizer: Optimizer) -> dict[str, np.ndarray]:
+        """Model + optimizer state in the checkpoint's key layout."""
+        state = {
+            f"model/{k}": v for k, v in self.trainer.model.state_dict().items()
+        }
+        state.update(
+            {f"opt/{k}": np.asarray(v) for k, v in optimizer.state_dict().items()}
+        )
+        return state
 
     def train(
         self,
@@ -154,24 +173,14 @@ class FaultTolerantTrainer:
         """
         failure_schedule = dict(failure_schedule or {})
         history: list[DistributedEpochStats] = []
-        self._initial_state = (
-            {k: np.copy(v) for k, v in self.trainer.model.state_dict().items()},
-            {k: np.copy(v) for k, v in optimizer.state_dict().items()},
-        )
+        self._initial_state = {
+            k: np.copy(v) for k, v in self._snapshot(optimizer).items()
+        }
         epoch = 0
         while epoch < num_epochs:
             if epoch in failure_schedule:
-                worker_id = failure_schedule.pop(epoch)
-                if hasattr(self.trainer, "inject_failure"):
-                    # Multiprocess runtime: kill the real worker process;
-                    # the epoch attempt below raises WorkerFailure.
-                    self.trainer.inject_failure(worker_id)
-                else:
-                    self._recover(
-                        WorkerFailure(worker_id, epoch), optimizer, history
-                    )
-                    epoch = len(history)
-                    continue
+                # The epoch attempt below raises WorkerFailure.
+                self.trainer.inject_failure(failure_schedule.pop(epoch))
             try:
                 stats = self.trainer.train_epoch(
                     feats, labels, optimizer, mask, epoch
@@ -181,13 +190,8 @@ class FaultTolerantTrainer:
                 epoch = len(history)
                 continue
             history.append(stats)
-            combined = {
-                f"model/{k}": v for k, v in self.trainer.model.state_dict().items()
-            }
-            combined.update(
-                {f"opt/{k}": np.asarray(v) for k, v in optimizer.state_dict().items()}
-            )
-            self.checkpoints.maybe_save(epoch, combined, {"loss": stats.loss})
+            self.checkpoints.maybe_save(epoch, self._snapshot(optimizer),
+                                        {"loss": stats.loss})
             epoch += 1
         return history
 
@@ -196,42 +200,24 @@ class FaultTolerantTrainer:
         """Restore model + optimizer state and the failed worker's slice."""
         loaded = self.checkpoints.load_latest()
         if loaded is None:
-            restored_epoch = -1
             # Nothing saved yet: restart from scratch by restoring the
             # state snapshotted at train() entry — merely clearing grads
             # would keep the partially-trained weights and make the
             # "fresh" rerun diverge from an actual fresh run.
-            if self._initial_state is not None:
-                model_state, opt_state = self._initial_state
-                self.trainer.model.load_state_dict(
-                    {k: np.copy(v) for k, v in model_state.items()}
-                )
-                optimizer.load_state_dict(
-                    {k: np.copy(v) for k, v in opt_state.items()}
-                )
+            state = {k: np.copy(v) for k, v in self._initial_state.items()}
+            restored_epoch = -1
             for p in self.trainer.model.parameters():
                 p.grad = None
         else:
             state, metadata = loaded
-            model_state = {
-                k[len("model/"):]: v for k, v in state.items() if k.startswith("model/")
-            }
-            opt_state = {
-                k[len("opt/"):]: v for k, v in state.items() if k.startswith("opt/")
-            }
-            self.trainer.model.load_state_dict(model_state)
-            optimizer.load_state_dict(opt_state)
             restored_epoch = int(metadata["epoch"])
-        # The failed worker's sub-HDG is reconstructed from the global
-        # HDGs (shared-nothing state is derived, not primary).
-        if self.trainer._model_hdg is not None:
-            self.trainer.workers[failure.worker_id].attach_hdg(
-                self.trainer._model_hdg
-            )
-        # Multiprocess runtime: respawn the worker pool (the dead
-        # process took its peers' barrier down with it).
-        if hasattr(self.trainer, "heal"):
-            self.trainer.heal()
+        for prefix, target in (("model/", self.trainer.model),
+                               ("opt/", optimizer)):
+            target.load_state_dict({
+                k[len(prefix):]: v for k, v in state.items()
+                if k.startswith(prefix)
+            })
+        self.trainer.recover(failure.worker_id)
         replayed = len(history) - (restored_epoch + 1)
         del history[restored_epoch + 1 :]
         self.recoveries.append(
@@ -240,6 +226,6 @@ class FaultTolerantTrainer:
                 worker_id=failure.worker_id,
                 restored_from_epoch=restored_epoch,
                 replayed_epochs=max(replayed, 0),
-                bundle=getattr(failure, "bundle", None),
+                bundle=failure.bundle,
             )
         )

@@ -2,7 +2,7 @@
 rounds over the simulated cluster.
 
 Combines the two extensions the paper leaves on the table: fan-out
-sampling (``repro.core.sampling``) and the shared-nothing cluster model
+sampling (``repro.core.step``) and the shared-nothing cluster model
 (§5).  Each round, every worker draws a seed batch from *its own*
 partition, builds sampled blocks against the global HDG, computes
 locally (measured), fetches remote block features (modeled, batched per
@@ -18,13 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
-from ..core.sampling import sample_fanout
+from ..core.nau import NAUModel
+from ..core.step import (
+    ModelHDGs,
+    Partition,
+    node_loss,
+    run_local_blocks,
+    sample_blocks,
+    train_step,
+)
 from ..graph.graph import Graph
-from ..tensor.loss import cross_entropy
-from ..tensor.ops import scatter_rows
+from ..loader.source import as_source
+from ..tensor.ops import concat
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
@@ -69,10 +75,9 @@ class DistributedMiniBatchTrainer:
         # worker's features are gathered per batch from the dataset.
         self._dataset = data if hasattr(data, "graph") else None
         self.graph: Graph = data.graph if self._dataset is not None else data
-        self.labels_part = np.asarray(partition_labels, dtype=np.int64)
-        if self.labels_part.shape != (self.graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        self.k = int(self.labels_part.max()) + 1
+        self.partition = Partition(partition_labels, self.graph.num_vertices)
+        self.labels_part = self.partition.labels
+        self.k = self.partition.k
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -81,33 +86,7 @@ class DistributedMiniBatchTrainer:
             raise ValueError("need one fanout per layer")
         self.strategy = ExecutionStrategy.parse(strategy)
         self.comm_config = comm_config or CommConfig()
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
-
-    # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            self._model_hdg = self.model.neighbor_selection(self.graph, self._rng)
-            if self._model_hdg.depth != 1:
-                raise ValueError("distributed mini-batch requires flat HDGs")
-            self._hdg_epoch = epoch
-        return self._model_hdg
-
-    def _worker_blocks(self, hdg: HDG, seeds: np.ndarray):
-        """Per-layer (block, out_vertices) for one worker's seed batch."""
-        need = np.unique(seeds)
-        reversed_blocks = []
-        for fanout in reversed(self.fanouts):
-            sub = hdg.restrict_to_roots(need)
-            block = sample_fanout(sub, fanout, self._rng)
-            reversed_blocks.append((block, need))
-            need = np.unique(np.concatenate([need, block.leaf_vertices]))
-        return list(reversed(reversed_blocks)), need
+        self.hdgs = ModelHDGs(model, self.graph, np.random.default_rng(seed))
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -120,34 +99,35 @@ class DistributedMiniBatchTrainer:
     ) -> DistributedMiniBatchStats:
         """One synchronized pass over every worker's masked vertices.
 
-        With ``feats=None`` the trainer must have been constructed with
-        a dataset; each worker then gathers its batch's feature rows
-        from the dataset (for ondisk data: only the touched memmap
-        pages) and runs the forward in batch-local coordinates.
+        Each worker gathers its batch's feature rows — from ``feats``,
+        or with ``feats=None`` from the dataset the trainer was
+        constructed with (for ondisk data: only the touched memmap
+        pages) — and runs the forward in batch-local coordinates.
         """
         if optimizer is None:
             raise ValueError("train_epoch needs an optimizer")
-        source = None
         if feats is None:
-            from ..loader.source import as_source
-
             if self._dataset is None:
                 raise ValueError(
                     "train_epoch needs feats unless the trainer was "
                     "constructed with a dataset"
                 )
-            source = as_source(self._dataset, labels)
+            feats = self._dataset
         elif labels is None:
             raise ValueError("train_epoch needs labels when feats is given")
+        source = as_source(feats, labels)
+        # Remote fetches move the storage tier's wire format (quantized
+        # codes + scales for a quantized source), not the dequantized
+        # compute rows.
+        wire_per_row = getattr(source, "wire_bytes_per_row", None)
         self.model.train()
-        hdg = self._ensure_hdg(epoch)
-        n = self.graph.num_vertices
+        rng = self.hdgs.rng
+        hdg = self.hdgs.block_source(epoch)
         pools = []
-        for w in range(self.k):
-            owned = np.flatnonzero(self.labels_part == w)
+        for owned in self.partition.parts:
             if mask is not None:
                 owned = owned[mask[owned]]
-            pools.append(self._rng.permutation(owned))
+            pools.append(rng.permutation(owned))
         num_rounds = max(
             int(np.ceil(pool.size / self.batch_size)) for pool in pools
         )
@@ -167,34 +147,16 @@ class DistributedMiniBatchTrainer:
                 if seeds.size == 0:
                     continue
                 t0 = time.perf_counter()
-                blocks, input_vertices = self._worker_blocks(hdg, seeds)
-                if source is None:
-                    h = feats
-                    for layer, (block, out_vertices) in zip(self.model.layers, blocks):
-                        nbr = layer.aggregation(h, block, self.strategy)
-                        h_rows = layer.update(h[out_vertices], nbr)
-                        h = scatter_rows(h_rows, out_vertices, n)
-                    round_logits.append(h[seeds])
-                    feat_bytes = int(feats.shape[1]) * feats.data.dtype.itemsize
-                else:
-                    from ..loader.pipeline import compact_blocks, run_local_blocks
-
-                    compact = compact_blocks(blocks, seeds)
-                    rows = source.gather_features(compact.input_vertices)
-                    h = run_local_blocks(self.model, compact, Tensor(rows),
-                                         self.strategy)
-                    round_logits.append(h[compact.seed_rows])
-                    # Remote fetches move the storage tier's wire format
-                    # (quantized codes + scales for a quantized source),
-                    # not the dequantized compute rows.
-                    wire_per_row = getattr(source, "wire_bytes_per_row", None)
-                    feat_bytes = (int(wire_per_row) if wire_per_row is not None
-                                  else int(source.feat_dim) * rows.dtype.itemsize)
+                compact = sample_blocks(hdg, seeds, self.fanouts, rng)
+                input_vertices = compact.input_vertices
+                rows = source.gather_features(input_vertices)
+                h = run_local_blocks(self.model, compact, Tensor(rows),
+                                     self.strategy)
+                round_logits.append(h[compact.seed_rows])
                 compute[w] = time.perf_counter() - t0
-                round_targets.append(
-                    labels[seeds] if labels is not None
-                    else source.gather_labels(seeds)
-                )
+                round_targets.append(source.gather_labels(seeds))
+                feat_bytes = (int(wire_per_row) if wire_per_row is not None
+                              else int(source.feat_dim) * rows.dtype.itemsize)
                 # Remote feature fetches: input-block vertices owned by
                 # other workers, one batched message per source worker.
                 remote = input_vertices[self.labels_part[input_vertices] != w]
@@ -205,15 +167,10 @@ class DistributedMiniBatchTrainer:
                         comm.send(int(src_w), w, count * feat_bytes, messages=1)
             if not round_logits:
                 continue
-            from ..tensor.ops import concat
-
-            logits = concat(round_logits, axis=0)
-            targets = np.concatenate(round_targets)
-            loss = cross_entropy(logits, targets)
+            loss = node_loss(concat(round_logits, axis=0),
+                             np.concatenate(round_targets))
             t0 = time.perf_counter()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            train_step(loss, optimizer)
             backward = time.perf_counter() - t0
             losses.append(loss.item())
             # Round wall time: slowest worker (compute + fetches), then a

@@ -135,38 +135,28 @@ def plan_layer_comm(
         mode_effective = "batched"
     else:
         mode_effective = mode
-    if mode_effective == "naive":
-        # One message per remote leaf feature *per root* — the
-        # straightforward per-vertex collection of §5.
-        for dst in range(k):
-            for src in range(k):
-                count = int(stats.remote_edges_per_pair[dst, src])
-                if count:
-                    comm.send(src, dst, count * feat_bytes, messages=count)
-                    size_hist.observe(feat_bytes, count=count)
-        overlaps = False
-    elif mode_effective == "batched":
-        # Same per-root features, but everything bound for the same
-        # (src, dst) pair travels in one assembled message.
-        for dst in range(k):
-            for src in range(k):
-                count = int(stats.remote_edges_per_pair[dst, src])
-                if count:
-                    comm.send(src, dst, count * feat_bytes, messages=1)
-                    size_hist.observe(count * feat_bytes)
-        overlaps = False
-    elif mode_effective == "pipelined":
-        # Partial aggregation: one dim-sized value per (root, remote
-        # partition), all values for a (src, dst) pair in one message.
-        for dst in range(k):
-            for src in range(k):
-                count = int(stats.partial_messages_per_pair[dst, src])
-                if count:
-                    comm.send(src, dst, count * feat_bytes, messages=1)
-                    size_hist.observe(count * feat_bytes)
-        overlaps = True
-    else:
+    if mode_effective not in ("naive", "batched", "pipelined"):
         raise ValueError(f"unknown comm mode {mode!r}")
+    # Pipelined applies partial aggregation: one dim-sized value per
+    # (root, remote partition).  Naive and batched ship the per-root
+    # remote leaf features of §5's straightforward collection.
+    overlaps = mode_effective == "pipelined"
+    counts = (stats.partial_messages_per_pair if overlaps
+              else stats.remote_edges_per_pair)
+    for dst in range(k):
+        for src in range(k):
+            count = int(counts[dst, src])
+            if not count:
+                continue
+            if mode_effective == "naive":
+                # one message per remote leaf feature *per root*
+                comm.send(src, dst, count * feat_bytes, messages=count)
+                size_hist.observe(feat_bytes, count=count)
+            else:
+                # everything bound for the same (src, dst) pair travels
+                # in one assembled message
+                comm.send(src, dst, count * feat_bytes, messages=1)
+                size_hist.observe(count * feat_bytes)
     _obs_event(
         "comm.plan",
         mode=mode_effective,

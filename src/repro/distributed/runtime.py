@@ -95,8 +95,8 @@ from ..obs.live import (
 from ..obs.log import clear_log_context, get_logger, set_log_context
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
-from ..tensor.loss import cross_entropy
+from ..core.nau import NAUModel
+from ..core.step import ModelHDGs, Partition, node_loss
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import BYTES_COUNTER, MESSAGES_COUNTER, CommConfig, ProcessComm
@@ -134,7 +134,7 @@ class _WorkerSpec:
     rank: int
     k: int
     model: NAUModel
-    labels_part: np.ndarray
+    partition: Partition
     strategy: ExecutionStrategy
     comm: ProcessComm
     kv: KVStore
@@ -150,10 +150,6 @@ class _WorkerSpec:
     param_keys: list = field(default_factory=list)
 
 
-def _partition_vertex_lists(labels_part: np.ndarray, k: int) -> list[np.ndarray]:
-    return [np.flatnonzero(labels_part == w) for w in range(k)]
-
-
 class _WorkerRuntime:
     """The per-process worker loop (runs inside the child)."""
 
@@ -164,7 +160,7 @@ class _WorkerRuntime:
         self.model = spec.model
         self.comm = spec.comm
         self.kv = spec.kv
-        self.root_orders = np.flatnonzero(spec.labels_part == spec.rank)
+        self.root_orders = spec.partition.parts[spec.rank]
         self.sub_hdg: HDG | None = None
         #: unique remote leaves per owning rank (filled on HDG arrival)
         self._leaf_counts = np.zeros(spec.k, dtype=np.int64)
@@ -237,10 +233,10 @@ class _WorkerRuntime:
         pays once (layer-0 inputs are static, so they are fetched once
         and cached, unlike hidden activations which move every epoch).
         """
-        parts = _partition_vertex_lists(self.spec.labels_part, self.k)
+        parts = self.spec.partition.parts
         with obs.span("dist.feat_fetch", worker=self.rank):
             first = self.kv.get("feat/0")
-            n = int(self.spec.labels_part.size)
+            n = int(self.spec.partition.labels.size)
             X = np.empty((n, first.shape[1]), dtype=first.dtype)
             for src in range(self.k):
                 shard = self.kv.get(f"feat/{src}")
@@ -253,7 +249,7 @@ class _WorkerRuntime:
     def _attach_hdg(self, sub_hdg: HDG) -> None:
         self.sub_hdg = sub_hdg
         leaves = np.unique(sub_hdg.leaf_vertices)
-        owners = self.spec.labels_part[leaves]
+        owners = self.spec.partition.labels[leaves]
         self._leaf_counts = np.bincount(owners, minlength=self.k).astype(np.int64)
 
     def _remote_read_traffic(self, width: int, itemsize: int) -> tuple[float, int]:
@@ -331,8 +327,8 @@ class _WorkerRuntime:
             messages_total += read_msgs
             with obs.span("dist.compute", worker=self.rank, layer=l,
                           epoch=epoch, pid=os.getpid()) as s_cmp:
-                nbr = layer.aggregation(h_in, self.sub_hdg, self.spec.strategy)
-                out = layer.update(h_in[self.root_orders], nbr)
+                out = layer.forward(h_in, self.sub_hdg, self.spec.strategy,
+                                    rows=self.root_orders)
             compute_s += s_cmp.duration
             self.spec.hbufs[l + 1].array[self.root_orders] = out.data
             wait = self.comm.barrier()
@@ -497,19 +493,16 @@ class MultiprocessTrainer:
     ):
         self.model = model
         self.graph = graph
-        self.labels_part = np.asarray(partition_labels, dtype=np.int64)
-        if self.labels_part.shape != (graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        self.k = int(self.labels_part.max()) + 1
+        self.partition = Partition(partition_labels, graph.num_vertices)
+        self.labels_part = self.partition.labels
+        self.k = self.partition.k
         self.strategy = ExecutionStrategy.parse(strategy)
         self.comm_config = comm_config or CommConfig()
         self.timeout = float(timeout)
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
-        self.workers = [
-            Worker(w, np.flatnonzero(self.labels_part == w)) for w in range(self.k)
-        ]
+        self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed),
+                              span="dist.neighbor_selection")
+        self.workers = [Worker(w, part)
+                        for w, part in enumerate(self.partition.parts)]
         self.comm = ProcessComm(self.k, self.comm_config, ctx=ctx,
                                 timeout=self.timeout)
         self.ctx = self.comm.ctx
@@ -594,7 +587,7 @@ class MultiprocessTrainer:
         for rank in range(self.k):
             spec = _WorkerSpec(
                 rank=rank, k=self.k, model=self.model,
-                labels_part=self.labels_part, strategy=self.strategy,
+                partition=self.partition, strategy=self.strategy,
                 comm=self.comm, kv=self.kv,
                 hbufs=self._hbufs, gbufs=self._gbufs,
                 hslabs=self._hslabs, pslabs=self._pslabs, pbuf=self._pbuf,
@@ -612,22 +605,37 @@ class MultiprocessTrainer:
 
     def _teardown_pool(self) -> None:
         """Stop every worker process (barrier aborted so stragglers fail
-        fast); shared buffers and KV segments survive for a respawn."""
+        fast) and release the pool's queues; shared buffers and KV
+        segments survive for a respawn."""
         if self._procs is None:
             return
         self.comm.close()  # abort the barrier: unblock stuck workers
-        if self._result_q is not None:
-            try:
-                while True:
-                    self._result_q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                pass
+        try:
+            while True:
+                self._result_q.get_nowait()
+        except (queue_mod.Empty, OSError, ValueError):
+            pass
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
         for proc in self._procs:
             proc.join(timeout=5.0)
         self._procs = None
+        # Close every queue and join the inboxes' feeder threads, so a
+        # torn-down pool leaves no thread behind.  A feeder only exits
+        # once its buffer is flushed into the pipe, and the readers are
+        # gone: read out what is still in flight first.
+        for inbox in self._inboxes:
+            try:
+                while True:
+                    inbox.get_nowait()
+            except (queue_mod.Empty, OSError, ValueError):
+                pass
+            inbox.close()
+            inbox.join_thread()
+        self._result_q.close()
+        self._inboxes = []
+        self._result_q = None
 
     def heal(self) -> None:
         """Respawn the worker pool after a failure (FT recovery path)."""
@@ -635,6 +643,12 @@ class MultiprocessTrainer:
         self.comm.reset()
         if self._started:
             self._spawn()
+
+    def recover(self, worker_id: int) -> None:
+        """The :class:`FaultTolerantTrainer` contract: the dead process
+        took its peers' barrier down with it, so recovering one worker
+        means respawning the pool."""
+        self.heal()
 
     def inject_failure(self, worker_id: int) -> None:
         """Arrange for ``worker_id`` to die (``os._exit``) at the start
@@ -704,22 +718,6 @@ class MultiprocessTrainer:
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            with obs.span("dist.neighbor_selection", epoch=epoch):
-                self._model_hdg = self.model.neighbor_selection(
-                    self.graph, self._rng
-                )
-            self._hdg_epoch = epoch
-            for worker in self.workers:
-                worker.attach_hdg(self._model_hdg)
-            self._hdg_dirty = set(range(self.k))
-        return self._model_hdg
-
     def _dump_incident(self, kind: str, *, rank: int | None = None,
                        reason: str | None = None,
                        extra_sections: dict | None = None) -> str | None:
@@ -845,7 +843,14 @@ class MultiprocessTrainer:
         self._ensure_started(feats)
         if self._procs is None:
             self._spawn()
-        self._ensure_hdg(epoch)
+        # A worker that died between epochs must surface before anything
+        # is queued for it: nobody would ever read that inbox again.
+        self._check_liveness(epoch)
+        hdg, rebuilt = self.hdgs.model_level(epoch)
+        if rebuilt:
+            for worker in self.workers:
+                worker.attach_hdg(hdg)
+            self._hdg_dirty = set(range(self.k))
 
         # Parameter sync: fresh replicated state, then bump the version
         # the dispatched tasks will assert.
@@ -853,7 +858,6 @@ class MultiprocessTrainer:
             self.kv.set(key, p.data)
         version = self.kv.bump_version()
 
-        per_epoch = self.model.selection_scope is SelectionScope.PER_EPOCH
         trace_id = obs.get_registry().trace_id
         for rank in range(self.k):
             if rank in self._die_next:
@@ -869,15 +873,13 @@ class MultiprocessTrainer:
                 "trace_id": trace_id,
                 "stall_seconds": self._stall_next.pop(rank, 0.0),
             }))
-        if per_epoch:
-            self._hdg_dirty = set(range(self.k))
 
         # Forward runs worker-side; rank 0 signals the final barrier.
         self._await("fwd", epoch, 1)
         num_layers = len(self.model.layers)
         logits = Tensor(np.array(self._hbufs[num_layers].array),
                         requires_grad=True)
-        loss = cross_entropy(logits, labels, mask)
+        loss = node_loss(logits, labels, mask)
         with obs.span("dist.backward", epoch=epoch, stage="loss"):
             loss.backward()
         self._gbufs[num_layers].array[...] = logits.grad

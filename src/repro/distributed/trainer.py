@@ -22,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
-from ..tensor.loss import cross_entropy
+from ..core.nau import NAUModel
+from ..core.step import ModelHDGs, Partition, node_loss, train_step
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
-from ..tensor.ops import concat
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
+from .fault_tolerance import WorkerFailure
 from .pipeline import dependency_stats, plan_layer_comm
 from .worker import Worker
 
@@ -92,10 +91,9 @@ class DistributedTrainer:
     ):
         self.model = model
         self.graph = graph
-        self.labels_part = np.asarray(partition_labels, dtype=np.int64)
-        if self.labels_part.shape != (graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        self.k = int(self.labels_part.max()) + 1
+        self.partition = Partition(partition_labels, graph.num_vertices)
+        self.labels_part = self.partition.labels
+        self.k = self.partition.k
         self.strategy = ExecutionStrategy.parse(strategy)
         self.pipeline = pipeline
         self.comm_config = comm_config or CommConfig()
@@ -110,49 +108,110 @@ class DistributedTrainer:
                 raise ValueError(f"worker_speeds must have shape ({self.k},)")
             if (self.worker_speeds <= 0).any():
                 raise ValueError("worker speeds must be positive")
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
+        self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed),
+                              span="dist.neighbor_selection")
         self._dep_stats = None
+        self._fail_next: int | None = None
         # Worker root sets follow the global HDG root order (vertex id).
-        self.workers = [
-            Worker(w, np.flatnonzero(self.labels_part == w)) for w in range(self.k)
-        ]
-        # The reassembly permutation (worker-concatenation order -> vertex
-        # order) depends only on the fixed partition, so compute it once
-        # instead of per layer per epoch.
-        n = graph.num_vertices
-        self._order = np.concatenate([w.root_orders for w in self.workers])
-        self._inverse = np.empty(n, dtype=np.int64)
-        self._inverse[self._order] = np.arange(n)
-
-    # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            with obs.span("dist.neighbor_selection", epoch=epoch) as s_sel:
-                self._model_hdg = self.model.neighbor_selection(self.graph, self._rng)
-                obs.record_op("neighbor_selection.hdg",
-                              bytes_read=self._model_hdg.nbytes)
-            self._selection_wall = s_sel.duration
-            self._hdg_epoch = epoch
-            for worker in self.workers:
-                worker.attach_hdg(self._model_hdg)
-            self._dep_stats = dependency_stats(
-                self._model_hdg, self.labels_part, self.k
-            )
-        else:
-            self._selection_wall = 0.0
-        return self._model_hdg
+        self.workers = [Worker(w, part)
+                        for w, part in enumerate(self.partition.parts)]
 
     def _layer_commutative(self, layer) -> bool:
         """Partial aggregation needs a commutative bottom-level UDF (§5)."""
         if not layer.aggregators:
             return True
         return layer.aggregators[0].name in ("sum", "mean", "max", "min", "weighted_sum")
+
+    # ------------------------------------------------------------------
+    # Failure injection (the FaultTolerantTrainer contract)
+    # ------------------------------------------------------------------
+    def inject_failure(self, worker_id: int) -> None:
+        """Arrange for ``worker_id`` to fail at the start of the next
+        epoch — before any RNG draw, so a replay after recovery sees the
+        random stream a failure-free run would."""
+        if not (0 <= worker_id < self.k):
+            raise ValueError("worker id out of range")
+        self._fail_next = worker_id
+
+    def recover(self, worker_id: int) -> None:
+        """Rebuild the failed worker's state: its sub-HDG is re-sliced
+        from the global HDGs (shared-nothing state is derived, not
+        primary)."""
+        if self.hdgs.model_hdg is not None:
+            self.workers[worker_id].attach_hdg(self.hdgs.model_hdg)
+
+    # ------------------------------------------------------------------
+    def _sync_hdg(self, epoch: int) -> None:
+        """Re-slice the workers when NeighborSelection rebuilt the HDG."""
+        hdg, rebuilt = self.hdgs.model_level(epoch)
+        if rebuilt:
+            for worker in self.workers:
+                worker.attach_hdg(hdg)
+            self._dep_stats = dependency_stats(hdg, self.labels_part, self.k)
+
+    def _forward(self, feats: Tensor, epoch: int,
+                 time_update: bool = True) -> tuple[Tensor, dict]:
+        """The partitioned forward: every worker's sliced aggregation +
+        update per layer (measured), the layer's modeled communication,
+        and reassembly into vertex order.
+
+        ``time_update=False`` keeps Update outside the ``dist.compute``
+        span, isolating the Aggregation stage (Figures 15a-c).  Returns
+        the final features and the simulated-time/traffic totals (per
+        worker: measured ``compute`` and modeled ``comm`` seconds).
+        """
+        mode = "pipelined" if self.pipeline else "batched"
+        totals = {"seconds": 0.0, "bytes": 0.0, "messages": 0, "modes": set(),
+                  "compute": np.zeros(self.k), "comm": np.zeros(self.k)}
+        h = feats
+        for layer_index, layer in enumerate(self.model.layers):
+            feat_bytes = int(h.shape[1]) * h.data.dtype.itemsize
+            plan = plan_layer_comm(
+                self._dep_stats, feat_bytes, self.comm_config, mode,
+                self._layer_commutative(layer),
+            )
+            totals["modes"].add(plan.mode)
+            totals["bytes"] += plan.total_bytes
+            totals["messages"] += plan.total_messages
+
+            outputs = []
+            compute = np.zeros(self.k)
+            for w, worker in enumerate(self.workers):
+                # scale= divides measured time by the worker's modeled
+                # speed, so the recorded span carries the effective
+                # duration straggler analysis and histograms must see.
+                with obs.span("dist.compute",
+                              scale=1.0 / self.worker_speeds[w], worker=w,
+                              layer=layer_index, epoch=epoch) as s_cmp:
+                    nbr = layer.aggregation(h, worker.sub_hdg, self.strategy)
+                    if time_update:
+                        h_w = layer.update(h[worker.root_orders], nbr)
+                if not time_update:
+                    h_w = layer.update(h[worker.root_orders], nbr)
+                compute[w] = s_cmp.duration
+                outputs.append(h_w)
+
+            combine = (
+                _COMBINE_FRACTION * plan.per_worker_seconds
+                if plan.overlaps_compute
+                else np.zeros(self.k)
+            )
+            for w in range(self.k):
+                obs.record_span("dist.comm", float(plan.per_worker_seconds[w]),
+                                worker=w, layer=layer_index, epoch=epoch,
+                                mode=plan.mode)
+                if plan.overlaps_compute:
+                    obs.record_span("dist.combine", float(combine[w]),
+                                    worker=w, layer=layer_index, epoch=epoch)
+            if plan.overlaps_compute:
+                layer_times = np.maximum(compute, plan.per_worker_seconds) + combine
+            else:
+                layer_times = compute + plan.per_worker_seconds
+            totals["seconds"] += float(layer_times.max())
+            totals["compute"] += compute
+            totals["comm"] += plan.per_worker_seconds
+            h = self.partition.reassemble(outputs)
+        return h, totals
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -164,82 +223,24 @@ class DistributedTrainer:
         epoch: int = 0,
     ) -> DistributedEpochStats:
         """One data-parallel full-batch epoch with simulated-time accounting."""
+        if self._fail_next is not None:
+            worker_id, self._fail_next = self._fail_next, None
+            raise WorkerFailure(worker_id, epoch)
         self.model.train()
-        self._ensure_hdg(epoch)
+        self._sync_hdg(epoch)
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
-        for worker in self.workers:
-            worker.reset_epoch()
+        h, totals = self._forward(feats, epoch)
         # Selection is embarrassingly parallel across partitions (§5:
         # "FlexGraph constructs a subgraph of HDGs in parallel").
-        selection_sim = self._selection_wall / self.k
+        selection_sim = self.hdgs.build_seconds / self.k
+        simulated = selection_sim + totals["seconds"]
+        total_bytes, total_messages = totals["bytes"], totals["messages"]
 
-        h = feats
-        simulated = selection_sim
-        total_bytes = 0.0
-        total_messages = 0
-        mode = "pipelined" if self.pipeline else "batched"
-        effective_modes: set[str] = set()
-
-        for layer_index, layer in enumerate(self.model.layers):
-            feat_bytes = int(h.shape[1]) * h.data.dtype.itemsize
-            commutative = self._layer_commutative(layer)
-            plan = plan_layer_comm(
-                self._dep_stats, feat_bytes, self.comm_config, mode, commutative
-            )
-            effective_modes.add(plan.mode)
-            total_bytes += plan.total_bytes
-            total_messages += plan.total_messages
-
-            outputs = []
-            compute = np.zeros(self.k)
-            for worker in self.workers:
-                # scale= divides measured time by the worker's modeled
-                # speed, so the recorded span carries the effective
-                # duration straggler analysis and histograms must see.
-                with obs.span("dist.compute",
-                              scale=1.0 / self.worker_speeds[worker.worker_id],
-                              worker=worker.worker_id,
-                              layer=layer_index, epoch=epoch) as s_cmp:
-                    nbr = layer.aggregation(h, worker.sub_hdg, self.strategy)
-                    h_w = layer.update(h[worker.root_orders], nbr)
-                compute[worker.worker_id] = s_cmp.duration
-                outputs.append(h_w)
-
-            combine = (
-                _COMBINE_FRACTION * plan.per_worker_seconds
-                if plan.overlaps_compute
-                else np.zeros(self.k)
-            )
-            for worker in self.workers:
-                w = worker.worker_id
-                obs.record_span("dist.comm", float(plan.per_worker_seconds[w]),
-                                worker=w, layer=layer_index, epoch=epoch,
-                                mode=plan.mode)
-                if plan.overlaps_compute:
-                    obs.record_span("dist.combine", float(combine[w]),
-                                    worker=w, layer=layer_index, epoch=epoch)
-            if plan.overlaps_compute:
-                layer_times = np.maximum(compute, plan.per_worker_seconds) + combine
-            else:
-                layer_times = compute + plan.per_worker_seconds
-            simulated += float(layer_times.max())
-            for worker in self.workers:
-                worker.compute_seconds += compute[worker.worker_id]
-                worker.comm_seconds += plan.per_worker_seconds[worker.worker_id]
-
-            # Reassemble the global feature matrix in vertex order
-            # (differentiable permutation; self._inverse is fixed by the
-            # partition, computed once in __init__).
-            stacked = concat(outputs, axis=0)
-            h = stacked[self._inverse]
-
-        loss = cross_entropy(h, labels, mask)
+        loss = node_loss(h, labels, mask)
         with obs.span("dist.backward", epoch=epoch) as s_back:
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            train_step(loss, optimizer)
         simulated += s_back.duration / self.k
         param_bytes = sum(p.data.nbytes for p in self.model.parameters())
         allreduce = SimulatedComm(self.k, self.comm_config).allreduce_time(param_bytes)
@@ -250,14 +251,9 @@ class DistributedTrainer:
         # Report the mode the plans actually used: a non-commutative
         # aggregator silently downgrades pipelined -> batched (§5), and
         # models can mix commutative and non-commutative layers.
-        if len(effective_modes) == 1:
-            effective_mode = next(iter(effective_modes))
-        elif effective_modes:
-            effective_mode = "mixed"
-        else:
-            effective_mode = mode
-
-        per_worker_compute = np.array([w.compute_seconds for w in self.workers])
+        modes = totals["modes"]
+        effective_mode = next(iter(modes)) if len(modes) == 1 else "mixed"
+        per_worker_compute = totals["compute"]
         mean_compute = per_worker_compute.mean()
         balance = (
             float(per_worker_compute.max() / mean_compute)
@@ -286,7 +282,7 @@ class DistributedTrainer:
             loss=loss.item(),
             simulated_seconds=simulated,
             compute_seconds=per_worker_compute,
-            comm_seconds=np.array([w.comm_seconds for w in self.workers]),
+            comm_seconds=totals["comm"],
             selection_seconds=selection_sim,
             total_bytes=total_bytes,
             total_messages=total_messages,
@@ -296,36 +292,5 @@ class DistributedTrainer:
     def aggregation_epoch_time(self, feats: Tensor, epoch: int = 0) -> float:
         """Simulated seconds of the Aggregation stage only (Figures 15a-c
         measure Aggregation rather than end-to-end epochs)."""
-        self._ensure_hdg(epoch)
-        h = feats
-        simulated = 0.0
-        mode = "pipelined" if self.pipeline else "batched"
-
-        for layer_index, layer in enumerate(self.model.layers):
-            feat_bytes = int(h.shape[1]) * h.data.dtype.itemsize
-            plan = plan_layer_comm(
-                self._dep_stats, feat_bytes, self.comm_config, mode,
-                self._layer_commutative(layer),
-            )
-            compute = np.zeros(self.k)
-            outputs = []
-            for worker in self.workers:
-                with obs.span("dist.compute",
-                              scale=1.0 / self.worker_speeds[worker.worker_id],
-                              worker=worker.worker_id,
-                              layer=layer_index, epoch=epoch) as s_cmp:
-                    nbr = layer.aggregation(h, worker.sub_hdg, self.strategy)
-                compute[worker.worker_id] = s_cmp.duration
-                # Update runs untimed: this method isolates Aggregation.
-                outputs.append(layer.update(h[worker.root_orders], nbr))
-            if plan.overlaps_compute:
-                layer_times = (
-                    np.maximum(compute, plan.per_worker_seconds)
-                    + _COMBINE_FRACTION * plan.per_worker_seconds
-                )
-            else:
-                layer_times = compute + plan.per_worker_seconds
-            simulated += float(layer_times.max())
-            stacked = concat(outputs, axis=0)
-            h = stacked[self._inverse]
-        return simulated
+        self._sync_hdg(epoch)
+        return self._forward(feats, epoch, time_update=False)[1]["seconds"]

@@ -24,16 +24,6 @@ class Worker:
     worker_id: int
     root_orders: np.ndarray
     sub_hdg: HDG | None = None
-    compute_seconds: float = 0.0
-    comm_seconds: float = 0.0
-
-    @property
-    def num_roots(self) -> int:
-        return int(self.root_orders.size)
-
-    def reset_epoch(self) -> None:
-        self.compute_seconds = 0.0
-        self.comm_seconds = 0.0
 
     def attach_hdg(self, model_hdg: HDG) -> None:
         """Slice the freshly built model HDG down to this worker's roots."""

@@ -7,15 +7,8 @@ the epoch seed, making the stream bitwise-identical across prefetch
 depths and worker counts.  See ``docs/storage.md`` for tuning.
 """
 
-from .pipeline import (
-    BatchPlan,
-    CompactBlocks,
-    SampledBatch,
-    StreamingLoader,
-    compact_blocks,
-    plan_epoch,
-    run_local_blocks,
-)
+from ..core.step import CompactBlocks, compact_blocks, run_local_blocks
+from .pipeline import BatchPlan, SampledBatch, StreamingLoader, plan_epoch
 from .source import DataSource, InMemorySource, QuantizedSource, as_source
 
 __all__ = [

@@ -35,20 +35,11 @@ import numpy as np
 
 from .. import obs
 from ..core.hdg import HDG
-from ..core.sampling import build_seed_blocks
-from ..tensor.ops import scatter_rows
+from ..core.step import CompactBlocks, sample_blocks
 from ..tensor.tensor import Tensor
 from .source import DataSource, as_source
 
-__all__ = [
-    "BatchPlan",
-    "CompactBlocks",
-    "SampledBatch",
-    "StreamingLoader",
-    "compact_blocks",
-    "plan_epoch",
-    "run_local_blocks",
-]
+__all__ = ["BatchPlan", "SampledBatch", "StreamingLoader", "plan_epoch"]
 
 
 @dataclass(frozen=True)
@@ -86,68 +77,6 @@ def plan_epoch(pool: np.ndarray, batch_size: int, *, seed: int,
 
 
 @dataclass
-class CompactBlocks:
-    """Seed blocks relabeled into batch-local coordinates.
-
-    ``input_vertices`` (sorted unique global ids) is the batch's feature
-    universe; every block's leaf/root ids are positions into it, so the
-    whole forward pass runs on arrays of size O(batch) — never O(graph).
-    """
-
-    input_vertices: np.ndarray
-    blocks: list[tuple[HDG, np.ndarray]]   # (local block, local out rows)
-    seed_rows: np.ndarray                  # final-layer rows of the seeds
-
-    @property
-    def num_local(self) -> int:
-        return int(self.input_vertices.size)
-
-
-def compact_blocks(blocks: list[tuple[HDG, np.ndarray]],
-                   seeds: np.ndarray) -> CompactBlocks:
-    """Relabel :func:`build_seed_blocks` output into local coordinates."""
-    first_block, first_out = blocks[0]
-    input_vertices = np.union1d(first_out, first_block.leaf_vertices)
-
-    def local(ids: np.ndarray) -> np.ndarray:
-        return np.searchsorted(input_vertices, ids)
-
-    local_blocks: list[tuple[HDG, np.ndarray]] = []
-    for block, out_vertices in blocks:
-        out_local = local(out_vertices)
-        local_blocks.append((
-            HDG(
-                out_local, block.schema, local(block.leaf_vertices),
-                block.leaf_offsets, instance_offsets=None,
-                leaf_weights=block.leaf_weights,
-                num_input_vertices=input_vertices.size,
-            ),
-            out_local,
-        ))
-    return CompactBlocks(
-        input_vertices=input_vertices,
-        blocks=local_blocks,
-        seed_rows=local(np.asarray(seeds, dtype=np.int64)),
-    )
-
-
-def run_local_blocks(model, compact: CompactBlocks, feats: Tensor,
-                     strategy) -> Tensor:
-    """Layer-wise forward over local-coordinate blocks.
-
-    ``feats`` holds the gathered input rows (one per
-    ``input_vertices``); the result stays in the same local universe —
-    index it with ``compact.seed_rows`` for the seed logits.
-    """
-    h = feats
-    for layer, (block, out_local) in zip(model.layers, compact.blocks):
-        nbr = layer.aggregation(h, block, strategy)
-        h_rows = layer.update(h[out_local], nbr)
-        h = scatter_rows(h_rows, out_local, compact.num_local)
-    return h
-
-
-@dataclass
 class SampledBatch:
     """One fully staged batch, ready for a train step."""
 
@@ -162,16 +91,8 @@ class SampledBatch:
     transfer_seconds: float = 0.0
 
     @property
-    def blocks(self) -> list[tuple[HDG, np.ndarray]]:
-        return self.compact.blocks
-
-    @property
     def seed_rows(self) -> np.ndarray:
         return self.compact.seed_rows
-
-    @property
-    def stage_seconds(self) -> float:
-        return self.sample_seconds + self.gather_seconds + self.transfer_seconds
 
 
 @dataclass
@@ -253,8 +174,7 @@ class StreamingLoader:
     def _produce(self, hdg: HDG, plan: BatchPlan) -> SampledBatch:
         rng = np.random.default_rng(plan.rng_seed)
         t0 = time.perf_counter()
-        blocks = build_seed_blocks(hdg, plan.seeds, self.fanouts, rng)
-        compact = compact_blocks(blocks, plan.seeds)
+        compact = sample_blocks(hdg, plan.seeds, self.fanouts, rng)
         sample_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()

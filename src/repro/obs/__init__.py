@@ -38,13 +38,10 @@ and a list append) so they stay on in production code paths.
 
 from . import analysis, flight, live, log, profile
 from .analysis import (
-    StallReport,
     StragglerReport,
     backend_report,
     render_backend_report,
-    render_stall_report,
     render_straggler_report,
-    stall_report,
     straggler_report,
 )
 from .export import (
@@ -73,7 +70,6 @@ from .log import (
     StructuredLogger,
     clear_log_context,
     get_logger,
-    log_context,
     set_log_context,
 )
 from .metrics import Counter, Gauge
@@ -137,9 +133,6 @@ __all__ = [
     "straggler_report",
     "StragglerReport",
     "render_straggler_report",
-    "stall_report",
-    "StallReport",
-    "render_stall_report",
     "backend_report",
     "render_backend_report",
     "flight",
@@ -155,7 +148,6 @@ __all__ = [
     "get_logger",
     "set_log_context",
     "clear_log_context",
-    "log_context",
     "live",
     "TelemetrySlab",
     "WorkerTelemetry",

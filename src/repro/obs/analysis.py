@@ -27,19 +27,12 @@ __all__ = [
     "StragglerReport",
     "straggler_report",
     "render_straggler_report",
-    "StallReport",
-    "stall_report",
-    "render_stall_report",
     "backend_report",
     "render_backend_report",
 ]
 
 COMPUTE_SPAN = "dist.compute"
 COMM_SPAN = "dist.comm"
-
-#: event name the multiprocess runtime's stall poll emits (kept in sync
-#: with ``obs.live.STALL_EVENT`` — analysis reads traces, not the slab)
-STALL_EVENT_NAME = "dist.worker_stalled"
 
 #: name of the hybrid executor's per-level backend event (kept in sync
 #: with ``core.hybrid.BACKEND_EVENT`` — obs must not import core)
@@ -226,78 +219,6 @@ def render_straggler_report(report: StragglerReport) -> str:
             for layer, worker in sorted(report.critical_path.items())
         )
         lines.append(f"  critical path per layer: {path}")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# stall reports (live-telemetry plane, see repro.obs.live)
-# ----------------------------------------------------------------------
-@dataclass
-class StallReport:
-    """Aggregation of ``dist.worker_stalled`` events: which ranks froze,
-    and exactly where (epoch, layer, phase) progress stopped.
-
-    *Dead* workers surface as
-    :class:`~repro.distributed.fault_tolerance.WorkerFailure`; this
-    report covers the other failure mode — a process that is alive but
-    no longer heartbeating in an active phase (hung syscall, livelock,
-    pathological slowdown).
-    """
-
-    #: one entry per stall episode, in detection order:
-    #: {"rank", "epoch", "layer", "phase", "stalled_seconds", "time"}
-    stalls: list[dict] = field(default_factory=list)
-
-    @property
-    def stalled_ranks(self) -> list[int]:
-        return sorted({int(s["rank"]) for s in self.stalls})
-
-    def to_dict(self) -> dict:
-        return {"stalls": [dict(s) for s in self.stalls]}
-
-    def render(self) -> str:
-        return render_stall_report(self)
-
-
-def stall_report(events: Iterable | None = None, registry=None) -> StallReport:
-    """Build a :class:`StallReport` from ``dist.worker_stalled`` events
-    (live :class:`EventRecord` objects or an exported trace's
-    ``"events"`` list; defaults to the global registry)."""
-    if events is None:
-        events = (registry or get_registry()).events
-    report = StallReport()
-    for event in events:
-        name, attrs = _event_fields(event)
-        if name != STALL_EVENT_NAME:
-            continue
-        when = event.get("time") if isinstance(event, dict) else event.time
-        report.stalls.append({
-            "rank": int(attrs.get("rank", -1)),
-            "epoch": int(attrs.get("epoch", -1)),
-            "layer": int(attrs.get("layer", -1)),
-            "phase": str(attrs.get("phase", "?")),
-            "stalled_seconds": float(attrs.get("stalled_seconds", 0.0)),
-            "time": float(when if when is not None else 0.0),
-        })
-    return report
-
-
-def render_stall_report(report: StallReport) -> str:
-    """Fixed-width text rendering of a :class:`StallReport`."""
-    if not report.stalls:
-        return "(no worker stalls detected)"
-    lines = [
-        f"  {'rank':>5} {'epoch':>6} {'layer':>6} {'phase':<12} "
-        f"{'frozen for':>11}"
-    ]
-    for s in report.stalls:
-        lines.append(
-            f"  {s['rank']:>5} {s['epoch']:>6} {s['layer']:>6} "
-            f"{s['phase']:<12} {s['stalled_seconds'] * 1e3:9.1f}ms"
-        )
-    lines.append(
-        f"  stalled ranks: {', '.join(map(str, report.stalled_ranks))}"
-    )
     return "\n".join(lines)
 
 

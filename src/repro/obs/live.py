@@ -105,7 +105,7 @@ ACTIVE_PHASES = frozenset({
     PHASE_GRAD_REDUCE, PHASE_PARAM_REDUCE,
 })
 
-#: event name the stall poll emits (consumed by analysis.stall_report)
+#: event name the stall poll emits (tools/postmortem.py explains stalls)
 STALL_EVENT = "dist.worker_stalled"
 
 #: gauge-name prefix the parent publishes samples under

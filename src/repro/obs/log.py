@@ -47,7 +47,6 @@ __all__ = [
     "get_logger",
     "set_log_context",
     "clear_log_context",
-    "log_context",
     "configure",
 ]
 
@@ -82,11 +81,6 @@ def clear_log_context(*keys: str) -> None:
         return
     for key in keys:
         _CONTEXT.pop(key, None)
-
-
-def log_context() -> dict:
-    """A copy of the current process log context."""
-    return dict(_CONTEXT)
 
 
 def configure(stream=None, level: str = "debug") -> None:

@@ -5,7 +5,7 @@ A session is the serve-time counterpart of
 :class:`~repro.core.engine.FlexGraphEngine`: instead of a full-graph
 forward per call it computes, per request, only the seed-restricted
 blocks (the same block construction sampled mini-batch training uses —
-:func:`repro.core.sampling.build_block`), and it fills every layer's
+:func:`repro.core.step.build_block`), and it fills every layer's
 outputs through the versioned :class:`~repro.serve.cache.EmbeddingCache`
 so hot vertices are never recomputed.
 
@@ -34,11 +34,11 @@ from ..core.dynamic import MetapathHDGMaintainer
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel, SelectionScope
-from ..core.sampling import build_block
+from ..core.step import ModelHDGs, build_block, check_block_source
 from ..graph.graph import Graph
+from ..loader.source import as_source
 from ..storage.store import load_checkpoint
 from ..tensor.plans import get_plan_cache
-from ..tensor.quant import quantize_rows, resolve_codec
 from ..tensor.tensor import Tensor, no_grad
 from .cache import EmbeddingCache, GraphVersion, HDGBlockCache, expand_affected
 
@@ -118,17 +118,9 @@ class InferenceSession:
         feats = np.asarray(features)
         if feats.shape[0] != graph.num_vertices:
             raise ValueError("features must cover every vertex of the graph")
-        if feature_dtype is None:
-            self._features = feats
-            self._qfeatures = None
-            self._feature_out_dtype = feats.dtype
-        else:
-            codec = resolve_codec(feature_dtype)
-            self._features = None
-            self._qfeatures = quantize_rows(feats, codec)
-            self._feature_out_dtype = np.dtype(
-                np.float32 if codec == "int8" else codec
-            )
+        # Pinned exactly as given, or (with a codec) held quantized and
+        # dequantized on gather — the loader's in-RAM feature tiers.
+        self._source = as_source(feats, feature_dtype=feature_dtype)
         if fanouts is not None and len(fanouts) != model.num_layers:
             raise ValueError(
                 f"need one fanout per layer ({model.num_layers}), got {len(fanouts)}"
@@ -141,11 +133,10 @@ class InferenceSession:
             self.load_checkpoint(checkpoint)
         self.model.eval()
 
-        if hdg is None:
-            hdg = (maintainer.build_hdg() if maintainer is not None
-                   else model.neighbor_selection(graph, self._rng))
-        self._check_hdg(hdg)
-        self.hdg = hdg
+        self._hdgs = ModelHDGs(model, graph, self._rng)
+        if hdg is None and maintainer is not None:
+            hdg = maintainer.build_hdg()
+        self._pin(hdg)
 
         self.version = GraphVersion()
         self.embed_cache = EmbeddingCache(embed_cache_bytes,
@@ -190,14 +181,18 @@ class InferenceSession:
         self.model.load_state_dict(state)
         return meta
 
-    def _check_hdg(self, hdg: HDG) -> None:
-        if not np.array_equal(
-            hdg.roots, np.arange(self.graph.num_vertices, dtype=np.int64)
-        ):
-            raise ValueError(
-                "serving expects HDG roots to cover all vertices in id order "
-                "(every model-level NeighborSelection in repro produces this)"
-            )
+    @property
+    def hdg(self) -> HDG:
+        """The pinned model-level HDG requests are served from."""
+        return self._hdgs.model_hdg
+
+    def _pin(self, hdg: HDG | None) -> None:
+        """Pin ``hdg`` (or, when ``None``, one freshly built by the
+        model's NeighborSelection) and check blocks can be cut from it."""
+        if hdg is not None:
+            self._hdgs.pin(hdg)
+        hdg, _ = self._hdgs.model_level()
+        check_block_source(hdg, self.graph.num_vertices, flat=False)
 
     # ------------------------------------------------------------------
     # Request path
@@ -226,11 +221,7 @@ class InferenceSession:
         """Level-``level`` output rows for ``vertices`` (level 0 = input
         features), served from cache where possible."""
         if level == 0:
-            if self._qfeatures is not None:
-                return self._qfeatures.dequantize(
-                    vertices, out_dtype=self._feature_out_dtype
-                )
-            return self._features[vertices]
+            return self._source.gather_features(vertices)
         hit_mask, hit_rows = self.embed_cache.lookup(level, vertices)
         missing = vertices[~hit_mask]
         computed: np.ndarray | None = None
@@ -246,11 +237,9 @@ class InferenceSession:
                 dtype=prev_rows.dtype,
             )
             full[prev_need] = prev_rows
-            h = Tensor(full)
-            layer = self.model.layers[level - 1]
             with no_grad():
-                nbr = layer.aggregation(h, block, self.strategy)
-                out = layer.update(h[missing], nbr)
+                out = self.model.layers[level - 1].forward(
+                    Tensor(full), block, self.strategy, rows=missing)
             computed = out.numpy()
             self.embed_cache.store(level, missing, computed, self.version.value)
         dim = (computed.shape[1] if computed is not None else hit_rows[0].shape[0])
@@ -301,7 +290,7 @@ class InferenceSession:
         )
         with self._lock:
             if self.maintainer is not None:
-                self.hdg = self.maintainer.apply_edge_changes(
+                hdg = self.maintainer.apply_edge_changes(
                     added_arr, removed_arr
                 )
                 self.graph = self.maintainer.graph
@@ -325,8 +314,9 @@ class InferenceSession:
                     )
                 else:
                     touched = None  # opaque selection: full flush
-                self.hdg = self.model.neighbor_selection(graph, self._rng)
-            self._check_hdg(self.hdg)
+                hdg = None
+            self._hdgs = ModelHDGs(self.model, self.graph, self._rng)
+            self._pin(hdg)
             self.version.bump()
             self.block_cache.clear()
             if touched is None:

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..core.engine import FlexGraphEngine
 from ..core.nau import NAUModel
+from ..core.step import edge_scores, link_loss, train_step
 from ..graph.graph import Graph
-from ..tensor.loss import binary_cross_entropy_with_logits
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor, no_grad
 
@@ -126,11 +126,6 @@ class LinkPredictionTrainer:
         self.engine = FlexGraphEngine(model, split.train_graph, seed=seed)
         self._rng = np.random.default_rng(seed)
 
-    def _edge_logits(self, embeddings: Tensor, edges: np.ndarray) -> Tensor:
-        heads = embeddings[edges[:, 0]]
-        tails = embeddings[edges[:, 1]]
-        return (heads * tails).sum(axis=1)
-
     def train_epoch(self, feats: Tensor, optimizer: Optimizer,
                     epoch: int = 0) -> float:
         """One epoch of BCE on positive vs sampled negative edges."""
@@ -138,16 +133,8 @@ class LinkPredictionTrainer:
         embeddings = self.engine.forward(feats, epoch)
         pos = self.split.train_edges
         neg = sample_negative_edges(self.split.train_graph, pos.shape[0], self._rng)
-        logits_pos = self._edge_logits(embeddings, pos)
-        logits_neg = self._edge_logits(embeddings, neg)
-        from ..tensor.ops import concat
-
-        logits = concat([logits_pos.reshape(-1, 1), logits_neg.reshape(-1, 1)], axis=0)
-        targets = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
-        loss = binary_cross_entropy_with_logits(logits.reshape(-1), targets)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
+        loss = link_loss(embeddings, pos, neg)
+        train_step(loss, optimizer)
         return loss.item()
 
     def evaluate(self, feats: Tensor, num_negatives: int | None = None) -> dict:
@@ -160,8 +147,8 @@ class LinkPredictionTrainer:
         neg = sample_negative_edges(
             self.split.train_graph, num_negatives or pos.shape[0], self._rng
         )
-        pos_scores = self._edge_logits(embeddings, pos).numpy()
-        neg_scores = self._edge_logits(embeddings, neg).numpy()
+        pos_scores = edge_scores(embeddings, pos).numpy()
+        neg_scores = edge_scores(embeddings, neg).numpy()
         return {
             "auc": auc_score(pos_scores, neg_scores),
             "hits@10": hits_at_k(pos_scores, neg_scores, 10),

@@ -56,6 +56,31 @@ class TestDistributedMiniBatch:
         ]
         assert losses[-1] < losses[0]
 
+    def test_feats_argument_and_dataset_run_the_same_epoch(self, ds):
+        """``train_epoch(feats, labels, ...)`` and ``train_epoch()`` over
+        the trainer's own dataset are one path (batch-local blocks over
+        gathered rows): same seed, bitwise-equal losses, same traffic."""
+        runs = []
+        for from_dataset in (False, True):
+            model = gcn(ds.feat_dim, 16, ds.num_classes, aggregator="mean",
+                        seed=1)
+            trainer = DistributedMiniBatchTrainer(
+                model, ds if from_dataset else ds.graph,
+                hash_partition(ds.graph.num_vertices, 2),
+                batch_size=32, fanouts=[5, 5], seed=0,
+            )
+            opt = Adam(model.parameters(), 0.01)
+            args = () if from_dataset else (Tensor(ds.features), ds.labels)
+            runs.append([
+                trainer.train_epoch(*args, optimizer=opt, mask=ds.train_mask,
+                                    epoch=e)
+                for e in range(3)
+            ])
+        for given, gathered in zip(*runs):
+            assert given.loss == gathered.loss
+            assert given.total_bytes == gathered.total_bytes
+            assert given.total_messages == gathered.total_messages
+
     def test_pinsage_supported(self, ds):
         model = pinsage(ds.feat_dim, 8, ds.num_classes)
         trainer = DistributedMiniBatchTrainer(

@@ -160,7 +160,7 @@ class TestBalancerIntegration:
         trainer.train_epoch(feats, ds.labels, Adam(model.parameters(), 0.01), ds.train_mask)
         t_skew = trainer.aggregation_epoch_time(feats)
 
-        hdg = trainer._model_hdg
+        hdg = trainer.hdgs.model_hdg
         metrics = metrics_from_hdg(hdg, ds.feat_dim)
         balancer = ADBBalancer(num_plans=5, threshold=1.02, seed=0)
         better, _plan = balancer.rebalance(hdg, skewed, k, metrics)

@@ -53,7 +53,7 @@ class TestPlanEpoch:
 
 class TestCompactBlocks:
     def test_local_ids_map_back(self, ds):
-        from repro.core.sampling import build_seed_blocks
+        from repro.core import build_seed_blocks
 
         hdg = hdg_from_graph(ds.graph)
         seeds = np.array([3, 11, 42])

@@ -143,7 +143,7 @@ class TestNonCommutativeDistributed:
         )
         # The fallback ships per-edge features: bytes must match the
         # batched plan, not the (smaller) partial-aggregation plan.
-        dep = dependency_stats(trainer._model_hdg, trainer.labels_part, 2)
+        dep = dependency_stats(trainer.hdgs.model_hdg, trainer.labels_part, 2)
         batched = plan_layer_comm(dep, ds.feat_dim * 8, trainer.comm_config, "batched")
         assert stats.total_bytes == pytest.approx(batched.total_bytes)
         assert np.isfinite(stats.loss)

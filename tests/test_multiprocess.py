@@ -2,6 +2,8 @@
 ProcessComm, loss/gradient parity with the simulated trainer, and
 worker-crash recovery."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ class TestMultiprocessParity:
         }
         assert workers_seen == {0, 1}
         assert any(s.name == "dist.comm" and not s.simulated for s in reg.spans)
+
+
+class TestTeardown:
+    def test_close_leaves_no_threads(self, ds):
+        # Regression: each inbox's queue feeder thread outlived close()
+        # and died only when the trainer was garbage-collected.
+        before = threading.active_count()
+        part = hash_partition(ds.graph.num_vertices, 2)
+        mt = MultiprocessTrainer(
+            gcn(ds.feat_dim, 8, ds.num_classes, seed=1), ds.graph, part, seed=0
+        )
+        try:
+            train_losses(mt, ds, 1)
+            assert threading.active_count() > before   # feeders are running
+        finally:
+            mt.close()
+        # Immediately, with the trainer still referenced and no gc pass.
+        assert threading.active_count() == before
 
 
 class TestWorkerCrash:

@@ -7,11 +7,18 @@ import pytest
 from repro.core import (
     FlexGraphEngine,
     GNNLayer,
+    MiniBatchTrainer,
     NAUModel,
     SelectionScope,
     hdg_from_graph,
 )
 from repro.datasets import load_dataset
+from repro.distributed import (
+    DistributedMiniBatchTrainer,
+    DistributedTrainer,
+    MultiprocessTrainer,
+)
+from repro.graph import hash_partition
 from repro.models import gcn
 from repro.tensor import Adam, Linear, Tensor
 
@@ -27,6 +34,8 @@ class CountingModel(NAUModel):
 
             def update(self, feats, nbr_feats):
                 return self.linear(feats.add(nbr_feats))
+
+            output_dim = out_dim
 
         super().__init__([L()], scope, name="counting")
         self.selection_calls = 0
@@ -110,8 +119,11 @@ class TestSelectionScopes:
         model = CountingModel(ds.feat_dim, ds.num_classes, SelectionScope.PER_LAYER)
         eng = FlexGraphEngine(model, ds.graph)
         eng.forward(Tensor(ds.features), 0)
+        calls = model.selection_calls
         eng.invalidate_hdgs()
-        assert eng._per_layer_fallback is None
+        # No new forward pass began, so only a dropped fallback rebuilds.
+        eng.hdg_for_layer(0)
+        assert model.selection_calls == calls + 1
 
     def test_invalidate_forces_rebuild(self, ds):
         model = CountingModel(ds.feat_dim, ds.num_classes, SelectionScope.STATIC)
@@ -142,6 +154,68 @@ class TestSelectionScopes:
         eng.forward(Tensor(ds.features), 0)
         eng.forward(Tensor(ds.features), 1)
         assert layer.own_calls == 1  # cached after the first build
+
+
+class OwnSelectionModel(NAUModel):
+    """STATIC model whose only layer brings its own NeighborSelection."""
+
+    def __init__(self, in_dim, out_dim):
+        class L(GNNLayer):
+            def __init__(self):
+                super().__init__(aggregators=["sum"])
+                self.linear = Linear(in_dim, out_dim)
+
+            def neighbor_selection(self, graph, rng):
+                return hdg_from_graph(graph)
+
+            def update(self, feats, nbr_feats):
+                return self.linear(feats.add(nbr_feats))
+
+            output_dim = out_dim
+
+        super().__init__([L()], SelectionScope.STATIC, name="own-selection")
+
+
+class TestModelLevelScope:
+    """Trainers that slice or sample one model-level HDG used to ignore
+    PER_LAYER scope and layer-level selection silently (training a
+    different program than FlexGraphEngine runs); they now refuse."""
+
+    TRAINERS = {
+        "minibatch": lambda model, ds, part: MiniBatchTrainer(
+            model, ds.graph, batch_size=32, fanouts=[3]),
+        "distributed": lambda model, ds, part: DistributedTrainer(
+            model, ds.graph, part),
+        "distributed-minibatch": lambda model, ds, part: (
+            DistributedMiniBatchTrainer(model, ds.graph, part, batch_size=32,
+                                        fanouts=[3])),
+        "multiprocess": lambda model, ds, part: MultiprocessTrainer(
+            model, ds.graph, part),
+    }
+
+    @pytest.mark.parametrize("trainer_name", sorted(TRAINERS))
+    @pytest.mark.parametrize("make_model, names", [
+        (lambda ds: CountingModel(ds.feat_dim, ds.num_classes,
+                                  SelectionScope.PER_LAYER),
+         ("counting", "per_layer")),
+        (lambda ds: OwnSelectionModel(ds.feat_dim, ds.num_classes),
+         ("own-selection", "neighbor_selection")),
+    ], ids=["per-layer-scope", "layer-level-selection"])
+    def test_no_model_level_hdg_is_a_named_error(self, ds, trainer_name,
+                                                 make_model, names):
+        model = make_model(ds)
+        part = hash_partition(ds.graph.num_vertices, 2)
+        trainer = self.TRAINERS[trainer_name](model, ds, part)
+        try:
+            with pytest.raises(ValueError) as exc:
+                trainer.train_epoch(Tensor(ds.features), ds.labels,
+                                    Adam(model.parameters(), 0.01),
+                                    ds.train_mask)
+        finally:
+            if trainer_name == "multiprocess":
+                trainer.close()
+        assert all(name in str(exc.value) for name in names)
+        assert getattr(model, "selection_calls", 0) == 0
 
 
 class TestEngineTraining:

@@ -6,6 +6,7 @@ import pytest
 from repro.core import (
     FlexGraphEngine,
     MiniBatchTrainer,
+    build_seed_blocks,
     hdg_from_graph,
     sample_fanout,
     validate_hdg,
@@ -146,9 +147,10 @@ class TestMiniBatchTrainer:
         2-hop neighborhoods on a dense graph."""
         model = gcn(ds.feat_dim, 8, ds.num_classes)
         trainer = MiniBatchTrainer(model, ds.graph, batch_size=16, fanouts=[3, 3])
-        hdg = trainer._ensure_hdg(0)
+        hdg = trainer.hdgs.block_source(0)
         seeds = np.arange(16)
-        blocks = trainer._build_blocks(hdg, seeds)
+        blocks = build_seed_blocks(hdg, seeds, trainer.fanouts,
+                                   trainer.hdgs.rng)
         input_block, input_vertices = blocks[0]
         # Full 2-hop of 16 seeds on this graph is ~ the whole graph.
         assert input_vertices.size < ds.graph.num_vertices / 2

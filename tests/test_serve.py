@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import FlexGraphEngine, MetapathHDGMaintainer
-from repro.core.sampling import build_block, build_seed_blocks
+from repro.core import build_block, build_seed_blocks
 from repro.datasets import load_dataset
 from repro.models import gcn, magnn, pinsage
 from repro.models.magnn import default_metapaths
@@ -115,7 +115,7 @@ class TestServingParity:
         feats = Tensor(reddit.features)
         full = engine.embed(feats)
         session = InferenceSession(model, reddit.graph, reddit.features,
-                                   hdg=engine._model_hdg, seed=0)
+                                   hdg=engine.hdgs.model_hdg, seed=0)
         seeds = np.arange(reddit.graph.num_vertices)
         np.testing.assert_allclose(session.embed(seeds), full, atol=1e-6)
 
@@ -464,7 +464,7 @@ class TestInvalidation:
         model, engine = trained(pinsage, reddit)
         engine.embed(Tensor(reddit.features))
         session = InferenceSession(model, reddit.graph, reddit.features,
-                                   hdg=engine._model_hdg, seed=0)
+                                   hdg=engine.hdgs.model_hdg, seed=0)
         session.embed(np.arange(reddit.graph.num_vertices))
         assert len(session.embed_cache) > 0
         src, dst = reddit.graph.edges()
