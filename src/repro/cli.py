@@ -14,14 +14,13 @@ Usage (installed as the ``flexgraph`` console script, or via
     flexgraph train --model gcn --checkpoint model.npz
     flexgraph serve --model gcn --checkpoint model.npz --requests 500
     flexgraph train --model gcn --trace out.json   # repro.obs JSON trace
-    flexgraph train --model gcn --chrome-trace t.json --metrics prom.txt
+    flexgraph train --model gcn --chrome-trace t.json
 
 Every dataset-bearing subcommand accepts ``--trace PATH`` (native JSON
 trace + printed summary table), ``--chrome-trace PATH`` (Chrome Trace
-Event Format, loadable in chrome://tracing or Perfetto),
-``--metrics PATH`` (Prometheus text exposition) and ``--profile PATH``
-(op-level FLOP/byte work profile with a printed roofline report); see
-``docs/observability.md``.
+Event Format, loadable in chrome://tracing or Perfetto) and
+``--profile PATH`` (op-level FLOP/byte work profile with a printed
+roofline report); see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -149,9 +148,6 @@ def _dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chrome-trace", metavar="PATH",
                         help="export the run as a Chrome Trace Event Format "
                              "file (chrome://tracing / Perfetto)")
-    parser.add_argument("--metrics", metavar="PATH",
-                        help="export the run's counters/gauges/histograms "
-                             "in Prometheus text exposition format")
     parser.add_argument("--profile", metavar="PATH",
                         help="export the op-level work profile (FLOPs, "
                              "bytes, arithmetic intensity per op/span/"
@@ -480,10 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
     chrome_path = getattr(args, "chrome_trace", None)
-    metrics_path = getattr(args, "metrics", None)
     profile_path = getattr(args, "profile", None)
     flight_dir = getattr(args, "flight_dir", None)
-    exporting = trace_path or chrome_path or metrics_path or profile_path
+    exporting = trace_path or chrome_path or profile_path
     if exporting:
         from . import obs
 
@@ -535,9 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         obs.export_chrome_trace(chrome_path)
         print(f"chrome trace written to {chrome_path} "
               f"(load in chrome://tracing or ui.perfetto.dev)")
-    if metrics_path:
-        obs.export_prometheus(metrics_path)
-        print(f"prometheus metrics written to {metrics_path}")
     if profile_path:
         report = obs.export_profile(profile_path)
         print(f"work profile written to {profile_path}")

@@ -81,9 +81,6 @@ class MiniBatchTrainer:
         prefetch depths and worker counts.
     num_workers:
         Loader worker threads when ``prefetch_depth > 0``.
-    modeled_transfer_gbps:
-        Optional modeled device-link bandwidth for the loader's
-        transfer stub (see :class:`~repro.loader.StreamingLoader`).
     feature_dtype:
         ``"float32"``/``"float16"``/``"int8"`` stores in-RAM features
         quantized (:class:`~repro.loader.QuantizedSource`, dequantize on
@@ -97,7 +94,6 @@ class MiniBatchTrainer:
                  strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
                  seed: int = 0, prefetch_depth: int = 0,
                  num_workers: int = 2,
-                 modeled_transfer_gbps: float | None = None,
                  feature_dtype: str | None = None):
         self.model = model
         self._dataset = data if hasattr(data, "graph") else None
@@ -116,7 +112,6 @@ class MiniBatchTrainer:
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         self.num_workers = int(num_workers)
-        self.modeled_transfer_gbps = modeled_transfer_gbps
         if feature_dtype is not None:
             from ..tensor.quant import resolve_codec
 
@@ -175,7 +170,6 @@ class MiniBatchTrainer:
             self._resolve_source(feats, labels), self.fanouts,
             batch_size=self.batch_size, prefetch_depth=self.prefetch_depth,
             num_workers=self.num_workers,
-            modeled_transfer_gbps=self.modeled_transfer_gbps,
         )
         batches = iter(loader.epoch_batches(hdg, pool, epoch=epoch, seed=self.seed))
         losses = []

@@ -126,19 +126,6 @@ class StreamingLoader:
     num_workers:
         Worker threads executing the staged production (capped by
         ``prefetch_depth``; ignored when ``prefetch_depth == 0``).
-    transfer:
-        When true, finish each batch with the device-transfer stub (a
-        contiguous copy standing in for an H2D upload, reported under
-        ``loader.transfer``).
-    modeled_transfer_gbps:
-        When set, the transfer stub also *models* the device link: it
-        blocks for ``bytes / (gbps * 1e9)`` seconds per batch, the way
-        :class:`~repro.distributed.comm.SimulatedComm` models network
-        time.  The wait is real blocking (off-GIL), so prefetching
-        genuinely hides it — this is what a CUDA H2D copy overlapped
-        with compute looks like, without a GPU in the loop.  The span is
-        flagged ``simulated`` accordingly.  ``None`` (default) keeps the
-        stub free.
     feature_dtype:
         ``"float32"``/``"float16"``/``"int8"`` wraps raw features in an
         in-RAM :class:`~repro.loader.QuantizedSource` (dequantize on
@@ -149,8 +136,6 @@ class StreamingLoader:
 
     def __init__(self, source, fanouts: list, batch_size: int = 256,
                  prefetch_depth: int = 2, num_workers: int = 2,
-                 transfer: bool = True,
-                 modeled_transfer_gbps: float | None = None,
                  labels: np.ndarray | None = None,
                  feature_dtype: str | None = None):
         self.source: DataSource = as_source(source, labels,
@@ -163,10 +148,6 @@ class StreamingLoader:
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         self.num_workers = max(1, int(num_workers))
-        self.transfer = bool(transfer)
-        if modeled_transfer_gbps is not None and modeled_transfer_gbps <= 0:
-            raise ValueError("modeled_transfer_gbps must be positive")
-        self.modeled_transfer_gbps = modeled_transfer_gbps
 
     # ------------------------------------------------------------------
     # Staged production (runs on a worker thread or inline)
@@ -182,27 +163,18 @@ class StreamingLoader:
         labels = self.source.gather_labels(plan.seeds)
         gather_s = time.perf_counter() - t1
 
-        transfer_s = 0.0
-        if self.transfer:
-            t2 = time.perf_counter()
-            # Device-transfer stub: the contiguous staging copy a real
-            # H2D upload would make; keeps the stage's cost visible.
-            rows = np.ascontiguousarray(rows)
-            if self.modeled_transfer_gbps is not None:
-                # Model the link itself: block for the bytes at the
-                # configured bandwidth.  A real wait, so prefetch can
-                # genuinely hide it behind training.
-                time.sleep(rows.nbytes / (self.modeled_transfer_gbps * 1e9))
-            transfer_s = time.perf_counter() - t2
+        t2 = time.perf_counter()
+        # Device-transfer stub: the contiguous staging copy a real
+        # H2D upload would make; keeps the stage's cost visible.
+        rows = np.ascontiguousarray(rows)
+        transfer_s = time.perf_counter() - t2
 
         reg = obs.get_registry()
         attrs = {"epoch": plan.epoch, "batch": plan.index}
         reg.record_span("loader.sample", sample_s, simulated=False, **attrs)
         reg.record_span("loader.gather", gather_s, simulated=False, **attrs)
-        if self.transfer:
-            reg.record_span("loader.transfer", transfer_s,
-                            simulated=self.modeled_transfer_gbps is not None,
-                            **attrs)
+        reg.record_span("loader.transfer", transfer_s, simulated=False,
+                        **attrs)
         obs.counter("loader.batches").add(1)
         obs.counter("loader.bytes_gathered").add(int(rows.nbytes))
         # Wire bytes: what the storage tier actually moved for this
@@ -271,11 +243,15 @@ class StreamingLoader:
             threading.Thread(target=worker, name=f"loader-{i}", daemon=True)
             for i in range(min(self.num_workers, self.prefetch_depth))
         ]
-        for t in threads:
-            t.start()
 
         def iterate():
+            # Threads start on the first ``next()``, inside the ``try``
+            # whose ``finally`` joins them: a generator that is never
+            # started never runs its ``finally``, so it must not own
+            # live threads either.
             try:
+                for t in threads:
+                    t.start()
                 for index in range(len(plans)):
                     with cond:
                         while index not in run.results:
@@ -294,7 +270,9 @@ class StreamingLoader:
             finally:
                 run.stop.set()
                 for t in threads:
-                    t.join()
+                    # a failed start() leaves the later threads unstarted
+                    if t.ident is not None:
+                        t.join()
                 depth_gauge.set(0)
 
         return iterate()

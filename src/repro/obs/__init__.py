@@ -25,11 +25,10 @@ instead of growing its own ad-hoc clocks and module-global counters:
 * :mod:`repro.obs.analysis` — straggler/skew reports aggregated from
   the distributed per-worker spans, plus :func:`backend_report`
   ranking aggregation backends per HDG level by measured cost;
-* :func:`export_json` / :func:`export_chrome_trace` /
-  :func:`export_prometheus` / :func:`summary` — a native JSON trace, a
-  ``chrome://tracing``/Perfetto trace, a Prometheus text exposition,
-  and a human-readable roll-up, reachable via ``flexgraph ...
-  --trace/--chrome-trace/--metrics``.
+* :func:`export_json` / :func:`export_chrome_trace` / :func:`summary`
+  — a native JSON trace, a ``chrome://tracing``/Perfetto trace and a
+  human-readable roll-up, reachable via ``flexgraph ...
+  --trace/--chrome-trace``.
 
 The registry is process-global; call :func:`reset` at the start of a
 measurement window.  All primitives are cheap (a ``perf_counter`` call
@@ -48,12 +47,10 @@ from .export import (
     aggregate_spans,
     export_chrome_trace,
     export_json,
-    export_prometheus,
     render_summary,
     summary,
     to_chrome_trace,
     to_dict,
-    to_prometheus,
 )
 from .flight import (
     FlightRecorder,
@@ -124,8 +121,6 @@ __all__ = [
     "to_dict",
     "to_chrome_trace",
     "export_chrome_trace",
-    "to_prometheus",
-    "export_prometheus",
     "summary",
     "render_summary",
     "aggregate_spans",

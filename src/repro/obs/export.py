@@ -1,4 +1,4 @@
-"""Exporters: JSON traces, Chrome traces, Prometheus text, summaries.
+"""Exporters: JSON traces, Chrome traces, summaries.
 
 The native JSON schema (version 2) is::
 
@@ -16,13 +16,9 @@ The native JSON schema (version 2) is::
     }
 
 Version 2 is a superset of version 1 (readers of /1 traces keep
-working; the new sections default to empty).  Two standard formats are
-also supported:
-
-* :func:`export_chrome_trace` — Chrome Trace Event Format, loadable in
-  ``chrome://tracing`` and https://ui.perfetto.dev;
-* :func:`export_prometheus` — Prometheus text exposition (counters,
-  gauges and histograms with cumulative ``le`` buckets).
+working; the new sections default to empty).  One standard format is
+also supported: :func:`export_chrome_trace` writes Chrome Trace Event
+Format, loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
 
 ``tools/trace_summary.py`` pretty-prints native traces from the command
 line; :func:`summary` renders the same aggregation for a live registry.
@@ -31,7 +27,6 @@ line; :func:`summary` renders the same aggregation for a live registry.
 from __future__ import annotations
 
 import json
-import re
 from typing import Iterable
 
 from .profile import WORK_RATE_SPANS
@@ -44,8 +39,6 @@ __all__ = [
     "aggregate_spans",
     "to_chrome_trace",
     "export_chrome_trace",
-    "to_prometheus",
-    "export_prometheus",
 ]
 
 SCHEMA = "repro.obs/2"
@@ -114,8 +107,7 @@ def _worker_label_tids(spans) -> dict[str, int]:
     }
 
 
-def to_chrome_trace(registry: Registry | None = None,
-                    pid_offset: int = 0) -> dict:
+def to_chrome_trace(registry: Registry | None = None) -> dict:
     """Registry snapshot in Chrome Trace Event Format.
 
     Spans become complete events (``ph: "X"``, microsecond timestamps);
@@ -128,14 +120,12 @@ def to_chrome_trace(registry: Registry | None = None,
     instant documenting each mapping.  Spans named in
     ``profile.WORK_RATE_SPANS`` that carry work attribution additionally
     emit counter events (``ph: "C"``) so FLOP/s and bytes/s render as
-    tracks in Perfetto.  ``pid_offset`` shifts both lanes, letting
-    callers merge several runs into one file (``tools/bench.py`` gives
-    each config its own lanes).
+    tracks in Perfetto.
     """
     reg = registry or get_registry()
     trace_events: list[dict] = [
         {
-            "ph": "M", "name": "process_name", "pid": pid_offset + pid,
+            "ph": "M", "name": "process_name", "pid": pid,
             "tid": 0, "args": {"name": label},
         }
         for pid, label in (
@@ -157,19 +147,19 @@ def to_chrome_trace(registry: Registry | None = None,
     for tid in sorted(int_tids):
         trace_events.append({
             "ph": "M", "name": "thread_name",
-            "pid": pid_offset + _PID_MEASURED, "tid": tid,
+            "pid": _PID_MEASURED, "tid": tid,
             "args": {"name": f"rank {tid}"},
         })
     label_tids = _worker_label_tids(reg.spans)
     for label, tid in label_tids.items():
         trace_events.append({
             "ph": "M", "name": "thread_name",
-            "pid": pid_offset + _PID_MEASURED, "tid": tid,
+            "pid": _PID_MEASURED, "tid": tid,
             "args": {"name": f"worker {label}"},
         })
         trace_events.append({
             "ph": "i", "s": "g", "name": "trace.worker_label_coerced",
-            "pid": pid_offset + _PID_MEASURED, "tid": tid, "ts": 0.0,
+            "pid": _PID_MEASURED, "tid": tid, "ts": 0.0,
             "args": {"worker": label, "tid": tid},
         })
     rate_names = set(WORK_RATE_SPANS)
@@ -183,7 +173,7 @@ def to_chrome_trace(registry: Registry | None = None,
         trace_events.append({
             "ph": "X",
             "name": s.name,
-            "pid": pid_offset + pid,
+            "pid": pid,
             "tid": tid,
             "ts": s.start * 1e6,
             "dur": s.duration * 1e6,
@@ -203,7 +193,7 @@ def to_chrome_trace(registry: Registry | None = None,
             ):
                 trace_events.append({
                     "ph": "C", "name": name,
-                    "pid": pid_offset + pid, "tid": 0,
+                    "pid": pid, "tid": 0,
                     "ts": ts * 1e6, "args": {"value": value},
                 })
     for e in reg.events:
@@ -211,7 +201,7 @@ def to_chrome_trace(registry: Registry | None = None,
             "ph": "i",
             "s": "g",
             "name": e.name,
-            "pid": pid_offset + _PID_MEASURED,
+            "pid": _PID_MEASURED,
             "tid": 0,
             "ts": e.time * 1e6,
             "args": dict(e.attrs),
@@ -228,73 +218,6 @@ def export_chrome_trace(path: str, registry: Registry | None = None) -> None:
     with open(path, "w") as fh:
         json.dump(to_chrome_trace(registry), fh)
         fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition format
-# ----------------------------------------------------------------------
-
-def _prom_name(name: str) -> str:
-    """Sanitize a metric name into the Prometheus charset."""
-    name = re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-    if name and name[0].isdigit():
-        name = "_" + name
-    return name
-
-
-def _prom_float(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    return repr(float(value))
-
-
-def to_prometheus(registry: Registry | None = None) -> str:
-    """Registry snapshot in the Prometheus text exposition format.
-
-    Counters expose ``<name>_total`` (plus ``_peak`` and ``_current``
-    gauges for their high-water semantics), gauges map directly, and
-    histograms expose cumulative ``le``-labelled buckets with ``_sum``
-    and ``_count`` — scrape-ready for a pushgateway or node exporter's
-    textfile collector.
-    """
-    reg = registry or get_registry()
-    lines: list[str] = []
-    for name in sorted(reg.counters):
-        c = reg.counters[name]
-        base = _prom_name(name)
-        lines.append(f"# TYPE {base}_total counter")
-        lines.append(f"{base}_total {_prom_float(c.total)}")
-        lines.append(f"# TYPE {base}_peak gauge")
-        lines.append(f"{base}_peak {_prom_float(c.peak)}")
-        lines.append(f"# TYPE {base}_current gauge")
-        lines.append(f"{base}_current {_prom_float(c.current)}")
-    for name in sorted(reg.gauges):
-        g = reg.gauges[name]
-        base = _prom_name(name)
-        lines.append(f"# TYPE {base} gauge")
-        lines.append(f"{base} {_prom_float(g.value)}")
-    for name in sorted(reg.histograms):
-        h = reg.histograms[name]
-        base = _prom_name(name)
-        lines.append(f"# TYPE {base} histogram")
-        cumulative = 0
-        for bound, count in h.bucket_bounds():
-            cumulative += count
-            lines.append(
-                f'{base}_bucket{{le="{_prom_float(bound)}"}} {cumulative}'
-            )
-        lines.append(f'{base}_bucket{{le="+Inf"}} {h.count}')
-        lines.append(f"{base}_sum {_prom_float(h.sum)}")
-        lines.append(f"{base}_count {h.count}")
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def export_prometheus(path: str, registry: Registry | None = None) -> None:
-    """Write the Prometheus text exposition to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(to_prometheus(registry))
 
 
 def aggregate_spans(spans: Iterable) -> dict[str, dict]:

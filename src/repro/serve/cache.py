@@ -16,8 +16,8 @@ recomputing layer outputs that are already known.  Two caches cooperate:
   clears it outright on update to reclaim the bytes.
 
 Both caches report into :mod:`repro.obs` (``serve.cache.*`` counters),
-so hit/miss/eviction totals show up in traces and the loadgen report
-for free.
+so hit/miss/eviction totals show up in traces and in the ledger's
+``serve.embed_hit_rate`` / ``serve.block_hit_rate`` for free.
 """
 
 from __future__ import annotations

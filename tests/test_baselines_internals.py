@@ -119,18 +119,19 @@ class TestEngineBehaviours:
         rep = engine.run_epoch(0)
         assert rep.status == "ok"
 
-    def test_magnn_oom_raised_before_matching(self):
-        """The OOM projection must trigger without paying for the DFS —
-        verify via a graph big enough that DFS would be slow, with a tiny
-        budget, and a strict time bound."""
-        import time
+    def test_magnn_oom_raised_before_matching(self, monkeypatch):
+        """The OOM projection must trigger without paying for the DFS:
+        with a tiny budget the metapath matcher is never reached."""
+        from repro.baselines import sparse_engine
 
+        def matcher_called(*_args, **_kwargs):
+            raise AssertionError("metapath matching ran before the OOM check")
+
+        monkeypatch.setattr(sparse_engine, "select_metapath_neighbors",
+                            matcher_called)
         ds = load_dataset("twitter", scale="small")
         engine = PyTorchEngine(ds, "magnn", hidden_dim=8, memory_budget=1_000_000)
-        t0 = time.perf_counter()
-        rep = engine.run_epoch(0)
-        assert rep.status == "oom"
-        assert time.perf_counter() - t0 < 2.0
+        assert engine.run_epoch(0).status == "oom"
 
     def test_time_limit_none_never_times_out(self, ds):
         engine = DistDGLEngine(ds, "gcn", hidden_dim=8, time_limit=None,

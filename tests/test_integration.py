@@ -5,6 +5,7 @@ qualitative claims the paper's evaluation rests on."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines import ENGINES, FlexGraphAdapter, PyTorchEngine
 from repro.core import (
     ADBBalancer,
@@ -26,6 +27,15 @@ from repro.tensor import (
 @pytest.fixture(scope="module")
 def reddit_small():
     return load_dataset("reddit", scale="small")
+
+
+def _counted_work(run) -> tuple[int, float]:
+    """(per-edge bytes materialized, bytes written) by one ``run()`` —
+    deterministic counts from the tensor ops, no clock involved."""
+    reset_materialized_bytes()
+    snap = obs.work_snapshot()
+    run()
+    return materialized_bytes(), obs.work_since(snap)["bytes_written"]
 
 
 class TestTrainingQuality:
@@ -71,45 +81,78 @@ class TestPaperClaims:
         assert ha_bytes == 0
 
     def test_fusion_faster_than_scatter_at_scale(self, reddit_small):
-        """Figure 14's FA gain, at reduced scale."""
-        import time
-
+        """Figure 14's FA gain, at reduced scale — asserted on the work
+        that causes it (per-edge bytes materialized and written), which
+        is deterministic, not on a wall clock."""
         ds = reddit_small
         model = gcn(ds.feat_dim, 32, ds.num_classes)
         feats = Tensor(ds.features)
-        times = {}
+        edge_bytes, written = {}, {}
         for strategy in ("sa", "ha"):
             eng = FlexGraphEngine(model, ds.graph, strategy=strategy)
             eng.forward(feats)  # warm (HDG build)
-            t0 = time.perf_counter()
-            for _ in range(3):
-                eng.forward(feats)
-            times[strategy] = time.perf_counter() - t0
-        assert times["ha"] < times["sa"]
+            edge_bytes[strategy], written[strategy] = _counted_work(
+                lambda: eng.forward(feats)
+            )
+        assert edge_bytes["ha"] == 0 < edge_bytes["sa"]
+        # SA writes every per-edge message it materializes (and then
+        # some); HA writes only per-vertex outputs — well over 10x less.
+        assert written["sa"] >= edge_bytes["sa"]
+        assert 0 < written["ha"] * 10 < written["sa"]
 
     def test_flexgraph_fastest_engine_on_gcn(self, reddit_small):
+        """Table 2's GCN row, on counted work: the tensor-op baselines
+        materialize a per-edge message tensor every layer and write more
+        than twice the bytes; FlexGraph's fused path materializes none."""
         ds = reddit_small
-        seconds = {}
+        edge_bytes, written = {}, {}
         for name in ("pytorch", "dgl", "flexgraph"):
             eng = ENGINES[name](ds, "gcn", hidden_dim=16)
             eng.run_epoch(0)  # warm
-            seconds[name] = eng.run_epoch(1).seconds
-        assert seconds["flexgraph"] <= min(seconds.values()) * 1.05
+            edge_bytes[name], written[name] = _counted_work(
+                lambda: eng.run_epoch(1)
+            )
+        assert edge_bytes["flexgraph"] == 0
+        for baseline in ("pytorch", "dgl"):
+            assert edge_bytes[baseline] > 0
+            assert 0 < written["flexgraph"] * 2 < written[baseline]
 
-    def test_walk_simulation_dominates_baseline_pinsage(self, reddit_small):
-        """§7.1: >95%% of PyTorch/DGL PinSage time goes to walk simulation.
-        We check the weaker, stable form: the baseline spends far longer
-        than FlexGraph's graph-engine walks."""
-        import time
+    def test_walk_simulation_dominates_baseline_pinsage(self, reddit_small,
+                                                        monkeypatch):
+        """§7.1: >95% of PyTorch/DGL PinSage time goes to walk simulation.
+        The cause is countable: the baseline propagates over every edge
+        for every hop of every trace, FlexGraph's graph engine advances
+        one slot per walker.  (``benchmarks/test_table2_single_machine``
+        times the resulting gap, where timing belongs.)"""
+        from repro.baselines import sparse_engine
+        from repro.graph import random_walk
+
+        work = {"edge_visits": 0, "walker_steps": 0}
+        simulate = sparse_engine.propagation_random_walks
+        engine_walks = random_walk.random_walks
+
+        def counted_simulation(graph, num_traces, n_hops, *args, **kwargs):
+            work["edge_visits"] += num_traces * n_hops * graph.num_edges
+            return simulate(graph, num_traces, n_hops, *args, **kwargs)
+
+        def counted_engine_walks(graph, starts, num_walks, length, rng):
+            work["walker_steps"] += len(starts) * num_walks * length
+            return engine_walks(graph, starts, num_walks, length, rng)
+
+        monkeypatch.setattr(sparse_engine, "propagation_random_walks",
+                            counted_simulation)
+        monkeypatch.setattr(random_walk, "random_walks", counted_engine_walks)
 
         ds = reddit_small
-        flex = FlexGraphAdapter(ds, "pinsage", hidden_dim=16)
-        base = PyTorchEngine(ds, "pinsage", hidden_dim=16)
-        f = min(flex.run_epoch(e).seconds for e in range(3))
-        b = min(base.run_epoch(e).seconds for e in range(3))
-        # The full ratio (§7.1 reports >10x) needs bench-scale graphs; at
-        # test scale the ordering with margin is the stable signal.
-        assert b > 1.3 * f
+        assert PyTorchEngine(ds, "pinsage", hidden_dim=16).run_epoch(0).status == "ok"
+        baseline = dict(work)
+        work.update(edge_visits=0, walker_steps=0)
+        assert FlexGraphAdapter(ds, "pinsage", hidden_dim=16).run_epoch(0).status == "ok"
+        assert baseline["walker_steps"] == 0 and work["edge_visits"] == 0
+        # §7.1 reports >10x; per epoch the simulation touches
+        # |E|/|V| (≈50 here) times more slots than the graph engine.
+        assert work["walker_steps"] > 0
+        assert baseline["edge_visits"] > 10 * work["walker_steps"]
 
     def test_only_flexgraph_and_pytorch_express_magnn(self, reddit_small):
         ds = reddit_small

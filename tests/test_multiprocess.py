@@ -165,7 +165,7 @@ class TestMultiprocessParity:
     """The tentpole acceptance: k real processes reproduce the simulated
     trainer's numerics (same seeds, same partitions)."""
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 4])
     def test_loss_trajectory_matches_simulated(self, ds, k):
         part = hash_partition(ds.graph.num_vertices, k)
         ref = DistributedTrainer(

@@ -3,6 +3,7 @@ and the shard-by-shard synthetic generators."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ from repro.storage import (
     write_ondisk_dataset,
     write_synthetic_ondisk,
 )
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+)
+
+import make_ondisk  # noqa: E402
 
 
 @pytest.fixture
@@ -210,3 +217,35 @@ class TestShardedGenerator:
             od.gather_features(np.arange(lo, hi)),
             feature_shard(self.SPEC, 0, labels),
         )
+
+
+class TestMakeOndiskTool:
+    """``tools/make_ondisk.py`` end to end: generate, verify, int8."""
+
+    GENERATE = [
+        "--generate", "--num-vertices", "2000", "--num-edges", "12000",
+        "--feat-dim", "32", "--num-classes", "4",
+        "--edges-per-chunk", "4000", "--rows-per-shard", "512",
+    ]
+
+    @staticmethod
+    def _features_bytes(root):
+        features = os.path.join(root, "features")
+        return sum(
+            os.path.getsize(os.path.join(features, name))
+            for name in os.listdir(features)
+        )
+
+    def test_generate_verify_and_int8_shrink(self, tmp_path, capsys):
+        fp32, int8 = str(tmp_path / "fp32"), str(tmp_path / "int8")
+        assert make_ondisk.main([*self.GENERATE, fp32]) == 0
+        assert make_ondisk.main(
+            [*self.GENERATE, "--quantize", "int8", int8]
+        ) == 0
+        for root in (fp32, int8):
+            assert make_ondisk.main(["--verify", root]) == 0
+        assert capsys.readouterr().out.count("all fingerprints match") == 2
+        assert OnDiskDataset(int8).feature_codec == "int8"
+        # int8 codes + float32 scale sidecars vs float32 rows: d+4 vs 4d
+        # bytes per row, so >= 3x smaller on disk for d >= 16.
+        assert self._features_bytes(int8) * 3 <= self._features_bytes(fp32)
