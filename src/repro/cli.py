@@ -334,7 +334,7 @@ def _cmd_distributed(args) -> int:
         balancer = ADBBalancer(num_plans=5, threshold=1.05, seed=args.seed)
         # Bootstrap the learned cost function from the analytical default
         # (stands in for sampled running logs; publishes the calibration
-        # gauge + residual histogram).
+        # gauge).
         balancer.observe(metrics, CostModel.default_costs(metrics))
         labels, plan = balancer.rebalance(hdg, labels, args.workers, metrics)
         print("ADB:", "no migration needed" if plan is None else
@@ -500,11 +500,10 @@ def main(argv: list[str] | None = None) -> int:
             # post-mortem bundle before the error propagates.
             import traceback
 
-            from .obs.flight import get_flight, write_incident_bundle
+            from . import obs
+            from .obs.flight import write_incident_bundle
 
-            recorder = get_flight()
-            if recorder is not None:
-                recorder.crash(traceback.format_exc(), reason="cli_crash")
+            obs.crash("cli_crash", traceback.format_exc())
             bundle = write_incident_bundle(
                 flight_dir, "cli_crash",
                 reason=f"command {args.command!r} raised",

@@ -26,7 +26,6 @@ from .cost_model import (
     DRIFT_EVENT,
     DRIFT_GAUGE,
     R_SQUARED_GAUGE,
-    RESIDUAL_HISTOGRAM,
     CostModel,
     metrics_from_hdg,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "validate_hdg", "hdg_summary", "HDGInvariantError",
     "MetapathHDGMaintainer", "instances_through_edges",
     "TypeProjection",
-    "CostModel", "metrics_from_hdg", "R_SQUARED_GAUGE", "RESIDUAL_HISTOGRAM",
+    "CostModel", "metrics_from_hdg", "R_SQUARED_GAUGE",
     "DRIFT_GAUGE", "DRIFT_EVENT",
     "ADBBalancer", "BalancePlan", "induced_dependency_edges", "REBALANCE_EVENT",
     "select_direct_neighbors", "select_pinsage_neighbors",

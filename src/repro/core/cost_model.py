@@ -22,13 +22,11 @@ from .. import obs
 from .hdg import HDG
 
 __all__ = ["CostModel", "metrics_from_hdg",
-           "R_SQUARED_GAUGE", "RESIDUAL_HISTOGRAM",
-           "DRIFT_GAUGE", "DRIFT_EVENT"]
+           "R_SQUARED_GAUGE", "DRIFT_GAUGE", "DRIFT_EVENT"]
 
-#: calibration metrics every fit() publishes, so cost-model drift across
+#: calibration metric every fit() publishes, so cost-model drift across
 #: epochs is visible in traces without extra plumbing.
 R_SQUARED_GAUGE = "adb.cost_model.r_squared"
-RESIDUAL_HISTOGRAM = "adb.cost_model.residual"
 #: relative prediction error of the *previous* fit against fresh
 #: observations (published by drift_check; the feedback loop that makes
 #: a stale cost model visible instead of silently misbalancing).
@@ -90,11 +88,10 @@ class CostModel:
     def fit(self, metrics: np.ndarray, observed_costs: np.ndarray) -> "CostModel":
         """Least-squares fit of the polynomial to sampled running logs.
 
-        Each fit publishes calibration metrics: the in-sample R² as the
+        Each fit publishes the in-sample R² as the
         ``adb.cost_model.r_squared`` gauge (its history across epochs
-        shows drift) and the absolute residuals into the
-        ``adb.cost_model.residual`` histogram (its tail shows which
-        roots the polynomial cannot explain).
+        shows drift); :meth:`calibration` reports the exact residual
+        quartiles of any batch of observations.
         """
         x = self._expand(metrics)
         y = np.asarray(observed_costs, dtype=np.float64)
@@ -103,7 +100,6 @@ class CostModel:
         self.coef_, *_ = np.linalg.lstsq(x, y, rcond=None)
         pred = np.maximum(x @ self.coef_, 0.0)
         obs.gauge(R_SQUARED_GAUGE).set(_r_squared(y, pred))
-        obs.histogram(RESIDUAL_HISTOGRAM).observe_many(np.abs(y - pred))
         return self
 
     def predict(self, metrics: np.ndarray) -> np.ndarray:

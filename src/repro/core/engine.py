@@ -183,8 +183,9 @@ class FlexGraphEngine:
         train_acc = accuracy(logits, labels, mask)
         seconds = self.last_times.total
         work = obs.work_since(work_mark)
-        obs.epoch_log().log(
-            epoch,
+        obs.event(
+            "epoch",
+            epoch=epoch,
             loss=loss.item(),
             seconds=seconds,
             train_accuracy=train_acc,

@@ -212,9 +212,7 @@ class MiniBatchTrainer:
             overlap_efficiency=overlap,
             prefetch_depth=self.prefetch_depth,
         )
-        logged = asdict(stats)
-        del logged["epoch"], logged["num_batches"]
-        obs.epoch_log("minibatch").log(epoch, **logged)
+        obs.event("epoch", **asdict(stats))
         return stats
 
     def evaluate(self, feats: Tensor, labels: np.ndarray,

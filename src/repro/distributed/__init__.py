@@ -16,7 +16,7 @@ from .fault_tolerance import (
 from .comm import Comm, CommConfig, ProcessComm, SimulatedComm
 from .kvstore import KVStore, SharedArray
 from .minibatch import DistributedMiniBatchStats, DistributedMiniBatchTrainer
-from .pipeline import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
+from .commplan import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
 from .runtime import MultiprocessEpochStats, MultiprocessTrainer
 from .trainer import DistributedEpochStats, DistributedTrainer
 from .worker import Worker

@@ -24,16 +24,10 @@ import numpy as np
 
 from ..core.hdg import HDG
 from ..obs import event as _obs_event
-from ..obs import histogram as _obs_histogram
 from .comm import CommConfig, SimulatedComm
 
-#: per-message payload size distribution across all planned transfers —
-#: the skew between naive (many tiny messages) and batched/pipelined
-#: (few assembled ones) is the whole point of §5's batching.
-MESSAGE_BYTES_HISTOGRAM = "comm.message_bytes"
-
 __all__ = ["DependencyStats", "dependency_stats", "CommPlan",
-           "plan_layer_comm", "MESSAGE_BYTES_HISTOGRAM"]
+           "plan_layer_comm"]
 
 
 @dataclass
@@ -130,7 +124,6 @@ def plan_layer_comm(
     """
     k = stats.k
     comm = SimulatedComm(k, config)
-    size_hist = _obs_histogram(MESSAGE_BYTES_HISTOGRAM)
     if mode == "pipelined" and not commutative:
         mode_effective = "batched"
     else:
@@ -151,12 +144,10 @@ def plan_layer_comm(
             if mode_effective == "naive":
                 # one message per remote leaf feature *per root*
                 comm.send(src, dst, count * feat_bytes, messages=count)
-                size_hist.observe(feat_bytes, count=count)
             else:
                 # everything bound for the same (src, dst) pair travels
                 # in one assembled message
                 comm.send(src, dst, count * feat_bytes, messages=1)
-                size_hist.observe(count * feat_bytes)
     _obs_event(
         "comm.plan",
         mode=mode_effective,

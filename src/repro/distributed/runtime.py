@@ -40,10 +40,11 @@ the barrier and respawns the pool, which is what
 Live telemetry and the failure model
 ------------------------------------
 Liveness polling distinguishes **dead** from **stalled**.  Every worker
-writes a fixed-layout record into a shared
-:class:`~repro.obs.live.TelemetrySlab` on each phase transition
-(lock-free: its own row, heartbeat seqno bumped last), and the parent
-samples all rows during the result-queue poll.  A process that is gone
+adds a writer over its row of a shared
+:class:`~repro.obs.live.TelemetrySlab` to its registry's sinks
+(lock-free: its own row, heartbeat seqno bumped last, moved by every
+``obs.phase`` transition), and the parent samples all rows during the
+result-queue poll.  A process that is gone
 raises :class:`WorkerFailure` (today's path); a process that is alive
 but whose heartbeat has been frozen past ``stall_deadline`` seconds in
 an *active* phase emits a ``dist.worker_stalled`` event naming the
@@ -53,12 +54,13 @@ flagged.  ``inject_stall()`` (a real in-worker sleep) drives the path
 end-to-end the way ``inject_failure()`` drives the crash path.
 
 Per-process observability registries are merged at epoch end: workers
-ship their closed span records *and* a full metric snapshot (counters,
-gauges, histograms, events) through the result queue; the parent
-rebases span/event times onto its own clock using the worker's
-published registry origin (``Registry.merge_spans`` /
-``merge_metrics``), so one coherent trace with a lane per rank covers
-the whole pool.
+ship one ``Registry.snapshot()`` (records, counters, gauges, clock
+origin) through the result queue; the parent's ``Registry.merge``
+rebases record times onto its own clock using that origin, so one
+coherent trace with a lane per rank covers the whole pool.  Each
+worker stamps its records through the registry context
+(``worker`` once at start-up, ``phase`` / ``epoch`` / ``layer`` at
+every transition), so no call site names them by hand.
 """
 
 from __future__ import annotations
@@ -78,21 +80,7 @@ from ..obs.flight import (
     uninstall_flight,
     write_incident_bundle,
 )
-from ..obs.live import (
-    PHASE_AWAIT_GRAD,
-    PHASE_BACKWARD,
-    PHASE_DONE,
-    PHASE_FEAT_FETCH,
-    PHASE_FORWARD,
-    PHASE_GRAD_REDUCE,
-    PHASE_PARAM_REDUCE,
-    STALL_EVENT,
-    StallDetector,
-    StallEvent,
-    TelemetrySlab,
-    phase_name,
-)
-from ..obs.log import clear_log_context, get_logger, set_log_context
+from ..obs.live import STALL_EVENT, StallDetector, StallEvent, TelemetrySlab
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
@@ -167,48 +155,34 @@ class _WorkerRuntime:
         self.X: np.ndarray | None = None
         self._startup_bytes = 0.0
         self._startup_messages = 0
-        self.tele = spec.telemetry.writer(spec.rank) if spec.telemetry else None
+        # Every record this process emits is stamped with its rank.
+        obs.set_context(worker=spec.rank)
+        if spec.telemetry is not None:
+            obs.add_sink(spec.telemetry.writer(spec.rank))
         # The black box: a per-rank flight recorder journaling to
         # ``journal-rank{r}.jsonl`` under the flight dir, so this rank's
         # final spans/logs/phases survive its own death.
-        self.flight: FlightRecorder | None = None
         if spec.flight_dir is not None:
-            self.flight = install_flight(FlightRecorder(
-                journal_path=os.path.join(
-                    spec.flight_dir, f"journal-rank{spec.rank}.jsonl"),
-                rank=spec.rank,
-            ))
-        set_log_context(rank=spec.rank)
-        self.log = get_logger("dist.worker")
+            install_flight(FlightRecorder(journal_path=os.path.join(
+                spec.flight_dir, f"journal-rank{spec.rank}.jsonl")))
 
-    def _phase(self, phase: int, *, epoch: int | None = None,
-               layer: int | None = None) -> None:
-        if self.tele is not None:
-            self.tele.update(phase=phase, epoch=epoch, layer=layer)
-        name = phase_name(phase)
-        set_log_context(phase=name, epoch=epoch, layer=layer)
-        if self.flight is not None:
-            self.flight.record("phase", phase=name, epoch=epoch, layer=layer)
-
-    def _on_barrier(self, event: str) -> None:
-        """Barrier hook: journal the transition into the waiting phase
-        (so a post-mortem sees barrier-parked ranks as victims, not as
-        frozen mid-forward), then forward to the telemetry writer."""
+    @staticmethod
+    def _on_barrier(event: str) -> None:
+        """Barrier hook: entering a barrier is a transition into the
+        waiting phase (so the stall detector and a post-mortem see
+        barrier-parked ranks as victims, not as frozen mid-forward).
+        Leaving needs no record of its own: the ``dist.comm`` span or
+        phase transition that follows is the progress beat."""
         if event == "enter":
-            set_log_context(phase="barrier")
-            if self.flight is not None:
-                self.flight.record("phase", phase="barrier")
-        if self.tele is not None:
-            self.tele.on_barrier(event)
+            obs.phase("barrier")
 
-    def _die(self, reason: str) -> None:
+    @staticmethod
+    def _die(reason: str) -> None:
         """Die the way a segfault would — but the black box records the
         final stack first (the journal's ``os.write`` puts it in the
         page cache, which survives ``os._exit``)."""
-        self.log.error("worker dying", reason=reason)
-        if self.flight is not None:
-            self.flight.crash("".join(traceback.format_stack()),
-                              reason=reason)
+        obs.log("worker dying", level="error", reason=reason)
+        obs.crash(reason, "".join(traceback.format_stack()))
         os._exit(1)
 
     # ------------------------------------------------------------------
@@ -234,7 +208,7 @@ class _WorkerRuntime:
         and cached, unlike hidden activations which move every epoch).
         """
         parts = self.spec.partition.parts
-        with obs.span("dist.feat_fetch", worker=self.rank):
+        with obs.span("dist.feat_fetch"):
             first = self.kv.get("feat/0")
             n = int(self.spec.partition.labels.size)
             X = np.empty((n, first.shape[1]), dtype=first.dtype)
@@ -268,22 +242,22 @@ class _WorkerRuntime:
     # ------------------------------------------------------------------
     def _run_epoch(self, payload: dict) -> None:
         epoch = int(payload["epoch"])
-        # Fresh registry per epoch: the metric snapshot shipped at epoch
-        # end is then a clean delta (counters merged exactly once), and
-        # every span record is this epoch's.
+        # Fresh registry per epoch: the snapshot shipped at epoch end is
+        # then a clean delta (counters merged exactly once), and every
+        # record is this epoch's.
         obs.reset()
         reg = obs.get_registry()
         if payload.get("trace_id"):
             reg.trace_id = payload["trace_id"]
-        if self.tele is not None:
-            self.tele.set_clock_origin(reg.origin)
-        self.log.info("epoch start", epoch=epoch,
-                      version=int(payload["version"]))
+        # The epoch every record below is stamped with; the phase
+        # transitions move ``phase`` and ``layer``.
+        obs.set_context(epoch=epoch, layer=None)
+        obs.log("epoch start", version=int(payload["version"]))
         stall_s = float(payload.get("stall_seconds") or 0.0)
         if payload.get("sub_hdg") is not None:
             self._attach_hdg(payload["sub_hdg"])
         if self.X is None:
-            self._phase(PHASE_FEAT_FETCH, epoch=epoch)
+            obs.phase("feat_fetch")
             self._fetch_features()
         assert self.sub_hdg is not None, "epoch dispatched before any HDG"
         if self.kv.version < payload["version"]:
@@ -314,7 +288,7 @@ class _WorkerRuntime:
         # -------------------------- forward ---------------------------
         h_in = Tensor(self.X)
         for l, layer in enumerate(layers):
-            self._phase(PHASE_FORWARD, epoch=epoch, layer=l)
+            obs.phase("forward", layer=l)
             if stall_s > 0.0 and l == 0:
                 # Injected stall: a real sleep in an active phase, so
                 # the heartbeat seqno freezes exactly as a hung kernel
@@ -325,8 +299,7 @@ class _WorkerRuntime:
             )
             bytes_total += read_bytes
             messages_total += read_msgs
-            with obs.span("dist.compute", worker=self.rank, layer=l,
-                          epoch=epoch, pid=os.getpid()) as s_cmp:
+            with obs.span("dist.compute", pid=os.getpid()) as s_cmp:
                 out = layer.forward(h_in, self.sub_hdg, self.spec.strategy,
                                     rows=self.root_orders)
             compute_s += s_cmp.duration
@@ -334,8 +307,7 @@ class _WorkerRuntime:
             wait = self.comm.barrier()
             comm_s += wait
             obs.record_span("dist.comm", wait, simulated=False,
-                            worker=self.rank, layer=l, epoch=epoch,
-                            phase="layer_sync", bytes=read_bytes)
+                            sync="layer_sync", bytes=read_bytes)
             tapes.append((h_in, out))
             if l + 1 < num_layers:
                 # Stable until next epoch's forward overwrites it, so a
@@ -344,7 +316,7 @@ class _WorkerRuntime:
 
         if self.rank == 0:
             self.spec.result_q.put(("fwd", epoch))
-        self._phase(PHASE_AWAIT_GRAD, epoch=epoch)
+        obs.phase("await_grad", layer=None)
         msg = self.spec.inbox.get()
         if msg[0] != "bwd":
             if msg[0] == "die":
@@ -355,9 +327,8 @@ class _WorkerRuntime:
         for l in range(num_layers - 1, -1, -1):
             h_leaf, out = tapes[l]
             gout = np.array(self.spec.gbufs[l + 1].array[self.root_orders])
-            self._phase(PHASE_BACKWARD, epoch=epoch, layer=l)
-            with obs.span("dist.backward", worker=self.rank, layer=l,
-                          epoch=epoch) as s_bwd:
+            obs.phase("backward", layer=l)
+            with obs.span("dist.backward") as s_bwd:
                 out.backward(gout)
             compute_s += s_bwd.duration
             if l == 0:
@@ -369,7 +340,7 @@ class _WorkerRuntime:
             else:
                 slab[...] = h_leaf.grad
             wait = self.comm.barrier()
-            self._phase(PHASE_GRAD_REDUCE, epoch=epoch, layer=l)
+            obs.phase("grad_reduce", layer=l)
             slabs = [
                 self.spec.hslabs[r].array[: n * d].reshape(n, d)
                 for r in range(self.k)
@@ -381,11 +352,10 @@ class _WorkerRuntime:
             bytes_total += red_bytes
             messages_total += red_msgs
             obs.record_span("dist.comm", wait, simulated=False,
-                            worker=self.rank, layer=l, epoch=epoch,
-                            phase="grad_reduce", bytes=red_bytes)
+                            sync="grad_reduce", bytes=red_bytes)
 
         # --------------------- parameter gradients --------------------
-        self._phase(PHASE_PARAM_REDUCE, epoch=epoch)
+        obs.phase("param_reduce", layer=None)
         pslab = self.spec.pslabs[self.rank].array
         off = 0
         for p in params:
@@ -407,40 +377,24 @@ class _WorkerRuntime:
         bytes_total += red_bytes
         messages_total += red_msgs
         obs.record_span("dist.comm", wait, simulated=False,
-                        worker=self.rank, epoch=epoch,
-                        phase="param_allreduce", bytes=red_bytes)
+                        sync="param_allreduce", bytes=red_bytes)
 
-        self._phase(PHASE_DONE, epoch=epoch)
-        if self.flight is not None:
-            # One metric sample per epoch: the ring carries the final
-            # counter/gauge state alongside the spans.  Then drain the
-            # journal queue — the rank is past its last barrier and
-            # about to idle, so the batched write is off the critical
-            # path, and a completed epoch is always fully journaled
-            # even if this rank is killed before its next drain tick.
-            self.flight.record_metrics(reg)
-            self.flight.flush()
-        spans = [s.to_dict() for s in reg.spans if s.closed]
+        obs.phase("done")
+        # One metric sample per epoch: a black box keeps the final
+        # counter/gauge state alongside the spans (and, the rank being
+        # past its last barrier, writes its journal out now).
+        obs.sample_metrics()
         self.spec.result_q.put(("done", self.rank, {
             "compute_seconds": compute_s,
             "comm_seconds": comm_s,
             "bytes": bytes_total,
             "messages": messages_total,
-            "spans": spans,
-            "metrics": reg.metrics_snapshot(),
-            # Raw perf_counter at this epoch's reset: the parent rebases
-            # span/event times by (worker origin - parent origin), which
-            # is exact on platforms where perf_counter is system-wide
-            # (CLOCK_MONOTONIC on Linux).
-            "clock_origin": reg.origin,
+            "telemetry": reg.snapshot(),
         }))
 
 
 def _worker_main(spec: _WorkerSpec) -> None:
-    # Fresh per-process registry: under fork the child inherits the
-    # parent's spans, which must not be shipped back a second time.
-    obs.reset()
-    # Under fork the child also inherits the parent's flight tap (a dup
+    # Under fork the child inherits the parent's flight recorder (a dup
     # of its journal fd plus whatever records sat in its drain queue —
     # the parent's drain thread does not survive the fork).  Drop it
     # without draining: those records belong to the parent, which will
@@ -449,17 +403,18 @@ def _worker_main(spec: _WorkerSpec) -> None:
     inherited = uninstall_flight()
     if inherited is not None:
         inherited.close(drain=False)
-    clear_log_context()
+    # Fresh per-process registry: under fork the child also inherits the
+    # parent's spans, which must not be shipped back a second time.
+    obs.reset()
+    obs.clear_context()
     try:
         runtime = _WorkerRuntime(spec)
         spec.comm.bind(spec.rank, heartbeat=runtime._on_barrier)
         runtime.run()
     except BaseException:  # noqa: BLE001 - ship any failure to the parent
         tb = traceback.format_exc()
-        recorder = obs.get_flight()
-        if recorder is not None:
-            # The crash hook: the journal's last record is the traceback.
-            recorder.crash(tb, reason="exception")
+        # The crash hook: the journal's last record is the traceback.
+        obs.crash("exception", tb)
         try:
             spec.result_q.put(("error", spec.rank, tb))
         except Exception:  # pragma: no cover - queue already torn down
@@ -776,7 +731,7 @@ class MultiprocessTrainer:
             self.stall_events.append(stall)
             obs.event(
                 STALL_EVENT,
-                rank=stall.rank,
+                worker=stall.rank,
                 epoch=stall.epoch,
                 layer=stall.layer,
                 phase=stall.phase_name,
@@ -908,23 +863,15 @@ class MultiprocessTrainer:
             comm[rank] = stats["comm_seconds"]
             total_bytes += stats["bytes"]
             total_messages += stats["messages"]
-            # Rebase worker-relative times onto the parent clock: both
-            # origins are raw perf_counter values, so the offset is
-            # exactly (worker origin - parent origin).  Span histograms
-            # are NOT re-observed here — the worker's own histograms
-            # arrive via merge_metrics, which avoids double counting.
-            offset = float(stats.get("clock_origin", reg.origin)) - reg.origin
-            reg.merge_spans(stats["spans"], clock_offset=offset, rank=rank,
-                            observe_histograms=False)
-            reg.merge_metrics(stats.get("metrics"), clock_offset=offset,
-                              rank=rank)
+            reg.merge(stats["telemetry"])
         obs.counter(BYTES_COUNTER).add(total_bytes)
         obs.counter(MESSAGES_COUNTER).add(total_messages)
         self._poll_telemetry()  # final sample: phase/epoch gauges current
 
         wall = time.perf_counter() - t0
-        obs.epoch_log().log(
-            epoch,
+        obs.event(
+            "epoch",
+            epoch=epoch,
             loss=loss.item(),
             wall_seconds=wall,
             bytes=total_bytes,

@@ -3,7 +3,7 @@
 The trainer executes the *real* computation of every worker (sliced
 per-partition HDG aggregation + update, measured with wall clocks) in one
 process, and combines it with modeled network time from
-:mod:`repro.distributed.pipeline`.  One epoch's simulated wall time is::
+:mod:`repro.distributed.commplan`.  One epoch's simulated wall time is::
 
     sum over layers of max over workers of layer_time(worker)
     + backward time / k          (data-parallel backward)
@@ -30,7 +30,7 @@ from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
 from .fault_tolerance import WorkerFailure
-from .pipeline import dependency_stats, plan_layer_comm
+from .commplan import dependency_stats, plan_layer_comm
 from .worker import Worker
 
 __all__ = ["DistributedEpochStats", "DistributedTrainer"]
@@ -179,7 +179,7 @@ class DistributedTrainer:
             for w, worker in enumerate(self.workers):
                 # scale= divides measured time by the worker's modeled
                 # speed, so the recorded span carries the effective
-                # duration straggler analysis and histograms must see.
+                # duration straggler analysis must see.
                 with obs.span("dist.compute",
                               scale=1.0 / self.worker_speeds[w], worker=w,
                               layer=layer_index, epoch=epoch) as s_cmp:
@@ -260,8 +260,9 @@ class DistributedTrainer:
             if mean_compute > 0 else 1.0
         )
         work = obs.work_since(work_mark)
-        obs.epoch_log().log(
-            epoch,
+        obs.event(
+            "epoch",
+            epoch=epoch,
             loss=loss.item(),
             simulated_seconds=simulated,
             bytes=total_bytes,

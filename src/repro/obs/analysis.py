@@ -13,7 +13,10 @@ module aggregates those spans into a :class:`StragglerReport`:
 * the critical-path worker per layer (who the barrier waited for).
 
 Works on live registry records or on the ``"spans"`` list of an
-exported JSON trace, like the other aggregation helpers.
+exported JSON trace, like the other aggregation helpers.  Which worker
+and layer a span belongs to is read with ``Record.get``: the simulated
+trainer names them as span attrs (all its workers share one process),
+the real runtime in each worker process's context stamp.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .registry import get_registry
+from .registry import Record, get_registry
 
 __all__ = [
     "StragglerReport",
@@ -94,7 +97,6 @@ def _median(values: list[float]) -> float:
 def straggler_report(
     spans: Iterable | None = None,
     threshold: float = 1.2,
-    registry=None,
 ) -> StragglerReport:
     """Aggregate ``dist.compute``/``dist.comm`` spans into a skew report.
 
@@ -110,20 +112,17 @@ def straggler_report(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if spans is None:
-        spans = (registry or get_registry()).spans
+        spans = get_registry().spans
 
     per_worker: dict[int, dict] = {}
     # (layer, worker) -> compute + comm seconds, for the critical path
     layer_time: dict[tuple[int, int], float] = {}
-    for s in spans:
-        if isinstance(s, dict):
-            name, duration = s["name"], float(s["duration"])
-            attrs = s.get("attrs") or {}
-        else:
-            name, duration, attrs = s.name, s.duration, s.attrs
-        if name not in (COMPUTE_SPAN, COMM_SPAN) or "worker" not in attrs:
+    for s in map(Record.of, spans):
+        name, duration, attrs = s.name, s.duration, s.attrs
+        worker = s.get("worker")
+        if name not in (COMPUTE_SPAN, COMM_SPAN) or worker is None:
             continue
-        worker = int(attrs["worker"])
+        worker = int(worker)
         row = per_worker.setdefault(
             worker, {"compute": 0.0, "comm": 0.0, "flops": 0.0, "bytes": 0.0}
         )
@@ -135,7 +134,7 @@ def straggler_report(
             row["bytes"] += (
                 attrs.get("bytes_read", 0.0) + attrs.get("bytes_written", 0.0)
             )
-        layer = attrs.get("layer")
+        layer = s.get("layer")
         if layer is not None:
             key = (int(layer), worker)
             layer_time[key] = layer_time.get(key, 0.0) + duration
@@ -225,13 +224,7 @@ def render_straggler_report(report: StragglerReport) -> str:
 # ----------------------------------------------------------------------
 # per-level backend ranking (the Figure 14 narrative, measured)
 # ----------------------------------------------------------------------
-def _event_fields(event) -> tuple[str, dict]:
-    if isinstance(event, dict):
-        return event.get("name", ""), event.get("attrs", {}) or {}
-    return event.name, event.attrs
-
-
-def backend_report(events: Iterable | None = None, registry=None) -> dict:
+def backend_report(events: Iterable | None = None) -> dict:
     """Rank aggregation backends per HDG level per strategy by measured
     cost.
 
@@ -244,16 +237,16 @@ def backend_report(events: Iterable | None = None, registry=None) -> dict:
     ordering Figure 14 of the paper argues from (fused one-shot
     aggregation at the wide bottom level, dense at the narrow top).
 
-    Accepts live :class:`EventRecord` objects or the ``"events"`` list
-    of an exported trace; defaults to the global registry.
+    Accepts live records or the ``"events"`` list of an exported trace;
+    defaults to the global registry.
     """
     if events is None:
-        events = (registry or get_registry()).events
+        events = get_registry().events
     grouped: dict[tuple, dict] = {}
-    for event in events:
-        name, attrs = _event_fields(event)
-        if name != BACKEND_EVENT:
+    for event in map(Record.of, events):
+        if event.name != BACKEND_EVENT:
             continue
+        attrs = event.attrs
         key = (
             str(attrs.get("strategy", "?")),
             str(attrs.get("level", "?")),

@@ -1,24 +1,29 @@
-"""Exporters: JSON traces, Chrome traces, summaries.
+"""Readers: JSON traces, Chrome traces, timelines, summaries.
 
-The native JSON schema (version 2) is::
+The native JSON schema (version 3) is::
 
     {
-      "schema": "repro.obs/2",
-      "meta": {"dropped_spans": 0, "dropped_events": 0},
-      "spans":    [{"id", "name", "start", "duration", "depth",
-                    "parent"?, "simulated"?, "attrs"?}, ...],
-      "events":   [{"name", "time", "attrs"?}, ...],
+      "schema": "repro.obs/3",
+      "meta": {"trace_id", "origin", "dropped_spans", "dropped_events"},
+      "spans":    [record, ...],      # kind "span", in close order
+      "events":   [record, ...],      # every other kind, in emit order
       "counters": {name: {"total", "current", "peak", "count"}, ...},
-      "gauges":   {name: {"value", "peak", "count"}, ...},
-      "histograms": {name: {"count", "sum", "min", "max",
-                            "p50", "p90", "p99", "buckets"}, ...},
-      "epochs":   {name: {"name", "rows": [{"epoch", ...}, ...]}, ...}
+      "gauges":   {name: {"value", "peak", "count"}, ...}
     }
 
-Version 2 is a superset of version 1 (readers of /1 traces keep
-working; the new sections default to empty).  One standard format is
-also supported: :func:`export_chrome_trace` writes Chrome Trace Event
-Format, loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
+where every ``record`` is one ``Record.to_dict()``::
+
+    {"kind", "name", "t", "duration"?, "id"?, "depth"?, "parent"?,
+     "simulated"?, "attrs"?, "ctx"?}
+
+— the same shape a flight-recorder journal line, a ``flight.json``
+entry and the worker->parent payload carry, so every reader here works
+on any of them.  Versions 1 and 2 kept spans and events in two other
+shapes (``start`` / ``time`` instead of ``t``, no ``kind``, no
+``ctx``); their by-name aggregates still render, their timelines do
+not.  One standard format is also supported: :func:`export_chrome_trace`
+writes Chrome Trace Event Format, loadable in ``chrome://tracing`` and
+https://ui.perfetto.dev.
 
 ``tools/trace_summary.py`` pretty-prints native traces from the command
 line; :func:`summary` renders the same aggregation for a live registry.
@@ -30,47 +35,45 @@ import json
 from typing import Iterable
 
 from .profile import WORK_RATE_SPANS
-from .registry import Registry, get_registry
+from .registry import Record, get_registry
 
 __all__ = [
+    "SCHEMA",
     "to_dict",
     "export_json",
     "summary",
+    "render_summary",
     "aggregate_spans",
+    "percentile",
+    "timeline",
+    "render_timeline",
     "to_chrome_trace",
     "export_chrome_trace",
 ]
 
-SCHEMA = "repro.obs/2"
+SCHEMA = "repro.obs/3"
 
 
-def to_dict(registry: Registry | None = None) -> dict:
-    """Serializable snapshot of a registry (the global one by default)."""
-    reg = registry or get_registry()
+def to_dict() -> dict:
+    """Serializable snapshot of the global registry."""
+    reg = get_registry()
+    snapshot = reg.snapshot()
     return {
         "schema": SCHEMA,
         "meta": {
             "trace_id": reg.trace_id,
+            "origin": snapshot.pop("origin"),
             "dropped_spans": reg.dropped_spans,
             "dropped_events": reg.dropped_events,
         },
-        "spans": [s.to_dict() for s in reg.spans],
-        "events": [e.to_dict() for e in reg.events],
-        "counters": {name: c.to_dict() for name, c in reg.counters.items()},
-        "gauges": {name: g.to_dict() for name, g in reg.gauges.items()},
-        "histograms": {
-            name: h.to_dict() for name, h in reg.histograms.items()
-        },
-        "epochs": {
-            name: log.to_dict() for name, log in reg.epoch_logs.items()
-        },
+        **snapshot,
     }
 
 
-def export_json(path: str, registry: Registry | None = None) -> None:
+def export_json(path: str) -> None:
     """Write the registry snapshot as a JSON trace file."""
     with open(path, "w") as fh:
-        json.dump(to_dict(registry), fh, indent=1)
+        json.dump(to_dict(), fh, indent=1)
         fh.write("\n")
 
 
@@ -97,7 +100,7 @@ def _worker_label_tids(spans) -> dict[str, int]:
     """
     labels: set[str] = set()
     for s in spans:
-        worker = s.attrs.get("worker", 0)
+        worker = s.get("worker", 0)
         try:
             int(worker)
         except (TypeError, ValueError):
@@ -107,14 +110,14 @@ def _worker_label_tids(spans) -> dict[str, int]:
     }
 
 
-def to_chrome_trace(registry: Registry | None = None) -> dict:
+def to_chrome_trace() -> dict:
     """Registry snapshot in Chrome Trace Event Format.
 
     Spans become complete events (``ph: "X"``, microsecond timestamps);
     point events become global instants (``ph: "i"``).  Measured and
-    simulated spans live in separate process lanes, and spans carrying a
-    ``worker`` attribute are placed on that worker's thread so the
-    per-worker timelines of the simulated cluster line up visually.
+    simulated spans live in separate process lanes, and spans naming a
+    ``worker`` (as an attr or in their context stamp) are placed on that
+    worker's thread so the per-worker timelines line up visually.
     Non-integer worker labels get distinct stable tids (>= 10000) with a
     ``thread_name`` metadata record and a ``trace.worker_label_coerced``
     instant documenting each mapping.  Spans named in
@@ -122,7 +125,7 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
     emit counter events (``ph: "C"``) so FLOP/s and bytes/s render as
     tracks in Perfetto.
     """
-    reg = registry or get_registry()
+    reg = get_registry()
     trace_events: list[dict] = [
         {
             "ph": "M", "name": "process_name", "pid": pid,
@@ -137,7 +140,7 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
     # trace reads "rank 0 / rank 1 / ..." instead of bare thread ids.
     int_tids: set[int] = set()
     for s in reg.spans:
-        worker = s.attrs.get("worker")
+        worker = s.get("worker")
         if worker is None:
             continue
         try:
@@ -165,7 +168,7 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
     rate_names = set(WORK_RATE_SPANS)
     for s in reg.spans:
         pid = _PID_SIMULATED if s.simulated else _PID_MEASURED
-        worker = s.attrs.get("worker", 0)
+        worker = s.get("worker", 0)
         try:
             tid = int(worker)
         except (TypeError, ValueError):
@@ -175,9 +178,9 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
             "name": s.name,
             "pid": pid,
             "tid": tid,
-            "ts": s.start * 1e6,
+            "ts": s.t * 1e6,
             "dur": s.duration * 1e6,
-            "args": dict(s.attrs),
+            "args": {**s.ctx, **s.attrs},
         })
         if s.name in rate_names and s.duration > 0 and "flops" in s.attrs:
             flops_rate = s.attrs.get("flops", 0.0) / s.duration
@@ -186,10 +189,10 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
                 + s.attrs.get("bytes_written", 0.0)
             ) / s.duration
             for name, value, ts in (
-                ("work.flops_per_sec", flops_rate, s.start),
-                ("work.bytes_per_sec", bytes_rate, s.start),
-                ("work.flops_per_sec", 0.0, s.start + s.duration),
-                ("work.bytes_per_sec", 0.0, s.start + s.duration),
+                ("work.flops_per_sec", flops_rate, s.t),
+                ("work.bytes_per_sec", bytes_rate, s.t),
+                ("work.flops_per_sec", 0.0, s.t + s.duration),
+                ("work.bytes_per_sec", 0.0, s.t + s.duration),
             ):
                 trace_events.append({
                     "ph": "C", "name": name,
@@ -200,11 +203,11 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
         trace_events.append({
             "ph": "i",
             "s": "g",
-            "name": e.name,
+            "name": e.name if e.kind == "event" else f"{e.kind}: {e.name}",
             "pid": _PID_MEASURED,
             "tid": 0,
-            "ts": e.time * 1e6,
-            "args": dict(e.attrs),
+            "ts": e.t * 1e6,
+            "args": {**e.ctx, **e.attrs},
         })
     return {
         "traceEvents": trace_events,
@@ -213,35 +216,119 @@ def to_chrome_trace(registry: Registry | None = None) -> dict:
     }
 
 
-def export_chrome_trace(path: str, registry: Registry | None = None) -> None:
+def export_chrome_trace(path: str) -> None:
     """Write a ``chrome://tracing``/Perfetto-loadable trace file."""
     with open(path, "w") as fh:
-        json.dump(to_chrome_trace(registry), fh)
+        json.dump(to_chrome_trace(), fh)
         fh.write("\n")
 
 
-def aggregate_spans(spans: Iterable) -> dict[str, dict]:
-    """Aggregate span dicts/records by name -> count/total/max stats.
+def percentile(ordered: list[float], q: float) -> float:
+    """The exact ``q``-quantile (0..1, nearest rank) of an ascending
+    list; 0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
 
-    Accepts either :class:`SpanRecord` objects or the dicts found in an
-    exported trace, so the CLI trace tool can share this code path.
+
+def aggregate_spans(spans: Iterable) -> dict[str, dict]:
+    """Aggregate spans by name -> count/total/max and exact p50/p99.
+
+    Accepts live records or the dicts found in an exported trace, so
+    the CLI trace tool shares this code path.  The percentiles are
+    order statistics of the durations given — exact for the records
+    that were kept; a capped trace says so in its ``meta``.
     """
+    durations: dict[str, list[float]] = {}
     stats: dict[str, dict] = {}
-    for s in spans:
-        if isinstance(s, dict):
-            name, dur = s["name"], float(s["duration"])
-            simulated = bool(s.get("simulated"))
-        else:
-            name, dur, simulated = s.name, s.duration, s.simulated
-        row = stats.get(name)
+    for s in map(Record.of, spans):
+        row = stats.get(s.name)
         if row is None:
-            row = stats[name] = {
-                "count": 0, "total": 0.0, "max": 0.0, "simulated": simulated,
-            }
+            row = stats[s.name] = {"count": 0, "total": 0.0,
+                                   "simulated": s.simulated}
+            durations[s.name] = []
         row["count"] += 1
-        row["total"] += dur
-        row["max"] = max(row["max"], dur)
+        row["total"] += s.duration
+        durations[s.name].append(s.duration)
+    for name, row in stats.items():
+        ordered = sorted(durations[name])
+        row["max"] = ordered[-1]
+        row["p50"] = percentile(ordered, 0.50)
+        row["p99"] = percentile(ordered, 0.99)
     return stats
+
+
+# ----------------------------------------------------------------------
+# timelines: the one per-record text rendering (trace listings,
+# post-mortem timelines)
+# ----------------------------------------------------------------------
+def timeline(sources: dict[str, Iterable[dict]]) -> list[dict]:
+    """Merge serialised records from several processes into one
+    time-ordered list.
+
+    ``sources`` maps a label (a journal's name) to that process's
+    records in emission order.  Record times count from a per-process
+    clock origin; the ``clock`` records in each source say what it is,
+    and ``origin + t`` is comparable across processes.  Returns copies
+    carrying ``who`` (the label) and ``at`` (seconds on the shared
+    clock), ``clock`` records themselves left out.
+    """
+    merged: list[dict] = []
+    for who, records in sources.items():
+        origin = 0.0
+        for record in records:
+            if record.get("kind") == "clock":
+                origin = float(record["attrs"]["origin"])
+                continue
+            merged.append({**record, "who": who,
+                           "at": origin + float(record.get("t", 0.0))})
+    merged.sort(key=lambda r: r["at"])
+    return merged
+
+
+#: attrs too bulky for a one-line rendering
+_BULKY_ATTRS = frozenset({"traceback", "counters", "gauges"})
+
+
+def _describe(record: Record) -> str:
+    kind, name = record.kind, record.name
+    if kind == "span":
+        mark = "~" if record.simulated else ""
+        return (f"{'  ' * record.depth}{mark}{name} "
+                f"({(record.duration or 0.0) * 1e3:.3f}ms)")
+    if kind == "log":
+        return f"log[{record.attrs.get('level')}] {name}"
+    if kind == "phase":
+        return f"phase -> {name}"
+    if kind == "crash":
+        return f"CRASH ({name})"
+    if kind == "metrics":
+        return "metrics sample"
+    return f"{kind} {name}"
+
+
+def render_timeline(records: Iterable[dict]) -> str:
+    """One line per serialised record, in the order given: time (``at``
+    from :func:`timeline`, else the record's own ``t``), who (the
+    timeline label, else the ``worker`` of the context stamp), what,
+    then the context and caller fields as ``key=value``."""
+    lines = []
+    for data in records:
+        record = Record.from_dict(data)
+        who = data.get("who")
+        if who is None:
+            worker = record.get("worker")
+            who = "-" if worker is None else f"rank {worker}"
+        fields = {k: v for k, v in record.ctx.items()
+                  if k not in ("worker", "phase")}
+        fields.update((k, v) for k, v in record.attrs.items()
+                      if k not in _BULKY_ATTRS)
+        if record.kind == "log":
+            del fields["level"]  # already in the description
+        rendered = " ".join(f"{k}={v}" for k, v in fields.items())
+        lines.append(f"  {data.get('at', record.t) * 1e3:14.3f}ms  {who:<8} "
+                     f"{_describe(record)}  {rendered}".rstrip())
+    return "\n".join(lines)
 
 
 def _format_seconds(seconds: float) -> str:
@@ -264,17 +351,15 @@ def render_summary(
     span_stats: dict[str, dict],
     counters: dict[str, dict],
     gauges: dict[str, dict],
-    events: list[dict],
+    events: Iterable,
     meta: dict | None = None,
-    histograms: dict[str, dict] | None = None,
-    epochs: dict[str, dict] | None = None,
 ) -> str:
     """Render aggregated trace data as a fixed-width text table."""
     lines: list[str] = []
     if span_stats:
         lines.append("spans (aggregated by name):")
         lines.append(f"  {'name':<34} {'count':>7} {'total':>11} "
-                     f"{'mean':>11} {'max':>11}")
+                     f"{'mean':>11} {'p50':>11} {'p99':>11} {'max':>11}")
         grand = sum(r["total"] for r in span_stats.values())
         for name in sorted(span_stats, key=lambda n: -span_stats[n]["total"]):
             row = span_stats[name]
@@ -283,6 +368,7 @@ def render_summary(
             lines.append(
                 f" {tag}{name:<34} {row['count']:>7} "
                 f"{_format_seconds(row['total'])} {_format_seconds(mean)} "
+                f"{_format_seconds(row['p50'])} {_format_seconds(row['p99'])} "
                 f"{_format_seconds(row['max'])}"
             )
         lines.append(f"  {'(sum of spans; ~ = simulated)':<34} "
@@ -305,37 +391,12 @@ def render_summary(
             peak = g["peak"]
             peak_s = "n/a" if peak is None else f"{peak:,.4g}"
             lines.append(f"  {name:<36} value {g['value']:,.4g}  peak {peak_s}")
-    if histograms:
-        lines.append("histograms (percentiles; span.* are seconds):")
-        lines.append(f"  {'name':<34} {'count':>7} {'p50':>11} "
-                     f"{'p90':>11} {'p99':>11} {'max':>11}")
-        for name in sorted(histograms):
-            h = histograms[name]
-            if not h["count"]:
-                continue
-            if name.startswith("span."):
-                fmt = _format_seconds
-            elif "bytes" in name:
-                fmt = lambda v: f"{_format_bytes(v):>11}"  # noqa: E731
-            else:
-                fmt = lambda v: f"{v:>11.4g}"  # noqa: E731
-            lines.append(
-                f"  {name:<34} {h['count']:>7} "
-                f"{fmt(h['p50'])} {fmt(h['p90'])} "
-                f"{fmt(h['p99'])} {fmt(h['max'])}"
-            )
-    if epochs:
-        lines.append("epoch series:")
-        for name in sorted(epochs):
-            rows = epochs[name].get("rows", [])
-            keys = [k for k in (rows[-1] if rows else {}) if k != "epoch"]
-            lines.append(f"  {name:<36} {len(rows)} epochs "
-                         f"({', '.join(keys)})")
     if events:
-        lines.append("events (by name):")
+        lines.append("events (by name; other kinds by kind):")
         by_name: dict[str, int] = {}
-        for e in events:
-            by_name[e["name"]] = by_name.get(e["name"], 0) + 1
+        for e in map(Record.of, events):
+            label = e.name if e.kind == "event" else f"[{e.kind}]"
+            by_name[label] = by_name.get(label, 0) + 1
         for name in sorted(by_name):
             lines.append(f"  {name:<36} x{by_name[name]}")
     if meta and (meta.get("dropped_spans") or meta.get("dropped_events")):
@@ -348,15 +409,14 @@ def render_summary(
     return "\n".join(lines)
 
 
-def summary(registry: Registry | None = None) -> str:
+def summary() -> str:
     """Human-readable summary of everything recorded so far."""
-    snapshot = to_dict(registry)
+    reg = get_registry()
     return render_summary(
-        aggregate_spans(snapshot["spans"]),
-        snapshot["counters"],
-        snapshot["gauges"],
-        snapshot["events"],
-        snapshot["meta"],
-        histograms=snapshot["histograms"],
-        epochs=snapshot["epochs"],
+        aggregate_spans(reg.spans),
+        {name: c.to_dict() for name, c in reg.counters.items()},
+        {name: g.to_dict() for name, g in reg.gauges.items()},
+        reg.events,
+        {"dropped_spans": reg.dropped_spans,
+         "dropped_events": reg.dropped_events},
     )

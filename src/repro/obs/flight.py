@@ -8,31 +8,34 @@ with it, and the post-mortem question ("what was rank 1 doing when it
 vanished?") becomes unanswerable.
 
 A :class:`FlightRecorder` closes that gap the way an aircraft black box
-does: a bounded ring buffer of the most recent telemetry — closed
-spans, events, structured log records (:mod:`repro.obs.log`), phase
-transitions, metric samples — continuously spilled to an append-only
-per-rank *journal* file.  Journal writes stay off the hot path: the
-recording thread appends the record to an in-process queue (one deque
-append — the worker's phase transitions sit right at barrier
-boundaries, where every extra syscall de-synchronizes ranks), and a
-daemon drain thread batches them to an ``O_APPEND`` fd via ``os.write``
-every ``_DRAIN_INTERVAL``.  Once written they live in the kernel page
-cache and
-survive ``os._exit``, ``SIGKILL`` and segfaults.  Controlled deaths
-(:meth:`FlightRecorder.crash` — the worker crash hook, ``_die``) drain
-the queue *synchronously* before the process exits, so the journal
-always ends with the traceback; only an uncatchable kill can lose the
-final drain interval.  The parent (or ``tools/postmortem.py``) reads
-the dead rank's final moments straight from its journal.
+does: a bounded ring buffer of the most recent records, continuously
+spilled to an append-only per-process *journal* file.  It is a sink of
+the registry's funnel (:meth:`Registry.add_sink`), so instrumentation
+does not change and it sees every record the process emits — closed
+spans, events, log lines, phase transitions, metric samples — even
+while the store is disabled or past its cap, and across
+:func:`repro.obs.reset`: worker processes reset their registry each
+epoch, and the black box must keep recording across that boundary or
+it would lose exactly the incident it exists to capture.
 
-The recorder taps the registry (``Registry.flight``) so instrumentation
-does not change: every ``end_span``/``event`` forwards one shallow
-record.  The tap survives :func:`repro.obs.reset` deliberately — worker
-processes reset their registry each epoch, and the black box must keep
-recording across that boundary or it would lose exactly the incident
-it exists to capture.  Ring writes are plain list stores (append-only,
-no locks); journaling costs the recording thread one deque append —
-serialization and the write syscall happen on the drain thread.
+Journal writes stay off the hot path: the recording thread appends the
+record to an in-process queue (one deque append — the worker's phase
+transitions sit right at barrier boundaries, where every extra syscall
+de-synchronizes ranks), and a daemon drain thread serialises and
+batches them to an ``O_APPEND`` fd via ``os.write`` every
+``_DRAIN_INTERVAL``.  Once written they live in the kernel page cache
+and survive ``os._exit``, ``SIGKILL`` and segfaults.  A ``crash``
+record (:func:`repro.obs.crash` — the worker crash hook, ``_die``)
+drains the queue *synchronously* before the emit returns, so the
+journal always ends with the traceback; only an uncatchable kill can
+lose the final drain interval.  The parent (or ``tools/postmortem.py``)
+reads the dead rank's final moments straight from its journal.
+
+Every journal line is one ``Record.to_dict()``.  Record times count
+from the registry's clock origin, which moves at every reset, so the
+journal also carries the ``clock`` records the registry announces each
+origin with: ``origin + t`` places lines from different processes on
+one timeline (:func:`repro.obs.export.timeline`).
 
 Incident bundles
 ----------------
@@ -46,7 +49,7 @@ self-contained directory::
       telemetry.json    live TelemetrySlab snapshot        (section)
       stalls.json       StallDetector state + episodes     (section)
       requests.json     serving requests in flight         (section)
-      metrics.json      registry counters/gauges/histograms
+      metrics.json      registry counters/gauges and point records
       trace.json        merged partial Chrome trace of the parent registry
 
 The multiprocess runtime dumps one on ``WorkerFailure``, on
@@ -66,7 +69,8 @@ import shutil
 import threading
 import time
 
-from .registry import EventRecord, Registry, SpanRecord, get_registry
+from .export import to_chrome_trace
+from .registry import Record, get_registry
 
 __all__ = [
     "FlightRecorder",
@@ -90,11 +94,6 @@ INCIDENT_PREFIX = "incident-"
 #: per-process journal files are named ``journal-<who>.jsonl``
 JOURNAL_PREFIX = "journal-"
 
-#: event names starting with this prefix reach the recorder through
-#: :meth:`FlightRecorder.on_log` (see repro.obs.log) and are skipped by
-#: the generic event tap so they are not journaled twice.
-_LOG_EVENT_PREFIX = "log."
-
 _BUNDLE_SEQ = itertools.count(1)
 
 #: how long a journaled record may sit in the in-process queue before
@@ -104,6 +103,14 @@ _BUNDLE_SEQ = itertools.count(1)
 #: workers' phase records sit at barrier boundaries where one badly
 #: timed context switch gates every rank.
 _DRAIN_INTERVAL = 0.25
+
+#: record kinds that drain the journal queue before the emit returns:
+#: after ``crash`` the caller's next statement is ``os._exit``; the
+#: once-per-epoch ``metrics`` sample is taken by a rank that is past
+#: its last barrier and about to idle, so the batched write is off the
+#: critical path and a completed epoch is always fully journaled even
+#: if the rank is killed before its next drain tick.
+_SYNC_KINDS = frozenset({"crash", "metrics"})
 
 
 def _json_default(value):
@@ -130,7 +137,10 @@ def _dumps(obj) -> str:
 
 
 class FlightRecorder:
-    """Bounded ring of recent telemetry, spilled to a durable journal.
+    """Bounded ring of recent records, spilled to a durable journal.
+
+    A sink: ``registry.add_sink(recorder)`` (or :func:`install_flight`)
+    and every emitted record is handed to :meth:`__call__`.
 
     Parameters
     ----------
@@ -140,21 +150,16 @@ class FlightRecorder:
     journal_path:
         Append-only JSONL spill target.  Records are queued by the
         recording thread and written out by a daemon drain thread
-        within ``_DRAIN_INTERVAL``; :meth:`crash` and :meth:`close`
-        drain synchronously.  ``None`` keeps the recorder in-memory
-        only.
-    rank:
-        Stamped into every record and the :meth:`dump` header, so
-        merged post-mortem timelines can attribute records.
+        within ``_DRAIN_INTERVAL``; ``crash`` / ``metrics`` records and
+        :meth:`close` drain synchronously.  ``None`` keeps the recorder
+        in-memory only.
     """
 
     def __init__(self, capacity: int = 1024,
-                 journal_path: str | None = None,
-                 rank: int | None = None):
+                 journal_path: str | None = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.rank = rank
         self.journal_path = journal_path
         self._ring: list = [None] * self.capacity
         self._total = 0
@@ -183,22 +188,17 @@ class FlightRecorder:
             self._drain_thread.start()
 
     # ------------------------------------------------------------------
-    # recording (the hot path: one dict build, one list store, one
-    # deque append — no locks, no syscalls)
+    # recording (the hot path: one list store, one deque append — no
+    # locks, no syscalls, serialisation left to the drain thread)
     # ------------------------------------------------------------------
-    def record(self, kind: str, **data) -> dict:
-        """Append one record to the ring (and the journal queue, if
-        any).  The drain thread writes it out within
-        ``_DRAIN_INTERVAL``; call :meth:`flush` to force it."""
-        entry = {"kind": kind, "t": time.time()}
-        if self.rank is not None:
-            entry["rank"] = self.rank
-        entry.update(data)
-        self._ring[self._total % self.capacity] = entry
+    def __call__(self, record: Record) -> None:
+        """Keep ``record`` in the ring and queue it for the journal."""
+        self._ring[self._total % self.capacity] = record
         self._total += 1
         if self._pending is not None:
-            self._pending.append(entry)
-        return entry
+            self._pending.append(record)
+            if record.kind in _SYNC_KINDS:
+                self.flush()
 
     def _drain_loop(self) -> None:
         stop = self._drain_stop
@@ -214,7 +214,7 @@ class FlightRecorder:
             lines = []
             while True:
                 try:
-                    lines.append(_dumps(pending.popleft()))
+                    lines.append(_dumps(pending.popleft().to_dict()))
                 except IndexError:
                     break
             if lines:
@@ -222,45 +222,6 @@ class FlightRecorder:
                     os.write(fd, ("\n".join(lines) + "\n").encode("utf-8"))
                 except OSError:  # pragma: no cover - fd closed under us
                     pass
-
-    # -- registry taps (see Registry.end_span / Registry.event) --------
-    def on_span(self, record: SpanRecord) -> None:
-        attrs = record.attrs
-        self.record(
-            "span", name=record.name, start=record.start,
-            duration=record.duration,
-            **({"attrs": dict(attrs)} if attrs else {}),
-        )
-
-    def on_event(self, record: EventRecord) -> None:
-        if record.name.startswith(_LOG_EVENT_PREFIX):
-            return  # structured logs arrive via on_log; don't journal twice
-        self.record(
-            "event", name=record.name, time=record.time,
-            **({"attrs": dict(record.attrs)} if record.attrs else {}),
-        )
-
-    def on_log(self, payload: dict) -> None:
-        """One structured log record (see :mod:`repro.obs.log`)."""
-        self.record("log", **payload)
-
-    def record_metrics(self, registry: Registry | None = None) -> dict:
-        """Sample the registry's counters/gauges into one ring record."""
-        reg = registry or get_registry()
-        return self.record(
-            "metrics",
-            counters={n: c.total for n, c in reg.counters.items()},
-            gauges={n: g.value for n, g in reg.gauges.items()},
-        )
-
-    def crash(self, traceback_text: str, reason: str = "crash") -> dict:
-        """The final record: the queue is drained synchronously before
-        returning, so the journal ends with the traceback even when the
-        caller's next statement is ``os._exit``."""
-        entry = self.record("crash", reason=reason,
-                            traceback=traceback_text)
-        self.flush()
-        return entry
 
     # ------------------------------------------------------------------
     # readout
@@ -276,18 +237,19 @@ class FlightRecorder:
         return max(0, self._total - self.capacity)
 
     def entries(self) -> list[dict]:
-        """Ring contents, oldest first."""
+        """Ring contents (serialised), oldest first."""
         if self._total <= self.capacity:
-            return [e for e in self._ring[: self._total]]
-        head = self._total % self.capacity
-        return self._ring[head:] + self._ring[:head]
+            ring = self._ring[: self._total]
+        else:
+            head = self._total % self.capacity
+            ring = self._ring[head:] + self._ring[:head]
+        return [record.to_dict() for record in ring]
 
     def dump(self) -> dict:
         """JSON-ready snapshot of the ring (the ``flight.json`` of an
         incident bundle)."""
         return {
             "schema": FLIGHT_SCHEMA,
-            "rank": self.rank,
             "pid": os.getpid(),
             "capacity": self.capacity,
             "total": self._total,
@@ -325,26 +287,27 @@ class FlightRecorder:
 # ----------------------------------------------------------------------
 # registry installation
 # ----------------------------------------------------------------------
-def install_flight(recorder: FlightRecorder,
-                   registry: Registry | None = None) -> FlightRecorder:
-    """Tap ``recorder`` into the registry (``reg.flight``): every span
-    close and event is forwarded.  The tap survives ``reset()``."""
-    (registry or get_registry()).flight = recorder
+def install_flight(recorder: FlightRecorder) -> FlightRecorder:
+    """Add ``recorder`` to the global registry's sinks; returns it."""
+    get_registry().add_sink(recorder)
     return recorder
 
 
-def uninstall_flight(registry: Registry | None = None) -> FlightRecorder | None:
+def get_flight() -> FlightRecorder | None:
+    """The recorder among the global registry's sinks, or ``None``."""
+    for sink in get_registry().sinks:
+        if isinstance(sink, FlightRecorder):
+            return sink
+    return None
+
+
+def uninstall_flight() -> FlightRecorder | None:
     """Remove (and return) the installed recorder, if any.  The caller
     owns closing it."""
-    reg = registry or get_registry()
-    recorder = reg.flight
-    reg.flight = None
+    recorder = get_flight()
+    if recorder is not None:
+        get_registry().remove_sink(recorder)
     return recorder
-
-
-def get_flight(registry: Registry | None = None) -> FlightRecorder | None:
-    """The recorder currently tapped into the registry, or ``None``."""
-    return (registry or get_registry()).flight
 
 
 # ----------------------------------------------------------------------
@@ -377,19 +340,16 @@ def write_incident_bundle(
     reason: str | None = None,
     config: dict | None = None,
     sections: dict | None = None,
-    registry: Registry | None = None,
-    copy_journals: bool = True,
-    include_trace: bool = True,
 ) -> str:
     """Write one self-contained incident bundle under ``flight_dir``.
 
     ``sections`` maps section name -> JSON-serializable object; each
     becomes ``<name>.json`` in the bundle (e.g. ``telemetry``,
-    ``stalls``, ``requests``, ``slo``).  ``copy_journals`` snapshots
-    every ``journal-*.jsonl`` sitting in ``flight_dir`` into the bundle
-    — including a dead worker's.  Returns the bundle directory path.
+    ``stalls``, ``requests``, ``slo``).  Every ``journal-*.jsonl``
+    sitting in ``flight_dir`` — including a dead worker's — is copied
+    into the bundle.  Returns the bundle directory path.
     """
-    reg = registry or get_registry()
+    reg = get_registry()
     stamp = time.strftime("%Y%m%dT%H%M%S")
     name = (f"{INCIDENT_PREFIX}{kind}-{stamp}-"
             f"{os.getpid()}-{next(_BUNDLE_SEQ)}")
@@ -403,7 +363,7 @@ def write_incident_bundle(
             json.dump(payload, fh, indent=1, default=_json_default)
         files.append(filename)
 
-    recorder = reg.flight
+    recorder = get_flight()
     if recorder is not None:
         recorder.flush()  # journal copies below must include the queue
         _write("flight.json", recorder.dump())
@@ -412,22 +372,19 @@ def write_incident_bundle(
         if payload is not None:
             _write(f"{section}.json", payload)
 
-    _write("metrics.json", reg.metrics_snapshot())
+    snapshot = reg.snapshot()
+    del snapshot["spans"]  # the spans are in trace.json
+    _write("metrics.json", snapshot)
+    _write("trace.json", to_chrome_trace())
 
-    if include_trace:
-        from .export import to_chrome_trace
-
-        _write("trace.json", to_chrome_trace(reg))
-
-    if copy_journals and os.path.isdir(flight_dir):
-        for entry in sorted(os.listdir(flight_dir)):
-            if entry.startswith(JOURNAL_PREFIX) and entry.endswith(".jsonl"):
-                try:
-                    shutil.copyfile(os.path.join(flight_dir, entry),
-                                    os.path.join(bundle, entry))
-                except OSError:  # pragma: no cover - journal vanished
-                    continue
-                files.append(entry)
+    for entry in sorted(os.listdir(flight_dir)):
+        if entry.startswith(JOURNAL_PREFIX) and entry.endswith(".jsonl"):
+            try:
+                shutil.copyfile(os.path.join(flight_dir, entry),
+                                os.path.join(bundle, entry))
+            except OSError:  # pragma: no cover - journal vanished
+                continue
+            files.append(entry)
 
     manifest = {
         "schema": INCIDENT_SCHEMA,
@@ -444,7 +401,7 @@ def write_incident_bundle(
     with open(os.path.join(bundle, "manifest.json"), "w",
               encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, default=_json_default)
-    reg.event("flight.incident", kind=kind, rank=rank, bundle=bundle)
+    reg.event("flight.incident", kind=kind, worker=rank, bundle=bundle)
     return bundle
 
 

@@ -9,8 +9,10 @@ a barrier times out.
 
 This module closes the gap with a :class:`TelemetrySlab`: one
 fixed-layout shared-memory record per worker rank, written **lock-free**
-by the owning worker on every phase transition and sampled by the
-parent (or an external ``tools/monitor.py``) at poll time.
+by the owning worker — its :class:`WorkerTelemetry` is a sink of the
+registry's funnel, so every record the worker emits is a heartbeat and
+every ``phase`` record moves the row — and sampled by the parent (or an
+external ``tools/monitor.py``) at poll time.
 
 Slab layout (one float64 row of :data:`NUM_FIELDS` per rank)::
 
@@ -19,7 +21,7 @@ Slab layout (one float64 row of :data:`NUM_FIELDS` per rank)::
     EPOCH          epoch currently executing
     LAYER          layer currently executing (-1 between layers)
     PHASE          phase enum (see PHASE_NAMES)
-    SPANS_CLOSED   spans closed so far this epoch (progress proxy)
+    SPANS_CLOSED   spans stored so far this epoch (progress proxy)
     FLOPS          profile.flops counter total (work so far)
     BYTES          profile bytes read+written so far
     LAST_BEAT      time.monotonic() of the last heartbeat
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import get_registry
+from .registry import Record, get_registry
 
 __all__ = [
     "NUM_FIELDS",
@@ -67,6 +69,8 @@ __all__ = [
     "PHASE_DONE",
     "PHASE_NAMES",
     "ACTIVE_PHASES",
+    "in_active_phase",
+    "is_stalled",
     "WorkerSample",
     "WorkerTelemetry",
     "TelemetrySlab",
@@ -105,6 +109,24 @@ ACTIVE_PHASES = frozenset({
     PHASE_GRAD_REDUCE, PHASE_PARAM_REDUCE,
 })
 
+_PHASE_OF_NAME = {name: phase for phase, name in enumerate(PHASE_NAMES)}
+
+
+def in_active_phase(phase: int | str | None) -> bool:
+    """Whether ``phase`` (enum value or name) is one a rank is supposed
+    to be making progress in — the waiting-phase exemption every reader
+    (stall detector, live monitor, post-mortem) applies."""
+    return _PHASE_OF_NAME.get(phase, phase) in ACTIVE_PHASES
+
+
+def is_stalled(phase: int | str, frozen_for: float | None,
+               deadline: float) -> bool:
+    """The stall rule: progress frozen past ``deadline`` seconds while
+    in an active phase."""
+    return (frozen_for is not None and frozen_for > deadline
+            and in_active_phase(phase))
+
+
 #: event name the stall poll emits (tools/postmortem.py explains stalls)
 STALL_EVENT = "dist.worker_stalled"
 
@@ -138,11 +160,6 @@ class WorkerSample:
     def phase_name(self) -> str:
         return phase_name(self.phase)
 
-    @property
-    def alive_signal(self) -> bool:
-        """Whether this rank has heartbeat at least once."""
-        return self.seqno > 0
-
     def to_dict(self) -> dict:
         return {
             "rank": self.rank,
@@ -160,8 +177,9 @@ class WorkerSample:
 
 
 class WorkerTelemetry:
-    """The worker-side writer over one slab row (single-writer,
-    lock-free: fields first, seqno bumped last)."""
+    """The worker-side writer over one slab row, as a sink of the
+    registry's funnel (single-writer, lock-free: fields first, seqno
+    bumped last)."""
 
     __slots__ = ("_row", "rank")
 
@@ -170,50 +188,34 @@ class WorkerTelemetry:
         self.rank = int(rank)
         row[PID] = float(os.getpid())
 
-    # ------------------------------------------------------------------
-    def set_clock_origin(self, origin: float) -> None:
-        """Publish the worker registry's raw ``perf_counter`` origin —
-        the handshake the parent uses to rebase span start times."""
-        self._row[CLOCK_ORIGIN] = float(origin)
-
-    def update(self, phase: int | None = None, epoch: int | None = None,
-               layer: int | None = None) -> None:
-        """Record a phase transition: write the changed fields, refresh
-        the progress counters, then bump the heartbeat seqno last."""
+    def __call__(self, record: Record) -> None:
+        """Every record is a heartbeat.  A ``phase`` record also moves
+        the row to the phase / epoch / layer of its context stamp and
+        refreshes the progress counters; a ``clock`` record publishes
+        the registry's raw ``perf_counter`` origin (the handshake a
+        reader needs to rebase this worker's record times)."""
         row = self._row
-        if epoch is not None:
-            row[EPOCH] = float(epoch)
-        if layer is not None:
-            row[LAYER] = float(layer)
-        if phase is not None:
-            row[PHASE] = float(phase)
-        reg = get_registry()
-        row[SPANS_CLOSED] = float(len(reg.spans))
-        flops = reg.counters.get("profile.flops")
-        read = reg.counters.get("profile.bytes_read")
-        written = reg.counters.get("profile.bytes_written")
-        row[FLOPS] = flops.total if flops is not None else 0.0
-        row[BYTES] = (
-            (read.total if read is not None else 0.0)
-            + (written.total if written is not None else 0.0)
-        )
+        if record.kind == "phase":
+            phase = _PHASE_OF_NAME.get(record.name)
+            if phase is not None:
+                row[PHASE] = float(phase)
+            ctx = record.ctx
+            row[EPOCH] = float(ctx.get("epoch", row[EPOCH]))
+            row[LAYER] = float(ctx.get("layer", -1))
+            reg = get_registry()
+            row[SPANS_CLOSED] = float(len(reg.spans))
+            flops = reg.counters.get("profile.flops")
+            read = reg.counters.get("profile.bytes_read")
+            written = reg.counters.get("profile.bytes_written")
+            row[FLOPS] = flops.total if flops is not None else 0.0
+            row[BYTES] = (
+                (read.total if read is not None else 0.0)
+                + (written.total if written is not None else 0.0)
+            )
+        elif record.kind == "clock":
+            row[CLOCK_ORIGIN] = float(record.attrs["origin"])
         row[LAST_BEAT] = time.monotonic()
         row[SEQNO] += 1.0
-
-    def beat(self) -> None:
-        """Heartbeat without a state change (proves liveness cheaply)."""
-        row = self._row
-        row[LAST_BEAT] = time.monotonic()
-        row[SEQNO] += 1.0
-
-    def on_barrier(self, event: str) -> None:
-        """:class:`~repro.distributed.comm.ProcessComm` barrier hook:
-        entering a barrier is a phase transition (the wait may block on
-        a peer), leaving it is a plain progress beat."""
-        if event == "enter":
-            self.update(phase=PHASE_BARRIER)
-        else:
-            self.beat()
 
 
 class TelemetrySlab:
@@ -291,8 +293,8 @@ class TelemetrySlab:
                 return copied
         return copied  # pragma: no cover - writer outpacing 3 retries
 
-    def sample(self, publish: bool = False, now: float | None = None,
-               registry=None) -> list[WorkerSample]:
+    def sample(self, publish: bool = False,
+               now: float | None = None) -> list[WorkerSample]:
         """Read every rank's record; optionally publish live gauges
         (``live.worker.{rank}.phase`` / ``.progress_age`` / ``.epoch`` /
         ``.layer`` / ``.heartbeat``) into the registry."""
@@ -319,7 +321,7 @@ class TelemetrySlab:
                 ),
             ))
         if publish:
-            reg = registry or get_registry()
+            reg = get_registry()
             for s in samples:
                 prefix = f"{LIVE_GAUGE_PREFIX}{s.rank}."
                 reg.gauge(prefix + "phase").set(s.phase)
@@ -329,10 +331,6 @@ class TelemetrySlab:
                 if s.progress_age is not None:
                     reg.gauge(prefix + "progress_age").set(s.progress_age)
         return samples
-
-    def clock_origin(self, rank: int) -> float:
-        """The rank's published registry origin (0.0 before handshake)."""
-        return float(self._arr.array[rank, CLOCK_ORIGIN])
 
     def snapshot(self, now: float | None = None) -> dict:
         """JSON-serializable snapshot (``tools/monitor.py --snapshot``)."""
@@ -375,19 +373,17 @@ class StallDetector:
     The parent feeds every liveness poll's samples into
     :meth:`observe`.  A rank is flagged when its seqno has not advanced
     for more than ``deadline`` seconds *and* its last reported phase is
-    an active one (:data:`ACTIVE_PHASES`) — a slow-but-progressing
-    worker keeps bumping its seqno at every phase transition and is
-    never flagged; a worker parked at a barrier is the victim of someone
+    an active one (:func:`is_stalled`) — a slow-but-progressing worker
+    keeps bumping its seqno with every record it emits and is never
+    flagged; a worker parked at a barrier is the victim of someone
     else's stall and is never flagged either.  Each stall episode fires
     once; the rank re-arms when its heartbeat resumes.
     """
 
-    def __init__(self, deadline: float = 5.0,
-                 active_phases: frozenset = ACTIVE_PHASES):
+    def __init__(self, deadline: float = 5.0):
         if deadline <= 0:
             raise ValueError("deadline must be positive")
         self.deadline = float(deadline)
-        self.active_phases = active_phases
         # rank -> (last seqno, monotonic time that seqno was first seen)
         self._seen: dict[int, tuple[int, float]] = {}
         self._flagged: set[int] = set()
@@ -412,8 +408,7 @@ class StallDetector:
                 self._flagged.discard(s.rank)
                 continue
             frozen_for = now - prev[1]
-            if (frozen_for > self.deadline
-                    and s.phase in self.active_phases
+            if (is_stalled(s.phase, frozen_for, self.deadline)
                     and s.rank not in self._flagged):
                 self._flagged.add(s.rank)
                 stalls.append(StallEvent(

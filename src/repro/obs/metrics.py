@@ -90,11 +90,6 @@ class Gauge:
         if self.value > self.peak:
             self.peak = self.value
 
-    def reset(self) -> None:
-        self.value = 0.0
-        self.peak = float("-inf")
-        self.count = 0
-
     def merge_dict(self, data: dict) -> None:
         """Fold another process's exported gauge state into this one:
         adopt the incoming value (last write wins across the merge),

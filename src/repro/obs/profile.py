@@ -1,7 +1,6 @@
 """Op-level work accounting: FLOPs and bytes, attributed to spans.
 
-The time-only tracer (spans, histograms) answers *how long* a stage
-took; this module answers *how much work* it did.  Every instrumented
+The time-only tracer (spans) answers *how long* a stage took; this module answers *how much work* it did.  Every instrumented
 numerical op — matmul in the autograd tensor, the scatter reductions,
 ``segment_reduce_csr``, softmax, the hybrid executor's gather and dense
 reduce — calls :func:`record_op` with its FLOP count and the bytes it
@@ -13,7 +12,7 @@ read and wrote.  The work is accumulated three ways at once:
    survive the span-record cap and export through every existing
    exporter for free.
 2. **Inclusive span attribution** — the work is added to *every* span
-   currently open on the registry stack, so a matmul executed inside
+   currently open on the calling thread, so a matmul executed inside
    ``stage.update`` inside ``engine.train_epoch`` shows up on both.
    When a work-carrying span closes, the registry stamps its
    ``arithmetic_intensity`` (FLOPs per byte moved) into its attrs.
@@ -33,15 +32,15 @@ written), not cache-aware — arithmetic intensity derived from them is
 an upper bound on the true intensity, which is the standard roofline
 convention for first-order analysis.
 
-Profiling is on by default (the cost per op is two dict lookups and a
-few float adds); :func:`disable_profiling` turns it into a no-op for
-overhead-sensitive measurements.
+Work accounting is always on: the cost per op is two dict lookups and a
+few float adds.
 """
 
 from __future__ import annotations
 
 import json
 
+from .analysis import backend_report, render_backend_report
 from .registry import Registry, get_registry
 
 __all__ = [
@@ -51,9 +50,6 @@ __all__ = [
     "OP_COUNTER_PREFIX",
     "WORK_RATE_SPANS",
     "record_op",
-    "profiling_enabled",
-    "enable_profiling",
-    "disable_profiling",
     "work_snapshot",
     "work_since",
     "span_work",
@@ -82,26 +78,6 @@ WORK_RATE_SPANS = (
     "stage.backward",
     "dist.compute",
 )
-
-_ENABLED = True
-
-
-def profiling_enabled() -> bool:
-    """Whether :func:`record_op` currently records anything."""
-    return _ENABLED
-
-
-def enable_profiling() -> None:
-    """Resume op-level work accounting (the default state)."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable_profiling() -> None:
-    """Make :func:`record_op` a no-op (overhead-sensitive timing)."""
-    global _ENABLED
-    _ENABLED = False
-
 
 # record_op runs on every tensor op, so its counter handles are memoized
 # per (registry identity, registry generation): _COUNTER_CACHE holds the
@@ -137,9 +113,7 @@ def _cached_counters(reg: Registry, op: str) -> tuple:
 def record_op(op: str, *, flops: float = 0.0, bytes_read: float = 0.0,
               bytes_written: float = 0.0) -> None:
     """Account one executed op: global + per-op counters, and inclusive
-    attribution to every currently open span."""
-    if not _ENABLED:
-        return
+    attribution to every span currently open on this thread."""
     reg = get_registry()
     flops = float(flops)
     bytes_read = float(bytes_read)
@@ -152,7 +126,7 @@ def record_op(op: str, *, flops: float = 0.0, bytes_read: float = 0.0,
     written_c.add(bytes_written)
     op_flops_c.add(flops)
     op_bytes_c.add(bytes_read + bytes_written)
-    for record in reg._stack:
+    for record in reg._open.stack:
         attrs = record.attrs
         attrs["flops"] = attrs.get("flops", 0.0) + flops
         attrs["bytes_read"] = attrs.get("bytes_read", 0.0) + bytes_read
@@ -164,9 +138,9 @@ def record_op(op: str, *, flops: float = 0.0, bytes_read: float = 0.0,
 # ----------------------------------------------------------------------
 # snapshots / deltas
 # ----------------------------------------------------------------------
-def work_snapshot(registry: Registry | None = None) -> dict:
+def work_snapshot() -> dict:
     """Current global work totals, for later differencing."""
-    reg = registry if registry is not None else get_registry()
+    reg = get_registry()
     return {
         "flops": reg.counter(FLOPS_COUNTER).total,
         "bytes_read": reg.counter(BYTES_READ_COUNTER).total,
@@ -174,48 +148,35 @@ def work_snapshot(registry: Registry | None = None) -> dict:
     }
 
 
-def work_since(snapshot: dict, registry: Registry | None = None) -> dict:
+def work_since(snapshot: dict) -> dict:
     """Work performed since ``snapshot`` (:func:`work_snapshot`)."""
-    now = work_snapshot(registry)
+    now = work_snapshot()
     return {key: now[key] - snapshot.get(key, 0.0) for key in now}
 
 
 # ----------------------------------------------------------------------
 # aggregation helpers
 # ----------------------------------------------------------------------
-def _span_fields(span) -> tuple[str, float, dict]:
-    """(name, duration, attrs) from a SpanRecord or an exported dict."""
-    if isinstance(span, dict):
-        return (span.get("name", ""), float(span.get("duration", 0.0)),
-                span.get("attrs", {}) or {})
-    return span.name, span.duration, span.attrs
+def span_work() -> dict:
+    """Aggregate the stored spans' inclusive work per span *name*.
 
-
-def span_work(spans=None, registry: Registry | None = None) -> dict:
-    """Aggregate inclusive work per span *name*.
-
-    Accepts live :class:`SpanRecord` objects or the ``"spans"`` list of
-    an exported trace; defaults to the global registry.  Only spans that
-    carried work attribution appear.  Attribution is inclusive (a parent
-    sees its children's work), so rows are per-name views, not a
-    partition — do not sum across nesting levels.
+    Only spans that carried work attribution appear.  Attribution is
+    inclusive (a parent sees its children's work), so rows are per-name
+    views, not a partition — do not sum across nesting levels.
     """
-    if spans is None:
-        reg = registry if registry is not None else get_registry()
-        spans = reg.spans
     rows: dict[str, dict] = {}
-    for span in spans:
-        name, duration, attrs = _span_fields(span)
+    for span in get_registry().spans:
+        attrs = span.attrs
         if "flops" not in attrs and "bytes_read" not in attrs:
             continue
-        row = rows.get(name)
+        row = rows.get(span.name)
         if row is None:
-            row = rows[name] = {
+            row = rows[span.name] = {
                 "count": 0, "seconds": 0.0, "flops": 0.0,
                 "bytes_read": 0.0, "bytes_written": 0.0,
             }
         row["count"] += 1
-        row["seconds"] += duration
+        row["seconds"] += span.duration
         row["flops"] += attrs.get("flops", 0.0)
         row["bytes_read"] += attrs.get("bytes_read", 0.0)
         row["bytes_written"] += attrs.get("bytes_written", 0.0)
@@ -231,28 +192,22 @@ def span_work(spans=None, registry: Registry | None = None) -> dict:
     return rows
 
 
-def peak_work_rates(spans=None, registry: Registry | None = None,
-                    span_names=WORK_RATE_SPANS) -> dict:
+def peak_work_rates() -> dict:
     """Peak achieved FLOP/s and bytes/s over individual work spans.
 
-    Scans each span in ``span_names`` separately (not the per-name
-    aggregate), so the reported peak is the best *single interval*,
-    which is what a roofline plots.
+    Scans each stored :data:`WORK_RATE_SPANS` span separately (not the
+    per-name aggregate), so the reported peak is the best *single
+    interval*, which is what a roofline plots.
     """
-    if spans is None:
-        reg = registry if registry is not None else get_registry()
-        spans = reg.spans
-    names = set(span_names)
     peak_flops = 0.0
     peak_bytes = 0.0
-    for span in spans:
-        name, duration, attrs = _span_fields(span)
-        if name not in names or duration <= 0:
+    for span in get_registry().spans:
+        if span.name not in WORK_RATE_SPANS or span.duration <= 0:
             continue
-        flops = attrs.get("flops", 0.0)
+        attrs = span.attrs
         moved = attrs.get("bytes_read", 0.0) + attrs.get("bytes_written", 0.0)
-        peak_flops = max(peak_flops, flops / duration)
-        peak_bytes = max(peak_bytes, moved / duration)
+        peak_flops = max(peak_flops, attrs.get("flops", 0.0) / span.duration)
+        peak_bytes = max(peak_bytes, moved / span.duration)
     return {"peak_flops_per_sec": peak_flops,
             "peak_bytes_per_sec": peak_bytes}
 
@@ -282,30 +237,14 @@ def _op_rows(registry: Registry) -> dict:
     return ops
 
 
-def _backend_rows(registry: Registry) -> list[dict]:
-    """Measured-cost rows from ``aggregation.backend`` events (the
-    hybrid executor emits one per level per call, carrying the work
-    and seconds measured around the backend invocation)."""
-    from .analysis import backend_report  # local import: analysis is a peer
-    return backend_report(registry.events)["rows"]
-
-
-def profile_report(registry: Registry | None = None, *,
-                   peak_flops_per_sec: float | None = None,
-                   peak_bytes_per_sec: float | None = None) -> dict:
-    """Roofline-style work report over the current registry.
-
-    ``peak_flops_per_sec`` / ``peak_bytes_per_sec`` are optional
-    *hardware* peaks; when given, each span row is classified as
-    compute- or memory-bound against the machine balance and annotated
-    with its percentage of the attainable roof.
-    """
-    reg = registry if registry is not None else get_registry()
+def profile_report() -> dict:
+    """Roofline-style work report over the global registry."""
+    reg = get_registry()
     flops = reg.counter(FLOPS_COUNTER).total
     bytes_read = reg.counter(BYTES_READ_COUNTER).total
     bytes_written = reg.counter(BYTES_WRITTEN_COUNTER).total
     moved = bytes_read + bytes_written
-    report = {
+    return {
         "schema": "repro.profile/1",
         "totals": {
             "flops": flops,
@@ -316,27 +255,12 @@ def profile_report(registry: Registry | None = None, *,
         },
         "ops": dict(sorted(_op_rows(reg).items(),
                            key=lambda kv: -kv[1]["flops"])),
-        "spans": span_work(registry=reg),
-        "backends": _backend_rows(reg),
-        "roofline": peak_work_rates(registry=reg),
+        "spans": span_work(),
+        # measured-cost rows from the hybrid executor's per-level
+        # ``aggregation.backend`` events
+        "backends": backend_report()["rows"],
+        "roofline": peak_work_rates(),
     }
-    if peak_flops_per_sec is not None and peak_bytes_per_sec is not None:
-        machine_balance = peak_flops_per_sec / peak_bytes_per_sec
-        report["roofline"]["hardware"] = {
-            "peak_flops_per_sec": peak_flops_per_sec,
-            "peak_bytes_per_sec": peak_bytes_per_sec,
-            "machine_balance": machine_balance,
-        }
-        for row in report["spans"].values():
-            intensity = row["arithmetic_intensity"]
-            row["bound"] = (
-                "compute" if intensity >= machine_balance else "memory"
-            )
-            roof = min(peak_flops_per_sec, intensity * peak_bytes_per_sec)
-            row["pct_of_roof"] = (
-                100.0 * row["flops_per_sec"] / roof if roof > 0 else 0.0
-            )
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -371,16 +295,6 @@ def render_profile_report(report: dict | None = None) -> str:
                 _fmt_quantity(roof.get("peak_bytes_per_sec", 0.0), "B"),
             )
         )
-        hw = roof.get("hardware")
-        if hw:
-            lines.append(
-                "  hardware roof: {}/s, {}/s "
-                "(machine balance {:.2f} FLOP/B)".format(
-                    _fmt_quantity(hw["peak_flops_per_sec"], "FLOP"),
-                    _fmt_quantity(hw["peak_bytes_per_sec"], "B"),
-                    hw["machine_balance"],
-                )
-            )
     ops = report.get("ops", {})
     if ops:
         lines.append("  ops (by FLOPs):")
@@ -399,39 +313,32 @@ def render_profile_report(report: dict | None = None) -> str:
     if spans:
         lines.append("  spans (inclusive work by name):")
         lines.append(
-            "    {:<28} {:>6} {:>10} {:>10} {:>10} {:>9} {:>11}{}".format(
+            "    {:<28} {:>6} {:>10} {:>10} {:>10} {:>9} {:>11}".format(
                 "span", "count", "seconds", "flops", "bytes",
                 "intensity", "flops/s",
-                "  bound" if any("bound" in r for r in spans.values()) else "",
             )
         )
         ordered = sorted(spans.items(), key=lambda kv: -kv[1]["flops"])
         for name, row in ordered:
-            extra = ""
-            if "bound" in row:
-                extra = "  {} ({:.0f}% roof)".format(
-                    row["bound"], row["pct_of_roof"])
             lines.append(
                 "    {:<28} {:>6d} {:>9.4f}s {:>10} {:>10} "
-                "{:>9.3f} {:>11}{}".format(
+                "{:>9.3f} {:>11}".format(
                     name, row["count"], row["seconds"],
                     _fmt_quantity(row["flops"], ""),
                     _fmt_quantity(row["bytes"], ""),
                     row["arithmetic_intensity"],
                     _fmt_quantity(row["flops_per_sec"], ""),
-                    extra,
                 )
             )
     backends = report.get("backends", [])
     if backends:
-        from .analysis import render_backend_report
         lines.append(render_backend_report(backends))
     return "\n".join(lines)
 
 
-def export_profile(path: str, registry: Registry | None = None, **kwargs) -> dict:
+def export_profile(path: str) -> dict:
     """Write :func:`profile_report` as JSON to ``path``; returns it."""
-    report = profile_report(registry, **kwargs)
+    report = profile_report()
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")

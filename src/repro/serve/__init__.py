@@ -19,7 +19,7 @@ Quickstart
 ...                            checkpoint="model.npz")
 >>> with GNNServer(session, max_batch_size=64) as server:
 ...     classes = server.predict([17, 42])
-...     print(server.slo_summary()["latency_ms"]["p99"])
+...     print(server.slo_summary()["latency_ms"]["p99"])  # exact, recent window
 
 See ``docs/serving.md`` for architecture and operational semantics.
 """

@@ -18,13 +18,14 @@ Operational behavior:
   admission, lets workers drain every queued request, then joins the
   pool; no accepted request is dropped.
 * **SLO accounting** — every request records a ``serve.request`` span
-  (latency histogram for free via the obs registry), batches run under
-  ``serve.batch`` spans, queue depth is a gauge, and
+  and adds its latency to O(1) aggregates (``serve.request_seconds``),
+  batches run under ``serve.batch`` spans, queue depth is a gauge, and
   :meth:`slo_summary` rolls it all up with the session's cache stats.
   Alongside the lifetime aggregates, a rolling window (last
-  ``window_seconds``, default 60 s) tracks *recent* p50/p99 and shed
-  rate — the live numbers an operator watches, published as
-  ``serve.window.*`` gauges.
+  ``window_seconds``, default 60 s) keeps the *exact* recent latency
+  samples: every reported percentile is an order statistic of those,
+  and the live p50/p99 and shed rate an operator watches are published
+  as ``serve.window.*`` gauges.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from concurrent.futures import Future
 import numpy as np
 
 from .. import obs
+from ..obs.export import percentile
 from ..obs.flight import write_incident_bundle
 from ..obs.registry import get_registry
 from .batcher import InferenceRequest, MicroBatcher, ServerOverloaded
@@ -52,6 +54,11 @@ ERRORS_COUNTER = "serve.requests_errored"
 QUEUE_DEPTH_GAUGE = "serve.queue_depth"
 REQUEST_SPAN = "serve.request"
 BATCH_SPAN = "serve.batch"
+#: lifetime latency aggregates: counter total/count give the mean, the
+#: gauge's peak is the maximum
+REQUEST_SECONDS_COUNTER = "serve.request_seconds"
+REQUEST_SECONDS_GAUGE = "serve.request_seconds.last"
+BATCH_SECONDS_COUNTER = "serve.batch_seconds"
 WINDOW_P50_GAUGE = "serve.window.p50_ms"
 WINDOW_P99_GAUGE = "serve.window.p99_ms"
 WINDOW_SHED_GAUGE = "serve.window.shed_rate"
@@ -99,17 +106,12 @@ class _SloWindow:
             shed = len(self._shed)
         n = len(lats)
         admitted = n + shed
-
-        def pct(q: float) -> float:
-            if not n:
-                return 0.0
-            return lats[min(n - 1, int(q * (n - 1) + 0.5))]
-
         return {
             "seconds": self.window_seconds,
             "requests": n,
-            "p50_ms": pct(0.50) * 1e3,
-            "p99_ms": pct(0.99) * 1e3,
+            "p50_ms": percentile(lats, 0.50) * 1e3,
+            "p90_ms": percentile(lats, 0.90) * 1e3,
+            "p99_ms": percentile(lats, 0.99) * 1e3,
             "mean_ms": (sum(lats) / n if n else 0.0) * 1e3,
             "shed": shed,
             "shed_rate": shed / admitted if admitted else 0.0,
@@ -258,10 +260,11 @@ class GNNServer:
             {"request_id": r.request_id, "kind": r.kind,
              "seeds": int(r.seeds.size)} for r in batch
         ]
+        batch_span = obs.span(BATCH_SPAN, requests=len(batch),
+                              seeds=int(all_seeds.size),
+                              request_ids=request_ids)
         try:
-            with obs.span(BATCH_SPAN, requests=len(batch),
-                          seeds=int(all_seeds.size),
-                          request_ids=request_ids):
+            with batch_span:
                 uniq, inverse = np.unique(all_seeds, return_inverse=True)
                 rows = self.session.embed(uniq)
         except Exception as exc:  # propagate the failure to every caller
@@ -271,6 +274,8 @@ class GNNServer:
                     request.future.set_exception(exc)
             self._active_batches.pop(worker, None)
             return
+        finally:
+            obs.counter(BATCH_SECONDS_COUNTER).add(batch_span.duration)
         offset = 0
         for request in batch:
             span_len = request.seeds.size
@@ -283,14 +288,21 @@ class GNNServer:
                 result = result.copy()
             latency = max(time.perf_counter() - request.enqueue_time, 0.0)
             request.future.set_result(result)
-            obs.counter(COMPLETED_COUNTER).add(1)
-            self.window.record_latency(latency)
+            self._record_latency(latency)
             registry.record_span(
                 REQUEST_SPAN, latency,
                 simulated=False, kind=request.kind, seeds=int(span_len),
                 request_id=request.request_id,
             )
         self._active_batches.pop(worker, None)
+
+    def _record_latency(self, latency: float) -> None:
+        """Account one completed request: the O(1) lifetime aggregates
+        and one exact sample in the rolling window."""
+        obs.counter(COMPLETED_COUNTER).add(1)
+        obs.counter(REQUEST_SECONDS_COUNTER).add(latency)
+        obs.gauge(REQUEST_SECONDS_GAUGE).set(latency)
+        self.window.record_latency(latency)
 
     # ------------------------------------------------------------------
     # SLO accounting
@@ -299,17 +311,23 @@ class GNNServer:
         """Roll-up of request/batch latency, shedding and cache health.
 
         Lifetime aggregates plus a ``"window"`` entry with last-
-        ``window_seconds`` p50/p99/shed-rate; the window numbers are
+        ``window_seconds`` p50/p90/p99/shed-rate; the window numbers are
         also published as ``serve.window.*`` gauges so a metrics poller
         sees the live values without calling this method.
+
+        ``latency_ms.{count,mean,max}`` and ``batches`` are lifetime
+        figures (since the last ``obs.reset()``) from O(1) aggregates;
+        ``latency_ms.{p50,p90,p99}`` are exact order statistics of the
+        latency samples the rolling window still holds — the same
+        numbers as ``window.p*_ms`` — not a lifetime approximation.
         """
         reg = get_registry()
         window = self.window.summary()
         reg.gauge(WINDOW_P50_GAUGE).set(window["p50_ms"])
         reg.gauge(WINDOW_P99_GAUGE).set(window["p99_ms"])
         reg.gauge(WINDOW_SHED_GAUGE).set(window["shed_rate"])
-        request_hist = reg.histogram("span." + REQUEST_SPAN)
-        batch_hist = reg.histogram("span." + BATCH_SPAN)
+        latency = reg.counter(REQUEST_SECONDS_COUNTER)
+        batches = reg.counter(BATCH_SECONDS_COUNTER)
         requests = reg.counter(REQUESTS_COUNTER).total
         shed = reg.counter(SHED_COUNTER).total
         summary = {
@@ -320,16 +338,17 @@ class GNNServer:
             "errors": int(reg.counter(ERRORS_COUNTER).total),
             "queue_depth_peak": reg.gauge(QUEUE_DEPTH_GAUGE).to_dict()["peak"],
             "latency_ms": {
-                "count": request_hist.count,
-                "mean": request_hist.mean * 1e3,
-                "p50": request_hist.p50 * 1e3,
-                "p90": request_hist.p90 * 1e3,
-                "p99": request_hist.p99 * 1e3,
-                "max": (request_hist.max if request_hist.count else 0.0) * 1e3,
+                "count": latency.count,
+                "mean": latency.total / max(latency.count, 1) * 1e3,
+                "p50": window["p50_ms"],
+                "p90": window["p90_ms"],
+                "p99": window["p99_ms"],
+                "max": (reg.gauge(REQUEST_SECONDS_GAUGE).to_dict()["peak"]
+                        or 0.0) * 1e3,
             },
             "batches": {
-                "count": batch_hist.count,
-                "mean_ms": batch_hist.mean * 1e3,
+                "count": batches.count,
+                "mean_ms": batches.total / max(batches.count, 1) * 1e3,
             },
             "window": window,
             "session": self.session.stats(),

@@ -1,12 +1,13 @@
-"""Flight recorder, structured logging, incident bundles, post-mortem.
+"""Flight recorder, the funnel, incident bundles, post-mortem.
 
 Covers the black-box plane end to end: ring/journal mechanics, the
-registry tap surviving ``obs.reset()``, structured-log context
-stamping, ``Registry.event`` record-cap + ``dropped_events`` accounting
-(including ``merge_metrics`` folding a worker snapshot into a near-cap
-parent), incident-bundle contents, serve per-request tracing + SLO
-snapshots, and the real k=2 crash/stall paths with
-``tools/postmortem.py`` naming culprits and victims.
+recorder as a sink surviving ``obs.reset()``, the funnel itself (every
+record exactly once per sink, one context stamp, one serialisation,
+envelope collisions), log lines folding into the trace, the store's
+record cap + ``dropped_events`` accounting (including ``merge`` folding
+a worker snapshot into a near-cap parent), incident-bundle contents,
+serve per-request tracing + SLO snapshots, and the real k=2 crash/stall
+paths with ``tools/postmortem.py`` naming culprits and victims.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -42,13 +44,8 @@ from repro.obs.flight import (  # noqa: E402
     uninstall_flight,
     write_incident_bundle,
 )
-from repro.obs.log import (  # noqa: E402
-    clear_log_context,
-    configure,
-    get_logger,
-    set_log_context,
-)
-from repro.obs.registry import Registry  # noqa: E402
+from repro.obs.live import PHASE_FORWARD, TelemetrySlab  # noqa: E402
+from repro.obs.registry import Record, Registry  # noqa: E402
 from repro.serve import GNNServer, InferenceSession  # noqa: E402
 from repro.tensor import Adam, Tensor  # noqa: E402
 
@@ -57,18 +54,20 @@ from repro.tensor import Adam, Tensor  # noqa: E402
 def _clean_obs():
     obs.reset()
     uninstall_flight()
-    clear_log_context()
-    configure(stream=None, level="debug")
+    obs.clear_context()
     yield
     uninstall_flight()
-    clear_log_context()
-    configure(stream=None, level="debug")
+    obs.clear_context()
     obs.reset()
 
 
 @pytest.fixture(scope="module")
 def ds():
     return load_dataset("reddit", scale="tiny")
+
+
+def _tick(i: int) -> Record:
+    return Record("event", "tick", float(i), attrs={"i": i})
 
 
 # ----------------------------------------------------------------------
@@ -78,51 +77,54 @@ class TestFlightRecorder:
     def test_ring_wraps_oldest_first(self):
         rec = FlightRecorder(capacity=3)
         for i in range(5):
-            rec.record("tick", i=i)
+            rec(_tick(i))
         assert rec.total == 5
         assert rec.dropped == 2
-        assert [e["i"] for e in rec.entries()] == [2, 3, 4]
+        assert [e["attrs"]["i"] for e in rec.entries()] == [2, 3, 4]
 
     def test_journal_spill_and_readback(self, tmp_path):
         path = str(tmp_path / "journal-x.jsonl")
-        rec = FlightRecorder(capacity=2, journal_path=path, rank=7)
-        for i in range(4):
-            rec.record("tick", i=i)
+        rec = FlightRecorder(capacity=2, journal_path=path)
+        records = [_tick(i) for i in range(4)]
+        for record in records:
+            rec(record)
         rec.close()
-        entries = read_journal(path)
-        # The journal keeps everything the ring evicted.
-        assert [e["i"] for e in entries] == [0, 1, 2, 3]
-        assert all(e["rank"] == 7 for e in entries)
+        # The journal keeps everything the ring evicted, one
+        # Record.to_dict() per line.
+        assert read_journal(path) == [r.to_dict() for r in records]
 
     def test_journal_tolerates_truncated_tail(self, tmp_path):
         path = str(tmp_path / "journal-y.jsonl")
         rec = FlightRecorder(journal_path=path)
-        rec.record("tick", i=0)
+        rec(_tick(0))
         rec.close()
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "tick", "i": 1')  # killed mid-write
+            fh.write('{"kind": "event", "name": "tick", "t": 1')  # killed mid-write
         entries = read_journal(path)
-        assert [e["i"] for e in entries] == [0]
+        assert [e["attrs"]["i"] for e in entries] == [0]
 
     def test_crash_record_is_last(self, tmp_path):
         path = str(tmp_path / "journal-z.jsonl")
-        rec = FlightRecorder(journal_path=path)
-        rec.record("tick", i=0)
-        rec.crash("Traceback: boom", reason="test")
-        rec.close()
+        install_flight(FlightRecorder(journal_path=path))
+        obs.event("tick")
+        obs.crash("test", "Traceback: boom")
+        # No close(), no drain tick: the crash record drained the queue
+        # before obs.crash returned (the caller's next line is os._exit).
         entries = read_journal(path)
         assert entries[-1]["kind"] == "crash"
-        assert entries[-1]["reason"] == "test"
-        assert "boom" in entries[-1]["traceback"]
+        assert entries[-1]["name"] == "test"
+        assert "boom" in entries[-1]["attrs"]["traceback"]
+        assert [e["kind"] for e in entries] == ["clock", "event", "crash"]
+        uninstall_flight().close()
 
     def test_numpy_attrs_journal_cleanly(self, tmp_path):
         path = str(tmp_path / "journal-np.jsonl")
         rec = FlightRecorder(journal_path=path)
-        rec.record("tick", value=np.float64(1.5), ids=np.arange(3))
+        rec(Record("event", "tick", attrs={"value": np.float64(1.5),
+                                           "ids": np.arange(3)}))
         rec.close()
         (entry,) = read_journal(path)
-        assert entry["value"] == 1.5
-        assert entry["ids"] == [0, 1, 2]
+        assert entry["attrs"] == {"value": 1.5, "ids": [0, 1, 2]}
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -130,17 +132,25 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Registry tap
+# The recorder as a sink of the registry
 # ----------------------------------------------------------------------
+def _ring(rec: FlightRecorder) -> list[dict]:
+    """The ring's entries, the clock announcements left out."""
+    return [e for e in rec.entries() if e["kind"] != "clock"]
+
+
+def _kinds(rec: FlightRecorder) -> list[str]:
+    return [e["kind"] for e in _ring(rec)]
+
+
 class TestRegistryTap:
     def test_span_and_event_forwarded(self):
         rec = install_flight(FlightRecorder())
         with obs.span("work", layer=1):
             pass
         obs.event("picked", backend="fa")
-        kinds = [e["kind"] for e in rec.entries()]
-        assert kinds == ["span", "event"]
-        span = rec.entries()[0]
+        assert _kinds(rec) == ["span", "event"]
+        span = rec.entries()[1]
         assert span["name"] == "work"
         assert span["attrs"] == {"layer": 1}
 
@@ -151,6 +161,15 @@ class TestRegistryTap:
         with obs.span("after"):
             pass
         assert rec.entries()[-1]["name"] == "after"
+
+    def test_every_origin_is_announced(self):
+        # Record times count from an origin that moves at every reset;
+        # the recorder is told each one, so journal lines stay placeable.
+        rec = install_flight(FlightRecorder())
+        obs.reset()
+        clocks = [e for e in rec.entries() if e["kind"] == "clock"]
+        assert len(clocks) == 2
+        assert clocks[-1]["attrs"]["origin"] == obs.get_registry().origin
 
     def test_tap_sees_past_disabled_registry(self):
         rec = install_flight(FlightRecorder())
@@ -163,82 +182,157 @@ class TestRegistryTap:
             obs.enable()
         reg = obs.get_registry()
         assert not reg.spans and not reg.events
-        assert [e["kind"] for e in rec.entries()] == ["span", "event"]
+        assert _kinds(rec) == ["span", "event"]
 
     def test_uninstall_stops_forwarding(self):
         rec = install_flight(FlightRecorder())
         assert uninstall_flight() is rec
         obs.event("afterwards")
-        assert rec.entries() == []
+        assert _kinds(rec) == []
+
+    @pytest.mark.parametrize("simulated", [False, True])
+    def test_store_and_journal_agree_on_span_start(self, simulated):
+        # Regression: a measured record_span was backdated only after
+        # the recorder had been handed it, so every barrier wait and
+        # request latency was journaled ``duration`` seconds late.
+        rec = install_flight(FlightRecorder())
+        time.sleep(0.05)
+        stored = obs.record_span("dist.comm", 0.04, simulated=simulated)
+        journaled = rec.entries()[-1]
+        assert journaled["t"] == stored.t
+        assert journaled == stored.to_dict()
+        if not simulated:
+            assert stored.t + 0.04 <= obs.get_registry().now()
 
 
 # ----------------------------------------------------------------------
-# Structured logging
+# The funnel: one record, once per sink, one stamp, one serialisation
+# ----------------------------------------------------------------------
+class TestFunnel:
+    def test_each_record_reaches_each_sink_exactly_once(self, tmp_path):
+        path = str(tmp_path / "journal-rank3.jsonl")
+        slab = TelemetrySlab(4)
+        writer = slab.writer(3)
+        reg = obs.get_registry()
+        try:
+            obs.set_context(worker=3)
+            rec = install_flight(FlightRecorder(journal_path=path))
+            obs.add_sink(writer)
+            beats0 = slab.sample()[3].seqno
+
+            obs.phase("forward", epoch=2, layer=1)
+            with obs.span("dist.compute", pid=1):
+                pass
+            obs.event("picked", backend="fa")
+            obs.log("aggregated", vertices=17)
+            obs.sample_metrics()
+
+            expected = ["phase", "span", "event", "log", "metrics"]
+            # the flight recorder: every record, once
+            ring = _ring(rec)
+            assert [e["kind"] for e in ring] == expected
+            # the store: the span under spans, the rest under events
+            assert [s.kind for s in reg.spans] == ["span"]
+            assert [e.kind for e in reg.events] == [
+                "phase", "event", "log", "metrics"]
+            # the slab writer: one heartbeat per record, row at the phase
+            row = slab.sample()[3]
+            assert row.seqno - beats0 == len(expected)
+            assert (row.phase, row.epoch, row.layer) == (PHASE_FORWARD, 2, 1)
+
+            # identical context stamps everywhere
+            stamp = {"worker": 3, "phase": "forward", "epoch": 2, "layer": 1}
+            assert all(e["ctx"] == stamp for e in ring)
+            assert all(r.ctx == stamp for r in reg.spans + reg.events)
+
+            # one serialisation: ring == journal == trace export == merge
+            rec.close()
+            journal = [e for e in read_journal(path) if e["kind"] != "clock"]
+            assert journal == ring
+            trace_path = str(tmp_path / "trace.json")
+            obs.export_json(trace_path)
+            with open(trace_path) as fh:
+                trace = json.load(fh)
+            by_time = sorted(trace["spans"] + trace["events"],
+                             key=lambda r: (r["t"], r["kind"] == "span"))
+            assert by_time == sorted(
+                ring, key=lambda r: (r["t"], r["kind"] == "span"))
+            assert all(Record.from_dict(e).to_dict() == e for e in ring)
+            parent = Registry()
+            snapshot = reg.snapshot()
+            snapshot["origin"] = parent.origin    # same clock: no rebase
+            parent.merge(snapshot)
+            merged = [r.to_dict() for r in parent.spans + parent.events]
+            assert merged == [r.to_dict() for r in reg.spans + reg.events]
+        finally:
+            reg.remove_sink(writer)
+            slab.close()
+
+    @pytest.mark.parametrize("field", ["kind", "name", "t", "message",
+                                       "duration", "ctx", "attrs", "self"])
+    def test_caller_fields_cannot_collide_with_the_envelope(self, field):
+        # Regression: get_logger("x").info("hello", kind="oops") raised
+        # TypeError with a recorder installed; name= / message= raised
+        # without one.  A worker's last log line must not be able to
+        # take the worker down.
+        rec = install_flight(FlightRecorder())
+        obs.set_context(worker=1)
+        extra = {field: "oops"}
+        with obs.span("s", **extra):
+            pass
+        obs.record_span("rs", 0.5, **extra)
+        obs.event("e", **extra)
+        obs.log("hello", **extra)
+        ring = _ring(rec)
+        assert [(e["kind"], e["name"]) for e in ring] == [
+            ("span", "s"), ("span", "rs"), ("event", "e"), ("log", "hello")]
+        for entry in ring:
+            assert entry["attrs"][field] == "oops"
+            assert entry["ctx"] == {"worker": 1}
+            assert isinstance(entry["t"], float)
+
+
+# ----------------------------------------------------------------------
+# Log lines
 # ----------------------------------------------------------------------
 class TestStructuredLog:
     def test_context_and_span_stamped(self):
         rec = install_flight(FlightRecorder())
-        set_log_context(rank=3, epoch=2)
-        log = get_logger("test.mod")
+        obs.set_context(worker=3, epoch=2)
         with obs.span("dist.compute", layer=0):
-            payload = log.info("aggregated", vertices=17)
-        assert payload["rank"] == 3
-        assert payload["epoch"] == 2
-        assert payload["span"] == "dist.compute"
-        assert payload["vertices"] == 17
-        assert payload["logger"] == "test.mod"
-        # journaled exactly once, as a log record (not doubly via event)
-        logs = [e for e in rec.entries() if e["kind"] == "log"]
-        assert len(logs) == 1
-        assert logs[0]["message"] == "aggregated"
+            obs.log("aggregated", vertices=17)
+        # journaled exactly once, as a log record
+        (entry,) = [e for e in rec.entries() if e["kind"] == "log"]
+        assert entry["name"] == "aggregated"
+        assert entry["ctx"] == {"worker": 3, "epoch": 2}
+        assert entry["attrs"] == {"vertices": 17, "span": "dist.compute",
+                                  "level": "info"}
 
     def test_folds_into_registry_events(self):
-        log = get_logger("test.mod")
-        log.warning("watch out", code=7)
-        (event,) = obs.get_registry().events
-        assert event.name == "log.warning"
-        assert event.attrs["message"] == "watch out"
-        assert event.attrs["code"] == 7
-
-    def test_threshold_filters(self):
-        configure(level="warning")
-        log = get_logger("test.mod")
-        assert log.debug("quiet") is None
-        assert log.info("quiet") is None
-        assert log.error("loud") is not None
-        events = obs.get_registry().events
-        assert [e.name for e in events] == ["log.error"]
-
-    def test_stream_emits_json_lines(self):
-        import io
-
-        stream = io.StringIO()
-        configure(stream=stream)
-        get_logger("test.mod").info("hello")
-        line = stream.getvalue().strip()
-        parsed = json.loads(line)
-        assert parsed["message"] == "hello"
-        assert "t" in parsed
+        obs.log("watch out", level="warning", code=7)
+        (record,) = obs.get_registry().events
+        assert record.kind == "log" and record.name == "watch out"
+        assert record.attrs == {"code": 7, "level": "warning"}
 
     def test_clear_context(self):
-        set_log_context(rank=1, epoch=5)
-        clear_log_context("epoch")
-        payload = get_logger("t").info("x")
-        assert payload["rank"] == 1
-        assert "epoch" not in payload
-        clear_log_context()
-        payload = get_logger("t").info("y")
-        assert "rank" not in payload
+        obs.set_context(worker=1, epoch=5)
+        obs.set_context(epoch=None)          # None removes one key
+        obs.log("x")
+        assert obs.get_registry().events[-1].ctx == {"worker": 1}
+        obs.clear_context()
+        obs.log("y")
+        assert obs.get_registry().events[-1].ctx == {}
 
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            get_logger("t").log("loudest", "x")
-        with pytest.raises(ValueError):
-            configure(level="loudest")
+    def test_context_survives_reset(self):
+        # A worker resets its registry every epoch but stays the same rank.
+        obs.set_context(worker=2)
+        obs.reset()
+        obs.event("e")
+        assert obs.get_registry().events[-1].get("worker") == 2
 
 
 # ----------------------------------------------------------------------
-# Registry.event record cap + dropped_events (satellite)
+# The store's record cap + dropped_events
 # ----------------------------------------------------------------------
 class TestEventRecordCap:
     def test_event_cap_and_dropped_accounting(self):
@@ -253,19 +347,20 @@ class TestEventRecordCap:
         # Worker snapshot with 4 events folds into a parent that has
         # room for exactly 2 more: 2 stored, 2 dropped-and-counted.
         worker = Registry()
+        worker.set_context(worker=1)
         for i in range(4):
             worker.event("w", i=i)
-        snapshot = worker.metrics_snapshot()
+        snapshot = worker.snapshot()
 
         parent = Registry(max_records=5)
         for i in range(3):
             parent.event("p", i=i)
-        parent.merge_metrics(snapshot, rank=1)
+        parent.merge(snapshot)
         assert len(parent.events) == 5
         assert parent.dropped_events == 2
         merged = [e for e in parent.events if e.name == "w"]
         assert [e.attrs["i"] for e in merged] == [0, 1]
-        assert all(e.attrs["worker"] == 1 for e in merged)
+        assert all(e.get("worker") == 1 for e in merged)
 
     def test_merge_metrics_disabled_parent_skips_events(self):
         worker = Registry()
@@ -273,19 +368,20 @@ class TestEventRecordCap:
         worker.counter("c").add(2)
         parent = Registry()
         parent.enabled = False
-        parent.merge_metrics(worker.metrics_snapshot())
-        # O(1) aggregates always merge; events respect enabled.
+        parent.merge(worker.snapshot())
+        # O(1) aggregates always merge; records respect enabled.
         assert parent.counter("c").total == 2
         assert parent.events == []
 
     def test_flight_sees_events_past_cap(self):
         reg = Registry(max_records=1)
         rec = FlightRecorder()
-        install_flight(rec, reg)
+        reg.add_sink(rec)
         reg.event("a")
         reg.event("b")
         assert reg.dropped_events == 1
-        assert [e["name"] for e in rec.entries()] == ["a", "b"]
+        assert [e["name"] for e in rec.entries()
+                if e["kind"] == "event"] == ["a", "b"]
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +391,7 @@ class TestIncidentBundle:
     def test_bundle_contents_and_manifest(self, tmp_path):
         flight_dir = str(tmp_path)
         rec = install_flight(FlightRecorder(
-            journal_path=os.path.join(flight_dir, "journal-rank0.jsonl"),
-            rank=0))
+            journal_path=os.path.join(flight_dir, "journal-rank0.jsonl")))
         with obs.span("work"):
             pass
         bundle = write_incident_bundle(
@@ -403,17 +498,17 @@ class TestPostmortemSynthetic:
         flight_dir = str(tmp_path)
         # Hand-written journals: rank 1 froze mid-forward, rank 0 parked
         # at the barrier waiting for it.
+        def ctx(rank, phase):
+            return {"worker": rank, "phase": phase, "epoch": 4, "layer": 1}
+
         with open(os.path.join(flight_dir, "journal-rank0.jsonl"), "w") as fh:
-            fh.write(json.dumps({"kind": "phase", "t": 1.0, "rank": 0,
-                                 "phase": "forward", "epoch": 4,
-                                 "layer": 1}) + "\n")
-            fh.write(json.dumps({"kind": "phase", "t": 2.0, "rank": 0,
-                                 "phase": "barrier"}) + "\n")
+            for t, phase in ((1.0, "forward"), (2.0, "barrier")):
+                fh.write(json.dumps(Record(
+                    "phase", phase, t, ctx=ctx(0, phase)).to_dict()) + "\n")
         with open(os.path.join(flight_dir, "journal-rank1.jsonl"), "w") as fh:
-            fh.write(json.dumps({"kind": "log", "t": 1.0, "rank": 1,
-                                 "level": "info", "message": "working",
-                                 "phase": "forward", "epoch": 4,
-                                 "layer": 1}) + "\n")
+            fh.write(json.dumps(Record(
+                "log", "working", 1.0, attrs={"level": "info"},
+                ctx=ctx(1, "forward")).to_dict()) + "\n")
         return postmortem.load_bundle(write_incident_bundle(
             flight_dir, "worker_stalled", rank=1,
             sections={"stalls": {"deadline": 0.5, "events": [
@@ -474,10 +569,11 @@ class TestMultiprocessIncidents:
             assert "span" in kinds
             assert "log" in kinds
             assert kinds[-1] == "crash"
-            assert journal[-1]["reason"] == "injected_failure"
-            assert "traceback" in journal[-1]
+            assert journal[-1]["name"] == "injected_failure"
+            assert "traceback" in journal[-1]["attrs"]
             logs = [e for e in journal if e["kind"] == "log"]
-            assert logs[-1]["message"] == "worker dying"
+            assert logs[-1]["name"] == "worker dying"
+            assert all(e["ctx"]["worker"] == 1 for e in journal)
 
             # Post-mortem names the failed rank as culprit.
             analysis = postmortem.analyze(

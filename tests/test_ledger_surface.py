@@ -1,10 +1,18 @@
-"""Canary for the performance ledger's import surface.
+"""Canary for everything outside ``src/`` and ``tests/`` that imports
+``repro``, and for the size of ``repro.obs``'s public surface.
 
 ``benchmarks/ledger/`` runs after tier-1 and may not be edited by a PR
 that changes ``src/``, so a rename there surfaces only as a failed
-benchmark run.  This reads the suite's sources (never imports or runs
-them) and checks that every ``repro`` name they import, and every
-attribute they read off an imported ``repro`` module, still resolves.
+benchmark run; ``benchmarks/*.py`` (the paper-shape oracles) are not
+collected by tier-1 at all, and ``tools/`` / ``examples/`` are covered
+only as far as some test happens to run them.  This reads those sources
+(never imports or runs them) and checks that every ``repro`` name they
+import, and every attribute they read off an imported ``repro`` module,
+still resolves.
+
+The last test holds ``repro.obs.__all__`` to the consumer-count rule:
+a public name stays only while something other than the package's own
+tests reads it.
 """
 
 import ast
@@ -14,8 +22,17 @@ from pathlib import Path
 
 import pytest
 
-SUITE = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger" / "suite"
-SOURCES = sorted(SUITE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SUITE = ROOT / "benchmarks" / "ledger" / "suite"
+#: the other trees that import ``repro`` without being tier-1 tests
+TREES = [ROOT / "benchmarks", ROOT / "tools", ROOT / "examples"]
+SOURCES = sorted(SUITE.glob("*.py")) + [
+    path for tree in TREES for path in sorted(tree.glob("*.py"))
+]
+
+
+def _source_id(path: Path) -> str:
+    return path.name if path.parent == SUITE else f"{path.parent.name}/{path.name}"
 
 
 def _is_repro(module: str | None) -> bool:
@@ -31,10 +48,12 @@ def _resolve(module: str, name: str):
 
 
 def test_suite_is_found():
-    assert SOURCES, f"no ledger suite sources under {SUITE}"
+    assert list(SUITE.glob("*.py")), f"no ledger suite sources under {SUITE}"
+    for tree in TREES:
+        assert list(tree.glob("*.py")), f"no sources under {tree}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
 def test_every_repro_name_the_suite_uses_resolves(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     modules: dict[str, types.ModuleType] = {}   # local alias -> repro module
@@ -57,3 +76,41 @@ def test_every_repro_name_the_suite_uses_resolves(path):
                 and not hasattr(modules[node.value.id], node.attr)):
             missing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not missing, f"{path.name} uses names repro no longer has: {missing}"
+
+
+def _obs_names_read(path: Path) -> set[str]:
+    """Names ``path`` imports from ``repro.obs`` (or a module of it) or
+    reads off the package imported as a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names: set[str] = set()
+    aliases: set[str] = set()                   # local names bound to repro.obs
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if module.split(".")[-1] == "obs" or ".obs." in f".{module}.":
+            names.update(alias.name for alias in node.names)
+        else:
+            aliases.update(alias.asname or alias.name
+                           for alias in node.names if alias.name == "obs")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_obs_name_has_a_reader_outside_the_package():
+    from repro import obs
+
+    package = ROOT / "src" / "repro"
+    readers = [p for p in package.rglob("*.py")
+               if (package / "obs") not in p.parents]
+    readers += [p for tree in TREES for p in tree.rglob("*.py")]
+    read = set().union(*(_obs_names_read(path) for path in readers))
+    unread = sorted(set(obs.__all__) - read)
+    assert not unread, (
+        f"repro.obs.__all__ exports names only its own tests could read: "
+        f"{unread} — use them from src/, tools/, benchmarks/ or examples/, "
+        f"or drop them from __all__"
+    )

@@ -1,7 +1,8 @@
-"""Tests for the live telemetry plane: TelemetrySlab read/write, stall
-detection (dead vs stalled vs slow), cross-process metric/span merging
-with clock rebasing, and the k=2 end-to-end paths (injected stall,
-clean-run zero-false-positive, coherent Chrome trace lanes)."""
+"""Tests for the live telemetry plane: the TelemetrySlab and its
+writer sink, stall detection (dead vs stalled vs slow), the one
+cross-process merge with clock rebasing, and the k=2 end-to-end paths
+(injected stall, clean-run zero-false-positive, coherent Chrome trace
+lanes)."""
 
 import json
 import os
@@ -15,7 +16,7 @@ from repro.datasets import load_dataset
 from repro.distributed import MultiprocessTrainer
 from repro.graph import hash_partition
 from repro.models import gcn
-from repro.obs.histogram import Histogram
+from repro.obs.export import to_chrome_trace
 from repro.obs.live import (
     ACTIVE_PHASES,
     PHASE_BARRIER,
@@ -26,9 +27,12 @@ from repro.obs.live import (
     StallDetector,
     TelemetrySlab,
     WorkerSample,
+    in_active_phase,
+    is_stalled,
     phase_name,
 )
 from repro.obs.metrics import Counter, Gauge
+from repro.obs.registry import Record
 from repro.tensor import Adam, Tensor
 
 sys.path.insert(
@@ -51,6 +55,11 @@ def _sample(rank=0, seqno=1, phase=PHASE_FORWARD, epoch=0, layer=0):
     )
 
 
+def _phase(name, **ctx):
+    """A phase record as the funnel hands it to a sink: stamped."""
+    return Record("phase", name, ctx={"phase": name, **ctx})
+
+
 # ----------------------------------------------------------------------
 # TelemetrySlab units
 # ----------------------------------------------------------------------
@@ -61,9 +70,8 @@ class TestTelemetrySlab:
             tele = slab.writer(1)
             s0 = slab.sample()[1]
             assert s0.seqno == 0 and s0.progress_age is None
-            assert not s0.alive_signal
 
-            tele.update(phase=PHASE_FORWARD, epoch=3, layer=1)
+            tele(_phase("forward", epoch=3, layer=1))
             s1 = slab.sample()[1]
             assert s1.seqno == 1
             assert s1.phase == PHASE_FORWARD and s1.phase_name == "forward"
@@ -71,13 +79,15 @@ class TestTelemetrySlab:
             assert s1.pid == os.getpid()
             assert s1.progress_age is not None and s1.progress_age >= 0.0
 
-            # Partial update: only the named fields change, seqno bumps.
-            tele.update(phase=PHASE_DONE)
+            # The row follows the stamp: a context without epoch keeps
+            # the row's, one without layer means "between layers".
+            tele(_phase("done"))
             s2 = slab.sample()[1]
             assert s2.seqno == 2
-            assert s2.phase == PHASE_DONE and s2.epoch == 3 and s2.layer == 1
+            assert s2.phase == PHASE_DONE and s2.epoch == 3 and s2.layer == -1
 
-            tele.beat()
+            # Any other record is a plain heartbeat.
+            tele(Record("event", "anything"))
             assert slab.sample()[1].seqno == 3
             # Rank 0 never wrote: untouched.
             assert slab.sample()[0].seqno == 0
@@ -85,16 +95,39 @@ class TestTelemetrySlab:
             slab.close()
 
     def test_barrier_hook_sets_phase_then_beats(self):
+        """The runtime's ProcessComm barrier hook, end to end through
+        the funnel: entering is a phase transition, leaving needs no
+        record of its own — the dist.comm span that follows beats."""
+        from repro.distributed.runtime import _WorkerRuntime
+
+        obs.reset()
+        slab = TelemetrySlab(1)
+        tele = slab.writer(0)
+        obs.add_sink(tele)
+        try:
+            obs.phase("forward", epoch=1, layer=0)
+            _WorkerRuntime._on_barrier("enter")
+            entered = slab.sample()[0]
+            assert entered.phase == PHASE_BARRIER
+            assert (entered.epoch, entered.layer) == (1, 0)  # position kept
+            _WorkerRuntime._on_barrier("exit")
+            assert slab.sample()[0].seqno == entered.seqno
+            obs.record_span("dist.comm", 0.1, simulated=False)
+            after = slab.sample()[0]
+            assert after.seqno == entered.seqno + 1
+            assert after.phase == PHASE_BARRIER  # phase unchanged by beat
+        finally:
+            obs.get_registry().remove_sink(tele)
+            slab.close()
+            obs.clear_context()
+            obs.reset()
+
+    def test_clock_record_publishes_origin(self):
         slab = TelemetrySlab(1)
         try:
             tele = slab.writer(0)
-            tele.on_barrier("enter")
-            assert slab.sample()[0].phase == PHASE_BARRIER
-            seq = slab.sample()[0].seqno
-            tele.on_barrier("exit")
-            after = slab.sample()[0]
-            assert after.seqno == seq + 1
-            assert after.phase == PHASE_BARRIER  # phase unchanged by beat
+            tele(Record("clock", "origin", attrs={"origin": 123.5}))
+            assert slab.sample()[0].clock_origin == 123.5
         finally:
             slab.close()
 
@@ -102,7 +135,7 @@ class TestTelemetrySlab:
         slab = TelemetrySlab(1)
         try:
             tele = slab.writer(0)
-            tele.update(phase=PHASE_FORWARD)
+            tele(_phase("forward"))
             now = slab.sample()[0].last_beat
             aged = slab.sample(now=now + 7.5)[0]
             assert aged.progress_age == pytest.approx(7.5, abs=1e-6)
@@ -119,7 +152,7 @@ class TestTelemetrySlab:
             assert desc["schema"] == "repro.live-slab/1"
             other = TelemetrySlab.attach(desc)
             try:
-                slab.writer(0).update(phase=PHASE_FORWARD, epoch=9)
+                slab.writer(0)(_phase("forward", epoch=9))
                 seen = other.sample()[0]
                 assert seen.epoch == 9 and seen.phase == PHASE_FORWARD
             finally:
@@ -131,7 +164,7 @@ class TestTelemetrySlab:
     def test_snapshot_and_reset(self):
         slab = TelemetrySlab(2)
         try:
-            slab.writer(0).update(phase=PHASE_FORWARD, epoch=1, layer=0)
+            slab.writer(0)(_phase("forward", epoch=1, layer=0))
             snap = slab.snapshot()
             assert snap["schema"] == "repro.live/1" and snap["k"] == 2
             assert snap["workers"][0]["phase_name"] == "forward"
@@ -145,7 +178,7 @@ class TestTelemetrySlab:
         obs.reset()
         slab = TelemetrySlab(1)
         try:
-            slab.writer(0).update(phase=PHASE_FORWARD, epoch=2, layer=1)
+            slab.writer(0)(_phase("forward", epoch=2, layer=1))
             slab.sample(publish=True)
             reg = obs.get_registry()
             assert reg.gauge("live.worker.0.phase").value == PHASE_FORWARD
@@ -199,6 +232,19 @@ class TestStallDetector:
         assert det.observe(frozen, now=50.0) == []
         assert PHASE_BARRIER not in ACTIVE_PHASES
 
+    def test_one_rule_for_enum_values_and_names(self):
+        # The detector, the monitor (enum values off the slab) and the
+        # post-mortem (names off the journals) share this predicate.
+        for phase in (PHASE_FORWARD, "forward", "grad_reduce"):
+            assert in_active_phase(phase)
+            assert is_stalled(phase, 6.0, 5.0)
+            assert not is_stalled(phase, 4.0, 5.0)
+            assert not is_stalled(phase, None, 5.0)
+        for phase in (PHASE_BARRIER, "barrier", "await_grad", "done",
+                      "idle", None, "?"):
+            assert not in_active_phase(phase)
+            assert not is_stalled(phase, 60.0, 5.0)
+
     def test_never_started_worker_ignored(self):
         det = StallDetector(deadline=1.0)
         det.observe([_sample(seqno=0)], now=0.0)
@@ -244,99 +290,72 @@ class TestMergeDict:
         a.merge_dict(Gauge("g").to_dict())
         assert a.value == 1.0 and a.count == 3
 
-    def test_histogram_merge_is_bucket_exact(self):
-        a = Histogram("h")
-        b = Histogram("h")
-        values = [1e-4, 3e-3, 0.02, 0.4, 1.5]
-        for v in values[:2]:
-            a.observe(v)
-        for v in values[2:]:
-            b.observe(v)
-        merged = Histogram("h")
-        merged.merge_dict(a.to_dict())
-        merged.merge_dict(b.to_dict())
-        ref = Histogram("h")
-        for v in values:
-            ref.observe(v)
-        assert merged.count == ref.count
-        assert merged.sum == pytest.approx(ref.sum)
-        assert merged.min == pytest.approx(ref.min)
-        assert merged.max == pytest.approx(ref.max)
-        assert merged.to_dict()["buckets"] == ref.to_dict()["buckets"]
-        assert merged.p99 == pytest.approx(ref.p99)
-
 
 class TestMergeSpans:
-    def _worker_records(self):
-        return [
-            {"name": "dist.compute", "start": 0.5, "duration": 0.2,
-             "depth": 1, "id": 7, "parent": 3, "attrs": {"layer": 0},
-             "simulated": False},
-            {"name": "dist.epoch", "start": 0.4, "duration": 0.9,
-             "depth": 0, "id": 3, "parent": None, "attrs": {},
-             "simulated": False},
-        ]
+    def _worker_snapshot(self, reg, offset):
+        """What a rank-1 worker ships: records stamped by its context,
+        times counted from its own origin (``offset`` after ours)."""
+        ctx = {"worker": 1, "epoch": 0}
+        return {
+            "origin": reg.origin + offset,
+            "spans": [
+                {"kind": "span", "name": "dist.compute", "t": 0.5,
+                 "duration": 0.2, "depth": 1, "id": 7, "parent": 3,
+                 "attrs": {"layer": 0}, "ctx": ctx},
+                {"kind": "span", "name": "dist.epoch", "t": 0.4,
+                 "duration": 0.9, "depth": 0, "id": 3, "ctx": ctx},
+            ],
+            "events": [{"kind": "event", "name": "worker.note", "t": 0.25,
+                        "attrs": {"detail": "x"}, "ctx": ctx}],
+            "counters": {"plan.cache.hit": {"total": 5.0, "current": 5.0,
+                                            "peak": 5.0, "count": 5}},
+            "gauges": {},
+        }
 
     def test_rebase_rank_depth_and_parent_remap(self):
         obs.reset()
         reg = obs.get_registry()
-        merged = reg.merge_spans(self._worker_records(), clock_offset=10.0,
-                                 rank=1, observe_histograms=False)
-        assert merged == 2
+        with obs.span("parent.own"):     # takes a local id first
+            pass
+        reg.merge(self._worker_snapshot(reg, offset=10.0))
         child = next(s for s in reg.spans if s.name == "dist.compute")
         parent = next(s for s in reg.spans if s.name == "dist.epoch")
-        assert child.start == pytest.approx(10.5)
-        assert parent.start == pytest.approx(10.4)
+        assert child.t == pytest.approx(10.5)
+        assert parent.t == pytest.approx(10.4)
         assert child.depth == 1 and parent.depth == 0
-        assert child.attrs["worker"] == 1 and parent.attrs["worker"] == 1
-        assert child.attrs["layer"] == 0  # existing attrs preserved
+        assert child.get("worker") == 1 and parent.get("worker") == 1
+        assert child.attrs["layer"] == 0  # caller attrs preserved
         # parent/child linkage survives the id remap
-        assert child.parent_id == parent.span_id
-        assert child.span_id != 7  # remapped into the parent's id space
-        obs.reset()
-
-    def test_observe_histograms_toggle(self):
-        obs.reset()
-        reg = obs.get_registry()
-        reg.merge_spans(self._worker_records(), observe_histograms=False)
-        assert reg.histogram("span.dist.compute").count == 0
-        reg.merge_spans(self._worker_records())
-        assert reg.histogram("span.dist.compute").count == 1
+        assert child.parent == parent.id
+        assert child.id != 7  # remapped into the parent's id space
+        assert len({s.id for s in reg.spans}) == 3
         obs.reset()
 
     def test_disabled_merge_is_total_noop(self):
         obs.reset()
         reg = obs.get_registry()
+        records_only = self._worker_snapshot(reg, offset=0.0)
+        del records_only["counters"], records_only["gauges"]
         obs.disable()
         try:
-            merged = reg.merge_spans(self._worker_records())
+            reg.merge(records_only)
         finally:
             obs.enable()
-        # no spans ingested AND no histogram observations (the old bug
-        # observed histograms for records it then dropped)
-        assert merged == 0
-        assert len(reg.spans) == 0
-        assert reg.histogram("span.dist.compute").count == 0
+        # records respect ``enabled`` (counters, O(1), always merge)
+        assert reg.spans == [] and reg.events == []
+        assert reg.counters == {} and reg.dropped_spans == 0
         obs.reset()
 
     def test_merge_metrics_folds_counters_and_rebases_events(self):
         obs.reset()
         reg = obs.get_registry()
         reg.counter("plan.cache.hit").add(2)
-        snapshot = {
-            "counters": {"plan.cache.hit": {"total": 5.0, "current": 5.0,
-                                            "peak": 5.0, "count": 5}},
-            "gauges": {},
-            "histograms": {},
-            "events": [{"name": "worker.note", "time": 0.25,
-                        "attrs": {"detail": "x"}}],
-        }
-        reg.merge_metrics(snapshot, clock_offset=100.0, rank=1)
+        reg.merge(self._worker_snapshot(reg, offset=100.0))
         assert reg.counter("plan.cache.hit").total == pytest.approx(7.0)
         ev = next(e for e in reg.events if e.name == "worker.note")
-        assert ev.time == pytest.approx(100.25)
-        assert ev.attrs["worker"] == 1
-        reg.merge_metrics(None)  # missing snapshot: harmless no-op
+        assert ev.t == pytest.approx(100.25)
+        assert ev.get("worker") == 1
+        reg.merge(None)  # missing snapshot: harmless no-op
         obs.reset()
 
 
@@ -375,7 +394,7 @@ class TestMultiprocessLiveTelemetry:
             stall_evs = [e for e in reg.events if e.name == STALL_EVENT]
             assert len(stall_evs) == 1
             attrs = stall_evs[0].attrs
-            assert attrs["rank"] == 1 and attrs["phase"] == "forward"
+            assert attrs["worker"] == 1 and attrs["phase"] == "forward"
             assert attrs["epoch"] == 1 and "layer" in attrs
 
             # rank 0 froze too (parked at the barrier) but is the victim,
@@ -411,21 +430,21 @@ class TestMultiprocessLiveTelemetry:
             # window begins after the epoch-0 window ends.
             per_rank: dict[int, dict[int, list]] = {0: {}, 1: {}}
             for s in reg.spans:
-                rank = s.attrs.get("worker")
-                epoch = s.attrs.get("epoch")
+                rank = s.get("worker")
+                epoch = s.get("epoch")
                 if rank in (0, 1) and epoch in (0, 1):
-                    assert s.start >= 0.0, f"negative rebased start: {s}"
+                    assert s.t >= 0.0, f"negative rebased start: {s}"
                     per_rank[rank].setdefault(epoch, []).append(s)
             for rank, by_epoch in per_rank.items():
                 assert set(by_epoch) == {0, 1}, f"rank {rank} missing epochs"
-                end_e0 = max(s.start + s.duration for s in by_epoch[0])
-                start_e1 = min(s.start for s in by_epoch[1])
+                end_e0 = max(s.t + s.duration for s in by_epoch[0])
+                start_e1 = min(s.t for s in by_epoch[1])
                 assert start_e1 >= end_e0, (
                     f"rank {rank}: epoch windows overlap after rebase"
                 )
 
             # One coherent Chrome trace: a lane per rank, shared trace id.
-            trace = obs.to_chrome_trace()
+            trace = to_chrome_trace()
             assert trace["otherData"]["trace_id"] == reg.trace_id
             lanes = {e["tid"] for e in trace["traceEvents"]
                      if e.get("ph") == "X" and e.get("pid") == 0}
@@ -436,8 +455,15 @@ class TestMultiprocessLiveTelemetry:
             assert {"rank 0", "rank 1"} <= labelled
 
             # Worker metric snapshots were merged, not dropped: the
-            # parent sees worker-side profiler counters.
+            # parent sees worker-side profiler counters ...
             assert reg.counter("profile.flops").total > 0
+            # ... and every worker-side record kind, stamped by the
+            # worker's context: phases, the epoch-start log line and the
+            # per-epoch metrics sample ride in the same merge.
+            for kind in ("phase", "log", "metrics"):
+                ranks = {e.get("worker") for e in reg.events
+                         if e.kind == kind}
+                assert ranks == {0, 1}, kind
         finally:
             mt.close()
         obs.reset()

@@ -220,7 +220,7 @@ class TestMultiprocessParity:
         # Worker-process spans were merged into the parent registry.
         reg = obs.get_registry()
         workers_seen = {
-            s.attrs.get("worker") for s in reg.spans if s.name == "dist.compute"
+            s.get("worker") for s in reg.spans if s.name == "dist.compute"
         }
         assert workers_seen == {0, 1}
         assert any(s.name == "dist.comm" and not s.simulated for s in reg.spans)

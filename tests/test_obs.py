@@ -3,7 +3,10 @@ integration with the engine, the hybrid executor, the scatter layer and
 the simulated distributed runtime."""
 
 import json
+import threading
 import time
+
+import numpy as np
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer
 from repro.graph import hash_partition
 from repro.models import gcn
+from repro.serve import GNNServer, InferenceSession
 from repro.tensor import Adam, Tensor
 
 
@@ -46,7 +50,7 @@ class TestSpans:
                 pass
         inner, outer = obs.get_registry().spans  # inner finishes first
         assert inner.name == "inner" and outer.name == "outer"
-        assert inner.parent_id == outer.span_id
+        assert inner.parent == outer.id
         assert inner.depth == 1 and outer.depth == 0
 
     def test_record_span_is_flagged_simulated(self):
@@ -67,11 +71,11 @@ class TestSpans:
             pass
         obs.counter("c").add(5)
         obs.event("e")
-        obs.epoch_log().log(0, loss=1.0)
+        obs.gauge("g").set(1.0)
         obs.reset()
         reg = obs.get_registry()
-        assert reg.spans == [] and reg.events == [] and reg.counters == {}
-        assert reg.histograms == {} and reg.epoch_logs == {}
+        assert reg.spans == [] and reg.events == []
+        assert reg.counters == {} and reg.gauges == {}
 
     def test_stale_end_does_not_discard_open_spans(self):
         """Ending a record that is not on the stack (double end) must not
@@ -82,8 +86,7 @@ class TestSpans:
                 pass
             # inner is already ended: end it again while outer is open.
             reg.end_span(inner.record)
-            assert len(reg._stack) == 1
-            assert reg._stack[0].name == "outer"
+            assert [s.name for s in reg._open.stack] == ["outer"]
             with obs.span("sibling"):
                 pass
         names = [s.name for s in reg.spans]
@@ -117,6 +120,63 @@ class TestSpans:
             assert reg.dropped_spans == 2
         finally:
             reg.max_records = old_cap
+
+
+class TestThreads:
+    """The stack of open spans is per thread (the context is per
+    process): GNNServer workers and loader threads open spans and call
+    record_op concurrently with the main thread."""
+
+    def test_two_threads_keep_their_own_stacks(self):
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+
+        def thread_a():
+            with obs.span("A"):
+                a_open.set()
+                b_open.wait(5)
+            a_closed.set()
+
+        def thread_b():
+            a_open.wait(5)
+            with obs.span("B"):
+                b_open.set()
+                a_closed.wait(5)      # A closes while B is still open
+                obs.record_op("op", flops=7.0)
+                with obs.span("B.child"):
+                    pass
+
+        threads = [threading.Thread(target=t) for t in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(5)
+        spans = {s.name: s for s in obs.get_registry().spans}
+        a, b, child = spans["A"], spans["B"], spans["B.child"]
+        # B ran while A was open on another thread: still a root ...
+        assert b.parent is None and b.depth == 0
+        # ... closing A did not pop B, so B's work and child stay B's
+        assert b.attrs["flops"] == 7.0
+        assert "flops" not in a.attrs
+        assert child.parent == b.id and child.depth == 1
+
+    def test_server_workers_batch_spans_are_roots_with_own_work(self, ds):
+        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        session = InferenceSession(model, ds.graph, ds.features)
+        with GNNServer(session, num_workers=2, max_delay=0.0) as server:
+            futures = [server.submit("predict", np.array([i, i + 1]))
+                       for i in range(0, 40, 2)]
+            with obs.span("client.wait"):   # open on the main thread
+                for future in futures:
+                    future.result(timeout=30)
+        batches = [s for s in obs.get_registry().spans
+                   if s.name == "serve.batch"]
+        assert batches
+        for s in batches:
+            assert s.parent is None and s.depth == 0
+            assert s.attrs.get("flops", 0.0) > 0.0
+        waited = next(s for s in obs.get_registry().spans
+                      if s.name == "client.wait")
+        assert "flops" not in waited.attrs   # the workers' work is theirs
 
 
 class TestCountersAndGauges:
@@ -157,7 +217,7 @@ class TestExport:
         path = tmp_path / "trace.json"
         obs.export_json(str(path))
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.obs/2"
+        assert data["schema"] == "repro.obs/3"
         names = {s["name"] for s in data["spans"]}
         assert names == {"outer", "sim"}
         assert any(s.get("simulated") for s in data["spans"])
@@ -209,7 +269,7 @@ class TestEngineIntegration:
         assert len(epoch_spans) == 1
         stage_spans = [s for s in spans if s.name in STAGE_SPANS.values()]
         assert stage_spans and all(
-            s.parent_id == epoch_spans[0].span_id for s in stage_spans
+            s.parent == epoch_spans[0].id for s in stage_spans
         )
 
     def test_backend_events_reflect_strategy(self, ds):
@@ -303,7 +363,7 @@ class TestCLITrace:
                    "--trace", str(path)])
         assert rc == 0
         data = json.loads(path.read_text())
-        assert data["schema"] == "repro.obs/2"
+        assert data["schema"] == "repro.obs/3"
         names = {s["name"] for s in data["spans"]}
         assert STAGE_SPANS["aggregation"] in names
         assert "scatter.materialized_bytes" in data["counters"]

@@ -1,9 +1,8 @@
-"""Tests for the analysis tier of repro.obs: histograms, epoch
-time-series, straggler analysis, standard exporters (Chrome trace /
-Prometheus), and the ADB calibration/rebalance telemetry."""
+"""Tests for the readers of repro.obs: exact span distributions, the
+per-epoch event series, straggler analysis, the Chrome trace exporter,
+and the ADB calibration/rebalance telemetry."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from repro.core import (
     CostModel,
     R_SQUARED_GAUGE,
     REBALANCE_EVENT,
-    RESIDUAL_HISTOGRAM,
     hdg_from_graph,
     metrics_from_hdg,
 )
@@ -22,8 +20,7 @@ from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer
 from repro.graph import hash_partition, power_law_graph
 from repro.models import gcn
-from repro.obs.histogram import Histogram
-from repro.obs.timeseries import EpochLog
+from repro.obs.export import to_chrome_trace, to_dict
 from repro.tensor import Adam, Tensor
 
 
@@ -40,164 +37,31 @@ def ds():
 
 
 # ----------------------------------------------------------------------
-# Histogram
+# Distribution readouts: exact, computed by the reader from the records
 # ----------------------------------------------------------------------
 
-class TestHistogram:
-    def test_empty_percentiles_are_zero(self):
-        h = Histogram("empty")
-        assert h.count == 0
-        assert h.p50 == 0.0 and h.p90 == 0.0 and h.p99 == 0.0
-        assert h.mean == 0.0
+class TestSpanDistribution:
+    def test_percentiles_are_order_statistics(self):
+        durations = [i * 1e-3 for i in range(1, 101)]     # 1..100 ms
+        for d in reversed(durations):
+            obs.record_span("stage.x", d)
+        row = obs.aggregate_spans(obs.get_registry().spans)["stage.x"]
+        assert row["count"] == 100
+        assert row["total"] == pytest.approx(sum(durations))
+        assert row["p50"] == durations[50]
+        assert row["p99"] == durations[98]
+        assert row["max"] == durations[99]
+        # p90 and p99 no longer collapse into one log bucket
+        assert obs.percentile(durations, 0.90) == durations[89] < row["p99"]
+        assert obs.percentile([], 0.5) == 0.0
 
-    def test_percentiles_within_bucket_error(self):
-        """Log-bucketing (10 buckets/decade) keeps percentiles within
-        ~12% relative error of the exact values."""
-        rng = np.random.default_rng(0)
-        values = rng.lognormal(mean=-5.0, sigma=1.0, size=5000)
-        h = Histogram("lat")
-        h.observe_many(values)
-        for q in (50, 90, 99):
-            exact = float(np.percentile(values, q))
-            approx = h.percentile(q)
-            # Reported value is the bucket's *upper* bound: never below
-            # the exact percentile, at most one bucket width (growth
-            # 10**0.1 ~ 1.26x) above it.
-            assert exact * 0.95 <= approx <= exact * 1.30, q
-
-    def test_observe_many_matches_scalar_observe(self):
-        values = [1e-6, 3e-4, 0.02, 0.02, 5.0]
-        a, b = Histogram("a"), Histogram("b")
-        for v in values:
-            a.observe(v)
-        b.observe_many(np.array(values))
-        assert a.count == b.count
-        assert a.sum == pytest.approx(b.sum)
-        assert a.buckets == b.buckets
-        assert a.p50 == b.p50 and a.p99 == b.p99
-
-    def test_weighted_observe(self):
-        h = Histogram("w")
-        h.observe(2.0, count=3)
-        assert h.count == 3
-        assert h.sum == pytest.approx(6.0)
-        h.observe(10.0, count=0)   # non-positive counts are ignored
-        assert h.count == 3
-
-    def test_underflow_bucket(self):
-        h = Histogram("u")
-        h.observe(0.0)
-        h.observe(-1.0)
-        h.observe(h.base / 2)
-        assert h.underflow == 3
-        assert h.buckets == {}
-        # Percentiles clamp into [min, max].
-        assert h.p50 == h.max
-
-    def test_percentile_clamped_to_observed_range(self):
-        h = Histogram("c")
-        h.observe(0.5)
-        # The bucket upper bound exceeds 0.5, but the report must not.
-        assert h.p99 == pytest.approx(0.5)
-        assert h.p50 >= h.min
-
-    def test_percentile_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Histogram("x").percentile(101)
-
-    def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            Histogram("x", base=0.0)
-        with pytest.raises(ValueError):
-            Histogram("x", growth=1.0)
-
-    def test_to_dict_schema(self):
-        h = Histogram("d")
-        h.observe(1.0)
-        h.observe(2.0)
-        d = h.to_dict()
-        assert d["count"] == 2
-        assert d["sum"] == pytest.approx(3.0)
-        assert d["min"] == 1.0 and d["max"] == 2.0
-        assert [c for _b, c in d["buckets"]] and sum(
-            c for _b, c in d["buckets"]
-        ) == 2
-
-    def test_reset(self):
-        h = Histogram("r")
-        h.observe(1.0)
-        h.reset()
-        assert h.count == 0 and h.buckets == {} and h.underflow == 0
-        assert math.isinf(h.min)
-
-    def test_registry_fetch_or_create_identity(self):
-        assert obs.histogram("same") is obs.histogram("same")
-        assert obs.histogram("same") is not obs.histogram("other")
-
-    def test_span_latency_histograms_auto_derived(self):
-        for seconds in (0.001, 0.002, 0.004, 0.100):
-            obs.record_span("stage.x", seconds)
-        h = obs.histogram(obs.SPAN_HISTOGRAM_PREFIX + "stage.x")
-        assert h.count == 4
-        assert 0.001 <= h.p50 <= 0.0026   # upper bound of the 2ms bucket
-        assert 0.05 <= h.p99 <= 0.1
-
-    def test_span_histograms_exact_past_record_cap(self):
-        """Histograms keep counting after the span cap, like counters.
-        Uses a private Registry so the global cap is untouched."""
-        from repro.obs.registry import Registry
-
-        reg = Registry(max_records=5)
-        for _ in range(20):
-            reg.record_span("capped", 0.01)
-        assert len(reg.spans) == 5
-        assert reg.dropped_spans == 15
-        assert reg.histogram("span.capped").count == 20
-
-
-# ----------------------------------------------------------------------
-# EpochLog
-# ----------------------------------------------------------------------
-
-class TestEpochLog:
-    def test_log_and_series(self):
-        log = EpochLog("t")
-        log.log(0, loss=1.0, seconds=0.5)
-        log.log(1, loss=0.5, seconds=0.4, extra="note")
-        assert len(log) == 2
-        assert log.series("loss") == [1.0, 0.5]
-        assert log.series("extra") == ["note"]   # missing rows skipped
-        assert log.series("absent") == []
-        assert log.latest()["epoch"] == 1
-        assert log.keys() == ["epoch", "loss", "seconds", "extra"]
-
-    def test_empty_latest_is_none(self):
-        assert EpochLog("e").latest() is None
-
-    def test_bool_values_preserved(self):
-        """Regression: bool is a subclass of int, so True used to be
-        coerced to 1.0 by the float() normalization."""
-        log = EpochLog("t")
-        row = log.log(0, improved=True, stale=False, loss=1)
-        assert row["improved"] is True
-        assert row["stale"] is False
-        assert isinstance(row["loss"], float) and row["loss"] == 1.0
-        assert log.series("improved") == [True]
-        # round-trips through JSON as actual booleans
-        d = json.loads(json.dumps(log.to_dict()))
-        assert d["rows"][0]["improved"] is True
-
-    def test_to_dict_round_trip(self):
-        log = EpochLog("t")
-        log.log(3, loss=0.25)
-        d = json.loads(json.dumps(log.to_dict()))
-        assert d == {"name": "t", "rows": [{"epoch": 3, "loss": 0.25}]}
-
-    def test_registry_fetch_or_create(self):
-        assert obs.epoch_log() is obs.epoch_log("train")
-        obs.epoch_log("arm-a").log(0, loss=1.0)
-        assert len(obs.epoch_log("arm-a")) == 1
-        assert len(obs.epoch_log()) == 0
+    def test_exported_dicts_aggregate_identically(self):
+        for d in (0.3, 0.1, 0.2):
+            obs.record_span("s", d, worker=1)
+        live = obs.aggregate_spans(obs.get_registry().spans)
+        assert obs.aggregate_spans(to_dict()["spans"]) == live
+        assert live["s"]["simulated"] and live["s"]["p50"] == 0.2
+        assert "p50" in obs.summary() and "p99" in obs.summary()
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +107,7 @@ class TestStragglerAnalysis:
 
     def test_accepts_exported_trace_dicts(self):
         self._plant([0.1, 0.3])
-        exported = obs.to_dict()["spans"]
+        exported = to_dict()["spans"]
         obs.reset()
         report = obs.straggler_report(spans=exported)
         assert report.slowest_worker == 1
@@ -275,9 +139,22 @@ class TestStragglerAnalysis:
         assert report.slowest_worker == 3
         assert report.skew_ratio > 2.0
         assert 3 in report.stragglers
-        # The latency histogram for dist.compute reflects the skew too.
-        h = obs.histogram("span.dist.compute")
-        assert h.count > 0 and h.p99 > h.p50
+        # The dist.compute latency distribution reflects the skew too.
+        row = obs.aggregate_spans(obs.get_registry().spans)["dist.compute"]
+        assert row["count"] > 0 and row["p99"] > row["p50"]
+
+    def test_worker_and_layer_read_from_the_context_stamp(self):
+        """The real runtime names worker/layer in each process's context
+        stamp, not in span attrs; the report reads either."""
+        reg = obs.get_registry()
+        for w, cmp_s in enumerate([0.1, 0.4]):
+            reg.set_context(worker=w, layer=0)
+            obs.record_span("dist.compute", cmp_s)
+        reg.clear_context()
+        assert all("worker" not in s.attrs for s in reg.spans)
+        report = obs.straggler_report()
+        assert report.slowest_worker == 1
+        assert report.critical_path == {0: 1}
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +166,7 @@ class TestChromeTrace:
         with obs.span("measured.outer"):
             obs.record_span("sim.comm", 0.25, worker=2)
         obs.event("marker", note="x")
-        trace = obs.to_chrome_trace()
+        trace = to_chrome_trace()
         events = trace["traceEvents"]
         assert events and trace["displayTimeUnit"] == "ms"
         for e in events:
@@ -306,7 +183,7 @@ class TestChromeTrace:
         obs.record_span("s", 0.1, worker=3)
         by_name = {
             e["name"]: e
-            for e in obs.to_chrome_trace()["traceEvents"]
+            for e in to_chrome_trace()["traceEvents"]
             if e["ph"] == "X"
         }
         assert by_name["m"]["pid"] == 0
@@ -323,7 +200,7 @@ class TestChromeTrace:
 
     def test_durations_in_microseconds(self):
         obs.record_span("s", 0.5)
-        x = [e for e in obs.to_chrome_trace()["traceEvents"]
+        x = [e for e in to_chrome_trace()["traceEvents"]
              if e["ph"] == "X"][0]
         assert x["dur"] == pytest.approx(0.5e6)
 
@@ -332,7 +209,7 @@ class TestChromeTrace:
         obs.record_span("a", 0.1, worker="ps-0")
         obs.record_span("b", 0.1, worker="trainer-1")
         obs.record_span("c", 0.1, worker=2)
-        events = obs.to_chrome_trace()["traceEvents"]
+        events = to_chrome_trace()["traceEvents"]
         by_name = {e["name"]: e for e in events if e["ph"] == "X"}
         # distinct labels -> distinct tids, well clear of int ranks
         assert by_name["a"]["tid"] != by_name["b"]["tid"]
@@ -357,10 +234,10 @@ class TestChromeTrace:
         obs.record_span("a", 0.1, worker="beta")
         obs.record_span("b", 0.1, worker="alpha")
         first = {e["name"]: e["tid"]
-                 for e in obs.to_chrome_trace()["traceEvents"]
+                 for e in to_chrome_trace()["traceEvents"]
                  if e["ph"] == "X"}
         second = {e["name"]: e["tid"]
-                  for e in obs.to_chrome_trace()["traceEvents"]
+                  for e in to_chrome_trace()["traceEvents"]
                   if e["ph"] == "X"}
         assert first == second
         # sorted-label assignment: alpha < beta regardless of span order
@@ -416,8 +293,6 @@ class TestADBObservability:
         g = obs.gauge(R_SQUARED_GAUGE)
         assert g.count == 1
         assert g.value == pytest.approx(1.0, abs=1e-6)
-        h = obs.histogram(RESIDUAL_HISTOGRAM)
-        assert h.count == metrics.shape[0]
 
     def test_refit_tracks_drift(self):
         """Two fits -> the gauge holds the latest R², history in count."""
@@ -456,22 +331,23 @@ class TestEndToEnd:
         for epoch in range(2):
             trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch)
 
-        # Epoch series carries the per-epoch scalars.
-        log = obs.epoch_log()
-        assert len(log) == 2
+        # One "epoch" event per epoch carries the per-epoch scalars.
+        reg = obs.get_registry()
+        rows = [e.attrs for e in reg.events if e.name == "epoch"]
+        assert [row["epoch"] for row in rows] == [0, 1]
         for key in ("loss", "simulated_seconds", "bytes", "messages",
                     "balance_factor", "vertices_per_sec"):
-            series = log.series(key)
-            assert len(series) == 2, key
-        assert log.latest()["comm_mode"] in ("pipelined", "batched", "mixed")
+            assert all(key in row for row in rows), key
+        assert rows[-1]["comm_mode"] in ("pipelined", "batched", "mixed")
 
-        # Per-span latency histograms with working percentiles.
-        h = obs.histogram("span.dist.compute")
-        assert h.count == 4 * len(model.layers) * 2
-        assert 0 < h.p50 <= h.p90 <= h.p99
+        # Per-span latency distributions with working percentiles.
+        row = obs.aggregate_spans(reg.spans)["dist.compute"]
+        assert row["count"] == 4 * len(model.layers) * 2
+        assert 0 < row["p50"] <= row["p99"] <= row["max"]
 
-        # Message-size histogram from the comm planner.
-        assert obs.histogram("comm.message_bytes").count > 0
+        # The comm planner reports each layer's traffic.
+        plans = [e.attrs for e in reg.events if e.name == "comm.plan"]
+        assert plans and all(p["messages"] > 0 for p in plans)
 
         # The Chrome export renders without error.
-        assert obs.to_chrome_trace()["traceEvents"]
+        assert to_chrome_trace()["traceEvents"]

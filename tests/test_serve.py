@@ -332,6 +332,51 @@ class TestServerOperations:
             assert key in summary
         assert summary["latency_ms"]["p99"] >= 0.0
 
+    def test_slo_summary_percentiles_are_exact(self, reddit):
+        """100 known latencies -> p50/p90/p99 are their order statistics
+        (they used to be log-bucket upper bounds, with p90 == p99
+        whenever the two shared a bucket)."""
+        from repro import obs
+
+        obs.reset()
+        model, _ = trained(gcn, reddit)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        server = GNNServer(session, num_workers=1)
+        latencies = [i * 1e-3 for i in range(1, 101)]       # 1..100 ms
+        for latency in reversed(latencies):
+            server._record_latency(latency)
+        lat = server.slo_summary()["latency_ms"]
+        assert lat["count"] == 100
+        assert lat["mean"] == pytest.approx(50.5)
+        assert lat["max"] == pytest.approx(100.0)
+        assert lat["p50"] == pytest.approx(51.0, abs=1e-9)
+        assert lat["p90"] == pytest.approx(90.0, abs=1e-9)
+        assert lat["p99"] == pytest.approx(99.0, abs=1e-9)
+        assert lat["p90"] < lat["p99"]
+        obs.reset()
+
+    def test_batches_counted_while_recording_is_disabled(self, reddit):
+        """The ledger reads slo_summary()["batches"]["count"] around
+        passes it runs under obs.disable()."""
+        from repro import obs
+
+        model, _ = trained(gcn, reddit)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        obs.reset()
+        obs.disable()
+        try:
+            with GNNServer(session, num_workers=1, max_delay=0.0) as server:
+                server.predict(np.array([0]))
+                server.predict(np.array([1]))
+            summary = server.slo_summary()
+        finally:
+            obs.enable()
+        assert obs.get_registry().spans == []
+        assert summary["batches"]["count"] == 2
+        assert summary["batches"]["mean_ms"] > 0.0
+        assert summary["latency_ms"]["count"] == 2
+        obs.reset()
+
 
 # ---------------------------------------------------------------------------
 # Versioned caches + targeted invalidation

@@ -70,6 +70,22 @@ class TestSummaryView:
         out = capsys.readouterr().out
         assert "more (raise --limit)" in out
 
+    def test_old_schema_summary_renders_but_listing_refused(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({
+            "schema": "repro.obs/2",
+            "spans": [{"id": 0, "name": "stage.update", "start": 0.1,
+                       "duration": 0.2, "depth": 0}],
+            "events": [{"name": "pick", "time": 0.1}],
+            "counters": {}, "gauges": {}, "histograms": {}, "epochs": {},
+        }))
+        assert trace_summary.main([str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "stage.update" in out and "pick" in out
+        assert trace_summary.main([str(path), "--spans"]) == 1
+        assert "predates the one-record format" in capsys.readouterr().err
+
     def test_unknown_schema_warns_but_renders(self, tmp_path, capsys):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({
@@ -89,23 +105,25 @@ class TestPerRankSections:
     @pytest.fixture(scope="class")
     def merged_trace_path(self, tmp_path_factory):
         """A merged two-rank trace built exactly the way the parent
-        builds one: worker span dicts ingested via merge_spans with a
-        per-rank clock offset."""
+        builds one: each worker's snapshot (records stamped by its
+        context, its own clock origin) folded in with Registry.merge."""
         obs.reset()
         reg = obs.get_registry()
         for rank, offset in ((0, 0.010), (1, 0.012)):
             slow = 0.050 if rank == 1 else 0.020  # rank 1 bounds layer 0
-            records = [
-                {"name": "dist.compute", "start": 0.001, "duration": slow,
-                 "id": 1, "attrs": {"layer": 0, "epoch": 0}},
-                {"name": "dist.comm", "start": 0.001 + slow,
-                 "duration": 0.004, "id": 2,
-                 "attrs": {"layer": 0, "epoch": 0, "phase": "layer_sync"}},
-                {"name": "dist.compute", "start": 0.060, "duration": 0.015,
-                 "id": 3, "attrs": {"layer": 1, "epoch": 0}},
-            ]
-            reg.merge_spans(records, clock_offset=offset, rank=rank,
-                            observe_histograms=False)
+
+            def span(name, t, duration, span_id, layer, **attrs):
+                return {"kind": "span", "name": name, "t": t,
+                        "duration": duration, "id": span_id, "depth": 0,
+                        "attrs": attrs,
+                        "ctx": {"worker": rank, "epoch": 0, "layer": layer}}
+
+            reg.merge({"origin": reg.origin + offset, "spans": [
+                span("dist.compute", 0.001, slow, 1, 0),
+                span("dist.comm", 0.001 + slow, 0.004, 2, 0,
+                     sync="layer_sync"),
+                span("dist.compute", 0.060, 0.015, 3, 1),
+            ]})
         path = tmp_path_factory.mktemp("mtrace") / "merged.json"
         obs.export_json(str(path))
         obs.reset()

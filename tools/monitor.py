@@ -14,8 +14,9 @@ Usage::
     python tools/monitor.py --snapshot snap.json             # offline view
 
 A stale row (progress age past ``--stall-deadline`` in an active phase)
-is marked ``STALLED?`` — the same heuristic the parent's
-:class:`~repro.obs.live.StallDetector` applies authoritatively.
+is marked ``STALLED?`` — the rule (:func:`repro.obs.live.is_stalled`)
+the parent's :class:`~repro.obs.live.StallDetector` applies
+authoritatively.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ sys.path.insert(
 
 from repro.obs.flight import latest_incident  # noqa: E402
 from repro.obs.live import (  # noqa: E402
-    ACTIVE_PHASES,
     TelemetrySlab,
     WorkerSample,
-    phase_name,
+    is_stalled,
 )
 
 _HEADER = (
@@ -44,56 +44,40 @@ _HEADER = (
 )
 
 
-def _sample_from_dict(rank: int, d: dict) -> WorkerSample:
-    """Rebuild a :class:`WorkerSample` from a snapshot-file entry."""
-    return WorkerSample(
-        rank=int(d.get("rank", rank)),
-        seqno=int(d.get("seqno", 0)),
-        pid=int(d.get("pid", 0)),
-        epoch=int(d.get("epoch", 0)),
-        layer=int(d.get("layer", 0)),
-        phase=int(d.get("phase", 0)),
-        spans_closed=int(d.get("spans_closed", 0)),
-        flops=float(d.get("flops", 0.0)),
-        bytes=float(d.get("bytes", 0.0)),
-        last_beat=0.0,
-        clock_origin=0.0,
-        progress_age=d.get("progress_age"),
-    )
-
-
-def render_table(samples: list[WorkerSample],
+def render_table(samples: list[WorkerSample | dict],
                  prev: list[WorkerSample] | None = None,
                  dt: float | None = None,
                  stall_deadline: float = 5.0) -> str:
     """Format one poll's samples as a fixed-width table.
 
+    Rows are live :class:`WorkerSample` objects or the ``workers``
+    entries of a snapshot file (``WorkerSample.to_dict()``).
     ``prev``/``dt`` (the previous poll and the seconds between them)
     enable the throughput column: FLOP deltas over the interval.  Worker
     registries reset each epoch, so a negative delta (new epoch) renders
     as a dash rather than a bogus rate.
     """
+    rows = [s if isinstance(s, dict) else s.to_dict() for s in samples]
     lines = [_HEADER]
-    for i, s in enumerate(samples):
+    for i, s in enumerate(rows):
         rate = ""
         if prev is not None and dt and i < len(prev):
-            dflops = s.flops - prev[i].flops
+            dflops = s["flops"] - prev[i].flops
             if dflops >= 0:
                 rate = f"{dflops / dt / 1e9:8.3f}"
         if not rate:
             rate = f"{'-':>8}"
-        age = f"{s.progress_age:6.1f}s" if s.progress_age is not None else "      -"
+        age = s["progress_age"]
         status = "ok"
-        if s.seqno == 0:
+        if s["seqno"] == 0:
             status = "no beat yet"
-        elif (s.progress_age is not None
-              and s.progress_age > stall_deadline
-              and s.phase in ACTIVE_PHASES):
+        elif is_stalled(s["phase"], age, stall_deadline):
             status = "STALLED?"
+        age_s = f"{age:6.1f}s" if age is not None else "      -"
         lines.append(
-            f"  {s.rank:>4}  {s.pid:>7}  {phase_name(s.phase):<12} "
-            f"{s.epoch:>5} {s.layer:>5} {s.seqno:>7} {s.spans_closed:>6} "
-            f"{rate} {age}  {status}"
+            f"  {s['rank']:>4}  {s['pid']:>7}  {s['phase_name']:<12} "
+            f"{s['epoch']:>5} {s['layer']:>5} {s['seqno']:>7} "
+            f"{s['spans_closed']:>6} {rate} {age_s}  {status}"
         )
     return "\n".join(lines)
 
@@ -120,9 +104,7 @@ def _render_snapshot(path: str, stall_deadline: float) -> int:
     if snap.get("schema") != "repro.live/1":
         print(f"warning: unknown snapshot schema {snap.get('schema')!r}",
               file=sys.stderr)
-    samples = [
-        _sample_from_dict(i, d) for i, d in enumerate(snap.get("workers", []))
-    ]
+    samples = snap.get("workers", [])
     print(f"telemetry snapshot: {path}  (k={snap.get('k', len(samples))})")
     print(render_table(samples, stall_deadline=stall_deadline))
     return 0

@@ -12,11 +12,15 @@ questions a dead or wedged cluster can no longer answer itself:
 * a merged timeline of the final records across all ranks, around the
   incident;
 * a **culprit-vs-victim ranking** reusing the stall detector's
-  waiting-phase exemption (:data:`repro.obs.live.ACTIVE_PHASES`): a
+  waiting-phase exemption (:func:`repro.obs.live.in_active_phase`): a
   rank that died, was flagged stalled, or whose last journaled phase is
   an *active* one is a culprit; ranks parked in waiting phases
   (barrier / await_grad / idle / done) froze because of someone else
   and are victims.
+
+Journal lines are serialised records (``Record.to_dict()``): every one
+carries the context stamp (``ctx``: worker, phase, epoch, layer) its
+process had when it was emitted.
 
 Usage::
 
@@ -36,17 +40,16 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
+from repro.obs.export import (  # noqa: E402
+    render_timeline,
+    timeline as merge_timelines,
+)
 from repro.obs.flight import (  # noqa: E402
     JOURNAL_PREFIX,
     latest_incident,
     read_journal,
 )
-from repro.obs.live import ACTIVE_PHASES, PHASE_NAMES  # noqa: E402
-
-#: phase names in which a frozen rank is itself to blame
-ACTIVE_PHASE_NAMES = frozenset(PHASE_NAMES[p] for p in ACTIVE_PHASES)
-#: phase names that freeze legitimately when a peer stalls or dies
-WAITING_PHASE_NAMES = frozenset(PHASE_NAMES) - ACTIVE_PHASE_NAMES
+from repro.obs.live import in_active_phase  # noqa: E402
 
 
 def load_bundle(path: str) -> dict:
@@ -73,8 +76,9 @@ def load_bundle(path: str) -> dict:
 def _rank_of(who: str, entries: list[dict]) -> int | None:
     """Rank of a journal: from its records' stamp, else its filename."""
     for e in entries:
-        if "rank" in e and e["rank"] is not None:
-            return int(e["rank"])
+        worker = (e.get("ctx") or {}).get("worker")
+        if worker is not None:
+            return int(worker)
     if who.startswith("rank") and who[len("rank"):].isdigit():
         return int(who[len("rank"):])
     return None
@@ -86,29 +90,24 @@ def _summarize_journal(entries: list[dict]) -> dict:
         "records": len(entries),
         "last_phase": None, "last_epoch": None, "last_layer": None,
         "last_span": None, "last_log": None, "crash": None,
-        "first_t": entries[0]["t"] if entries else None,
-        "last_t": entries[-1]["t"] if entries else None,
     }
     for e in entries:
+        # every record carries the context stamp, so the last stamp
+        # that names a phase is where the rank was
+        ctx = e.get("ctx") or {}
+        if "phase" in ctx:
+            for key in ("phase", "epoch", "layer"):
+                summary["last_" + key] = ctx.get(key)
         kind = e.get("kind")
-        if kind == "phase":
-            summary["last_phase"] = e.get("phase")
-            if e.get("epoch") is not None:
-                summary["last_epoch"] = e["epoch"]
-            if e.get("layer") is not None:
-                summary["last_layer"] = e["layer"]
-        elif kind == "span":
+        if kind == "span":
             summary["last_span"] = e.get("name")
         elif kind == "log":
-            summary["last_log"] = e.get("message")
-            # structured logs carry the context stamp too
-            for key, dst in (("phase", "last_phase"), ("epoch", "last_epoch"),
-                             ("layer", "last_layer")):
-                if e.get(key) is not None:
-                    summary[dst] = e[key]
+            summary["last_log"] = e.get("name")
         elif kind == "crash":
-            summary["crash"] = {"reason": e.get("reason"),
-                                "traceback": e.get("traceback")}
+            summary["crash"] = {
+                "reason": e.get("name"),
+                "traceback": (e.get("attrs") or {}).get("traceback"),
+            }
     return summary
 
 
@@ -137,7 +136,7 @@ def analyze(bundle: dict) -> dict:
         elif rank in stalled_ranks:
             role, score = "culprit", 2.5
             why = f"flagged stalled in {phase or '?'}"
-        elif phase in ACTIVE_PHASE_NAMES:
+        elif in_active_phase(phase):
             role, score = "culprit", 2.0
             why = f"frozen mid-{phase} (active phase)"
         else:
@@ -171,34 +170,8 @@ def analyze(bundle: dict) -> dict:
 
 def merged_timeline(bundle: dict, last: int = 30) -> list[dict]:
     """The final ``last`` records across every journal, time-ordered."""
-    merged: list[dict] = []
-    for who, entries in bundle["journals"].items():
-        for e in entries:
-            merged.append({"who": who, **e})
-    merged.sort(key=lambda e: e.get("t", 0.0))
+    merged = merge_timelines(bundle["journals"])
     return merged[-last:] if last > 0 else merged
-
-
-def _describe(entry: dict) -> str:
-    kind = entry.get("kind")
-    if kind == "span":
-        return f"span {entry.get('name')} ({entry.get('duration', 0) * 1e3:.2f}ms)"
-    if kind == "phase":
-        bits = [str(entry.get("phase"))]
-        if entry.get("epoch") is not None:
-            bits.append(f"epoch {entry['epoch']}")
-        if entry.get("layer") is not None:
-            bits.append(f"layer {entry['layer']}")
-        return "phase -> " + ", ".join(bits)
-    if kind == "log":
-        return f"log[{entry.get('level')}] {entry.get('message')}"
-    if kind == "event":
-        return f"event {entry.get('name')}"
-    if kind == "crash":
-        return f"CRASH ({entry.get('reason')})"
-    if kind == "metrics":
-        return "metrics sample"
-    return str(kind)
 
 
 def render(analysis: dict, bundle: dict | None = None,
@@ -242,9 +215,7 @@ def render(analysis: dict, bundle: dict | None = None,
     if timeline > 0 and bundle is not None:
         lines.append("")
         lines.append(f"timeline (last {timeline} records, all ranks):")
-        for entry in merged_timeline(bundle, last=timeline):
-            lines.append(f"  {entry.get('t', 0.0):.3f}  "
-                         f"{entry['who']:<8} {_describe(entry)}")
+        lines.append(render_timeline(merged_timeline(bundle, last=timeline)))
     return "\n".join(lines)
 
 

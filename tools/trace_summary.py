@@ -7,13 +7,20 @@ Usage::
     python tools/trace_summary.py out.json --spans    # per-span listing
     python tools/trace_summary.py out.json --events   # per-event listing
 
-The summary view aggregates spans by name (count / total / mean / max,
-``~`` marking simulated durations), then lists counters (total + peak),
-gauges and event counts — the same rendering ``repro.obs.summary()``
-produces for a live registry.
+The summary view aggregates spans by name (count / total / mean / exact
+p50 / p99 / max, ``~`` marking simulated durations), then lists counters
+(total + peak), gauges and event counts — the same rendering
+``repro.obs.summary()`` produces for a live registry.  The listings
+render each record with ``repro.obs.render_timeline``, the renderer
+``tools/postmortem.py`` uses for journals.
 
-Merged multiprocess traces (spans carrying an integer ``worker`` attr
-from two or more ranks) additionally get **per-rank sections** — each
+Traces written before the one-record format (``repro.obs/1`` and
+``/2``) still get the summary view; their records carry no common time
+field, so ``--spans`` / ``--events`` refuse them.
+
+Merged multiprocess traces (spans naming an integer ``worker`` — in
+their context stamp or attrs — from two or more ranks) additionally get
+**per-rank sections** — each
 rank's spans aggregated separately, in lane order — and a cross-rank
 **critical path** line naming, per layer, the rank whose compute+comm
 bounded the barrier.  ``--per-rank`` forces the sections on even for a
@@ -31,39 +38,29 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.obs import aggregate_spans, render_summary, straggler_report  # noqa: E402
+from repro.obs import (  # noqa: E402
+    aggregate_spans,
+    render_summary,
+    render_timeline,
+    straggler_report,
+)
+from repro.obs.export import SCHEMA  # noqa: E402
+from repro.obs.registry import Record  # noqa: E402
+
+#: schemas whose by-name aggregates still render (no per-record listing)
+_OLD_SCHEMAS = ("repro.obs/1", "repro.obs/2")
 
 
-def _span_listing(spans: list[dict], limit: int) -> str:
-    lines = [f"  {'t':>10}  {'duration':>10}  span"]
-    for s in spans[:limit]:
-        indent = "  " * int(s.get("depth", 0))
-        attrs = s.get("attrs") or {}
-        rendered = " ".join(f"{k}={v}" for k, v in attrs.items())
-        sim = "~" if s.get("simulated") else " "
-        lines.append(
-            f"  {s['start'] * 1e3:9.3f}ms {s['duration'] * 1e3:9.3f}ms "
-            f"{sim}{indent}{s['name']}  {rendered}"
-        )
-    if len(spans) > limit:
-        lines.append(f"  ... {len(spans) - limit} more (raise --limit)")
+def _listing(records: list[dict], limit: int) -> str:
+    lines = [render_timeline(records[:limit])] if records else ["  (none)"]
+    if len(records) > limit:
+        lines.append(f"  ... {len(records) - limit} more (raise --limit)")
     return "\n".join(lines)
-
-
-def _event_listing(events: list[dict], limit: int) -> str:
-    lines = []
-    for e in events[:limit]:
-        attrs = e.get("attrs") or {}
-        rendered = " ".join(f"{k}={v}" for k, v in attrs.items())
-        lines.append(f"  {e['time'] * 1e3:9.3f}ms  {e['name']}  {rendered}")
-    if len(events) > limit:
-        lines.append(f"  ... {len(events) - limit} more (raise --limit)")
-    return "\n".join(lines) or "  (no events)"
 
 
 def _rank_of(span: dict) -> int | None:
     """The integer worker rank a span belongs to, if any."""
-    worker = (span.get("attrs") or {}).get("worker")
+    worker = Record.of(span).get("worker")
     if isinstance(worker, bool) or not isinstance(worker, int):
         return None
     return worker
@@ -72,8 +69,8 @@ def _rank_of(span: dict) -> int | None:
 def per_rank_summary(spans: list[dict]) -> str:
     """Per-rank span aggregates + the cross-rank critical-path line.
 
-    Groups spans by their ``worker`` attr (the lane assignment of a
-    merged multiprocess trace); unattributed spans — the parent's own —
+    Groups spans by their ``worker`` (the lane assignment of a merged
+    multiprocess trace); unattributed spans — the parent's own —
     are summarized under ``(parent)``.
     """
     by_rank: dict[int, list[dict]] = {}
@@ -137,28 +134,33 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.trace) as fh:
         data = json.load(fh)
     schema = data.get("schema")
-    if schema not in ("repro.obs/1", "repro.obs/2"):
+    spans, events = data.get("spans", []), data.get("events", [])
+    if schema in _OLD_SCHEMAS:
+        if args.spans or args.events:
+            print(f"{args.trace}: schema {schema} predates the one-record "
+                  f"format ({SCHEMA}); its records carry no common time "
+                  "field, so only the summary view can be rendered",
+                  file=sys.stderr)
+            return 1
+        for e in events:  # old event dicts carry no kind
+            e.setdefault("kind", "event")
+    elif schema != SCHEMA:
         print(f"warning: unknown trace schema {schema!r}; "
               "attempting to render anyway", file=sys.stderr)
 
     print(f"trace: {args.trace}  "
-          f"({len(data.get('spans', []))} spans, "
-          f"{len(data.get('events', []))} events)")
-    if args.spans:
-        print(_span_listing(data.get("spans", []), args.limit))
+          f"({len(spans)} spans, {len(events)} events)")
+    if args.spans or args.events:
+        records = spans if args.spans else events
+        print(_listing(sorted(records, key=lambda r: r.get("t", 0.0)),
+                       args.limit))
         return 0
-    if args.events:
-        print(_event_listing(data.get("events", []), args.limit))
-        return 0
-    spans = data.get("spans", [])
     print(render_summary(
         aggregate_spans(spans),
         data.get("counters", {}),
         data.get("gauges", {}),
-        data.get("events", []),
+        events,
         data.get("meta"),
-        histograms=data.get("histograms", {}),
-        epochs=data.get("epochs", {}),
     ))
     ranks = {_rank_of(s) for s in spans} - {None}
     if args.per_rank or len(ranks) >= 2:
