@@ -9,7 +9,8 @@ framework changes — you provide the three stages.  This script builds a
   vertices at distance exactly i (depth-3 HDGs, one schema leaf per
   ring) — a JK-Net-style neighborhood written by hand with the public
   record API;
-* **Aggregation**: mean within rings, attention across the ring types;
+* **Aggregation**: a hand-written UDF (mean within rings, via the
+  public scatter kernel) and built-in attention across the ring types;
 * **Update**: GRU-flavored gated combination of h and the neighborhood.
 
 Run:  python examples/custom_nau_model.py
@@ -18,6 +19,7 @@ Run:  python examples/custom_nau_model.py
 import numpy as np
 
 from repro.core import (
+    Aggregator,
     FlexGraphEngine,
     GNNLayer,
     HDG,
@@ -30,7 +32,24 @@ from repro.core import (
 from repro.datasets import reddit_like
 from repro.graph import bfs_levels
 from repro.models import gcn
-from repro.tensor import Adam, Linear, Tensor
+from repro.tensor import Adam, Linear, Tensor, scatter_mean
+
+
+class RingMean(Aggregator):
+    """A custom Aggregation UDF (docs/nau_programming_guide.md §2).
+
+    ``plan`` is the reduction plan of the HDG level being reduced — the
+    engine fetches it from the HDG, so the structure setup is paid once
+    and reused every epoch.  Only the scatter form is written; the
+    default ``fused`` gathers the member rows and calls it.
+    """
+
+    name = "ring_mean"
+    supports_fused = False
+    supports_dense = False
+
+    def sparse(self, values, plan, weights=None):
+        return scatter_mean(values, plan=plan)
 
 
 class TwoHopAttentionLayer(GNNLayer):
@@ -38,9 +57,11 @@ class TwoHopAttentionLayer(GNNLayer):
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
                  rng: np.random.Generator | None = None):
-        # Bottom-up UDFs: mean over ring members, mean per slot,
-        # attention over the two ring types (Figure 6's level loop).
-        super().__init__(aggregators=["mean", "mean", "attention"], dim=in_dim)
+        # Bottom-up UDFs: mean over ring members (the custom UDF), mean
+        # per slot, attention over the two ring types (Figure 6's level
+        # loop).
+        super().__init__(aggregators=[RingMean(), "mean", "attention"],
+                         dim=in_dim)
         self.w_self = Linear(in_dim, out_dim, rng=rng)
         self.w_nbr = Linear(in_dim, out_dim, rng=rng)
         self.w_gate = Linear(in_dim, out_dim, rng=rng)

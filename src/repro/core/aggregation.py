@@ -10,6 +10,10 @@ per level:
   materialization (the FA / libgrape-lite vertex-reduce path);
 * ``dense``   — reshape-based reduction for regular (schema-tree) levels.
 
+The structure of the level arrives as one argument, the level's
+:class:`~repro.tensor.plans.ReductionPlan`, which the hybrid executor
+fetches from the HDG (:meth:`repro.core.hdg.HDG.plan`).
+
 Built-ins cover the paper's models: sum/mean/max/min (FlexGraph's
 registered built-ins, Section 6), ``WeightedSumAggregator`` for PinSage's
 importance weights, and ``AttentionAggregator`` for MAGNN's softmax
@@ -21,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor.nn import Module, Parameter
+from ..tensor.plans import ReductionPlan
 from ..tensor.scatter import (
     scatter_add,
     scatter_max,
@@ -48,31 +53,36 @@ class Aggregator(Module):
     """Base class: a reduction with sparse, fused and dense backends.
 
     ``values`` is always a ``(rows, dim)`` tensor of source features;
-    ``weights`` (optional, per source row) carries edge importances.
+    ``plan`` is the :class:`~repro.tensor.plans.ReductionPlan` of the HDG
+    level being reduced (``plan.index``, ``plan.n``, ``plan.offsets``,
+    ``plan.gather`` and ``plan.counts`` describe it; every kernel takes
+    it as ``plan=``); ``weights`` (optional, per source row) carries
+    edge importances.
     """
 
     name = "base"
     supports_fused = True
     supports_dense = True
 
-    def sparse(self, values: Tensor, index: np.ndarray | None, dim_size: int,
-               weights: np.ndarray | None = None, *,
-               plan=None, plan_key=None) -> Tensor:
-        """Scatter-op reduction (per-edge messages materialized).
+    def sparse(self, values: Tensor, plan: ReductionPlan,
+               weights: np.ndarray | None = None) -> Tensor:
+        """Scatter-op reduction (per-edge messages materialized): row
+        ``i`` of ``values`` reduces into output row ``plan.index[i]``."""
+        raise NotImplementedError
 
-        ``plan``/``plan_key`` forward a precomputed
-        :class:`~repro.tensor.plans.ReductionPlan` (or its cache key) to
-        the underlying kernels; ``index`` may be ``None`` when ``plan``
-        is given.
+    def fused(self, values: Tensor, plan: ReductionPlan,
+              weights: np.ndarray | None = None) -> Tensor:
+        """Segment (CSC) reduction: output row ``i`` reduces the rows
+        ``values[plan.gather[plan.offsets[i]:plan.offsets[i + 1]]]``.
+
+        Built-in reducers override this with a kernel that never builds
+        the per-edge tensor.  The default is correct for any UDF — gather
+        the member rows, then :meth:`sparse` — but materializes them, so
+        the hybrid executor only picks it when ``supports_fused`` says a
+        real one exists.
         """
-        raise NotImplementedError
-
-    def fused(self, values: Tensor, offsets: np.ndarray,
-              sources: np.ndarray | None = None,
-              weights: np.ndarray | None = None, *,
-              plan=None, plan_key=None) -> Tensor:
-        """Segment (CSC) reduction without per-edge materialization."""
-        raise NotImplementedError
+        return self.sparse(_member_rows(values, plan), plan.member_plan(),
+                           weights)
 
     def dense(self, values: Tensor) -> Tensor:
         """Reduce a regular ``(groups, group_size, dim)`` tensor over axis 1."""
@@ -82,10 +92,25 @@ class Aggregator(Module):
         raise TypeError("aggregators are invoked via sparse/fused/dense, not forward()")
 
 
+def _member_rows(values: Tensor, plan: ReductionPlan) -> Tensor:
+    """The rows a segments plan reduces, gathered into segment order."""
+    return values if plan.gather is None else values[plan.gather]
+
+
 def _apply_weights(values: Tensor, weights: np.ndarray | None) -> Tensor:
     if weights is None:
         return values
     return values * Tensor(np.asarray(weights, dtype=np.float64).reshape(-1, 1))
+
+
+def _fused_reduce(values: Tensor, plan: ReductionPlan,
+                  weights: np.ndarray | None, reducer: str) -> Tensor:
+    if weights is None:
+        return segment_reduce_csr(values, reducer=reducer, plan=plan)
+    # Weights are per-edge: gather the member rows, scale each (one
+    # elementwise multiply), and reduce them where they already lie.
+    rows = _apply_weights(_member_rows(values, plan), weights)
+    return segment_reduce_csr(rows, reducer=reducer, plan=plan.pregathered())
 
 
 class SumAggregator(Aggregator):
@@ -93,26 +118,11 @@ class SumAggregator(Aggregator):
 
     name = "sum"
 
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
-        return scatter_add(_apply_weights(values, weights), index, dim_size,
-                           plan=plan, plan_key=plan_key)
+    def sparse(self, values, plan, weights=None):
+        return scatter_add(_apply_weights(values, weights), plan=plan)
 
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        if weights is not None:
-            # Weights are per-edge: scale gathered rows inside the segment
-            # reduce by pre-scaling (cheap: one elementwise multiply).
-            # The gathered layout has its own (identity) plan under the
-            # same key base, so an explicit ``plan`` does not apply here.
-            if sources is not None:
-                gathered = values[sources] * Tensor(np.asarray(weights).reshape(-1, 1))
-                return segment_reduce_csr(gathered, offsets, None, "sum",
-                                          plan_key=plan_key)
-            return segment_reduce_csr(_apply_weights(values, weights),
-                                      offsets, None, "sum", plan_key=plan_key)
-        return segment_reduce_csr(values, offsets, sources, "sum",
-                                  plan=plan, plan_key=plan_key)
+    def fused(self, values, plan, weights=None):
+        return _fused_reduce(values, plan, weights, "sum")
 
     def dense(self, values):
         return values.sum(axis=1)
@@ -123,22 +133,11 @@ class MeanAggregator(Aggregator):
 
     name = "mean"
 
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
-        return scatter_mean(_apply_weights(values, weights), index, dim_size,
-                            plan=plan, plan_key=plan_key)
+    def sparse(self, values, plan, weights=None):
+        return scatter_mean(_apply_weights(values, weights), plan=plan)
 
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        if weights is not None:
-            if sources is not None:
-                gathered = values[sources] * Tensor(np.asarray(weights).reshape(-1, 1))
-                return segment_reduce_csr(gathered, offsets, None, "mean",
-                                          plan_key=plan_key)
-            return segment_reduce_csr(_apply_weights(values, weights),
-                                      offsets, None, "mean", plan_key=plan_key)
-        return segment_reduce_csr(values, offsets, sources, "mean",
-                                  plan=plan, plan_key=plan_key)
+    def fused(self, values, plan, weights=None):
+        return _fused_reduce(values, plan, weights, "mean")
 
     def dense(self, values):
         return values.mean(axis=1)
@@ -149,15 +148,11 @@ class MaxAggregator(Aggregator):
 
     name = "max"
 
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
-        return scatter_max(values, index, dim_size, plan=plan,
-                           plan_key=plan_key)
+    def sparse(self, values, plan, weights=None):
+        return scatter_max(values, plan=plan)
 
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        return segment_reduce_csr(values, offsets, sources, "max",
-                                  plan=plan, plan_key=plan_key)
+    def fused(self, values, plan, weights=None):
+        return segment_reduce_csr(values, reducer="max", plan=plan)
 
     def dense(self, values):
         return values.max(axis=1)
@@ -168,15 +163,11 @@ class MinAggregator(Aggregator):
 
     name = "min"
 
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
-        return scatter_min(values, index, dim_size, plan=plan,
-                           plan_key=plan_key)
+    def sparse(self, values, plan, weights=None):
+        return scatter_min(values, plan=plan)
 
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        return segment_reduce_csr(values, offsets, sources, "min",
-                                  plan=plan, plan_key=plan_key)
+    def fused(self, values, plan, weights=None):
+        return segment_reduce_csr(values, reducer="min", plan=plan)
 
     def dense(self, values):
         return -((-values).max(axis=1))
@@ -188,23 +179,15 @@ class WeightedSumAggregator(Aggregator):
     name = "weighted_sum"
     supports_dense = False
 
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
+    def sparse(self, values, plan, weights=None):
         if weights is None:
             raise ValueError("weighted_sum requires per-edge weights")
-        return scatter_add(_apply_weights(values, weights), index, dim_size,
-                           plan=plan, plan_key=plan_key)
+        return scatter_add(_apply_weights(values, weights), plan=plan)
 
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
+    def fused(self, values, plan, weights=None):
         if weights is None:
             raise ValueError("weighted_sum requires per-edge weights")
-        if sources is not None:
-            gathered = values[sources] * Tensor(np.asarray(weights).reshape(-1, 1))
-            return segment_reduce_csr(gathered, offsets, None, "sum",
-                                      plan_key=plan_key)
-        return segment_reduce_csr(_apply_weights(values, weights),
-                                  offsets, None, "sum", plan_key=plan_key)
+        return _fused_reduce(values, plan, weights, "sum")
 
     def dense(self, values):  # pragma: no cover - guarded by supports_dense
         raise TypeError("weighted_sum has no dense form")
@@ -226,28 +209,11 @@ class AttentionAggregator(Aggregator):
         self.dim = dim
         self.score_vector = Parameter(rng.standard_normal(dim) / np.sqrt(dim))
 
-    def _attend(self, values: Tensor, index, dim_size: int,
-                plan=None, plan_key=None) -> Tensor:
+    def sparse(self, values, plan, weights=None):
         scores = values @ self.score_vector.reshape(self.dim, 1)
         # Both kernels share one plan: same index, same destination space.
-        alpha = scatter_softmax(scores, index, dim_size, plan=plan,
-                                plan_key=plan_key)
-        return scatter_add(values * alpha, index, dim_size, plan=plan,
-                           plan_key=plan_key)
-
-    def sparse(self, values, index, dim_size, weights=None, *,
-               plan=None, plan_key=None):
-        return self._attend(values, index, dim_size, plan=plan,
-                            plan_key=plan_key)
-
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        # Fall back to the sparse path on an index derived from offsets —
-        # attention inherently scores each member row.
-        counts = np.diff(offsets)
-        index = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        rows = values if sources is None else values[sources]
-        return self._attend(rows, index, counts.size, plan_key=plan_key)
+        alpha = scatter_softmax(scores, plan=plan)
+        return scatter_add(values * alpha, plan=plan)
 
     def dense(self, values):
         from ..tensor.ops import softmax
@@ -287,29 +253,13 @@ class LSTMAggregator(Aggregator):
         self.cell = LSTMCell(dim, self.hidden_dim, rng=rng or np.random.default_rng(0))
         self._scatter_rows = scatter_rows
 
-    def sparse(self, values: Tensor, index: np.ndarray | None, dim_size: int,
-               weights: np.ndarray | None = None, *,
-               plan=None, plan_key=None) -> Tensor:
+    def sparse(self, values: Tensor, plan: ReductionPlan,
+               weights: np.ndarray | None = None) -> Tensor:
         from ..tensor.ops import zeros
-        from ..tensor.plans import (
-            ReductionPlan,
-            get_plan_cache,
-            index_plan_key,
-        )
 
         # The plan already holds exactly what the sequential sweep needs:
         # the stable-sort permutation and per-group counts/starts.
-        if plan is None:
-            if index is None:
-                raise ValueError("lstm aggregation needs an index when no plan is given")
-            index = np.asarray(index, dtype=np.int64)
-            if plan_key is not None:
-                plan = get_plan_cache().get_or_build(
-                    index_plan_key(plan_key, index.size, dim_size),
-                    lambda: ReductionPlan.from_index(index, dim_size),
-                )
-            else:
-                plan = ReductionPlan.from_index(index, dim_size)
+        dim_size = plan.n
         order = plan.gather
         counts = plan.counts
         starts = plan.offsets[:-1]
@@ -327,13 +277,6 @@ class LSTMAggregator(Aggregator):
             h = h * keep_col + self._scatter_rows(h_new, active, dim_size)
             c = c * keep_col + self._scatter_rows(c_new, active, dim_size)
         return h
-
-    def fused(self, values, offsets, sources=None, weights=None, *,
-              plan=None, plan_key=None):
-        counts = np.diff(offsets)
-        index = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        rows = values if sources is None else values[np.asarray(sources, dtype=np.int64)]
-        return self.sparse(rows, index, counts.size, plan_key=plan_key)
 
     def dense(self, values):  # pragma: no cover - guarded by supports_dense
         raise TypeError("lstm aggregation has no dense form")

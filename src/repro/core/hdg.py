@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..tensor.plans import PlanMemo, ReductionPlan
 from .schema import NeighborRecord, SchemaTree
 
 __all__ = [
@@ -81,7 +82,7 @@ class HDG:
             if num_input_vertices is not None
             else (self.leaf_vertices.max() + 1 if self.leaf_vertices.size else 0)
         )
-        self._fingerprint: str | None = None
+        self._plans = PlanMemo()
         self._validate()
 
     def _validate(self) -> None:
@@ -262,35 +263,50 @@ class HDG:
         return np.repeat(inst_root, np.diff(self.leaf_offsets))
 
     # ------------------------------------------------------------------
-    # Identity
+    # Reduction plans (the kernels' precomputed structure, one per level)
     # ------------------------------------------------------------------
-    def fingerprint(self) -> str:
-        """Stable hex digest of the HDG's reduction *structure*.
+    def plan(self, level: int, layout: str,
+             num_rows: int | None = None) -> ReductionPlan:
+        """The :class:`~repro.tensor.plans.ReductionPlan` that reduces
+        ``level`` into ``level - 1`` (numbered as in :meth:`sub_graph`),
+        built on first use and kept for as long as this HDG lives.
 
-        Covers every array that shapes an aggregation (leaf CSC, instance
-        offsets, weights, leaf id space, schema width) but not the root
-        ids themselves — two HDGs with identical structure reduce
-        identically.  HDG arrays are never mutated after construction
-        (edits build a new HDG), so the digest is computed once and
-        memoized; :mod:`repro.tensor.plans` keys cached reduction plans
-        on it, which makes stale plans unreachable after a graph edit.
+        ``layout="index"`` is the scatter (SA) plan over the level's COO
+        destination index, one row per edge.  ``layout="segments"`` is
+        the fused (FA) plan over the level's offsets: the bottom level
+        gathers ``leaf_vertices`` out of a ``num_rows``-row feature
+        matrix, the in-between level reduces its consecutive instances
+        in place (the elided-Dst identity layout).
+
+        HDG arrays are never mutated after construction (an edit builds
+        a new HDG), so a memoized plan cannot go stale; the memo key is
+        the call's shape, so a differently shaped call gets its own
+        plan.  Plans are not part of :attr:`nbytes` and are not pickled.
         """
-        if self._fingerprint is None:
-            import hashlib
+        return self._plans.get_or_build(
+            (level, layout, num_rows),
+            lambda: self._build_plan(level, layout, num_rows),
+        )
 
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_input_vertices).tobytes())
-            h.update(np.int64(self.schema.num_leaves).tobytes())
-            h.update(self.leaf_vertices.tobytes())
-            h.update(self.leaf_offsets.tobytes())
-            if self.instance_offsets is not None:
-                h.update(b"inst")
-                h.update(self.instance_offsets.tobytes())
-            if self.leaf_weights is not None:
-                h.update(b"wts")
-                h.update(self.leaf_weights.tobytes())
-            self._fingerprint = h.hexdigest()[:16]
-        return self._fingerprint
+    def _build_plan(self, level: int, layout: str,
+                    num_rows: int | None) -> ReductionPlan:
+        if layout == "index" and num_rows is None:
+            dst = self.sub_graph(level)[0]  # rejects levels this HDG lacks
+            n_out = (self.num_roots if level == 1 else
+                     self.num_slots if level == 2 else self.num_instances)
+            return ReductionPlan.from_index(dst, n_out)
+        if layout == "segments" and level == self.max_level \
+                and num_rows is not None:
+            return ReductionPlan.from_segments(
+                self.leaf_offsets, self.leaf_vertices, num_rows)
+        if layout == "segments" and level == 2 and self.depth == 3 \
+                and num_rows is None:
+            return ReductionPlan.from_segments(
+                self.instance_offsets, None, self.num_instances)
+        raise ValueError(
+            f"no {layout!r} plan for level {level} of a depth-{self.depth} "
+            f"HDG (num_rows={num_rows})"
+        )
 
     # ------------------------------------------------------------------
     # Memory accounting (Table 5 and the storage ablation)
@@ -457,8 +473,7 @@ class MemmapHDG(HDG):
 
     def __init__(self, roots: np.ndarray, schema: SchemaTree,
                  leaf_vertices: np.ndarray, leaf_offsets: np.ndarray,
-                 num_input_vertices: int,
-                 source_files: list[str] | None = None):
+                 num_input_vertices: int):
         # Deliberately skip HDG.__init__: its asarray calls would drop
         # the memmap subclass and its validation reads every page.
         self.roots = np.asarray(roots, dtype=np.int64)
@@ -468,8 +483,7 @@ class MemmapHDG(HDG):
         self.instance_offsets = None
         self.leaf_weights = None
         self.num_input_vertices = int(num_input_vertices)
-        self._fingerprint: str | None = None
-        self._source_files = list(source_files or [])
+        self._plans = PlanMemo()
 
     def restrict_to_roots(self, root_orders: np.ndarray) -> HDG:
         """Materialize the selected roots' sub-HDG as a regular in-RAM
@@ -487,36 +501,6 @@ class MemmapHDG(HDG):
             new_offsets, instance_offsets=None, leaf_weights=None,
             num_input_vertices=self.num_input_vertices,
         )
-
-    def fingerprint(self) -> str:
-        """Content-addressing without reading the files: hash the backing
-        paths plus size/mtime.  Falls back to a per-object token when the
-        arrays carry no filename (anonymous memmaps)."""
-        if self._fingerprint is None:
-            import hashlib
-            import os
-
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_input_vertices).tobytes())
-            names = self._source_files or [
-                getattr(arr, "filename", None)
-                for arr in (self.leaf_offsets, self.leaf_vertices)
-            ]
-            stamped = False
-            for name in names:
-                if not name:
-                    continue
-                st = os.stat(name)
-                h.update(str(name).encode())
-                h.update(np.int64(st.st_size).tobytes())
-                h.update(np.float64(st.st_mtime).tobytes())
-                stamped = True
-            if not stamped:
-                import secrets
-
-                h.update(secrets.token_bytes(16))
-            self._fingerprint = h.hexdigest()[:16]
-        return self._fingerprint
 
 
 def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -646,15 +630,9 @@ def hdg_from_graph(graph, weights: np.ndarray | None = None) -> HDG:
         # never copy the edge array into RAM.
         if weights is not None:
             raise ValueError("memmap-backed graphs do not support edge weights")
-        files = [
-            name for name in (
-                getattr(indptr, "filename", None),
-                getattr(indices, "filename", None),
-            ) if name
-        ]
         return MemmapHDG(
             roots, SchemaTree(), indices, indptr,
-            num_input_vertices=graph.num_vertices, source_files=files,
+            num_input_vertices=graph.num_vertices,
         )
     return HDG(
         roots,

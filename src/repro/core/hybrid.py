@@ -15,7 +15,10 @@ schema tree (level 1)  SA / SA+FA: scatter ops
 =====================  =================================================
 
 ``SA``, ``SA_FA`` and ``HA`` are exactly the three strategies compared in
-Figure 14.
+Figure 14.  Whichever backend runs, the level's structure comes from one
+place: the ``_reduce_*`` functions ask the HDG for the level's memoized
+:class:`~repro.tensor.plans.ReductionPlan` (:meth:`HDG.plan`) and hand it
+to the UDF.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import time
 
 from ..obs import event as _obs_event
 from ..obs.profile import record_op, work_since, work_snapshot
-from ..tensor.plans import ReductionPlan, get_plan_cache, index_plan_key
 from ..tensor.tensor import Tensor
 from .aggregation import Aggregator
 from .hdg import HDG
@@ -55,21 +57,6 @@ def _run_backend(level: str, backend: str, strategy: "ExecutionStrategy",
         seconds=time.perf_counter() - start, **work,
     )
     return out
-
-
-def _cached_index_plan(base, length: int, n_out: int, build_index):
-    """Fetch (or build once) the reduction plan for one HDG level.
-
-    ``base`` embeds ``hdg.fingerprint()``, so the key is content-addressed:
-    a graph edit produces a new HDG with a new fingerprint and the stale
-    plan is simply never reachable again.  ``build_index`` is only called
-    on a cache miss — on hits the ``np.repeat``/``argsort``/CSR work is
-    skipped entirely.
-    """
-    return get_plan_cache().get_or_build(
-        index_plan_key(base, length, n_out),
-        lambda: ReductionPlan.from_index(build_index(), n_out),
-    )
 
 
 class ExecutionStrategy(enum.Enum):
@@ -145,28 +132,22 @@ def hierarchical_aggregate(
 def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
                    strategy: ExecutionStrategy) -> Tensor:
     """Leaves -> instances (depth 3) or leaves -> roots (depth 1)."""
-    n_out = hdg.num_instances if hdg.depth == 3 else hdg.num_roots
-    base = (hdg.fingerprint(), "bottom")
-
+    level = hdg.max_level
     if strategy is ExecutionStrategy.SA or not agg.supports_fused:
         def sparse_path():
             src = hdg.leaf_vertices
-            plan = _cached_index_plan(
-                base, src.size, n_out,
-                lambda: hdg.sub_graph(hdg.max_level)[0],
-            )
             gathered = feats[src]  # materializes one message per edge
             record_op("gather",
                       bytes_read=gathered.data.nbytes + src.nbytes,
                       bytes_written=gathered.data.nbytes)
-            return agg.sparse(gathered, None, n_out,
-                              weights=hdg.leaf_weights, plan=plan)
+            return agg.sparse(gathered, hdg.plan(level, "index"),
+                              hdg.leaf_weights)
         return _run_backend("bottom", "sparse", strategy, agg, sparse_path)
 
     return _run_backend(
         "bottom", "fused", strategy, agg,
-        lambda: agg.fused(feats, hdg.leaf_offsets, hdg.leaf_vertices,
-                          weights=hdg.leaf_weights, plan_key=base),
+        lambda: agg.fused(feats, hdg.plan(level, "segments", feats.shape[0]),
+                          hdg.leaf_weights),
     )
 
 
@@ -174,21 +155,15 @@ def _reduce_instances(hdg: HDG, instance_feats: Tensor, agg: Aggregator,
                       strategy: ExecutionStrategy) -> Tensor:
     """Instances -> slots.  Instances are consecutive per slot, so HA can
     reduce on the elided layout without building an index."""
-    base = (hdg.fingerprint(), "instances")
     if strategy is ExecutionStrategy.HA and agg.supports_fused:
         return _run_backend(
             "instances", "fused", strategy, agg,
-            lambda: agg.fused(instance_feats, hdg.instance_offsets,
-                              sources=None, plan_key=base),
+            lambda: agg.fused(instance_feats, hdg.plan(2, "segments")),
         )
-
-    def sparse_path():
-        plan = _cached_index_plan(
-            base, hdg.num_instances, hdg.num_slots,
-            lambda: hdg.sub_graph(2)[0],
-        )
-        return agg.sparse(instance_feats, None, hdg.num_slots, plan=plan)
-    return _run_backend("instances", "sparse", strategy, agg, sparse_path)
+    return _run_backend(
+        "instances", "sparse", strategy, agg,
+        lambda: agg.sparse(instance_feats, hdg.plan(2, "index")),
+    )
 
 
 def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
@@ -213,10 +188,7 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
             return out
         return _run_backend("schema", "dense", strategy, agg, dense_path)
 
-    def sparse_path():
-        plan = _cached_index_plan(
-            (hdg.fingerprint(), "schema"), hdg.num_slots, hdg.num_roots,
-            lambda: hdg.sub_graph(1)[0],
-        )
-        return agg.sparse(slot_feats, None, hdg.num_roots, plan=plan)
-    return _run_backend("schema", "sparse", strategy, agg, sparse_path)
+    return _run_backend(
+        "schema", "sparse", strategy, agg,
+        lambda: agg.sparse(slot_feats, hdg.plan(1, "index")),
+    )

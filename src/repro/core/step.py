@@ -330,7 +330,7 @@ def compact_blocks(blocks: list[tuple[HDG, np.ndarray]],
         local_blocks.append((
             HDG(
                 out_local, block.schema, local(block.leaf_vertices),
-                block.leaf_offsets, instance_offsets=None,
+                block.leaf_offsets, instance_offsets=block.instance_offsets,
                 leaf_weights=block.leaf_weights,
                 num_input_vertices=input_vertices.size,
             ),

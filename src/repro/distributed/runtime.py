@@ -4,8 +4,8 @@
 cluster as real OS processes.  Each worker executes exactly the
 per-partition computation :class:`~repro.distributed.trainer.DistributedTrainer`
 runs serially today — sliced HDG aggregation + update over its
-``Worker.sub_hdg``, with the process-global plan cache warm across
-epochs — so the two runtimes are numerically interchangeable; the
+``Worker.sub_hdg``, which keeps its reduction plans across epochs
+until it is re-sliced — so the two runtimes are numerically interchangeable; the
 difference is that here layer synchronization, gradient reduction and
 epoch times are *wall clock*, not modeled.
 

@@ -15,7 +15,7 @@ from ..core.hybrid import ExecutionStrategy
 from ..core.nau import GNNLayer, NAUModel, SelectionScope
 from ..tensor.nn import Linear
 from ..tensor.ops import concat
-from ..tensor.scatter import segment_reduce_csr
+from ..tensor.scatter import scatter_max, segment_reduce_csr
 from ..tensor.tensor import Tensor
 
 __all__ = ["SAGELayer", "GraphSAGE", "graphsage"]
@@ -45,14 +45,12 @@ class SAGELayer(GNNLayer):
             raise ValueError("SAGE-pool is a DNFA model (flat HDGs only)")
         pooled = self.pool(feats).relu()
         strategy = ExecutionStrategy.parse(strategy)
-        base = (hdg.fingerprint(), "sage.pool")
         if strategy is ExecutionStrategy.SA:
-            from ..tensor.scatter import scatter_max
-
-            dst, src = hdg.sub_graph(1)
-            return scatter_max(pooled[src], dst, hdg.num_roots, plan_key=base)
-        return segment_reduce_csr(pooled, hdg.leaf_offsets, hdg.leaf_vertices,
-                                  "max", plan_key=base)
+            return scatter_max(pooled[hdg.leaf_vertices],
+                               plan=hdg.plan(1, "index"))
+        return segment_reduce_csr(
+            pooled, reducer="max",
+            plan=hdg.plan(1, "segments", pooled.shape[0]))
 
     def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
         out = self.linear(concat([feats, nbr_feats], axis=-1))

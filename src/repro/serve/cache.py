@@ -10,10 +10,12 @@ recomputing layer outputs that are already known.  Two caches cooperate:
   evict *exactly* the affected vertices (per layer, hop-expanded via
   :func:`expand_affected`) so the untouched working set survives an
   update with its hit rate intact.
-* :class:`HDGBlockCache` — an LRU cache of seed-restricted block HDGs.
-  Block keys embed the graph version, so a version bump makes every
-  stale block unreachable without any per-entry bookkeeping; the session
-  clears it outright on update to reclaim the bytes.
+* :class:`HDGBlockCache` — an LRU cache of seed-restricted blocks in
+  block-local coordinates (:class:`~repro.core.step.CompactBlocks`),
+  each holding the reduction plans its forward built.  Block keys embed
+  the graph version, so a version bump makes every stale block
+  unreachable without any per-entry bookkeeping; the session clears it
+  outright on update to reclaim the bytes.
 
 Both caches report into :mod:`repro.obs` (``serve.cache.*`` counters),
 so hit/miss/eviction totals show up in traces and in the ledger's
@@ -43,13 +45,14 @@ __all__ = [
 def block_nbytes(block) -> int:
     """Recursive resident-byte accounting over every array a block holds.
 
-    ``HDG.nbytes`` knows only the arrays the base class declares; block
-    subclasses (and composite blocks holding mappings or per-level
-    sub-structures) carry additional arrays that a flat ``block.nbytes``
-    silently omits — so a byte-budgeted cache admits more than its
-    budget.  This walks ``__slots__``/``__dict__``/containers, summing
-    each distinct ndarray once.  Memory-mapped arrays count 0: their
-    pages belong to the kernel, not the cache's budget.
+    ``HDG.nbytes`` is the paper's §4.1 storage footprint and knows only
+    the arrays the base class declares; a cached block also holds its
+    local-coordinate mappings and the reduction plans (index arrays,
+    CSR matrices) its HDG has built — arrays a flat ``block.nbytes``
+    omits, so a byte-budgeted cache would admit more than its budget.
+    This walks ``__slots__``/``__dict__``/containers, summing each
+    distinct ndarray once.  Memory-mapped arrays count 0: their pages
+    belong to the kernel, not the cache's budget.
     """
     seen: set[int] = set()
     total = 0
@@ -277,16 +280,20 @@ class EmbeddingCache:
 
 
 class HDGBlockCache:
-    """LRU cache of seed-restricted block HDGs.
+    """LRU cache of seed-restricted blocks.
 
+    A block is a block HDG, or the :class:`~repro.core.step.CompactBlocks`
+    wrapping one in block-local coordinates (what the session stores).
     Keys are ``(layer, version, fanout, digest-of-roots)``; embedding
     the graph version means stale blocks are simply never looked up
-    again after an update.
+    again after an update.  A block is sized once, when it is put —
+    put it *after* its first forward, so ``max_bytes`` also covers the
+    reduction plans the block owns from then on.
     """
 
     def __init__(self, max_bytes: int = 16 * 1024 * 1024):
         self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, tuple[int, HDG]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[int, object]] = OrderedDict()
         self.current_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -302,7 +309,7 @@ class HDGBlockCache:
         return (layer, version, fanout, hash(roots.tobytes()))
 
     def get(self, layer: int, version: int, fanout: int | None,
-            roots: np.ndarray) -> HDG | None:
+            roots: np.ndarray):
         key = self._key(layer, version, fanout, roots)
         entry = self._entries.get(key)
         if entry is None:
@@ -315,16 +322,16 @@ class HDGBlockCache:
         return entry[1]
 
     def put(self, layer: int, version: int, fanout: int | None,
-            roots: np.ndarray, block: HDG) -> None:
+            roots: np.ndarray, block) -> None:
         if self.max_bytes <= 0:
             return
         key = self._key(layer, version, fanout, roots)
         old = self._entries.pop(key, None)
         if old is not None:
             self.current_bytes -= old[0]
-        # Recursive accounting: block subclasses carry arrays the base
-        # HDG.nbytes does not know about, and undercounting lets the
-        # cache blow past its byte budget.
+        # Recursive accounting: a block carries arrays (mappings, plans)
+        # the base HDG.nbytes does not know about, and undercounting
+        # lets the cache blow past its byte budget.
         nbytes = block_nbytes(block)
         self._entries[key] = (nbytes, block)
         self.current_bytes += nbytes

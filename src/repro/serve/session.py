@@ -4,8 +4,10 @@
 A session is the serve-time counterpart of
 :class:`~repro.core.engine.FlexGraphEngine`: instead of a full-graph
 forward per call it computes, per request, only the seed-restricted
-blocks (the same block construction sampled mini-batch training uses —
-:func:`repro.core.step.build_block`), and it fills every layer's
+blocks (the same block forward sampled mini-batch training uses —
+:func:`repro.core.step.build_block`, relabeled into block-local
+coordinates by :func:`repro.core.step.compact_blocks`, so a request
+touches O(block) rows, never O(graph)), and it fills every layer's
 outputs through the versioned :class:`~repro.serve.cache.EmbeddingCache`
 so hot vertices are never recomputed.
 
@@ -34,7 +36,12 @@ from ..core.dynamic import MetapathHDGMaintainer
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel, SelectionScope
-from ..core.step import ModelHDGs, build_block, check_block_source
+from ..core.step import (
+    ModelHDGs,
+    build_block,
+    check_block_source,
+    compact_blocks,
+)
 from ..graph.graph import Graph
 from ..loader.source import as_source
 from ..storage.store import load_checkpoint
@@ -226,21 +233,7 @@ class InferenceSession:
         missing = vertices[~hit_mask]
         computed: np.ndarray | None = None
         if missing.size:
-            block = self._block(level, missing)
-            prev_need = (
-                np.unique(np.concatenate([missing, block.leaf_vertices]))
-                if block.leaf_vertices.size else missing
-            )
-            prev_rows = self._rows(level - 1, prev_need)
-            full = np.zeros(
-                (self.graph.num_vertices, prev_rows.shape[1]),
-                dtype=prev_rows.dtype,
-            )
-            full[prev_need] = prev_rows
-            with no_grad():
-                out = self.model.layers[level - 1].forward(
-                    Tensor(full), block, self.strategy, rows=missing)
-            computed = out.numpy()
+            computed = self._compute(level, missing)
             self.embed_cache.store(level, missing, computed, self.version.value)
         dim = (computed.shape[1] if computed is not None else hit_rows[0].shape[0])
         dtype = computed.dtype if computed is not None else hit_rows[0].dtype
@@ -251,17 +244,29 @@ class InferenceSession:
             result[~hit_mask] = computed
         return result
 
-    def _block(self, level: int, roots: np.ndarray) -> HDG:
+    def _compute(self, level: int, roots: np.ndarray) -> np.ndarray:
+        """Layer ``level``'s output rows for ``roots``: one block forward
+        in block-local coordinates over the rows the block references."""
         fanout = self.fanouts[level - 1]
         version = self.version.value
         # Sampled blocks are draw-dependent; caching one draw per root
         # set is the INFA memoization the docstring describes.
-        cached = self.block_cache.get(level, version, fanout, roots)
-        if cached is not None:
-            return cached
-        block = build_block(self.hdg, roots, fanout, self._rng)
-        self.block_cache.put(level, version, fanout, roots, block)
-        return block
+        compact = self.block_cache.get(level, version, fanout, roots)
+        fresh = compact is None
+        if fresh:
+            block = build_block(self.hdg, roots, fanout, self._rng)
+            compact = compact_blocks([(block, roots)], roots)
+        (local_block, out_local), = compact.blocks
+        prev_rows = self._rows(level - 1, compact.input_vertices)
+        with no_grad():
+            out = self.model.layers[level - 1].forward(
+                Tensor(prev_rows), local_block, self.strategy, rows=out_local)
+        if fresh:
+            # Stored after its first forward: the block now owns the
+            # reduction plans that forward built, and the cache's byte
+            # budget has to pay for them.
+            self.block_cache.put(level, version, fanout, roots, compact)
+        return out.numpy()
 
     # ------------------------------------------------------------------
     # Dynamic graph updates + targeted invalidation
@@ -342,10 +347,9 @@ class InferenceSession:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        # Reduction plans ride alongside cached blocks: each cached block
-        # HDG keeps its fingerprint, so plan-cache hits track block-cache
-        # hits once a block has been aggregated over twice.  The plan
-        # cache is process-global (training and serving share it).
+        # Reduction plans belong to the blocks the block cache holds, so
+        # plan hits track block-cache hits.  "plan_cache" is the
+        # process-wide view (training and serving share it).
         return {
             "graph_version": self.version.value,
             "embed_cache": self.embed_cache.stats(),

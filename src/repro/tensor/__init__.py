@@ -41,9 +41,6 @@ from .plans import (
     ReductionPlan,
     accumulation_dtype,
     get_plan_cache,
-    index_plan_key,
-    segment_plan_key,
-    set_plan_cache,
 )
 from .schedulers import (
     CosineAnnealingLR,
@@ -73,8 +70,7 @@ __all__ = [
     "scatter_add", "scatter_mean", "scatter_max", "scatter_min",
     "scatter_softmax", "segment_reduce_csr",
     "ReductionPlan", "PlanCache", "accumulation_dtype",
-    "get_plan_cache", "set_plan_cache",
-    "index_plan_key", "segment_plan_key",
+    "get_plan_cache",
     "materialized_bytes", "peak_materialized_bytes",
     "reset_materialized_bytes", "release_materialized_bytes",
     "Module", "Parameter", "Linear", "Embedding", "LSTMCell", "ReLU", "Dropout", "Sequential",

@@ -1,4 +1,4 @@
-"""Cached reduction plans — structure setup hoisted off the kernel hot path.
+"""Reduction plans — structure setup hoisted off the kernel hot path.
 
 Every scatter/segment reduction in :mod:`repro.tensor.scatter` needs the
 same handful of derived structures: a stable-sort permutation of the
@@ -10,19 +10,23 @@ is pure overhead — NeuGraph-style topology-aware scheduling amortizes
 it once.
 
 :class:`ReductionPlan` packages the precomputation for one reduction
-structure; :class:`PlanCache` is a byte-budgeted LRU keyed by content
-fingerprint (``HDG.fingerprint()`` / ``Graph.fingerprint()``), so a
-graph edit produces a new fingerprint and stale plans simply age out —
-the same versioning discipline as :class:`repro.serve.cache.HDGBlockCache`.
+structure.  A plan belongs to the topology it describes: each HDG holds
+a :class:`PlanMemo` and builds the plan of a level the first time that
+level is reduced (:meth:`repro.core.hdg.HDG.plan`), so plans live
+exactly as long as their HDG — a graph edit builds a new HDG, and the
+old one takes its plans with it.  :class:`PlanCache` owns no plan; it is
+the process-wide *view* over the live memos (reuse counts, live entries
+and bytes).
 
-Cache traffic lands in the ``plan.cache.*`` obs counters, so traces and
-epoch logs show when the plan layer is (or is not) amortizing.
+Reuse lands in the ``plan.cache.*`` obs counters, so traces and epoch
+logs show when the plan layer is (or is not) amortizing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable
+import threading
+import weakref
+from typing import Callable, Hashable
 
 import numpy as np
 import scipy.sparse as _sp
@@ -32,22 +36,18 @@ from ..obs.profile import record_op
 
 __all__ = [
     "ReductionPlan",
+    "PlanMemo",
     "PlanCache",
     "accumulation_dtype",
     "get_plan_cache",
-    "set_plan_cache",
-    "index_plan_key",
-    "segment_plan_key",
     "PLAN_HIT_COUNTER",
     "PLAN_MISS_COUNTER",
     "PLAN_BUILD_COUNTER",
-    "PLAN_EVICTION_COUNTER",
 ]
 
 PLAN_HIT_COUNTER = "plan.cache.hit"
 PLAN_MISS_COUNTER = "plan.cache.miss"
 PLAN_BUILD_COUNTER = "plan.cache.build"
-PLAN_EVICTION_COUNTER = "plan.cache.evictions"
 
 
 def accumulation_dtype(dtype) -> np.dtype:
@@ -63,23 +63,6 @@ def accumulation_dtype(dtype) -> np.dtype:
     return np.dtype(np.float32) if dtype == np.float16 else dtype
 
 
-def index_plan_key(base, length: int, dim_size: int) -> tuple:
-    """Cache key for a plan over a scatter ``index`` array.
-
-    ``base`` identifies the topology (e.g. ``(hdg.fingerprint(), level)``);
-    the structural tail guards against reusing a plan for a call with a
-    different shape under the same base.
-    """
-    return ("idx", base, int(length), int(dim_size))
-
-
-def segment_plan_key(base, num_segments: int, total: int, num_rows: int,
-                     identity: bool) -> tuple:
-    """Cache key for a plan over an ``(offsets, sources)`` CSR structure."""
-    return ("seg", base, int(num_segments), int(total), int(num_rows),
-            bool(identity))
-
-
 class ReductionPlan:
     """Precomputed structure for one segmented reduction.
 
@@ -93,15 +76,15 @@ class ReductionPlan:
       is ``sources`` (or ``None`` for the elided-Dst identity layout).
 
     Heavy artifacts (the SpMM matrix, its CSC transpose re-expressed as
-    CSR, safe divisor vectors) are built lazily per dtype and memoized,
-    with byte growth reported back to the owning :class:`PlanCache`.
+    CSR, safe divisor vectors, the derived plans) are built lazily — per
+    dtype where one applies — and memoized on the plan.
     """
 
     __slots__ = (
         "kind", "n", "num_rows", "total", "offsets", "counts",
         "nonempty", "starts", "gather",
         "_index", "_matrices", "_matrices_t", "_safe_counts",
-        "_inv_counts", "_source_plan", "_owner",
+        "_inv_counts", "_derived",
     )
 
     def __init__(self, kind: str, n: int, num_rows: int, total: int,
@@ -122,8 +105,7 @@ class ReductionPlan:
         self._matrices_t: dict[str, _sp.csr_matrix] = {}
         self._safe_counts: dict[str, np.ndarray] = {}
         self._inv_counts: dict[str, np.ndarray] = {}
-        self._source_plan: ReductionPlan | None = None
-        self._owner: PlanCache | None = None
+        self._derived: dict[str, ReductionPlan] = {}
         record_op("plan.build",
                   bytes_read=(0 if index is None else index.nbytes),
                   bytes_written=self.nbytes)
@@ -195,7 +177,6 @@ class ReductionPlan:
             self._index = np.repeat(
                 np.arange(self.n, dtype=np.int64), self.counts
             )
-            self._grew(self._index.nbytes)
         return self._index
 
     def matrix(self, dtype) -> _sp.csr_matrix:
@@ -216,18 +197,18 @@ class ReductionPlan:
                 shape=(self.n, self.num_rows),
             )
             self._matrices[key] = m
-            self._grew(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
         return m
 
     def matrix_t(self, dtype) -> _sp.csr_matrix:
         """CSC transpose of :meth:`matrix`, re-expressed as CSR so the
-        backward SpMM never converts on the hot path.  Memoized per dtype."""
+        backward SpMM converts once per plan, not per call.  Memoized per
+        dtype; first asked for by a backward, so a plan that only ever
+        runs forward (inference) never holds one."""
         key = accumulation_dtype(dtype).str
         m = self._matrices_t.get(key)
         if m is None:
             m = self.matrix(dtype).T.tocsr()
             self._matrices_t[key] = m
-            self._grew(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
         return m
 
     def safe_counts(self, dtype) -> np.ndarray:
@@ -239,7 +220,6 @@ class ReductionPlan:
         if c is None:
             c = np.maximum(self.counts, 1).astype(accumulation_dtype(dtype))
             self._safe_counts[key] = c
-            self._grew(c.nbytes)
         return c
 
     def inv_counts(self, dtype) -> np.ndarray:
@@ -249,8 +229,14 @@ class ReductionPlan:
         if c is None:
             c = 1.0 / self.safe_counts(dtype)
             self._inv_counts[key] = c
-            self._grew(c.nbytes)
         return c
+
+    def _derive(self, name: str,
+                build: Callable[[], "ReductionPlan"]) -> "ReductionPlan":
+        plan = self._derived.get(name)
+        if plan is None:
+            plan = self._derived[name] = build()
+        return plan
 
     def source_plan(self) -> "ReductionPlan | None":
         """For gathered segment plans: an index plan over ``sources`` that
@@ -258,111 +244,120 @@ class ReductionPlan:
         layout is the identity (edge grads map 1:1 to value rows)."""
         if self.gather is None:
             return None
-        if self._source_plan is None:
-            self._source_plan = ReductionPlan.from_index(
-                self.gather, self.num_rows
-            )
-            self._grew(self._source_plan.nbytes)
-        return self._source_plan
+        return self._derive("source", lambda: ReductionPlan.from_index(
+            self.gather, self.num_rows))
+
+    def pregathered(self) -> "ReductionPlan":
+        """For segment plans: the same segments over rows the caller has
+        already gathered into segment order (``value[plan.gather]``, e.g.
+        to scale each by a per-edge weight) — the identity layout."""
+        if self.gather is None:
+            return self
+        return self._derive("pregathered", lambda: ReductionPlan(
+            "segments", self.n, self.total, self.total, self.offsets,
+            self.counts, None, None))
+
+    def member_plan(self) -> "ReductionPlan":
+        """For segment plans: the index-kind plan over the same
+        pre-gathered rows, for UDFs that reduce with ``scatter_*``."""
+        return self._derive("members", lambda: ReductionPlan(
+            "index", self.n, self.total, self.total, self.offsets,
+            self.counts, np.arange(self.total, dtype=np.int64), self.index))
 
     # -- accounting -----------------------------------------------------
+    def _arrays(self, seen: dict[int, np.ndarray]) -> None:
+        """Collect every array this plan keeps resident, once each: the
+        derived plans and the CSR matrices share arrays with it."""
+        owned = [self.offsets, self.counts, self.nonempty, self.starts,
+                 self.gather, self._index,
+                 *self._safe_counts.values(), *self._inv_counts.values()]
+        for m in (*self._matrices.values(), *self._matrices_t.values()):
+            owned += [m.data, m.indices, m.indptr]
+        seen.update((id(a), a) for a in owned if a is not None)
+        for plan in self._derived.values():
+            plan._arrays(seen)
+
     @property
     def nbytes(self) -> int:
         """Current footprint, including lazily built artifacts."""
-        total = self.offsets.nbytes + self.counts.nbytes
-        total += self.nonempty.nbytes + self.starts.nbytes
-        if self.gather is not None:
-            total += self.gather.nbytes
-        if self._index is not None and self._index is not self.gather:
-            total += self._index.nbytes
-        for m in (*self._matrices.values(), *self._matrices_t.values()):
-            total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        for c in (*self._safe_counts.values(), *self._inv_counts.values()):
-            total += c.nbytes
-        if self._source_plan is not None:
-            total += self._source_plan.nbytes
-        return int(total)
+        seen: dict[int, np.ndarray] = {}
+        self._arrays(seen)
+        return int(sum(a.nbytes for a in seen.values()))
 
-    def _grew(self, nbytes: int) -> None:
-        if self._owner is not None:
-            self._owner._grew(int(nbytes))
+
+class PlanMemo:
+    """The plans one topology owner (an HDG) has built so far.
+
+    Keys name the owner's own structure (level, layout, row count), so
+    there is nothing to collide with and nothing to invalidate: the memo
+    dies with its owner.  Reuse and builds are reported to the
+    process-wide :class:`PlanCache` view.
+    """
+
+    def __init__(self) -> None:
+        self._plans: dict[Hashable, ReductionPlan] = {}
+
+    def __reduce__(self):
+        # Plans are derived structure: a pickled owner (the sub-HDG a
+        # worker process is shipped) carries none and rebuilds its own.
+        return (PlanMemo, ())
+
+    def get_or_build(self, key: Hashable,
+                     builder: Callable[[], ReductionPlan]) -> ReductionPlan:
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = builder()
+            _PLAN_CACHE._built(self)
+        else:
+            _PLAN_CACHE._reused()
+        return plan
+
+    def plans(self) -> list[ReductionPlan]:
+        return list(self._plans.values())
+
+    def clear(self) -> None:
+        self._plans.clear()
 
 
 class PlanCache:
-    """LRU, byte-budgeted store of :class:`ReductionPlan` objects.
+    """Process-wide view over the plans live HDGs hold.
 
-    Keys embed a content fingerprint of the topology (see
-    :func:`index_plan_key`), so a graph edit changes the key and stale
-    plans are never looked up again — they age out of the LRU exactly
-    like stale blocks in :class:`repro.serve.cache.HDGBlockCache`.
-    ``max_bytes=0`` disables caching (every lookup misses, puts drop).
+    It owns no plan and evicts nothing — a plan is freed when its HDG
+    is.  ``hits`` counts reuses of a memoized plan, ``misses`` /
+    ``builds`` count plans built; ``entries`` / ``bytes`` are whatever
+    is alive right now.
     """
 
-    def __init__(self, max_bytes: int = 256 * 1024 * 1024):
-        self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, ReductionPlan] = OrderedDict()
-        self.current_bytes = 0
+    def __init__(self) -> None:
+        self._memos: weakref.WeakSet[PlanMemo] = weakref.WeakSet()
+        # Serving builds plans on the batcher thread while another
+        # thread reads stats(); a WeakSet must not grow mid-iteration.
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.builds = 0
-        self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> ReductionPlan | None:
-        plan = self._entries.get(key)
-        if plan is None:
-            self.misses += 1
-            _obs_counter(PLAN_MISS_COUNTER).add(1)
-            return None
-        self._entries.move_to_end(key)
+    def _reused(self) -> None:
         self.hits += 1
         _obs_counter(PLAN_HIT_COUNTER).add(1)
-        return plan
 
-    def put(self, key: tuple, plan: ReductionPlan) -> ReductionPlan:
-        if self.max_bytes <= 0:
-            return plan
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= old.nbytes
-            old._owner = None
-        self._entries[key] = plan
-        plan._owner = self
-        self.current_bytes += plan.nbytes
-        self._evict()
-        return plan
+    def _built(self, memo: PlanMemo) -> None:
+        with self._lock:
+            self._memos.add(memo)
+        self.misses += 1
+        self.builds += 1
+        _obs_counter(PLAN_MISS_COUNTER).add(1)
+        _obs_counter(PLAN_BUILD_COUNTER).add(1)
 
-    def get_or_build(self, key: tuple,
-                     builder: Callable[[], ReductionPlan]) -> ReductionPlan:
-        """Return the cached plan for ``key``, building (and counting a
-        ``plan.cache.build``) on miss."""
-        plan = self.get(key)
-        if plan is None:
-            plan = builder()
-            self.builds += 1
-            _obs_counter(PLAN_BUILD_COUNTER).add(1)
-            self.put(key, plan)
-        return plan
-
-    def _grew(self, nbytes: int) -> None:
-        self.current_bytes += nbytes
-        self._evict()
-
-    def _evict(self) -> None:
-        while self.current_bytes > self.max_bytes and self._entries:
-            _, stale = self._entries.popitem(last=False)
-            self.current_bytes -= stale.nbytes
-            stale._owner = None
-            self.evictions += 1
-            _obs_counter(PLAN_EVICTION_COUNTER).add(1)
+    def _live(self) -> list[PlanMemo]:
+        with self._lock:
+            return list(self._memos)
 
     def clear(self) -> None:
-        for plan in self._entries.values():
-            plan._owner = None
-        self._entries.clear()
-        self.current_bytes = 0
+        """Every live HDG forgets its plans; the next aggregation over
+        each rebuilds (and counts a miss)."""
+        for memo in self._live():
+            memo.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -370,15 +365,14 @@ class PlanCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
+        plans = [plan for memo in self._live() for plan in memo.plans()]
         return {
-            "entries": len(self._entries),
-            "bytes": self.current_bytes,
-            "max_bytes": self.max_bytes,
+            "entries": len(plans),
+            "bytes": sum(plan.nbytes for plan in plans),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hit_rate,
             "builds": self.builds,
-            "evictions": self.evictions,
         }
 
 
@@ -386,14 +380,5 @@ _PLAN_CACHE = PlanCache()
 
 
 def get_plan_cache() -> PlanCache:
-    """The process-global plan cache used by the kernel layer."""
+    """The process-wide view over live reduction plans."""
     return _PLAN_CACHE
-
-
-def set_plan_cache(cache: PlanCache) -> PlanCache:
-    """Swap the global plan cache (tests, custom budgets); returns the
-    previous cache so callers can restore it."""
-    global _PLAN_CACHE
-    previous = _PLAN_CACHE
-    _PLAN_CACHE = cache
-    return previous

@@ -14,12 +14,12 @@ aggregate neighbor features:
 
 All reductions run on a :class:`~repro.tensor.plans.ReductionPlan`: the
 stable-sort permutation, segment offsets, SpMM matrix and its transpose
-are precomputed once per topology and reused every call (pass ``plan=``
-directly, or ``plan_key=`` to fetch from the global
-:class:`~repro.tensor.plans.PlanCache`).  Without either, an ephemeral
-plan is built per call — still vectorized (sum/mean are one SpMM,
-max/min/softmax are sorted ``reduceat`` sweeps; no ``np.add.at`` /
-``np.maximum.at`` on any path), just not amortized.
+are precomputed once per topology and reused every call (pass ``plan=``;
+an HDG memoizes one per level, :meth:`repro.core.hdg.HDG.plan`).
+Without it, an ephemeral plan is built per call from ``index`` /
+``offsets`` — still vectorized (sum/mean are one SpMM, max/min/softmax
+are sorted ``reduceat`` sweeps; no ``np.add.at`` / ``np.maximum.at`` on
+any path), just not amortized.
 
 All reductions here are autograd-aware.  The ``scatter.materialized_bytes``
 observability counter tracks both the running *total* and the *peak*
@@ -35,13 +35,7 @@ import numpy as np
 
 from ..obs import counter as _obs_counter
 from ..obs.profile import record_op
-from .plans import (
-    ReductionPlan,
-    accumulation_dtype,
-    get_plan_cache,
-    index_plan_key,
-    segment_plan_key,
-)
+from .plans import ReductionPlan, accumulation_dtype
 from .tensor import Tensor, _as_tensor
 
 __all__ = [
@@ -111,10 +105,10 @@ def _dim_size(index: np.ndarray, dim_size: int | None) -> int:
 
 
 def _resolve_index_plan(value: Tensor, index, dim_size: int | None,
-                        plan: ReductionPlan | None, plan_key,
+                        plan: ReductionPlan | None,
                         op: str) -> ReductionPlan:
-    """Pick the plan for a scatter call: explicit ``plan``, cached via
-    ``plan_key``, or an ephemeral one built from ``index``."""
+    """Pick the plan for a scatter call: the explicit ``plan``, or an
+    ephemeral one built from ``index``."""
     if plan is not None:
         if plan.kind != "index":
             raise ValueError(
@@ -133,19 +127,12 @@ def _resolve_index_plan(value: Tensor, index, dim_size: int | None,
     if index is None:
         raise ValueError(f"{op} needs an index when no plan is given")
     index = _check_index(index, value.shape[0])
-    n = _dim_size(index, dim_size)
-    if plan_key is not None:
-        return get_plan_cache().get_or_build(
-            index_plan_key(plan_key, index.size, n),
-            lambda: ReductionPlan.from_index(index, n),
-        )
-    return ReductionPlan.from_index(index, n)
+    return ReductionPlan.from_index(index, _dim_size(index, dim_size))
 
 
 def scatter_add(value: Tensor, index: np.ndarray | None = None,
                 dim_size: int | None = None, *,
-                plan: ReductionPlan | None = None,
-                plan_key=None) -> Tensor:
+                plan: ReductionPlan | None = None) -> Tensor:
     """Sum rows of ``value`` into ``out[index[i]] += value[i]`` (Figure 8).
 
     The per-edge ``value`` tensor is counted as a materialized
@@ -153,8 +140,7 @@ def scatter_add(value: Tensor, index: np.ndarray | None = None,
     itself is one SpMM against the plan's CSR matrix.
     """
     value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, plan_key,
-                               "scatter_add")
+    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_add")
     n = plan.n
     dtype = value.data.dtype
     acc = accumulation_dtype(dtype)
@@ -179,12 +165,10 @@ def scatter_add(value: Tensor, index: np.ndarray | None = None,
 
 def scatter_mean(value: Tensor, index: np.ndarray | None = None,
                  dim_size: int | None = None, *,
-                 plan: ReductionPlan | None = None,
-                 plan_key=None) -> Tensor:
+                 plan: ReductionPlan | None = None) -> Tensor:
     """Average rows of ``value`` per destination index."""
     value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, plan_key,
-                               "scatter_mean")
+    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_mean")
     n = plan.n
     dtype = value.data.dtype
     acc = accumulation_dtype(dtype)
@@ -214,10 +198,9 @@ def scatter_mean(value: Tensor, index: np.ndarray | None = None,
 
 
 def _scatter_extremum(value: Tensor, index, dim_size: int | None, kind: str,
-                      plan: ReductionPlan | None,
-                      plan_key) -> Tensor:
+                      plan: ReductionPlan | None) -> Tensor:
     value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, plan_key,
+    plan = _resolve_index_plan(value, index, dim_size, plan,
                                "scatter_" + kind)
     n = plan.n
     dtype = value.data.dtype
@@ -253,32 +236,28 @@ def _scatter_extremum(value: Tensor, index, dim_size: int | None, kind: str,
 
 def scatter_max(value: Tensor, index: np.ndarray | None = None,
                 dim_size: int | None = None, *,
-                plan: ReductionPlan | None = None,
-                plan_key=None) -> Tensor:
+                plan: ReductionPlan | None = None) -> Tensor:
     """Per-destination elementwise max."""
-    return _scatter_extremum(value, index, dim_size, "max", plan, plan_key)
+    return _scatter_extremum(value, index, dim_size, "max", plan)
 
 
 def scatter_min(value: Tensor, index: np.ndarray | None = None,
                 dim_size: int | None = None, *,
-                plan: ReductionPlan | None = None,
-                plan_key=None) -> Tensor:
+                plan: ReductionPlan | None = None) -> Tensor:
     """Per-destination elementwise min."""
-    return _scatter_extremum(value, index, dim_size, "min", plan, plan_key)
+    return _scatter_extremum(value, index, dim_size, "min", plan)
 
 
 def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
                     dim_size: int | None = None, *,
-                    plan: ReductionPlan | None = None,
-                    plan_key=None) -> Tensor:
+                    plan: ReductionPlan | None = None) -> Tensor:
     """Softmax over groups that share a destination index.
 
     Used by MAGNN's intra-metapath attention step (Figure 7 uses
     ``scatter_softmax`` as the level-2 UDF).
     """
     value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, plan_key,
-                               "scatter_softmax")
+    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_softmax")
     dtype = value.data.dtype
     acc = accumulation_dtype(dtype)
     _record_materialization(value.data.nbytes)
@@ -324,8 +303,7 @@ _SEGMENT_REDUCERS = frozenset({"sum", "mean", "max", "min"})
 
 
 def _resolve_segment_plan(value: Tensor, offsets, sources,
-                          plan: ReductionPlan | None,
-                          plan_key) -> ReductionPlan:
+                          plan: ReductionPlan | None) -> ReductionPlan:
     if plan is not None:
         if plan.kind != "segments":
             raise ValueError(
@@ -342,17 +320,7 @@ def _resolve_segment_plan(value: Tensor, offsets, sources,
         raise ValueError(
             "segment_reduce_csr needs offsets when no plan is given"
         )
-    if plan_key is None:
-        return ReductionPlan.from_segments(offsets, sources, value.shape[0])
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size == 0:
-        raise ValueError("offsets must be a non-empty 1-D array")
-    key = segment_plan_key(plan_key, offsets.size - 1, int(offsets[-1]),
-                           value.shape[0], sources is None)
-    return get_plan_cache().get_or_build(
-        key,
-        lambda: ReductionPlan.from_segments(offsets, sources, value.shape[0]),
-    )
+    return ReductionPlan.from_segments(offsets, sources, value.shape[0])
 
 
 def segment_reduce_csr(
@@ -362,7 +330,6 @@ def segment_reduce_csr(
     reducer: str = "sum",
     *,
     plan: ReductionPlan | None = None,
-    plan_key=None,
 ) -> Tensor:
     """Feature-fusion reduction over CSC segments (no per-edge tensors).
 
@@ -385,15 +352,14 @@ def segment_reduce_csr(
         reduces the contiguous slice ``value[offsets[i]:offsets[i+1]]``.
     reducer:
         One of ``sum``, ``mean``, ``max``, ``min``.
-    plan / plan_key:
-        Explicit :class:`~repro.tensor.plans.ReductionPlan`, or a cache
-        key base (e.g. ``(hdg.fingerprint(), level)``) to fetch/build one
-        in the global plan cache.
+    plan:
+        The :class:`~repro.tensor.plans.ReductionPlan` to reduce with
+        (an HDG level's memoized one); ephemeral when omitted.
     """
     if reducer not in _SEGMENT_REDUCERS:
         raise ValueError(f"unknown reducer {reducer!r}; expected one of {sorted(_SEGMENT_REDUCERS)}")
     value = _as_tensor(value)
-    plan = _resolve_segment_plan(value, offsets, sources, plan, plan_key)
+    plan = _resolve_segment_plan(value, offsets, sources, plan)
     n = plan.n
     total = plan.total
     dtype = value.data.dtype
@@ -428,15 +394,15 @@ def segment_reduce_csr(
                         + plan.offsets.nbytes + total * 8),
             bytes_written=out_data.nbytes,
         )
-        # Transpose prebuilt at forward time (CSC of the forward matrix,
-        # stored as CSR) so backward never converts per call.
-        matrix_t = plan.matrix_t(acc)
 
         def backward(g):
             g_flat = g.reshape(n, -1).astype(acc, copy=False)
             if reducer == "mean":
                 g_flat = g_flat / plan.safe_counts(acc)[:, None]
-            return ((matrix_t @ g_flat).astype(dtype, copy=False).reshape(value.shape),)
+            # The transpose (CSC of the forward matrix, stored as CSR) is
+            # built by the plan's first backward and kept, so training
+            # converts once and inference never does.
+            return ((plan.matrix_t(acc) @ g_flat).astype(dtype, copy=False).reshape(value.shape),)
 
         return Tensor._make(out_data, (value,), backward)
 

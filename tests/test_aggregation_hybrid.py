@@ -8,12 +8,16 @@ every HDG and every aggregator combination.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
+    Aggregator,
     AttentionAggregator,
     ExecutionStrategy,
+    FlexGraphEngine,
     MaxAggregator,
     MeanAggregator,
     MinAggregator,
+    MiniBatchTrainer,
     NeighborRecord,
     SchemaTree,
     SumAggregator,
@@ -23,9 +27,17 @@ from repro.core import (
     hdg_from_graph,
     hierarchical_aggregate,
 )
-from repro.graph import community_graph, heterogeneous_graph, Metapath
+from repro.datasets import load_dataset
+from repro.distributed import DistributedTrainer
+from repro.graph import (
+    Metapath,
+    community_graph,
+    hash_partition,
+    heterogeneous_graph,
+)
 from repro.core.selection import build_metapath_hdg
-from repro.tensor import Tensor
+from repro.models import gcn
+from repro.tensor import Adam, ReductionPlan, Tensor, scatter_add
 
 STRATEGIES = [ExecutionStrategy.SA, ExecutionStrategy.SA_FA, ExecutionStrategy.HA]
 
@@ -68,13 +80,79 @@ class TestAggregatorRegistry:
     def test_weighted_sum_requires_weights(self):
         agg = WeightedSumAggregator()
         with pytest.raises(ValueError):
-            agg.sparse(Tensor(np.ones((2, 2))), np.array([0, 0]), 1)
+            agg.sparse(Tensor(np.ones((2, 2))),
+                       ReductionPlan.from_index(np.array([0, 0]), 1))
         with pytest.raises(ValueError):
-            agg.fused(Tensor(np.ones((2, 2))), np.array([0, 2]))
+            agg.fused(Tensor(np.ones((2, 2))),
+                      ReductionPlan.from_segments(np.array([0, 2]), None, 2))
 
     def test_aggregators_not_callable_directly(self):
         with pytest.raises(TypeError):
             SumAggregator()(Tensor(np.ones((2, 2))))
+
+
+class GuideSum(Aggregator):
+    """The custom UDF of docs/nau_programming_guide.md §2, as printed."""
+
+    name = "guide_sum"
+    supports_fused = False        # only the scatter form is written
+    supports_dense = False
+
+    def sparse(self, values, plan, weights=None):
+        return scatter_add(values, plan=plan)
+
+
+class TestCustomAggregator:
+    """The documented extension point runs in every trainer, under every
+    strategy, and amortizes its structure like the built-ins do."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return load_dataset("reddit", scale="tiny", seed=0)
+
+    @staticmethod
+    def _train(kind, aggregator, ds, strategy):
+        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0,
+                    aggregator=aggregator)
+        if kind == "engine":
+            trainer = FlexGraphEngine(model, ds.graph, strategy, seed=0)
+        elif kind == "minibatch":
+            trainer = MiniBatchTrainer(model, ds.graph, batch_size=128,
+                                       fanouts=[4, 4], strategy=strategy,
+                                       seed=0)
+        else:
+            trainer = DistributedTrainer(
+                model, ds.graph, hash_partition(ds.graph.num_vertices, 2),
+                strategy, seed=0)
+        opt = Adam(model.parameters(), lr=0.01)
+        losses, builds = [], []
+        for epoch in range(3):
+            before = obs.counter("plan.cache.build").total
+            stats = trainer.train_epoch(Tensor(ds.features), ds.labels, opt,
+                                        ds.train_mask, epoch)
+            losses.append(stats.loss)
+            builds.append(obs.counter("plan.cache.build").total - before)
+        return losses, builds
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("kind", ["engine", "minibatch", "distributed"])
+    def test_guide_udf_trains_like_sum(self, ds, kind, strategy):
+        losses, builds = self._train(kind, GuideSum(), ds, strategy)
+        reference, _ = self._train(kind, "sum", ds, strategy)
+        np.testing.assert_allclose(losses, reference, rtol=1e-12, atol=0)
+        assert builds[0] > 0
+        if kind != "minibatch":      # a sampled batch's topology is one-shot
+            assert builds[1:] == [0, 0], builds
+
+    def test_default_fused_gathers_then_scatters(self):
+        # A UDF that only writes `sparse` still answers a fused-layout call.
+        rng = np.random.default_rng(0)
+        values = Tensor(rng.standard_normal((6, 3)))
+        plan = ReductionPlan.from_segments(
+            np.array([0, 2, 2, 5]), np.array([5, 0, 1, 1, 3]), 6)
+        out = GuideSum().fused(values, plan)
+        ref = SumAggregator().fused(values, plan)
+        np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
 
 class TestStrategyEquivalenceFlat:

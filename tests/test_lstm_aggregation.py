@@ -16,7 +16,7 @@ from repro.core import (
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, dependency_stats, plan_layer_comm
 from repro.graph import community_graph, hash_partition
-from repro.tensor import Adam, LSTMCell, Linear, Tensor
+from repro.tensor import Adam, LSTMCell, Linear, ReductionPlan, Tensor
 
 
 class TestLSTMCell:
@@ -48,6 +48,10 @@ class TestLSTMCell:
         assert not np.allclose(h1.numpy(), h2.numpy())
 
 
+def _index_plan(index, dim_size):
+    return ReductionPlan.from_index(np.array(index, dtype=np.int64), dim_size)
+
+
 class TestLSTMAggregator:
     def test_registry(self):
         assert isinstance(get_aggregator("lstm", dim=4), LSTMAggregator)
@@ -61,7 +65,7 @@ class TestLSTMAggregator:
     def test_output_shape_and_empty_groups(self):
         agg = LSTMAggregator(3, hidden_dim=5)
         values = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
-        out = agg.sparse(values, np.array([0, 0, 2, 2]), 4)
+        out = agg.sparse(values, _index_plan([0, 0, 2, 2], 4))
         assert out.shape == (4, 5)
         np.testing.assert_allclose(out.numpy()[1], 0.0)  # empty group
         np.testing.assert_allclose(out.numpy()[3], 0.0)
@@ -69,18 +73,18 @@ class TestLSTMAggregator:
     def test_order_sensitivity(self):
         agg = LSTMAggregator(2, rng=np.random.default_rng(3))
         forward = agg.sparse(
-            Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])), np.array([0, 0]), 1
+            Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])), _index_plan([0, 0], 1)
         ).numpy()
         backward = agg.sparse(
-            Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])), np.array([0, 0]), 1
+            Tensor(np.array([[0.0, 1.0], [1.0, 0.0]])), _index_plan([0, 0], 1)
         ).numpy()
         assert not np.allclose(forward, backward)
 
     def test_truncation(self):
         agg = LSTMAggregator(2, max_seq_len=2, rng=np.random.default_rng(4))
         vals = np.random.default_rng(5).standard_normal((6, 2))
-        full = agg.sparse(Tensor(vals), np.zeros(6, dtype=int), 1).numpy()
-        truncated = agg.sparse(Tensor(vals[:2]), np.zeros(2, dtype=int), 1).numpy()
+        full = agg.sparse(Tensor(vals), _index_plan([0] * 6, 1)).numpy()
+        truncated = agg.sparse(Tensor(vals[:2]), _index_plan([0] * 2, 1)).numpy()
         np.testing.assert_allclose(full, truncated)
 
     def test_fused_falls_back_to_sparse(self):
@@ -88,9 +92,10 @@ class TestLSTMAggregator:
         vals = np.random.default_rng(7).standard_normal((5, 3))
         offsets = np.array([0, 2, 5])
         sources = np.array([0, 1, 2, 3, 4])
-        a = agg.fused(Tensor(vals), offsets, sources).numpy()
-        dst = np.array([0, 0, 1, 1, 1])
-        b = agg.sparse(Tensor(vals), dst, 2).numpy()
+        a = agg.fused(
+            Tensor(vals), ReductionPlan.from_segments(offsets, sources, 5)
+        ).numpy()
+        b = agg.sparse(Tensor(vals), _index_plan([0, 0, 1, 1, 1], 2)).numpy()
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_gradient_flows_through_hierarchy(self):

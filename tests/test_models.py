@@ -239,3 +239,26 @@ class TestGraphSAGE:
         hdg = hdg_from_graph(reddit.graph)
         agg = layer.aggregation(Tensor(reddit.features), hdg)
         np.testing.assert_allclose(agg.numpy(), 0.0)
+
+    @pytest.mark.parametrize("strategy", ["sa", "sa+fa", "ha"])
+    def test_shares_the_hdg_bottom_level_plan(self, reddit, strategy):
+        """SAGE-pool reduces with the HDG's own bottom-level plan — the
+        object GCN gets over the same HDG — and a second forward builds
+        nothing (it used to keep a private duplicate and re-derive its
+        COO index every call)."""
+        from repro.core import hdg_from_graph
+        from repro.models import gcn, graphsage
+        from repro.tensor import get_plan_cache, no_grad
+
+        hdg = hdg_from_graph(reddit.graph)
+        feats = Tensor(reddit.features)
+        sage = graphsage(reddit.feat_dim, 8, reddit.num_classes).layers[0]
+        conv = gcn(reddit.feat_dim, 8, reddit.num_classes).layers[0]
+        with no_grad():
+            sage.forward(feats, hdg, strategy)
+            builds = get_plan_cache().builds
+            sage.forward(feats, hdg, strategy)
+            conv.forward(feats, hdg, strategy)
+        assert get_plan_cache().builds == builds
+        layout = ("index",) if strategy == "sa" else ("segments", feats.shape[0])
+        assert hdg._plans.plans() == [hdg.plan(1, *layout)]

@@ -1,13 +1,16 @@
 """Tests for the out-of-core dataset format (``repro.storage.ondisk``)
 and the shard-by-shard synthetic generators."""
 
+import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
 import pytest
 
+from repro.core import SumAggregator, hierarchical_aggregate
 from repro.core.hdg import MemmapHDG, hdg_from_graph
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import (
@@ -25,6 +28,7 @@ from repro.storage import (
     write_ondisk_dataset,
     write_synthetic_ondisk,
 )
+from repro.tensor import Tensor
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
@@ -151,9 +155,47 @@ class TestMemmapHDG:
         np.testing.assert_array_equal(a.leaf_offsets, b.leaf_offsets)
         np.testing.assert_array_equal(a.roots, b.roots)
 
-    def test_fingerprint_stable(self, ondisk):
-        hdg = hdg_from_graph(ondisk.graph)
-        assert hdg.fingerprint() == hdg.fingerprint()
+    @pytest.mark.parametrize("strategy", ["sa", "ha"])
+    def test_rewritten_dataset_never_reuses_a_stale_plan(self, tmp_path,
+                                                         strategy):
+        """A dataset regenerated in place — different edges, equal file
+        sizes, mtimes preserved (``cp -p``, ``rsync -t``, a coarse-mtime
+        filesystem) — must aggregate its *own* edges: a reduction plan
+        belongs to the HDG object it was built from, not to whatever
+        (path, size, mtime) that HDG's files happen to show."""
+        root = str(tmp_path / "regen")
+        spec = ShardedSyntheticSpec(
+            name="regen", num_vertices=500, num_edges=4000, feat_dim=4,
+            num_classes=2, edges_per_chunk=2000, rows_per_shard=256,
+        )
+        feats = Tensor(np.random.default_rng(0).standard_normal((500, 4)))
+
+        def open_hdg():
+            hdg = hdg_from_graph(OnDiskDataset(root).graph)
+            return hdg, [hdg.leaf_offsets.filename, hdg.leaf_vertices.filename]
+
+        def aggregate(hdg):
+            out = hierarchical_aggregate(hdg, feats, [SumAggregator()],
+                                         strategy).numpy()
+            dst, src = hdg.sub_graph(1)
+            ref = np.zeros_like(feats.data)
+            np.add.at(ref, dst, feats.data[src])
+            return out, ref
+
+        write_synthetic_ondisk(root, spec)
+        first_hdg, files = open_hdg()
+        stamps = [os.stat(f) for f in files]
+        out1, ref1 = aggregate(first_hdg)
+        np.testing.assert_allclose(out1, ref1, atol=1e-9)
+
+        shutil.rmtree(root)
+        write_synthetic_ondisk(root, dataclasses.replace(spec, seed=1))
+        for f, st in zip(files, stamps):
+            assert os.stat(f).st_size == st.st_size
+            os.utime(f, ns=(st.st_atime_ns, st.st_mtime_ns))
+        out2, ref2 = aggregate(open_hdg()[0])
+        assert not np.allclose(ref2, ref1), "the two datasets must differ"
+        np.testing.assert_allclose(out2, ref2, atol=1e-9)
 
 
 class TestShardedGenerator:

@@ -1,21 +1,29 @@
-"""Reduction-plan layer: kernel parity vs naive references, plan-cache
-LRU/versioning, and steady-state (zero rebuild) behavior."""
+"""Reduction-plan layer: kernel parity vs naive references, plan
+ownership and lifetime (a plan lives on the HDG it describes), and
+steady-state (zero rebuild) behavior."""
+
+import gc
+import pickle
 
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.core import FlexGraphEngine, hdg_from_graph
-from repro.graph import Graph
-from repro.tensor import Adam, Tensor
-from repro.tensor.plans import (
-    PlanCache,
-    ReductionPlan,
-    get_plan_cache,
-    index_plan_key,
-    segment_plan_key,
-    set_plan_cache,
+from repro import models, obs
+from repro.core import (
+    FlexGraphEngine,
+    MiniBatchTrainer,
+    SumAggregator,
+    hdg_from_graph,
+    hierarchical_aggregate,
 )
+from repro.datasets import load_dataset
+from repro.distributed import DistributedTrainer, MultiprocessTrainer
+from repro.graph import Graph, community_graph, hash_partition
+from repro.serve import InferenceSession
+from repro.serve.cache import block_nbytes
+from repro.tensor import Adam, Tensor, no_grad
+from repro.tensor import plans as plans_module
+from repro.tensor.plans import PlanCache, ReductionPlan, get_plan_cache
 from repro.tensor.scatter import (
     scatter_add,
     scatter_max,
@@ -29,11 +37,11 @@ DTYPES = (np.float32, np.float64)
 
 
 @pytest.fixture
-def fresh_cache():
-    """Swap in an empty plan cache; restore the previous one after."""
-    previous = set_plan_cache(PlanCache())
-    yield get_plan_cache()
-    set_plan_cache(previous)
+def fresh_cache(monkeypatch):
+    """A zeroed process-wide plan view for one test, so counts are
+    absolute and HDGs other tests left alive are not in ``stats()``."""
+    monkeypatch.setattr(plans_module, "_PLAN_CACHE", PlanCache())
+    return get_plan_cache()
 
 
 def _case(dtype, seed=0):
@@ -146,7 +154,7 @@ class TestKernelParity:
         np.testing.assert_allclose(t1.grad, t2.grad, atol=1e-5)
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_weighted_sum_planned(self, dtype, fresh_cache):
+    def test_weighted_sum_planned(self, dtype):
         values, index, n, grad = _case(dtype)
         weights = np.random.default_rng(2).uniform(0.5, 2.0, index.size)
         plan = ReductionPlan.from_index(index, n)
@@ -222,52 +230,32 @@ class TestPlanObject:
 class TestPlanCache:
     def test_hit_miss_and_counters(self, fresh_cache):
         obs.reset()
-        index = np.arange(6) % 3
-        key = index_plan_key("fp-a", index.size, 3)
-        built = []
-
-        def builder():
-            built.append(1)
-            return ReductionPlan.from_index(index, 3)
-
-        p1 = fresh_cache.get_or_build(key, builder)
-        p2 = fresh_cache.get_or_build(key, builder)
-        assert p1 is p2 and len(built) == 1
+        hdg = hdg_from_graph(community_graph(12, 2, 3, seed=0))
+        p1 = hdg.plan(1, "index")
+        p2 = hdg.plan(1, "index")
+        assert p1 is p2
         assert fresh_cache.hits == 1 and fresh_cache.misses == 1
         assert fresh_cache.builds == 1
         assert obs.counter("plan.cache.hit").total == 1
         assert obs.counter("plan.cache.miss").total == 1
+        assert obs.counter("plan.cache.build").total == 1
         stats = fresh_cache.stats()
-        assert stats["entries"] == 1 and stats["bytes"] > 0
+        assert stats["entries"] == 1 and stats["bytes"] == p1.nbytes > 0
         assert stats["hit_rate"] == 0.5
 
-    def test_lru_eviction_respects_byte_budget(self):
-        small = PlanCache(max_bytes=1)  # everything evicts immediately
-        plan = ReductionPlan.from_index(np.arange(100) % 10, 10)
-        small.put(("k",), plan)
-        assert len(small) == 0 and small.evictions == 1
-        assert small.current_bytes == 0 and plan._owner is None
-
-    def test_lazy_growth_can_trigger_eviction(self):
-        plan = ReductionPlan.from_index(np.arange(64) % 8, 8)
-        cache = PlanCache(max_bytes=plan.nbytes + 64)
-        cache.put(("k",), plan)
-        assert len(cache) == 1
-        plan.matrix(np.float64)  # growth reported back -> over budget
-        assert len(cache) == 0 and cache.evictions == 1
-
-    def test_zero_budget_disables(self):
-        cache = PlanCache(max_bytes=0)
-        plan = ReductionPlan.from_index(np.arange(4), 4)
-        cache.put(("k",), plan)
-        assert cache.get(("k",)) is None
-
-    def test_key_structure_separates_shapes(self):
-        # Same base but different structural tail -> different entries.
-        assert index_plan_key("b", 5, 3) != index_plan_key("b", 5, 4)
-        assert segment_plan_key("b", 3, 5, 5, True) != \
-            segment_plan_key("b", 3, 5, 5, False)
-        assert index_plan_key("b", 5, 3) != segment_plan_key("b", 5, 3, 3, True)
+    def test_key_structure_separates_shapes(self, fresh_cache):
+        # Same level, differently shaped call -> its own plan.
+        hdg = hdg_from_graph(community_graph(12, 2, 3, seed=0))
+        index = hdg.plan(1, "index")
+        seg = hdg.plan(1, "segments", 12)
+        wider = hdg.plan(1, "segments", 20)
+        assert index.kind == "index" and seg.kind == "segments"
+        assert seg is not wider and (seg.num_rows, wider.num_rows) == (12, 20)
+        assert fresh_cache.stats()["entries"] == 3
+        with pytest.raises(ValueError):
+            hdg.plan(2, "segments")          # flat HDG: no instance level
+        with pytest.raises(ValueError):
+            hdg.plan(1, "segments")          # gathered layout needs num_rows
 
 
 class TestVersioning:
@@ -277,32 +265,18 @@ class TestVersioning:
         src, dst = np.array(edges, dtype=np.int64).T
         return Graph(5, src, dst)
 
-    def test_hdg_fingerprint_tracks_structure(self):
-        g1 = self._graph([(0, 1), (1, 2), (2, 3)])
-        g2 = g1.with_edges_added(np.array([[3, 4]]))
-        h1, h1b = hdg_from_graph(g1), hdg_from_graph(g1)
-        h2 = hdg_from_graph(g2)
-        assert h1.fingerprint() == h1b.fingerprint()
-        assert h1.fingerprint() != h2.fingerprint()
-        # memoized: second call returns the cached digest
-        assert h1.fingerprint() is h1.fingerprint()
-
     def test_edited_graph_uses_fresh_plan(self, fresh_cache):
         g1 = self._graph([(0, 1), (1, 2), (2, 3), (0, 4)])
         feats = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
-        from repro.core import hierarchical_aggregate
-
-        from repro.core.aggregation import SumAggregator
         h1 = hdg_from_graph(g1)
         out1 = hierarchical_aggregate(h1, feats, [SumAggregator()], "sa")
         assert fresh_cache.misses == 1
-        # Same topology again: pure hit.
-        hierarchical_aggregate(hdg_from_graph(g1), feats, [SumAggregator()], "sa")
-        assert fresh_cache.misses == 1 and fresh_cache.hits >= 1
-        # Edited graph: new fingerprint, new plan, result reflects the edit.
+        # Same HDG again: pure hit.
+        hierarchical_aggregate(h1, feats, [SumAggregator()], "sa")
+        assert fresh_cache.misses == 1 and fresh_cache.hits == 1
+        # Edited graph: new HDG, new plan, result reflects the edit.
         g2 = g1.with_edges_added(np.array([[3, 0]]))
         h2 = hdg_from_graph(g2)
-        assert h2.fingerprint() != h1.fingerprint()
         out2 = hierarchical_aggregate(h2, feats, [SumAggregator()], "sa")
         assert fresh_cache.misses == 2
         with pytest.raises(AssertionError):
@@ -314,11 +288,152 @@ class TestVersioning:
         np.testing.assert_allclose(out2.data, ref, atol=1e-6)
 
 
+class TestLazyTranspose:
+    """Inference must not pay for a backward it never runs."""
+
+    @staticmethod
+    def _plan():
+        return ReductionPlan.from_segments(
+            np.array([0, 2, 2, 5]), np.array([4, 0, 1, 1, 3]), 5)
+
+    def test_no_grad_forward_builds_no_transpose(self):
+        plan = self._plan()
+        with no_grad():
+            segment_reduce_csr(Tensor(np.ones((5, 3), dtype=np.float32)),
+                               plan=plan)
+        assert len(plan._matrices) == 1 and not plan._matrices_t
+
+    def test_backward_builds_one_transpose_per_accumulation_dtype(self):
+        plan = self._plan()
+        for dtype in (np.float32, np.float16, np.float64, np.float32):
+            value = Tensor(np.ones((5, 3), dtype=dtype), requires_grad=True)
+            out = segment_reduce_csr(value, reducer="mean", plan=plan)
+            out.backward(np.ones(out.shape, dtype=dtype))
+            assert value.grad.dtype == dtype
+        # fp16 accumulates in fp32: two accumulation dtypes, two transposes.
+        assert sorted(plan._matrices_t) == sorted(
+            np.dtype(t).str for t in (np.float32, np.float64))
+
+
+class TestPlanLifetime:
+    """A plan lives exactly as long as the HDG it describes — counted,
+    clock-free."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return load_dataset("reddit", scale="tiny", seed=0)
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_sampled_training_plan_bytes_do_not_grow(self, fresh_cache,
+                                                     prefetch_depth):
+        graph = community_graph(2000, 4, 8, seed=0)
+        rng = np.random.default_rng(0)
+        feats = rng.standard_normal((2000, 8))
+        labels = rng.integers(0, 4, 2000)
+        model = models.gcn(8, 8, 4, seed=0)
+        trainer = MiniBatchTrainer(model, graph, batch_size=256,
+                                   fanouts=[5, 5], seed=0,
+                                   prefetch_depth=prefetch_depth)
+        opt = Adam(model.parameters(), lr=0.01)
+        live = []
+        for epoch in range(12):
+            trainer.train_epoch(feats, labels, opt, epoch=epoch)
+            live.append(fresh_cache.stats()["bytes"])
+        assert fresh_cache.builds > 12, "every sampled batch builds its own"
+        assert live[11] == live[1], live
+
+    def test_serving_plan_bytes_stay_inside_the_block_budget(self, fresh_cache,
+                                                             ds):
+        model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        session = InferenceSession(model, ds.graph, ds.features,
+                                   embed_cache_bytes=0,
+                                   block_cache_bytes=256 * 1024)
+        cache = session.block_cache
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            session.predict(rng.choice(ds.graph.num_vertices, 3, replace=False))
+        assert cache.evictions > 0, "budget too loose to test anything"
+        held = [block for _, block in cache._entries.values()]
+        held_plan_bytes = sum(
+            plan.nbytes for compact in held
+            for local_block, _ in compact.blocks
+            for plan in local_block._plans.plans())
+        assert held_plan_bytes > 0
+        assert cache.current_bytes >= held_plan_bytes
+        assert cache.current_bytes == sum(block_nbytes(b) for b in held)
+        assert cache.current_bytes <= cache.max_bytes
+        gc.collect()
+        assert fresh_cache.stats()["bytes"] <= cache.max_bytes
+        assert session.stats()["plan_cache"] == fresh_cache.stats()
+
+    def _epochs(self, trainer, ds, count):
+        feats = Tensor(ds.features)
+        opt = Adam(trainer.model.parameters(), lr=0.01)
+        for epoch in range(count):
+            before = obs.counter("plan.cache.miss").total
+            trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch)
+            yield epoch, obs.counter("plan.cache.miss").total - before
+
+    @pytest.mark.parametrize("kind", ["engine", "simulated", "process"])
+    def test_zero_builds_after_the_first_epoch(self, fresh_cache, ds, kind):
+        obs.reset()
+        model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        part = hash_partition(ds.graph.num_vertices, 2)
+        if kind == "engine":
+            trainer = FlexGraphEngine(model, ds.graph, seed=0)
+        elif kind == "simulated":
+            trainer = DistributedTrainer(model, ds.graph, part, seed=0)
+        else:
+            # Workers build plans in their own processes; the counters
+            # they ship back at epoch end are merged into this registry.
+            trainer = MultiprocessTrainer(model, ds.graph, part, seed=0)
+        try:
+            built = dict(self._epochs(trainer, ds, 3))
+        finally:
+            if kind == "process":
+                trainer.close()
+        assert built[0] > 0 and built[1] == built[2] == 0, built
+
+    def test_plans_die_with_their_engine_and_clear_forgets(self, fresh_cache,
+                                                           ds):
+        model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        engine = FlexGraphEngine(model, ds.graph, seed=0)
+        epochs = self._epochs(engine, ds, 3)
+        assert next(epochs)[1] > 0
+        assert fresh_cache.stats()["entries"] > 0
+        # clear(): every live HDG forgets, the next epoch rebuilds.
+        fresh_cache.clear()
+        assert fresh_cache.stats()["entries"] == 0
+        assert fresh_cache.stats()["bytes"] == 0
+        assert next(epochs)[1] > 0
+        assert next(epochs)[1] == 0
+        assert fresh_cache.stats()["bytes"] > 0
+        # The plans' lifetime is their HDG's.
+        epochs.close()
+        del engine, epochs
+        gc.collect()
+        stats = fresh_cache.stats()
+        assert stats["entries"] == 0 and stats["bytes"] == 0
+
+    @pytest.mark.parametrize("strategy", ["sa", "ha"])
+    def test_plans_are_neither_pickled_nor_counted_as_hdg_storage(
+            self, ds, strategy):
+        hdg = hdg_from_graph(ds.graph)
+        pickled, nbytes = len(pickle.dumps(hdg)), hdg.nbytes
+        out = hierarchical_aggregate(hdg, Tensor(ds.features),
+                                     [SumAggregator()], strategy)
+        assert hdg._plans.plans()
+        assert len(pickle.dumps(hdg)) <= pickled
+        assert hdg.nbytes == nbytes
+        clone = pickle.loads(pickle.dumps(hdg))
+        assert not clone._plans.plans()
+        again = hierarchical_aggregate(clone, Tensor(ds.features),
+                                       [SumAggregator()], strategy)
+        np.testing.assert_array_equal(again.data, out.data)
+
+
 class TestSteadyState:
     def test_engine_zero_misses_after_first_epoch(self, fresh_cache):
-        from repro import models
-        from repro.datasets import load_dataset
-
         obs.reset()
         ds = load_dataset("reddit", scale="tiny", seed=0)
         model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)

@@ -107,7 +107,8 @@ class TestGAT:
         hdg = hdg_from_graph(ds.graph)
         feats = Tensor(np.ones((ds.graph.num_vertices, 4)))
         attn = AttentionAggregator(4)
-        out = attn.fused(feats, hdg.leaf_offsets, hdg.leaf_vertices).numpy()
+        out = attn.fused(
+            feats, hdg.plan(1, "segments", feats.shape[0])).numpy()
         has_nbrs = np.diff(hdg.leaf_offsets) > 0
         np.testing.assert_allclose(out[has_nbrs], 1.0, rtol=1e-9)
         np.testing.assert_allclose(out[~has_nbrs], 0.0)

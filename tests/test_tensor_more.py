@@ -3,7 +3,7 @@ modules (LSTM cell, attention), indexing edge cases, tape subtleties."""
 
 import numpy as np
 
-from repro.tensor import LSTMCell, Tensor, no_grad, softmax
+from repro.tensor import LSTMCell, ReductionPlan, Tensor, no_grad, softmax
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -66,15 +66,15 @@ class TestAttentionGradients:
 
         rng = np.random.default_rng(2)
         attn = AttentionAggregator(3, rng=rng)
-        index = np.array([0, 0, 1, 1, 1])
+        plan = ReductionPlan.from_index(np.array([0, 0, 1, 1, 1]), 2)
         data = rng.standard_normal((5, 3))
 
         def f(arr):
-            out = attn.sparse(Tensor(arr), index, 2)
+            out = attn.sparse(Tensor(arr), plan)
             return float((out.numpy() ** 2).sum())
 
         v = Tensor(data.copy(), requires_grad=True)
-        out = attn.sparse(v, index, 2)
+        out = attn.sparse(v, plan)
         (out * out).sum().backward()
         num = numerical_grad(f, data.copy())
         np.testing.assert_allclose(v.grad, num, rtol=1e-4, atol=1e-6)
@@ -84,7 +84,7 @@ class TestAttentionGradients:
 
         attn = AttentionAggregator(3)
         v = Tensor(np.random.default_rng(3).standard_normal((4, 3)))
-        out = attn.sparse(v, np.array([0, 0, 1, 1]), 2)
+        out = attn.sparse(v, ReductionPlan.from_index(np.array([0, 0, 1, 1]), 2))
         attn.zero_grad()
         (out * out).sum().backward()
         assert attn.score_vector.grad is not None
