@@ -11,13 +11,20 @@ framework changes — you provide the three stages.  This script builds a
   record API;
 * **Aggregation**: a hand-written UDF (mean within rings, via the
   public scatter kernel) and built-in attention across the ring types;
-* **Update**: GRU-flavored gated combination of h and the neighborhood.
+* **Update**: GRU-flavored gated combination of h and the neighborhood,
+  hand-written — any function of ``(feats, nbr_feats)`` works.
+
+Next to it, ``MeanSageLayer`` shows the other way to write Update: it is
+linear in the aggregate, so the layer *declares* the two weights and
+the tail, and the engine decides whether to project before or after the
+reduction (docs/nau_programming_guide.md §3).
 
 Run:  python examples/custom_nau_model.py
 """
 
 import numpy as np
 
+from repro import obs
 from repro.core import (
     Aggregator,
     FlexGraphEngine,
@@ -32,6 +39,7 @@ from repro.core import (
 from repro.datasets import reddit_like
 from repro.graph import bfs_levels
 from repro.models import gcn
+from repro.obs.analysis import backend_report
 from repro.tensor import Adam, Linear, Tensor, scatter_mean
 
 
@@ -70,6 +78,35 @@ class TwoHopAttentionLayer(GNNLayer):
     def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
         gate = self.w_gate(feats).sigmoid()
         out = gate * self.w_self(feats) + (1.0 - gate) * self.w_nbr(nbr_feats)
+        return out.relu() if self.activation else out
+
+    @property
+    def output_dim(self) -> int:
+        return self.w_self.out_features
+
+
+class MeanSageLayer(GNNLayer):
+    """Update declared linear in the aggregate: ReLU(W_self h + W_nbr a + b).
+
+    No ``update()`` here.  ``linear_update`` names the two bias-free
+    weights, ``combine`` is everything after the projections, and
+    ``GNNLayer`` reduces at whichever width costs fewer multiply-adds —
+    here the 32 projected columns instead of the 64 input ones.
+    """
+
+    def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
+                 rng: np.random.Generator | None = None):
+        super().__init__(aggregators=["mean"])
+        self.w_self = Linear(in_dim, out_dim, rng=rng)
+        self.w_nbr = Linear(in_dim, out_dim, bias=False, rng=rng)
+        self.activation = activation
+
+    def linear_update(self) -> tuple[Tensor, Tensor]:
+        return self.w_self.weight, self.w_nbr.weight
+
+    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
+        # the bias is added once, after the reduction — it never moves
+        out = self_proj + nbr_proj + self.w_self.bias
         return out.relu() if self.activation else out
 
     @property
@@ -132,6 +169,23 @@ def main() -> None:
                     num_epochs=15, mask=dataset.train_mask)
     base_acc = base_engine.evaluate(features, dataset.labels, dataset.test_mask)
     print(f"GCN baseline test accuracy:  {base_acc:.3f}")
+
+    # The declared-linear layer over the plain input graph: the trace
+    # says which operator order each layer's aggregation ran in.
+    rng = np.random.default_rng(0)
+    sage = NAUModel([
+        MeanSageLayer(dataset.feat_dim, 32, rng=rng),
+        MeanSageLayer(32, dataset.num_classes, activation=False, rng=rng),
+    ], name="MeanSage")
+    sage_engine = FlexGraphEngine(sage, dataset.graph)
+    obs.reset()
+    sage_engine.fit(features, dataset.labels, Adam(sage.parameters(), 0.01),
+                    num_epochs=15, mask=dataset.train_mask)
+    sage_acc = sage_engine.evaluate(features, dataset.labels, dataset.test_mask)
+    print(f"declared-linear test accuracy: {sage_acc:.3f}")
+    for row in backend_report()["rows"]:
+        print(f"  {row['level']} level: {row['order']}, reduced at width "
+              f"{row['width']} ({row['count']} calls)")
 
 
 if __name__ == "__main__":

@@ -58,11 +58,24 @@ class Aggregator(Module):
     ``plan.gather`` and ``plan.counts`` describe it; every kernel takes
     it as ``plan=``); ``weights`` (optional, per source row) carries
     edge importances.
+
+    Two algebraic flags say what the engine may do *around* the UDF;
+    both default to ``False``, so an unknown UDF stays on the safe path:
+
+    * ``linear`` — the reduction commutes with a bias-free projection,
+      ``agg(X) @ W == agg(X @ W)`` (sum, mean, weighted sum), so a layer
+      with a declared linear Update may reduce at the narrower width
+      (:meth:`repro.core.nau.GNNLayer.linear_update`);
+    * ``commutative`` — member order does not matter and partial results
+      fold, so §5's pipelined partial aggregation is valid (the
+      ``linear`` ones plus max/min; not attention, not LSTM).
     """
 
     name = "base"
     supports_fused = True
     supports_dense = True
+    linear = False
+    commutative = False
 
     def sparse(self, values: Tensor, plan: ReductionPlan,
                weights: np.ndarray | None = None) -> Tensor:
@@ -117,6 +130,8 @@ class SumAggregator(Aggregator):
     """Plain sum — GCN/PinSage's neighborhood accumulation (Figure 7)."""
 
     name = "sum"
+    linear = True
+    commutative = True
 
     def sparse(self, values, plan, weights=None):
         return scatter_add(_apply_weights(values, weights), plan=plan)
@@ -132,6 +147,8 @@ class MeanAggregator(Aggregator):
     """Arithmetic mean over each group."""
 
     name = "mean"
+    linear = True
+    commutative = True
 
     def sparse(self, values, plan, weights=None):
         return scatter_mean(_apply_weights(values, weights), plan=plan)
@@ -147,6 +164,7 @@ class MaxAggregator(Aggregator):
     """Elementwise max over each group."""
 
     name = "max"
+    commutative = True
 
     def sparse(self, values, plan, weights=None):
         return scatter_max(values, plan=plan)
@@ -162,6 +180,7 @@ class MinAggregator(Aggregator):
     """Elementwise min over each group."""
 
     name = "min"
+    commutative = True
 
     def sparse(self, values, plan, weights=None):
         return scatter_min(values, plan=plan)
@@ -177,6 +196,8 @@ class WeightedSumAggregator(Aggregator):
     """Sum with mandatory per-edge weights (PinSage's visit frequencies)."""
 
     name = "weighted_sum"
+    linear = True
+    commutative = True
     supports_dense = False
 
     def sparse(self, values, plan, weights=None):
@@ -229,7 +250,7 @@ class LSTMAggregator(Aggregator):
 
     The non-commutative aggregator §5 singles out: partial aggregation is
     *invalid* for it, so distributed training falls back to batched
-    message transfer (the distributed trainer checks ``name``).  Members
+    message transfer (the distributed trainer reads ``commutative``).  Members
     are consumed in storage order; sequences are truncated at
     ``max_seq_len`` to bound the sequential depth.
     """

@@ -32,21 +32,34 @@ from ..tensor.tensor import Tensor
 from .aggregation import Aggregator
 from .hdg import HDG
 
-__all__ = ["ExecutionStrategy", "hierarchical_aggregate", "BACKEND_EVENT"]
+__all__ = ["ExecutionStrategy", "hierarchical_aggregate", "BACKEND_EVENT",
+           "PROJECT_FIRST", "REDUCE_FIRST"]
+
+#: The two operator orders of a declared linear Update
+#: (:meth:`repro.core.nau.GNNLayer.linear_update`): project the input
+#: rows and reduce them at the output width, or reduce at the input
+#: width and project the roots.
+PROJECT_FIRST = "project_first"
+REDUCE_FIRST = "reduce_first"
 
 #: obs event emitted once per HDG level per aggregation, recording which
-#: backend (sparse / fused / dense) the hybrid executor picked *and* its
-#: measured cost (seconds plus the FLOPs/bytes the profiler attributed
-#: to the invocation) — this is what makes the Figure 14 strategy
-#: differences visible, and rankable, in traces
+#: backend (sparse / fused / dense) the hybrid executor picked, the
+#: feature ``width`` it reduced at and the operator ``order`` that set
+#: that width (``"project_first"`` when a declared linear Update moved
+#: its projection below the reduction, else ``"reduce_first"``) *and*
+#: its measured cost (seconds plus the FLOPs/bytes the profiler
+#: attributed to the invocation) — this is what makes the Figure 14
+#: strategy differences visible, and rankable, in traces
 #: (``obs.backend_report()``).
 BACKEND_EVENT = "aggregation.backend"
 
 
 def _run_backend(level: str, backend: str, strategy: "ExecutionStrategy",
-                 agg: Aggregator, fn):
+                 agg: Aggregator, values: Tensor, order: str, fn):
     """Invoke one backend, measuring wall time and profiled work, and
-    emit the ``aggregation.backend`` event with the measured cost."""
+    emit the ``aggregation.backend`` event with the measured cost, the
+    width ``values`` is reduced at and the operator ``order`` that
+    decided it."""
     start = time.perf_counter()
     before = work_snapshot()
     out = fn()
@@ -54,6 +67,7 @@ def _run_backend(level: str, backend: str, strategy: "ExecutionStrategy",
     _obs_event(
         BACKEND_EVENT, level=level, backend=backend,
         strategy=strategy.value, aggregator=agg.name,
+        order=order, width=int(values.shape[-1]),
         seconds=time.perf_counter() - start, **work,
     )
     return out
@@ -81,6 +95,7 @@ def hierarchical_aggregate(
     feats: Tensor,
     aggregators: list[Aggregator],
     strategy: ExecutionStrategy = ExecutionStrategy.HA,
+    order: str = REDUCE_FIRST,
 ) -> Tensor:
     """Run the level-wise Aggregation stage of Figure 6 over an HDG.
 
@@ -98,6 +113,10 @@ def hierarchical_aggregate(
         ``aggregators[2]`` slots into roots.
     strategy:
         Which of the Figure 14 execution strategies to use.
+    order:
+        Reported on the ``aggregation.backend`` events: whether
+        ``feats`` already went through the layer's Update projection
+        (:data:`PROJECT_FIRST`) or not (:data:`REDUCE_FIRST`).
 
     Returns
     -------
@@ -114,23 +133,24 @@ def hierarchical_aggregate(
     if hdg.depth == 1:
         if len(aggregators) != 1:
             raise ValueError(f"flat HDG needs exactly 1 aggregator, got {len(aggregators)}")
-        return _reduce_bottom(hdg, feats, aggregators[0], strategy)
+        return _reduce_bottom(hdg, feats, aggregators[0], strategy, order)
 
     if len(aggregators) != 3:
         raise ValueError(f"depth-3 HDG needs exactly 3 aggregators, got {len(aggregators)}")
 
     # Level 3: input-graph leaves -> neighbor instances.
-    instance_feats = _reduce_bottom(hdg, feats, aggregators[0], strategy)
+    instance_feats = _reduce_bottom(hdg, feats, aggregators[0], strategy, order)
 
     # Level 2: neighbor instances -> (root, schema leaf) slots.
-    slot_feats = _reduce_instances(hdg, instance_feats, aggregators[1], strategy)
+    slot_feats = _reduce_instances(hdg, instance_feats, aggregators[1],
+                                   strategy, order)
 
     # Level 1: schema-leaf slots -> roots.
-    return _reduce_schema(hdg, slot_feats, aggregators[2], strategy)
+    return _reduce_schema(hdg, slot_feats, aggregators[2], strategy, order)
 
 
 def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
-                   strategy: ExecutionStrategy) -> Tensor:
+                   strategy: ExecutionStrategy, order: str) -> Tensor:
     """Leaves -> instances (depth 3) or leaves -> roots (depth 1)."""
     level = hdg.max_level
     if strategy is ExecutionStrategy.SA or not agg.supports_fused:
@@ -142,32 +162,33 @@ def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
                       bytes_written=gathered.data.nbytes)
             return agg.sparse(gathered, hdg.plan(level, "index"),
                               hdg.leaf_weights)
-        return _run_backend("bottom", "sparse", strategy, agg, sparse_path)
+        return _run_backend("bottom", "sparse", strategy, agg, feats, order,
+                            sparse_path)
 
     return _run_backend(
-        "bottom", "fused", strategy, agg,
+        "bottom", "fused", strategy, agg, feats, order,
         lambda: agg.fused(feats, hdg.plan(level, "segments", feats.shape[0]),
                           hdg.leaf_weights),
     )
 
 
 def _reduce_instances(hdg: HDG, instance_feats: Tensor, agg: Aggregator,
-                      strategy: ExecutionStrategy) -> Tensor:
+                      strategy: ExecutionStrategy, order: str) -> Tensor:
     """Instances -> slots.  Instances are consecutive per slot, so HA can
     reduce on the elided layout without building an index."""
     if strategy is ExecutionStrategy.HA and agg.supports_fused:
         return _run_backend(
-            "instances", "fused", strategy, agg,
+            "instances", "fused", strategy, agg, instance_feats, order,
             lambda: agg.fused(instance_feats, hdg.plan(2, "segments")),
         )
     return _run_backend(
-        "instances", "sparse", strategy, agg,
+        "instances", "sparse", strategy, agg, instance_feats, order,
         lambda: agg.sparse(instance_feats, hdg.plan(2, "index")),
     )
 
 
 def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
-                   strategy: ExecutionStrategy) -> Tensor:
+                   strategy: ExecutionStrategy, order: str) -> Tensor:
     """Slots -> roots.  The schema tree is regular (every root has exactly
     num_leaf_types slots), so HA uses the dense reshape trick of
     Figure 10; other strategies scatter."""
@@ -186,9 +207,10 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
                       bytes_read=reshaped.data.nbytes,
                       bytes_written=out.data.nbytes)
             return out
-        return _run_backend("schema", "dense", strategy, agg, dense_path)
+        return _run_backend("schema", "dense", strategy, agg, slot_feats, order,
+                            dense_path)
 
     return _run_backend(
-        "schema", "sparse", strategy, agg,
+        "schema", "sparse", strategy, agg, slot_feats, order,
         lambda: agg.sparse(slot_feats, hdg.plan(1, "index")),
     )

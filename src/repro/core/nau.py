@@ -26,9 +26,9 @@ from ..tensor.nn import Module
 from ..tensor.tensor import Tensor
 from .aggregation import Aggregator, get_aggregator
 from .hdg import HDG, hdg_from_graph
-from .hybrid import ExecutionStrategy, hierarchical_aggregate
+from .hybrid import PROJECT_FIRST, ExecutionStrategy, hierarchical_aggregate
 
-__all__ = ["SelectionScope", "GNNLayer", "NAUModel"]
+__all__ = ["SelectionScope", "GNNLayer", "NAUModel", "projects_first"]
 
 
 class SelectionScope(enum.Enum):
@@ -39,14 +39,41 @@ class SelectionScope(enum.Enum):
     PER_LAYER = "per_layer"  # rebuilt for every layer invocation
 
 
+def projects_first(edges: int, rows: int, roots: int,
+                   d_in: int, d_out: int) -> bool:
+    """The operator order of a declared linear Update, from counts alone.
+
+    Projecting first costs ``rows*d_in*d_out`` multiply-adds for the
+    projection of every input row plus ``edges*d_out`` for the
+    reduction; reducing first costs ``edges*d_in`` plus
+    ``roots*d_in*d_out`` for projecting the roots' aggregates.  The
+    cheaper one runs; a tie reduces first.  A pure function of counts
+    the call already holds — never a timing, so two passes of one commit
+    always choose alike.
+    """
+    return (rows * d_in * d_out + edges * d_out
+            < edges * d_in + roots * d_in * d_out)
+
+
 class GNNLayer(Module):
     """One GNN layer expressed in NAU.
 
-    Subclasses override :meth:`update` (Equation (2)) and either set
-    ``self.aggregators`` (bottom-up UDF list consumed by the default
-    level-wise :meth:`aggregation`) or override :meth:`aggregation`
-    entirely.  :meth:`neighbor_selection` defaults to ``None``, meaning
-    the layer uses the model-level HDGs (the common case).
+    Subclasses set ``self.aggregators`` (bottom-up UDF list consumed by
+    the default level-wise :meth:`aggregation`) or override
+    :meth:`aggregation` entirely, and define Update (Equation (2)) in
+    one of two ways:
+
+    * override :meth:`update` — any function of the previous features
+      and the neighborhood representation;
+    * declare it linear in the aggregate — :meth:`linear_update` names
+      the two bias-free weights, :meth:`combine` is the tail — and this
+      class owns :meth:`aggregation`, :meth:`update` and
+      :meth:`forward`: ``aggregation`` then returns the *projected*
+      neighborhood term, reduced at whichever width costs fewer
+      multiply-adds (:func:`projects_first`).
+
+    :meth:`neighbor_selection` defaults to ``None``, meaning the layer
+    uses the model-level HDGs (the common case).
     """
 
     def __init__(self, aggregators: list[Aggregator | str] | None = None,
@@ -68,17 +95,79 @@ class GNNLayer(Module):
     # -- Aggregation --------------------------------------------------------
     def aggregation(self, feats: Tensor, hdg: HDG,
                     strategy: ExecutionStrategy = ExecutionStrategy.HA) -> Tensor:
-        """Level-wise bottom-up aggregation (Figure 6's default loop)."""
+        """Level-wise bottom-up aggregation (Figure 6's default loop).
+
+        Under a declared linear Update the result is the neighborhood
+        term *after* its projection (``out_dim`` wide), whichever order
+        computed it.
+        """
         if not self.aggregators:
             raise NotImplementedError(
                 "set self.aggregators or override aggregation()"
             )
-        return hierarchical_aggregate(hdg, feats, self.aggregators, strategy)
+        weights = self.linear_update()
+        if weights is None:
+            return hierarchical_aggregate(hdg, feats, self.aggregators, strategy)
+        return self._projected_aggregation(feats, hdg, strategy, weights[1])[0]
+
+    def _projected_aggregation(self, feats: Tensor, hdg: HDG,
+                               strategy: ExecutionStrategy,
+                               nbr_weight: Tensor) -> tuple[Tensor, Tensor | None]:
+        """``(nbr_proj, projected)``: the projected neighborhood term,
+        and ``feats @ nbr_weight`` when the project-first order ran
+        (``None`` when the levels reduced at the input width).
+
+        The projection may move below the reduction only when every
+        level's UDF is ``linear``; the bias never moves with it
+        (``sum(W h_u + b) != W sum(h_u) + b``) — it lives in
+        :meth:`combine`.
+        """
+        d_in, d_out = nbr_weight.shape
+        if (all(agg.linear for agg in self.aggregators)
+                and projects_first(hdg.leaf_vertices.size, feats.shape[0],
+                                   hdg.num_roots, d_in, d_out)):
+            projected = feats @ nbr_weight
+            return hierarchical_aggregate(hdg, projected, self.aggregators,
+                                          strategy, PROJECT_FIRST), projected
+        nbr = hierarchical_aggregate(hdg, feats, self.aggregators, strategy)
+        return nbr @ nbr_weight, None
+
+    @property
+    def commutative(self) -> bool:
+        """Whether §5's partial aggregation is valid for this layer: the
+        bottom-level UDF says so.  A layer that overrides
+        :meth:`aggregation` hides its reduction from the engine, so it
+        is treated as order-sensitive unless it declares
+        ``commutative = True`` itself."""
+        if type(self).aggregation is not GNNLayer.aggregation:
+            return False
+        return bool(self.aggregators) and self.aggregators[0].commutative
 
     # -- Update --------------------------------------------------------------
-    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
-        """Combine previous features with neighborhood representations."""
+    def linear_update(self) -> tuple[Tensor, Tensor] | None:
+        """Declare Update linear in the aggregate, or ``None`` (default).
+
+        Returns ``(self_weight, nbr_weight)``: the bias-free
+        ``(in, out)`` matrices Update applies to a vertex's own feature
+        and to its neighborhood representation — the *same object* twice
+        when they are shared (``W(h + a)``), two halves of one matrix
+        for ``W[h ; a]``.  Everything after the two projections — bias,
+        scaling, further layers, activation — goes in :meth:`combine`.
+        """
+        return None
+
+    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
+        """Tail of a declared linear Update: from ``h @ self_weight`` and
+        the projected neighborhood term to the layer's output."""
         raise NotImplementedError
+
+    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
+        """Combine previous features with neighborhood representations
+        (``nbr_feats`` is what :meth:`aggregation` returned)."""
+        weights = self.linear_update()
+        if weights is None:
+            raise NotImplementedError
+        return self.combine(feats @ weights[0], nbr_feats)
 
     def forward(self, feats: Tensor, hdg: HDG,
                 strategy: ExecutionStrategy = ExecutionStrategy.HA,
@@ -89,10 +178,23 @@ class GNNLayer(Module):
         of ``feats``' rows (a sampled batch, a worker's partition
         slice); ``rows`` then names the roots' feature rows and the
         result has one row per root.  ``rows=None`` is the full-graph
-        case: the roots are every row, in order.
+        case: the roots are every row, in order — and a declared linear
+        Update with a shared weight that projected ``feats`` for the
+        reduction reuses that projection as the self term.  The values
+        are bitwise those of :meth:`aggregation` then :meth:`update`.
         """
-        nbr_feats = self.aggregation(feats, hdg, strategy)
-        return self.update(feats if rows is None else feats[rows], nbr_feats)
+        weights = self.linear_update()
+        if weights is None:
+            nbr_feats = self.aggregation(feats, hdg, strategy)
+            return self.update(feats if rows is None else feats[rows],
+                               nbr_feats)
+        self_weight, nbr_weight = weights
+        nbr_proj, projected = self._projected_aggregation(
+            feats, hdg, strategy, nbr_weight)
+        if projected is not None and rows is None and self_weight is nbr_weight:
+            return self.combine(projected, nbr_proj)
+        self_feats = feats if rows is None else feats[rows]
+        return self.combine(self_feats @ self_weight, nbr_proj)
 
     @property
     def output_dim(self) -> int:

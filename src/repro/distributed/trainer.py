@@ -116,12 +116,6 @@ class DistributedTrainer:
         self.workers = [Worker(w, part)
                         for w, part in enumerate(self.partition.parts)]
 
-    def _layer_commutative(self, layer) -> bool:
-        """Partial aggregation needs a commutative bottom-level UDF (§5)."""
-        if not layer.aggregators:
-            return True
-        return layer.aggregators[0].name in ("sum", "mean", "max", "min", "weighted_sum")
-
     # ------------------------------------------------------------------
     # Failure injection (the FaultTolerantTrainer contract)
     # ------------------------------------------------------------------
@@ -168,7 +162,7 @@ class DistributedTrainer:
             feat_bytes = int(h.shape[1]) * h.data.dtype.itemsize
             plan = plan_layer_comm(
                 self._dep_stats, feat_bytes, self.comm_config, mode,
-                self._layer_commutative(layer),
+                layer.commutative,
             )
             totals["modes"].add(plan.mode)
             totals["bytes"] += plan.total_bytes

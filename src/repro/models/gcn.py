@@ -2,7 +2,8 @@
 
 Figure 7's NAU program: Aggregation is a plain ``scatter_add`` over the
 flat HDG (which is just the input graph); Update is
-``ReLU(W * feas.add(nbr_feas))``.
+``ReLU(W * feas.add(nbr_feas))`` — linear in the aggregate, which the
+layer declares so the engine may reduce at ``W``'s narrower side.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ class GCNLayer(GNNLayer):
         self.linear = Linear(in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
-        out = self.linear(feats.add(nbr_feats))
+    def linear_update(self) -> tuple[Tensor, Tensor]:
+        return self.linear.weight, self.linear.weight
+
+    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
+        out = self_proj + nbr_proj + self.linear.bias
         return out.relu() if self.activation else out
 
     @property

@@ -1,7 +1,8 @@
 """GIN (Xu et al., "How Powerful are GNNs?") in NAU — a second DNFA model.
 
 Aggregation is an injective sum over direct neighbors; Update is
-``MLP((1 + eps) * h + a)`` with a learnable ``eps``.
+``MLP((1 + eps) * h + a)`` with a learnable ``eps`` — the MLP's first
+layer is linear in the aggregate, which the layer declares.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ class GINLayer(GNNLayer):
         self.eps = Parameter(np.zeros(1))
         self.activation = activation
 
-    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
-        combined = feats * (self.eps + 1.0) + nbr_feats
-        out = self.fc2(self.fc1(combined).relu())
+    def linear_update(self) -> tuple[Tensor, Tensor]:
+        return self.fc1.weight, self.fc1.weight
+
+    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
+        hidden = self_proj * (self.eps + 1.0) + nbr_proj + self.fc1.bias
+        out = self.fc2(hidden.relu())
         return out.relu() if self.activation else out
 
     @property

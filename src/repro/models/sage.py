@@ -24,6 +24,10 @@ __all__ = ["SAGELayer", "GraphSAGE", "graphsage"]
 class SAGELayer(GNNLayer):
     """One SAGE-pool layer: max(ReLU(W_pool h_u)) + ReLU(W [h ; a])."""
 
+    #: the overridden Aggregation is an elementwise max — partial
+    #: results fold, so §5's pipelined aggregation stays valid
+    commutative = True
+
     def __init__(self, in_dim: int, out_dim: int, pool_dim: int | None = None,
                  activation: bool = True,
                  rng: np.random.Generator | None = None):

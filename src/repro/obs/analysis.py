@@ -231,11 +231,15 @@ def backend_report(events: Iterable | None = None) -> dict:
     Aggregates the ``aggregation.backend`` events the hybrid executor
     emits (each carries the seconds, FLOPs and bytes measured around
     one backend invocation) into one row per
-    ``(strategy, level, backend)``.  Rows are sorted by strategy, then
-    bottom-up level order, then bytes moved — so for a fixed level the
-    first row is the cheapest backend in data movement, which is the
-    ordering Figure 14 of the paper argues from (fused one-shot
-    aggregation at the wide bottom level, dense at the narrow top).
+    ``(strategy, level, backend, order, width)`` — ``order`` and
+    ``width`` say whether a declared linear Update projected before the
+    reduction and the feature width the level reduced at, which is
+    where a cheaper aggregation usually comes from.  Rows are sorted by
+    strategy, then bottom-up level order, then bytes moved — so for a
+    fixed level the first row is the cheapest backend in data movement,
+    which is the ordering Figure 14 of the paper argues from (fused
+    one-shot aggregation at the wide bottom level, dense at the narrow
+    top).
 
     Accepts live records or the ``"events"`` list of an exported trace;
     defaults to the global registry.
@@ -251,11 +255,14 @@ def backend_report(events: Iterable | None = None) -> dict:
             str(attrs.get("strategy", "?")),
             str(attrs.get("level", "?")),
             str(attrs.get("backend", "?")),
+            str(attrs.get("order", "?")),
+            attrs.get("width"),
         )
         row = grouped.get(key)
         if row is None:
             row = grouped[key] = {
                 "strategy": key[0], "level": key[1], "backend": key[2],
+                "order": key[3], "width": key[4],
                 "aggregator": attrs.get("aggregator"),
                 "count": 0, "seconds": 0.0, "flops": 0.0,
                 "bytes_read": 0.0, "bytes_written": 0.0,
@@ -287,16 +294,18 @@ def render_backend_report(report) -> str:
         return "(no aggregation.backend events recorded)"
     lines = ["  backend cost per strategy/level (by bytes moved):"]
     lines.append(
-        "    {:<8} {:<10} {:<8} {:>6} {:>10} {:>12} {:>12} {:>10}".format(
-            "strategy", "level", "backend", "calls", "seconds",
-            "flops", "bytes", "intensity"
+        "    {:<8} {:<10} {:<8} {:<13} {:>5} {:>6} {:>10} {:>12} {:>12} "
+        "{:>10}".format(
+            "strategy", "level", "backend", "order", "width", "calls",
+            "seconds", "flops", "bytes", "intensity"
         )
     )
     for row in rows:
         lines.append(
-            "    {:<8} {:<10} {:<8} {:>6d} {:>9.4f}s {:>12.4g} "
+            "    {:<8} {:<10} {:<8} {:<13} {:>5} {:>6d} {:>9.4f}s {:>12.4g} "
             "{:>12.4g} {:>10.3f}".format(
-                row["strategy"], row["level"], row["backend"], row["count"],
+                row["strategy"], row["level"], row["backend"],
+                row.get("order", "?"), row.get("width") or "?", row["count"],
                 row["seconds"], row["flops"], row["bytes"],
                 row["arithmetic_intensity"],
             )

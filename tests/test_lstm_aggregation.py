@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Aggregator,
     GNNLayer,
     LSTMAggregator,
     NAUModel,
     SelectionScope,
+    SumAggregator,
     get_aggregator,
     hdg_from_graph,
     hierarchical_aggregate,
@@ -121,6 +123,15 @@ class _LSTMLayer(GNNLayer):
         return self.linear(feats.add(nbr_feats))
 
 
+class _UDFLayer(GNNLayer):
+    def __init__(self, udf, in_dim, out_dim):
+        super().__init__(aggregators=[udf])
+        self.linear = Linear(in_dim, out_dim)
+
+    def update(self, feats, nbr_feats):
+        return self.linear(feats.add(nbr_feats))
+
+
 class TestNonCommutativeDistributed:
     """§5: LSTM aggregation forbids partial aggregation — the pipelined
     plan must fall back to batched transfer."""
@@ -129,10 +140,7 @@ class TestNonCommutativeDistributed:
         ds = load_dataset("reddit", scale="tiny")
         model = NAUModel([_LSTMLayer(ds.feat_dim, ds.num_classes)],
                          SelectionScope.STATIC, name="lstm-gnn")
-        trainer = DistributedTrainer(
-            model, ds.graph, hash_partition(ds.graph.num_vertices, 2)
-        )
-        assert not trainer._layer_commutative(model.layers[0])
+        assert not model.layers[0].commutative
 
     def test_distributed_epoch_uses_batched_bytes(self):
         ds = load_dataset("reddit", scale="tiny")
@@ -153,21 +161,60 @@ class TestNonCommutativeDistributed:
         assert stats.total_bytes == pytest.approx(batched.total_bytes)
         assert np.isfinite(stats.loss)
 
-    def test_stats_report_effective_mode_not_requested(self):
-        """Regression: comm_mode echoed the *requested* mode even when
-        every layer's plan silently fell back to batched transfer."""
+    def _comm_mode(self, layer_factory):
         ds = load_dataset("reddit", scale="tiny")
-        model = NAUModel([_LSTMLayer(ds.feat_dim, ds.num_classes)],
-                         SelectionScope.STATIC, name="lstm-gnn")
+        model = NAUModel([layer_factory(ds.feat_dim, ds.num_classes)],
+                         SelectionScope.STATIC, name="custom-gnn")
         trainer = DistributedTrainer(
             model, ds.graph, hash_partition(ds.graph.num_vertices, 2),
-            pipeline=True,   # requested pipelined; LSTM forces batched
+            pipeline=True,
         )
         stats = trainer.train_epoch(
             Tensor(ds.features), ds.labels, Adam(model.parameters(), 0.01),
             ds.train_mask,
         )
-        assert stats.comm_mode == "batched"
+        return stats.comm_mode
+
+    def test_stats_report_effective_mode_not_requested(self):
+        """Regression: comm_mode echoed the *requested* mode even when
+        every layer's plan silently fell back to batched transfer."""
+        # requested pipelined; LSTM forces batched
+        assert self._comm_mode(_LSTMLayer) == "batched"
+
+    def test_commutativity_is_declared_not_guessed_from_the_name(self):
+        """Regression: the trainer allow-listed five UDF *names*, so a
+        custom commutative UDF fell back to batched — and one that
+        merely reused the name "sum" would have been pipelined."""
+        class Renamed(SumAggregator):
+            name = "my_sum"             # not on any list
+
+        class Undeclared(Renamed):
+            commutative = False
+
+        def layer(udf):
+            return lambda i, o: _UDFLayer(udf(), i, o)
+
+        assert self._comm_mode(layer(Renamed)) == "pipelined"
+        assert self._comm_mode(layer(Undeclared)) == "batched"
+        assert not Aggregator.commutative and not Aggregator.linear
+
+    def test_overriding_layer_is_batched_unless_it_declares(self):
+        """Regression: a layer with no ``aggregators`` (one that
+        overrides ``aggregation()``, e.g. around an LSTM) was assumed
+        commutative."""
+        class Overriding(_UDFLayer):
+            def aggregation(self, feats, hdg, strategy="ha"):
+                return hierarchical_aggregate(hdg, feats, self.aggregators,
+                                              strategy)
+
+        class Declared(Overriding):
+            commutative = True
+
+        def layer(cls):
+            return lambda i, o: cls(SumAggregator(), i, o)
+
+        assert self._comm_mode(layer(Overriding)) == "batched"
+        assert self._comm_mode(layer(Declared)) == "pipelined"
 
     def test_lstm_gnn_learns(self):
         ds = load_dataset("reddit", scale="tiny")

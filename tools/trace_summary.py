@@ -10,7 +10,10 @@ Usage::
 The summary view aggregates spans by name (count / total / mean / exact
 p50 / p99 / max, ``~`` marking simulated durations), then lists counters
 (total + peak), gauges and event counts — the same rendering
-``repro.obs.summary()`` produces for a live registry.  The listings
+``repro.obs.summary()`` produces for a live registry — and, when the
+trace holds ``aggregation.backend`` events, the per-level backend table
+(backend, operator order and the width each level reduced at, with
+measured cost).  The listings
 render each record with ``repro.obs.render_timeline``, the renderer
 ``tools/postmortem.py`` uses for journals.
 
@@ -44,6 +47,7 @@ from repro.obs import (  # noqa: E402
     render_timeline,
     straggler_report,
 )
+from repro.obs.analysis import backend_report, render_backend_report  # noqa: E402
 from repro.obs.export import SCHEMA  # noqa: E402
 from repro.obs.registry import Record  # noqa: E402
 
@@ -162,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         events,
         data.get("meta"),
     ))
+    backends = backend_report(events)["rows"]
+    if backends:
+        print(render_backend_report(backends))
     ranks = {_rank_of(s) for s in spans} - {None}
     if args.per_rank or len(ranks) >= 2:
         section = per_rank_summary(spans)
