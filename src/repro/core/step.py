@@ -380,6 +380,13 @@ class Partition:
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.shape != (num_vertices,):
             raise ValueError("partition labels must cover every vertex")
+        negative = np.flatnonzero(self.labels < 0)
+        if negative.size:
+            v = int(negative[0])
+            raise ValueError(
+                f"partition label of vertex {v} is negative "
+                f"({int(self.labels[v])}); worker labels start at 0"
+            )
         self.k = int(self.labels.max()) + 1
         self.parts = [np.flatnonzero(self.labels == w) for w in range(self.k)]
         #: worker-concatenation order, and its inverse (→ vertex order)

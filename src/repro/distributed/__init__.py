@@ -15,7 +15,6 @@ from .fault_tolerance import (
 )
 from .comm import Comm, CommConfig, ProcessComm, SimulatedComm
 from .kvstore import KVStore, SharedArray
-from .minibatch import DistributedMiniBatchStats, DistributedMiniBatchTrainer
 from .commplan import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
 from .runtime import MultiprocessEpochStats, MultiprocessTrainer
 from .trainer import DistributedEpochStats, DistributedTrainer
@@ -28,7 +27,6 @@ __all__ = [
     "DependencyStats", "dependency_stats", "CommPlan", "plan_layer_comm",
     "Worker",
     "DistributedTrainer", "DistributedEpochStats",
-    "DistributedMiniBatchTrainer", "DistributedMiniBatchStats",
     "ScalingPoint", "flexgraph_scaling", "model_baseline_scaling",
     "CheckpointManager", "FaultTolerantTrainer", "WorkerFailure",
     "RecoveryEvent",

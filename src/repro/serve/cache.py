@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import obs
 from ..core.hdg import HDG
-from ..tensor.quant import resolve_codec
+from ..tensor.quant import QuantizedRows, dequantize_rows, quantize_rows, resolve_codec
 
 __all__ = [
     "GraphVersion",
@@ -151,7 +151,9 @@ class EmbeddingCache:
         entry), so the same byte budget holds ~4×–8× the vertices — the
         direct warm-hit-rate lever under Zipfian request popularity.
         Decoded rows come back in the dtype rows were first stored in;
-        int8 hits carry the codec's documented ~0.4%-of-row-range error.
+        int8 hits carry the codec's documented ``max|row|/254`` error.
+        Encoding and decoding are :mod:`repro.tensor.quant`'s, one call
+        per stored batch and per lookup.
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024,
@@ -170,25 +172,27 @@ class EmbeddingCache:
         return len(self._entries)
 
     # ------------------------------------------------------------------
-    def _encode_row(self, row: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """(payload, scale): the stored form of one row."""
-        if self.store_dtype is None:
-            return np.ascontiguousarray(row), None
-        if self.store_dtype != "int8":
-            return np.ascontiguousarray(row, dtype=self.store_dtype), None
-        absmax = float(np.max(np.abs(row))) if row.size else 0.0
-        scale = absmax / 127.0 if absmax > 0.0 else 1.0
-        codes = np.rint(np.asarray(row) / scale).astype(np.int8)
-        return codes, scale
+    def _encode(self, rows) -> tuple[list[np.ndarray], list]:
+        """(payloads, scales): the stored form of a batch of rows, one
+        ``quantize_rows`` call for the whole batch."""
+        rows = np.asarray(rows)
+        if self._out_dtype is None:
+            self._out_dtype = (rows.dtype if rows.dtype.kind == "f"
+                               else np.dtype(np.float32))
+        q = quantize_rows(rows, self.store_dtype)
+        # Per-row copies: a view would pin the whole batch's codes.
+        payloads = [codes.copy() for codes in q.codes]
+        scales = list(q.scales) if q.scales is not None else [None] * len(payloads)
+        return payloads, scales
 
-    def _decode_row(self, entry: tuple) -> np.ndarray:
-        _, payload, scale = entry
-        if self.store_dtype is None:
-            return payload
-        out_dtype = self._out_dtype or np.dtype(np.float32)
-        if scale is None:
-            return payload.astype(out_dtype)
-        return payload.astype(out_dtype) * out_dtype.type(scale)
+    def _decode(self, payloads: list, scales: list) -> list:
+        """Decode the hit rows of one lookup with one codec call."""
+        if not payloads:
+            return []
+        q = QuantizedRows(self.store_dtype, np.stack(payloads),
+                          np.array(scales, dtype=np.float32)
+                          if self.store_dtype == "int8" else None)
+        return list(dequantize_rows(q, out_dtype=self._out_dtype))
 
     @staticmethod
     def _entry_nbytes(entry: tuple) -> int:
@@ -202,18 +206,22 @@ class EmbeddingCache:
         vertices = np.asarray(vertices, dtype=np.int64)
         hit_mask = np.zeros(vertices.size, dtype=bool)
         rows: list[np.ndarray] = []
+        scales: list = []
         for i, v in enumerate(vertices.tolist()):
             entry = self._entries.get((layer, v))
             if entry is not None:
                 self._entries.move_to_end((layer, v))
                 hit_mask[i] = True
-                rows.append(self._decode_row(entry))
+                rows.append(entry[1])
+                scales.append(entry[2])
         hits = int(hit_mask.sum())
         misses = vertices.size - hits
         self.hits += hits
         self.misses += misses
         obs.counter("serve.cache.embed.hit").add(hits)
         obs.counter("serve.cache.embed.miss").add(misses)
+        if self.store_dtype is not None:
+            rows = self._decode(rows, scales)
         return hit_mask, rows
 
     def store(self, layer: int, vertices: np.ndarray, rows: np.ndarray,
@@ -223,16 +231,16 @@ class EmbeddingCache:
         if self.max_bytes <= 0:
             return
         vertices = np.asarray(vertices, dtype=np.int64)
-        if self.store_dtype is not None and self._out_dtype is None and len(rows):
-            first = np.asarray(rows[0])
-            self._out_dtype = (first.dtype if first.dtype.kind == "f"
-                               else np.dtype(np.float32))
-        for i, v in enumerate(vertices.tolist()):
+        if self.store_dtype is None:
+            payloads = [np.ascontiguousarray(rows[i]) for i in range(vertices.size)]
+            scales = [None] * vertices.size
+        else:
+            payloads, scales = self._encode(rows) if vertices.size else ([], [])
+        for v, payload, scale in zip(vertices.tolist(), payloads, scales):
             key = (layer, v)
             old = self._entries.pop(key, None)
             if old is not None:
                 self.current_bytes -= self._entry_nbytes(old)
-            payload, scale = self._encode_row(np.asarray(rows[i]))
             entry = (version, payload, scale)
             self._entries[key] = entry
             self.current_bytes += self._entry_nbytes(entry)

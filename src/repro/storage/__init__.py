@@ -1,6 +1,9 @@
-"""``repro.storage`` — the Figure 12 storage tier (graph, feature and
-checkpoint persistence; per-worker partition shards; the out-of-core
-``repro.ondisk/1`` memmap format)."""
+"""``repro.storage`` — the Figure 12 storage tier: datasets and checkpoints.
+
+Datasets live in the one ``repro.ondisk/1`` format (a worker's
+partition is a row gather over it); model checkpoints are ``.npz``
+files read back without unpickling.
+"""
 
 from .ondisk import (
     ONDISK_FORMAT,
@@ -10,22 +13,10 @@ from .ondisk import (
     write_ondisk_dataset,
     write_synthetic_ondisk,
 )
-from .store import (
-    PartitionedStore,
-    checkpoint_metadata,
-    load_checkpoint,
-    load_dataset_from,
-    load_graph,
-    save_checkpoint,
-    save_dataset,
-    save_graph,
-)
+from .store import checkpoint_metadata, load_checkpoint, save_checkpoint
 
 __all__ = [
-    "save_graph", "load_graph",
-    "save_dataset", "load_dataset_from",
     "save_checkpoint", "load_checkpoint", "checkpoint_metadata",
-    "PartitionedStore",
     "ONDISK_FORMAT", "OnDiskIntegrityError",
     "OnDiskGraph", "OnDiskDataset",
     "write_ondisk_dataset", "write_synthetic_ondisk",

@@ -1,11 +1,10 @@
-"""Out-of-core dataset storage — the ``repro.ondisk/1`` format.
+"""Dataset storage — the ``repro.ondisk/1`` format.
 
 FlexGraph's bottom layer (Figure 12) is a storage system that feeds
-graph topology and vertex features to the layers above it.  The
-in-RAM tier (:mod:`repro.storage.store`) caps dataset size at host
-memory; this module is the out-of-core tier: a directory of flat
-binary files under a JSON manifest, designed so that *nothing* is ever
-read in full —
+graph topology and vertex features to the layers above it.  This
+module is the one dataset format: a directory of flat binary files
+under a JSON manifest, designed so that *nothing* is ever read in
+full —
 
 * topology as memory-mapped CSC **and** CSR ``.npy`` pairs
   (``indptr``/``indices``), so neighbor lookups touch only the pages a
@@ -18,6 +17,10 @@ read in full —
   SHA-256 content fingerprint per file, verified on demand
   (:meth:`OnDiskDataset.verify`) so a truncated or corrupted shard
   fails loudly instead of training on garbage.
+
+A distributed worker's partition is a row gather over the same files:
+``gather_features(partition.parts[w])`` / ``gather_labels(...)``, with
+:attr:`OnDiskDataset.wire_bytes_per_row` as the cost of a remote fetch.
 
 Writers come in two flavors: :func:`write_ondisk_dataset` converts an
 in-RAM :class:`~repro.datasets.synthetic.Dataset`, and
@@ -53,6 +56,7 @@ from ..tensor.quant import (
     decode_int8,
     quantize_rows,
     resolve_codec,
+    storage_dtype,
     wire_bytes_per_row as _codec_row_bytes,
 )
 
@@ -139,13 +143,6 @@ def _feature_shard_rel(shard: int) -> str:
 def _scale_shard_rel(shard: int) -> str:
     """Per-row float32 scale sidecar for an int8-quantized feature shard."""
     return f"features/scale-{shard:05d}.npy"
-
-
-_CODEC_STORAGE = {
-    "float32": np.dtype(np.float32),
-    "float16": np.dtype(np.float16),
-    "int8": np.dtype(np.int8),
-}
 
 
 def _open_memmap(path: str) -> np.ndarray:
@@ -288,8 +285,8 @@ class OnDiskDataset:
     def _init_codec(self) -> None:
         """Resolve the optional quantized-feature codec from the manifest.
 
-        Without a ``feature_codec`` key the dataset is a legacy exact
-        store: gathers return the storage dtype untouched.  With one,
+        Without a ``feature_codec`` key the dataset is an exact store:
+        gathers return the storage dtype untouched.  With one,
         the storage dtype must match the codec (int8 additionally needs
         one ``features/scale-*.npy`` float32 sidecar per shard) and
         gathers dequantize into ``compute_dtype``.  Every mismatch is an
@@ -306,7 +303,7 @@ class OnDiskDataset:
             self.feature_codec = resolve_codec(codec)
         except ValueError as exc:
             raise OnDiskIntegrityError(f"{self.root}: {exc}") from exc
-        storage = _CODEC_STORAGE[self.feature_codec]
+        storage = storage_dtype(self.feature_codec)
         if storage != self.feature_dtype:
             raise OnDiskIntegrityError(
                 f"{self.root}: feature_codec {self.feature_codec!r} stores "
@@ -563,7 +560,7 @@ def _codec_meta(codec: str | None, exact_dtype) -> dict:
     """Manifest keys describing the feature codec of a written dataset."""
     if codec is None:
         return {"feature_dtype": str(np.dtype(exact_dtype))}
-    storage = _CODEC_STORAGE[codec]
+    storage = storage_dtype(codec)
     meta = {"feature_dtype": str(storage), "feature_codec": codec}
     if codec == "int8":
         meta["compute_dtype"] = "float32"

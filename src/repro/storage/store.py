@@ -1,112 +1,26 @@
-"""Graph / feature / checkpoint persistence — the Figure 12 storage tier.
+"""Model checkpoints: a ``state_dict`` plus JSON metadata in one ``.npz``.
 
-FlexGraph's bottom layer is a storage system (DFS in the paper) that
-manages graph data and vertex features for the NN framework, graph
-engine and load balancer.  This module provides the single-node
-equivalent over a local directory: versioned ``.npz`` artifacts with a
-manifest, covering
-
-* whole graphs (:func:`save_graph` / :func:`load_graph`);
-* datasets — graph + features + labels + splits
-  (:func:`save_dataset` / :func:`load_dataset_from`);
-* model checkpoints (:func:`save_checkpoint` / :func:`load_checkpoint`);
-* per-worker partition shards for distributed training
-  (:class:`PartitionedStore`), mirroring how FlexGraph assigns each
-  shared-nothing worker its partition's HDGs and features.
+Datasets live in the ``repro.ondisk/1`` format (:mod:`.ondisk`); this
+module persists what training produces.  A checkpoint holds only plain
+numeric arrays and one unicode JSON string, and is read back without
+unpickling, so loading an untrusted file cannot run code.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
-from ..datasets.synthetic import Dataset
 from ..graph.graph import Graph
-from ..tensor.quant import dequantize_rows, quantize_rows, resolve_codec
 
 __all__ = [
-    "save_graph",
-    "load_graph",
-    "save_dataset",
-    "load_dataset_from",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_metadata",
-    "PartitionedStore",
 ]
 
-_FORMAT_VERSION = 1
-
-
-def save_graph(graph: Graph, path: str) -> None:
-    """Serialize a graph to ``path`` (.npz)."""
-    src, dst = graph.edges()
-    np.savez_compressed(
-        path,
-        format_version=np.int64(_FORMAT_VERSION),
-        num_vertices=np.int64(graph.num_vertices),
-        src=src,
-        dst=dst,
-        vertex_types=graph.vertex_types,
-        type_names=np.array(graph.type_names, dtype=object),
-    )
-
-
-def load_graph(path: str) -> Graph:
-    """Load a graph saved by :func:`save_graph`."""
-    with np.load(path, allow_pickle=True) as data:
-        _check_version(int(data["format_version"]), path)
-        return Graph(
-            int(data["num_vertices"]),
-            data["src"],
-            data["dst"],
-            vertex_types=data["vertex_types"],
-            type_names=[str(t) for t in data["type_names"]],
-        )
-
-
-def save_dataset(dataset: Dataset, path: str) -> None:
-    """Serialize a full dataset (graph + features + labels + splits)."""
-    src, dst = dataset.graph.edges()
-    np.savez_compressed(
-        path,
-        format_version=np.int64(_FORMAT_VERSION),
-        name=np.array(dataset.name, dtype=object),
-        num_vertices=np.int64(dataset.graph.num_vertices),
-        src=src,
-        dst=dst,
-        vertex_types=dataset.graph.vertex_types,
-        type_names=np.array(dataset.graph.type_names, dtype=object),
-        features=dataset.features,
-        labels=dataset.labels,
-        train_mask=dataset.train_mask,
-        val_mask=dataset.val_mask,
-        test_mask=dataset.test_mask,
-    )
-
-
-def load_dataset_from(path: str) -> Dataset:
-    """Load a dataset saved by :func:`save_dataset`."""
-    with np.load(path, allow_pickle=True) as data:
-        _check_version(int(data["format_version"]), path)
-        graph = Graph(
-            int(data["num_vertices"]),
-            data["src"],
-            data["dst"],
-            vertex_types=data["vertex_types"],
-            type_names=[str(t) for t in data["type_names"]],
-        )
-        return Dataset(
-            name=str(data["name"]),
-            graph=graph,
-            features=data["features"],
-            labels=data["labels"],
-            train_mask=data["train_mask"],
-            val_mask=data["val_mask"],
-            test_mask=data["test_mask"],
-        )
+_FORMAT_VERSION = 2
 
 
 def save_checkpoint(state: dict[str, np.ndarray], path: str,
@@ -115,16 +29,26 @@ def save_checkpoint(state: dict[str, np.ndarray], path: str,
 
     The dotted parameter names of ``Module.state_dict()`` are stored
     as-is; metadata (epoch, loss, config) rides along as a JSON string.
+    Object-dtype arrays are refused: they could only be read back by
+    unpickling.
     """
-    payload = {f"param::{name}": value for name, value in state.items()}
+    payload = {}
+    for name, value in state.items():
+        value = np.asarray(value)
+        if value.dtype.hasobject:
+            raise ValueError(
+                f"checkpoint state {name!r} has dtype {value.dtype}; only "
+                "numeric arrays can be stored"
+            )
+        payload[f"param::{name}"] = value
     payload["format_version"] = np.int64(_FORMAT_VERSION)
-    payload["metadata"] = np.array(json.dumps(metadata or {}), dtype=object)
+    payload["metadata"] = np.array(json.dumps(metadata or {}))
     np.savez_compressed(path, **payload)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Load a checkpoint; returns (state_dict, metadata)."""
-    with np.load(path, allow_pickle=True) as data:
+    with np.load(path) as data:
         _check_version(int(data["format_version"]), path)
         state = {
             key[len("param::"):]: data[key]
@@ -164,134 +88,3 @@ def _check_version(version: int, path: str) -> None:
             f"{path}: format version {version} not supported "
             f"(expected {_FORMAT_VERSION})"
         )
-
-
-class PartitionedStore:
-    """Per-worker shards of a dataset under one directory.
-
-    Mirrors the distributed layout of §5: worker ``w`` owns the features
-    and labels of its partition's vertices plus the partition assignment
-    needed to locate remote leaves.  Shards round-trip through
-    :meth:`write_shards` / :meth:`read_shard`.
-    """
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-
-    def _shard_path(self, worker: int) -> str:
-        return os.path.join(self.root, f"shard_{worker:04d}.npz")
-
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.root, "manifest.json")
-
-    def write_shards(self, dataset: Dataset, labels: np.ndarray, k: int,
-                     quantize: str | None = None) -> None:
-        """Split ``dataset`` into ``k`` worker shards by partition labels.
-
-        With ``quantize`` (``int8``/``float16``/``float32``) each
-        worker's feature block is stored in that codec — int8 rides with
-        a per-row float32 ``feature_scales`` sidecar — so a shard's
-        feature bytes shrink ~4× and remote feature fetches move the
-        wire format.  :meth:`read_shard` dequantizes on read by default.
-        """
-        codec = None if quantize is None else resolve_codec(quantize)
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (dataset.graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        if labels.size and (labels.min() < 0 or labels.max() >= k):
-            raise ValueError("partition label out of range")
-        features = np.asarray(dataset.features)
-        class_labels = np.asarray(dataset.labels)
-        stored_dtype = features.dtype
-        for worker in range(k):
-            owned = np.flatnonzero(labels == worker)
-            payload = {
-                "format_version": np.int64(_FORMAT_VERSION),
-                "worker": np.int64(worker),
-                "owned_vertices": owned,
-                "labels": class_labels[owned],
-                "train_mask": dataset.train_mask[owned],
-            }
-            if codec is None:
-                payload["features"] = features[owned]
-            else:
-                q = quantize_rows(features[owned], codec)
-                payload["features"] = q.codes
-                stored_dtype = q.codes.dtype
-                if q.scales is not None:
-                    payload["feature_scales"] = q.scales
-            np.savez_compressed(self._shard_path(worker), **payload)
-        manifest = {
-            "format_version": _FORMAT_VERSION,
-            "k": k,
-            "num_vertices": dataset.graph.num_vertices,
-            "dataset": dataset.name,
-            # Exact on-disk dtypes; read_shard refuses a shard
-            # whose arrays came back promoted or truncated.
-            "feature_dtype": str(stored_dtype),
-            "label_dtype": str(class_labels.dtype),
-        }
-        if codec is not None:
-            manifest["feature_codec"] = codec
-            if codec == "int8":
-                manifest["compute_dtype"] = "float32"
-        with open(self.manifest_path, "w") as f:
-            json.dump(manifest, f)
-        np.save(os.path.join(self.root, "partition_labels.npy"), labels)
-
-    def read_manifest(self) -> dict:
-        with open(self.manifest_path) as f:
-            return json.load(f)
-
-    def read_partition_labels(self) -> np.ndarray:
-        return np.load(os.path.join(self.root, "partition_labels.npy"))
-
-    def read_shard(self, worker: int,
-                   dequantize: bool = True) -> dict[str, np.ndarray]:
-        """Load one worker's shard as a dict of arrays.
-
-        Dtypes are validated against the manifest: features and labels
-        must come back exactly as written — a silent float64 promotion
-        (or any other drift) raises instead of doubling feature memory.
-
-        Quantized shards (manifest ``feature_codec``) are decoded into
-        the compute dtype by default; ``dequantize=False`` hands back
-        the raw codes plus the ``feature_scales`` sidecar for callers
-        that forward the wire format (e.g. remote feature serving).
-        """
-        path = self._shard_path(worker)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no shard for worker {worker} under {self.root}")
-        with np.load(path) as data:
-            _check_version(int(data["format_version"]), path)
-            shard = {key: data[key] for key in data.files if key != "format_version"}
-        if os.path.exists(self.manifest_path):
-            manifest = self.read_manifest()
-            for field, key in (("features", "feature_dtype"),
-                               ("labels", "label_dtype")):
-                want = manifest.get(key)
-                if want is not None and str(shard[field].dtype) != want:
-                    raise ValueError(
-                        f"{path}: {field} dtype {shard[field].dtype} does not "
-                        f"match manifest dtype {want}"
-                    )
-            codec = manifest.get("feature_codec")
-            if codec is not None:
-                codec = resolve_codec(codec)
-                if codec == "int8" and "feature_scales" not in shard:
-                    raise ValueError(
-                        f"{path}: manifest says int8 features but the shard "
-                        "has no feature_scales sidecar"
-                    )
-                if dequantize and codec != "float32":
-                    from ..tensor.quant import QuantizedRows
-
-                    q = QuantizedRows(codec, shard["features"],
-                                      shard.pop("feature_scales", None))
-                    compute = np.dtype(manifest.get(
-                        "compute_dtype", "float32" if codec == "int8" else codec
-                    ))
-                    shard["features"] = dequantize_rows(q, out_dtype=compute)
-        return shard

@@ -9,10 +9,8 @@ codecs the quantized memory tier is built on:
     Per-row *symmetric* linear quantization.  Each row ``x`` stores
     ``codes = round(x / scale)`` as int8 plus one float32 ``scale =
     max|x| / 127`` sidecar per row (the zero-point is identically 0 by
-    symmetry, so no zero-point sidecar is materialized; the
-    :class:`QuantizedRows` container keeps the field for format
-    completeness).  Wire cost is ``dim + 4`` bytes per row instead of
-    ``4 * dim``.
+    symmetry, so none is stored).  Wire cost is ``dim + 4`` bytes per
+    row instead of ``4 * dim``.
 
     Error bound: rounding is at most half a code unit, so for every
     element ``|x - dequantize(x)| <= scale / 2 = max|x| / 254`` — a
@@ -26,14 +24,17 @@ codecs the quantized memory tier is built on:
 ``float32``
     Identity codec so callers can treat the unquantized path uniformly.
 
-All encode/decode paths are vectorized; decode accounts its work via
-``record_op`` so roofline reports see quantized wire bytes on the read
-side and compute-dtype bytes on the write side.
+This is the one implementation of the codecs: the on-disk feature
+shards, the in-RAM quantized source and the serving embedding cache all
+encode with :func:`quantize_rows` and decode with :func:`decode_int8` /
+:func:`dequantize_rows`.  All encode/decode paths are vectorized; decode
+accounts its work via ``record_op`` so roofline reports see quantized
+wire bytes on the read side and compute-dtype bytes on the write side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
     "decode_int8",
     "int8_error_bound",
     "resolve_codec",
-    "storage_itemsize",
+    "storage_dtype",
     "wire_bytes_per_row",
 ]
 
@@ -71,9 +72,9 @@ def resolve_codec(name: str) -> str:
     return codec
 
 
-def storage_itemsize(codec: str) -> int:
-    """Bytes per stored element for ``codec``."""
-    return _STORAGE_DTYPE[resolve_codec(codec)].itemsize
+def storage_dtype(codec: str) -> np.dtype:
+    """The dtype ``codec`` stores its codes in."""
+    return _STORAGE_DTYPE[resolve_codec(codec)]
 
 
 def wire_bytes_per_row(codec: str, dim: int) -> int:
@@ -91,14 +92,11 @@ class QuantizedRows:
 
     ``codes`` is ``(n, dim)`` in the storage dtype; ``scales`` is a
     float32 ``(n,)`` sidecar for int8 (``None`` otherwise).
-    ``zero_points`` is always ``None`` for the symmetric codec but kept
-    so on-disk formats have a stable field to extend.
     """
 
     codec: str
     codes: np.ndarray
     scales: np.ndarray | None = None
-    zero_points: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.codec = resolve_codec(self.codec)

@@ -1,139 +1,17 @@
-"""Tests for distributed sampled mini-batch training and per-type
-feature projection."""
+"""Tests for per-type feature projection on heterogeneous graphs."""
 
 import numpy as np
 import pytest
 
 from repro.core import FlexGraphEngine, TypeProjection
 from repro.datasets import load_dataset
-from repro.distributed import DistributedMiniBatchTrainer
-from repro.graph import hash_partition
-from repro.models import gcn, magnn, pinsage
+from repro.models import magnn
 from repro.tensor import Adam, Tensor
-
-
-@pytest.fixture(scope="module")
-def ds():
-    return load_dataset("reddit", scale="tiny")
 
 
 @pytest.fixture(scope="module")
 def imdb():
     return load_dataset("imdb", scale="tiny")
-
-
-class TestDistributedMiniBatch:
-    def test_validation(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes)
-        with pytest.raises(ValueError):
-            DistributedMiniBatchTrainer(model, ds.graph, np.zeros(3, dtype=int))
-        labels = hash_partition(ds.graph.num_vertices, 2)
-        with pytest.raises(ValueError):
-            DistributedMiniBatchTrainer(model, ds.graph, labels, batch_size=0)
-        with pytest.raises(ValueError):
-            DistributedMiniBatchTrainer(model, ds.graph, labels, fanouts=[3])
-
-    def test_rejects_hierarchical_models(self, ds):
-        model = magnn(ds.feat_dim, 8, ds.num_classes, max_instances_per_root=5)
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, hash_partition(ds.graph.num_vertices, 2)
-        )
-        with pytest.raises(ValueError):
-            trainer.train_epoch(Tensor(ds.features), ds.labels,
-                                Adam(model.parameters(), 0.01))
-
-    def test_learns(self, ds):
-        model = gcn(ds.feat_dim, 16, ds.num_classes, aggregator="mean")
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, hash_partition(ds.graph.num_vertices, 2),
-            batch_size=32, fanouts=[5, 5], seed=0,
-        )
-        opt = Adam(model.parameters(), 0.01)
-        feats = Tensor(ds.features)
-        losses = [
-            trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, e).loss
-            for e in range(5)
-        ]
-        assert losses[-1] < losses[0]
-
-    def test_feats_argument_and_dataset_run_the_same_epoch(self, ds):
-        """``train_epoch(feats, labels, ...)`` and ``train_epoch()`` over
-        the trainer's own dataset are one path (batch-local blocks over
-        gathered rows): same seed, bitwise-equal losses, same traffic."""
-        runs = []
-        for from_dataset in (False, True):
-            model = gcn(ds.feat_dim, 16, ds.num_classes, aggregator="mean",
-                        seed=1)
-            trainer = DistributedMiniBatchTrainer(
-                model, ds if from_dataset else ds.graph,
-                hash_partition(ds.graph.num_vertices, 2),
-                batch_size=32, fanouts=[5, 5], seed=0,
-            )
-            opt = Adam(model.parameters(), 0.01)
-            args = () if from_dataset else (Tensor(ds.features), ds.labels)
-            runs.append([
-                trainer.train_epoch(*args, optimizer=opt, mask=ds.train_mask,
-                                    epoch=e)
-                for e in range(3)
-            ])
-        for given, gathered in zip(*runs):
-            assert given.loss == gathered.loss
-            assert given.total_bytes == gathered.total_bytes
-            assert given.total_messages == gathered.total_messages
-
-    def test_pinsage_supported(self, ds):
-        model = pinsage(ds.feat_dim, 8, ds.num_classes)
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, hash_partition(ds.graph.num_vertices, 2),
-            batch_size=64, fanouts=[4, 4],
-        )
-        stats = trainer.train_epoch(
-            Tensor(ds.features), ds.labels, Adam(model.parameters(), 0.01),
-            ds.train_mask,
-        )
-        assert np.isfinite(stats.loss)
-
-    def test_comm_accounting_nonzero_across_workers(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes)
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, hash_partition(ds.graph.num_vertices, 4),
-            batch_size=32, fanouts=[4, 4],
-        )
-        stats = trainer.train_epoch(
-            Tensor(ds.features), ds.labels, Adam(model.parameters(), 0.01),
-            ds.train_mask,
-        )
-        assert stats.total_bytes > 0
-        assert stats.total_messages > 0
-        assert stats.simulated_seconds > 0
-
-    def test_single_worker_has_no_traffic(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes)
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, np.zeros(ds.graph.num_vertices, dtype=int),
-            batch_size=64, fanouts=[4, 4],
-        )
-        stats = trainer.train_epoch(
-            Tensor(ds.features), ds.labels, Adam(model.parameters(), 0.01),
-            ds.train_mask,
-        )
-        assert stats.total_bytes == 0
-
-    def test_rounds_cover_all_pools(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes)
-        k = 2
-        labels = hash_partition(ds.graph.num_vertices, k)
-        trainer = DistributedMiniBatchTrainer(
-            model, ds.graph, labels, batch_size=16, fanouts=[3, 3]
-        )
-        stats = trainer.train_epoch(
-            Tensor(ds.features), ds.labels, Adam(model.parameters(), 0.01),
-            ds.train_mask,
-        )
-        biggest_pool = max(
-            (ds.train_mask & (labels == w)).sum() for w in range(k)
-        )
-        assert stats.num_rounds == int(np.ceil(biggest_pool / 16))
 
 
 class TestTypeProjection:

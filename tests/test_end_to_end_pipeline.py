@@ -1,5 +1,6 @@
-"""End-to-end pipeline integration: dataset -> partition -> shard storage
--> distributed training -> checkpoint -> recovery -> evaluation.
+"""End-to-end pipeline integration: dataset -> on-disk storage ->
+partition -> per-worker gather -> distributed training -> checkpoint ->
+recovery -> evaluation.
 
 One test per realistic operational flow, crossing every subsystem
 boundary the architecture diagram (Figure 12) draws.
@@ -8,12 +9,12 @@ boundary the architecture diagram (Figure 12) draws.
 import numpy as np
 import pytest
 
-from repro.core import ADBBalancer, FlexGraphEngine, metrics_from_hdg
+from repro.core import ADBBalancer, FlexGraphEngine, Partition, metrics_from_hdg
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, FaultTolerantTrainer
 from repro.graph import hash_partition, pulp_partition
 from repro.models import gcn, pinsage
-from repro.storage import PartitionedStore, load_dataset_from, save_dataset
+from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.tensor import Adam, Tensor
 
 
@@ -26,21 +27,22 @@ class TestFullOperationalFlow:
     def test_store_partition_train_checkpoint_recover(self, ds, tmp_path):
         """The whole Figure 12 stack in one flow."""
         k = 2
-        # 1. Storage tier: persist the dataset and its partition shards.
-        dataset_path = str(tmp_path / "dataset.npz")
-        save_dataset(ds, dataset_path)
-        loaded = load_dataset_from(dataset_path)
+        # 1. Storage tier: write the dataset; each worker reads its
+        #    partition's rows out of the same files.
+        write_ondisk_dataset(ds, str(tmp_path / "dataset"), rows_per_shard=64)
+        stored = OnDiskDataset(str(tmp_path / "dataset"))
+        loaded = stored.materialize()
         labels = pulp_partition(loaded.graph, k, num_iters=2)
-        store = PartitionedStore(str(tmp_path / "shards"))
-        store.write_shards(loaded, labels, k)
+        for owned in Partition(labels, loaded.graph.num_vertices).parts:
+            np.testing.assert_array_equal(stored.gather_features(owned),
+                                          ds.features[owned])
 
         # 2. Rebalance with ADB on the loaded data.
         model = gcn(loaded.feat_dim, 16, loaded.num_classes, seed=0)
         hdg = FlexGraphEngine(model, loaded.graph).hdg_for_layer(0)
         metrics = metrics_from_hdg(hdg, loaded.feat_dim)
         balancer = ADBBalancer(num_plans=3, threshold=1.05, seed=0)
-        labels, _plan = balancer.rebalance(hdg, store.read_partition_labels(),
-                                           k, metrics)
+        labels, _plan = balancer.rebalance(hdg, labels, k, metrics)
 
         # 3. Distributed training with fault tolerance + failure injection.
         trainer = DistributedTrainer(model, loaded.graph, labels, seed=0)
@@ -60,15 +62,15 @@ class TestFullOperationalFlow:
         assert acc > 0.5
 
     def test_shards_reconstruct_global_features(self, ds, tmp_path):
-        """Worker shards must partition the feature matrix exactly."""
+        """Worker gathers must partition the feature matrix exactly."""
         k = 4
-        labels = hash_partition(ds.graph.num_vertices, k)
-        store = PartitionedStore(str(tmp_path / "s"))
-        store.write_shards(ds, labels, k)
+        part = Partition(hash_partition(ds.graph.num_vertices, k),
+                         ds.graph.num_vertices)
+        write_ondisk_dataset(ds, str(tmp_path / "s"), rows_per_shard=64)
+        stored = OnDiskDataset(str(tmp_path / "s"))
         rebuilt = np.zeros_like(ds.features)
-        for worker in range(k):
-            shard = store.read_shard(worker)
-            rebuilt[shard["owned_vertices"]] = shard["features"]
+        for owned in part.parts:
+            rebuilt[owned] = stored.gather_features(owned)
         np.testing.assert_array_equal(rebuilt, ds.features)
 
     def test_per_epoch_model_distributed_with_recovery(self, ds, tmp_path):

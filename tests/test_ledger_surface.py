@@ -8,7 +8,8 @@ collected by tier-1 at all, and ``tools/`` / ``examples/`` are covered
 only as far as some test happens to run them.  This reads those sources
 (never imports or runs them) and checks that every ``repro`` name they
 import, and every attribute they read off an imported ``repro`` module,
-still resolves.
+still resolves — and that every call of such a name still binds to its
+signature (positional count and keyword names).
 
 The last test holds ``repro.obs.__all__`` to the consumer-count rule:
 a public name stays only while something other than the package's own
@@ -17,6 +18,7 @@ tests reads it.
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -53,10 +55,10 @@ def test_suite_is_found():
         assert list(tree.glob("*.py")), f"no sources under {tree}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
-def test_every_repro_name_the_suite_uses_resolves(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    modules: dict[str, types.ModuleType] = {}   # local alias -> repro module
+def _repro_imports(tree: ast.AST) -> tuple[dict[str, object], list[str]]:
+    """(bound, missing): what each ``from repro... import`` binds, by
+    local name, and the imports that no longer resolve."""
+    bound: dict[str, object] = {}
     missing = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ImportFrom) and node.level == 0
@@ -64,18 +66,63 @@ def test_every_repro_name_the_suite_uses_resolves(path):
             continue
         for alias in node.names:
             try:
-                value = _resolve(node.module, alias.name)
+                bound[alias.asname or alias.name] = _resolve(node.module, alias.name)
             except ImportError:
                 missing.append(f"line {node.lineno}: from {node.module} import {alias.name}")
-                continue
-            if isinstance(value, types.ModuleType):
-                modules[alias.asname or alias.name] = value
+    return bound, missing
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
+def test_every_repro_name_the_suite_uses_resolves(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, missing = _repro_imports(tree)
+    modules = {name: value for name, value in bound.items()
+               if isinstance(value, types.ModuleType)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules
                 and not hasattr(modules[node.value.id], node.attr)):
             missing.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     assert not missing, f"{path.name} uses names repro no longer has: {missing}"
+
+
+def _callee(func: ast.expr, bound: dict[str, object]):
+    """The ``repro`` object a call's function names: an imported name,
+    or an attribute of an imported ``repro`` module; else ``None``."""
+    if isinstance(func, ast.Name):
+        value = bound.get(func.id)
+        return None if isinstance(value, types.ModuleType) else value
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and isinstance(bound.get(func.value.id), types.ModuleType)):
+        return getattr(bound[func.value.id], func.attr, None)
+    return None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
+def test_every_repro_call_the_suite_makes_binds(path):
+    """A dropped or renamed parameter breaks the caller as surely as a
+    dropped name; calls spreading ``*args`` / ``**kwargs`` are skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, _ = _repro_imports(tree)
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue
+        target = _callee(node.func, bound)
+        if not callable(target):
+            continue
+        try:
+            signature = inspect.signature(target)
+        except (TypeError, ValueError):       # builtins without one
+            continue
+        try:
+            signature.bind(*node.args, **{kw.arg: None for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {ast.unparse(node.func)}(): {exc}")
+    assert not unbound, f"{path.name} calls repro with stale signatures: {unbound}"
 
 
 def _obs_names_read(path: Path) -> set[str]:

@@ -13,11 +13,7 @@ from repro.core import (
     hdg_from_graph,
 )
 from repro.datasets import load_dataset
-from repro.distributed import (
-    DistributedMiniBatchTrainer,
-    DistributedTrainer,
-    MultiprocessTrainer,
-)
+from repro.distributed import DistributedTrainer, MultiprocessTrainer
 from repro.graph import hash_partition
 from repro.models import gcn
 from repro.tensor import Adam, Linear, Tensor
@@ -186,9 +182,6 @@ class TestModelLevelScope:
             model, ds.graph, batch_size=32, fanouts=[3]),
         "distributed": lambda model, ds, part: DistributedTrainer(
             model, ds.graph, part),
-        "distributed-minibatch": lambda model, ds, part: (
-            DistributedMiniBatchTrainer(model, ds.graph, part, batch_size=32,
-                                        fanouts=[3])),
         "multiprocess": lambda model, ds, part: MultiprocessTrainer(
             model, ds.graph, part),
     }

@@ -1,8 +1,8 @@
 """Additional property-based tests: sampling, PageRank, communication
-plans and storage round-trips under random inputs."""
+plans and on-disk storage round-trips under random inputs."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import hdg_from_graph, sample_fanout, validate_hdg
 from repro.distributed import CommConfig, dependency_stats, plan_layer_comm
@@ -91,21 +91,57 @@ class TestCommPlanProperties:
         )
 
 
+@st.composite
+def stored_graph(draw):
+    """Graphs the storage format must keep: multi-edges, self-loops,
+    isolated vertices, zero edges and typed vertices all occur."""
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # Endpoints from a prefix of the ids leave the rest isolated; a small
+    # prefix forces repeated pairs and self-loops.
+    span = draw(st.integers(1, n))
+    src = rng.integers(0, span, m)
+    dst = rng.integers(0, span, m)
+    num_types = draw(st.integers(1, 3))
+    types = rng.integers(0, num_types, n)
+    names = [f"kind{t}" for t in range(int(types.max()) + 1)]
+    return Graph(n, src, dst, vertex_types=types, type_names=names)
+
+
+def _edge_multiset(graph):
+    src, dst = graph.edges()
+    order = np.lexsort((dst, src))
+    return np.stack([src[order], dst[order]])
+
+
 class TestStorageProperties:
-    @given(random_graph())
+    @given(stored_graph())
+    @example(Graph(3, [], []))
+    @example(Graph(6, [0, 0, 1, 2, 2], [1, 1, 1, 0, 0],
+                   vertex_types=[0, 1, 1, 0, 2, 0],
+                   type_names=["a", "b", "c"]))
     @settings(max_examples=25, deadline=None)
     def test_graph_roundtrip(self, g):
         import os
         import tempfile
 
-        from repro.storage import load_graph, save_graph
+        from repro.datasets import Dataset
+        from repro.storage import OnDiskDataset, write_ondisk_dataset
 
+        n = g.num_vertices
+        dataset = Dataset(
+            name="g", graph=g, features=np.zeros((n, 1), dtype=np.float32),
+            labels=np.zeros(n, dtype=np.int64), train_mask=np.ones(n, dtype=bool),
+            val_mask=np.zeros(n, dtype=bool), test_mask=np.zeros(n, dtype=bool),
+        )
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "g.npz")
-            save_graph(g, path)
-            loaded = load_graph(path)
+            root = os.path.join(tmp, "g")
+            write_ondisk_dataset(dataset, root, rows_per_shard=8)
+            loaded = OnDiskDataset(root).materialize().graph
+        assert loaded.fingerprint() == g.fingerprint()
         assert loaded.num_vertices == g.num_vertices
         assert loaded.num_edges == g.num_edges
-        a = np.sort(np.stack(g.edges()), axis=1)
-        b = np.sort(np.stack(loaded.edges()), axis=1)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(_edge_multiset(loaded), _edge_multiset(g))
+        np.testing.assert_array_equal(loaded.vertex_types, g.vertex_types)
+        assert loaded.type_names == g.type_names

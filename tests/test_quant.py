@@ -9,7 +9,7 @@ import pytest
 
 from repro.loader import QuantizedSource, StreamingLoader, as_source
 from repro.serve.cache import EmbeddingCache, HDGBlockCache, block_nbytes
-from repro.storage import OnDiskDataset, PartitionedStore, write_ondisk_dataset
+from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.storage.ondisk import OnDiskIntegrityError
 from repro.tensor import (
     SGD,
@@ -25,6 +25,7 @@ from repro.tensor.quant import (
     int8_error_bound,
     quantize_rows,
     resolve_codec,
+    storage_dtype,
     wire_bytes_per_row,
 )
 
@@ -106,7 +107,7 @@ class TestCodecs:
 
 
 # ---------------------------------------------------------------------------
-# Gather parity: in-RAM, on-disk, partitioned shards
+# Gather parity: in-RAM, on-disk, a worker's on-disk partition
 # ---------------------------------------------------------------------------
 class TestGatherParity:
     def test_quantized_source_parity(self):
@@ -171,13 +172,16 @@ class TestGatherParity:
 
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_partitioned_store_parity(self, dataset, tmp_path, codec):
-        store = PartitionedStore(str(tmp_path / "shards"))
-        part = np.arange(dataset.graph.num_vertices) % 2
-        store.write_shards(dataset, part, 2, quantize=codec)
-        shard = store.read_shard(0)
-        owned = np.flatnonzero(part == 0)
+        """A worker's partition gathered out of a quantized dataset."""
+        from repro.core import Partition
+
+        root = str(tmp_path / codec)
+        write_ondisk_dataset(dataset, root, rows_per_shard=64, quantize=codec)
+        ds = OnDiskDataset(root)
+        n = dataset.graph.num_vertices
+        owned = Partition(np.arange(n) % 2, n).parts[0]
         exact = np.asarray(dataset.features)[owned]
-        got = shard["features"]
+        got = ds.gather_features(owned)
         if codec == "int8":
             assert got.dtype == np.float32
             bound = int8_error_bound(exact)[:, None]
@@ -185,9 +189,9 @@ class TestGatherParity:
             assert got.dtype == np.float16
             bound = np.abs(exact) * 2.0 ** -10 + 1e-6
         assert np.all(np.abs(got - exact) <= bound + 1e-6)
-        raw = store.read_shard(0, dequantize=False)
-        assert raw["features"].dtype == np.dtype(codec if codec != "int8"
-                                                 else np.int8)
+        # Remote fetches move the stored codes, not the decoded rows.
+        assert ds.feature_dtype == storage_dtype(codec)
+        assert ds.wire_bytes_per_row == wire_bytes_per_row(codec, ds.feat_dim)
 
     def test_loader_wire_bytes_counter(self, dataset):
         from repro import obs
@@ -304,13 +308,17 @@ class TestQuantizedServeTier:
         exact = EmbeddingCache(budget)
         quant = EmbeddingCache(budget, store_dtype="int8")
         rng = np.random.default_rng(0)
+        rows = rng.standard_normal((256, dim)).astype(np.float32)
         for v in range(256):
-            row = rng.standard_normal((1, dim)).astype(np.float32)
-            exact.store(0, np.array([v]), row, version=1)
-            quant.store(0, np.array([v]), row, version=1)
+            exact.store(0, np.array([v]), rows[v:v + 1], version=1)
+            quant.store(0, np.array([v]), rows[v:v + 1], version=1)
         assert quant.stats()["entries"] > 3 * exact.stats()["entries"]
         assert quant.stats()["bytes"] <= budget
         assert exact.stats()["bytes"] <= budget
+        hit_mask, hit_rows = quant.lookup(0, np.arange(256))
+        kept = rows[hit_mask]
+        assert np.all(np.abs(np.stack(hit_rows) - kept)
+                      <= int8_error_bound(kept)[:, None] + 1e-6)
 
     def test_block_nbytes_counts_composite_blocks(self):
         class Block:
@@ -371,6 +379,10 @@ class TestQuantizedServeTier:
         assert stats["hits"] > 0
         rel_warm = np.abs(warm - got).max() / (np.abs(got).max() + 1e-12)
         assert rel_warm < 0.02
+        # A warm hit is the cold row through the int8 codec, so it stays
+        # inside the codec's per-row bound.
+        assert np.all(np.abs(warm - got)
+                      <= int8_error_bound(got)[:, None] + 1e-6)
 
 
 # ---------------------------------------------------------------------------
