@@ -13,8 +13,8 @@ four decisions those loops used to re-make by hand:
   (:func:`run_local_blocks`).  One layer over one block is
   :meth:`GNNLayer.forward(rows=...) <repro.core.nau.GNNLayer.forward>`;
   the full graph is the one-block case (``rows=None``);
-* :class:`Partition` — validated vertex → worker labels, the per-worker
-  root orders and the permutation that reassembles worker outputs;
+* :class:`Partition` — validated vertex → worker labels and the
+  per-worker root orders;
 * :func:`train_step` and the two loss heads, :func:`node_loss` and
   :func:`link_loss`.
 
@@ -389,15 +389,6 @@ class Partition:
             )
         self.k = int(self.labels.max()) + 1
         self.parts = [np.flatnonzero(self.labels == w) for w in range(self.k)]
-        #: worker-concatenation order, and its inverse (→ vertex order)
-        self.order = np.concatenate(self.parts)
-        self.inverse = np.empty(num_vertices, dtype=np.int64)
-        self.inverse[self.order] = np.arange(num_vertices)
-
-    def reassemble(self, outputs: list[Tensor]) -> Tensor:
-        """Per-worker root rows → one matrix in vertex order (a
-        differentiable permutation)."""
-        return concat(outputs, axis=0)[self.inverse]
 
 
 # ----------------------------------------------------------------------

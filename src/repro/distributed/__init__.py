@@ -3,7 +3,8 @@
 Real per-worker computation (sliced HDG aggregation, measured with wall
 clocks) combined with an alpha-beta network model: workload balancing,
 batching, partial aggregation and pipeline overlap all act on genuine
-quantities (§5).
+quantities (§5).  One rank program (``rank.py``) runs under both the
+simulated and the multi-process trainer.
 """
 
 from .cluster import ScalingPoint, flexgraph_scaling, model_baseline_scaling
@@ -18,14 +19,12 @@ from .kvstore import KVStore, SharedArray
 from .commplan import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
 from .runtime import MultiprocessEpochStats, MultiprocessTrainer
 from .trainer import DistributedEpochStats, DistributedTrainer
-from .worker import Worker
 
 __all__ = [
     "Comm", "CommConfig", "SimulatedComm", "ProcessComm",
     "KVStore", "SharedArray",
     "MultiprocessTrainer", "MultiprocessEpochStats",
     "DependencyStats", "dependency_stats", "CommPlan", "plan_layer_comm",
-    "Worker",
     "DistributedTrainer", "DistributedEpochStats",
     "ScalingPoint", "flexgraph_scaling", "model_baseline_scaling",
     "CheckpointManager", "FaultTolerantTrainer", "WorkerFailure",

@@ -14,13 +14,14 @@ Every distributed code path talks to a :class:`Comm`:
 * :class:`ProcessComm` — the real multi-process backend used by
   :class:`~repro.distributed.runtime.MultiprocessTrainer`.  Workers are
   OS processes; synchronization is a :class:`multiprocessing.Barrier`
-  and reductions run over shared-memory numpy slabs
-  (:meth:`ProcessComm.reduce_slabs` is a ring-style reduce-scatter:
-  each rank owns one contiguous chunk and sums it across worker slabs
-  in rank order, so the result is bitwise deterministic; the all-gather
-  half is free because the output lives in shared memory).  It keeps
-  the same byte/message accounting so traces and epoch logs carry
+  and reductions run over shared-memory numpy slabs.  It keeps the
+  same byte/message accounting so traces and epoch logs carry
   comparable traffic totals.
+
+Both backends reduce gradients with :meth:`Comm.reduce_slabs`, a
+ring-style reduce-scatter: each rank owns one contiguous chunk and sums
+it across the ranks' slabs in rank order, so the result is bitwise
+deterministic and identical whichever backend ran the ranks.
 
 Bandwidth defaults are scaled down consistently with the dataset scale so
 compute and communication remain comparable, matching the compute/comm
@@ -89,6 +90,9 @@ class Comm:
         self._traffic = [_WorkerTraffic() for _ in range(k)]
         self.total_bytes = 0.0
         self.total_messages = 0
+        #: the rank this copy acts for, in backends with one process per
+        #: rank (see :meth:`ProcessComm.bind`)
+        self.rank: int | None = None
 
     def send(self, src: int, dst: int, nbytes: float, messages: int = 1) -> None:
         """Record ``messages`` messages totalling ``nbytes`` from src to dst."""
@@ -136,6 +140,36 @@ class Comm:
             return 0.0, 0
         steps = 2 * (self.k - 1)
         return steps * nbytes / self.k, steps
+
+    def reduce_slabs(self, slabs: list[np.ndarray], out: np.ndarray,
+                     rank: int | None = None) -> None:
+        """Rank ``rank``'s share of a ring-style reduce-scatter.
+
+        Rank ``r`` owns the ``r``-th contiguous chunk of the flattened
+        output and sums that chunk across every rank's slab *in rank
+        order* — a fixed reduction order, so the result is bitwise
+        deterministic regardless of scheduling, and the same whether the
+        k chunks are reduced by k processes or one after another.  With
+        ``out`` in shared memory the all-gather half of the ring is
+        free; the caller supplies any barriers around the reduction.
+        ``rank`` defaults to the bound :attr:`rank`.
+        """
+        if rank is None:
+            rank = self.rank
+        if rank is None:
+            raise RuntimeError("reduce_slabs needs a bound rank")
+        if len(slabs) != self.k:
+            raise ValueError(f"expected {self.k} slabs, got {len(slabs)}")
+        flat_out = out.reshape(-1)
+        size = flat_out.size
+        bounds = np.linspace(0, size, self.k + 1).astype(np.int64)
+        lo, hi = int(bounds[rank]), int(bounds[rank + 1])
+        if lo == hi:
+            return
+        acc = np.array(slabs[0].reshape(-1)[lo:hi], dtype=flat_out.dtype)
+        for r in range(1, self.k):
+            acc += slabs[r].reshape(-1)[lo:hi]
+        flat_out[lo:hi] = acc
 
     # ------------------------------------------------------------------
     # synchronization — no-ops for accounting-only backends
@@ -194,7 +228,6 @@ class ProcessComm(Comm):
         self.ctx = ctx
         self.timeout = float(timeout)
         self._barrier = ctx.Barrier(k)
-        self.rank: int | None = None
         #: per-process liveness hook (see :meth:`bind`); not pickled —
         #: each worker installs its own after spawn
         self._heartbeat = None
@@ -243,34 +276,6 @@ class ProcessComm(Comm):
         Only call between pools: workers receive the barrier at spawn.
         """
         self._barrier = self.ctx.Barrier(self.k)
-
-    def reduce_slabs(self, slabs: list[np.ndarray], out: np.ndarray,
-                     rank: int | None = None) -> None:
-        """Ring-style reduce-scatter over shared-memory slabs.
-
-        Rank ``r`` owns the ``r``-th contiguous chunk of the flattened
-        output and sums that chunk across every worker's slab *in rank
-        order* — a fixed reduction order, so the result is bitwise
-        deterministic regardless of process scheduling.  Because ``out``
-        is shared memory, the all-gather half of the ring is free; the
-        caller supplies the barriers around the reduction.
-        """
-        if rank is None:
-            rank = self.rank
-        if rank is None:
-            raise RuntimeError("reduce_slabs needs a bound rank")
-        if len(slabs) != self.k:
-            raise ValueError(f"expected {self.k} slabs, got {len(slabs)}")
-        flat_out = out.reshape(-1)
-        size = flat_out.size
-        bounds = np.linspace(0, size, self.k + 1).astype(np.int64)
-        lo, hi = int(bounds[rank]), int(bounds[rank + 1])
-        if lo == hi:
-            return
-        acc = np.array(slabs[0].reshape(-1)[lo:hi], dtype=flat_out.dtype)
-        for r in range(1, self.k):
-            acc += slabs[r].reshape(-1)[lo:hi]
-        flat_out[lo:hi] = acc
 
     def close(self) -> None:
         """Abort the barrier so any straggler wait fails fast."""

@@ -1,13 +1,17 @@
-"""The real multi-process distributed runtime (ROADMAP item 2).
+"""The real multi-process distributed runtime.
 
-:class:`MultiprocessTrainer` runs the k workers of the shared-nothing
-cluster as real OS processes.  Each worker executes exactly the
-per-partition computation :class:`~repro.distributed.trainer.DistributedTrainer`
-runs serially today — sliced HDG aggregation + update over its
-``Worker.sub_hdg``, which keeps its reduction plans across epochs
-until it is re-sliced — so the two runtimes are numerically interchangeable; the
-difference is that here layer synchronization, gradient reduction and
-epoch times are *wall clock*, not modeled.
+:class:`MultiprocessTrainer` runs the k ranks of the shared-nothing
+cluster as real OS processes.  Each worker process runs one
+:meth:`Rank.program <repro.distributed.rank.Rank.program>` — the same
+per-rank forward, cut-tape backward and slab writes
+:class:`~repro.distributed.trainer.DistributedTrainer` steps
+round-robin in one process — over shared-memory buffers, and turns each
+of its sync points into barriers; the parent runs the same
+:func:`~repro.distributed.rank.parent_step`.  The two backends
+therefore agree bitwise; here layer synchronization, gradient reduction
+and epoch times are *wall clock*, not modeled.  What this module adds
+is the process machinery: spawn, liveness, live telemetry, the flight
+recorder and stall injection.
 
 Data movement
 -------------
@@ -15,20 +19,20 @@ Everything bulk lives in ``multiprocessing.shared_memory`` (zero-copy
 numpy views, see :mod:`repro.distributed.kvstore`):
 
 * ``feat/{w}`` KV keys — the partitioned input features, one shard per
-  owning worker; every worker assembles its full input copy once at
-  startup (remote shards are the bytes a real cluster would ship).
+  owning worker; every worker assembles its full input copy from them
+  (remote shards are the bytes a real cluster would ship).  The parent
+  re-ships the shards when ``train_epoch`` is handed a different
+  feature array than the one it last shipped, and the workers refetch;
+  passing the same array (or ``Tensor``) every epoch ships nothing.
+  Edits made *in place* to the shipped array are not detected.
 * ``param/{i}`` KV keys — the replicated model state.  The parent
   writes fresh parameters and bumps the KV version before dispatching
   each epoch; workers pull the batch and assert the version.
-* ``h{l}`` / ``g{l}`` buffers — one (n, d_l) float64 activation and
-  gradient buffer per layer boundary.  Forward: each worker writes its
-  root rows, barriers, reads the full buffer as the next layer's input.
-  Backward: each worker writes its full dh contribution to its slab,
-  barriers, and the deterministic chunk reduction
-  (:meth:`ProcessComm.reduce_slabs`) sums slabs in rank order.
-* ``pslab``/``pbuf`` — flattened parameter-gradient slabs reduced the
-  same way; the parent unflattens ``pbuf`` and steps the single
-  optimizer, so the model update is exactly the data-parallel sum.
+* the epoch's :class:`~repro.distributed.rank.Buffers` — layer-boundary
+  activations and gradients, per-rank slabs and the reduced parameter
+  gradient, each a :class:`SharedArray`.  Every slab sync point is a
+  barrier, this rank's chunk of :meth:`Comm.reduce_slabs`, and a
+  second barrier.
 
 The parent is **not** a barrier party: it observes progress through a
 result queue and polls worker liveness, so a dead process surfaces as
@@ -60,7 +64,7 @@ rebases record times onto its own clock using that origin, so one
 coherent trace with a lane per rank covers the whole pool.  Each
 worker stamps its records through the registry context
 (``worker`` once at start-up, ``phase`` / ``epoch`` / ``layer`` at
-every transition), so no call site names them by hand.
+every transition).
 """
 
 from __future__ import annotations
@@ -81,16 +85,16 @@ from ..obs.flight import (
     write_incident_bundle,
 )
 from ..obs.live import STALL_EVENT, StallDetector, StallEvent, TelemetrySlab
-from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import ModelHDGs, Partition, node_loss
+from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import BYTES_COUNTER, MESSAGES_COUNTER, CommConfig, ProcessComm
+from .commplan import dependency_stats
 from .fault_tolerance import WorkerFailure
 from .kvstore import KVStore, SharedArray
-from .worker import Worker
+from .rank import AWAIT_GRAD, FORWARD, Buffers, Rank, parent_step
 
 __all__ = ["MultiprocessEpochStats", "MultiprocessTrainer"]
 
@@ -126,11 +130,7 @@ class _WorkerSpec:
     strategy: ExecutionStrategy
     comm: ProcessComm
     kv: KVStore
-    hbufs: dict            # boundary l (1..L) -> SharedArray (n, d_l)
-    gbufs: dict            # boundary l (1..L) -> SharedArray (n, d_l)
-    hslabs: list           # per rank, flat scratch for dh reduction
-    pslabs: list           # per rank, flat parameter-grad slab
-    pbuf: SharedArray      # reduced parameter gradient
+    bufs: Buffers          # the epoch's exchange buffers (SharedArrays)
     inbox: object          # task queue (this rank only)
     result_q: object       # shared result queue
     telemetry: TelemetrySlab | None = None   # live metrics plane (one row per rank)
@@ -139,22 +139,24 @@ class _WorkerSpec:
 
 
 class _WorkerRuntime:
-    """The per-process worker loop (runs inside the child)."""
+    """Runs one rank program in a worker process (inside the child)."""
 
     def __init__(self, spec: _WorkerSpec):
         self.spec = spec
-        self.rank = spec.rank
         self.k = spec.k
         self.model = spec.model
         self.comm = spec.comm
         self.kv = spec.kv
-        self.root_orders = spec.partition.parts[spec.rank]
-        self.sub_hdg: HDG | None = None
-        #: unique remote leaves per owning rank (filled on HDG arrival)
-        self._leaf_counts = np.zeros(spec.k, dtype=np.int64)
+        self.rank = spec.rank
+        self.state = Rank(spec.rank, spec.partition.parts[spec.rank])
+        self.bufs = spec.bufs.map(lambda shared: shared.array)
+        #: unique remote leaf rows per owning rank (from the sub-HDG)
+        self._remote_leaves = np.zeros(spec.k, dtype=np.int64)
         self.X: np.ndarray | None = None
+        self._feats_version: int | None = None
         self._startup_bytes = 0.0
         self._startup_messages = 0
+        self._stall_seconds = 0.0
         # Every record this process emits is stamped with its rank.
         obs.set_context(worker=spec.rank)
         if spec.telemetry is not None:
@@ -203,9 +205,10 @@ class _WorkerRuntime:
     def _fetch_features(self) -> None:
         """Assemble the full input matrix from the per-partition shards.
 
-        Remote shards are the startup traffic a shared-nothing cluster
-        pays once (layer-0 inputs are static, so they are fetched once
-        and cached, unlike hidden activations which move every epoch).
+        Remote shards are the traffic a shared-nothing cluster pays
+        whenever the inputs change (layer-0 inputs are fetched once per
+        shipped feature array, unlike hidden activations which move
+        every epoch).
         """
         parts = self.spec.partition.parts
         with obs.span("dist.feat_fetch"):
@@ -220,24 +223,14 @@ class _WorkerRuntime:
                     self._startup_messages += 1
         self.X = X
 
-    def _attach_hdg(self, sub_hdg: HDG) -> None:
-        self.sub_hdg = sub_hdg
-        leaves = np.unique(sub_hdg.leaf_vertices)
-        owners = self.spec.partition.labels[leaves]
-        self._leaf_counts = np.bincount(owners, minlength=self.k).astype(np.int64)
-
-    def _remote_read_traffic(self, width: int, itemsize: int) -> tuple[float, int]:
-        """Bytes/messages this worker reads across partition boundaries
-        for one layer input (unique remote leaf rows, as the simulated
-        backend counts them)."""
-        nbytes = 0.0
-        messages = 0
-        for src in range(self.k):
-            if src == self.rank or self._leaf_counts[src] == 0:
-                continue
-            nbytes += float(self._leaf_counts[src]) * width * itemsize
-            messages += 1
-        return nbytes, messages
+    def _phase(self, name: str, layer: int | None) -> None:
+        """The program's phase hook: a telemetry transition, and the
+        injected stall — a real sleep in an active phase, so the
+        heartbeat seqno freezes exactly as a hung kernel would."""
+        obs.phase(name, layer=layer)
+        if self._stall_seconds > 0.0 and name == FORWARD:
+            time.sleep(self._stall_seconds)
+            self._stall_seconds = 0.0
 
     # ------------------------------------------------------------------
     def _run_epoch(self, payload: dict) -> None:
@@ -253,131 +246,59 @@ class _WorkerRuntime:
         # transitions move ``phase`` and ``layer``.
         obs.set_context(epoch=epoch, layer=None)
         obs.log("epoch start", version=int(payload["version"]))
-        stall_s = float(payload.get("stall_seconds") or 0.0)
+        self._stall_seconds = float(payload.get("stall_seconds") or 0.0)
         if payload.get("sub_hdg") is not None:
-            self._attach_hdg(payload["sub_hdg"])
-        if self.X is None:
+            self.state.sub_hdg = payload["sub_hdg"]
+            self._remote_leaves = dependency_stats(
+                self.state.sub_hdg, self.spec.partition.labels, self.k,
+            ).remote_leaves_per_pair[self.rank]
+        if payload["feats_version"] != self._feats_version:
             obs.phase("feat_fetch")
             self._fetch_features()
-        assert self.sub_hdg is not None, "epoch dispatched before any HDG"
+            self._feats_version = payload["feats_version"]
         if self.kv.version < payload["version"]:
             raise RuntimeError(
                 f"worker {self.rank} sees kv version {self.kv.version}, "
                 f"epoch {epoch} needs {payload['version']}"
             )
+        pulled = self.kv.pull_batch(self.spec.param_keys)
+        for key, p in zip(self.spec.param_keys, self.model.parameters()):
+            p.data[...] = pulled[key]
 
-        model = self.model
-        params = model.parameters()
-        state = self.kv.pull_batch(self.spec.param_keys)
-        for key, p in zip(self.spec.param_keys, params):
-            p.data[...] = state[key]
-        model.train()
-        model.zero_grad()
-
-        compute_s = 0.0
         comm_s = 0.0
         bytes_total = self._startup_bytes
         messages_total = self._startup_messages
         self._startup_bytes = 0.0
         self._startup_messages = 0
-
-        layers = model.layers
-        num_layers = len(layers)
-        tapes: list[tuple[Tensor, Tensor]] = []
-
-        # -------------------------- forward ---------------------------
-        h_in = Tensor(self.X)
-        for l, layer in enumerate(layers):
-            obs.phase("forward", layer=l)
-            if stall_s > 0.0 and l == 0:
-                # Injected stall: a real sleep in an active phase, so
-                # the heartbeat seqno freezes exactly as a hung kernel
-                # or a livelocked fetch would freeze it.
-                time.sleep(stall_s)
-            read_bytes, read_msgs = self._remote_read_traffic(
-                int(h_in.data.shape[1]), h_in.data.dtype.itemsize
-            )
-            bytes_total += read_bytes
-            messages_total += read_msgs
-            with obs.span("dist.compute", pid=os.getpid()) as s_cmp:
-                out = layer.forward(h_in, self.sub_hdg, self.spec.strategy,
-                                    rows=self.root_orders)
-            compute_s += s_cmp.duration
-            self.spec.hbufs[l + 1].array[self.root_orders] = out.data
+        remote = self._remote_leaves
+        for sync in self.state.program(self.model, self.spec.strategy, self.X,
+                                      self.bufs, epoch, phase=self._phase):
+            if sync.name == AWAIT_GRAD:
+                if self.rank == 0:
+                    self.spec.result_q.put(("fwd", epoch))
+                obs.phase(AWAIT_GRAD, layer=None)
+                msg = self.spec.inbox.get()
+                if msg[0] == "die":
+                    self._die("injected_failure")
+                if msg[0] != "bwd":
+                    return  # "stop" mid-epoch: parent is tearing the pool down
+                continue
             wait = self.comm.barrier()
-            comm_s += wait
-            obs.record_span("dist.comm", wait, simulated=False,
-                            sync="layer_sync", bytes=read_bytes)
-            tapes.append((h_in, out))
-            if l + 1 < num_layers:
-                # Stable until next epoch's forward overwrites it, so a
-                # zero-copy leaf view is safe for the whole backward.
-                h_in = Tensor(self.spec.hbufs[l + 1].array, requires_grad=True)
-
-        if self.rank == 0:
-            self.spec.result_q.put(("fwd", epoch))
-        obs.phase("await_grad", layer=None)
-        msg = self.spec.inbox.get()
-        if msg[0] != "bwd":
-            if msg[0] == "die":
-                self._die("injected_failure")
-            return  # "stop" mid-epoch: parent is tearing the pool down
-
-        # -------------------------- backward --------------------------
-        for l in range(num_layers - 1, -1, -1):
-            h_leaf, out = tapes[l]
-            gout = np.array(self.spec.gbufs[l + 1].array[self.root_orders])
-            obs.phase("backward", layer=l)
-            with obs.span("dist.backward") as s_bwd:
-                out.backward(gout)
-            compute_s += s_bwd.duration
-            if l == 0:
-                continue  # layer-0 input is the non-differentiable features
-            n, d = self.spec.gbufs[l].shape
-            slab = self.spec.hslabs[self.rank].array[: n * d].reshape(n, d)
-            if h_leaf.grad is None:
-                slab[...] = 0.0
+            if sync.slabs is None:
+                # layer_sync: the remote rows this layer read, one
+                # message per owning rank.
+                nbytes = float(remote.sum()) * sync.nbytes
+                messages = int(np.count_nonzero(remote))
             else:
-                slab[...] = h_leaf.grad
-            wait = self.comm.barrier()
-            obs.phase("grad_reduce", layer=l)
-            slabs = [
-                self.spec.hslabs[r].array[: n * d].reshape(n, d)
-                for r in range(self.k)
-            ]
-            self.comm.reduce_slabs(slabs, self.spec.gbufs[l].array, self.rank)
-            wait += self.comm.barrier()
+                obs.phase(sync.name, layer=sync.layer)
+                self.comm.reduce_slabs(sync.slabs, sync.out)
+                wait += self.comm.barrier()
+                nbytes, messages = self.comm.allreduce_traffic(sync.nbytes)
             comm_s += wait
-            red_bytes, red_msgs = self.comm.allreduce_traffic(n * d * 8)
-            bytes_total += red_bytes
-            messages_total += red_msgs
+            bytes_total += nbytes
+            messages_total += messages
             obs.record_span("dist.comm", wait, simulated=False,
-                            sync="grad_reduce", bytes=red_bytes)
-
-        # --------------------- parameter gradients --------------------
-        obs.phase("param_reduce", layer=None)
-        pslab = self.spec.pslabs[self.rank].array
-        off = 0
-        for p in params:
-            size = p.data.size
-            g = p.grad
-            if g is None:
-                pslab[off:off + size] = 0.0
-            else:
-                pslab[off:off + size] = np.asarray(g, dtype=np.float64).ravel()
-            off += size
-        wait = self.comm.barrier()
-        self.comm.reduce_slabs(
-            [self.spec.pslabs[r].array for r in range(self.k)],
-            self.spec.pbuf.array, self.rank,
-        )
-        wait += self.comm.barrier()
-        comm_s += wait
-        red_bytes, red_msgs = self.comm.allreduce_traffic(pslab.size * 8)
-        bytes_total += red_bytes
-        messages_total += red_msgs
-        obs.record_span("dist.comm", wait, simulated=False,
-                        sync="param_allreduce", bytes=red_bytes)
+                            sync=sync.name, bytes=nbytes)
 
         obs.phase("done")
         # One metric sample per epoch: a black box keeps the final
@@ -385,7 +306,8 @@ class _WorkerRuntime:
         # past its last barrier, writes its journal out now).
         obs.sample_metrics()
         self.spec.result_q.put(("done", self.rank, {
-            "compute_seconds": compute_s,
+            "compute_seconds": (sum(self.state.compute_seconds)
+                                + sum(self.state.backward_seconds)),
             "comm_seconds": comm_s,
             "bytes": bytes_total,
             "messages": messages_total,
@@ -425,9 +347,10 @@ class MultiprocessTrainer:
     """Train a NAU model across ``k`` real worker processes.
 
     Drop-in alongside :class:`DistributedTrainer` — same constructor
-    shape, same ``train_epoch`` signature, numerically matching loss and
-    gradients (see ``tests/test_multiprocess.py``) — but epoch times are
-    wall clock and worker death is a real observable failure.
+    shape, same ``train_epoch`` signature, the same rank programs and so
+    bitwise the same loss, gradients and parameters (see
+    ``tests/test_multiprocess.py``) — but epoch times are wall clock and
+    worker death is a real observable failure.
 
     Use as a context manager or call :meth:`close`; the shared-memory
     segments are owned by the parent and must be unlinked.
@@ -456,8 +379,8 @@ class MultiprocessTrainer:
         self.timeout = float(timeout)
         self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed),
                               span="dist.neighbor_selection")
-        self.workers = [Worker(w, part)
-                        for w, part in enumerate(self.partition.parts)]
+        # The parent slices each rank's sub-HDG and ships it.
+        self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
         self.comm = ProcessComm(self.k, self.comm_config, ctx=ctx,
                                 timeout=self.timeout)
         self.ctx = self.comm.ctx
@@ -465,11 +388,10 @@ class MultiprocessTrainer:
         self._param_keys = [
             f"param/{i}" for i in range(len(self.model.parameters()))
         ]
-        self._hbufs: dict[int, SharedArray] = {}
-        self._gbufs: dict[int, SharedArray] = {}
-        self._hslabs: list[SharedArray] = []
-        self._pslabs: list[SharedArray] = []
-        self._pbuf: SharedArray | None = None
+        self._bufs: Buffers | None = None
+        #: the feature array the ``feat/{w}`` shards hold, and its version
+        self._shipped: np.ndarray | None = None
+        self._feats_version = 0
         self._procs: list | None = None
         self._inboxes: list = []
         self._result_q = None
@@ -503,32 +425,29 @@ class MultiprocessTrainer:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _ensure_started(self, feats: Tensor | np.ndarray) -> None:
-        if self._started:
+    def _ship_features(self, feats: Tensor | np.ndarray) -> None:
+        """Write the ``feat/{w}`` shards unless they already hold this
+        very array (the workers refetch when the version moves).  The
+        first call creates the keys, before any worker exists (KV keys
+        must pre-date the spawn — see repro.distributed.kvstore); later
+        arrays must keep the first one's shape and dtype."""
+        X = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
+        if X is self._shipped:
             return
-        X = np.asarray(feats.data if isinstance(feats, Tensor) else feats)
         if X.shape[0] != self.graph.num_vertices:
             raise ValueError("features must cover every vertex")
-        n = X.shape[0]
-        # Feature shards: created before any worker exists (KV keys must
-        # pre-date the spawn — see repro.distributed.kvstore).
-        for w in range(self.k):
-            self.kv.set(f"feat/{w}", X[self.workers[w].root_orders])
+        for rank in self.ranks:
+            self.kv.set(f"feat/{rank.rank}", X[rank.root_orders])
+        self._shipped = X
+        self._feats_version += 1
+
+    def _ensure_started(self) -> None:
+        if self._started:
+            return
         for key, p in zip(self._param_keys, self.model.parameters()):
             self.kv.set(key, p.data)
-        # Layer-boundary activation/gradient buffers (float64: hidden
-        # activations inherit the float64 parameter dtype).
-        dims = [layer.output_dim for layer in self.model.layers]
-        for l, d in enumerate(dims, start=1):
-            self._hbufs[l] = SharedArray((n, d), np.float64)
-            self._gbufs[l] = SharedArray((n, d), np.float64)
-        hidden = [n * d for d in dims[:-1]] or [1]
-        slab_size = max(hidden)
-        psize = sum(p.data.size for p in self.model.parameters())
-        for _ in range(self.k):
-            self._hslabs.append(SharedArray((slab_size,), np.float64))
-            self._pslabs.append(SharedArray((max(psize, 1),), np.float64))
-        self._pbuf = SharedArray((max(psize, 1),), np.float64)
+        self._bufs = Buffers.allocate(self.model, self.graph.num_vertices,
+                                      self.k, SharedArray)
         self._started = True
         self._spawn()
 
@@ -543,9 +462,7 @@ class MultiprocessTrainer:
             spec = _WorkerSpec(
                 rank=rank, k=self.k, model=self.model,
                 partition=self.partition, strategy=self.strategy,
-                comm=self.comm, kv=self.kv,
-                hbufs=self._hbufs, gbufs=self._gbufs,
-                hslabs=self._hslabs, pslabs=self._pslabs, pbuf=self._pbuf,
+                comm=self.comm, kv=self.kv, bufs=self._bufs,
                 inbox=self._inboxes[rank], result_q=self._result_q,
                 telemetry=self.telemetry,
                 flight_dir=self.flight_dir,
@@ -645,11 +562,8 @@ class MultiprocessTrainer:
             for proc in self._procs:
                 proc.join(timeout=3.0)
             self._teardown_pool()
-        for buf in (*self._hbufs.values(), *self._gbufs.values(),
-                    *self._hslabs, *self._pslabs):
+        for buf in self._bufs or ():
             buf.close()
-        if self._pbuf is not None:
-            self._pbuf.close()
         self.telemetry.close()
         self.kv.close()
         if self._own_flight is not None:
@@ -794,8 +708,8 @@ class MultiprocessTrainer:
     ) -> MultiprocessEpochStats:
         """One data-parallel full-batch epoch across real processes."""
         t0 = time.perf_counter()
-        self.model.train()
-        self._ensure_started(feats)
+        self._ship_features(feats)
+        self._ensure_started()
         if self._procs is None:
             self._spawn()
         # A worker that died between epochs must surface before anything
@@ -803,8 +717,8 @@ class MultiprocessTrainer:
         self._check_liveness(epoch)
         hdg, rebuilt = self.hdgs.model_level(epoch)
         if rebuilt:
-            for worker in self.workers:
-                worker.attach_hdg(hdg)
+            for rank in self.ranks:
+                rank.attach_hdg(hdg)
             self._hdg_dirty = set(range(self.k))
 
         # Parameter sync: fresh replicated state, then bump the version
@@ -821,36 +735,27 @@ class MultiprocessTrainer:
                 continue
             sub = None
             if rank in self._hdg_dirty:
-                sub = self.workers[rank].sub_hdg
+                sub = self.ranks[rank].sub_hdg
                 self._hdg_dirty.discard(rank)
             self._inboxes[rank].put(("epoch", {
                 "epoch": epoch, "version": version, "sub_hdg": sub,
+                "feats_version": self._feats_version,
                 "trace_id": trace_id,
                 "stall_seconds": self._stall_next.pop(rank, 0.0),
             }))
 
         # Forward runs worker-side; rank 0 signals the final barrier.
         self._await("fwd", epoch, 1)
-        num_layers = len(self.model.layers)
-        logits = Tensor(np.array(self._hbufs[num_layers].array),
-                        requires_grad=True)
-        loss = node_loss(logits, labels, mask)
-        with obs.span("dist.backward", epoch=epoch, stage="loss"):
-            loss.backward()
-        self._gbufs[num_layers].array[...] = logits.grad
-        for rank in range(self.k):
-            self._inboxes[rank].put(("bwd", epoch))
-        results = self._await("done", epoch, self.k)
+        results: dict[int, dict] = {}
 
-        # Apply the reduced data-parallel gradient with the one optimizer.
-        optimizer.zero_grad()
-        flat = self._pbuf.array
-        off = 0
-        for p in self.model.parameters():
-            size = p.data.size
-            p.grad = flat[off:off + size].reshape(p.data.shape).copy()
-            off += size
-        optimizer.step()
+        def backward() -> None:
+            for inbox in self._inboxes:
+                inbox.put(("bwd", epoch))
+            results.update(self._await("done", epoch, self.k))
+
+        loss = parent_step(self.model, optimizer,
+                           self._bufs.map(lambda shared: shared.array),
+                           labels, mask, backward)
 
         compute = np.zeros(self.k)
         comm = np.zeros(self.k)
@@ -872,7 +777,7 @@ class MultiprocessTrainer:
         obs.event(
             "epoch",
             epoch=epoch,
-            loss=loss.item(),
+            loss=loss,
             wall_seconds=wall,
             bytes=total_bytes,
             messages=total_messages,
@@ -881,7 +786,7 @@ class MultiprocessTrainer:
         )
         return MultiprocessEpochStats(
             epoch=epoch,
-            loss=loss.item(),
+            loss=loss,
             wall_seconds=wall,
             compute_seconds=compute,
             comm_seconds=comm,

@@ -1,18 +1,23 @@
 """Distributed FlexGraph training over a simulated shared-nothing cluster.
 
-The trainer executes the *real* computation of every worker (sliced
-per-partition HDG aggregation + update, measured with wall clocks) in one
-process, and combines it with modeled network time from
-:mod:`repro.distributed.commplan`.  One epoch's simulated wall time is::
+The trainer runs the *real* program of every rank
+(:meth:`~repro.distributed.rank.Rank.program`: sliced per-partition HDG
+aggregation + update, a cut-tape backward, rank-ordered gradient
+reductions) in one process, stepping the k programs round-robin from
+one sync point to the next, and combines their measured times with
+modeled network time from :mod:`repro.distributed.commplan`.  One
+epoch's simulated wall time is::
 
-    sum over layers of max over workers of layer_time(worker)
-    + backward time / k          (data-parallel backward)
+    selection time / k
+    + sum over layers of max over ranks of layer_time(rank)
+    + sum over layers of max over ranks of backward(rank)
     + parameter allreduce time
 
 where ``layer_time`` is ``max(compute, comm) + combine`` with pipeline
 processing (overlap of partial aggregation and communication) or
-``compute + comm`` without it.  This reproduces the quantities Figures 13
-and 15b/c measure.
+``compute + comm`` without it, and every measured rank time is divided
+by that worker's modeled speed.  This reproduces the quantities Figures
+13 and 15b/c measure.
 """
 
 from __future__ import annotations
@@ -24,14 +29,14 @@ import numpy as np
 from .. import obs
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import ModelHDGs, Partition, node_loss, train_step
+from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
+from .commplan import CommPlan, dependency_stats, plan_layer_comm
 from .fault_tolerance import WorkerFailure
-from .commplan import dependency_stats, plan_layer_comm
-from .worker import Worker
+from .rank import AWAIT_GRAD, Buffers, Rank, parent_step
 
 __all__ = ["DistributedEpochStats", "DistributedTrainer"]
 
@@ -56,6 +61,24 @@ class DistributedEpochStats:
     #: "naive", or "mixed" when layers differed) — a non-commutative
     #: aggregator downgrades a requested pipelined plan to batched.
     comm_mode: str
+
+
+def _lockstep(programs):
+    """Step rank programs round-robin: run each to its next sync point,
+    then hand the k sync points to the trainer; resuming resumes them."""
+    while True:
+        syncs = [next(program, None) for program in programs]
+        if syncs[0] is None:
+            return
+        yield syncs
+
+
+def _layer_times(compute: np.ndarray, plan: CommPlan) -> np.ndarray:
+    """Per-rank simulated seconds of one layer given its measured work."""
+    if plan.overlaps_compute:
+        combine = _COMBINE_FRACTION * plan.per_worker_seconds
+        return np.maximum(compute, plan.per_worker_seconds) + combine
+    return compute + plan.per_worker_seconds
 
 
 class DistributedTrainer:
@@ -97,9 +120,10 @@ class DistributedTrainer:
         self.strategy = ExecutionStrategy.parse(strategy)
         self.pipeline = pipeline
         self.comm_config = comm_config or CommConfig()
-        # Relative compute speed per worker (1.0 = this machine); the
-        # simulated layer time divides each worker's measured compute by
-        # its speed, modeling heterogeneous clusters.
+        self.comm = SimulatedComm(self.k, self.comm_config)
+        # Relative compute speed per worker (1.0 = this machine); every
+        # measured rank time is divided by its speed, modeling
+        # heterogeneous clusters.
         if worker_speeds is None:
             self.worker_speeds = np.ones(self.k)
         else:
@@ -112,9 +136,9 @@ class DistributedTrainer:
                               span="dist.neighbor_selection")
         self._dep_stats = None
         self._fail_next: int | None = None
-        # Worker root sets follow the global HDG root order (vertex id).
-        self.workers = [Worker(w, part)
-                        for w, part in enumerate(self.partition.parts)]
+        self._bufs: Buffers | None = None
+        # Rank root sets follow the global HDG root order (vertex id).
+        self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
 
     # ------------------------------------------------------------------
     # Failure injection (the FaultTolerantTrainer contract)
@@ -128,84 +152,77 @@ class DistributedTrainer:
         self._fail_next = worker_id
 
     def recover(self, worker_id: int) -> None:
-        """Rebuild the failed worker's state: its sub-HDG is re-sliced
+        """Rebuild the failed rank's state: its sub-HDG is re-sliced
         from the global HDGs (shared-nothing state is derived, not
         primary)."""
         if self.hdgs.model_hdg is not None:
-            self.workers[worker_id].attach_hdg(self.hdgs.model_hdg)
+            self.ranks[worker_id].attach_hdg(self.hdgs.model_hdg)
 
     # ------------------------------------------------------------------
     def _sync_hdg(self, epoch: int) -> None:
-        """Re-slice the workers when NeighborSelection rebuilt the HDG."""
+        """Re-slice the ranks when NeighborSelection rebuilt the HDG."""
         hdg, rebuilt = self.hdgs.model_level(epoch)
         if rebuilt:
-            for worker in self.workers:
-                worker.attach_hdg(hdg)
+            for rank in self.ranks:
+                rank.attach_hdg(hdg)
             self._dep_stats = dependency_stats(hdg, self.labels_part, self.k)
 
-    def _forward(self, feats: Tensor, epoch: int,
-                 time_update: bool = True) -> tuple[Tensor, dict]:
-        """The partitioned forward: every worker's sliced aggregation +
-        update per layer (measured), the layer's modeled communication,
-        and reassembly into vertex order.
+    def _forward(self, feats: Tensor, epoch: int):
+        """Run the rank programs to ``await_grad``, modeling each
+        layer's communication at its ``layer_sync``.
 
-        ``time_update=False`` keeps Update outside the ``dist.compute``
-        span, isolating the Aggregation stage (Figures 15a-c).  Returns
-        the final features and the simulated-time/traffic totals (per
-        worker: measured ``compute`` and modeled ``comm`` seconds).
+        Returns the suspended lockstep and the totals: simulated forward
+        ``seconds`` (and ``aggregation`` seconds, the same model over
+        the Aggregation stage alone — Figures 15a-c), modeled traffic,
+        and per-rank measured ``compute`` / modeled ``comm`` seconds.
         """
+        if self._bufs is None:
+            self._bufs = Buffers.allocate(self.model, self.graph.num_vertices,
+                                          self.k, np.zeros)
+        X = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
+        steps = _lockstep([
+            rank.program(self.model, self.strategy, X, self._bufs, epoch,
+                         scale=1.0 / speed)
+            for rank, speed in zip(self.ranks, self.worker_speeds)
+        ])
         mode = "pipelined" if self.pipeline else "batched"
-        totals = {"seconds": 0.0, "bytes": 0.0, "messages": 0, "modes": set(),
+        totals = {"seconds": 0.0, "aggregation": 0.0, "bytes": 0.0,
+                  "messages": 0, "modes": set(),
                   "compute": np.zeros(self.k), "comm": np.zeros(self.k)}
-        h = feats
-        for layer_index, layer in enumerate(self.model.layers):
-            feat_bytes = int(h.shape[1]) * h.data.dtype.itemsize
+        for syncs in steps:
+            sync = syncs[0]
+            if sync.name == AWAIT_GRAD:
+                break
+            l = sync.layer
             plan = plan_layer_comm(
-                self._dep_stats, feat_bytes, self.comm_config, mode,
-                layer.commutative,
+                self._dep_stats, sync.nbytes, self.comm_config, mode,
+                self.model.layers[l].commutative,
             )
             totals["modes"].add(plan.mode)
             totals["bytes"] += plan.total_bytes
             totals["messages"] += plan.total_messages
-
-            outputs = []
-            compute = np.zeros(self.k)
-            for w, worker in enumerate(self.workers):
-                # scale= divides measured time by the worker's modeled
-                # speed, so the recorded span carries the effective
-                # duration straggler analysis must see.
-                with obs.span("dist.compute",
-                              scale=1.0 / self.worker_speeds[w], worker=w,
-                              layer=layer_index, epoch=epoch) as s_cmp:
-                    nbr = layer.aggregation(h, worker.sub_hdg, self.strategy)
-                    if time_update:
-                        h_w = layer.update(h[worker.root_orders], nbr)
-                if not time_update:
-                    h_w = layer.update(h[worker.root_orders], nbr)
-                compute[w] = s_cmp.duration
-                outputs.append(h_w)
-
-            combine = (
-                _COMBINE_FRACTION * plan.per_worker_seconds
-                if plan.overlaps_compute
-                else np.zeros(self.k)
-            )
             for w in range(self.k):
                 obs.record_span("dist.comm", float(plan.per_worker_seconds[w]),
-                                worker=w, layer=layer_index, epoch=epoch,
-                                mode=plan.mode)
+                                worker=w, layer=l, epoch=epoch, mode=plan.mode)
                 if plan.overlaps_compute:
-                    obs.record_span("dist.combine", float(combine[w]),
-                                    worker=w, layer=layer_index, epoch=epoch)
-            if plan.overlaps_compute:
-                layer_times = np.maximum(compute, plan.per_worker_seconds) + combine
-            else:
-                layer_times = compute + plan.per_worker_seconds
-            totals["seconds"] += float(layer_times.max())
+                    obs.record_span(
+                        "dist.combine",
+                        _COMBINE_FRACTION * float(plan.per_worker_seconds[w]),
+                        worker=w, layer=l, epoch=epoch)
+            compute = np.array([r.compute_seconds[l] for r in self.ranks])
+            aggregation = np.array([r.aggregation_seconds[l] for r in self.ranks])
+            totals["seconds"] += float(_layer_times(compute, plan).max())
+            totals["aggregation"] += float(_layer_times(aggregation, plan).max())
             totals["compute"] += compute
             totals["comm"] += plan.per_worker_seconds
-            h = self.partition.reassemble(outputs)
-        return h, totals
+        return steps, totals
+
+    def _backward(self, steps) -> None:
+        """Run the rank programs to their end, reducing every slab sync
+        with each rank's chunk of :meth:`Comm.reduce_slabs`."""
+        for syncs in steps:
+            for rank, sync in enumerate(syncs):
+                self.comm.reduce_slabs(sync.slabs, sync.out, rank)
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -220,27 +237,26 @@ class DistributedTrainer:
         if self._fail_next is not None:
             worker_id, self._fail_next = self._fail_next, None
             raise WorkerFailure(worker_id, epoch)
-        self.model.train()
         self._sync_hdg(epoch)
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
-        h, totals = self._forward(feats, epoch)
+        steps, totals = self._forward(feats, epoch)
+        loss = parent_step(self.model, optimizer, self._bufs, labels, mask,
+                           lambda: self._backward(steps))
         # Selection is embarrassingly parallel across partitions (§5:
         # "FlexGraph constructs a subgraph of HDGs in parallel").
         selection_sim = self.hdgs.build_seconds / self.k
-        simulated = selection_sim + totals["seconds"]
-        total_bytes, total_messages = totals["bytes"], totals["messages"]
-
-        loss = node_loss(h, labels, mask)
-        with obs.span("dist.backward", epoch=epoch) as s_back:
-            train_step(loss, optimizer)
-        simulated += s_back.duration / self.k
+        # Each backward layer ends in a gradient reduction every rank
+        # waits for: the slowest rank sets the pace, layer by layer.
+        backward = np.array([r.backward_seconds for r in self.ranks])
         param_bytes = sum(p.data.nbytes for p in self.model.parameters())
-        allreduce = SimulatedComm(self.k, self.comm_config).allreduce_time(param_bytes)
+        allreduce = self.comm.allreduce_time(param_bytes)
         obs.record_span("dist.allreduce", allreduce, epoch=epoch,
                         bytes=param_bytes)
-        simulated += allreduce
+        simulated = (selection_sim + totals["seconds"]
+                     + float(backward.max(axis=0).sum()) + allreduce)
+        total_bytes, total_messages = totals["bytes"], totals["messages"]
 
         # Report the mode the plans actually used: a non-commutative
         # aggregator silently downgrades pipelined -> batched (§5), and
@@ -257,7 +273,7 @@ class DistributedTrainer:
         obs.event(
             "epoch",
             epoch=epoch,
-            loss=loss.item(),
+            loss=loss,
             simulated_seconds=simulated,
             bytes=total_bytes,
             messages=total_messages,
@@ -274,7 +290,7 @@ class DistributedTrainer:
 
         return DistributedEpochStats(
             epoch=epoch,
-            loss=loss.item(),
+            loss=loss,
             simulated_seconds=simulated,
             compute_seconds=per_worker_compute,
             comm_seconds=totals["comm"],
@@ -286,6 +302,9 @@ class DistributedTrainer:
 
     def aggregation_epoch_time(self, feats: Tensor, epoch: int = 0) -> float:
         """Simulated seconds of the Aggregation stage only (Figures 15a-c
-        measure Aggregation rather than end-to-end epochs)."""
+        measure Aggregation rather than end-to-end epochs): the ranks'
+        forward, timed by their aggregation spans."""
         self._sync_hdg(epoch)
-        return self._forward(feats, epoch, time_update=False)[1]["seconds"]
+        steps, totals = self._forward(feats, epoch)
+        steps.close()
+        return totals["aggregation"]

@@ -122,6 +122,10 @@ class _LSTMLayer(GNNLayer):
     def update(self, feats, nbr_feats):
         return self.linear(feats.add(nbr_feats))
 
+    @property
+    def output_dim(self):
+        return self.linear.weight.shape[1]
+
 
 class _UDFLayer(GNNLayer):
     def __init__(self, udf, in_dim, out_dim):
@@ -130,6 +134,10 @@ class _UDFLayer(GNNLayer):
 
     def update(self, feats, nbr_feats):
         return self.linear(feats.add(nbr_feats))
+
+    @property
+    def output_dim(self):
+        return self.linear.weight.shape[1]
 
 
 class TestNonCommutativeDistributed:

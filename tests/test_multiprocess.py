@@ -18,9 +18,10 @@ from repro.distributed import (
     ProcessComm,
     SharedArray,
     WorkerFailure,
+    dependency_stats,
 )
 from repro.graph import hash_partition
-from repro.models import gcn
+from repro.models import gat, gcn, gin, pinsage
 from repro.tensor import Adam, Tensor
 
 
@@ -162,43 +163,93 @@ class TestProcessComm:
 
 
 class TestMultiprocessParity:
-    """The tentpole acceptance: k real processes reproduce the simulated
-    trainer's numerics (same seeds, same partitions)."""
+    """The tentpole acceptance: k real processes run the simulated
+    trainer's rank programs, so the numerics are *equal* (same seeds,
+    same partitions, same code)."""
+
+    @staticmethod
+    def _both(ds, factory, k, feats):
+        """Per-epoch losses and the model of each backend, epoch ``e``
+        training on ``feats[e]``."""
+        part = hash_partition(ds.graph.num_vertices, k)
+        out = []
+        for cls in (DistributedTrainer, MultiprocessTrainer):
+            model = factory(ds.feat_dim, 8, ds.num_classes, seed=7)
+            trainer = cls(model, ds.graph, part, seed=0)
+            opt = Adam(model.parameters(), 0.01)
+            try:
+                losses = [
+                    trainer.train_epoch(f, ds.labels, opt, ds.train_mask,
+                                        epoch=e).loss
+                    for e, f in enumerate(feats)
+                ]
+            finally:
+                if cls is MultiprocessTrainer:
+                    trainer.close()
+            out.append((losses, model))
+        return out
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_loss_trajectory_matches_simulated(self, ds, k):
-        part = hash_partition(ds.graph.num_vertices, k)
-        ref = DistributedTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=7), ds.graph, part, seed=0
-        )
-        ref_losses = train_losses(ref, ds, 3)
+        (ref, _), (mp, _) = self._both(ds, gcn, k, [Tensor(ds.features)] * 5)
+        assert mp == ref
 
-        mt = MultiprocessTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=7), ds.graph, part, seed=0
-        )
-        try:
-            mp_losses = train_losses(mt, ds, 3)
-        finally:
-            mt.close()
-        np.testing.assert_allclose(mp_losses, ref_losses, rtol=0, atol=1e-6)
+    @pytest.mark.parametrize("factory", [gat, gin, pinsage],
+                             ids=["gat", "gin", "pinsage"])
+    def test_loss_trajectory_equal_for_every_aggregation_kind(self, ds,
+                                                              factory):
+        """``gat``: attention, non-commutative, a batched plan; ``gin``:
+        a declared linear Update with an MLP tail; ``pinsage``: PER_EPOCH
+        selection, so a fresh sub-HDG ships every epoch."""
+        (ref, _), (mp, _) = self._both(ds, factory, 2,
+                                       [Tensor(ds.features)] * 5)
+        assert mp == ref
 
     def test_gradients_match_simulated(self, ds):
-        part = hash_partition(ds.graph.num_vertices, 2)
-        ref = DistributedTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=3), ds.graph, part, seed=0
-        )
-        train_losses(ref, ds, 2)
+        (_, ref), (_, mp) = self._both(ds, gcn, 2, [Tensor(ds.features)] * 2)
+        for p_ref, p_mp in zip(ref.parameters(), mp.parameters()):
+            np.testing.assert_array_equal(p_mp.grad, p_ref.grad)
+            np.testing.assert_array_equal(p_mp.data, p_ref.data)
 
-        mt = MultiprocessTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=3), ds.graph, part, seed=0
-        )
+    def test_changed_features_are_shipped(self, ds):
+        """Regression: the process trainer fetched the features once and
+        trained on them forever, ignoring a different ``feats``."""
+        base = Tensor(ds.features)
+        scaled = Tensor(ds.features * 3.0)
+        (ref, _), (mp, _) = self._both(ds, gcn, 2, [base, scaled, base])
+        assert mp == ref
+        assert ref[1] != ref[0]
+
+    def test_epoch_bytes_are_the_counted_traffic(self, ds):
+        """One epoch's bytes: every rank's layer inputs read from remote
+        owners (``dependency_stats``), its hidden-gradient and parameter
+        reductions (``allreduce_traffic``), and the remote feature shards
+        of the first fetch."""
+        k = 2
+        part = hash_partition(ds.graph.num_vertices, k)
+        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        mt = MultiprocessTrainer(model, ds.graph, part, seed=0)
         try:
-            train_losses(mt, ds, 2)
+            opt = Adam(model.parameters(), 0.01)
+            stats = [mt.train_epoch(Tensor(ds.features), ds.labels, opt,
+                                    ds.train_mask, epoch=e) for e in range(2)]
+            hdg = mt.hdgs.model_hdg
         finally:
             mt.close()
-        for p_ref, p_mp in zip(ref.model.parameters(), mt.model.parameters()):
-            np.testing.assert_allclose(p_mp.grad, p_ref.grad, atol=1e-9)
-            np.testing.assert_allclose(p_mp.data, p_ref.data, atol=1e-9)
+        itemsize = np.dtype(np.float64).itemsize     # boundaries and slabs
+        hidden_row = 8 * itemsize
+        remote = dependency_stats(hdg, part, k).remote_leaves_per_pair
+        rows_read = float(remote.sum()) * (
+            ds.feat_dim * ds.features.itemsize + hidden_row)
+        comm = Comm(k)
+        params = sum(p.data.size for p in model.parameters()) * itemsize
+        per_epoch = rows_read + k * (
+            comm.allreduce_traffic(ds.graph.num_vertices * hidden_row)[0]
+            + comm.allreduce_traffic(params)[0])
+        shards = sum(ds.features[part == w].nbytes * (k - 1)
+                     for w in range(k))
+        assert stats[1].total_bytes == per_epoch
+        assert stats[0].total_bytes == per_epoch + shards
 
     def test_epoch_stats_and_span_merge(self, ds):
         obs.reset()
