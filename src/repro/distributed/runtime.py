@@ -32,7 +32,14 @@ numpy views, see :mod:`repro.distributed.kvstore`):
   activations and gradients, per-rank slabs and the reduced parameter
   gradient, each a :class:`SharedArray`.  Every slab sync point is a
   barrier, this rank's chunk of :meth:`Comm.reduce_slabs`, and a
-  second barrier.
+  second barrier.  A rank's ``comm_seconds`` is its barrier waits plus
+  the time it spent reducing its own chunks (each ``dist.comm`` span's
+  ``reduce_s``).
+
+Each worker sizes its BLAS pool at start-up to
+``max(1, len(os.sched_getaffinity(0)) // k)`` threads, so k ranks share
+the cores instead of each running the parent's full pool; the parent
+keeps its own pool untouched.
 
 The parent is **not** a barrier party: it observes progress through a
 result queue and polls worker liveness, so a dead process surfaces as
@@ -98,6 +105,67 @@ from .rank import AWAIT_GRAD, FORWARD, Buffers, Rank, parent_step
 
 __all__ = ["MultiprocessEpochStats", "MultiprocessTrainer"]
 
+#: ``set_num_threads`` entry points an OpenBLAS build may export (the
+#: numpy wheels' scipy-openblas64 prefixes and suffixes them); the
+#: matching getter is the same name with ``get``.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_blas() -> tuple[str, object, object] | None:
+    """The BLAS this process has loaded, as ``(path, set, get)`` thread
+    controls, or ``None`` when no mapped shared object exports one.
+
+    Environment variables such as ``OPENBLAS_NUM_THREADS`` are read
+    once, when the library loads; a forked worker inherits the parent's
+    already-sized pool, so its budget can only be set through the
+    library itself.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "blas" in line.lower() and ".so" in line
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter in _BLAS_SETTERS:
+            getter = setter.replace("_set_", "_get_")
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return path, set_threads, get_threads
+    return None
+
+
+def _rank_thread_budget(k: int) -> int:
+    """BLAS threads per rank: the process's cores shared by ``k`` ranks."""
+    return max(1, len(os.sched_getaffinity(0)) // k)
+
+
+def _pin_blas(k: int) -> tuple[int | None, str | None]:
+    """Size this worker's BLAS pool to its rank budget; returns the
+    thread count now in force and the library's file name, or
+    ``(None, None)`` when no BLAS thread control was found."""
+    blas = _loaded_blas()
+    if blas is None:
+        return None, None
+    path, set_threads, get_threads = blas
+    set_threads(_rank_thread_budget(k))
+    return int(get_threads()), os.path.basename(path)
+
 
 @dataclass
 class MultiprocessEpochStats:
@@ -107,7 +175,7 @@ class MultiprocessEpochStats:
     loss: float
     wall_seconds: float
     compute_seconds: np.ndarray      # per worker, measured in-process
-    comm_seconds: np.ndarray         # per worker, barrier + reduction waits
+    comm_seconds: np.ndarray         # per worker, barrier waits + its reduction chunks
     total_bytes: float               # cross-partition traffic (accounted)
     total_messages: int
     backend: str = "process"
@@ -141,8 +209,10 @@ class _WorkerSpec:
 class _WorkerRuntime:
     """Runs one rank program in a worker process (inside the child)."""
 
-    def __init__(self, spec: _WorkerSpec):
+    def __init__(self, spec: _WorkerSpec, blas: tuple[int | None, str | None]):
         self.spec = spec
+        #: (threads, library) from :func:`_pin_blas`; reported once
+        self.blas: tuple[int | None, str | None] | None = blas
         self.k = spec.k
         self.model = spec.model
         self.comm = spec.comm
@@ -245,6 +315,13 @@ class _WorkerRuntime:
         # The epoch every record below is stamped with; the phase
         # transitions move ``phase`` and ``layer``.
         obs.set_context(epoch=epoch, layer=None)
+        if self.blas is not None:
+            # Once per process, in the first epoch's snapshot (a record
+            # made at start-up would not survive the reset above).
+            threads, library = self.blas
+            obs.event("dist.worker_threads", rank=self.rank,
+                      blas_threads=threads, library=library)
+            self.blas = None
         obs.log("epoch start", version=int(payload["version"]))
         self._stall_seconds = float(payload.get("stall_seconds") or 0.0)
         if payload.get("sub_hdg") is not None:
@@ -284,6 +361,7 @@ class _WorkerRuntime:
                     return  # "stop" mid-epoch: parent is tearing the pool down
                 continue
             wait = self.comm.barrier()
+            reduce_s = 0.0
             if sync.slabs is None:
                 # layer_sync: the remote rows this layer read, one
                 # message per owning rank.
@@ -291,14 +369,16 @@ class _WorkerRuntime:
                 messages = int(np.count_nonzero(remote))
             else:
                 obs.phase(sync.name, layer=sync.layer)
+                t0 = time.perf_counter()
                 self.comm.reduce_slabs(sync.slabs, sync.out)
+                reduce_s = time.perf_counter() - t0
                 wait += self.comm.barrier()
                 nbytes, messages = self.comm.allreduce_traffic(sync.nbytes)
-            comm_s += wait
+            comm_s += wait + reduce_s
             bytes_total += nbytes
             messages_total += messages
-            obs.record_span("dist.comm", wait, simulated=False,
-                            sync=sync.name, bytes=nbytes)
+            obs.record_span("dist.comm", wait + reduce_s, simulated=False,
+                            sync=sync.name, bytes=nbytes, reduce_s=reduce_s)
 
         obs.phase("done")
         # One metric sample per epoch: a black box keeps the final
@@ -330,7 +410,11 @@ def _worker_main(spec: _WorkerSpec) -> None:
     obs.reset()
     obs.clear_context()
     try:
-        runtime = _WorkerRuntime(spec)
+        # k ranks share the host's cores: size this rank's BLAS pool
+        # before any layer runs.  Here and nowhere process-wide — the
+        # parent and single-process training keep every core.
+        blas = _pin_blas(spec.k)
+        runtime = _WorkerRuntime(spec, blas)
         spec.comm.bind(spec.rank, heartbeat=runtime._on_barrier)
         runtime.run()
     except BaseException:  # noqa: BLE001 - ship any failure to the parent
@@ -613,6 +697,8 @@ class MultiprocessTrainer:
                     "timeout": self.timeout,
                     "stall_deadline": self.stall_deadline,
                     "num_vertices": int(self.graph.num_vertices),
+                    "blas_threads": (_rank_thread_budget(self.k)
+                                     if _loaded_blas() is not None else None),
                 },
                 sections=sections,
             )

@@ -29,7 +29,7 @@ import postmortem  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
-from repro.distributed import MultiprocessTrainer  # noqa: E402
+from repro.distributed import MultiprocessTrainer, runtime  # noqa: E402
 from repro.distributed.fault_tolerance import (  # noqa: E402
     FaultTolerantTrainer,
     WorkerFailure,
@@ -603,6 +603,10 @@ class TestMultiprocessIncidents:
         assert manifest is not None
         assert manifest["kind"] == "worker_stalled"
         assert manifest["rank"] == 1
+        # The bundle records each rank's BLAS thread budget.
+        budget = max(1, len(os.sched_getaffinity(0)) // 2)
+        assert manifest["config"]["blas_threads"] == (
+            budget if runtime._loaded_blas() is not None else None)
         analysis = postmortem.analyze(postmortem.load_bundle(manifest["path"]))
         assert analysis["culprits"] == [1]
         assert analysis["victims"] == [0]

@@ -2,6 +2,8 @@
 ProcessComm, loss/gradient parity with the simulated trainer, and
 worker-crash recovery."""
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.distributed import (
     SharedArray,
     WorkerFailure,
     dependency_stats,
+    runtime,
 )
 from repro.graph import hash_partition
 from repro.models import gat, gcn, gin, pinsage
@@ -275,6 +278,77 @@ class TestMultiprocessParity:
         }
         assert workers_seen == {0, 1}
         assert any(s.name == "dist.comm" and not s.simulated for s in reg.spans)
+
+
+def worker_threads(reg):
+    """Each rank's reported BLAS thread count, in report order."""
+    return [(e.get("rank"), e.get("blas_threads"))
+            for e in reg.events if e.name == "dist.worker_threads"]
+
+
+def parent_blas_threads():
+    blas = runtime._loaded_blas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+    return blas[2]()
+
+
+class TestThreadBudget:
+    """Each worker process sizes its own BLAS pool to its share of the
+    cores; the parent's pool is never touched."""
+
+    @staticmethod
+    def budget(k):
+        return max(1, len(os.sched_getaffinity(0)) // k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_rank_reports_its_budget(self, ds, k):
+        parent_blas_threads()
+        obs.reset()
+        part = hash_partition(ds.graph.num_vertices, k)
+        with MultiprocessTrainer(gcn(ds.feat_dim, 8, ds.num_classes, seed=0),
+                                 ds.graph, part, seed=0) as mt:
+            train_losses(mt, ds, 2)
+        # Once per process, not once per epoch.
+        assert sorted(worker_threads(obs.get_registry())) == [
+            (r, self.budget(k)) for r in range(k)]
+
+    def test_parent_pool_is_untouched(self, ds):
+        before = parent_blas_threads()
+        part = hash_partition(ds.graph.num_vertices, 2)
+        with MultiprocessTrainer(gcn(ds.feat_dim, 8, ds.num_classes, seed=0),
+                                 ds.graph, part, seed=0) as mt:
+            train_losses(mt, ds, 1)
+        assert parent_blas_threads() == before
+
+    def test_respawned_workers_report_again(self, ds):
+        parent_blas_threads()
+        part = hash_partition(ds.graph.num_vertices, 2)
+        with MultiprocessTrainer(gcn(ds.feat_dim, 8, ds.num_classes, seed=0),
+                                 ds.graph, part, seed=0) as mt:
+            train_losses(mt, ds, 1)
+            mt.heal()
+            obs.reset()
+            train_losses(mt, ds, 1)
+        assert sorted(worker_threads(obs.get_registry())) == [
+            (0, self.budget(2)), (1, self.budget(2))]
+
+    def test_spawn_pool_matches_fork_pool(self, ds):
+        """The spawn start method re-imports numpy in each child, and the
+        budget still applies; the losses are those of the fork pool."""
+        parent_blas_threads()
+        part = hash_partition(ds.graph.num_vertices, 2)
+        losses = {}
+        for method in ("fork", "spawn"):
+            obs.reset()
+            model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+            with MultiprocessTrainer(
+                    model, ds.graph, part, seed=0,
+                    ctx=multiprocessing.get_context(method)) as mt:
+                losses[method] = train_losses(mt, ds, 2)
+            assert sorted(worker_threads(obs.get_registry())) == [
+                (0, self.budget(2)), (1, self.budget(2))]
+        assert losses["spawn"] == losses["fork"]
 
 
 class TestTeardown:
