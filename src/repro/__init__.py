@@ -6,20 +6,29 @@ Packages
 ``repro.tensor``
     Numpy autograd NN framework (the PyTorch substitute).
 ``repro.graph``
-    Graph engine: CSR/CSC storage, traversal, random walks, metapath
+    Graph engine: CSR/CSC storage, BFS, random walks, metapath
     matching, partitioners, synthetic generators (libgrape-lite
     substitute).
 ``repro.core``
     The paper's contribution: NAU, HDGs with compact storage, hybrid
     aggregation execution, the training engine, the ADB balancer.
 ``repro.models``
-    GCN / GIN (DNFA), PinSage (INFA), MAGNN / P-GNN / JK-Net (INHA) as
-    NAU programs.
+    GCN / GIN / GAT / GraphSAGE (DNFA), PinSage (INFA), MAGNN / P-GNN /
+    JK-Net (INHA) as NAU programs.
 ``repro.baselines``
     PyTorch / DGL / DistDGL / Euler / Pre+DGL competitor strategies.
 ``repro.distributed``
-    Simulated shared-nothing cluster with workload balancing and
-    pipeline processing.
+    Distributed training over partitions: one rank program run either
+    in one process with a modeled network (the scaling experiments) or
+    on real worker processes; workload balancing, pipeline processing,
+    fault tolerance.
+``repro.loader``
+    The staged streaming minibatch pipeline (sample, gather, transfer)
+    with a bounded prefetch window.
+``repro.storage``
+    The on-disk dataset format and model checkpoints.
+``repro.tasks``
+    Link prediction and vertex clustering over GNN embeddings.
 ``repro.datasets``
     Synthetic stand-ins for Reddit, FB91, Twitter and IMDB.
 ``repro.obs``
@@ -51,6 +60,7 @@ from . import (
     datasets,
     distributed,
     graph,
+    loader,
     models,
     obs,
     serve,
@@ -61,5 +71,5 @@ from . import (
 
 __all__ = [
     "tensor", "graph", "core", "models", "baselines", "distributed",
-    "datasets", "storage", "tasks", "obs", "serve", "__version__",
+    "datasets", "loader", "storage", "tasks", "obs", "serve", "__version__",
 ]

@@ -19,22 +19,13 @@ engine          strategy
 ==============  =========================================================
 """
 
-from .common import (
-    MODEL_NAMES,
-    BaselineEngine,
-    EpochReport,
-    MemoryMeter,
-    OutOfMemoryError,
-    UnsupportedModelError,
-)
+from .common import BaselineEngine, EpochReport
 from .flexgraph_adapter import FlexGraphAdapter
-from .minibatch import EulerEngine, GraphQuery
+from .minibatch import EulerEngine
 from .neugraph import NeuGraphEngine
-from .model_math import BaselineModel
 from .pre_expanded import PreDGLEngine
-from .saga_nn import DGLEngine, DistDGLEngine, SAGANNLayer
+from .saga_nn import DGLEngine, DistDGLEngine
 from .sparse_engine import PyTorchEngine
-from .walk_sim import propagation_random_walks, top_k_from_visits
 
 ENGINES = {
     "pytorch": PyTorchEngine,
@@ -47,11 +38,8 @@ ENGINES = {
 }
 
 __all__ = [
-    "BaselineEngine", "EpochReport", "MemoryMeter",
-    "OutOfMemoryError", "UnsupportedModelError", "MODEL_NAMES",
-    "BaselineModel", "SAGANNLayer", "GraphQuery",
-    "PyTorchEngine", "DGLEngine", "DistDGLEngine", "EulerEngine",
+    "BaselineEngine", "EpochReport",
+    "DGLEngine", "DistDGLEngine", "EulerEngine",
     "PreDGLEngine", "FlexGraphAdapter", "NeuGraphEngine",
-    "propagation_random_walks", "top_k_from_visits",
     "ENGINES",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "UnsupportedModelError",
     "OutOfMemoryError",
     "MemoryMeter",
     "EpochReport",
@@ -33,11 +32,6 @@ __all__ = [
 ]
 
 MODEL_NAMES = ("gcn", "pinsage", "magnn")
-
-
-class UnsupportedModelError(Exception):
-    """The engine's programming abstraction cannot express this model
-    (the "X" cells of Table 2)."""
 
 
 class OutOfMemoryError(Exception):

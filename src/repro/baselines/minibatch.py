@@ -13,8 +13,9 @@ aggregated with sparse ops.
   enormous — the ">3600s" / OOM cells of Table 2.
 * **MAGNN**: outside the abstraction — unsupported.
 
-:class:`GraphQuery` is a deliberately small Gremlin-flavored query
-builder standing in for Euler's query language.
+The sampling engine here is the vectorized walk kernel
+(:func:`~repro.graph.random_walk.top_k_visited`); Euler's query language
+itself is not modelled.
 """
 
 from __future__ import annotations
@@ -25,115 +26,12 @@ import numpy as np
 
 from ..core.hdg import hdg_from_flat_arrays
 from ..core.schema import SchemaTree
-from ..graph.graph import Graph
-from ..graph.random_walk import random_walks, top_k_visited
+from ..graph.random_walk import top_k_visited
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
 from .saga_nn import DistDGLEngine
 
-__all__ = ["GraphQuery", "EulerEngine"]
-
-
-class GraphQuery:
-    """A minimal Gremlin-flavored sampling query over a graph.
-
-    Example::
-
-        q = GraphQuery(graph, seed=0).v(batch).walk(hops=3, traces=10)
-        roots, visited = q.collect()
-    """
-
-    def __init__(self, graph: Graph, seed: int = 0):
-        self.graph = graph
-        self._rng = np.random.default_rng(seed)
-        self._vertices: np.ndarray | None = None
-        self._roots: np.ndarray | None = None
-        self._visited: np.ndarray | None = None
-
-    def v(self, vertices) -> "GraphQuery":
-        """Select start vertices."""
-        self._vertices = np.asarray(vertices, dtype=np.int64)
-        return self
-
-    def out_sample(self, k: int) -> "GraphQuery":
-        """Sample ``k`` out-neighbors (with replacement) per vertex."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before out_sample()")
-        walks = random_walks(self.graph, self._vertices, k, 1, self._rng)
-        self._roots = np.repeat(self._vertices, k)
-        self._visited = walks[:, 1]
-        return self
-
-    def walk(self, hops: int, traces: int) -> "GraphQuery":
-        """Run ``traces`` random walks of ``hops`` steps per vertex."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before walk()")
-        walks = random_walks(self.graph, self._vertices, traces, hops, self._rng)
-        self._roots = np.repeat(
-            np.repeat(self._vertices, traces), hops
-        )
-        self._visited = walks[:, 1:].reshape(-1)
-        return self
-
-    # -- traversal steps (vertex-set transformations) -----------------------
-    def has_type(self, type_id: int) -> "GraphQuery":
-        """Filter the current vertex set by vertex type."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before has_type()")
-        self._vertices = self._vertices[
-            self.graph.vertex_types[self._vertices] == type_id
-        ]
-        return self
-
-    def out(self) -> "GraphQuery":
-        """Expand to all out-neighbors of the current set (with duplicates,
-        as Gremlin's ``out()`` does)."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before out()")
-        indptr, indices = self.graph.csr
-        counts = indptr[self._vertices + 1] - indptr[self._vertices]
-        total = int(counts.sum())
-        if total == 0:
-            self._vertices = np.empty(0, dtype=np.int64)
-            return self
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        flat = (
-            np.arange(total)
-            - np.repeat(offsets, counts)
-            + np.repeat(indptr[self._vertices], counts)
-        )
-        self._vertices = indices[flat]
-        return self
-
-    def dedup(self) -> "GraphQuery":
-        """Deduplicate the current vertex set."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before dedup()")
-        self._vertices = np.unique(self._vertices)
-        return self
-
-    def limit(self, n: int) -> "GraphQuery":
-        """Keep the first ``n`` vertices of the current set."""
-        if self._vertices is None:
-            raise RuntimeError("call v() before limit()")
-        self._vertices = self._vertices[:n]
-        return self
-
-    def values(self) -> np.ndarray:
-        """Materialize the current vertex set."""
-        if self._vertices is None:
-            raise RuntimeError("no vertex set selected")
-        return self._vertices.copy()
-
-    def count(self) -> int:
-        """Size of the current vertex set."""
-        return int(self.values().size)
-
-    def collect(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize the (root, visited) pairs the query produced."""
-        if self._roots is None:
-            raise RuntimeError("no sampling step executed")
-        return self._roots, self._visited
+__all__ = ["EulerEngine"]
 
 
 class EulerEngine(DistDGLEngine):

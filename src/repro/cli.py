@@ -30,9 +30,13 @@ import sys
 
 import numpy as np
 
+from .models import gat, gcn, gin, jknet, magnn, pgnn, pinsage
+
 __all__ = ["main", "build_parser"]
 
-_MODEL_CHOICES = ("gcn", "gat", "gin", "pinsage", "magnn", "pgnn", "jknet")
+#: the ``--model`` choices and the factory each one names
+_MODELS = {"gcn": gcn, "gat": gat, "gin": gin, "pinsage": pinsage,
+           "magnn": magnn, "pgnn": pgnn, "jknet": jknet}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,14 +165,12 @@ def _dataset_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=_MODEL_CHOICES, default="gcn")
+    parser.add_argument("--model", choices=tuple(_MODELS), default="gcn")
     parser.add_argument("--hidden-dim", type=int, default=32)
 
 
 def _build_model(args, dataset):
-    from . import models
-
-    factory = getattr(models, args.model)
+    factory = _MODELS[args.model]
     kwargs = {}
     if args.model == "magnn":
         kwargs["max_instances_per_root"] = 30
@@ -378,7 +380,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_linkpred(args) -> int:
-    from . import models
     from .datasets import load_dataset
     from .tasks import LinkPredictionTrainer, split_edges
     from .tensor import Adam, Tensor
@@ -386,7 +387,7 @@ def _cmd_linkpred(args) -> int:
     ds = load_dataset(args.dataset, scale=args.scale)
     split = split_edges(ds.graph, args.test_fraction,
                         np.random.default_rng(args.seed))
-    factory = getattr(models, args.model)
+    factory = _MODELS[args.model]
     encoder = factory(ds.feat_dim, args.hidden_dim, args.hidden_dim,
                       seed=args.seed)
     trainer = LinkPredictionTrainer(encoder, split, seed=args.seed)

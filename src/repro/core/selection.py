@@ -5,8 +5,6 @@ examples — it consults the input graph through the graph engine and emits
 :class:`~repro.core.schema.NeighborRecord` rows, which
 :func:`~repro.core.hdg.build_hdg` then compacts into the HDG layout.
 
-* :func:`select_direct_neighbors` — GCN's ``nbr(v.neighbors)``;
-* :func:`select_pinsage_neighbors` — random walks + top-k visit counts;
 * :func:`select_metapath_neighbors` — MAGNN's metapath-instance matching;
 * :func:`select_anchor_set_neighbors` — P-GNN's anchor sets;
 * :func:`select_distance_ring_neighbors` — JK-Net's shortest-path rings.
@@ -18,56 +16,14 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.metapath import Metapath, find_metapath_instances
-from ..graph.random_walk import top_k_visited
 from ..graph.traversal import bfs_levels
 from .schema import NeighborRecord, SchemaTree
 
 __all__ = [
-    "select_direct_neighbors",
-    "select_pinsage_neighbors",
     "select_metapath_neighbors",
     "select_anchor_set_neighbors",
     "select_distance_ring_neighbors",
 ]
-
-
-def select_direct_neighbors(graph: Graph, roots: np.ndarray | None = None) -> list[NeighborRecord]:
-    """Flat 1-hop neighborhoods (DNFA): one record per in-edge.
-
-    Uses in-neighbors, matching Equation (1)'s feature flow from sources
-    into each target vertex.
-    """
-    if roots is None:
-        roots = np.arange(graph.num_vertices, dtype=np.int64)
-    records = []
-    for v in np.asarray(roots, dtype=np.int64):
-        for u in graph.in_neighbors(int(v)):
-            records.append(NeighborRecord(int(v), (int(u),), 0))
-    return records
-
-
-def select_pinsage_neighbors(
-    graph: Graph,
-    roots: np.ndarray | None = None,
-    num_traces: int = 10,
-    n_hops: int = 3,
-    top_k: int = 10,
-    rng: np.random.Generator | None = None,
-) -> list[NeighborRecord]:
-    """Importance-based neighborhoods (INFA, Figure 5's ``pinsage_nbr``).
-
-    Starts ``num_traces`` random walks of ``n_hops`` hops from each root
-    and keeps the ``top_k`` most-visited vertices, weighting each by its
-    normalized visit frequency.
-    """
-    if roots is None:
-        roots = np.arange(graph.num_vertices, dtype=np.int64)
-    rng = rng or np.random.default_rng(0)
-    r, n, w = top_k_visited(graph, np.asarray(roots, dtype=np.int64), num_traces, n_hops, top_k, rng)
-    return [
-        NeighborRecord(int(root), (int(nbr),), 0, weight=float(weight))
-        for root, nbr, weight in zip(r, n, w)
-    ]
 
 
 def select_metapath_neighbors(

@@ -1,8 +1,7 @@
 """HDG invariant checking — debugging aid and property-test oracle.
 
 :func:`validate_hdg` verifies every structural invariant the compact
-storage of §4.1 relies on; :func:`hdg_summary` renders a human-readable
-description.  Both are pure inspections (never mutate).
+storage of §4.1 relies on.  It is a pure inspection (never mutates).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import numpy as np
 
 from .hdg import HDG
 
-__all__ = ["validate_hdg", "hdg_summary", "HDGInvariantError"]
+__all__ = ["validate_hdg", "HDGInvariantError"]
 
 
 class HDGInvariantError(AssertionError):
@@ -89,30 +88,3 @@ def validate_hdg(hdg: HDG) -> None:
         int(hdg.instance_roots().max(initial=-1)) < hdg.num_roots,
         "instance root order out of range",
     )
-
-
-def hdg_summary(hdg: HDG) -> str:
-    """Multi-line human-readable description of an HDG."""
-    lines = [
-        f"HDG depth={hdg.depth} roots={hdg.num_roots} "
-        f"instances={hdg.num_instances} leaf_edges={hdg.leaf_vertices.size}",
-        f"schema: {hdg.schema.leaf_types}",
-        f"storage: {hdg.nbytes / 1e3:.1f} KB "
-        f"(naive {hdg.nbytes_unoptimized / 1e3:.1f} KB)",
-    ]
-    counts = hdg.leaf_counts()
-    if counts.size:
-        lines.append(
-            f"leaf fan-in: min={int(counts.min())} "
-            f"mean={counts.mean():.1f} max={int(counts.max())}"
-        )
-    if hdg.depth == 3:
-        per_type = hdg.instance_counts_per_type().sum(axis=0)
-        pairs = ", ".join(
-            f"{name}={int(count)}"
-            for name, count in zip(hdg.schema.leaf_types, per_type)
-        )
-        lines.append(f"instances per type: {pairs}")
-    if hdg.leaf_weights is not None:
-        lines.append("weighted: yes (per-edge importance)")
-    return "\n".join(lines)

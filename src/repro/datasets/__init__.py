@@ -1,9 +1,9 @@
 """``repro.datasets`` — synthetic stand-ins for the paper's datasets."""
 
-from .registry import DATASET_NAMES, load_dataset
+from .registry import load_dataset
 from .synthetic import Dataset, fb91_like, imdb_like, reddit_like, twitter_like
 
 __all__ = [
-    "Dataset", "load_dataset", "DATASET_NAMES",
+    "Dataset", "load_dataset",
     "reddit_like", "fb91_like", "twitter_like", "imdb_like",
 ]

@@ -14,14 +14,14 @@ from .fault_tolerance import (
     RecoveryEvent,
     WorkerFailure,
 )
-from .comm import Comm, CommConfig, ProcessComm, SimulatedComm
+from .comm import CommConfig
 from .kvstore import KVStore, SharedArray
 from .commplan import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
 from .runtime import MultiprocessEpochStats, MultiprocessTrainer
 from .trainer import DistributedEpochStats, DistributedTrainer
 
 __all__ = [
-    "Comm", "CommConfig", "SimulatedComm", "ProcessComm",
+    "CommConfig",
     "KVStore", "SharedArray",
     "MultiprocessTrainer", "MultiprocessEpochStats",
     "DependencyStats", "dependency_stats", "CommPlan", "plan_layer_comm",

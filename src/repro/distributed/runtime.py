@@ -319,8 +319,8 @@ class _WorkerRuntime:
             # Once per process, in the first epoch's snapshot (a record
             # made at start-up would not survive the reset above).
             threads, library = self.blas
-            obs.event("dist.worker_threads", rank=self.rank,
-                      blas_threads=threads, library=library)
+            obs.event("dist.worker_threads", blas_threads=threads,
+                      library=library)
             self.blas = None
         obs.log("epoch start", version=int(payload["version"]))
         self._stall_seconds = float(payload.get("stall_seconds") or 0.0)

@@ -1,71 +1,40 @@
 """``repro.graph`` — the graph-engine substrate (libgrape-lite substitute).
 
-CSR/CSC graph storage with typed vertices, traversal (BFS, k-hop,
-shortest paths), random walks, metapath matching, partitioners, and
-synthetic graph generators standing in for the paper's datasets.
+CSR/CSC graph storage with typed vertices, BFS levels (JK-Net's distance
+rings), random walks (PinSage), metapath matching (MAGNN), PageRank
+neighborhoods, partitioners, and synthetic graph generators standing in
+for the paper's datasets.
 """
 
-from .generators import (
-    community_graph,
-    erdos_renyi_graph,
-    heterogeneous_graph,
-    power_law_graph,
-)
+from .generators import community_graph, heterogeneous_graph, power_law_graph
 from .graph import Graph
-from .io import load_edge_list, load_vertex_types, save_edge_list
-from .metrics import (
-    clustering_coefficient,
-    degree_histogram,
-    degree_skew,
-    graph_summary,
-    label_homophily,
-)
+from .metrics import graph_summary
 from .metapath import (
     Metapath,
     MetapathInstance,
-    count_metapath_instances,
     find_metapath_instances,
-    infer_metapaths,
     match_length3_metapath,
 )
-from .pagerank import pagerank, personalized_pagerank, top_k_ppr_neighbors
+from .pagerank import top_k_ppr_neighbors
 from .partition import (
     balance_factor,
     edge_cut,
     hash_partition,
     pulp_partition,
-    random_partition,
     spectral_partition,
 )
-from .random_walk import (
-    random_walks,
-    select_top_k_per_owner,
-    top_k_visited,
-    visit_counts,
-)
-from .traversal import (
-    bfs_levels,
-    bfs_order,
-    connected_components,
-    k_hop_neighbors,
-    largest_connected_component,
-    shortest_path_lengths,
-)
+from .random_walk import select_top_k_per_owner, top_k_visited
+from .traversal import bfs_levels, k_hop_neighbors
 
 __all__ = [
     "Graph",
-    "bfs_levels", "bfs_order", "k_hop_neighbors", "shortest_path_lengths",
-    "connected_components", "largest_connected_component",
-    "random_walks", "visit_counts", "top_k_visited", "select_top_k_per_owner",
+    "bfs_levels", "k_hop_neighbors",
+    "top_k_visited", "select_top_k_per_owner",
     "Metapath", "MetapathInstance", "find_metapath_instances",
-    "count_metapath_instances", "infer_metapaths", "match_length3_metapath",
-    "load_edge_list", "save_edge_list", "load_vertex_types",
-    "degree_histogram", "degree_skew", "clustering_coefficient",
-    "label_homophily", "graph_summary",
-    "pagerank", "personalized_pagerank", "top_k_ppr_neighbors",
-    "hash_partition", "pulp_partition", "random_partition",
-    "spectral_partition",
+    "match_length3_metapath",
+    "graph_summary",
+    "top_k_ppr_neighbors",
+    "hash_partition", "pulp_partition", "spectral_partition",
     "edge_cut", "balance_factor",
     "community_graph", "power_law_graph", "heterogeneous_graph",
-    "erdos_renyi_graph",
 ]

@@ -22,17 +22,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["community_graph", "power_law_graph", "heterogeneous_graph", "erdos_renyi_graph"]
-
-
-def erdos_renyi_graph(num_vertices: int, avg_degree: float, seed: int = 0) -> Graph:
-    """Uniform random directed graph with the given average out-degree."""
-    rng = np.random.default_rng(seed)
-    num_edges = int(num_vertices * avg_degree)
-    src = rng.integers(0, num_vertices, size=num_edges)
-    dst = rng.integers(0, num_vertices, size=num_edges)
-    keep = src != dst
-    return Graph(num_vertices, src[keep], dst[keep])
+__all__ = ["community_graph", "power_law_graph", "heterogeneous_graph"]
 
 
 def community_graph(

@@ -24,10 +24,8 @@ __all__ = [
     "Metapath",
     "MetapathInstance",
     "find_metapath_instances",
-    "count_metapath_instances",
     "match_length3_metapath",
     "count_length3_instances",
-    "infer_metapaths",
 ]
 
 
@@ -230,67 +228,3 @@ def _cap_per_root(instances: np.ndarray, cap: int) -> np.ndarray:
     group_start = np.maximum.accumulate(group_start)
     rank = np.arange(roots.size) - group_start
     return inst[rank < cap]
-
-
-def infer_metapaths(
-    graph: Graph,
-    length: int = 3,
-    root_type: int | None = None,
-    min_instances: int = 1,
-) -> list[Metapath]:
-    """Enumerate the metapaths a typed graph actually supports.
-
-    Walks the *type-level* schema graph (which type pairs have edges) to
-    list all type sequences of the given length, keeping those with at
-    least ``min_instances`` matched instances.  A practical MAGNN helper:
-    users rarely know a new dataset's viable metapaths up front.
-    """
-    if length < 2:
-        raise ValueError("metapaths need at least 2 vertex types")
-    types = graph.vertex_types
-    src, dst = graph.edges()
-    # Type-level adjacency: which (t_a -> t_b) edges exist at all.
-    pairs = np.unique(types[src] * graph.num_types + types[dst])
-    type_adj: dict[int, list[int]] = {}
-    for key in pairs:
-        type_adj.setdefault(int(key) // graph.num_types, []).append(
-            int(key) % graph.num_types
-        )
-    roots = [root_type] if root_type is not None else list(range(graph.num_types))
-    sequences: list[tuple[int, ...]] = []
-
-    def extend(seq: tuple[int, ...]) -> None:
-        if len(seq) == length:
-            sequences.append(seq)
-            return
-        for nxt in type_adj.get(seq[-1], ()):  # type: ignore[arg-type]
-            extend(seq + (nxt,))
-
-    for t in roots:
-        extend((t,))
-
-    result = []
-    for i, seq in enumerate(sequences):
-        mp = Metapath(seq, name="-".join(str(t) for t in seq))
-        if length == 3:
-            count = match_length3_metapath(graph, mp).shape[0]
-        else:
-            count = len(find_metapath_instances(graph, [mp]))
-        if count >= min_instances:
-            result.append(mp)
-    return result
-
-
-def count_metapath_instances(
-    graph: Graph, metapaths: list[Metapath], roots: np.ndarray | None = None
-) -> dict[int, np.ndarray]:
-    """Per-root instance counts for each metapath (cost-model features).
-
-    Returns a dict mapping metapath index to an array of counts indexed by
-    vertex id — these are the ``n_1 .. n_k`` variables of the ADB cost
-    function (Section 5).
-    """
-    counts = {i: np.zeros(graph.num_vertices, dtype=np.int64) for i in range(len(metapaths))}
-    for inst in find_metapath_instances(graph, metapaths, roots):
-        counts[inst.metapath_index][inst.root] += 1
-    return counts

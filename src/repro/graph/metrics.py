@@ -9,23 +9,11 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
-    "degree_histogram",
     "degree_skew",
     "clustering_coefficient",
     "label_homophily",
     "graph_summary",
 ]
-
-
-def degree_histogram(graph: Graph, direction: str = "out") -> np.ndarray:
-    """``hist[d]`` = number of vertices with degree ``d``."""
-    if direction == "out":
-        degrees = graph.out_degree()
-    elif direction == "in":
-        degrees = graph.in_degree()
-    else:
-        raise ValueError("direction must be 'out' or 'in'")
-    return np.bincount(degrees)
 
 
 def degree_skew(graph: Graph) -> float:

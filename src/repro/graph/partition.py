@@ -25,7 +25,6 @@ from .graph import Graph
 __all__ = [
     "hash_partition",
     "pulp_partition",
-    "random_partition",
     "spectral_partition",
     "edge_cut",
     "balance_factor",
@@ -37,13 +36,6 @@ def hash_partition(num_vertices: int, k: int) -> np.ndarray:
     if k <= 0:
         raise ValueError("k must be positive")
     return np.arange(num_vertices, dtype=np.int64) % k
-
-
-def random_partition(num_vertices: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random assignment."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return rng.integers(0, k, size=num_vertices, dtype=np.int64)
 
 
 def pulp_partition(

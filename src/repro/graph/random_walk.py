@@ -13,7 +13,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = ["random_walks", "visit_counts", "top_k_visited", "select_top_k_per_owner"]
+__all__ = ["random_walks", "top_k_visited", "select_top_k_per_owner"]
 
 
 def random_walks(
@@ -46,21 +46,6 @@ def random_walks(
         current = nxt
         walks[:, step] = current
     return walks
-
-
-def visit_counts(
-    graph: Graph,
-    start: int,
-    num_walks: int,
-    length: int,
-    rng: np.random.Generator,
-) -> dict[int, int]:
-    """Visit counts of vertices (excluding ``start``) over random walks."""
-    walks = random_walks(graph, np.array([start]), num_walks, length, rng)
-    visited = walks[:, 1:].ravel()
-    visited = visited[visited != start]
-    ids, counts = np.unique(visited, return_counts=True)
-    return dict(zip(ids.tolist(), counts.tolist()))
 
 
 def top_k_visited(

@@ -1,9 +1,9 @@
-"""Graph traversal primitives: BFS, k-hop neighborhoods, shortest paths.
+"""Graph traversal primitives: BFS levels and k-hop neighborhoods.
 
-These back several pieces of the reproduction: full k-hop neighborhood
-expansion for the mini-batch baseline (Euler/DistDGL), BFS-ordered
-migration-candidate growth in the ADB balancer (Section 5), and
-shortest-path rings for JK-Net's neighbor definition.
+:func:`bfs_levels` yields the shortest-path rings of JK-Net's neighbor
+definition (``core.selection``).  :func:`k_hop_neighbors` is the plain
+per-vertex definition of the k-hop neighborhood a mini-batch baseline
+must expand; DistDGL's vectorized block expansion is tested against it.
 """
 
 from __future__ import annotations
@@ -12,14 +12,7 @@ import numpy as np
 
 from .graph import Graph
 
-__all__ = [
-    "bfs_levels",
-    "bfs_order",
-    "k_hop_neighbors",
-    "shortest_path_lengths",
-    "connected_components",
-    "largest_connected_component",
-]
+__all__ = ["bfs_levels", "k_hop_neighbors"]
 
 
 def bfs_levels(graph: Graph, source: int, direction: str = "out") -> np.ndarray:
@@ -74,13 +67,6 @@ def _gather_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) 
     return out
 
 
-def bfs_order(graph: Graph, source: int, direction: str = "both") -> np.ndarray:
-    """Vertices reachable from ``source`` in BFS visitation order."""
-    levels = bfs_levels(graph, source, direction)
-    reachable = np.flatnonzero(levels >= 0)
-    return reachable[np.argsort(levels[reachable], kind="stable")]
-
-
 def k_hop_neighbors(graph: Graph, source: int, k: int, direction: str = "both") -> np.ndarray:
     """All vertices within ``k`` hops of ``source`` (excluding it).
 
@@ -92,35 +78,3 @@ def k_hop_neighbors(graph: Graph, source: int, k: int, direction: str = "both") 
         raise ValueError("k must be non-negative")
     levels = bfs_levels(graph, source, direction)
     return np.flatnonzero((levels > 0) & (levels <= k))
-
-
-def shortest_path_lengths(graph: Graph, source: int, direction: str = "both") -> np.ndarray:
-    """Unweighted shortest-path distance from ``source`` (−1 if unreachable).
-
-    JK-Net's i-th "neighbor" of v is the ring of vertices at distance i.
-    """
-    return bfs_levels(graph, source, direction)
-
-
-def largest_connected_component(graph: Graph) -> np.ndarray:
-    """Vertex ids of the largest (undirected) connected component.
-
-    Real datasets are usually restricted to their giant component before
-    training; combine with :meth:`Graph.subgraph`.
-    """
-    comp = connected_components(graph)
-    sizes = np.bincount(comp)
-    return np.flatnonzero(comp == sizes.argmax())
-
-
-def connected_components(graph: Graph) -> np.ndarray:
-    """Component id per vertex, treating edges as undirected."""
-    comp = np.full(graph.num_vertices, -1, dtype=np.int64)
-    next_id = 0
-    for v in range(graph.num_vertices):
-        if comp[v] >= 0:
-            continue
-        levels = bfs_levels(graph, v, "both")
-        comp[levels >= 0] = next_id
-        next_id += 1
-    return comp

@@ -8,12 +8,12 @@ depths and worker counts.  See ``docs/storage.md`` for tuning.
 """
 
 from ..core.step import CompactBlocks, compact_blocks, run_local_blocks
-from .pipeline import BatchPlan, SampledBatch, StreamingLoader, plan_epoch
-from .source import DataSource, InMemorySource, QuantizedSource, as_source
+from .pipeline import BatchPlan, StreamingLoader, plan_epoch
+from .source import DataSource, as_source
 
 __all__ = [
-    "DataSource", "InMemorySource", "QuantizedSource", "as_source",
-    "BatchPlan", "CompactBlocks", "SampledBatch",
+    "DataSource", "as_source",
+    "BatchPlan", "CompactBlocks",
     "StreamingLoader",
     "compact_blocks", "plan_epoch", "run_local_blocks",
 ]

@@ -16,22 +16,22 @@ INHA      :func:`jknet`             distance rings, mean/max
 ========  ========================  =====================================
 """
 
-from .gat import GAT, GATLayer, gat
-from .gcn import GCN, GCNLayer, gcn
-from .gin import GIN, GINLayer, gin
-from .jknet import JKNet, JKNetLayer, jknet
-from .magnn import MAGNN, MAGNNLayer, default_metapaths, magnn
-from .pgnn import PGNN, PGNNLayer, pgnn
-from .pinsage import PinSage, PinSageLayer, pinsage
-from .sage import GraphSAGE, SAGELayer, graphsage
+from .gat import GAT, gat
+from .gcn import GCN, gcn
+from .gin import GIN, gin
+from .jknet import JKNet, jknet
+from .magnn import MAGNN, default_metapaths, magnn
+from .pgnn import PGNN, pgnn
+from .pinsage import PinSage, pinsage
+from .sage import GraphSAGE, graphsage
 
 __all__ = [
-    "GCN", "GCNLayer", "gcn",
-    "GAT", "GATLayer", "gat",
-    "GIN", "GINLayer", "gin",
-    "PinSage", "PinSageLayer", "pinsage",
-    "MAGNN", "MAGNNLayer", "magnn", "default_metapaths",
-    "PGNN", "PGNNLayer", "pgnn",
-    "JKNet", "JKNetLayer", "jknet",
-    "GraphSAGE", "SAGELayer", "graphsage",
+    "GCN", "gcn",
+    "GAT", "gat",
+    "GIN", "gin",
+    "PinSage", "pinsage",
+    "MAGNN", "magnn", "default_metapaths",
+    "PGNN", "pgnn",
+    "JKNet", "jknet",
+    "GraphSAGE", "graphsage",
 ]

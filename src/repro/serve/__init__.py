@@ -25,7 +25,7 @@ See ``docs/serving.md`` for architecture and operational semantics.
 """
 
 from .batcher import InferenceRequest, MicroBatcher, ServerOverloaded
-from .cache import EmbeddingCache, GraphVersion, HDGBlockCache, expand_affected
+from .cache import EmbeddingCache
 from .server import GNNServer
 from .session import CheckpointMismatch, InferenceSession
 
@@ -37,7 +37,4 @@ __all__ = [
     "MicroBatcher",
     "InferenceRequest",
     "EmbeddingCache",
-    "HDGBlockCache",
-    "GraphVersion",
-    "expand_affected",
 ]

@@ -6,9 +6,7 @@ files read back without unpickling.
 """
 
 from .ondisk import (
-    ONDISK_FORMAT,
     OnDiskDataset,
-    OnDiskGraph,
     OnDiskIntegrityError,
     write_ondisk_dataset,
     write_synthetic_ondisk,
@@ -17,7 +15,6 @@ from .store import checkpoint_metadata, load_checkpoint, save_checkpoint
 
 __all__ = [
     "save_checkpoint", "load_checkpoint", "checkpoint_metadata",
-    "ONDISK_FORMAT", "OnDiskIntegrityError",
-    "OnDiskGraph", "OnDiskDataset",
+    "OnDiskIntegrityError", "OnDiskDataset",
     "write_ondisk_dataset", "write_synthetic_ondisk",
 ]

@@ -8,17 +8,9 @@ from .clustering import (
     normalized_mutual_information,
     purity,
 )
-from .link_prediction import (
-    EdgeSplit,
-    LinkPredictionTrainer,
-    auc_score,
-    hits_at_k,
-    sample_negative_edges,
-    split_edges,
-)
+from .link_prediction import EdgeSplit, LinkPredictionTrainer, split_edges
 
 __all__ = [
-    "EdgeSplit", "split_edges", "sample_negative_edges",
-    "LinkPredictionTrainer", "auc_score", "hits_at_k",
+    "EdgeSplit", "split_edges", "LinkPredictionTrainer",
     "kmeans", "cluster_vertices", "normalized_mutual_information", "purity",
 ]

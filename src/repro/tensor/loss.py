@@ -8,7 +8,7 @@ import numpy as np
 from .ops import log_softmax
 from .tensor import Tensor, _as_tensor
 
-__all__ = ["cross_entropy", "nll_loss", "mse_loss", "binary_cross_entropy_with_logits", "accuracy"]
+__all__ = ["cross_entropy", "nll_loss", "binary_cross_entropy_with_logits", "accuracy"]
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -49,14 +49,6 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray | None = N
         return (grad * g,)
 
     return Tensor._make(out_data, (log_probs,), backward)
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error."""
-    pred = _as_tensor(pred)
-    target = _as_tensor(target)
-    diff = pred - target.detach()
-    return (diff * diff).mean()
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:

@@ -11,10 +11,9 @@ import math
 import numpy as np
 
 from ..obs.profile import record_op
-from .ops import dropout as _dropout
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell", "ReLU", "Dropout", "Sequential"]
+__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell", "ReLU"]
 
 
 class Parameter(Tensor):
@@ -126,18 +125,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, p: float = 0.5, seed: int = 0):
-        super().__init__()
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return _dropout(x, self.p, self._rng, training=self.training)
-
-
 class Embedding(Module):
     """Learnable per-id vectors — input features for featureless graphs.
 
@@ -146,44 +133,23 @@ class Embedding(Module):
     """
 
     def __init__(self, num_embeddings: int, dim: int,
-                 rng: np.random.Generator | None = None, sparse_grad: bool = False):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if num_embeddings <= 0 or dim <= 0:
             raise ValueError("num_embeddings and dim must be positive")
         rng = rng or np.random.default_rng(0)
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.sparse_grad = bool(sparse_grad)
         self.weight = Parameter(rng.standard_normal((num_embeddings, dim)) / math.sqrt(dim))
 
     def forward(self, ids=None) -> Tensor:
-        """Rows for ``ids`` (default: the whole table, for full-batch GNNs).
-
-        With ``sparse_grad=True`` the backward pass records ``(ids,
-        grad_rows)`` on ``weight.sparse_grads`` instead of scattering
-        into a dense ``(num_embeddings, dim)`` gradient, so a minibatch
-        step stays O(batch) — ``SparseEmbeddingOptimizer`` consumes the
-        records.
-        """
+        """Rows for ``ids`` (default: the whole table, for full-batch GNNs)."""
         if ids is None:
             return self.weight
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError("embedding id out of range")
-        if not self.sparse_grad:
-            return self.weight[ids]
-        weight = self.weight
-        out_data = weight.data[ids]
-
-        def backward(g):
-            pending = getattr(weight, "sparse_grads", None)
-            if pending is None:
-                pending = []
-                weight.sparse_grads = pending
-            pending.append((ids, np.asarray(g)))
-            return (None,)
-
-        return Tensor._make(out_data, (weight,), backward)
+        return self.weight[ids]
 
 
 class LSTMCell(Module):
@@ -217,18 +183,3 @@ class LSTMCell(Module):
         c_new = f * c + i * g
         h_new = o * c_new.tanh()
         return h_new, c_new
-
-
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x

@@ -22,7 +22,6 @@ __all__ = [
     "dropout",
     "zeros",
     "ones",
-    "randn",
     "tensor",
 ]
 
@@ -42,13 +41,6 @@ def ones(*shape, requires_grad: bool = False) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def randn(*shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
 def relu(x: Tensor) -> Tensor:

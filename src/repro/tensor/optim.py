@@ -1,14 +1,12 @@
-"""Optimizers for the numpy autograd engine (SGD with momentum, Adam,
-and a sparse-gradient optimizer for large embedding tables)."""
+"""Optimizers for the numpy autograd engine: the base class and Adam."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..obs.profile import record_op
 from .nn import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "SparseEmbeddingOptimizer"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -36,37 +34,6 @@ class Optimizer:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         if state:
             raise KeyError(f"unexpected optimizer state keys: {sorted(state)}")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"velocity{i}": v.copy() for i, v in enumerate(self._velocity)}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for i, v in enumerate(self._velocity):
-            v[...] = state[f"velocity{i}"]
 
 
 class Adam(Optimizer):
@@ -110,116 +77,3 @@ class Adam(Optimizer):
         for i, (m, v) in enumerate(zip(self._m, self._v)):
             m[...] = state[f"m{i}"]
             v[...] = state[f"v{i}"]
-
-
-class SparseEmbeddingOptimizer(Optimizer):
-    """SGD/Adam over embedding tables, updating only the gathered rows.
-
-    A dense optimizer step over a learned ``(num_vertices, dim)``
-    embedding table is O(|V|) per minibatch even though only the
-    batch's gathered rows have non-zero gradient.  This optimizer
-    consumes the ``(ids, grad_rows)`` records a ``sparse_grad``
-    :class:`~repro.tensor.nn.Embedding` leaves on its weight, coalesces
-    duplicate ids, and applies the update to those rows only — step
-    cost O(batch * dim).
-
-    Adam keeps full-size first/second-moment buffers (memory is cheap,
-    bandwidth is not) plus a *per-row* step count so bias correction is
-    computed with each row's own ``t``.  When every row is touched on
-    every step this matches the dense :class:`Adam` bitwise; rows
-    touched intermittently get the same schedule DGL's sparse Adam
-    uses.  SGD is plain (no momentum): decaying velocity only on
-    touched rows would silently change momentum semantics.
-
-    A dense ``p.grad`` left by a non-sparse gather is folded in as if
-    every row had been touched, so mixed usage stays correct.
-    """
-
-    def __init__(self, params, lr: float = 1e-2, method: str = "adam",
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-        tables: list[Parameter] = []
-        for item in params:
-            weight = getattr(item, "weight", item)
-            if not isinstance(weight, Parameter):
-                raise TypeError(
-                    "SparseEmbeddingOptimizer takes Embedding modules or 2-D "
-                    f"Parameters, got {type(item).__name__}"
-                )
-            if weight.data.ndim != 2:
-                raise ValueError(
-                    f"embedding table must be 2-D, got shape {weight.data.shape}"
-                )
-            tables.append(weight)
-        super().__init__(tables, lr)
-        if method not in ("sgd", "adam"):
-            raise ValueError(f"method must be 'sgd' or 'adam', got {method!r}")
-        self.method = method
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        if method == "adam":
-            self._m = [np.zeros_like(p.data) for p in self.params]
-            self._v = [np.zeros_like(p.data) for p in self.params]
-            self._t = [np.zeros(p.data.shape[0], dtype=np.int64) for p in self.params]
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-            p.sparse_grads = []
-
-    @staticmethod
-    def _coalesce(pending, dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Sum duplicate ids; addition order matches a dense ``np.add.at``."""
-        ids = np.concatenate([np.asarray(i, dtype=np.int64).ravel() for i, _ in pending])
-        grads = np.concatenate(
-            [np.asarray(g, dtype=dtype).reshape(-1, dim) for _, g in pending]
-        )
-        rows, inverse = np.unique(ids, return_inverse=True)
-        out = np.zeros((rows.size, dim), dtype=dtype)
-        np.add.at(out, inverse, grads)
-        return rows, out
-
-    def step(self) -> None:
-        for i, p in enumerate(self.params):
-            pending = list(getattr(p, "sparse_grads", None) or ())
-            if p.grad is not None:
-                pending.append((np.arange(p.data.shape[0], dtype=np.int64), p.grad))
-            if not pending:
-                continue
-            rows, grad = self._coalesce(pending, p.data.shape[1], p.data.dtype)
-            if self.method == "sgd":
-                p.data[rows] -= self.lr * grad
-            else:
-                m, v, t = self._m[i], self._v[i], self._t[i]
-                t[rows] += 1
-                bc1 = 1.0 - np.power(self.beta1, t[rows])[:, None]
-                bc2 = 1.0 - np.power(self.beta2, t[rows])[:, None]
-                m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grad
-                v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grad**2
-                p.data[rows] -= self.lr * (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + self.eps)
-            touched = grad.nbytes
-            record_op(
-                "optim.sparse_step",
-                flops=float(grad.size) * (2.0 if self.method == "sgd" else 12.0),
-                bytes_read=touched * (1 if self.method == "sgd" else 3),
-                bytes_written=touched * (1 if self.method == "sgd" else 3),
-            )
-            p.sparse_grads = []
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        if self.method == "sgd":
-            return {}
-        state: dict[str, np.ndarray] = {}
-        for i, (m, v, t) in enumerate(zip(self._m, self._v, self._t)):
-            state[f"m{i}"] = m.copy()
-            state[f"v{i}"] = v.copy()
-            state[f"t{i}"] = t.copy()
-        return state
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if self.method == "sgd":
-            super().load_state_dict(state)
-            return
-        for i, (m, v, t) in enumerate(zip(self._m, self._v, self._t)):
-            m[...] = state[f"m{i}"]
-            v[...] = state[f"v{i}"]
-            t[...] = state[f"t{i}"]

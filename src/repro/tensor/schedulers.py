@@ -6,7 +6,7 @@ import math
 
 from .optim import Optimizer
 
-__all__ = ["LRScheduler", "StepLR", "CosineAnnealingLR", "WarmupLR", "EarlyStopping"]
+__all__ = ["LRScheduler", "CosineAnnealingLR", "EarlyStopping"]
 
 
 class LRScheduler:
@@ -30,22 +30,6 @@ class LRScheduler:
         return lr
 
 
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
 class CosineAnnealingLR(LRScheduler):
     """Cosine decay from the base lr to ``min_lr`` over ``total_epochs``."""
 
@@ -61,26 +45,6 @@ class CosineAnnealingLR(LRScheduler):
         return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
             1.0 + math.cos(math.pi * progress)
         )
-
-
-class WarmupLR(LRScheduler):
-    """Linear warm-up over ``warmup_epochs``, then an inner schedule (or
-    constant base lr)."""
-
-    def __init__(self, optimizer: Optimizer, warmup_epochs: int,
-                 after: LRScheduler | None = None):
-        if warmup_epochs <= 0:
-            raise ValueError("warmup_epochs must be positive")
-        super().__init__(optimizer)
-        self.warmup_epochs = warmup_epochs
-        self.after = after
-
-    def get_lr(self, epoch: int) -> float:
-        if epoch < self.warmup_epochs:
-            return self.base_lr * (epoch + 1) / self.warmup_epochs
-        if self.after is not None:
-            return self.after.get_lr(epoch - self.warmup_epochs)
-        return self.base_lr
 
 
 class EarlyStopping:

@@ -14,19 +14,21 @@ from repro.core import (
     AttentionAggregator,
     ExecutionStrategy,
     FlexGraphEngine,
-    MaxAggregator,
     MeanAggregator,
-    MinAggregator,
     MiniBatchTrainer,
     NeighborRecord,
     SchemaTree,
-    SumAggregator,
-    WeightedSumAggregator,
     build_hdg,
-    get_aggregator,
-    hdg_from_graph,
     hierarchical_aggregate,
 )
+from repro.core.aggregation import (
+    MaxAggregator,
+    MinAggregator,
+    SumAggregator,
+    WeightedSumAggregator,
+    get_aggregator,
+)
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer
 from repro.graph import (

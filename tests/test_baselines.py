@@ -6,20 +6,17 @@ import pytest
 
 from repro.baselines import (
     ENGINES,
-    BaselineModel,
     DGLEngine,
     DistDGLEngine,
     EulerEngine,
     FlexGraphAdapter,
-    GraphQuery,
-    MemoryMeter,
-    OutOfMemoryError,
     PreDGLEngine,
-    PyTorchEngine,
-    SAGANNLayer,
-    propagation_random_walks,
-    top_k_from_visits,
 )
+from repro.baselines.common import MemoryMeter, OutOfMemoryError
+from repro.baselines.model_math import BaselineModel
+from repro.baselines.saga_nn import SAGANNLayer
+from repro.baselines.sparse_engine import PyTorchEngine
+from repro.baselines.walk_sim import propagation_random_walks, top_k_from_visits
 from repro.datasets import load_dataset
 from repro.graph import community_graph, top_k_visited
 from repro.tensor import Tensor
@@ -175,25 +172,6 @@ class TestSAGANN:
     def test_apply_vertex_abstract(self):
         with pytest.raises(NotImplementedError):
             SAGANNLayer().apply_vertex(None, None)
-
-
-class TestGraphQuery:
-    def test_walk_query(self):
-        g = community_graph(40, 2, 6, seed=0)
-        roots, visited = GraphQuery(g, seed=0).v(np.arange(10)).walk(hops=2, traces=3).collect()
-        assert roots.size == 10 * 3 * 2
-
-    def test_out_sample(self):
-        g = community_graph(40, 2, 6, seed=0)
-        roots, visited = GraphQuery(g, seed=0).v(np.array([0, 1])).out_sample(4).collect()
-        assert roots.size == 8
-
-    def test_query_order_enforced(self):
-        g = community_graph(10, 2, 4, seed=0)
-        with pytest.raises(RuntimeError):
-            GraphQuery(g).out_sample(2)
-        with pytest.raises(RuntimeError):
-            GraphQuery(g).collect()
 
 
 class TestEnginesTrain:

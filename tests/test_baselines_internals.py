@@ -10,8 +10,8 @@ from repro.baselines import (
     EpochReport,
     EulerEngine,
     PreDGLEngine,
-    PyTorchEngine,
 )
+from repro.baselines.sparse_engine import PyTorchEngine
 from repro.baselines.saga_nn import DistDGLEngine as _DistDGL
 from repro.datasets import load_dataset
 from repro.graph import k_hop_neighbors

@@ -9,10 +9,10 @@ from repro.core import (
     NeighborRecord,
     SchemaTree,
     build_hdg,
-    hdg_from_graph,
     induced_dependency_edges,
     metrics_from_hdg,
 )
+from repro.core.hdg import hdg_from_graph
 from repro.core.selection import build_metapath_hdg
 from repro.graph import Metapath, balance_factor, heterogeneous_graph, power_law_graph
 

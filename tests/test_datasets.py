@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
-    DATASET_NAMES,
     fb91_like,
     imdb_like,
     load_dataset,
     reddit_like,
     twitter_like,
 )
+from repro.datasets.registry import DATASET_NAMES
 
 
 class TestRegistry:

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import FlexGraphEngine, hdg_from_graph
+from repro.core import FlexGraphEngine
+from repro.core.hdg import hdg_from_graph
 from repro.core.selection import build_metapath_hdg
 from repro.datasets import load_dataset
 from repro.distributed import (
     CommConfig,
     DistributedTrainer,
-    SimulatedComm,
     dependency_stats,
     flexgraph_scaling,
     model_baseline_scaling,
     plan_layer_comm,
 )
+from repro.distributed.comm import SimulatedComm
 from repro.graph import Metapath, hash_partition, heterogeneous_graph, power_law_graph
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor

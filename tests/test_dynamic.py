@@ -4,7 +4,8 @@
 import numpy as np
 import pytest
 
-from repro.core import MetapathHDGMaintainer, instances_through_edges, validate_hdg
+from repro.core import MetapathHDGMaintainer, validate_hdg
+from repro.core.dynamic import instances_through_edges
 from repro.graph import Graph, Metapath, heterogeneous_graph
 from repro.graph.metapath import match_length3_metapath
 

@@ -9,7 +9,8 @@ from repro.experiments import (
     measure_epoch_cell,
     render_rows,
 )
-from repro.baselines import DGLEngine, PyTorchEngine
+from repro.baselines import DGLEngine
+from repro.baselines.sparse_engine import PyTorchEngine
 
 
 @pytest.fixture(scope="module")

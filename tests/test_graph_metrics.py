@@ -3,29 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.graph import (
-    Graph,
+from repro.graph import Graph, community_graph, graph_summary, power_law_graph
+from repro.graph.metrics import (
     clustering_coefficient,
-    community_graph,
-    degree_histogram,
     degree_skew,
-    graph_summary,
     label_homophily,
-    power_law_graph,
 )
 
 
 class TestDegreeMetrics:
-    def test_histogram_sums_to_vertices(self):
-        g = community_graph(100, 2, 6, seed=0)
-        assert degree_histogram(g).sum() == 100
-        assert degree_histogram(g, "in").sum() == 100
-
-    def test_histogram_bad_direction(self):
-        g = Graph.from_edges(2, [[0, 1]])
-        with pytest.raises(ValueError):
-            degree_histogram(g, "both")
-
     def test_skew_regular_graph(self):
         n = 10
         g = Graph.from_edges(n, [[i, (i + 1) % n] for i in range(n)])

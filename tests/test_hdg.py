@@ -10,9 +10,8 @@ from repro.core import (
     SchemaTree,
     build_hdg,
     hdg_from_flat_arrays,
-    hdg_from_graph,
-    hdg_from_instance_arrays,
 )
+from repro.core.hdg import hdg_from_graph, hdg_from_instance_arrays
 from repro.graph import Graph, community_graph
 
 

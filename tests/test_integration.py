@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.baselines import ENGINES, FlexGraphAdapter, PyTorchEngine
+from repro.baselines import ENGINES, FlexGraphAdapter
+from repro.baselines.sparse_engine import PyTorchEngine
 from repro.core import (
     ADBBalancer,
     FlexGraphEngine,

@@ -1,5 +1,5 @@
 """Canary for everything outside ``src/`` and ``tests/`` that imports
-``repro``, and for the size of ``repro.obs``'s public surface.
+``repro``, and for the size of every ``repro`` package's public surface.
 
 ``benchmarks/ledger/`` runs after tier-1 and may not be edited by a PR
 that changes ``src/``, so a rename there surfaces only as a failed
@@ -11,14 +11,16 @@ import, and every attribute they read off an imported ``repro`` module,
 still resolves — and that every call of such a name still binds to its
 signature (positional count and keyword names).
 
-The last test holds ``repro.obs.__all__`` to the consumer-count rule:
-a public name stays only while something other than the package's own
-tests reads it.
+The last test holds every package's ``__all__`` to the consumer-count
+rule: a public name stays only while something other than the
+package's own tests reads it.
 """
 
 import ast
 import importlib
 import inspect
+import re
+import textwrap
 import types
 from pathlib import Path
 
@@ -125,21 +127,59 @@ def test_every_repro_call_the_suite_makes_binds(path):
     assert not unbound, f"{path.name} calls repro with stale signatures: {unbound}"
 
 
-def _obs_names_read(path: Path) -> set[str]:
-    """Names ``path`` imports from ``repro.obs`` (or a module of it) or
-    reads off the package imported as a module."""
+PACKAGE_ROOT = ROOT / "src" / "repro"
+#: every ``repro`` package; each one's ``__all__`` obeys the reader rule
+PACKAGES = sorted(p.parent.name for p in PACKAGE_ROOT.glob("*/__init__.py"))
+
+#: Public names kept without a reader outside their package, each with
+#: the reason.  Types in kept signatures and exceptions kept code raises
+#: are exempt mechanically (``_exempt``) and need no entry here.
+KEEP = {
+    "core.validate_hdg": "the HDG invariant oracle the property tests run",
+    "core.HDGInvariantError": "what the HDG invariant oracle raises",
+    "graph.k_hop_neighbors": "the reference DistDGL's k-hop block expansion "
+                             "is tested against",
+    "tensor.int8_error_bound": "the stated max|row|/254 int8 bound the "
+                               "quantization tests assert",
+    "tensor.is_grad_enabled": "the only public way to observe no_grad",
+    "distributed.FaultTolerantTrainer": "recovery: the inject_failure / "
+                                        "recover contract",
+    "distributed.CheckpointManager": "recovery: the checkpoints "
+                                     "FaultTolerantTrainer restores from",
+    "distributed.RecoveryEvent": "recovery: what FaultTolerantTrainer "
+                                 "reports per recovery",
+    "models.graphsage": "a factory in the models taxonomy table (SAGE-pool)",
+}
+
+
+def _module_named(node: ast.ImportFrom, path: Path) -> str:
+    """The module an ``ImportFrom`` names, with relative imports resolved
+    inside ``src/repro`` (elsewhere they stay relative and match nothing)."""
+    if node.level == 0:
+        return node.module or ""
+    if PACKAGE_ROOT not in path.parents:
+        return "." * node.level + (node.module or "")
+    parts = ["repro", *path.relative_to(PACKAGE_ROOT).parent.parts]
+    parts = parts[: len(parts) - node.level + 1]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
+def _names_read(path: Path, package: str) -> set[str]:
+    """Names ``path`` imports from ``repro.<package>`` (or a module of
+    it) or reads off the package imported as a module."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    target = f"repro.{package}"
     names: set[str] = set()
-    aliases: set[str] = set()                   # local names bound to repro.obs
+    aliases: set[str] = set()                   # local names bound to the package
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
-        module = node.module or ""
-        if module.split(".")[-1] == "obs" or ".obs." in f".{module}.":
+        module = _module_named(node, path)
+        if module == target or module.startswith(f"{target}."):
             names.update(alias.name for alias in node.names)
-        else:
+        elif module == "repro":
             aliases.update(alias.asname or alias.name
-                           for alias in node.names if alias.name == "obs")
+                           for alias in node.names if alias.name == package)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
@@ -147,17 +187,92 @@ def _obs_names_read(path: Path) -> set[str]:
     return names
 
 
-def test_every_public_obs_name_has_a_reader_outside_the_package():
-    from repro import obs
+def _public_callables(obj) -> list:
+    """``obj`` itself, or for a class its public and dunder methods."""
+    if not inspect.isclass(obj):
+        return [obj]
+    members = []
+    for name, member in vars(obj).items():
+        if name.startswith("_") and not name.endswith("__"):
+            continue
+        member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+        if callable(member):
+            members.append(member)
+    return members
 
-    package = ROOT / "src" / "repro"
-    readers = [p for p in package.rglob("*.py")
-               if (package / "obs") not in p.parents]
+
+def _annotation_words(obj) -> set[str]:
+    """Identifiers in the signature annotations of ``obj``'s callables."""
+    words: set[str] = set()
+    for member in _public_callables(obj):
+        try:
+            signature = inspect.signature(member)
+        except (TypeError, ValueError):
+            continue
+        annotations = [p.annotation for p in signature.parameters.values()]
+        annotations.append(signature.return_annotation)
+        for annotation in annotations:
+            if annotation is inspect.Signature.empty:
+                continue
+            text = (annotation if isinstance(annotation, str)
+                    else inspect.formatannotation(annotation))
+            words.update(re.findall(r"\w+", text))
+    return words
+
+
+def _raised_names(obj) -> set[str]:
+    """Names of what ``obj``'s source raises (``raise X`` / ``raise X(...)``)."""
+    try:
+        source = textwrap.dedent(inspect.getsource(obj))
+    except (OSError, TypeError):
+        return set()
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def _exempt(module, kept: set[str]) -> set[str]:
+    """Exported names a kept name exposes: classes named in its signature
+    annotations and exception classes it raises — to a fixpoint, since
+    an exempted class's own signatures expose further types."""
+    exported = set(module.__all__)
+    exempt: set[str] = set()
+    frontier = set(kept)
+    while frontier:
+        found: set[str] = set()
+        for name in frontier:
+            obj = getattr(module, name)
+            found |= {word for word in _annotation_words(obj)
+                      if inspect.isclass(getattr(module, word, None))}
+            found |= {word for word in _raised_names(obj)
+                      if isinstance(getattr(module, word, None), type)
+                      and issubclass(getattr(module, word), BaseException)}
+        frontier = (found & exported) - kept - exempt
+        exempt |= frontier
+    return exempt
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_public_name_has_a_reader_outside_its_package(package):
+    """A name in ``repro.<package>.__all__`` stays only while something
+    outside the package reads it: ``src/`` beyond the package, ``tools/``,
+    ``benchmarks/`` or ``examples/`` — never just the package's tests."""
+    module = importlib.import_module(f"repro.{package}")
+    readers = [p for p in PACKAGE_ROOT.rglob("*.py")
+               if (PACKAGE_ROOT / package) not in p.parents]
     readers += [p for tree in TREES for p in tree.rglob("*.py")]
-    read = set().union(*(_obs_names_read(path) for path in readers))
-    unread = sorted(set(obs.__all__) - read)
+    read = set().union(*(_names_read(path, package) for path in readers))
+    kept = {key.split(".", 1)[1] for key in KEEP if key.split(".", 1)[0] == package}
+    stale = sorted(kept - set(module.__all__))
+    assert not stale, f"KEEP names what repro.{package} no longer exports: {stale}"
+    kept |= read & set(module.__all__)
+    unread = sorted(set(module.__all__) - kept - _exempt(module, kept))
     assert not unread, (
-        f"repro.obs.__all__ exports names only its own tests could read: "
-        f"{unread} — use them from src/, tools/, benchmarks/ or examples/, "
-        f"or drop them from __all__"
+        f"repro.{package}.__all__ exports names only its own tests could "
+        f"read: {unread} — use them from src/, tools/, benchmarks/ or "
+        f"examples/, or drop them from __all__"
     )

@@ -12,13 +12,8 @@ from repro.core.hdg import hdg_from_graph
 from repro.core.sampling import MiniBatchTrainer
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import ShardedSyntheticSpec
-from repro.loader import (
-    InMemorySource,
-    StreamingLoader,
-    as_source,
-    compact_blocks,
-    plan_epoch,
-)
+from repro.loader import StreamingLoader, as_source, compact_blocks, plan_epoch
+from repro.loader.source import InMemorySource
 from repro.models import gcn
 from repro.storage import (
     OnDiskDataset,

@@ -7,14 +7,16 @@ import pytest
 from repro.core import (
     Aggregator,
     GNNLayer,
-    LSTMAggregator,
     NAUModel,
     SelectionScope,
-    SumAggregator,
-    get_aggregator,
-    hdg_from_graph,
     hierarchical_aggregate,
 )
+from repro.core.aggregation import (
+    LSTMAggregator,
+    SumAggregator,
+    get_aggregator,
+)
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, dependency_stats, plan_layer_comm
 from repro.graph import community_graph, hash_partition

@@ -231,7 +231,7 @@ class TestGraphSAGE:
         """With a zero pool transform, the neighborhood term must be the
         ReLU'd zero vector for every vertex (not the raw feature max)."""
         from repro.models.sage import SAGELayer
-        from repro.core import hdg_from_graph
+        from repro.core.hdg import hdg_from_graph
 
         layer = SAGELayer(reddit.feat_dim, 4, pool_dim=4)
         layer.pool.weight.data[...] = 0.0
@@ -246,7 +246,7 @@ class TestGraphSAGE:
         object GCN gets over the same HDG — and a second forward builds
         nothing (it used to keep a private duplicate and re-derive its
         COO index every call)."""
-        from repro.core import hdg_from_graph
+        from repro.core.hdg import hdg_from_graph
         from repro.models import gcn, graphsage
         from repro.tensor import get_plan_cache, no_grad
 

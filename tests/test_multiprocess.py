@@ -12,17 +12,16 @@ import pytest
 from repro import obs
 from repro.datasets import load_dataset
 from repro.distributed import (
-    Comm,
     DistributedTrainer,
     FaultTolerantTrainer,
     KVStore,
     MultiprocessTrainer,
-    ProcessComm,
     SharedArray,
     WorkerFailure,
     dependency_stats,
     runtime,
 )
+from repro.distributed.comm import Comm, ProcessComm
 from repro.graph import hash_partition
 from repro.models import gat, gcn, gin, pinsage
 from repro.tensor import Adam, Tensor
@@ -282,7 +281,7 @@ class TestMultiprocessParity:
 
 def worker_threads(reg):
     """Each rank's reported BLAS thread count, in report order."""
-    return [(e.get("rank"), e.get("blas_threads"))
+    return [(e.get("worker"), e.get("blas_threads"))
             for e in reg.events if e.name == "dist.worker_threads"]
 
 

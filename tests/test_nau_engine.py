@@ -10,8 +10,8 @@ from repro.core import (
     MiniBatchTrainer,
     NAUModel,
     SelectionScope,
-    hdg_from_graph,
 )
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, MultiprocessTrainer
 from repro.graph import hash_partition

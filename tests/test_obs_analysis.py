@@ -8,14 +8,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import (
-    ADBBalancer,
-    CostModel,
-    R_SQUARED_GAUGE,
-    REBALANCE_EVENT,
-    hdg_from_graph,
-    metrics_from_hdg,
-)
+from repro.core import ADBBalancer, CostModel, metrics_from_hdg
+from repro.core.balancer import REBALANCE_EVENT
+from repro.core.cost_model import R_SQUARED_GAUGE
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer
 from repro.graph import hash_partition, power_law_graph

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import SumAggregator, hierarchical_aggregate
+from repro.core import hierarchical_aggregate
+from repro.core.aggregation import SumAggregator
 from repro.core.hdg import MemmapHDG, hdg_from_graph
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import (
@@ -22,12 +23,12 @@ from repro.datasets.synthetic import (
     shard_row_range,
 )
 from repro.storage import (
-    ONDISK_FORMAT,
     OnDiskDataset,
     OnDiskIntegrityError,
     write_ondisk_dataset,
     write_synthetic_ondisk,
 )
+from repro.storage.ondisk import ONDISK_FORMAT
 from repro.tensor import Tensor
 
 sys.path.insert(

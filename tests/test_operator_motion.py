@@ -25,11 +25,11 @@ from repro.core import (
     FlexGraphEngine,
     NeighborRecord,
     SchemaTree,
-    SumAggregator,
     build_hdg,
     hdg_from_flat_arrays,
-    hdg_from_graph,
 )
+from repro.core.aggregation import SumAggregator
+from repro.core.hdg import hdg_from_graph
 from repro.core.hybrid import BACKEND_EVENT, PROJECT_FIRST, REDUCE_FIRST
 from repro.core.nau import projects_first
 from repro.core.step import run_local_blocks, sample_blocks

@@ -8,17 +8,11 @@ from repro.core import (
     NeighborRecord,
     SchemaTree,
     build_hdg,
-    hdg_from_graph,
-    hdg_summary,
     validate_hdg,
 )
-from repro.graph import (
-    Graph,
-    community_graph,
-    pagerank,
-    personalized_pagerank,
-    top_k_ppr_neighbors,
-)
+from repro.core.hdg import hdg_from_graph
+from repro.graph import Graph, community_graph, top_k_ppr_neighbors
+from repro.graph.pagerank import pagerank, personalized_pagerank
 
 
 class TestPageRank:
@@ -130,16 +124,3 @@ class TestValidateHDG:
         hdg.roots = np.zeros_like(hdg.roots)
         with pytest.raises(HDGInvariantError):
             validate_hdg(hdg)
-
-    def test_summary_mentions_schema_and_storage(self):
-        records = [NeighborRecord(0, (1, 2), 0)]
-        hdg = build_hdg(records, SchemaTree(("mp",)), np.arange(3), 3, flat=False)
-        text = hdg_summary(hdg)
-        assert "depth=3" in text
-        assert "storage" in text
-        assert "mp" in text
-
-    def test_summary_weighted_flag(self):
-        g = community_graph(20, 2, 4, seed=0)
-        hdg = hdg_from_graph(g, weights=np.ones(g.num_edges))
-        assert "weighted" in hdg_summary(hdg)

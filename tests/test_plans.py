@@ -12,10 +12,10 @@ from repro import models, obs
 from repro.core import (
     FlexGraphEngine,
     MiniBatchTrainer,
-    SumAggregator,
-    hdg_from_graph,
     hierarchical_aggregate,
 )
+from repro.core.aggregation import SumAggregator
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, MultiprocessTrainer
 from repro.graph import Graph, community_graph, hash_partition

@@ -10,15 +10,14 @@ import pytest
 from repro import obs
 from repro.core import (
     CostModel,
-    DRIFT_EVENT,
-    DRIFT_GAUGE,
     ADBBalancer,
     ExecutionStrategy,
     FlexGraphEngine,
-    hdg_from_graph,
     hierarchical_aggregate,
     metrics_from_hdg,
 )
+from repro.core.cost_model import DRIFT_EVENT, DRIFT_GAUGE
+from repro.core.hdg import hdg_from_graph
 from repro.core.aggregation import get_aggregator
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer

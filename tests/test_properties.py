@@ -9,9 +9,9 @@ from repro.core import (
     NeighborRecord,
     SchemaTree,
     build_hdg,
-    get_aggregator,
     hierarchical_aggregate,
 )
+from repro.core.aggregation import get_aggregator
 from repro.graph import Graph
 from repro.tensor import (
     Tensor,

@@ -4,9 +4,12 @@ plans and on-disk storage round-trips under random inputs."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import hdg_from_graph, sample_fanout, validate_hdg
+from repro.core import validate_hdg
+from repro.core.hdg import hdg_from_graph
+from repro.core.step import sample_fanout
 from repro.distributed import CommConfig, dependency_stats, plan_layer_comm
-from repro.graph import Graph, pagerank
+from repro.graph import Graph
+from repro.graph.pagerank import pagerank
 
 
 @st.composite

@@ -1,23 +1,18 @@
 """Quantized feature/embedding tier: codecs, dequantize-on-gather parity
-across every storage backend, the sparse-gradient embedding optimizer,
-and byte-budget accounting in the serve caches."""
+across every storage backend, and byte-budget accounting in the serve
+caches."""
 
 import os
 
 import numpy as np
 import pytest
 
-from repro.loader import QuantizedSource, StreamingLoader, as_source
+from repro.loader import StreamingLoader, as_source
+from repro.loader.source import QuantizedSource
 from repro.serve.cache import EmbeddingCache, HDGBlockCache, block_nbytes
 from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.storage.ondisk import OnDiskIntegrityError
-from repro.tensor import (
-    SGD,
-    Adam,
-    Embedding,
-    SparseEmbeddingOptimizer,
-    Tensor,
-)
+from repro.tensor import Adam
 from repro.tensor.quant import (
     FEATURE_DTYPES,
     QuantizedRows,
@@ -208,81 +203,6 @@ class TestGatherParity:
         wire = obs.counter("loader.wire_bytes").total
         compute = obs.counter("loader.bytes_gathered").total
         assert 0 < wire < compute / 3
-
-
-# ---------------------------------------------------------------------------
-# Sparse-gradient embedding optimizer
-# ---------------------------------------------------------------------------
-class TestSparseEmbeddingOptimizer:
-    def _embeddings(self, n=20, dim=6, seed=0):
-        dense = Embedding(n, dim, rng=np.random.default_rng(seed))
-        sparse = Embedding(n, dim, rng=np.random.default_rng(seed),
-                           sparse_grad=True)
-        np.testing.assert_array_equal(dense.weight.data, sparse.weight.data)
-        return dense, sparse
-
-    @pytest.mark.parametrize("method", ["sgd", "adam"])
-    def test_bitwise_parity_with_dense_when_all_rows_touched(self, method):
-        dense, sparse = self._embeddings()
-        dense_opt = (SGD if method == "sgd" else Adam)(
-            dense.parameters(), lr=0.05)
-        sparse_opt = SparseEmbeddingOptimizer(
-            [sparse], lr=0.05, method=method)
-        # duplicate ids in-batch: coalescing must match dense np.add.at
-        ids = np.concatenate([np.arange(20), np.array([0, 0, 7])])
-        for step in range(4):
-            for module, opt in ((dense, dense_opt), (sparse, sparse_opt)):
-                opt.zero_grad()
-                out = module(ids)
-                ((out * out).sum()).backward()
-                opt.step()
-            np.testing.assert_array_equal(dense.weight.data,
-                                          sparse.weight.data)
-
-    @pytest.mark.parametrize("method", ["sgd", "adam"])
-    def test_partial_touch_updates_only_touched_rows(self, method):
-        _, sparse = self._embeddings()
-        before = sparse.weight.data.copy()
-        opt = SparseEmbeddingOptimizer([sparse], lr=0.1, method=method)
-        ids = np.array([2, 5, 5, 11])
-        out = sparse(ids)
-        out.sum().backward()
-        opt.step()
-        touched = np.zeros(20, dtype=bool)
-        touched[[2, 5, 11]] = True
-        assert not np.array_equal(sparse.weight.data[touched],
-                                  before[touched])
-        np.testing.assert_array_equal(sparse.weight.data[~touched],
-                                      before[~touched])
-
-    def test_sparse_grad_avoids_dense_tables(self):
-        _, sparse = self._embeddings(n=1000, dim=4)
-        out = sparse(np.array([1, 2, 3]))
-        out.sum().backward()
-        assert sparse.weight.grad is None
-        (ids, grad), = sparse.weight.sparse_grads
-        assert grad.shape == (3, 4)
-
-    def test_state_dict_round_trip(self):
-        _, sparse = self._embeddings()
-        opt = SparseEmbeddingOptimizer([sparse], lr=0.05, method="adam")
-        out = sparse(np.array([0, 3]))
-        out.sum().backward()
-        opt.step()
-        state = opt.state_dict()
-        _, fresh = self._embeddings()
-        opt2 = SparseEmbeddingOptimizer([fresh], lr=0.05, method="adam")
-        opt2.load_state_dict(state)
-        for key, value in opt.state_dict().items():
-            np.testing.assert_array_equal(value, opt2.state_dict()[key])
-
-    def test_rejects_bad_params(self):
-        from repro.tensor.nn import Parameter
-
-        with pytest.raises(TypeError, match="Embedding modules"):
-            SparseEmbeddingOptimizer([Tensor(np.zeros(3))], lr=0.1)
-        with pytest.raises(ValueError, match="2-D"):
-            SparseEmbeddingOptimizer([Parameter(np.zeros(3))], lr=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from repro.core import (
     FlexGraphEngine,
     MiniBatchTrainer,
     build_seed_blocks,
-    hdg_from_graph,
-    sample_fanout,
     validate_hdg,
 )
+from repro.core.hdg import hdg_from_graph
+from repro.core.step import sample_fanout
 from repro.datasets import load_dataset
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor, scatter_rows

@@ -18,34 +18,12 @@ from repro.tensor import (
     CosineAnnealingLR,
     EarlyStopping,
     Parameter,
-    StepLR,
     Tensor,
-    WarmupLR,
 )
 
 
 def make_opt(lr=1.0):
     return Adam([Parameter(np.zeros(2))], lr=lr)
-
-
-class TestStepLR:
-    def test_decay_schedule(self):
-        sched = StepLR(make_opt(), step_size=3, gamma=0.1)
-        lrs = [sched.step() for _ in range(7)]
-        np.testing.assert_allclose(lrs, [1, 1, 1, 0.1, 0.1, 0.1, 0.01])
-
-    def test_applies_to_optimizer(self):
-        opt = make_opt()
-        sched = StepLR(opt, 1, 0.5)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(make_opt(), 0)
-        with pytest.raises(ValueError):
-            StepLR(make_opt(), 1, gamma=0.0)
 
 
 class TestCosineLR:
@@ -65,24 +43,6 @@ class TestCosineLR:
     def test_validation(self):
         with pytest.raises(ValueError):
             CosineAnnealingLR(make_opt(), 0)
-
-
-class TestWarmupLR:
-    def test_linear_ramp(self):
-        sched = WarmupLR(make_opt(), warmup_epochs=4)
-        lrs = [sched.step() for _ in range(6)]
-        np.testing.assert_allclose(lrs, [0.25, 0.5, 0.75, 1.0, 1.0, 1.0])
-
-    def test_with_inner_schedule(self):
-        opt = make_opt()
-        inner = StepLR(opt, 1, 0.5)
-        sched = WarmupLR(opt, warmup_epochs=2, after=inner)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [0.5, 1.0, 1.0, 0.5])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupLR(make_opt(), 0)
 
 
 class TestEarlyStopping:
@@ -133,7 +93,8 @@ class TestEarlyStopping:
         engine = FlexGraphEngine(model, ds.graph)
         opt = Adam(model.parameters(), 0.01)
         engine.fit(Tensor(ds.features), ds.labels, opt, 4,
-                   mask=ds.train_mask, scheduler=StepLR(opt, 2, 0.1))
+                   mask=ds.train_mask,
+                   scheduler=CosineAnnealingLR(opt, total_epochs=2, min_lr=0.001))
         assert opt.lr == pytest.approx(0.001)
 
 

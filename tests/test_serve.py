@@ -13,13 +13,11 @@ from repro.serve import (
     CheckpointMismatch,
     EmbeddingCache,
     GNNServer,
-    GraphVersion,
-    HDGBlockCache,
     InferenceSession,
     MicroBatcher,
     ServerOverloaded,
-    expand_affected,
 )
+from repro.serve.cache import GraphVersion, HDGBlockCache, expand_affected
 from repro.storage import checkpoint_metadata, save_checkpoint
 from repro.tensor import Adam, Tensor
 

@@ -8,14 +8,16 @@ from repro.graph import Graph
 from repro.models import gcn
 from repro.tasks import (
     LinkPredictionTrainer,
-    auc_score,
     cluster_vertices,
-    hits_at_k,
     kmeans,
     normalized_mutual_information,
     purity,
-    sample_negative_edges,
     split_edges,
+)
+from repro.tasks.link_prediction import (
+    auc_score,
+    hits_at_k,
+    sample_negative_edges,
 )
 from repro.tensor import Adam, Tensor
 

@@ -6,17 +6,12 @@ import pytest
 from repro.tensor import (
     Tensor,
     concat,
-    dropout,
     is_grad_enabled,
-    log_softmax,
     no_grad,
-    ones,
-    randn,
     softmax,
-    stack,
-    tensor,
     zeros,
 )
+from repro.tensor.ops import dropout, log_softmax, ones, stack, tensor
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -332,11 +327,6 @@ class TestFactories:
     def test_zeros_ones(self):
         assert zeros(2, 3).shape == (2, 3)
         assert ones((4,)).numpy().sum() == 4.0
-
-    def test_randn_seeded(self):
-        rng = np.random.default_rng(0)
-        a = randn(3, rng=rng)
-        assert a.shape == (3,)
 
     def test_tensor_factory_requires_grad(self):
         assert tensor([1.0], requires_grad=True).requires_grad

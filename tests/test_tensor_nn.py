@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from repro.tensor import (
-    SGD,
     Adam,
-    Dropout,
     Linear,
+    Module,
     Parameter,
-    ReLU,
-    Sequential,
     Tensor,
     accuracy,
     binary_cross_entropy_with_logits,
     cross_entropy,
-    mse_loss,
-    nll_loss,
-    log_softmax,
 )
+from repro.tensor.loss import nll_loss
+from repro.tensor.ops import log_softmax
+
+
+class MLP(Module):
+    """Two linear layers with a ReLU between: a module with children."""
+
+    def __init__(self, *dims, rng=None):
+        super().__init__()
+        self.layer0 = Linear(dims[0], dims[1], rng=rng)
+        self.layer1 = Linear(dims[1], dims[2], rng=rng)
+
+    def forward(self, x):
+        return self.layer1(self.layer0(x).relu())
 
 
 class TestModule:
@@ -31,20 +39,18 @@ class TestModule:
         assert len(lin.parameters()) == 1
 
     def test_nested_module_parameters(self):
-        seq = Sequential(Linear(3, 4), ReLU(), Linear(4, 2))
-        assert len(seq.parameters()) == 4
+        assert len(MLP(3, 4, 2).parameters()) == 4
 
     def test_named_parameters_paths(self):
-        seq = Sequential(Linear(2, 2))
-        names = [n for n, _ in seq.named_parameters()]
+        names = [n for n, _ in MLP(2, 2, 2).named_parameters()]
         assert any("layer0" in n and "weight" in n for n in names)
 
     def test_train_eval_propagates(self):
-        seq = Sequential(Dropout(0.5), Linear(2, 2))
-        seq.eval()
-        assert not seq.layers[0].training
-        seq.train()
-        assert seq.layers[0].training
+        mlp = MLP(2, 2, 2)
+        mlp.eval()
+        assert not mlp.layer0.training
+        mlp.train()
+        assert mlp.layer0.training
 
     def test_zero_grad(self):
         lin = Linear(2, 2)
@@ -76,12 +82,6 @@ class TestModule:
         out = lin(Tensor(np.array([[2.0, 3.0]])))
         np.testing.assert_allclose(out.numpy(), [[3.0, 2.0]])
 
-    def test_dropout_respects_training_mode(self):
-        d = Dropout(0.9, seed=0)
-        d.eval()
-        x = Tensor(np.ones((10, 10)))
-        np.testing.assert_allclose(d(x).numpy(), x.numpy())
-
 
 class TestOptimizers:
     @staticmethod
@@ -97,18 +97,12 @@ class TestOptimizers:
             opt.step()
         return float(np.abs(w.data - target).max())
 
-    def test_sgd_converges(self):
-        assert self.quadratic_problem(lambda p: SGD(p, lr=0.1)) < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        assert self.quadratic_problem(lambda p: SGD(p, lr=0.05, momentum=0.9)) < 1e-4
-
     def test_adam_converges(self):
         assert self.quadratic_problem(lambda p: Adam(p, lr=0.1), steps=400) < 1e-3
 
     def test_weight_decay_shrinks(self):
         w = Parameter(np.ones(2))
-        opt = SGD([w], lr=0.1, weight_decay=1.0)
+        opt = Adam([w], lr=0.1, weight_decay=1.0)
         loss = (w * 0.0).sum()
         opt.zero_grad()
         loss.backward()
@@ -117,7 +111,7 @@ class TestOptimizers:
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_negative_lr_raises(self):
         with pytest.raises(ValueError):
@@ -125,7 +119,7 @@ class TestOptimizers:
 
     def test_step_skips_params_without_grad(self):
         w = Parameter(np.ones(2))
-        opt = SGD([w], lr=0.1)
+        opt = Adam([w], lr=0.1)
         opt.step()  # no grad, no change
         np.testing.assert_allclose(w.data, np.ones(2))
 
@@ -172,10 +166,6 @@ class TestLosses:
         nll = nll_loss(log_softmax(Tensor(logits)), targets)
         np.testing.assert_allclose(ce.item(), nll.item(), rtol=1e-10)
 
-    def test_mse(self):
-        loss = mse_loss(Tensor(np.array([1.0, 3.0])), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 5.0)
-
     def test_bce_with_logits_matches_reference(self):
         x = np.array([0.0, 2.0, -3.0])
         t = np.array([1.0, 0.0, 1.0])
@@ -201,9 +191,7 @@ class TestEndToEndTraining:
         rng = np.random.default_rng(0)
         x = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         y = np.array([0, 1, 1, 0])
-        model = Sequential(
-            Linear(2, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng)
-        )
+        model = MLP(2, 8, 2, rng=rng)
         opt = Adam(model.parameters(), lr=0.05)
         for _ in range(300):
             loss = cross_entropy(model(Tensor(x)), y)
