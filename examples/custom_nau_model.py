@@ -183,7 +183,7 @@ def main() -> None:
                     num_epochs=15, mask=dataset.train_mask)
     sage_acc = sage_engine.evaluate(features, dataset.labels, dataset.test_mask)
     print(f"declared-linear test accuracy: {sage_acc:.3f}")
-    for row in backend_report()["rows"]:
+    for row in backend_report(obs.to_dict()["events"])["rows"]:
         print(f"  {row['level']} level: {row['order']}, reduced at width "
               f"{row['width']} ({row['count']} calls)")
 

@@ -14,13 +14,12 @@ Usage (installed as the ``flexgraph`` console script, or via
     flexgraph train --model gcn --checkpoint model.npz
     flexgraph serve --model gcn --checkpoint model.npz --requests 500
     flexgraph train --model gcn --trace out.json   # repro.obs JSON trace
-    flexgraph train --model gcn --chrome-trace t.json
 
-Every dataset-bearing subcommand accepts ``--trace PATH`` (native JSON
-trace + printed summary table), ``--chrome-trace PATH`` (Chrome Trace
-Event Format, loadable in chrome://tracing or Perfetto) and
-``--profile PATH`` (op-level FLOP/byte work profile with a printed
-roofline report); see ``docs/observability.md``.
+Every dataset-bearing subcommand accepts ``--trace PATH``: the run's
+native trace (schema ``repro.obs/3``) is written to PATH and its summary
+— spans, counters, events and the op-level work profile — is printed.
+``tools/obsview.py`` reads the file back (``summary``, ``chrome`` for
+chrome://tracing or Perfetto); see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -148,20 +147,14 @@ def _dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trace", metavar="PATH",
                         help="export a repro.obs JSON trace of the run to "
-                             "PATH and print the observability summary")
-    parser.add_argument("--chrome-trace", metavar="PATH",
-                        help="export the run as a Chrome Trace Event Format "
-                             "file (chrome://tracing / Perfetto)")
-    parser.add_argument("--profile", metavar="PATH",
-                        help="export the op-level work profile (FLOPs, "
-                             "bytes, arithmetic intensity per op/span/"
-                             "backend) as JSON and print the roofline "
-                             "report")
+                             "PATH and print its summary and work profile "
+                             "(read it back with tools/obsview.py)")
     parser.add_argument("--flight-dir", metavar="DIR",
-                        help="enable the flight recorder: journal recent "
-                             "spans/events/logs to DIR and write a "
+                        help="enable the flight recorder: journal every "
+                             "span/event/log to DIR and write a "
                              "self-contained incident bundle there when "
-                             "the command crashes (see tools/postmortem.py)")
+                             "the command crashes (read it with "
+                             "tools/obsview.py incident)")
 
 
 def _model_args(parser: argparse.ArgumentParser) -> None:
@@ -356,7 +349,7 @@ def _cmd_distributed(args) -> int:
               f"{stats.total_messages} msgs, {stats.comm_mode})")
     if args.workers > 1:
         print("\nstraggler report:")
-        print(obs.straggler_report().render())
+        print(obs.straggler_report(obs.to_dict()["spans"]).render())
     return 0
 
 
@@ -476,11 +469,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
-    chrome_path = getattr(args, "chrome_trace", None)
-    profile_path = getattr(args, "profile", None)
     flight_dir = getattr(args, "flight_dir", None)
-    exporting = trace_path or chrome_path or profile_path
-    if exporting:
+    if trace_path:
         from . import obs
 
         obs.reset()
@@ -523,17 +513,9 @@ def main(argv: list[str] | None = None) -> int:
             if recorder is not None:
                 recorder.close()
     if trace_path:
-        obs.export_json(trace_path)
+        trace = obs.export_json(trace_path)
         print(f"\ntrace written to {trace_path}")
-        print(obs.summary())
-    if chrome_path:
-        obs.export_chrome_trace(chrome_path)
-        print(f"chrome trace written to {chrome_path} "
-              f"(load in chrome://tracing or ui.perfetto.dev)")
-    if profile_path:
-        report = obs.export_profile(profile_path)
-        print(f"work profile written to {profile_path}")
-        print(obs.render_profile_report(report))
+        print(obs.render_summary(trace))
     return rc
 
 

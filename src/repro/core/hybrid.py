@@ -50,7 +50,7 @@ REDUCE_FIRST = "reduce_first"
 #: its measured cost (seconds plus the FLOPs/bytes the profiler
 #: attributed to the invocation) — this is what makes the Figure 14
 #: strategy differences visible, and rankable, in traces
-#: (``obs.backend_report()``).
+#: (``repro.obs.analysis.backend_report``).
 BACKEND_EVENT = "aggregation.backend"
 
 

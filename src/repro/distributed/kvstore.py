@@ -69,7 +69,7 @@ class SharedArray:
 
     def descriptor(self) -> dict:
         """JSON-serializable attach handle (name, shape, dtype) —
-        enough for an unrelated process (e.g. ``tools/monitor.py``) to
+        enough for an unrelated process (e.g. ``tools/obsview.py live``) to
         map the same segment without inheriting anything."""
         return {"name": self.name, "shape": list(self.shape),
                 "dtype": self.dtype.str}

@@ -627,11 +627,6 @@ class MultiprocessTrainer:
             raise ValueError("stall must be positive")
         self._stall_next[worker_id] = float(seconds)
 
-    def telemetry_snapshot(self) -> dict:
-        """JSON-ready snapshot of every worker's live row (for
-        ``tools/monitor.py --snapshot`` and CI smoke checks)."""
-        return self.telemetry.snapshot()
-
     def close(self) -> None:
         """Stop workers and unlink every shared-memory segment."""
         if self._closed:

@@ -17,19 +17,24 @@ The model has four parts (``docs/observability.md``):
   (which worker / epoch / layer / phase) every record carries;
 * **sinks** — the registry hands each record once to its bounded store,
   then to whatever was added with :func:`add_sink`: the crash-surviving
-  :class:`FlightRecorder` (:mod:`repro.obs.flight`: ring + per-rank
+  :class:`FlightRecorder` (:mod:`repro.obs.flight`: per-process
   journals, incident bundles) and the live :class:`TelemetrySlab`
   writer (:mod:`repro.obs.live`: shared-memory heartbeats, stall
   detection).  :func:`counter` / :func:`gauge` are typed O(1) metrics
   with running-total *and* peak semantics (the memory accounting of
   Table 5); :func:`record_op` accounts FLOPs/bytes into them and into
   every open span (:mod:`repro.obs.profile`);
-* **readers** — :func:`export_json` / :func:`export_chrome_trace` /
-  :func:`summary` / :func:`aggregate_spans` / :func:`render_timeline`
-  (:mod:`repro.obs.export`), :func:`straggler_report` and the per-level
-  backend ranking (:mod:`repro.obs.analysis`),
-  :func:`export_profile` / :func:`render_profile_report`; reachable via
-  ``flexgraph ... --trace/--chrome-trace/--profile``.
+* **readers** — a run has one serialised view, the native trace:
+  :func:`to_dict` snapshots the registry into it and :func:`export_json`
+  writes it (``flexgraph ... --trace PATH``).  Every reader takes that
+  dict or its record lists, never the live registry:
+  :func:`render_summary` (by-name tables plus the work profile),
+  :func:`to_chrome_trace`, :func:`aggregate_spans`, :func:`timeline` /
+  :func:`render_timeline` (:mod:`repro.obs.export`),
+  :func:`straggler_report` and the per-level backend ranking
+  (:mod:`repro.obs.analysis`).  ``tools/obsview.py`` is the one
+  command-line reader: trace summaries, Chrome conversion, incident
+  bundles and the live slab.
 
 The registry is process-global; call :func:`reset` at the start of a
 measurement window.  All primitives are cheap (a ``perf_counter`` call
@@ -39,13 +44,13 @@ and a list append) so they stay on in production code paths.
 from .analysis import straggler_report
 from .export import (
     aggregate_spans,
-    export_chrome_trace,
     export_json,
     percentile,
     render_summary,
     render_timeline,
-    summary,
     timeline,
+    to_chrome_trace,
+    to_dict,
 )
 from .flight import (
     FlightRecorder,
@@ -57,13 +62,7 @@ from .flight import (
     write_incident_bundle,
 )
 from .live import StallDetector, StallEvent, TelemetrySlab
-from .profile import (
-    export_profile,
-    record_op,
-    render_profile_report,
-    work_since,
-    work_snapshot,
-)
+from .profile import record_op, work_since, work_snapshot
 from .registry import disable, enable, get_registry, reset
 from .spans import (
     add_sink,
@@ -103,17 +102,15 @@ __all__ = [
     "reset",
     "enable",
     "disable",
+    "to_dict",
     "export_json",
-    "export_chrome_trace",
-    "summary",
     "render_summary",
+    "to_chrome_trace",
     "aggregate_spans",
     "percentile",
     "timeline",
     "render_timeline",
     "straggler_report",
-    "export_profile",
-    "render_profile_report",
     "FlightRecorder",
     "install_flight",
     "uninstall_flight",

@@ -12,11 +12,11 @@ module aggregates those spans into a :class:`StragglerReport`:
 * workers exceeding a configurable straggler threshold;
 * the critical-path worker per layer (who the barrier waited for).
 
-Works on live registry records or on the ``"spans"`` list of an
-exported JSON trace, like the other aggregation helpers.  Which worker
-and layer a span belongs to is read with ``Record.get``: the simulated
-trainer names them as span attrs (all its workers share one process),
-the real runtime in each worker process's context stamp.
+Reads the ``"spans"`` of a trace (:func:`repro.obs.export.to_dict` or
+a trace file), like the other readers.  Which worker and layer a span
+belongs to is read with ``Record.get``: the simulated trainer names
+them as span attrs (all its workers share one process), the real
+runtime in each worker process's context stamp.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .registry import Record, get_registry
+from .registry import Record
 
 __all__ = [
     "StragglerReport",
@@ -94,25 +94,20 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def straggler_report(
-    spans: Iterable | None = None,
-    threshold: float = 1.2,
-) -> StragglerReport:
+def straggler_report(spans: Iterable,
+                     threshold: float = 1.2) -> StragglerReport:
     """Aggregate ``dist.compute``/``dist.comm`` spans into a skew report.
 
     Parameters
     ----------
     spans:
-        Span records or exported-trace dicts; defaults to the global
-        registry's records.
+        The ``"spans"`` of a trace (span records or their dicts).
     threshold:
         A worker whose total compute exceeds ``threshold * median`` is
         reported as a straggler.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    if spans is None:
-        spans = get_registry().spans
 
     per_worker: dict[int, dict] = {}
     # (layer, worker) -> compute + comm seconds, for the critical path
@@ -204,7 +199,8 @@ def render_straggler_report(report: StragglerReport) -> str:
             line += f" {row.get('flops', 0.0):>10.3g}"
         lines.append(line + mark)
     lines.append(
-        f"  skew ratio (max/median compute): {report.skew_ratio:.2f} "
+        f"  slowest worker: w{report.slowest_worker}, skew ratio "
+        f"(max/median compute) {report.skew_ratio:.2f} "
         f"(straggler threshold {report.threshold:.2f})"
     )
     if profiled:
@@ -224,7 +220,7 @@ def render_straggler_report(report: StragglerReport) -> str:
 # ----------------------------------------------------------------------
 # per-level backend ranking (the Figure 14 narrative, measured)
 # ----------------------------------------------------------------------
-def backend_report(events: Iterable | None = None) -> dict:
+def backend_report(events: Iterable) -> dict:
     """Rank aggregation backends per HDG level per strategy by measured
     cost.
 
@@ -241,11 +237,8 @@ def backend_report(events: Iterable | None = None) -> dict:
     one-shot aggregation at the wide bottom level, dense at the narrow
     top).
 
-    Accepts live records or the ``"events"`` list of an exported trace;
-    defaults to the global registry.
+    Reads the ``"events"`` of a trace (records or their dicts).
     """
-    if events is None:
-        events = get_registry().events
     grouped: dict[tuple, dict] = {}
     for event in map(Record.of, events):
         if event.name != BACKEND_EVENT:

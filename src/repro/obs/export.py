@@ -1,6 +1,11 @@
-"""Readers: JSON traces, Chrome traces, timelines, summaries.
+"""The native trace and the readers that render or convert it.
 
-The native JSON schema (version 3) is::
+A run is serialised one way: :func:`to_dict` snapshots the global
+registry into the native trace, :func:`export_json` writes it to a
+file.  Every reader here takes that dict (or its ``spans`` / ``events``
+lists), whether it came from the live registry or from a file, and
+never reads the registry itself.  The native JSON schema (version 3)
+is::
 
     {
       "schema": "repro.obs/3",
@@ -16,17 +21,14 @@ where every ``record`` is one ``Record.to_dict()``::
     {"kind", "name", "t", "duration"?, "id"?, "depth"?, "parent"?,
      "simulated"?, "attrs"?, "ctx"?}
 
-— the same shape a flight-recorder journal line, a ``flight.json``
-entry and the worker->parent payload carry, so every reader here works
-on any of them.  Versions 1 and 2 kept spans and events in two other
-shapes (``start`` / ``time`` instead of ``t``, no ``kind``, no
-``ctx``); their by-name aggregates still render, their timelines do
-not.  One standard format is also supported: :func:`export_chrome_trace`
-writes Chrome Trace Event Format, loadable in ``chrome://tracing`` and
-https://ui.perfetto.dev.
+— the same shape a flight-recorder journal line and the worker->parent
+payload carry, so the record readers work on any of them.
+:func:`to_chrome_trace` converts a trace to Chrome Trace Event Format,
+loadable in ``chrome://tracing`` and https://ui.perfetto.dev.
 
-``tools/trace_summary.py`` pretty-prints native traces from the command
-line; :func:`summary` renders the same aggregation for a live registry.
+``tools/obsview.py`` is the command-line reader: ``summary`` prints
+:func:`render_summary` of a trace file, ``chrome`` writes
+:func:`to_chrome_trace` of one.
 """
 
 from __future__ import annotations
@@ -34,28 +36,27 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .profile import WORK_RATE_SPANS
+from .profile import WORK_RATE_SPANS, profile_report, render_profile_report
 from .registry import Record, get_registry
 
 __all__ = [
     "SCHEMA",
     "to_dict",
     "export_json",
-    "summary",
     "render_summary",
     "aggregate_spans",
     "percentile",
     "timeline",
     "render_timeline",
     "to_chrome_trace",
-    "export_chrome_trace",
 ]
 
 SCHEMA = "repro.obs/3"
 
 
 def to_dict() -> dict:
-    """Serializable snapshot of the global registry."""
+    """The native trace of the global registry: the one way a reader
+    sees the live registry."""
     reg = get_registry()
     snapshot = reg.snapshot()
     return {
@@ -70,11 +71,14 @@ def to_dict() -> dict:
     }
 
 
-def export_json(path: str) -> None:
-    """Write the registry snapshot as a JSON trace file."""
+def export_json(path: str) -> dict:
+    """Write :func:`to_dict` to ``path`` as a JSON trace file; returns
+    the trace it wrote."""
+    trace = to_dict()
     with open(path, "w") as fh:
-        json.dump(to_dict(), fh, indent=1)
+        json.dump(trace, fh, indent=1)
         fh.write("\n")
+    return trace
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +114,8 @@ def _worker_label_tids(spans) -> dict[str, int]:
     }
 
 
-def to_chrome_trace() -> dict:
-    """Registry snapshot in Chrome Trace Event Format.
+def to_chrome_trace(trace: dict) -> dict:
+    """A native trace (:func:`to_dict`) in Chrome Trace Event Format.
 
     Spans become complete events (``ph: "X"``, microsecond timestamps);
     point events become global instants (``ph: "i"``).  Measured and
@@ -125,7 +129,7 @@ def to_chrome_trace() -> dict:
     emit counter events (``ph: "C"``) so FLOP/s and bytes/s render as
     tracks in Perfetto.
     """
-    reg = get_registry()
+    spans = [Record.from_dict(s) for s in trace["spans"]]
     trace_events: list[dict] = [
         {
             "ph": "M", "name": "process_name", "pid": pid,
@@ -139,7 +143,7 @@ def to_chrome_trace() -> dict:
     # Integer worker ranks get named lanes too, so a merged multiprocess
     # trace reads "rank 0 / rank 1 / ..." instead of bare thread ids.
     int_tids: set[int] = set()
-    for s in reg.spans:
+    for s in spans:
         worker = s.get("worker")
         if worker is None:
             continue
@@ -153,7 +157,7 @@ def to_chrome_trace() -> dict:
             "pid": _PID_MEASURED, "tid": tid,
             "args": {"name": f"rank {tid}"},
         })
-    label_tids = _worker_label_tids(reg.spans)
+    label_tids = _worker_label_tids(spans)
     for label, tid in label_tids.items():
         trace_events.append({
             "ph": "M", "name": "thread_name",
@@ -166,7 +170,7 @@ def to_chrome_trace() -> dict:
             "args": {"worker": label, "tid": tid},
         })
     rate_names = set(WORK_RATE_SPANS)
-    for s in reg.spans:
+    for s in spans:
         pid = _PID_SIMULATED if s.simulated else _PID_MEASURED
         worker = s.get("worker", 0)
         try:
@@ -199,7 +203,7 @@ def to_chrome_trace() -> dict:
                     "pid": pid, "tid": 0,
                     "ts": ts * 1e6, "args": {"value": value},
                 })
-    for e in reg.events:
+    for e in map(Record.from_dict, trace["events"]):
         trace_events.append({
             "ph": "i",
             "s": "g",
@@ -212,15 +216,8 @@ def to_chrome_trace() -> dict:
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
-        "otherData": {"trace_id": reg.trace_id},
+        "otherData": {"trace_id": trace["meta"]["trace_id"]},
     }
-
-
-def export_chrome_trace(path: str) -> None:
-    """Write a ``chrome://tracing``/Perfetto-loadable trace file."""
-    with open(path, "w") as fh:
-        json.dump(to_chrome_trace(), fh)
-        fh.write("\n")
 
 
 def percentile(ordered: list[float], q: float) -> float:
@@ -234,8 +231,8 @@ def percentile(ordered: list[float], q: float) -> float:
 def aggregate_spans(spans: Iterable) -> dict[str, dict]:
     """Aggregate spans by name -> count/total/max and exact p50/p99.
 
-    Accepts live records or the dicts found in an exported trace, so
-    the CLI trace tool shares this code path.  The percentiles are
+    Takes the ``"spans"`` of a trace, or any slice of them (the
+    per-rank sections of ``obsview summary``).  The percentiles are
     order statistics of the durations given — exact for the records
     that were kept; a capped trace says so in its ``meta``.
     """
@@ -347,14 +344,13 @@ def _format_bytes(n: float) -> str:
     return f"{n:,.1f} TB"
 
 
-def render_summary(
-    span_stats: dict[str, dict],
-    counters: dict[str, dict],
-    gauges: dict[str, dict],
-    events: Iterable,
-    meta: dict | None = None,
-) -> str:
-    """Render aggregated trace data as a fixed-width text table."""
+def render_summary(trace: dict) -> str:
+    """A native trace as fixed-width text: spans aggregated by name,
+    counters, gauges, event counts, then its work profile (which ends
+    with the per-level backend table)."""
+    span_stats = aggregate_spans(trace["spans"])
+    counters, gauges = trace["counters"], trace["gauges"]
+    events, meta = trace["events"], trace["meta"]
     lines: list[str] = []
     if span_stats:
         lines.append("spans (aggregated by name):")
@@ -399,24 +395,12 @@ def render_summary(
             by_name[label] = by_name.get(label, 0) + 1
         for name in sorted(by_name):
             lines.append(f"  {name:<36} x{by_name[name]}")
-    if meta and (meta.get("dropped_spans") or meta.get("dropped_events")):
+    if meta["dropped_spans"] or meta["dropped_events"]:
         lines.append(
-            f"  [capped: dropped {meta.get('dropped_spans', 0)} spans, "
-            f"{meta.get('dropped_events', 0)} events]"
+            f"  [capped: dropped {meta['dropped_spans']} spans, "
+            f"{meta['dropped_events']} events]"
         )
     if not lines:
         return "(no observability data recorded)"
+    lines.append(render_profile_report(profile_report(trace)))
     return "\n".join(lines)
-
-
-def summary() -> str:
-    """Human-readable summary of everything recorded so far."""
-    reg = get_registry()
-    return render_summary(
-        aggregate_spans(reg.spans),
-        {name: c.to_dict() for name, c in reg.counters.items()},
-        {name: g.to_dict() for name, g in reg.gauges.items()},
-        reg.events,
-        {"dropped_spans": reg.dropped_spans,
-         "dropped_events": reg.dropped_events},
-    )

@@ -8,9 +8,9 @@ with it, and the post-mortem question ("what was rank 1 doing when it
 vanished?") becomes unanswerable.
 
 A :class:`FlightRecorder` closes that gap the way an aircraft black box
-does: a bounded ring buffer of the most recent records, continuously
-spilled to an append-only per-process *journal* file.  It is a sink of
-the registry's funnel (:meth:`Registry.add_sink`), so instrumentation
+does: every record the process emits goes to an append-only per-process
+*journal* file.  It is a sink of the registry's funnel
+(:meth:`Registry.add_sink`), so instrumentation
 does not change and it sees every record the process emits — closed
 spans, events, log lines, phase transitions, metric samples — even
 while the store is disabled or past its cap, and across
@@ -28,8 +28,9 @@ and survive ``os._exit``, ``SIGKILL`` and segfaults.  A ``crash``
 record (:func:`repro.obs.crash` — the worker crash hook, ``_die``)
 drains the queue *synchronously* before the emit returns, so the
 journal always ends with the traceback; only an uncatchable kill can
-lose the final drain interval.  The parent (or ``tools/postmortem.py``)
-reads the dead rank's final moments straight from its journal.
+lose the final drain interval.  The parent (or ``tools/obsview.py
+incident``) reads the dead rank's final moments straight from its
+journal.
 
 Every journal line is one ``Record.to_dict()``.  Record times count
 from the registry's clock origin, which moves at every reset, so the
@@ -44,19 +45,18 @@ self-contained directory::
 
     incident-<kind>-<stamp>/
       manifest.json     kind, wall time, rank, reason, trace id, config
-      flight.json       the calling process's ring dump
-      journal-*.jsonl   copies of every per-rank journal in the flight dir
+      trace.json        the calling process's native trace (repro.obs/3)
+      journal-*.jsonl   copies of every per-rank journal in the flight dir,
+                        and of the installed recorder's own journal
       telemetry.json    live TelemetrySlab snapshot        (section)
       stalls.json       StallDetector state + episodes     (section)
       requests.json     serving requests in flight         (section)
-      metrics.json      registry counters/gauges and point records
-      trace.json        merged partial Chrome trace of the parent registry
 
 The multiprocess runtime dumps one on ``WorkerFailure``, on
 ``dist.worker_stalled`` and on epoch timeout; ``GNNServer`` snapshots
 on SLO breach and shed-rate spikes; the CLI dumps one when a command
-crashes.  ``tools/postmortem.py`` analyzes a bundle into a per-rank
-timeline and a culprit-vs-victim ranking.
+crashes.  ``tools/obsview.py incident`` analyzes a bundle into the
+telemetry table, a culprit-vs-victim ranking and a per-rank timeline.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import shutil
 import threading
 import time
 
-from .export import to_chrome_trace
+from .export import to_dict
 from .registry import Record, get_registry
 
 __all__ = [
@@ -80,13 +80,11 @@ __all__ = [
     "write_incident_bundle",
     "latest_incident",
     "read_journal",
-    "FLIGHT_SCHEMA",
     "INCIDENT_SCHEMA",
     "INCIDENT_PREFIX",
     "JOURNAL_PREFIX",
 ]
 
-FLIGHT_SCHEMA = "repro.flight/1"
 INCIDENT_SCHEMA = "repro.incident/1"
 
 #: incident bundle directories are named ``incident-<kind>-<stamp>``
@@ -137,68 +135,45 @@ def _dumps(obj) -> str:
 
 
 class FlightRecorder:
-    """Bounded ring of recent records, spilled to a durable journal.
+    """Journals every record it is handed to an append-only file.
 
     A sink: ``registry.add_sink(recorder)`` (or :func:`install_flight`)
-    and every emitted record is handed to :meth:`__call__`.
-
-    Parameters
-    ----------
-    capacity:
-        Ring size in records.  Older records fall out of the ring but —
-        when a ``journal_path`` is set — remain in the journal file.
-    journal_path:
-        Append-only JSONL spill target.  Records are queued by the
-        recording thread and written out by a daemon drain thread
-        within ``_DRAIN_INTERVAL``; ``crash`` / ``metrics`` records and
-        :meth:`close` drain synchronously.  ``None`` keeps the recorder
-        in-memory only.
+    and every emitted record is handed to :meth:`__call__`.  Records are
+    queued by the recording thread and written out by a daemon drain
+    thread within ``_DRAIN_INTERVAL``; ``crash`` / ``metrics`` records
+    and :meth:`close` drain synchronously.  :func:`read_journal` reads
+    the file back.
     """
 
-    def __init__(self, capacity: int = 1024,
-                 journal_path: str | None = None):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
+    def __init__(self, journal_path: str):
         self.journal_path = journal_path
-        self._ring: list = [None] * self.capacity
-        self._total = 0
-        # Journal plumbing: records queue on a deque (GIL-atomic append,
-        # no syscall on the recording thread) and a daemon thread drains
-        # them to a raw O_APPEND fd.  Drains serialize under a lock so
-        # a synchronous flush (crash path) cannot interleave with the
-        # background drain and reorder records.
-        self._journal_fd: int | None = None
-        self._pending: collections.deque | None = None
-        self._drain_lock: threading.Lock | None = None
-        self._drain_stop: threading.Event | None = None
-        self._drain_thread: threading.Thread | None = None
-        if journal_path is not None:
-            directory = os.path.dirname(os.path.abspath(journal_path))
-            os.makedirs(directory, exist_ok=True)
-            self._journal_fd = os.open(
-                journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            self._pending = collections.deque()
-            self._drain_lock = threading.Lock()
-            self._drain_stop = threading.Event()
-            self._drain_thread = threading.Thread(
-                target=self._drain_loop, name="flight-journal", daemon=True
-            )
-            self._drain_thread.start()
+        os.makedirs(os.path.dirname(os.path.abspath(journal_path)),
+                    exist_ok=True)
+        # Records queue on a deque (GIL-atomic append, no syscall on the
+        # recording thread) and a daemon thread drains them to a raw
+        # O_APPEND fd.  Drains serialize under a lock so a synchronous
+        # flush (crash path) cannot interleave with the background drain
+        # and reorder records.
+        self._journal_fd: int | None = os.open(
+            journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        self._pending: collections.deque = collections.deque()
+        self._drain_lock = threading.Lock()
+        self._drain_stop = threading.Event()
+        self._drain_thread: threading.Thread | None = threading.Thread(
+            target=self._drain_loop, name="flight-journal", daemon=True
+        )
+        self._drain_thread.start()
 
     # ------------------------------------------------------------------
-    # recording (the hot path: one list store, one deque append — no
-    # locks, no syscalls, serialisation left to the drain thread)
+    # recording (the hot path: one deque append — no locks, no
+    # syscalls, serialisation left to the drain thread)
     # ------------------------------------------------------------------
     def __call__(self, record: Record) -> None:
-        """Keep ``record`` in the ring and queue it for the journal."""
-        self._ring[self._total % self.capacity] = record
-        self._total += 1
-        if self._pending is not None:
-            self._pending.append(record)
-            if record.kind in _SYNC_KINDS:
-                self.flush()
+        """Queue ``record`` for the journal."""
+        self._pending.append(record)
+        if record.kind in _SYNC_KINDS:
+            self.flush()
 
     def _drain_loop(self) -> None:
         stop = self._drain_stop
@@ -223,41 +198,6 @@ class FlightRecorder:
                 except OSError:  # pragma: no cover - fd closed under us
                     pass
 
-    # ------------------------------------------------------------------
-    # readout
-    # ------------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        """Records ever written (ring holds the last ``capacity``)."""
-        return self._total
-
-    @property
-    def dropped(self) -> int:
-        """Records that have fallen out of the ring."""
-        return max(0, self._total - self.capacity)
-
-    def entries(self) -> list[dict]:
-        """Ring contents (serialised), oldest first."""
-        if self._total <= self.capacity:
-            ring = self._ring[: self._total]
-        else:
-            head = self._total % self.capacity
-            ring = self._ring[head:] + self._ring[:head]
-        return [record.to_dict() for record in ring]
-
-    def dump(self) -> dict:
-        """JSON-ready snapshot of the ring (the ``flight.json`` of an
-        incident bundle)."""
-        return {
-            "schema": FLIGHT_SCHEMA,
-            "pid": os.getpid(),
-            "capacity": self.capacity,
-            "total": self._total,
-            "dropped": self.dropped,
-            "journal_path": self.journal_path,
-            "entries": self.entries(),
-        }
-
     def close(self, drain: bool = True) -> None:
         """Stop the drain thread and close the journal fd.
 
@@ -265,16 +205,15 @@ class FlightRecorder:
         forked child disposing of the recorder it inherited, whose
         pending records belong to (and will be written by) the parent.
         """
-        stop, thread = self._drain_stop, self._drain_thread
-        if stop is not None:
-            stop.set()
+        self._drain_stop.set()
+        thread = self._drain_thread
         if (thread is not None and thread.is_alive()
                 and thread is not threading.current_thread()):
             thread.join(timeout=1.0)
         self._drain_thread = None
         if drain:
             self.flush()
-        elif self._pending is not None:
+        else:
             self._pending.clear()
         if self._journal_fd is not None:
             fd, self._journal_fd = self._journal_fd, None
@@ -345,9 +284,11 @@ def write_incident_bundle(
 
     ``sections`` maps section name -> JSON-serializable object; each
     becomes ``<name>.json`` in the bundle (e.g. ``telemetry``,
-    ``stalls``, ``requests``, ``slo``).  Every ``journal-*.jsonl``
-    sitting in ``flight_dir`` — including a dead worker's — is copied
-    into the bundle.  Returns the bundle directory path.
+    ``stalls``, ``requests``, ``slo``).  ``trace.json`` is the calling
+    process's native trace.  Every ``journal-*.jsonl`` sitting in
+    ``flight_dir`` — including a dead worker's — is copied into the
+    bundle, and so is the installed recorder's journal when it lives
+    elsewhere.  Returns the bundle directory path.
     """
     reg = get_registry()
     stamp = time.strftime("%Y%m%dT%H%M%S")
@@ -363,28 +304,28 @@ def write_incident_bundle(
             json.dump(payload, fh, indent=1, default=_json_default)
         files.append(filename)
 
-    recorder = get_flight()
-    if recorder is not None:
-        recorder.flush()  # journal copies below must include the queue
-        _write("flight.json", recorder.dump())
-
     for section, payload in (sections or {}).items():
         if payload is not None:
             _write(f"{section}.json", payload)
+    _write("trace.json", to_dict())
 
-    snapshot = reg.snapshot()
-    del snapshot["spans"]  # the spans are in trace.json
-    _write("metrics.json", snapshot)
-    _write("trace.json", to_chrome_trace())
-
-    for entry in sorted(os.listdir(flight_dir)):
-        if entry.startswith(JOURNAL_PREFIX) and entry.endswith(".jsonl"):
-            try:
-                shutil.copyfile(os.path.join(flight_dir, entry),
-                                os.path.join(bundle, entry))
-            except OSError:  # pragma: no cover - journal vanished
-                continue
-            files.append(entry)
+    journals = [os.path.join(flight_dir, entry)
+                for entry in sorted(os.listdir(flight_dir))
+                if entry.startswith(JOURNAL_PREFIX)
+                and entry.endswith(".jsonl")]
+    recorder = get_flight()
+    if recorder is not None:
+        recorder.flush()  # the copies below must include the queue
+        own = os.path.abspath(recorder.journal_path)
+        if os.path.dirname(own) != os.path.abspath(flight_dir):
+            journals.append(own)
+    for path in journals:
+        entry = os.path.basename(path)
+        try:
+            shutil.copyfile(path, os.path.join(bundle, entry))
+        except OSError:  # pragma: no cover - journal vanished
+            continue
+        files.append(entry)
 
     manifest = {
         "schema": INCIDENT_SCHEMA,
@@ -408,7 +349,7 @@ def write_incident_bundle(
 def latest_incident(flight_dir: str) -> dict | None:
     """Manifest of the newest incident bundle under ``flight_dir``
     (with its ``path`` added), or ``None``.  Feeds the "last incident"
-    status line of ``tools/monitor.py --watch``."""
+    lines of ``tools/obsview.py live``."""
     if not flight_dir or not os.path.isdir(flight_dir):
         return None
     newest: dict | None = None

@@ -12,7 +12,7 @@ fixed-layout shared-memory record per worker rank, written **lock-free**
 by the owning worker — its :class:`WorkerTelemetry` is a sink of the
 registry's funnel, so every record the worker emits is a heartbeat and
 every ``phase`` record moves the row — and sampled by the parent (or an
-external ``tools/monitor.py``) at poll time.
+external ``tools/obsview.py live``) at poll time.
 
 Slab layout (one float64 row of :data:`NUM_FIELDS` per rank)::
 
@@ -25,8 +25,6 @@ Slab layout (one float64 row of :data:`NUM_FIELDS` per rank)::
     FLOPS          profile.flops counter total (work so far)
     BYTES          profile bytes read+written so far
     LAST_BEAT      time.monotonic() of the last heartbeat
-    CLOCK_ORIGIN   raw perf_counter of the worker registry's origin
-                   (the clock-offset handshake for trace rebasing)
 
 The single-writer-per-row discipline makes torn reads the only hazard;
 readers guard against them by re-reading ``SEQNO`` after copying the
@@ -77,14 +75,15 @@ __all__ = [
     "StallEvent",
     "StallDetector",
     "STALL_EVENT",
+    "SLAB_SCHEMA",
 ]
 
 # ----------------------------------------------------------------------
 # slab layout
 # ----------------------------------------------------------------------
 (SEQNO, PID, EPOCH, LAYER, PHASE, SPANS_CLOSED, FLOPS, BYTES,
- LAST_BEAT, CLOCK_ORIGIN) = range(10)
-NUM_FIELDS = 10
+ LAST_BEAT) = range(9)
+NUM_FIELDS = 9
 
 #: phase enum — the coarse per-worker state machine of one epoch
 PHASE_IDLE = 0          # no epoch dispatched / between epochs
@@ -127,8 +126,12 @@ def is_stalled(phase: int | str, frozen_for: float | None,
             and in_active_phase(phase))
 
 
-#: event name the stall poll emits (tools/postmortem.py explains stalls)
+#: event name the stall poll emits (``tools/obsview.py incident`` explains
+#: stalls)
 STALL_EVENT = "dist.worker_stalled"
+
+#: schema of the descriptor an out-of-process reader attaches with
+SLAB_SCHEMA = "repro.live-slab/1"
 
 #: gauge-name prefix the parent publishes samples under
 LIVE_GAUGE_PREFIX = "live.worker."
@@ -153,7 +156,6 @@ class WorkerSample:
     flops: float
     bytes: float
     last_beat: float          # raw time.monotonic() of the last beat
-    clock_origin: float       # raw perf_counter of the worker registry
     progress_age: float | None  # seconds since last beat (None: no beat yet)
 
     @property
@@ -191,9 +193,7 @@ class WorkerTelemetry:
     def __call__(self, record: Record) -> None:
         """Every record is a heartbeat.  A ``phase`` record also moves
         the row to the phase / epoch / layer of its context stamp and
-        refreshes the progress counters; a ``clock`` record publishes
-        the registry's raw ``perf_counter`` origin (the handshake a
-        reader needs to rebase this worker's record times)."""
+        refreshes the progress counters."""
         row = self._row
         if record.kind == "phase":
             phase = _PHASE_OF_NAME.get(record.name)
@@ -212,8 +212,6 @@ class WorkerTelemetry:
                 (read.total if read is not None else 0.0)
                 + (written.total if written is not None else 0.0)
             )
-        elif record.kind == "clock":
-            row[CLOCK_ORIGIN] = float(record.attrs["origin"])
         row[LAST_BEAT] = time.monotonic()
         row[SEQNO] += 1.0
 
@@ -225,7 +223,7 @@ class TelemetrySlab:
     worker by fork inheritance or pickling (the backing
     :class:`~repro.distributed.kvstore.SharedArray` re-attaches by
     name).  Each worker writes only its own row; the parent — or an
-    out-of-process ``tools/monitor.py`` attached via
+    out-of-process ``tools/obsview.py live`` attached via
     :meth:`write_descriptor` / :meth:`attach` — samples all rows.
     """
 
@@ -260,7 +258,7 @@ class TelemetrySlab:
     # -- out-of-process attach ------------------------------------------
     def descriptor(self) -> dict:
         """JSON-serializable handle an external monitor can attach with."""
-        return {"schema": "repro.live-slab/1", "name": self._arr.name,
+        return {"schema": SLAB_SCHEMA, "name": self._arr.name,
                 "k": self.k}
 
     def write_descriptor(self, path: str) -> None:
@@ -315,7 +313,6 @@ class TelemetrySlab:
                 flops=float(row[FLOPS]),
                 bytes=float(row[BYTES]),
                 last_beat=float(row[LAST_BEAT]),
-                clock_origin=float(row[CLOCK_ORIGIN]),
                 progress_age=(
                     max(now - float(row[LAST_BEAT]), 0.0) if seqno else None
                 ),
@@ -333,7 +330,8 @@ class TelemetrySlab:
         return samples
 
     def snapshot(self, now: float | None = None) -> dict:
-        """JSON-serializable snapshot (``tools/monitor.py --snapshot``)."""
+        """JSON-serializable snapshot: the ``telemetry`` section of an
+        incident bundle."""
         return {
             "schema": "repro.live/1",
             "k": self.k,

@@ -16,9 +16,10 @@ read and wrote.  The work is accumulated three ways at once:
    ``stage.update`` inside ``engine.train_epoch`` shows up on both.
    When a work-carrying span closes, the registry stamps its
    ``arithmetic_intensity`` (FLOPs per byte moved) into its attrs.
-3. **Reports** — :func:`profile_report` aggregates per-op and per-span
-   totals into a roofline-style JSON document;
-   :func:`render_profile_report` pretty-prints it.
+3. **Reports** — :func:`profile_report` aggregates a trace's per-op and
+   per-span totals into a roofline-style JSON document;
+   :func:`render_profile_report` pretty-prints it (the work-profile part
+   of :func:`repro.obs.export.render_summary`).
 
 FLOP conventions (documented per-op in ``docs/observability.md``):
 a matmul ``(n,k) @ (k,m)`` costs ``2*n*k*m`` FLOPs (multiply + add);
@@ -38,8 +39,6 @@ few float adds.
 
 from __future__ import annotations
 
-import json
-
 from .analysis import backend_report, render_backend_report
 from .registry import Registry, get_registry
 
@@ -52,11 +51,8 @@ __all__ = [
     "record_op",
     "work_snapshot",
     "work_since",
-    "span_work",
-    "peak_work_rates",
     "profile_report",
     "render_profile_report",
-    "export_profile",
 ]
 
 #: global running totals (Counter.total is the figure of record)
@@ -155,116 +151,94 @@ def work_since(snapshot: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# aggregation helpers
+# the report
 # ----------------------------------------------------------------------
-def span_work() -> dict:
-    """Aggregate the stored spans' inclusive work per span *name*.
+def profile_report(trace: dict) -> dict:
+    """Roofline-style work report over a native trace
+    (:func:`repro.obs.export.to_dict`).
 
-    Only spans that carried work attribution appear.  Attribution is
-    inclusive (a parent sees its children's work), so rows are per-name
-    views, not a partition — do not sum across nesting levels.
+    ``ops`` is reconstructed from the ``profile.op.*`` counters.
+    ``spans`` aggregates the inclusive work of every span that carried
+    attribution, per span *name*: a parent sees its children's work, so
+    rows are per-name views, not a partition — do not sum across nesting
+    levels.  ``roofline`` holds the peak FLOP/s and bytes/s over single
+    :data:`WORK_RATE_SPANS` spans (the best *interval*, which is what a
+    roofline plots, not the per-name aggregate).  ``backends`` are the
+    measured-cost rows of the hybrid executor's per-level
+    ``aggregation.backend`` events.
     """
-    rows: dict[str, dict] = {}
-    for span in get_registry().spans:
-        attrs = span.attrs
+    counters = trace["counters"]
+    ops: dict[str, dict] = {}
+    for name, counter in counters.items():
+        if not name.startswith(OP_COUNTER_PREFIX):
+            continue
+        op, _, key = name[len(OP_COUNTER_PREFIX):].rpartition(".")
+        if key not in ("flops", "bytes"):
+            continue
+        row = ops.setdefault(op, {"calls": 0, "flops": 0.0, "bytes": 0.0})
+        row[key] = counter["total"]
+        row["calls"] = max(row["calls"], counter["count"])
+    for row in ops.values():
+        row["arithmetic_intensity"] = _ratio(row["flops"], row["bytes"])
+
+    spans: dict[str, dict] = {}
+    peak_flops = peak_bytes = 0.0
+    for span in trace["spans"]:
+        attrs = span.get("attrs", {})
         if "flops" not in attrs and "bytes_read" not in attrs:
             continue
-        row = rows.get(span.name)
+        flops = attrs.get("flops", 0.0)
+        read = attrs.get("bytes_read", 0.0)
+        written = attrs.get("bytes_written", 0.0)
+        duration = span["duration"]
+        row = spans.get(span["name"])
         if row is None:
-            row = rows[span.name] = {
+            row = spans[span["name"]] = {
                 "count": 0, "seconds": 0.0, "flops": 0.0,
                 "bytes_read": 0.0, "bytes_written": 0.0,
             }
         row["count"] += 1
-        row["seconds"] += span.duration
-        row["flops"] += attrs.get("flops", 0.0)
-        row["bytes_read"] += attrs.get("bytes_read", 0.0)
-        row["bytes_written"] += attrs.get("bytes_written", 0.0)
-    for row in rows.values():
-        moved = row["bytes_read"] + row["bytes_written"]
-        row["bytes"] = moved
-        row["arithmetic_intensity"] = (
-            row["flops"] / moved if moved > 0 else 0.0
-        )
-        seconds = row["seconds"]
-        row["flops_per_sec"] = row["flops"] / seconds if seconds > 0 else 0.0
-        row["bytes_per_sec"] = moved / seconds if seconds > 0 else 0.0
-    return rows
+        row["seconds"] += duration
+        row["flops"] += flops
+        row["bytes_read"] += read
+        row["bytes_written"] += written
+        if span["name"] in WORK_RATE_SPANS and duration > 0:
+            peak_flops = max(peak_flops, flops / duration)
+            peak_bytes = max(peak_bytes, (read + written) / duration)
+    for row in spans.values():
+        moved = row["bytes"] = row["bytes_read"] + row["bytes_written"]
+        row["arithmetic_intensity"] = _ratio(row["flops"], moved)
+        row["flops_per_sec"] = _ratio(row["flops"], row["seconds"])
+        row["bytes_per_sec"] = _ratio(moved, row["seconds"])
 
+    def total(name: str) -> float:
+        return counters[name]["total"] if name in counters else 0.0
 
-def peak_work_rates() -> dict:
-    """Peak achieved FLOP/s and bytes/s over individual work spans.
-
-    Scans each stored :data:`WORK_RATE_SPANS` span separately (not the
-    per-name aggregate), so the reported peak is the best *single
-    interval*, which is what a roofline plots.
-    """
-    peak_flops = 0.0
-    peak_bytes = 0.0
-    for span in get_registry().spans:
-        if span.name not in WORK_RATE_SPANS or span.duration <= 0:
-            continue
-        attrs = span.attrs
-        moved = attrs.get("bytes_read", 0.0) + attrs.get("bytes_written", 0.0)
-        peak_flops = max(peak_flops, attrs.get("flops", 0.0) / span.duration)
-        peak_bytes = max(peak_bytes, moved / span.duration)
-    return {"peak_flops_per_sec": peak_flops,
-            "peak_bytes_per_sec": peak_bytes}
-
-
-def _op_rows(registry: Registry) -> dict:
-    """Per-op totals reconstructed from the ``profile.op.*`` counters."""
-    ops: dict[str, dict] = {}
-    suffix_flops = ".flops"
-    suffix_bytes = ".bytes"
-    for name, counter in registry.counters.items():
-        if not name.startswith(OP_COUNTER_PREFIX):
-            continue
-        rest = name[len(OP_COUNTER_PREFIX):]
-        if rest.endswith(suffix_flops):
-            op, key = rest[: -len(suffix_flops)], "flops"
-        elif rest.endswith(suffix_bytes):
-            op, key = rest[: -len(suffix_bytes)], "bytes"
-        else:
-            continue
-        row = ops.setdefault(op, {"calls": 0, "flops": 0.0, "bytes": 0.0})
-        row[key] = counter.total
-        row["calls"] = max(row["calls"], counter.count)
-    for row in ops.values():
-        row["arithmetic_intensity"] = (
-            row["flops"] / row["bytes"] if row["bytes"] > 0 else 0.0
-        )
-    return ops
-
-
-def profile_report() -> dict:
-    """Roofline-style work report over the global registry."""
-    reg = get_registry()
-    flops = reg.counter(FLOPS_COUNTER).total
-    bytes_read = reg.counter(BYTES_READ_COUNTER).total
-    bytes_written = reg.counter(BYTES_WRITTEN_COUNTER).total
-    moved = bytes_read + bytes_written
+    flops = total(FLOPS_COUNTER)
+    bytes_read = total(BYTES_READ_COUNTER)
+    bytes_written = total(BYTES_WRITTEN_COUNTER)
     return {
-        "schema": "repro.profile/1",
         "totals": {
             "flops": flops,
             "bytes_read": bytes_read,
             "bytes_written": bytes_written,
-            "bytes": moved,
-            "arithmetic_intensity": flops / moved if moved > 0 else 0.0,
+            "bytes": bytes_read + bytes_written,
+            "arithmetic_intensity": _ratio(flops, bytes_read + bytes_written),
         },
-        "ops": dict(sorted(_op_rows(reg).items(),
-                           key=lambda kv: -kv[1]["flops"])),
-        "spans": span_work(),
-        # measured-cost rows from the hybrid executor's per-level
-        # ``aggregation.backend`` events
-        "backends": backend_report()["rows"],
-        "roofline": peak_work_rates(),
+        "ops": dict(sorted(ops.items(), key=lambda kv: -kv[1]["flops"])),
+        "spans": spans,
+        "backends": backend_report(trace["events"])["rows"],
+        "roofline": {"peak_flops_per_sec": peak_flops,
+                     "peak_bytes_per_sec": peak_bytes},
     }
 
 
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0
+
+
 # ----------------------------------------------------------------------
-# rendering / export
+# rendering
 # ----------------------------------------------------------------------
 def _fmt_quantity(value: float, unit: str) -> str:
     for scale, prefix in ((1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "K")):
@@ -273,10 +247,8 @@ def _fmt_quantity(value: float, unit: str) -> str:
     return f"{value:.0f} {unit}"
 
 
-def render_profile_report(report: dict | None = None) -> str:
+def render_profile_report(report: dict) -> str:
     """Human-readable rendering of :func:`profile_report`."""
-    if report is None:
-        report = profile_report()
     lines = ["work profile:"]
     totals = report["totals"]
     lines.append(
@@ -335,11 +307,3 @@ def render_profile_report(report: dict | None = None) -> str:
         lines.append(render_backend_report(backends))
     return "\n".join(lines)
 
-
-def export_profile(path: str) -> dict:
-    """Write :func:`profile_report` as JSON to ``path``; returns it."""
-    report = profile_report()
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return report

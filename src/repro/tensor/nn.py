@@ -13,7 +13,7 @@ import numpy as np
 from ..obs.profile import record_op
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell", "ReLU"]
+__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell"]
 
 
 class Parameter(Tensor):
@@ -116,13 +116,6 @@ class Linear(Module):
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
-
-
-class ReLU(Module):
-    """Elementwise rectified linear unit."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
 
 
 class Embedding(Module):

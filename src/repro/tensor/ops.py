@@ -15,36 +15,16 @@ from .tensor import Tensor, _as_tensor
 
 __all__ = [
     "concat",
-    "stack",
     "softmax",
     "log_softmax",
-    "relu",
-    "dropout",
     "zeros",
-    "ones",
-    "tensor",
 ]
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Create a :class:`Tensor` from array-like data."""
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
 def zeros(*shape, requires_grad: bool = False) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def relu(x: Tensor) -> Tensor:
-    return _as_tensor(x).relu()
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
@@ -58,18 +38,6 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis."""
-    tensors = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -128,21 +96,3 @@ def scatter_rows(rows: Tensor, indices: np.ndarray, num_rows: int) -> Tensor:
 
     return Tensor._make(out_data, (rows,), backward)
 
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when ``training`` is false or ``p == 0``."""
-    if not training or p <= 0.0:
-        return _as_tensor(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    x = _as_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    # compare + rescale: ~2 FLOPs per element
-    record_op("dropout", flops=2.0 * x.data.size,
-              bytes_read=x.data.nbytes + mask.nbytes,
-              bytes_written=x.data.nbytes)
-
-    def backward(g):
-        return (g * mask,)
-
-    return Tensor._make(x.data * mask, (x,), backward)

@@ -1,13 +1,13 @@
 """Flight recorder, the funnel, incident bundles, post-mortem.
 
-Covers the black-box plane end to end: ring/journal mechanics, the
+Covers the black-box plane end to end: journal mechanics, the
 recorder as a sink surviving ``obs.reset()``, the funnel itself (every
 record exactly once per sink, one context stamp, one serialisation,
 envelope collisions), log lines folding into the trace, the store's
 record cap + ``dropped_events`` accounting (including ``merge`` folding
 a worker snapshot into a near-cap parent), incident-bundle contents,
 serve per-request tracing + SLO snapshots, and the real k=2 crash/stall
-paths with ``tools/postmortem.py`` naming culprits and victims.
+paths with ``tools/obsview.py incident`` naming culprits and victims.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 )
 
-import monitor  # noqa: E402
-import postmortem  # noqa: E402
+import obsview  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
@@ -50,13 +49,19 @@ from repro.serve import GNNServer, InferenceSession  # noqa: E402
 from repro.tensor import Adam, Tensor  # noqa: E402
 
 
+def _uninstall_and_close():
+    recorder = uninstall_flight()
+    if recorder is not None:
+        recorder.close()
+
+
 @pytest.fixture(autouse=True)
 def _clean_obs():
     obs.reset()
-    uninstall_flight()
+    _uninstall_and_close()
     obs.clear_context()
     yield
-    uninstall_flight()
+    _uninstall_and_close()
     obs.clear_context()
     obs.reset()
 
@@ -70,27 +75,22 @@ def _tick(i: int) -> Record:
     return Record("event", "tick", float(i), attrs={"i": i})
 
 
+def _recorder(tmp_path, who: str = "x") -> FlightRecorder:
+    return FlightRecorder(str(tmp_path / f"journal-{who}.jsonl"))
+
+
 # ----------------------------------------------------------------------
 # FlightRecorder mechanics
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
-    def test_ring_wraps_oldest_first(self):
-        rec = FlightRecorder(capacity=3)
-        for i in range(5):
-            rec(_tick(i))
-        assert rec.total == 5
-        assert rec.dropped == 2
-        assert [e["attrs"]["i"] for e in rec.entries()] == [2, 3, 4]
-
     def test_journal_spill_and_readback(self, tmp_path):
         path = str(tmp_path / "journal-x.jsonl")
-        rec = FlightRecorder(capacity=2, journal_path=path)
+        rec = FlightRecorder(path)
         records = [_tick(i) for i in range(4)]
         for record in records:
             rec(record)
         rec.close()
-        # The journal keeps everything the ring evicted, one
-        # Record.to_dict() per line.
+        # The journal keeps every record, one Record.to_dict() per line.
         assert read_journal(path) == [r.to_dict() for r in records]
 
     def test_journal_tolerates_truncated_tail(self, tmp_path):
@@ -126,53 +126,55 @@ class TestFlightRecorder:
         (entry,) = read_journal(path)
         assert entry["attrs"] == {"value": 1.5, "ids": [0, 1, 2]}
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
-
 
 # ----------------------------------------------------------------------
 # The recorder as a sink of the registry
 # ----------------------------------------------------------------------
-def _ring(rec: FlightRecorder) -> list[dict]:
-    """The ring's entries, the clock announcements left out."""
-    return [e for e in rec.entries() if e["kind"] != "clock"]
+def _journaled(rec: FlightRecorder) -> list[dict]:
+    """Everything the recorder has journaled so far, read back."""
+    rec.flush()
+    return read_journal(rec.journal_path)
+
+
+def _records(rec: FlightRecorder) -> list[dict]:
+    """The journal, the clock announcements left out."""
+    return [e for e in _journaled(rec) if e["kind"] != "clock"]
 
 
 def _kinds(rec: FlightRecorder) -> list[str]:
-    return [e["kind"] for e in _ring(rec)]
+    return [e["kind"] for e in _records(rec)]
 
 
 class TestRegistryTap:
-    def test_span_and_event_forwarded(self):
-        rec = install_flight(FlightRecorder())
+    def test_span_and_event_forwarded(self, tmp_path):
+        rec = install_flight(_recorder(tmp_path))
         with obs.span("work", layer=1):
             pass
         obs.event("picked", backend="fa")
         assert _kinds(rec) == ["span", "event"]
-        span = rec.entries()[1]
+        span = _journaled(rec)[1]
         assert span["name"] == "work"
         assert span["attrs"] == {"layer": 1}
 
-    def test_tap_survives_reset(self):
-        rec = install_flight(FlightRecorder())
+    def test_tap_survives_reset(self, tmp_path):
+        rec = install_flight(_recorder(tmp_path))
         obs.reset()
         assert obs.get_flight() is rec
         with obs.span("after"):
             pass
-        assert rec.entries()[-1]["name"] == "after"
+        assert _journaled(rec)[-1]["name"] == "after"
 
-    def test_every_origin_is_announced(self):
+    def test_every_origin_is_announced(self, tmp_path):
         # Record times count from an origin that moves at every reset;
         # the recorder is told each one, so journal lines stay placeable.
-        rec = install_flight(FlightRecorder())
+        rec = install_flight(_recorder(tmp_path))
         obs.reset()
-        clocks = [e for e in rec.entries() if e["kind"] == "clock"]
+        clocks = [e for e in _journaled(rec) if e["kind"] == "clock"]
         assert len(clocks) == 2
         assert clocks[-1]["attrs"]["origin"] == obs.get_registry().origin
 
-    def test_tap_sees_past_disabled_registry(self):
-        rec = install_flight(FlightRecorder())
+    def test_tap_sees_past_disabled_registry(self, tmp_path):
+        rec = install_flight(_recorder(tmp_path))
         obs.disable()
         try:
             with obs.span("hidden"):
@@ -184,21 +186,22 @@ class TestRegistryTap:
         assert not reg.spans and not reg.events
         assert _kinds(rec) == ["span", "event"]
 
-    def test_uninstall_stops_forwarding(self):
-        rec = install_flight(FlightRecorder())
+    def test_uninstall_stops_forwarding(self, tmp_path):
+        rec = install_flight(_recorder(tmp_path))
         assert uninstall_flight() is rec
         obs.event("afterwards")
         assert _kinds(rec) == []
+        rec.close()
 
     @pytest.mark.parametrize("simulated", [False, True])
-    def test_store_and_journal_agree_on_span_start(self, simulated):
+    def test_store_and_journal_agree_on_span_start(self, simulated, tmp_path):
         # Regression: a measured record_span was backdated only after
         # the recorder had been handed it, so every barrier wait and
         # request latency was journaled ``duration`` seconds late.
-        rec = install_flight(FlightRecorder())
+        rec = install_flight(_recorder(tmp_path))
         time.sleep(0.05)
         stored = obs.record_span("dist.comm", 0.04, simulated=simulated)
-        journaled = rec.entries()[-1]
+        journaled = _journaled(rec)[-1]
         assert journaled["t"] == stored.t
         assert journaled == stored.to_dict()
         if not simulated:
@@ -216,7 +219,7 @@ class TestFunnel:
         reg = obs.get_registry()
         try:
             obs.set_context(worker=3)
-            rec = install_flight(FlightRecorder(journal_path=path))
+            rec = install_flight(FlightRecorder(path))
             obs.add_sink(writer)
             beats0 = slab.sample()[3].seqno
 
@@ -229,8 +232,9 @@ class TestFunnel:
 
             expected = ["phase", "span", "event", "log", "metrics"]
             # the flight recorder: every record, once
-            ring = _ring(rec)
-            assert [e["kind"] for e in ring] == expected
+            rec.close()
+            journal = [e for e in read_journal(path) if e["kind"] != "clock"]
+            assert [e["kind"] for e in journal] == expected
             # the store: the span under spans, the rest under events
             assert [s.kind for s in reg.spans] == ["span"]
             assert [e.kind for e in reg.events] == [
@@ -242,13 +246,10 @@ class TestFunnel:
 
             # identical context stamps everywhere
             stamp = {"worker": 3, "phase": "forward", "epoch": 2, "layer": 1}
-            assert all(e["ctx"] == stamp for e in ring)
+            assert all(e["ctx"] == stamp for e in journal)
             assert all(r.ctx == stamp for r in reg.spans + reg.events)
 
-            # one serialisation: ring == journal == trace export == merge
-            rec.close()
-            journal = [e for e in read_journal(path) if e["kind"] != "clock"]
-            assert journal == ring
+            # one serialisation: journal == trace export == merge
             trace_path = str(tmp_path / "trace.json")
             obs.export_json(trace_path)
             with open(trace_path) as fh:
@@ -256,8 +257,8 @@ class TestFunnel:
             by_time = sorted(trace["spans"] + trace["events"],
                              key=lambda r: (r["t"], r["kind"] == "span"))
             assert by_time == sorted(
-                ring, key=lambda r: (r["t"], r["kind"] == "span"))
-            assert all(Record.from_dict(e).to_dict() == e for e in ring)
+                journal, key=lambda r: (r["t"], r["kind"] == "span"))
+            assert all(Record.from_dict(e).to_dict() == e for e in journal)
             parent = Registry()
             snapshot = reg.snapshot()
             snapshot["origin"] = parent.origin    # same clock: no rebase
@@ -270,12 +271,13 @@ class TestFunnel:
 
     @pytest.mark.parametrize("field", ["kind", "name", "t", "message",
                                        "duration", "ctx", "attrs", "self"])
-    def test_caller_fields_cannot_collide_with_the_envelope(self, field):
+    def test_caller_fields_cannot_collide_with_the_envelope(self, field,
+                                                             tmp_path):
         # Regression: get_logger("x").info("hello", kind="oops") raised
         # TypeError with a recorder installed; name= / message= raised
         # without one.  A worker's last log line must not be able to
         # take the worker down.
-        rec = install_flight(FlightRecorder())
+        rec = install_flight(_recorder(tmp_path))
         obs.set_context(worker=1)
         extra = {field: "oops"}
         with obs.span("s", **extra):
@@ -283,10 +285,10 @@ class TestFunnel:
         obs.record_span("rs", 0.5, **extra)
         obs.event("e", **extra)
         obs.log("hello", **extra)
-        ring = _ring(rec)
-        assert [(e["kind"], e["name"]) for e in ring] == [
+        journal = _records(rec)
+        assert [(e["kind"], e["name"]) for e in journal] == [
             ("span", "s"), ("span", "rs"), ("event", "e"), ("log", "hello")]
-        for entry in ring:
+        for entry in journal:
             assert entry["attrs"][field] == "oops"
             assert entry["ctx"] == {"worker": 1}
             assert isinstance(entry["t"], float)
@@ -296,13 +298,13 @@ class TestFunnel:
 # Log lines
 # ----------------------------------------------------------------------
 class TestStructuredLog:
-    def test_context_and_span_stamped(self):
-        rec = install_flight(FlightRecorder())
+    def test_context_and_span_stamped(self, tmp_path):
+        rec = install_flight(_recorder(tmp_path))
         obs.set_context(worker=3, epoch=2)
         with obs.span("dist.compute", layer=0):
             obs.log("aggregated", vertices=17)
         # journaled exactly once, as a log record
-        (entry,) = [e for e in rec.entries() if e["kind"] == "log"]
+        (entry,) = [e for e in _journaled(rec) if e["kind"] == "log"]
         assert entry["name"] == "aggregated"
         assert entry["ctx"] == {"worker": 3, "epoch": 2}
         assert entry["attrs"] == {"vertices": 17, "span": "dist.compute",
@@ -373,14 +375,15 @@ class TestEventRecordCap:
         assert parent.counter("c").total == 2
         assert parent.events == []
 
-    def test_flight_sees_events_past_cap(self):
+    def test_flight_sees_events_past_cap(self, tmp_path):
         reg = Registry(max_records=1)
-        rec = FlightRecorder()
+        rec = _recorder(tmp_path)
         reg.add_sink(rec)
         reg.event("a")
         reg.event("b")
+        rec.close()
         assert reg.dropped_events == 1
-        assert [e["name"] for e in rec.entries()
+        assert [e["name"] for e in read_journal(rec.journal_path)
                 if e["kind"] == "event"] == ["a", "b"]
 
 
@@ -390,31 +393,44 @@ class TestEventRecordCap:
 class TestIncidentBundle:
     def test_bundle_contents_and_manifest(self, tmp_path):
         flight_dir = str(tmp_path)
-        rec = install_flight(FlightRecorder(
-            journal_path=os.path.join(flight_dir, "journal-rank0.jsonl")))
+        install_flight(FlightRecorder(
+            os.path.join(flight_dir, "journal-rank0.jsonl")))
         with obs.span("work"):
             pass
         bundle = write_incident_bundle(
             flight_dir, "test_kind", rank=0, reason="because",
             config={"k": 2}, sections={"stalls": {"events": []}})
-        names = sorted(os.listdir(bundle))
-        assert "manifest.json" in names
-        assert "flight.json" in names
-        assert "metrics.json" in names
-        assert "trace.json" in names
-        assert "stalls.json" in names
-        assert "journal-rank0.jsonl" in names
+        # The manifest, the native trace, the journals and the sections:
+        # nothing else.
+        assert sorted(os.listdir(bundle)) == [
+            "journal-rank0.jsonl", "manifest.json", "stalls.json",
+            "trace.json"]
         with open(os.path.join(bundle, "manifest.json")) as fh:
             manifest = json.load(fh)
         assert manifest["kind"] == "test_kind"
         assert manifest["rank"] == 0
         assert manifest["reason"] == "because"
         assert manifest["config"] == {"k": 2}
-        with open(os.path.join(bundle, "flight.json")) as fh:
-            dump = json.load(fh)
-        assert dump["schema"] == "repro.flight/1"
-        assert any(e["kind"] == "span" for e in dump["entries"])
-        rec.close()
+        assert sorted(manifest["files"]) == [
+            "journal-rank0.jsonl", "stalls.json", "trace.json"]
+        with open(os.path.join(bundle, "trace.json")) as fh:
+            trace = json.load(fh)
+        assert trace["schema"] == "repro.obs/3"
+        assert [s["name"] for s in trace["spans"]] == ["work"]
+        journal = read_journal(os.path.join(bundle, "journal-rank0.jsonl"))
+        assert [e["name"] for e in journal if e["kind"] == "span"] == ["work"]
+
+    def test_bundle_copies_the_recorders_journal_from_elsewhere(
+            self, tmp_path):
+        flight_dir = str(tmp_path / "flight")
+        os.makedirs(flight_dir)
+        install_flight(FlightRecorder(
+            str(tmp_path / "elsewhere" / "journal-parent.jsonl")))
+        obs.event("before the incident")
+        bundle = write_incident_bundle(flight_dir, "test_kind")
+        journal = read_journal(os.path.join(bundle, "journal-parent.jsonl"))
+        assert [e["name"] for e in journal if e["kind"] == "event"] == [
+            "before the incident"]
 
     def test_latest_incident_picks_newest(self, tmp_path):
         flight_dir = str(tmp_path)
@@ -430,10 +446,10 @@ class TestIncidentBundle:
 
     def test_monitor_incident_line(self, tmp_path):
         flight_dir = str(tmp_path)
-        assert monitor.incident_line(None) is None
-        assert "none" in monitor.incident_line(flight_dir)
+        assert obsview.last_incident(None) is None
+        assert "none" in obsview.last_incident(flight_dir)
         bundle = write_incident_bundle(flight_dir, "worker_failure", rank=1)
-        line = monitor.incident_line(flight_dir)
+        line = obsview.last_incident(flight_dir)
         assert "worker_failure" in line
         assert "rank 1" in line
         assert bundle in line
@@ -509,7 +525,7 @@ class TestPostmortemSynthetic:
             fh.write(json.dumps(Record(
                 "log", "working", 1.0, attrs={"level": "info"},
                 ctx=ctx(1, "forward")).to_dict()) + "\n")
-        return postmortem.load_bundle(write_incident_bundle(
+        return obsview.load_bundle(write_incident_bundle(
             flight_dir, "worker_stalled", rank=1,
             sections={"stalls": {"deadline": 0.5, "events": [
                 {"rank": r, "epoch": 4, "layer": 1, "phase": 2,
@@ -519,7 +535,7 @@ class TestPostmortemSynthetic:
 
     def test_waiting_phase_exemption(self, tmp_path):
         bundle = self._bundle(tmp_path, stalled=(1,))
-        analysis = postmortem.analyze(bundle)
+        analysis = obsview.analyze(bundle)
         assert analysis["culprits"] == [1]
         assert analysis["victims"] == [0]
         rank0 = analysis["ranks"][0]
@@ -533,8 +549,8 @@ class TestPostmortemSynthetic:
 
     def test_render_names_roles(self, tmp_path):
         bundle = self._bundle(tmp_path, stalled=(1,))
-        text = postmortem.render(postmortem.analyze(bundle), bundle=bundle,
-                                 timeline=5)
+        text = obsview.render_incident(obsview.analyze(bundle), bundle,
+                                       last=5)
         assert "rank 1: CULPRIT" in text
         assert "rank 0: VICTIM" in text
         assert "timeline" in text
@@ -575,18 +591,17 @@ class TestMultiprocessIncidents:
             assert logs[-1]["name"] == "worker dying"
             assert all(e["ctx"]["worker"] == 1 for e in journal)
 
-            # Post-mortem names the failed rank as culprit.
-            analysis = postmortem.analyze(
-                postmortem.load_bundle(failure.bundle))
-            assert analysis["kind"] == "worker_failure"
-            assert analysis["rank"] == 1
+            # The incident reader names the failed rank as culprit.
+            analysis = obsview.analyze(obsview.load_bundle(failure.bundle))
+            assert analysis["manifest"]["kind"] == "worker_failure"
+            assert analysis["manifest"]["rank"] == 1
             assert 1 in analysis["culprits"]
             rank1 = analysis["ranks"][1]
             assert rank1["crash"] is not None
             assert rank1["last_phase"] is not None
             assert rank1["last_epoch"] is not None
 
-    def test_inject_stall_bundle_ranks_culprit(self, ds, tmp_path):
+    def test_inject_stall_bundle_ranks_culprit(self, ds, tmp_path, capsys):
         flight_dir = str(tmp_path)
         part = hash_partition(ds.graph.num_vertices, 2)
         model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
@@ -607,11 +622,32 @@ class TestMultiprocessIncidents:
         budget = max(1, len(os.sched_getaffinity(0)) // 2)
         assert manifest["config"]["blas_threads"] == (
             budget if runtime._loaded_blas() is not None else None)
-        analysis = postmortem.analyze(postmortem.load_bundle(manifest["path"]))
+        # The bundle: manifest, the parent's native trace, the journals
+        # and its sections — no ring dump, no metrics snapshot.
+        names = set(os.listdir(manifest["path"]))
+        assert names == {"manifest.json", "trace.json", "telemetry.json",
+                         "stalls.json", "journal-parent.jsonl",
+                         "journal-rank0.jsonl", "journal-rank1.jsonl"}
+        with open(os.path.join(manifest["path"], "trace.json")) as fh:
+            assert json.load(fh)["schema"] == "repro.obs/3"
+        analysis = obsview.analyze(obsview.load_bundle(manifest["path"]))
         assert analysis["culprits"] == [1]
         assert analysis["victims"] == [0]
         assert analysis["ranks"][1]["last_phase"] == "forward"
         assert analysis["ranks"][0]["last_phase"] == "barrier"
+
+        # The report: the telemetry section's table flags the stalled
+        # rank, and the ranking puts it first among the culprits.
+        assert obsview.main(["incident", manifest["path"]]) == 0
+        out = capsys.readouterr().out
+        table = out.split("telemetry at the incident", 1)[1]
+        table = table.split("culprit-vs-victim", 1)[0]
+        rows = {line.split()[0]: line for line in table.splitlines()[2:]
+                if line.strip()}
+        assert rows["1"].endswith("STALLED?")
+        assert rows["0"].endswith(" ok")
+        ranking = out.split("culprit-vs-victim ranking", 1)[1]
+        assert ranking.splitlines()[1].startswith("  rank 1: CULPRIT")
 
     def test_fault_tolerant_trainer_attaches_bundle(self, ds, tmp_path):
         flight_dir = str(tmp_path / "flight")

@@ -7,6 +7,7 @@ lanes)."""
 import json
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.datasets import load_dataset
 from repro.distributed import MultiprocessTrainer
 from repro.graph import hash_partition
 from repro.models import gcn
-from repro.obs.export import to_chrome_trace
+from repro.obs.export import to_chrome_trace, to_dict
 from repro.obs.live import (
     ACTIVE_PHASES,
     PHASE_BARRIER,
@@ -39,7 +40,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 )
 
-import monitor  # noqa: E402
+import obsview  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def _sample(rank=0, seqno=1, phase=PHASE_FORWARD, epoch=0, layer=0):
     return WorkerSample(
         rank=rank, seqno=seqno, pid=123, epoch=epoch, layer=layer,
         phase=phase, spans_closed=0, flops=0.0, bytes=0.0,
-        last_beat=0.0, clock_origin=0.0, progress_age=None,
+        last_beat=0.0, progress_age=None,
     )
 
 
@@ -121,15 +122,6 @@ class TestTelemetrySlab:
             slab.close()
             obs.clear_context()
             obs.reset()
-
-    def test_clock_record_publishes_origin(self):
-        slab = TelemetrySlab(1)
-        try:
-            tele = slab.writer(0)
-            tele(Record("clock", "origin", attrs={"origin": 123.5}))
-            assert slab.sample()[0].clock_origin == 123.5
-        finally:
-            slab.close()
 
     def test_progress_age_grows_with_supplied_now(self):
         slab = TelemetrySlab(1)
@@ -418,7 +410,7 @@ class TestMultiprocessLiveTelemetry:
             assert not any(e.name == STALL_EVENT for e in reg.events)
 
             # Live snapshot: every rank heartbeat and reached "done".
-            snap = mt.telemetry_snapshot()
+            snap = mt.telemetry.snapshot()
             assert len(snap["workers"]) == 2
             for w in snap["workers"]:
                 assert w["seqno"] > 0
@@ -444,7 +436,7 @@ class TestMultiprocessLiveTelemetry:
                 )
 
             # One coherent Chrome trace: a lane per rank, shared trace id.
-            trace = to_chrome_trace()
+            trace = to_chrome_trace(to_dict())
             assert trace["otherData"]["trace_id"] == reg.trace_id
             lanes = {e["tid"] for e in trace["traceEvents"]
                      if e.get("ph") == "X" and e.get("pid") == 0}
@@ -477,23 +469,18 @@ class TestMultiprocessLiveTelemetry:
             opt = Adam(mt.model.parameters(), 0.01)
             mt.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch=0)
 
-            # render_table over live samples
-            samples = mt.telemetry.sample()
-            table = monitor.render_table(samples)
+            # one table over live samples and over a snapshot (the
+            # telemetry section of an incident bundle) alike
+            now = time.monotonic()
+            table = obsview.render_telemetry(mt.telemetry.sample(now=now))
             assert "done" in table and " ok" in table
+            snap = json.loads(json.dumps(mt.telemetry.snapshot(now=now)))
+            assert obsview.render_telemetry(snap["workers"]) == table
 
-            # --snapshot path
-            snap_path = str(tmp_path / "snap.json")
-            with open(snap_path, "w") as fh:
-                json.dump(mt.telemetry_snapshot(), fh)
-            assert monitor.main(["--snapshot", snap_path]) == 0
-            out = capsys.readouterr().out
-            assert "rank" in out and "done" in out
-
-            # --slab path (descriptor attach, one sample)
+            # live: descriptor attach, one sample
             desc_path = str(tmp_path / "slab.json")
             mt.telemetry.write_descriptor(desc_path)
-            assert monitor.main(["--slab", desc_path]) == 0
+            assert obsview.main(["live", desc_path]) == 0
             out = capsys.readouterr().out
             assert "live telemetry" in out and "done" in out
         finally:

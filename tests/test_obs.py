@@ -230,12 +230,12 @@ class TestExport:
         obs.counter("x.bytes").add(1024)
         obs.gauge("g").set(2.5)
         obs.event("ev")
-        text = obs.summary()
+        text = obs.render_summary(obs.to_dict())
         for fragment in ("phase.a", "x.bytes", "ev", "spans", "counters"):
             assert fragment in text
 
     def test_empty_summary(self):
-        assert "no observability data" in obs.summary()
+        assert "no observability data" in obs.render_summary(obs.to_dict())
 
 
 class TestEngineIntegration:

@@ -3,6 +3,8 @@ per-epoch event series, straggler analysis, the Chrome trace exporter,
 and the ADB calibration/rebalance telemetry."""
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,12 @@ from repro.graph import hash_partition, power_law_graph
 from repro.models import gcn
 from repro.obs.export import to_chrome_trace, to_dict
 from repro.tensor import Adam, Tensor
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+)
+
+import obsview  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -57,7 +65,7 @@ class TestSpanDistribution:
         live = obs.aggregate_spans(obs.get_registry().spans)
         assert obs.aggregate_spans(to_dict()["spans"]) == live
         assert live["s"]["simulated"] and live["s"]["p50"] == 0.2
-        assert "p50" in obs.summary() and "p99" in obs.summary()
+        assert "p50" in obs.render_summary(to_dict())
 
 
 # ----------------------------------------------------------------------
@@ -72,14 +80,14 @@ class TestStragglerAnalysis:
             obs.record_span("dist.comm", comm_s, worker=w, layer=layer)
 
     def test_empty_report(self):
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert report.slowest_worker is None
         assert report.skew_ratio == 1.0
         assert report.render() == "(no distributed spans recorded)"
 
     def test_slowest_worker_and_skew(self):
         self._plant([0.1, 0.1, 0.1, 0.5])
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert report.slowest_worker == 3
         assert report.skew_ratio == pytest.approx(5.0)
         assert report.stragglers == [3]
@@ -87,18 +95,18 @@ class TestStragglerAnalysis:
 
     def test_threshold_controls_straggler_set(self):
         self._plant([0.1, 0.13, 0.1, 0.1])
-        strict = obs.straggler_report(threshold=1.2)
-        loose = obs.straggler_report(threshold=2.0)
+        strict = obs.straggler_report(to_dict()["spans"], threshold=1.2)
+        loose = obs.straggler_report(to_dict()["spans"], threshold=2.0)
         assert strict.stragglers == [1]
         assert loose.stragglers == []
         with pytest.raises(ValueError):
-            obs.straggler_report(threshold=0.0)
+            obs.straggler_report(to_dict()["spans"], threshold=0.0)
 
     def test_critical_path_per_layer(self):
         # Layer 0: worker 1 dominated by comm; layer 1: worker 0 compute.
         self._plant([0.1, 0.1], comms=[0.0, 0.4], layer=0)
         self._plant([0.5, 0.1], comms=[0.0, 0.0], layer=1)
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert report.critical_path == {0: 1, 1: 0}
 
     def test_accepts_exported_trace_dicts(self):
@@ -111,13 +119,14 @@ class TestStragglerAnalysis:
 
     def test_render_marks_straggler(self):
         self._plant([0.1, 0.1, 0.6])
-        text = obs.straggler_report().render()
+        text = obs.straggler_report(to_dict()["spans"]).render()
         assert "<- straggler" in text
         assert "skew ratio" in text
 
     def test_to_dict_serializable(self):
         self._plant([0.1, 0.2])
-        d = json.loads(json.dumps(obs.straggler_report().to_dict()))
+        report = obs.straggler_report(to_dict()["spans"])
+        d = json.loads(json.dumps(report.to_dict()))
         assert d["slowest_worker"] == 1
         assert set(d["per_worker"]) == {"0", "1"}
 
@@ -131,7 +140,7 @@ class TestStragglerAnalysis:
         )
         trainer.train_epoch(Tensor(ds.features), ds.labels,
                             Adam(model.parameters(), 0.01), ds.train_mask)
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert report.slowest_worker == 3
         assert report.skew_ratio > 2.0
         assert 3 in report.stragglers
@@ -148,7 +157,7 @@ class TestStragglerAnalysis:
             obs.record_span("dist.compute", cmp_s)
         reg.clear_context()
         assert all("worker" not in s.attrs for s in reg.spans)
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert report.slowest_worker == 1
         assert report.critical_path == {0: 1}
 
@@ -162,7 +171,7 @@ class TestChromeTrace:
         with obs.span("measured.outer"):
             obs.record_span("sim.comm", 0.25, worker=2)
         obs.event("marker", note="x")
-        trace = to_chrome_trace()
+        trace = to_chrome_trace(to_dict())
         events = trace["traceEvents"]
         assert events and trace["displayTimeUnit"] == "ms"
         for e in events:
@@ -179,7 +188,7 @@ class TestChromeTrace:
         obs.record_span("s", 0.1, worker=3)
         by_name = {
             e["name"]: e
-            for e in to_chrome_trace()["traceEvents"]
+            for e in to_chrome_trace(to_dict())["traceEvents"]
             if e["ph"] == "X"
         }
         assert by_name["m"]["pid"] == 0
@@ -189,14 +198,15 @@ class TestChromeTrace:
     def test_export_writes_loadable_json(self, tmp_path):
         with obs.span("m"):
             pass
-        path = tmp_path / "trace.json"
-        obs.export_chrome_trace(str(path))
+        trace, path = tmp_path / "trace.json", tmp_path / "chrome.json"
+        obs.export_json(str(trace))
+        assert obsview.main(["chrome", str(trace), str(path)]) == 0
         data = json.loads(path.read_text())
         assert any(e["ph"] == "X" for e in data["traceEvents"])
 
     def test_durations_in_microseconds(self):
         obs.record_span("s", 0.5)
-        x = [e for e in to_chrome_trace()["traceEvents"]
+        x = [e for e in to_chrome_trace(to_dict())["traceEvents"]
              if e["ph"] == "X"][0]
         assert x["dur"] == pytest.approx(0.5e6)
 
@@ -205,7 +215,7 @@ class TestChromeTrace:
         obs.record_span("a", 0.1, worker="ps-0")
         obs.record_span("b", 0.1, worker="trainer-1")
         obs.record_span("c", 0.1, worker=2)
-        events = to_chrome_trace()["traceEvents"]
+        events = to_chrome_trace(to_dict())["traceEvents"]
         by_name = {e["name"]: e for e in events if e["ph"] == "X"}
         # distinct labels -> distinct tids, well clear of int ranks
         assert by_name["a"]["tid"] != by_name["b"]["tid"]
@@ -230,10 +240,10 @@ class TestChromeTrace:
         obs.record_span("a", 0.1, worker="beta")
         obs.record_span("b", 0.1, worker="alpha")
         first = {e["name"]: e["tid"]
-                 for e in to_chrome_trace()["traceEvents"]
+                 for e in to_chrome_trace(to_dict())["traceEvents"]
                  if e["ph"] == "X"}
         second = {e["name"]: e["tid"]
-                  for e in to_chrome_trace()["traceEvents"]
+                  for e in to_chrome_trace(to_dict())["traceEvents"]
                   if e["ph"] == "X"}
         assert first == second
         # sorted-label assignment: alpha < beta regardless of span order
@@ -346,4 +356,4 @@ class TestEndToEnd:
         assert plans and all(p["messages"] > 0 for p in plans)
 
         # The Chrome export renders without error.
-        assert to_chrome_trace()["traceEvents"]
+        assert to_chrome_trace(to_dict())["traceEvents"]

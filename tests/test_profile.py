@@ -25,7 +25,7 @@ from repro.graph import hash_partition, power_law_graph
 from repro.models import gcn
 from repro.obs.analysis import backend_report, render_backend_report
 from repro.obs.export import to_chrome_trace, to_dict
-from repro.obs.profile import profile_report
+from repro.obs.profile import profile_report, render_profile_report
 from repro.tensor import Adam, Tensor
 from repro.tensor.ops import concat, log_softmax, softmax
 from repro.tensor.scatter import scatter_add, scatter_mean, segment_reduce_csr
@@ -180,8 +180,7 @@ class TestEngineProfile:
         engine = FlexGraphEngine(model, ds.graph, strategy="sa", seed=0)
         engine.train_epoch(Tensor(ds.features), ds.labels,
                            Adam(model.parameters(), 0.01), ds.train_mask)
-        report = profile_report()
-        assert report["schema"] == "repro.profile/1"
+        report = profile_report(to_dict())
         assert report["totals"]["flops"] > 0
         assert report["totals"]["arithmetic_intensity"] > 0
         assert "matmul" in report["ops"]
@@ -196,13 +195,14 @@ class TestEngineProfile:
         engine = FlexGraphEngine(model, ds.graph, strategy="ha", seed=0)
         engine.train_epoch(Tensor(ds.features), ds.labels,
                            Adam(model.parameters(), 0.01), ds.train_mask)
-        text = obs.render_profile_report()
+        path = tmp_path / "trace.json"
+        obs.export_json(str(path))
+        report = profile_report(json.loads(path.read_text()))
+        assert report["totals"]["flops"] > 0
+        text = render_profile_report(report)
         assert "work profile:" in text
         assert "matmul" in text
         assert "stage.aggregation" in text
-        path = tmp_path / "profile.json"
-        obs.export_profile(str(path))
-        assert json.loads(path.read_text())["totals"]["flops"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +216,7 @@ class TestBackendReport:
         feats = Tensor(ds.features)
         agg = get_aggregator("sum")
         hierarchical_aggregate(hdg, feats, [agg], strategy)
-        return backend_report()["rows"]
+        return backend_report(to_dict()["events"])["rows"]
 
     def test_backend_events_carry_measured_cost(self, ds):
         rows = self._run_strategy(ds, ExecutionStrategy.HA)
@@ -325,7 +325,7 @@ class TestChromeCounterEvents:
         engine = FlexGraphEngine(model, ds.graph, strategy="ha", seed=0)
         engine.train_epoch(Tensor(ds.features), ds.labels,
                            Adam(model.parameters(), 0.01), ds.train_mask)
-        events = to_chrome_trace()["traceEvents"]
+        events = to_chrome_trace(to_dict())["traceEvents"]
         counters = [e for e in events if e["ph"] == "C"]
         assert counters
         names = {e["name"] for e in counters}
@@ -339,7 +339,7 @@ class TestChromeCounterEvents:
     def test_plain_spans_emit_no_counters(self):
         with obs.span("not.a.work.span"):
             obs.record_op("x", flops=10, bytes_read=1)
-        events = to_chrome_trace()["traceEvents"]
+        events = to_chrome_trace(to_dict())["traceEvents"]
         assert not [e for e in events if e["ph"] == "C"]
 
 
@@ -357,7 +357,7 @@ class TestStragglerWorkSplit:
         # equal work, one worker takes 3x the time
         for w in range(3):
             self._plant(w, 0.3 if w == 2 else 0.1, flops=1000.0)
-        report = obs.straggler_report(threshold=1.2)
+        report = obs.straggler_report(to_dict()["spans"], threshold=1.2)
         assert report.stragglers == [2]
         assert report.work_skew_ratio == pytest.approx(1.0)
         assert report.diagnosis[2] == "slower worker"
@@ -368,7 +368,7 @@ class TestStragglerWorkSplit:
         for w in range(3):
             flops = 3000.0 if w == 2 else 1000.0
             self._plant(w, flops / 1e4, flops=flops)
-        report = obs.straggler_report(threshold=1.2)
+        report = obs.straggler_report(to_dict()["spans"], threshold=1.2)
         assert report.stragglers == [2]
         assert report.work_skew_ratio == pytest.approx(3.0)
         assert report.diagnosis[2] == "more work"
@@ -377,7 +377,7 @@ class TestStragglerWorkSplit:
     def test_to_dict_includes_work_fields(self):
         self._plant(0, 0.1, flops=100.0)
         self._plant(1, 0.5, flops=100.0)
-        d = obs.straggler_report(threshold=1.2).to_dict()
+        d = obs.straggler_report(to_dict()["spans"], threshold=1.2).to_dict()
         assert d["work_skew_ratio"] == pytest.approx(1.0)
         assert d["per_worker"]["0"]["flops"] == 100.0
         assert d["diagnosis"] == {"1": "slower worker"}
@@ -391,7 +391,7 @@ class TestStragglerWorkSplit:
         )
         trainer.train_epoch(Tensor(ds.features), ds.labels,
                             Adam(model.parameters(), 0.01), ds.train_mask)
-        report = obs.straggler_report()
+        report = obs.straggler_report(to_dict()["spans"])
         assert all(row["flops"] > 0 for row in report.per_worker.values())
         # modeled-slow worker, not an overloaded one: hash partition
         # spreads work roughly evenly while worker 3 runs at 0.1x speed

@@ -1,4 +1,7 @@
-"""Tests for tools/trace_summary.py over a real engine-run trace."""
+"""Tests for ``tools/obsview.py summary`` / ``chrome`` over real
+traces: the file a run exports reads back exactly as the run printed
+it, and every reader returns the same from the file as from the live
+registry."""
 
 import json
 import os
@@ -10,13 +13,20 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
 )
 
-import trace_summary  # noqa: E402
+import obsview  # noqa: E402
 
 from repro import obs  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
 from repro.core import FlexGraphEngine  # noqa: E402
 from repro.datasets import load_dataset  # noqa: E402
 from repro.models import gcn  # noqa: E402
+from repro.obs.export import to_chrome_trace, to_dict  # noqa: E402
+from repro.obs.profile import profile_report  # noqa: E402
 from repro.tensor import Adam, Tensor  # noqa: E402
+
+
+def summary(*argv):
+    return obsview.main(["summary", *map(str, argv)])
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +46,13 @@ def trace_path(tmp_path_factory):
 
 class TestSummaryView:
     def test_exit_code_and_header(self, trace_path, capsys):
-        assert trace_summary.main([trace_path]) == 0
+        assert summary(trace_path) == 0
         out = capsys.readouterr().out
         assert trace_path in out
         assert "spans," in out and "events)" in out
 
     def test_summary_names_engine_spans_and_counters(self, trace_path, capsys):
-        trace_summary.main([trace_path])
+        summary(trace_path)
         out = capsys.readouterr().out
         for name in ("engine.train_epoch", "stage.neighbor_selection",
                      "stage.aggregation", "stage.update", "stage.backward"):
@@ -50,9 +60,12 @@ class TestSummaryView:
         # profiler counters ride along in the same trace
         assert "profile.flops" in out
         assert "profile.bytes_read" in out
+        # ... and the work profile, whose backend table prints once
+        assert "work profile:" in out and "ops (by FLOPs):" in out
+        assert out.count("backend cost per strategy/level") == 1
 
     def test_spans_flag_lists_individual_spans(self, trace_path, capsys):
-        trace_summary.main([trace_path, "--spans"])
+        summary(trace_path, "--spans")
         out = capsys.readouterr().out
         assert "stage.aggregation" in out
         assert "ms" in out
@@ -60,13 +73,13 @@ class TestSummaryView:
         assert "flops=" in out
 
     def test_events_flag_lists_backend_events(self, trace_path, capsys):
-        trace_summary.main([trace_path, "--events"])
+        summary(trace_path, "--events")
         out = capsys.readouterr().out
         assert "aggregation.backend" in out
         assert "backend=" in out
 
     def test_limit_truncates_listing(self, trace_path, capsys):
-        trace_summary.main([trace_path, "--spans", "--limit", "2"])
+        summary(trace_path, "--spans", "--limit", "2")
         out = capsys.readouterr().out
         assert "more (raise --limit)" in out
 
@@ -80,27 +93,72 @@ class TestSummaryView:
             "events": [{"name": "pick", "time": 0.1}],
             "counters": {}, "gauges": {}, "histograms": {}, "epochs": {},
         }))
-        assert trace_summary.main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "stage.update" in out and "pick" in out
-        assert trace_summary.main([str(path), "--spans"]) == 1
-        assert "predates the one-record format" in capsys.readouterr().err
+        # Refused, summary and listing alike, naming both schemas.
+        for argv in ((path,), (path, "--spans")):
+            assert summary(*argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "'repro.obs/2'" in captured.err
+            assert "'repro.obs/3'" in captured.err
 
-    def test_unknown_schema_warns_but_renders(self, tmp_path, capsys):
+    def test_unknown_schema_refused(self, tmp_path, capsys):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({
             "schema": "someone.else/9",
             "spans": [], "events": [], "counters": {}, "gauges": {},
         }))
-        assert trace_summary.main([str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "unknown trace schema" in captured.err
-        assert "(0 spans, 0 events)" in captured.out
+        assert summary(path) == 1
+        assert obsview.main(["chrome", str(path),
+                             str(tmp_path / "out.json")]) == 1
+        assert not (tmp_path / "out.json").exists()
+        assert "'someone.else/9'" in capsys.readouterr().err
+
+
+class TestOneTraceFormat:
+    def test_obsview_prints_exactly_what_the_cli_printed(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "trace.json"
+        assert cli_main(["train", "--dataset", "reddit", "--scale", "tiny",
+                         "--model", "gcn", "--epochs", "2",
+                         "--trace", str(path)]) == 0
+        printed = capsys.readouterr().out
+        cli_summary = printed.split(f"trace written to {path}\n", 1)[1]
+        assert summary(path) == 0
+        header, viewed = capsys.readouterr().out.split("\n", 1)
+        assert header.startswith(f"trace: {path}")
+        assert "work profile:" in viewed
+        assert viewed == cli_summary
+
+    def test_readers_agree_on_file_and_live_registry(self, tmp_path):
+        obs.reset()
+        ds = load_dataset("reddit", scale="tiny")
+        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        engine = FlexGraphEngine(model, ds.graph, strategy="sa", seed=0)
+        engine.train_epoch(Tensor(ds.features), ds.labels,
+                           Adam(model.parameters(), 0.01), ds.train_mask)
+        live = to_dict()
+        path = tmp_path / "trace.json"
+        obs.export_json(str(path))
+        obs.reset()
+        with open(path) as fh:
+            from_file = json.load(fh)
+        assert to_chrome_trace(from_file) == to_chrome_trace(live)
+        assert profile_report(from_file) == profile_report(live)
+        assert obs.render_summary(from_file) == obs.render_summary(live)
+
+    def test_chrome_subcommand_writes_the_conversion(self, trace_path,
+                                                     tmp_path, capsys):
+        out = tmp_path / "chrome.json"
+        assert obsview.main(["chrome", trace_path, str(out)]) == 0
+        with open(trace_path) as fh:
+            expected = to_chrome_trace(json.load(fh))
+        assert json.loads(out.read_text()) == expected
+        assert str(out) in capsys.readouterr().out
 
 
 class TestPerRankSections:
     """Regression: merged k=2 multiprocess traces get per-rank sections
-    and a cross-rank critical-path line."""
+    and the straggler report's critical-path line."""
 
     @pytest.fixture(scope="class")
     def merged_trace_path(self, tmp_path_factory):
@@ -131,7 +189,7 @@ class TestPerRankSections:
 
     def test_sections_appear_automatically_for_merged_trace(
             self, merged_trace_path, capsys):
-        assert trace_summary.main([merged_trace_path]) == 0
+        assert summary(merged_trace_path) == 0
         out = capsys.readouterr().out
         assert "per-rank spans:" in out
         assert "rank 0" in out and "rank 1" in out
@@ -140,20 +198,20 @@ class TestPerRankSections:
 
     def test_critical_path_names_bounding_rank(self, merged_trace_path,
                                                capsys):
-        trace_summary.main([merged_trace_path])
+        summary(merged_trace_path)
         out = capsys.readouterr().out
-        assert "cross-rank critical path:" in out
-        # rank 1's layer-0 compute dominates: it bounds the barrier
-        assert "L0->w1" in out
-        assert "slowest rank: w1" in out
+        # rank 1's layer-0 compute dominates: it bounds the barrier.
+        # The straggler report renders both lines, once.
+        assert out.count("critical path per layer: L0->w1") == 1
+        assert out.count("slowest worker: w1") == 1
 
     def test_single_rank_trace_stays_clean_without_flag(self, trace_path,
                                                         capsys):
-        trace_summary.main([trace_path])
+        summary(trace_path)
         out = capsys.readouterr().out
         assert "per-rank spans:" not in out
 
     def test_per_rank_flag_forces_sections(self, merged_trace_path, capsys):
-        trace_summary.main([merged_trace_path, "--per-rank"])
+        summary(merged_trace_path, "--per-rank")
         out = capsys.readouterr().out
         assert "per-rank spans:" in out

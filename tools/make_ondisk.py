@@ -26,9 +26,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.datasets import load_dataset  # noqa: E402
-from repro.datasets.synthetic import ShardedSyntheticSpec  # noqa: E402
-from repro.storage import (  # noqa: E402
+from repro.datasets import load_dataset
+from repro.datasets.synthetic import ShardedSyntheticSpec
+from repro.storage import (
     OnDiskDataset,
     write_ondisk_dataset,
     write_synthetic_ondisk,
