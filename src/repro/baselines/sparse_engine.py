@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from ..core.hdg import HDG, hdg_from_flat_arrays
+from ..core.hdg import HDG, build_hdg, hdg_from_flat_arrays
 from ..core.hybrid import ExecutionStrategy, hierarchical_aggregate
 from ..core.schema import SchemaTree
 from ..core.selection import schema_for_metapaths, select_metapath_neighbors
@@ -138,7 +138,7 @@ class PyTorchEngine(BaselineEngine):
             ds.graph, self.metapaths, max_instances_per_root=self._cap
         )
         roots = np.arange(ds.graph.num_vertices, dtype=np.int64)
-        hdg = HDG.from_records(
+        hdg = build_hdg(
             records, schema_for_metapaths(self.metapaths), roots,
             ds.graph.num_vertices, flat=False,
         )

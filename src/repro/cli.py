@@ -1,4 +1,4 @@
-"""Command-line interface: train models, inspect datasets, compare
+"""Command-line interface: train models, inspect datasets, benchmark
 engines — the operations a downstream user reaches for first.
 
 Usage (installed as the ``flexgraph`` console script, or via
@@ -7,7 +7,6 @@ Usage (installed as the ``flexgraph`` console script, or via
     flexgraph info --dataset reddit --scale small
     flexgraph metrics --dataset twitter
     flexgraph train --model magnn --dataset imdb --strategy ha
-    flexgraph compare --model pinsage --dataset reddit
     flexgraph bench --model gcn --engines dgl flexgraph
     flexgraph distributed --model gcn --dataset twitter --workers 8 --balance
     flexgraph linkpred --model gcn --dataset reddit
@@ -79,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "dataset's own codec must already match)")
     train.add_argument("--loader-workers", type=int, default=2,
                        help="loader worker threads when prefetching")
-
-    compare = sub.add_parser("compare", help="compare engines on one model")
-    _dataset_args(compare)
-    compare.add_argument("--model", choices=("gcn", "pinsage", "magnn"), default="gcn")
-    compare.add_argument("--epochs", type=int, default=2)
 
     dist = sub.add_parser("distributed", help="simulated distributed training")
     _dataset_args(dist)
@@ -294,24 +288,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from .baselines import ENGINES
-    from .datasets import load_dataset
-
-    ds = load_dataset(args.dataset, scale=args.scale)
-    print(f"{args.model} on {ds.name} (seconds/epoch, avg of {args.epochs}):")
-    for name, engine_cls in ENGINES.items():
-        engine = engine_cls(ds, args.model, hidden_dim=32, seed=args.seed,
-                            max_instances_per_root=30)
-        reports = [engine.run_epoch(e) for e in range(args.epochs)]
-        if reports[0].status != "ok":
-            print(f"  {name:10s} {reports[0].cell}")
-        else:
-            mean = float(np.mean([r.seconds for r in reports]))
-            print(f"  {name:10s} {mean:.3f}")
-    return 0
-
-
 def _cmd_distributed(args) -> int:
     from . import obs
     from .core import ADBBalancer, CostModel, FlexGraphEngine, metrics_from_hdg
@@ -458,7 +434,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "metrics": _cmd_metrics,
     "train": _cmd_train,
-    "compare": _cmd_compare,
     "distributed": _cmd_distributed,
     "linkpred": _cmd_linkpred,
     "bench": _cmd_bench,

@@ -39,8 +39,8 @@ __all__ = [
 class HDG:
     """Collective hierarchical dependency graph for a set of root vertices.
 
-    Use :func:`build_hdg` (or ``HDG.from_records``) rather than the raw
-    constructor.
+    Use :func:`build_hdg` (or one of the ``hdg_from_*`` array builders)
+    rather than the raw constructor.
 
     Attributes
     ----------
@@ -339,120 +339,6 @@ class HDG:
             f"num_leaf_edges={self.leaf_vertices.size}, schema={self.schema.leaf_types})"
         )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_records(
-        cls,
-        records: list[NeighborRecord],
-        schema: SchemaTree,
-        roots: np.ndarray,
-        num_input_vertices: int,
-        flat: bool | None = None,
-    ) -> "HDG":
-        """Build the compact HDG from NeighborSelection's formatted records.
-
-        This is the top-down construction of Section 4.1: records are
-        grouped by (root, type) slot, instances ordered consecutively per
-        slot (which is what lets the in-between Dst array be elided), and
-        leaves concatenated per instance.
-
-        Parameters
-        ----------
-        records:
-            One record per neighbor instance.
-        schema:
-            The model's global schema tree.
-        roots:
-            All root vertex ids the HDG should cover (roots with no
-            records get empty neighborhoods).
-        num_input_vertices:
-            Vertex count of the input graph (leaf id space).
-        flat:
-            Force flat/hierarchical layout; default auto-detects (flat iff
-            the schema is trivial and every record has exactly one leaf).
-        """
-        roots = np.asarray(roots, dtype=np.int64)
-        root_order = {int(r): i for i, r in enumerate(roots)}
-        if flat is None:
-            flat = schema.is_trivial and all(len(r.leaves) == 1 for r in records)
-
-        for rec in records:
-            if rec.nei_type >= schema.num_leaves:
-                raise ValueError(
-                    f"record type {rec.nei_type} out of range for schema with "
-                    f"{schema.num_leaves} leaf types"
-                )
-            if rec.root not in root_order:
-                raise ValueError(f"record root {rec.root} not in the HDG root set")
-
-        if flat:
-            return cls._build_flat(records, schema, roots, root_order, num_input_vertices)
-        return cls._build_hierarchical(records, schema, roots, root_order, num_input_vertices)
-
-    @classmethod
-    def _build_flat(cls, records, schema, roots, root_order, num_input_vertices) -> "HDG":
-        num_roots = roots.size
-        owners = np.fromiter((root_order[r.root] for r in records), dtype=np.int64, count=len(records))
-        order = np.argsort(owners, kind="stable")
-        leaf_vertices = np.fromiter(
-            (records[i].leaves[0] for i in order), dtype=np.int64, count=len(records)
-        )
-        weights = None
-        if records and records[0].weight is not None:
-            weights = np.fromiter(
-                (records[i].weight if records[i].weight is not None else 1.0 for i in order),
-                dtype=np.float64,
-                count=len(records),
-            )
-        counts = np.bincount(owners, minlength=num_roots)
-        leaf_offsets = np.zeros(num_roots + 1, dtype=np.int64)
-        np.cumsum(counts, out=leaf_offsets[1:])
-        return cls(
-            roots, schema, leaf_vertices, leaf_offsets,
-            instance_offsets=None, leaf_weights=weights,
-            num_input_vertices=num_input_vertices,
-        )
-
-    @classmethod
-    def _build_hierarchical(cls, records, schema, roots, root_order, num_input_vertices) -> "HDG":
-        num_roots = roots.size
-        num_leaves = schema.num_leaves
-        slots = np.fromiter(
-            (root_order[r.root] * num_leaves + r.nei_type for r in records),
-            dtype=np.int64,
-            count=len(records),
-        )
-        order = np.argsort(slots, kind="stable")
-        # Instances in slot order; leaves concatenated per instance.
-        leaf_counts = np.fromiter((len(records[i].leaves) for i in order), dtype=np.int64, count=len(records))
-        leaf_offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(leaf_counts, out=leaf_offsets[1:])
-        leaf_vertices = np.empty(int(leaf_counts.sum()), dtype=np.int64)
-        pos = 0
-        for i in order:
-            leaves = records[i].leaves
-            leaf_vertices[pos : pos + len(leaves)] = leaves
-            pos += len(leaves)
-        weights = None
-        if records and records[0].weight is not None:
-            weights = np.empty(leaf_vertices.size, dtype=np.float64)
-            pos = 0
-            for i in order:
-                w = records[i].weight if records[i].weight is not None else 1.0
-                span = len(records[i].leaves)
-                weights[pos : pos + span] = w
-                pos += span
-        slot_counts = np.bincount(slots, minlength=num_roots * num_leaves)
-        instance_offsets = np.zeros(num_roots * num_leaves + 1, dtype=np.int64)
-        np.cumsum(slot_counts, out=instance_offsets[1:])
-        return cls(
-            roots, schema, leaf_vertices, leaf_offsets,
-            instance_offsets=instance_offsets, leaf_weights=weights,
-            num_input_vertices=num_input_vertices,
-        )
-
 
 class MemmapHDG(HDG):
     """A flat HDG whose CSC arrays are memory-mapped files.
@@ -533,8 +419,8 @@ def hdg_from_flat_arrays(
     """Vectorized flat-HDG construction from parallel arrays.
 
     ``owner_roots[i]`` owns neighbor ``leaf_ids[i]`` (optionally weighted).
-    This is the bulk path the PinSage NeighborSelection uses — equivalent
-    to :meth:`HDG.from_records` over single-leaf records, but without
+    This is the bulk path the PinSage NeighborSelection uses, and the
+    layout :func:`build_hdg` produces for single-leaf records — without
     constructing per-record Python objects.
     """
     roots = np.asarray(roots, dtype=np.int64)
@@ -570,8 +456,9 @@ def hdg_from_instance_arrays(
 
     ``instance_roots``/``instance_types`` describe one neighbor instance
     per entry; instance ``i`` owns ``leaf_counts[i]`` consecutive vertices
-    in ``leaf_flat``.  This is the bulk path MAGNN's metapath matcher
-    uses — semantically identical to :meth:`HDG.from_records`.
+    in ``leaf_flat``; ``weights`` is one per leaf.  This is the bulk
+    path MAGNN's metapath matcher uses, and the layout :func:`build_hdg`
+    produces for hierarchical records.
     """
     roots = np.asarray(roots, dtype=np.int64)
     instance_roots = np.asarray(instance_roots, dtype=np.int64)
@@ -652,5 +539,61 @@ def build_hdg(
     num_input_vertices: int,
     flat: bool | None = None,
 ) -> HDG:
-    """Functional alias of :meth:`HDG.from_records`."""
-    return HDG.from_records(records, schema, roots, num_input_vertices, flat)
+    """Build the compact HDG from NeighborSelection's formatted records.
+
+    This is the top-down construction of Section 4.1: records are
+    grouped by (root, type) slot, instances ordered consecutively per
+    slot (which is what lets the in-between Dst array be elided), and
+    leaves concatenated per instance.  The records become parallel
+    arrays for :func:`hdg_from_flat_arrays` /
+    :func:`hdg_from_instance_arrays`, which compute the layout.
+
+    Parameters
+    ----------
+    records:
+        One record per neighbor instance.
+    schema:
+        The model's global schema tree.
+    roots:
+        All root vertex ids the HDG should cover (roots with no
+        records get empty neighborhoods).
+    num_input_vertices:
+        Vertex count of the input graph (leaf id space).
+    flat:
+        Force flat/hierarchical layout; default auto-detects (flat iff
+        the schema is trivial and every record has exactly one leaf).
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    n = len(records)
+    owners = np.fromiter((r.root for r in records), dtype=np.int64, count=n)
+    types = np.fromiter((r.nei_type for r in records), dtype=np.int64, count=n)
+    counts = np.fromiter((len(r.leaves) for r in records), dtype=np.int64, count=n)
+    bad_type = np.flatnonzero(types >= schema.num_leaves)
+    if bad_type.size:
+        raise ValueError(
+            f"record type {types[bad_type[0]]} out of range for schema with "
+            f"{schema.num_leaves} leaf types"
+        )
+    bad_root = np.flatnonzero(~np.isin(owners, roots))
+    if bad_root.size:
+        raise ValueError(f"record root {owners[bad_root[0]]} not in the HDG root set")
+    if flat is None:
+        flat = schema.is_trivial and bool(np.all(counts == 1))
+    # A ``None`` weight counts as 1.0 once the first record carries one.
+    weights = None
+    if records and records[0].weight is not None:
+        weights = np.fromiter(
+            (1.0 if r.weight is None else r.weight for r in records),
+            dtype=np.float64, count=n,
+        )
+    if flat:
+        leaf_ids = np.fromiter((r.leaves[0] for r in records), dtype=np.int64, count=n)
+        return hdg_from_flat_arrays(schema, roots, owners, leaf_ids, weights,
+                                    num_input_vertices)
+    leaf_flat = np.fromiter(
+        (v for r in records for v in r.leaves), dtype=np.int64, count=int(counts.sum())
+    )
+    return hdg_from_instance_arrays(
+        schema, roots, owners, types, leaf_flat, counts, num_input_vertices,
+        weights=None if weights is None else np.repeat(weights, counts),
+    )

@@ -14,9 +14,14 @@ from .fault_tolerance import (
     RecoveryEvent,
     WorkerFailure,
 )
-from .comm import CommConfig
+from .comm import (
+    CommConfig,
+    CommPlan,
+    DependencyStats,
+    dependency_stats,
+    plan_layer_comm,
+)
 from .kvstore import KVStore, SharedArray
-from .commplan import CommPlan, DependencyStats, dependency_stats, plan_layer_comm
 from .runtime import MultiprocessEpochStats, MultiprocessTrainer
 from .trainer import DistributedEpochStats, DistributedTrainer
 

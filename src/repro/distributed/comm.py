@@ -1,31 +1,41 @@
-"""The ``Comm`` abstraction: one accounting interface, two backends.
+"""The network layer: the alpha-beta model, §5's communication plans,
+rank-ordered slab reduction and the worker-process barrier.
 
-Every distributed code path talks to a :class:`Comm`:
+The paper's testbed is a 16-machine cluster with 3.25 GB/s NICs; in its
+place this module *models* network time with the standard alpha-beta
+model: a message of ``b`` bytes costs ``alpha + b / beta`` seconds, and
+each worker's per-layer communication time is the sum over the messages
+it sends plus those it receives (workers send and receive concurrently
+with respect to each other, but serially with respect to their own
+messages — a conservative, standard assumption).  Bandwidth defaults
+are scaled down consistently with the dataset scale so compute and
+communication remain comparable, matching the compute/comm ratios the
+paper's optimizations (batching, overlap) act on.
 
-* :class:`SimulatedComm` — the deterministic test harness.  The paper's
-  testbed is a 16-machine cluster with 3.25 GB/s NICs; when no cluster
-  is available the runtime executes all workers in one process and
-  *models* network time with the standard alpha-beta model: a message of
-  ``b`` bytes costs ``alpha + b / beta`` seconds, and each worker's
-  per-step communication time is the sum over messages it sends plus
-  receives (workers send and receive concurrently with respect to each
-  other, but serially with respect to their own messages — a
-  conservative, standard assumption).
-* :class:`ProcessComm` — the real multi-process backend used by
-  :class:`~repro.distributed.runtime.MultiprocessTrainer`.  Workers are
-  OS processes; synchronization is a :class:`multiprocessing.Barrier`
-  and reductions run over shared-memory numpy slabs.  It keeps the
-  same byte/message accounting so traces and epoch logs carry
-  comparable traffic totals.
+* :class:`CommConfig` — the model's parameters and its arithmetic
+  (:meth:`~CommConfig.message_time`, :meth:`~CommConfig.allreduce_time`).
+* :func:`dependency_stats` / :func:`plan_layer_comm` — what one layer
+  must move between partitions, and what that costs each worker under a
+  naive, batched or pipelined plan:
 
-Both backends reduce gradients with :meth:`Comm.reduce_slabs`, a
-ring-style reduce-scatter: each rank owns one contiguous chunk and sums
-it across the ranks' slabs in rank order, so the result is bitwise
-deterministic and identical whichever backend ran the ranks.
-
-Bandwidth defaults are scaled down consistently with the dataset scale so
-compute and communication remain comparable, matching the compute/comm
-ratios the paper's optimizations (batching, overlap) act on.
+  - **naive** — every remote leaf feature is fetched individually, then
+    aggregation starts (the dataflow-style baseline Euler uses: "starts
+    the Aggregate operation after all required features are
+    synchronized");
+  - **batched** — features bound for the same worker travel in one
+    assembled message (always available, even for non-commutative
+    aggregators);
+  - **pipelined** — additionally applies *partial aggregation*: the
+    sender pre-reduces, per (root, remote partition), everything it owns
+    into a single ``dim``-sized message, and the receiver overlaps its
+    local partial aggregation with the transfer.  Valid only when the
+    bottom-level aggregation function is commutative.
+* :func:`allreduce_traffic` — the bytes and messages one rank moves in a
+  ring allreduce.
+* :func:`reduce_slabs` — one rank's share of a rank-ordered
+  reduce-scatter, bitwise the same whichever trainer runs the ranks.
+* :class:`ProcessComm` — the barrier the worker processes of
+  :class:`~repro.distributed.runtime.MultiprocessTrainer` meet at.
 """
 
 from __future__ import annotations
@@ -36,19 +46,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import counter as _obs_counter
+from .. import obs
+from ..core.hdg import HDG
 
 __all__ = [
     "CommConfig",
-    "Comm",
-    "SimulatedComm",
+    "DependencyStats",
+    "dependency_stats",
+    "CommPlan",
+    "plan_layer_comm",
+    "allreduce_traffic",
+    "reduce_slabs",
     "ProcessComm",
     "BYTES_COUNTER",
     "MESSAGES_COUNTER",
 ]
 
-#: obs counters fed by every cross-worker send, so traces carry global
-#: traffic totals without the caller having to thread them through.
+#: obs counters fed by every plan and every multiprocess epoch, so traces
+#: carry global traffic totals without the caller threading them through.
 BYTES_COUNTER = "comm.bytes"
 MESSAGES_COUNTER = "comm.messages"
 
@@ -60,143 +75,198 @@ class CommConfig:
     latency: float = 5e-5          # seconds per message
     bandwidth: float = 200e6       # bytes/second (scaled-down 3.25 GB/s NIC)
 
-    def message_time(self, nbytes: float, messages: int = 1) -> float:
+    def message_time(self, nbytes: float | np.ndarray,
+                     messages: int | np.ndarray = 1) -> float | np.ndarray:
+        """Seconds to move ``messages`` messages totalling ``nbytes``;
+        scalars, or per-worker arrays."""
         return self.latency * messages + nbytes / self.bandwidth
+
+    def allreduce_time(self, nbytes: float, k: int) -> float:
+        """Ring-allreduce cost of an ``nbytes`` buffer over ``k``
+        workers (parameter sync): ``2 (k-1)`` chunks of ``nbytes / k``."""
+        if k == 1:
+            return 0.0
+        return 2 * (k - 1) * self.message_time(nbytes / k, 1)
+
+
+def allreduce_traffic(nbytes: float, k: int) -> tuple[float, int]:
+    """(bytes, messages) one worker moves in a ring allreduce of
+    ``nbytes`` — ``2 (k-1)`` chunk messages of ``nbytes / k`` each."""
+    if k == 1:
+        return 0.0, 0
+    steps = 2 * (k - 1)
+    return steps * nbytes / k, steps
+
+
+def reduce_slabs(slabs: list[np.ndarray], out: np.ndarray, rank: int) -> None:
+    """Rank ``rank``'s share of a ring-style reduce-scatter over the
+    ``k = len(slabs)`` ranks' slabs.
+
+    Rank ``r`` owns the ``r``-th contiguous chunk of the flattened
+    output and sums that chunk across every rank's slab *in rank order*
+    — a fixed reduction order, so the result is bitwise deterministic
+    regardless of scheduling, and the same whether the k chunks are
+    reduced by k processes or one after another.  With ``out`` in shared
+    memory the all-gather half of the ring is free; the caller supplies
+    any barriers around the reduction.
+    """
+    flat_out = out.reshape(-1)
+    bounds = np.linspace(0, flat_out.size, len(slabs) + 1).astype(np.int64)
+    lo, hi = int(bounds[rank]), int(bounds[rank + 1])
+    if lo == hi:
+        return
+    acc = np.array(slabs[0].reshape(-1)[lo:hi], dtype=flat_out.dtype)
+    for slab in slabs[1:]:
+        acc += slab.reshape(-1)[lo:hi]
+    flat_out[lo:hi] = acc
+
+
+# ----------------------------------------------------------------------
+# §5 communication plans
+# ----------------------------------------------------------------------
+@dataclass
+class DependencyStats:
+    """Cross-partition dependency counts for one HDG + partition."""
+
+    k: int
+    #: remote bottom-level edges per pair — the per-root feature
+    #: collection of the straightforward path ("first collect features of
+    #: its 1-hop neighbors at other partitions"); drives naive/batched
+    remote_edges_per_pair: np.ndarray    # (k, k) counts, [dst_worker, src_worker]
+    #: unique (worker, remote leaf vertex) pairs (analysis/diagnostics)
+    remote_leaves_per_pair: np.ndarray   # (k, k)
+    #: unique (root, remote partition) pairs; drives partial aggregation
+    partial_messages_per_pair: np.ndarray  # (k, k)
+    #: bottom-level edge counts whose leaf is local vs remote, per worker
+    local_edges: np.ndarray              # (k,)
+    remote_edges: np.ndarray             # (k,)
+
+
+def dependency_stats(hdg: HDG, labels: np.ndarray, k: int) -> DependencyStats:
+    """Vectorized cross-partition dependency accounting."""
+    labels = np.asarray(labels, dtype=np.int64)
+    root_per_edge = hdg.root_of_leaf_edges()          # root order per edge
+    root_vertex = hdg.roots[root_per_edge]            # global root id
+    leaf_vertex = hdg.leaf_vertices
+    w_root = labels[root_vertex]
+    w_leaf = labels[leaf_vertex]
+    remote = w_root != w_leaf
+
+    remote_edge_pairs = np.zeros((k, k), dtype=np.int64)
+    remote_leaves = np.zeros((k, k), dtype=np.int64)
+    partial_msgs = np.zeros((k, k), dtype=np.int64)
+    local_edges = np.zeros(k, dtype=np.int64)
+    remote_edges = np.zeros(k, dtype=np.int64)
+
+    np.add.at(local_edges, w_root[~remote], 1)
+    np.add.at(remote_edges, w_root[remote], 1)
+
+    if remote.any():
+        dst_w = w_root[remote]
+        src_w = w_leaf[remote]
+        np.add.at(remote_edge_pairs.reshape(-1), dst_w * k + src_w, 1)
+        # Unique (dst worker, src worker, leaf) triples -> dedup fetch counts.
+        leaf = leaf_vertex[remote]
+        triple = (dst_w * k + src_w) * hdg.num_input_vertices + leaf
+        uniq = np.unique(triple)
+        pair = uniq // hdg.num_input_vertices
+        np.add.at(remote_leaves.reshape(-1), pair, 1)
+        # Unique (root, src worker) pairs -> partial-aggregation messages.
+        root = root_vertex[remote]
+        pair2 = root.astype(np.int64) * k + src_w
+        uniq2 = np.unique(pair2)
+        dst_of = labels[uniq2 // k]
+        src_of = uniq2 % k
+        np.add.at(partial_msgs.reshape(-1), dst_of * k + src_of, 1)
+    return DependencyStats(
+        k, remote_edge_pairs, remote_leaves, partial_msgs, local_edges, remote_edges
+    )
 
 
 @dataclass
-class _WorkerTraffic:
-    sent_bytes: float = 0.0
-    sent_messages: int = 0
-    recv_bytes: float = 0.0
-    recv_messages: int = 0
+class CommPlan:
+    """Per-worker modeled communication seconds for one layer."""
+
+    mode: str
+    per_worker_seconds: np.ndarray
+    total_bytes: float
+    total_messages: int
+    #: True when comm may overlap the worker's local partial aggregation
+    overlaps_compute: bool
 
 
-class Comm:
-    """Per-superstep message accounting across ``k`` workers.
+def plan_layer_comm(
+    stats: DependencyStats,
+    feat_bytes: int,
+    config: CommConfig,
+    mode: str = "pipelined",
+    commutative: bool = True,
+) -> CommPlan:
+    """Model one layer's communication under a synchronization plan.
 
-    The accounting and the alpha-beta cost model are backend-independent:
-    the simulated backend uses :meth:`worker_step_time` as the *actual*
-    communication time, the multiprocess backend records the same byte
-    and message totals next to measured wall-clock synchronization time
-    so the two runtimes produce comparable traces.
+    Parameters
+    ----------
+    stats:
+        Output of :func:`dependency_stats`.
+    feat_bytes:
+        Bytes of one vertex feature row at this layer (dim * 8).
+    mode:
+        ``naive`` | ``batched`` | ``pipelined``.
+    commutative:
+        Whether the bottom-level aggregator admits partial aggregation;
+        a pipelined plan falls back to batching when it does not (§5).
     """
-
-    def __init__(self, k: int, config: CommConfig | None = None):
-        if k <= 0:
-            raise ValueError("need at least one worker")
-        self.k = k
-        self.config = config or CommConfig()
-        self._traffic = [_WorkerTraffic() for _ in range(k)]
-        self.total_bytes = 0.0
-        self.total_messages = 0
-        #: the rank this copy acts for, in backends with one process per
-        #: rank (see :meth:`ProcessComm.bind`)
-        self.rank: int | None = None
-
-    def send(self, src: int, dst: int, nbytes: float, messages: int = 1) -> None:
-        """Record ``messages`` messages totalling ``nbytes`` from src to dst."""
-        if not (0 <= src < self.k and 0 <= dst < self.k):
-            raise ValueError("worker id out of range")
-        if src == dst:
-            return  # local delivery is free
-        self._traffic[src].sent_bytes += nbytes
-        self._traffic[src].sent_messages += messages
-        self._traffic[dst].recv_bytes += nbytes
-        self._traffic[dst].recv_messages += messages
-        self.total_bytes += nbytes
-        self.total_messages += messages
-        _obs_counter(BYTES_COUNTER).add(nbytes)
-        _obs_counter(MESSAGES_COUNTER).add(messages)
-
-    def worker_step_time(self, worker: int) -> float:
-        """Modeled communication seconds for one worker this superstep."""
-        t = self._traffic[worker]
-        return self.config.message_time(
-            t.sent_bytes + t.recv_bytes, t.sent_messages + t.recv_messages
-        )
-
-    def step_times(self) -> np.ndarray:
-        return np.array([self.worker_step_time(w) for w in range(self.k)])
-
-    def end_step(self) -> np.ndarray:
-        """Return per-worker comm times and reset the superstep counters."""
-        times = self.step_times()
-        self._traffic = [_WorkerTraffic() for _ in range(self.k)]
-        return times
-
-    def allreduce_time(self, nbytes: float) -> float:
-        """Ring-allreduce cost for a buffer of ``nbytes`` (parameter sync)."""
-        if self.k == 1:
-            return 0.0
-        steps = 2 * (self.k - 1)
-        chunk = nbytes / self.k
-        return steps * self.config.message_time(chunk, 1)
-
-    def allreduce_traffic(self, nbytes: float) -> tuple[float, int]:
-        """(bytes, messages) one worker moves in a ring allreduce of
-        ``nbytes`` — ``2 (k-1)`` chunk messages of ``nbytes / k`` each."""
-        if self.k == 1:
-            return 0.0, 0
-        steps = 2 * (self.k - 1)
-        return steps * nbytes / self.k, steps
-
-    def reduce_slabs(self, slabs: list[np.ndarray], out: np.ndarray,
-                     rank: int | None = None) -> None:
-        """Rank ``rank``'s share of a ring-style reduce-scatter.
-
-        Rank ``r`` owns the ``r``-th contiguous chunk of the flattened
-        output and sums that chunk across every rank's slab *in rank
-        order* — a fixed reduction order, so the result is bitwise
-        deterministic regardless of scheduling, and the same whether the
-        k chunks are reduced by k processes or one after another.  With
-        ``out`` in shared memory the all-gather half of the ring is
-        free; the caller supplies any barriers around the reduction.
-        ``rank`` defaults to the bound :attr:`rank`.
-        """
-        if rank is None:
-            rank = self.rank
-        if rank is None:
-            raise RuntimeError("reduce_slabs needs a bound rank")
-        if len(slabs) != self.k:
-            raise ValueError(f"expected {self.k} slabs, got {len(slabs)}")
-        flat_out = out.reshape(-1)
-        size = flat_out.size
-        bounds = np.linspace(0, size, self.k + 1).astype(np.int64)
-        lo, hi = int(bounds[rank]), int(bounds[rank + 1])
-        if lo == hi:
-            return
-        acc = np.array(slabs[0].reshape(-1)[lo:hi], dtype=flat_out.dtype)
-        for r in range(1, self.k):
-            acc += slabs[r].reshape(-1)[lo:hi]
-        flat_out[lo:hi] = acc
-
-    # ------------------------------------------------------------------
-    # synchronization — no-ops for accounting-only backends
-    # ------------------------------------------------------------------
-    def barrier(self) -> float:
-        """Synchronize all workers; returns seconds spent waiting."""
-        return 0.0
-
-    def close(self) -> None:
-        """Release backend resources (no-op for in-process backends)."""
+    if mode == "pipelined" and not commutative:
+        mode_effective = "batched"
+    else:
+        mode_effective = mode
+    if mode_effective not in ("naive", "batched", "pipelined"):
+        raise ValueError(f"unknown comm mode {mode!r}")
+    # Pipelined applies partial aggregation: one dim-sized value per
+    # (root, remote partition).  Naive and batched ship the per-root
+    # remote leaf features of §5's straightforward collection.
+    overlaps = mode_effective == "pipelined"
+    counts = np.array(stats.partial_messages_per_pair if overlaps
+                      else stats.remote_edges_per_pair, dtype=np.int64)
+    np.fill_diagonal(counts, 0)  # local delivery is free
+    # Naive sends one message per remote leaf feature *per root*; the
+    # others assemble everything bound for one (src, dst) pair into one.
+    messages = counts if mode_effective == "naive" else (counts > 0).astype(np.int64)
+    nbytes = counts * feat_bytes
+    # counts are [dst, src]: a worker pays for its column (what it
+    # sends) plus its row (what it receives).
+    per_worker = config.message_time(nbytes.sum(axis=0) + nbytes.sum(axis=1),
+                                     messages.sum(axis=0) + messages.sum(axis=1))
+    total_bytes = float(nbytes.sum())
+    total_messages = int(messages.sum())
+    obs.counter(BYTES_COUNTER).add(total_bytes)
+    obs.counter(MESSAGES_COUNTER).add(total_messages)
+    obs.event(
+        "comm.plan",
+        mode=mode_effective,
+        requested_mode=mode,
+        bytes=total_bytes,
+        messages=total_messages,
+        overlaps_compute=overlaps,
+    )
+    return CommPlan(
+        mode=mode_effective,
+        per_worker_seconds=per_worker,
+        total_bytes=total_bytes,
+        total_messages=total_messages,
+        overlaps_compute=overlaps,
+    )
 
 
-class SimulatedComm(Comm):
-    """The deterministic single-process harness: pure accounting.
-
-    All workers run in one process; :meth:`Comm.worker_step_time` *is*
-    the communication time, so results are exactly reproducible.
-    """
-
-
-class ProcessComm(Comm):
-    """Real synchronization for ``k`` worker OS processes.
+# ----------------------------------------------------------------------
+# the process barrier
+# ----------------------------------------------------------------------
+class ProcessComm:
+    """The barrier ``k`` worker OS processes meet at.
 
     Created in the parent before the workers are spawned; the barrier
-    and its state travel to each worker through process inheritance (or
-    pickling under the ``spawn`` start method).  Each worker calls
-    :meth:`bind` with its rank once it is running.
+    travels to each worker through process inheritance (or pickling
+    under the ``spawn`` start method).
 
     Parameters
     ----------
@@ -204,9 +274,6 @@ class ProcessComm(Comm):
         Number of worker processes (the parent is *not* a barrier party;
         it observes progress through result queues so a dead worker is
         detected by liveness polling, not by a broken barrier).
-    config:
-        Cost model used for the byte/message *accounting* columns; the
-        measured times are wall clocks.
     ctx:
         ``multiprocessing`` context; defaults to ``fork`` where
         available (zero-copy inheritance), else the platform default.
@@ -216,56 +283,37 @@ class ProcessComm(Comm):
         abandoned (the parent detects the death independently).
     """
 
-    def __init__(self, k: int, config: CommConfig | None = None, *,
-                 ctx: mp.context.BaseContext | None = None,
+    def __init__(self, k: int, *, ctx: mp.context.BaseContext | None = None,
                  timeout: float = 120.0):
-        super().__init__(k, config)
+        if k <= 0:
+            raise ValueError("need at least one worker")
         if ctx is None:
             try:
                 ctx = mp.get_context("fork")
             except ValueError:  # pragma: no cover - non-posix platforms
                 ctx = mp.get_context()
+        self.k = k
         self.ctx = ctx
         self.timeout = float(timeout)
         self._barrier = ctx.Barrier(k)
-        #: per-process liveness hook (see :meth:`bind`); not pickled —
-        #: each worker installs its own after spawn
-        self._heartbeat = None
-
-    def bind(self, rank: int, heartbeat=None) -> None:
-        """Attach this (per-process) copy to a worker rank.
-
-        ``heartbeat``, when given, is called ``heartbeat("enter")`` as
-        the worker parks at a barrier and ``heartbeat("exit")`` when the
-        barrier releases — the live-telemetry plane uses it to mark the
-        worker as *waiting* (a frozen heartbeat at a barrier means a
-        peer stalled, not this rank) and to prove progress on release.
-        """
-        if not (0 <= rank < self.k):
-            raise ValueError("rank out of range")
-        self.rank = rank
-        self._heartbeat = heartbeat
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_heartbeat"] = None  # process-local, never travels
-        return state
 
     def barrier(self) -> float:
         """Wait for all ``k`` workers; returns measured seconds waited.
+
+        Entering is a transition into the ``barrier`` phase, so the stall
+        detector and a post-mortem see a parked rank as a victim, not as
+        frozen mid-forward.  Leaving needs no record of its own: the
+        ``dist.comm`` span or phase transition that follows is the
+        progress beat.
 
         Raises :class:`threading.BrokenBarrierError` when a peer died or
         the timeout elapsed — callers abandon the epoch and let the
         parent heal the pool.
         """
-        if self._heartbeat is not None:
-            self._heartbeat("enter")
+        obs.phase("barrier")
         start = time.perf_counter()
         self._barrier.wait(self.timeout)
-        waited = time.perf_counter() - start
-        if self._heartbeat is not None:
-            self._heartbeat("exit")
-        return waited
+        return time.perf_counter() - start
 
     def reset(self) -> None:
         """Replace the barrier before respawning workers.

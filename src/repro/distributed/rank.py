@@ -22,9 +22,8 @@ boundary buffer; parameter gradients move to the rank's slab after
 every layer, so k programs may share one model in one process.  Both
 distributed trainers drive this program — k of them round-robin in one
 process, or one per worker process over shared memory — reduce with the
-same rank-ordered :meth:`Comm.reduce_slabs
-<repro.distributed.comm.Comm.reduce_slabs>` and finish with
-:func:`parent_step`, so the two backends agree bitwise.
+same rank-ordered :func:`~repro.distributed.comm.reduce_slabs` and
+finish with :func:`parent_step`, so the two backends agree bitwise.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ numpy views, see :mod:`repro.distributed.kvstore`):
 * the epoch's :class:`~repro.distributed.rank.Buffers` — layer-boundary
   activations and gradients, per-rank slabs and the reduced parameter
   gradient, each a :class:`SharedArray`.  Every slab sync point is a
-  barrier, this rank's chunk of :meth:`Comm.reduce_slabs`, and a
-  second barrier.  A rank's ``comm_seconds`` is its barrier waits plus
-  the time it spent reducing its own chunks (each ``dist.comm`` span's
-  ``reduce_s``).
+  barrier, this rank's chunk of
+  :func:`~repro.distributed.comm.reduce_slabs`, and a second barrier.
+  A rank's ``comm_seconds`` is its barrier waits plus the time it spent
+  reducing its own chunks (each ``dist.comm`` span's ``reduce_s``).
 
 Each worker sizes its BLAS pool at start-up to
 ``max(1, len(os.sched_getaffinity(0)) // k)`` threads, so k ranks share
@@ -97,8 +97,14 @@ from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
-from .comm import BYTES_COUNTER, MESSAGES_COUNTER, CommConfig, ProcessComm
-from .commplan import dependency_stats
+from .comm import (
+    BYTES_COUNTER,
+    MESSAGES_COUNTER,
+    ProcessComm,
+    allreduce_traffic,
+    dependency_stats,
+    reduce_slabs,
+)
 from .fault_tolerance import WorkerFailure
 from .kvstore import KVStore, SharedArray
 from .rank import AWAIT_GRAD, FORWARD, Buffers, Rank, parent_step
@@ -239,16 +245,6 @@ class _WorkerRuntime:
                 spec.flight_dir, f"journal-rank{spec.rank}.jsonl")))
 
     @staticmethod
-    def _on_barrier(event: str) -> None:
-        """Barrier hook: entering a barrier is a transition into the
-        waiting phase (so the stall detector and a post-mortem see
-        barrier-parked ranks as victims, not as frozen mid-forward).
-        Leaving needs no record of its own: the ``dist.comm`` span or
-        phase transition that follows is the progress beat."""
-        if event == "enter":
-            obs.phase("barrier")
-
-    @staticmethod
     def _die(reason: str) -> None:
         """Die the way a segfault would — but the black box records the
         final stack first (the journal's ``os.write`` puts it in the
@@ -370,10 +366,10 @@ class _WorkerRuntime:
             else:
                 obs.phase(sync.name, layer=sync.layer)
                 t0 = time.perf_counter()
-                self.comm.reduce_slabs(sync.slabs, sync.out)
+                reduce_slabs(sync.slabs, sync.out, self.rank)
                 reduce_s = time.perf_counter() - t0
                 wait += self.comm.barrier()
-                nbytes, messages = self.comm.allreduce_traffic(sync.nbytes)
+                nbytes, messages = allreduce_traffic(sync.nbytes, self.k)
             comm_s += wait + reduce_s
             bytes_total += nbytes
             messages_total += messages
@@ -414,9 +410,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
         # before any layer runs.  Here and nowhere process-wide — the
         # parent and single-process training keep every core.
         blas = _pin_blas(spec.k)
-        runtime = _WorkerRuntime(spec, blas)
-        spec.comm.bind(spec.rank, heartbeat=runtime._on_barrier)
-        runtime.run()
+        _WorkerRuntime(spec, blas).run()
     except BaseException:  # noqa: BLE001 - ship any failure to the parent
         tb = traceback.format_exc()
         # The crash hook: the journal's last record is the traceback.
@@ -446,7 +440,6 @@ class MultiprocessTrainer:
         graph,
         partition_labels: np.ndarray,
         strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
-        comm_config: CommConfig | None = None,
         seed: int = 0,
         ctx=None,
         timeout: float = 120.0,
@@ -459,14 +452,12 @@ class MultiprocessTrainer:
         self.labels_part = self.partition.labels
         self.k = self.partition.k
         self.strategy = ExecutionStrategy.parse(strategy)
-        self.comm_config = comm_config or CommConfig()
         self.timeout = float(timeout)
         self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed),
                               span="dist.neighbor_selection")
         # The parent slices each rank's sub-HDG and ships it.
         self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
-        self.comm = ProcessComm(self.k, self.comm_config, ctx=ctx,
-                                timeout=self.timeout)
+        self.comm = ProcessComm(self.k, ctx=ctx, timeout=self.timeout)
         self.ctx = self.comm.ctx
         self.kv = KVStore(ctx=self.ctx)
         self._param_keys = [

@@ -5,7 +5,7 @@ The trainer runs the *real* program of every rank
 aggregation + update, a cut-tape backward, rank-ordered gradient
 reductions) in one process, stepping the k programs round-robin from
 one sync point to the next, and combines their measured times with
-modeled network time from :mod:`repro.distributed.commplan`.  One
+modeled network time from :mod:`repro.distributed.comm`.  One
 epoch's simulated wall time is::
 
     selection time / k
@@ -33,8 +33,13 @@ from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
-from .comm import CommConfig, SimulatedComm
-from .commplan import CommPlan, dependency_stats, plan_layer_comm
+from .comm import (
+    CommConfig,
+    CommPlan,
+    dependency_stats,
+    plan_layer_comm,
+    reduce_slabs,
+)
 from .fault_tolerance import WorkerFailure
 from .rank import AWAIT_GRAD, Buffers, Rank, parent_step
 
@@ -120,7 +125,6 @@ class DistributedTrainer:
         self.strategy = ExecutionStrategy.parse(strategy)
         self.pipeline = pipeline
         self.comm_config = comm_config or CommConfig()
-        self.comm = SimulatedComm(self.k, self.comm_config)
         # Relative compute speed per worker (1.0 = this machine); every
         # measured rank time is divided by its speed, modeling
         # heterogeneous clusters.
@@ -219,10 +223,10 @@ class DistributedTrainer:
 
     def _backward(self, steps) -> None:
         """Run the rank programs to their end, reducing every slab sync
-        with each rank's chunk of :meth:`Comm.reduce_slabs`."""
+        with each rank's chunk of :func:`reduce_slabs`."""
         for syncs in steps:
             for rank, sync in enumerate(syncs):
-                self.comm.reduce_slabs(sync.slabs, sync.out, rank)
+                reduce_slabs(sync.slabs, sync.out, rank)
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -251,7 +255,7 @@ class DistributedTrainer:
         # waits for: the slowest rank sets the pace, layer by layer.
         backward = np.array([r.backward_seconds for r in self.ranks])
         param_bytes = sum(p.data.nbytes for p in self.model.parameters())
-        allreduce = self.comm.allreduce_time(param_bytes)
+        allreduce = self.comm_config.allreduce_time(param_bytes, self.k)
         obs.record_span("dist.allreduce", allreduce, epoch=epoch,
                         bytes=param_bytes)
         simulated = (selection_sim + totals["seconds"]

@@ -101,13 +101,9 @@ def _match_from(
 ) -> list[list[int]]:
     """DFS enumeration of paths from ``root`` matching ``pattern``."""
     results: list[list[int]] = []
-    # Stack holds (vertex, depth); path reconstructed incrementally.
     path = [root]
-    stack: list[tuple[int, int]] = [(root, 0)]
     # Iterative DFS with explicit child iterators to keep paths cheap.
-    iters = {0: iter(())}
     frames: list[tuple[int, "object"]] = [(root, iter(graph.out_neighbors(root)))]
-    del stack, iters
     while frames:
         if cap is not None and len(results) >= cap:
             break

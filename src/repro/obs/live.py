@@ -369,48 +369,38 @@ class StallDetector:
     merely slow.
 
     The parent feeds every liveness poll's samples into
-    :meth:`observe`.  A rank is flagged when its seqno has not advanced
-    for more than ``deadline`` seconds *and* its last reported phase is
-    an active one (:func:`is_stalled`) — a slow-but-progressing worker
-    keeps bumping its seqno with every record it emits and is never
-    flagged; a worker parked at a barrier is the victim of someone
-    else's stall and is never flagged either.  Each stall episode fires
-    once; the rank re-arms when its heartbeat resumes.
+    :meth:`observe`.  A rank is flagged when its sample's
+    ``progress_age`` — seconds since the worker's own last beat, the
+    clock the ``live.worker.*.progress_age`` gauge and ``obsview``'s
+    ``STALLED?`` column read — exceeds ``deadline`` *and* its last
+    reported phase is an active one (:func:`is_stalled`).  A
+    slow-but-progressing worker keeps beating with every record it
+    emits and is never flagged; a worker parked at a barrier is the
+    victim of someone else's stall and is never flagged either.  Each
+    frozen seqno fires once; the rank re-arms when its seqno moves.
     """
 
     def __init__(self, deadline: float = 5.0):
         if deadline <= 0:
             raise ValueError("deadline must be positive")
         self.deadline = float(deadline)
-        # rank -> (last seqno, monotonic time that seqno was first seen)
-        self._seen: dict[int, tuple[int, float]] = {}
-        self._flagged: set[int] = set()
+        #: rank -> the seqno it was flagged at
+        self._flagged: dict[int, int] = {}
 
     def reset(self) -> None:
         """Forget all tracking state (pool respawn)."""
-        self._seen.clear()
         self._flagged.clear()
 
-    def observe(self, samples: list[WorkerSample],
-                now: float | None = None) -> list[StallEvent]:
+    def observe(self, samples: list[WorkerSample]) -> list[StallEvent]:
         """Ingest one poll's samples; returns newly detected stalls."""
-        if now is None:
-            now = time.monotonic()
         stalls: list[StallEvent] = []
         for s in samples:
-            if s.seqno <= 0:
-                continue  # never heartbeat: not yet started, not stalled
-            prev = self._seen.get(s.rank)
-            if prev is None or prev[0] != s.seqno:
-                self._seen[s.rank] = (s.seqno, now)
-                self._flagged.discard(s.rank)
+            if (self._flagged.get(s.rank) == s.seqno
+                    or not is_stalled(s.phase, s.progress_age, self.deadline)):
                 continue
-            frozen_for = now - prev[1]
-            if (is_stalled(s.phase, frozen_for, self.deadline)
-                    and s.rank not in self._flagged):
-                self._flagged.add(s.rank)
-                stalls.append(StallEvent(
-                    rank=s.rank, epoch=s.epoch, layer=s.layer,
-                    phase=s.phase, stalled_seconds=frozen_for,
-                ))
+            self._flagged[s.rank] = s.seqno
+            stalls.append(StallEvent(
+                rank=s.rank, epoch=s.epoch, layer=s.layer,
+                phase=s.phase, stalled_seconds=s.progress_age,
+            ))
         return stalls

@@ -70,13 +70,6 @@ class TestCommands:
         assert rc == 0
         assert "ADB" in capsys.readouterr().out
 
-    def test_compare(self, capsys):
-        rc = main(["compare", "--model", "pinsage", "--dataset", "reddit",
-                   "--scale", "tiny", "--epochs", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "flexgraph" in out and "euler" in out
-
 
 class TestLinkPredCommand:
     def test_linkpred_runs(self, capsys):

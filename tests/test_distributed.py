@@ -13,15 +13,16 @@ from repro.core.selection import build_metapath_hdg
 from repro.datasets import load_dataset
 from repro.distributed import (
     CommConfig,
+    DependencyStats,
     DistributedTrainer,
     dependency_stats,
     flexgraph_scaling,
     model_baseline_scaling,
     plan_layer_comm,
 )
-from repro.distributed.comm import SimulatedComm
+from repro.distributed.comm import ProcessComm
 from repro.graph import Metapath, hash_partition, heterogeneous_graph, power_law_graph
-from repro.models import gcn, magnn, pinsage
+from repro.models import gat, gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor
 
 
@@ -35,43 +36,132 @@ def tick_clock(monkeypatch):
     monkeypatch.setattr(obs.get_registry(), "now", lambda: float(next(ticks)))
 
 
-class TestSimulatedComm:
+def _stats(counts) -> DependencyStats:
+    """A hand-built ``[dst, src]`` count matrix driving every plan."""
+    counts = np.asarray(counts, dtype=np.int64)
+    k = counts.shape[0]
+    return DependencyStats(k, counts, counts, counts,
+                           np.zeros(k, dtype=np.int64),
+                           np.zeros(k, dtype=np.int64))
+
+
+def _plan_by_pairs(counts, feat_bytes, config, mode):
+    """The per-pair accounting the closed form must reproduce: one
+    message per count (naive) or per non-empty pair, paid by the sender
+    and the receiver, local pairs skipped."""
+    k = counts.shape[0]
+    sent_b, sent_m = [0.0] * k, [0] * k
+    recv_b, recv_m = [0.0] * k, [0] * k
+    total_b, total_m = 0.0, 0
+    for dst in range(k):
+        for src in range(k):
+            count = int(counts[dst, src])
+            if not count or src == dst:
+                continue
+            nbytes = count * feat_bytes
+            messages = count if mode == "naive" else 1
+            sent_b[src] += nbytes
+            sent_m[src] += messages
+            recv_b[dst] += nbytes
+            recv_m[dst] += messages
+            total_b += nbytes
+            total_m += messages
+    seconds = np.array([config.message_time(sent_b[w] + recv_b[w],
+                                            sent_m[w] + recv_m[w])
+                        for w in range(k)])
+    return seconds, total_b, total_m
+
+
+class TestNetworkModel:
     def test_local_delivery_free(self):
-        comm = SimulatedComm(2)
-        comm.send(0, 0, 1000)
-        assert comm.total_bytes == 0
+        """A nonzero diagonal is never priced."""
+        plan = plan_layer_comm(_stats(np.diag([5, 7])), 100, CommConfig(),
+                               "naive")
+        assert plan.total_bytes == 0 and plan.total_messages == 0
+        np.testing.assert_array_equal(plan.per_worker_seconds, [0.0, 0.0])
 
     def test_message_accounting(self):
-        comm = SimulatedComm(3, CommConfig(latency=0.01, bandwidth=1000))
-        comm.send(0, 1, 500, messages=2)
-        assert comm.total_messages == 2
+        # 500 bytes in 2 messages from worker 0 to worker 1 ([dst, src]).
+        counts = np.zeros((3, 3), dtype=np.int64)
+        counts[1, 0] = 2
+        plan = plan_layer_comm(_stats(counts), 250,
+                               CommConfig(latency=0.01, bandwidth=1000),
+                               "naive")
+        assert plan.total_messages == 2
         # Worker 0 sent, worker 1 received, worker 2 idle.
-        assert comm.worker_step_time(0) == pytest.approx(0.02 + 0.5)
-        assert comm.worker_step_time(1) == pytest.approx(0.02 + 0.5)
-        assert comm.worker_step_time(2) == 0.0
+        assert plan.per_worker_seconds[0] == pytest.approx(0.02 + 0.5)
+        assert plan.per_worker_seconds[1] == pytest.approx(0.02 + 0.5)
+        assert plan.per_worker_seconds[2] == 0.0
 
-    def test_end_step_resets(self):
-        comm = SimulatedComm(2)
-        comm.send(0, 1, 100)
-        times = comm.end_step()
-        assert times[0] > 0
-        assert comm.worker_step_time(0) == 0.0
+    @pytest.mark.parametrize("mode", ["naive", "batched", "pipelined"])
+    def test_closed_form_equals_per_pair_loop(self, mode):
+        rng = np.random.default_rng(11)
+        config = CommConfig(latency=3e-5, bandwidth=1.7e8)
+        for k in (1, 2, 3, 5, 8):
+            counts = rng.integers(0, 50, (k, k)) * (rng.random((k, k)) < 0.7)
+            feat_bytes = int(rng.integers(1, 100)) * 8
+            plan = plan_layer_comm(_stats(counts), feat_bytes, config, mode)
+            seconds, total_b, total_m = _plan_by_pairs(counts, feat_bytes,
+                                                       config, mode)
+            assert [x.hex() for x in plan.per_worker_seconds.tolist()] == \
+                [x.hex() for x in seconds.tolist()]
+            assert plan.total_bytes.hex() == total_b.hex()
+            assert plan.total_messages == total_m
 
     def test_allreduce_time_zero_for_single_worker(self):
-        assert SimulatedComm(1).allreduce_time(1e9) == 0.0
+        assert CommConfig().allreduce_time(1e9, 1) == 0.0
 
     def test_allreduce_grows_with_k(self):
-        t2 = SimulatedComm(2).allreduce_time(1e6)
-        t8 = SimulatedComm(8).allreduce_time(1e6)
+        t2 = CommConfig().allreduce_time(1e6, 2)
+        t8 = CommConfig().allreduce_time(1e6, 8)
         assert t8 > t2 > 0
-
-    def test_invalid_worker_raises(self):
-        with pytest.raises(ValueError):
-            SimulatedComm(2).send(0, 5, 10)
 
     def test_invalid_k_raises(self):
         with pytest.raises(ValueError):
-            SimulatedComm(0)
+            ProcessComm(0)
+
+
+#: clock-free modeled numbers of two epochs (reddit tiny, hash
+#: partition, seed-0 model), fixed when the per-pair communicator was
+#: replaced by the closed form: per epoch (per-rank comm seconds, total
+#: bytes, total messages), then the dist.allreduce span duration and the
+#: comm.bytes / comm.messages counter totals.
+_PINNED = {
+    "gcn-k4-pipelined": (
+        gcn, 4,
+        (["0x1.7fc7607c419a0p-10"] * 4, "0x1.5180000000000p+18", 24),
+        "0x1.5fd176d59f595p-12",
+        ("0x1.5180000000000p+19", "0x1.8000000000000p+5"),
+    ),
+    "gat-k2-batched": (
+        gat, 2,
+        (["0x1.e504d1f6d8391p-7"] * 2, "0x1.647c000000000p+21", 4),
+        "0x1.39bbe3707d40ap-13",
+        ("0x1.647c000000000p+22", "0x1.0000000000000p+3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_modeled_numbers_pinned(case):
+    factory, k, epoch, allreduce, counters = _PINNED[case]
+    ds = load_dataset("reddit", scale="tiny")
+    obs.reset()
+    model = factory(ds.feat_dim, 8, ds.num_classes, seed=0)
+    trainer = DistributedTrainer(model, ds.graph,
+                                 hash_partition(ds.graph.num_vertices, k))
+    opt = Adam(model.parameters(), 0.01)
+    for e in range(2):
+        stats = trainer.train_epoch(Tensor(ds.features), ds.labels, opt,
+                                    ds.train_mask, e)
+        assert ([float(c).hex() for c in stats.comm_seconds],
+                stats.total_bytes.hex(), stats.total_messages) == epoch
+    reg = obs.get_registry()
+    assert [s.duration.hex() for s in reg.spans
+            if s.name == "dist.allreduce"] == [allreduce] * 2
+    assert (reg.counter("comm.bytes").total.hex(),
+            reg.counter("comm.messages").total.hex()) == counters
+    obs.reset()
 
 
 class TestDependencyStats:

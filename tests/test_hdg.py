@@ -75,7 +75,7 @@ class TestFlatHDG:
         # Vertex 1 has 3 in-neighbors.
         np.testing.assert_array_equal(np.sort(src[dst == 1]), [0, 2, 3])
 
-    def test_from_records(self):
+    def test_flat_records_build_depth1(self):
         records = [NeighborRecord(0, (1,)), NeighborRecord(0, (2,)), NeighborRecord(2, (0,))]
         hdg = build_hdg(records, SchemaTree(), np.arange(3), 3)
         assert hdg.depth == 1
@@ -176,6 +176,19 @@ class TestHierarchicalHDG:
         np.testing.assert_array_equal(a.leaf_vertices, b.leaf_vertices)
         np.testing.assert_array_equal(a.leaf_offsets, b.leaf_offsets)
         np.testing.assert_array_equal(a.instance_offsets, b.instance_offsets)
+
+    def test_weighted_records_none_weight_counts_as_one(self):
+        records = [
+            NeighborRecord(1, (3, 4), 1, weight=0.5),
+            NeighborRecord(0, (5,), 0, weight=None),
+            NeighborRecord(0, (6, 7, 8), 1, weight=2.0),
+        ]
+        hdg = build_hdg(records, SchemaTree(("MP1", "MP2")), np.arange(9), 9)
+        # Slot order: (0, MP1), (0, MP2), (1, MP2); every leaf carries
+        # its instance's weight.
+        np.testing.assert_array_equal(hdg.leaf_vertices, [5, 6, 7, 8, 3, 4])
+        np.testing.assert_array_equal(hdg.leaf_weights,
+                                      [1.0, 2.0, 2.0, 2.0, 0.5, 0.5])
 
     def test_dependency_leaves(self):
         schema = SchemaTree(("MP1", "MP2"))

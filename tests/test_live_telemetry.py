@@ -48,11 +48,16 @@ def ds():
     return load_dataset("reddit", scale="tiny")
 
 
-def _sample(rank=0, seqno=1, phase=PHASE_FORWARD, epoch=0, layer=0):
+def _sample(rank=0, seqno=1, phase=PHASE_FORWARD, epoch=0, layer=0,
+            last_beat=0.0, now=None):
+    """A sample read at ``now`` off a row that last beat at
+    ``last_beat``, as :meth:`TelemetrySlab.sample` computes it."""
     return WorkerSample(
         rank=rank, seqno=seqno, pid=123, epoch=epoch, layer=layer,
         phase=phase, spans_closed=0, flops=0.0, bytes=0.0,
-        last_beat=0.0, progress_age=None,
+        last_beat=last_beat,
+        progress_age=(max(now - last_beat, 0.0)
+                      if seqno and now is not None else None),
     )
 
 
@@ -96,29 +101,31 @@ class TestTelemetrySlab:
             slab.close()
 
     def test_barrier_hook_sets_phase_then_beats(self):
-        """The runtime's ProcessComm barrier hook, end to end through
-        the funnel: entering is a phase transition, leaving needs no
-        record of its own — the dist.comm span that follows beats."""
-        from repro.distributed.runtime import _WorkerRuntime
+        """The ProcessComm barrier, end to end through the funnel:
+        entering is a phase transition, leaving needs no record of its
+        own — the dist.comm span that follows beats."""
+        from repro.distributed.comm import ProcessComm
 
         obs.reset()
         slab = TelemetrySlab(1)
         tele = slab.writer(0)
         obs.add_sink(tele)
+        comm = ProcessComm(1)
         try:
             obs.phase("forward", epoch=1, layer=0)
-            _WorkerRuntime._on_barrier("enter")
+            before = slab.sample()[0].seqno
+            comm.barrier()
             entered = slab.sample()[0]
+            assert entered.seqno == before + 1  # one record: the phase
             assert entered.phase == PHASE_BARRIER
             assert (entered.epoch, entered.layer) == (1, 0)  # position kept
-            _WorkerRuntime._on_barrier("exit")
-            assert slab.sample()[0].seqno == entered.seqno
             obs.record_span("dist.comm", 0.1, simulated=False)
             after = slab.sample()[0]
             assert after.seqno == entered.seqno + 1
             assert after.phase == PHASE_BARRIER  # phase unchanged by beat
         finally:
             obs.get_registry().remove_sink(tele)
+            comm.close()
             slab.close()
             obs.clear_context()
             obs.reset()
@@ -192,37 +199,51 @@ class TestTelemetrySlab:
 class TestStallDetector:
     def test_frozen_active_phase_flagged_once(self):
         det = StallDetector(deadline=5.0)
-        assert det.observe([_sample(seqno=4)], now=100.0) == []
-        assert det.observe([_sample(seqno=4)], now=104.0) == []  # within deadline
-        stalls = det.observe([_sample(seqno=4)], now=106.0)
+        beat = dict(seqno=4, last_beat=100.0)
+        assert det.observe([_sample(**beat, now=100.0)]) == []
+        assert det.observe([_sample(**beat, now=104.0)]) == []  # within deadline
+        stalls = det.observe([_sample(**beat, now=106.0)])
         assert len(stalls) == 1
         ev = stalls[0]
         assert ev.rank == 0 and ev.phase == PHASE_FORWARD
         assert ev.stalled_seconds == pytest.approx(6.0)
-        # Fires once per episode.
-        assert det.observe([_sample(seqno=4)], now=120.0) == []
+        # Fires once per frozen seqno.
+        assert det.observe([_sample(**beat, now=120.0)]) == []
 
     def test_rearms_after_heartbeat_resumes(self):
         det = StallDetector(deadline=1.0)
-        det.observe([_sample(seqno=1)], now=0.0)
-        assert len(det.observe([_sample(seqno=1)], now=2.0)) == 1
+        det.observe([_sample(seqno=1, last_beat=0.0, now=0.0)])
+        assert len(det.observe([_sample(seqno=1, last_beat=0.0, now=2.0)])) == 1
         # progress resumes -> re-arm -> a second freeze is a new episode
-        assert det.observe([_sample(seqno=2)], now=3.0) == []
-        assert det.observe([_sample(seqno=2)], now=3.5) == []
-        assert len(det.observe([_sample(seqno=2)], now=5.0)) == 1
+        assert det.observe([_sample(seqno=2, last_beat=3.0, now=3.0)]) == []
+        assert det.observe([_sample(seqno=2, last_beat=3.0, now=3.5)]) == []
+        assert len(det.observe([_sample(seqno=2, last_beat=3.0, now=5.0)])) == 1
 
     def test_slow_but_progressing_never_flagged(self):
         det = StallDetector(deadline=1.0)
         for i, t in enumerate([0.0, 10.0, 20.0, 30.0]):
             # seqno advances between every poll: slow, not stalled
-            assert det.observe([_sample(seqno=i + 1)], now=t) == []
+            assert det.observe([_sample(seqno=i + 1, last_beat=t - 0.5,
+                                        now=t)]) == []
 
     def test_waiting_phases_exempt(self):
         det = StallDetector(deadline=1.0)
-        frozen = [_sample(seqno=3, phase=PHASE_BARRIER)]
-        det.observe(frozen, now=0.0)
-        assert det.observe(frozen, now=50.0) == []
+        det.observe([_sample(seqno=3, phase=PHASE_BARRIER, now=0.0)])
+        assert det.observe(
+            [_sample(seqno=3, phase=PHASE_BARRIER, now=50.0)]) == []
         assert PHASE_BARRIER not in ACTIVE_PHASES
+
+    def test_first_observation_judged_by_the_sample_clock(self):
+        """The detector and obsview's STALLED? column read one clock,
+        the sample's ``progress_age``: a fresh detector shown a row
+        frozen in forward past the deadline flags it at once, and the
+        telemetry table marks the same sample."""
+        det = StallDetector(deadline=5.0)
+        frozen = _sample(seqno=7, last_beat=10.0, now=30.0)
+        stalls = det.observe([frozen])
+        assert [(e.rank, e.stalled_seconds) for e in stalls] == [(0, 20.0)]
+        row = obsview.render_telemetry([frozen], stall_deadline=5.0)
+        assert row.splitlines()[1].endswith("STALLED?")
 
     def test_one_rule_for_enum_values_and_names(self):
         # The detector, the monitor (enum values off the slab) and the
@@ -239,15 +260,17 @@ class TestStallDetector:
 
     def test_never_started_worker_ignored(self):
         det = StallDetector(deadline=1.0)
-        det.observe([_sample(seqno=0)], now=0.0)
-        assert det.observe([_sample(seqno=0)], now=100.0) == []
+        det.observe([_sample(seqno=0, now=0.0)])
+        assert det.observe([_sample(seqno=0, now=100.0)]) == []
 
     def test_reset_forgets_tracking(self):
         det = StallDetector(deadline=1.0)
-        det.observe([_sample(seqno=1)], now=0.0)
+        frozen = [_sample(seqno=1, last_beat=0.0, now=100.0)]
+        assert len(det.observe(frozen)) == 1
+        assert det.observe(frozen) == []
         det.reset()
-        # After reset the first poll re-baselines instead of flagging.
-        assert det.observe([_sample(seqno=1)], now=100.0) == []
+        # After reset the same frozen seqno is a new episode.
+        assert len(det.observe(frozen)) == 1
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from repro.distributed import (
     dependency_stats,
     runtime,
 )
-from repro.distributed.comm import Comm, ProcessComm
+from repro.distributed.comm import ProcessComm, allreduce_traffic, reduce_slabs
 from repro.graph import hash_partition
 from repro.models import gat, gcn, gin, pinsage
 from repro.tensor import Adam, Tensor
@@ -125,40 +125,24 @@ class TestKVStore:
 
 class TestProcessComm:
     def test_allreduce_traffic(self):
-        comm = Comm(4)
-        nbytes, messages = comm.allreduce_traffic(1000.0)
+        nbytes, messages = allreduce_traffic(1000.0, 4)
         assert messages == 2 * 3
         assert nbytes == pytest.approx(6 * 250.0)
-        assert Comm(1).allreduce_traffic(1000.0) == (0.0, 0)
+        assert allreduce_traffic(1000.0, 1) == (0.0, 0)
 
     def test_reduce_slabs_is_exact_sum(self):
-        comm = ProcessComm(3)
-        try:
-            rng = np.random.default_rng(0)
-            slabs = [rng.standard_normal((7, 5)) for _ in range(3)]
-            out = np.zeros((7, 5))
-            for rank in range(3):  # every rank reduces its own chunk
-                comm.reduce_slabs(slabs, out, rank)
-            expected = slabs[0] + slabs[1] + slabs[2]
-            # Same fixed rank-order summation both ways: bitwise equal.
-            np.testing.assert_array_equal(out, expected)
-        finally:
-            comm.close()
-
-    def test_reduce_slabs_requires_rank(self):
-        comm = ProcessComm(2)
-        try:
-            with pytest.raises(RuntimeError):
-                comm.reduce_slabs([np.ones(4), np.ones(4)], np.zeros(4))
-            with pytest.raises(ValueError):
-                comm.reduce_slabs([np.ones(4)], np.zeros(4), 0)
-        finally:
-            comm.close()
+        rng = np.random.default_rng(0)
+        slabs = [rng.standard_normal((7, 5)) for _ in range(3)]
+        out = np.zeros((7, 5))
+        for rank in range(3):  # every rank reduces its own chunk
+            reduce_slabs(slabs, out, rank)
+        expected = slabs[0] + slabs[1] + slabs[2]
+        # Same fixed rank-order summation both ways: bitwise equal.
+        np.testing.assert_array_equal(out, expected)
 
     def test_single_party_barrier_returns(self):
         comm = ProcessComm(1)
         try:
-            comm.bind(0)
             assert comm.barrier() >= 0.0
         finally:
             comm.close()
@@ -243,11 +227,10 @@ class TestMultiprocessParity:
         remote = dependency_stats(hdg, part, k).remote_leaves_per_pair
         rows_read = float(remote.sum()) * (
             ds.feat_dim * ds.features.itemsize + hidden_row)
-        comm = Comm(k)
         params = sum(p.data.size for p in model.parameters()) * itemsize
         per_epoch = rows_read + k * (
-            comm.allreduce_traffic(ds.graph.num_vertices * hidden_row)[0]
-            + comm.allreduce_traffic(params)[0])
+            allreduce_traffic(ds.graph.num_vertices * hidden_row, k)[0]
+            + allreduce_traffic(params, k)[0])
         shards = sum(ds.features[part == w].nbytes * (k - 1)
                      for w in range(k))
         assert stats[1].total_bytes == per_epoch

@@ -389,10 +389,10 @@ class TestStageTimesView:
         with obs.span(STAGE_SPANS["aggregation"]):
             pass
         records = obs.get_registry().spans
-        from_records = StageTimes.from_spans(records)
+        via_records = StageTimes.from_spans(records)
         from_dicts = StageTimes.from_spans([s.to_dict() for s in records])
-        assert from_records.aggregation == from_dicts.aggregation > 0.0
-        assert from_records.backward == 0.0
+        assert via_records.aggregation == from_dicts.aggregation > 0.0
+        assert via_records.backward == 0.0
 
     def test_unrelated_spans_ignored(self):
         times = StageTimes.from_spans(
