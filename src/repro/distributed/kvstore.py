@@ -1,28 +1,25 @@
 """A small shared-memory KV store for the multiprocess runtime.
 
-Holds the tensors every worker must see — partitioned input features and
-the replicated model state — in ``multiprocessing.shared_memory``
-segments, so worker processes read them zero-copy (:meth:`KVStore.get`
-returns a numpy view over the shared pages, no serialization, no socket).
+Holds the tensors every worker must see — the partitioned input
+features — in ``multiprocessing.shared_memory`` segments, so worker
+processes read them zero-copy (:meth:`KVStore.get` returns a numpy view
+over the shared pages, no serialization, no socket).
 
 The store is *owner-creates, everyone-reads/writes*: the parent process
 creates every key before the workers are spawned (segment descriptors
 travel to the children by fork inheritance or pickling), then both sides
-may :meth:`set` into existing keys — parameter sync writes the fresh
-model state each epoch and bumps the :attr:`version` counter so readers
-can assert they see the epoch they expect.  Keys cannot be *created*
-after the workers exist: a new segment's name would not propagate.  Ship
-late-arriving data (e.g. per-epoch HDG slices) through task messages
-instead.
+may :meth:`set` into existing keys — the parent re-ships changed
+features that way.  Keys cannot be *created* after the workers exist: a
+new segment's name would not propagate.  Ship late-arriving data (e.g.
+per-epoch HDG slices) through task messages instead.
 
 This mirrors the split in DGL's ``dis_kvstore``: bulk tensors in shared
-pages, a tiny amount of metadata (names, shapes, a version counter) in
-ordinary pickled state.
+pages, a tiny amount of metadata (names, shapes) in ordinary pickled
+state.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import secrets
 from multiprocessing import shared_memory
 
@@ -105,22 +102,10 @@ class SharedArray:
 
 
 class KVStore:
-    """get/set/pull-batch over named shared arrays, with a version counter.
+    """get/set/pull-batch over named shared arrays."""
 
-    The version counter backs parameter synchronization: the parent
-    writes the fresh model state, bumps the version, then dispatches the
-    epoch; workers assert the version they observe is at least the one
-    the task named (queue delivery orders the shared-memory writes).
-    """
-
-    def __init__(self, ctx: mp.context.BaseContext | None = None):
-        if ctx is None:
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover
-                ctx = mp.get_context()
+    def __init__(self):
         self._entries: dict[str, SharedArray] = {}
-        self._version = ctx.Value("q", 0)
         #: bytes copied out by get/pull_batch in this process (accounting)
         self.pulled_bytes = 0
 
@@ -163,16 +148,6 @@ class KVStore:
 
     def nbytes(self, key: str) -> int:
         return self._entries[key].nbytes
-
-    # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        return int(self._version.value)
-
-    def bump_version(self) -> int:
-        with self._version.get_lock():
-            self._version.value += 1
-            return int(self._version.value)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

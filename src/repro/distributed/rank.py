@@ -2,28 +2,32 @@
 
 Every FlexGraph worker runs the same NAU layers over its own partition
 and exchanges rows with its peers between them.  :class:`Rank` is one
-worker's state — its roots and its slice of the model HDG — and
-:meth:`Rank.program` is its epoch: a generator that computes, writes
-into the epoch's exchange :class:`Buffers` and yields a :class:`Sync`
-wherever every rank must arrive before any rank goes on:
+worker's state — its roots, its slice of the model HDG and its rows of
+the training targets — and :meth:`Rank.program` is its epoch: a
+generator that computes, writes into the epoch's exchange
+:class:`Buffers` and yields a :class:`Sync` wherever every rank must
+arrive before any rank goes on:
 
 * ``layer_sync`` (layer ``l``) — this rank's layer-``l`` rows are in
-  ``h[l + 1]``, which is the next layer's input;
-* ``await_grad`` — the forward is done; the trainer fills ``g[L]``
-  (:func:`parent_step`);
+  ``h[l + 1]``, which is the next layer's input (the last layer's
+  output stays local: it only feeds this rank's loss);
 * ``grad_reduce`` (layer ``l``) — this rank's gradient w.r.t. the
   layer-``l`` input is in its slab; the trainer sums the slabs into
   ``g[l]``;
 * ``param_reduce`` — likewise for the flattened parameter gradient,
   into ``pbuf``.
 
-Each layer runs on a *cut tape* whose input is a fresh leaf over the
-boundary buffer; parameter gradients move to the rank's slab after
-every layer, so k programs may share one model in one process.  Both
-distributed trainers drive this program — k of them round-robin in one
-process, or one per worker process over shared memory — reduce with the
-same rank-ordered :func:`~repro.distributed.comm.reduce_slabs` and
-finish with :func:`parent_step`, so the two backends agree bitwise.
+Each rank computes the node loss over its own rows, scaled by its share
+of the global training count, so the k shares sum to the global mean
+loss and the loss gradient never leaves the rank.  Each layer runs on a
+*cut tape* whose input is a fresh leaf over the boundary buffer;
+parameter gradients move to the rank's slab after every layer, so k
+programs may share one model in one process.  Both distributed trainers
+drive this program — k of them round-robin in one process, or one per
+worker process over shared memory — reduce with the same rank-ordered
+:func:`~repro.distributed.comm.reduce_slabs`, and step every optimizer
+replica with :func:`apply_reduced_grad` on the one reduced gradient, so
+the two backends agree bitwise.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from ..tensor.tensor import Tensor
 
 #: sync point names, in the order an epoch reaches them
 LAYER_SYNC = "layer_sync"
-AWAIT_GRAD = "await_grad"
 GRAD_REDUCE = "grad_reduce"
 PARAM_REDUCE = "param_reduce"
 
@@ -73,9 +76,9 @@ class Sync(NamedTuple):
 class Buffers:
     """One epoch's exchange buffers, shared by every rank.
 
-    ``h[l]`` / ``g[l]`` (``l = 1..L``) are the (n, d) activation at
-    layer boundary ``l`` — the output of layer ``l - 1``, so ``h[L]``
-    holds the logits — and the loss gradient w.r.t. it;
+    ``h[l]`` / ``g[l]`` (``l = 1..L-1``) are the (n, d) activation at
+    layer boundary ``l`` — the output of layer ``l - 1`` — and the loss
+    gradient w.r.t. it (the logits never leave their rank);
     ``hslabs[r]`` / ``pslabs[r]`` are rank ``r``'s flat scratch for its
     hidden- and parameter-gradient contributions; ``pbuf`` is the
     reduced parameter gradient.  Items are whatever ``alloc`` returns:
@@ -106,12 +109,13 @@ class Buffers:
                     f"layer {i} ({type(layer).__name__}) must define "
                     f"output_dim to train distributed: its boundary buffer "
                     f"is sized before any rank runs") from None
-        hidden = max([n * d for d in dims[:-1]] or [1])
+        hidden = dims[:-1]
+        slab = max([n * d for d in hidden] or [1])
         psize = max(sum(p.data.size for p in model.parameters()), 1)
         return cls(
-            h={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(dims, 1)},
-            g={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(dims, 1)},
-            hslabs=[alloc((hidden,), BUFFER_DTYPE) for _ in range(k)],
+            h={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(hidden, 1)},
+            g={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(hidden, 1)},
+            hslabs=[alloc((slab,), BUFFER_DTYPE) for _ in range(k)],
             pslabs=[alloc((psize,), BUFFER_DTYPE) for _ in range(k)],
             pbuf=alloc((psize,), BUFFER_DTYPE),
         )
@@ -140,17 +144,26 @@ def _no_phase(name: str, layer: int | None) -> None:
 
 class Rank:
     """One shared-nothing rank: its roots, its slice of the model HDG,
-    and the per-layer timings of its latest :meth:`program` run.
+    its rows of the training targets, and the loss share and per-layer
+    timings of its latest :meth:`program` run.
 
     ``root_orders`` indexes the global HDG root ordering (vertex ids);
     ``sub_hdg`` restricts the model HDG to those roots, with leaf ids
     left global — remote leaves are what synchronization pays for.
+    ``labels`` / ``mask`` are this rank's rows of the targets, and
+    ``loss_scale`` its share of the global training count
+    (:func:`attach_targets`).
     """
 
     def __init__(self, rank: int, root_orders: np.ndarray):
         self.rank = rank
         self.root_orders = root_orders
         self.sub_hdg: HDG | None = None
+        self.labels: np.ndarray | None = None
+        self.mask: np.ndarray | None = None
+        self.loss_scale = 1.0
+        #: this rank's share of the latest epoch's global mean loss
+        self.loss = 0.0
         #: measured seconds per layer (scaled like the spans)
         self.aggregation_seconds: list[float] = []
         self.compute_seconds: list[float] = []
@@ -199,15 +212,14 @@ class Rank:
                 out = layer.update(h_in[rows], nbr)
             self.aggregation_seconds[l] = s_agg.duration
             self.compute_seconds[l] = s_cmp.duration
-            bufs.h[l + 1][rows] = out.data
             tapes.append((h_in, out))
-            yield Sync(LAYER_SYNC, l, h_in.data.shape[1] * h_in.data.itemsize)
+            row_bytes = h_in.data.shape[1] * h_in.data.itemsize
             if l + 1 < num_layers:
+                bufs.h[l + 1][rows] = out.data
                 # Stable until the next epoch's forward overwrites it, so
                 # a zero-copy leaf view is safe for the whole backward.
                 h_in = Tensor(bufs.h[l + 1], requires_grad=True)
-
-        yield Sync(AWAIT_GRAD)
+            yield Sync(LAYER_SYNC, l, row_bytes)
 
         model.zero_grad()
         pslab = bufs.pslabs[self.rank]
@@ -217,7 +229,14 @@ class Rank:
             phase(BACKWARD, l)
             with obs.span("dist.backward", scale=scale, worker=self.rank,
                           layer=l, epoch=epoch) as s_bwd:
-                out.backward(bufs.g[l + 1][rows])
+                if l + 1 == num_layers:
+                    # This rank's share of the global mean loss: its
+                    # gradient never leaves the rank.
+                    loss = node_loss(out, self.labels, self.mask)
+                    self.loss = loss.item() * self.loss_scale
+                    loss.backward(self.loss_scale)
+                else:
+                    out.backward(bufs.g[l + 1][rows])
             self.backward_seconds[l] = s_bwd.duration
             off = 0
             for p in params:
@@ -237,29 +256,42 @@ class Rank:
         yield Sync(PARAM_REDUCE, None, pslab.nbytes, bufs.pslabs, bufs.pbuf)
 
 
-def parent_step(model: NAUModel, optimizer: Optimizer, bufs: Buffers,
-                labels: np.ndarray, mask: np.ndarray | None,
-                backward: Callable[[], None]) -> float:
-    """The parent's share of an epoch, once the ranks await the gradient.
+def attach_targets(ranks: list[Rank], n: int, labels: np.ndarray,
+                   mask: np.ndarray | None) -> None:
+    """Give every rank its rows of ``labels`` / ``mask`` (one entry per
+    vertex each) and its share of the global training count.
 
-    Node loss on the assembled logits ``h[L]``, its gradient into
-    ``g[L]``; ``backward()`` then runs the ranks to the end of their
-    programs; finally the reduced gradient in ``pbuf`` is unflattened
-    and the one optimizer steps — the update is exactly the
-    data-parallel sum.  Returns the loss.
+    A rank's mean loss times its share is its part of the global mean,
+    so the k parts sum to the loss one machine computes; at k = 1 the
+    share is exactly 1.0.
     """
-    last = len(model.layers)
-    logits = Tensor(np.array(bufs.h[last]), requires_grad=True)
-    loss = node_loss(logits, labels, mask)
-    with obs.span("dist.backward", stage="loss"):
-        loss.backward()
-    bufs.g[last][...] = logits.grad
-    backward()
+    for name, array in (("labels", labels), ("mask", mask)):
+        if array is not None and np.shape(array) != (n,):
+            raise ValueError(
+                f"{name} has shape {np.shape(array)}: distributed training "
+                f"needs one entry per vertex, shape ({n},)")
+    labels = np.asarray(labels)
+    weight = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
+    total = max(weight.sum(), 1.0)
+    for rank in ranks:
+        rows = rank.root_orders
+        rank.labels = labels[rows]
+        rank.mask = None if mask is None else np.asarray(mask)[rows]
+        rank.loss_scale = max(weight[rows].sum(), 1.0) / total
+
+
+def apply_reduced_grad(model: NAUModel, optimizer: Optimizer,
+                       pbuf: np.ndarray) -> None:
+    """Step one optimizer replica on the reduced parameter gradient.
+
+    Unflattens ``pbuf`` into every parameter's ``grad``, then steps: each
+    replica sees the identical rank-ordered sum, so replicas stay
+    bitwise equal.
+    """
     optimizer.zero_grad()
     off = 0
     for p in model.parameters():
         size = p.data.size
-        p.grad = bufs.pbuf[off:off + size].reshape(p.data.shape).copy()
+        p.grad = pbuf[off:off + size].reshape(p.data.shape).copy()
         off += size
     optimizer.step()
-    return loss.item()

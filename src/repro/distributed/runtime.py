@@ -3,11 +3,14 @@
 :class:`MultiprocessTrainer` runs the k ranks of the shared-nothing
 cluster as real OS processes.  Each worker process runs one
 :meth:`Rank.program <repro.distributed.rank.Rank.program>` — the same
-per-rank forward, cut-tape backward and slab writes
+per-rank forward, loss share, cut-tape backward and slab writes
 :class:`~repro.distributed.trainer.DistributedTrainer` steps
-round-robin in one process — over shared-memory buffers, and turns each
-of its sync points into barriers; the parent runs the same
-:func:`~repro.distributed.rank.parent_step`.  The two backends
+round-robin in one process — over shared-memory buffers, and turns its
+sync points into barriers.  After the last reduction every worker steps
+its own optimizer replica with
+:func:`~repro.distributed.rank.apply_reduced_grad`; the parent steps one
+more replica once the ranks report done, so ``trainer.model`` is always
+current and no parameter crosses a process boundary.  The two backends
 therefore agree bitwise; here layer synchronization, gradient reduction
 and epoch times are *wall clock*, not modeled.  What this module adds
 is the process machinery: spawn, liveness, live telemetry, the flight
@@ -15,8 +18,8 @@ recorder and stall injection.
 
 Data movement
 -------------
-Everything bulk lives in ``multiprocessing.shared_memory`` (zero-copy
-numpy views, see :mod:`repro.distributed.kvstore`):
+Bulk arrays live in ``multiprocessing.shared_memory`` (zero-copy numpy
+views, see :mod:`repro.distributed.kvstore`):
 
 * ``feat/{w}`` KV keys — the partitioned input features, one shard per
   owning worker; every worker assembles its full input copy from them
@@ -25,16 +28,28 @@ numpy views, see :mod:`repro.distributed.kvstore`):
   feature array than the one it last shipped, and the workers refetch;
   passing the same array (or ``Tensor``) every epoch ships nothing.
   Edits made *in place* to the shipped array are not detected.
-* ``param/{i}`` KV keys — the replicated model state.  The parent
-  writes fresh parameters and bumps the KV version before dispatching
-  each epoch; workers pull the batch and assert the version.
-* the epoch's :class:`~repro.distributed.rank.Buffers` — layer-boundary
-  activations and gradients, per-rank slabs and the reduced parameter
-  gradient, each a :class:`SharedArray`.  Every slab sync point is a
-  barrier, this rank's chunk of
-  :func:`~repro.distributed.comm.reduce_slabs`, and a second barrier.
-  A rank's ``comm_seconds`` is its barrier waits plus the time it spent
-  reducing its own chunks (each ``dist.comm`` span's ``reduce_s``).
+* the epoch's :class:`~repro.distributed.rank.Buffers` — hidden
+  layer-boundary activations and gradients, per-rank slabs and the
+  reduced parameter gradient, each a :class:`SharedArray`.  A
+  ``layer_sync`` is one barrier, except after the last layer, whose
+  output no peer reads.  Every slab sync point is a barrier, this rank's
+  chunk of :func:`~repro.distributed.comm.reduce_slabs`, and a second
+  barrier.  A rank's ``comm_seconds`` is its barrier waits plus the time
+  it spent reducing its own chunks (each ``dist.comm`` span's
+  ``reduce_s``).
+
+Small state is pickled:
+
+* the model and optimizer replicas — one :class:`_WorkerSpec` carries
+  both to each worker at spawn.  Handing ``train_epoch`` a different
+  optimizer respawns the pool from the parent, as ``heal()`` does;
+  the optimizer's learning rate (what a schedule moves) rides in every
+  epoch message.  Other edits made in place to the model or optimizer
+  reach the workers only through ``heal()``.
+* each rank's :class:`~repro.distributed.rank.Rank` state (its sub-HDG
+  and its rows of the labels and mask) — in the epoch message, only
+  when the HDG was rebuilt, ``train_epoch`` got a different ``labels``
+  or ``mask`` array, or the pool respawned.
 
 Each worker sizes its BLAS pool at start-up to
 ``max(1, len(os.sched_getaffinity(0)) // k)`` threads, so k ranks share
@@ -80,7 +95,7 @@ import os
 import queue as queue_mod
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +122,15 @@ from .comm import (
 )
 from .fault_tolerance import WorkerFailure
 from .kvstore import KVStore, SharedArray
-from .rank import AWAIT_GRAD, FORWARD, Buffers, Rank, parent_step
+from .rank import (
+    BACKWARD,
+    FORWARD,
+    LAYER_SYNC,
+    Buffers,
+    Rank,
+    apply_reduced_grad,
+    attach_targets,
+)
 
 __all__ = ["MultiprocessEpochStats", "MultiprocessTrainer"]
 
@@ -199,7 +222,8 @@ class _WorkerSpec:
 
     rank: int
     k: int
-    model: NAUModel
+    model: NAUModel        # this worker's replica of the model ...
+    optimizer: Optimizer   # ... and of the optimizer stepping it
     partition: Partition
     strategy: ExecutionStrategy
     comm: ProcessComm
@@ -209,7 +233,6 @@ class _WorkerSpec:
     result_q: object       # shared result queue
     telemetry: TelemetrySlab | None = None   # live metrics plane (one row per rank)
     flight_dir: str | None = None            # per-rank journal + bundle dir
-    param_keys: list = field(default_factory=list)
 
 
 class _WorkerRuntime:
@@ -224,7 +247,9 @@ class _WorkerRuntime:
         self.comm = spec.comm
         self.kv = spec.kv
         self.rank = spec.rank
-        self.state = Rank(spec.rank, spec.partition.parts[spec.rank])
+        #: the parent's :class:`Rank`, as last shipped (every pool's
+        #: first epoch ships it)
+        self.state: Rank | None = None
         self.bufs = spec.bufs.map(lambda shared: shared.array)
         #: unique remote leaf rows per owning rank (from the sub-HDG)
         self._remote_leaves = np.zeros(spec.k, dtype=np.int64)
@@ -318,10 +343,12 @@ class _WorkerRuntime:
             obs.event("dist.worker_threads", blas_threads=threads,
                       library=library)
             self.blas = None
-        obs.log("epoch start", version=int(payload["version"]))
+        obs.log("epoch start")
         self._stall_seconds = float(payload.get("stall_seconds") or 0.0)
-        if payload.get("sub_hdg") is not None:
-            self.state.sub_hdg = payload["sub_hdg"]
+        # The one optimizer setting a schedule moves between epochs.
+        self.spec.optimizer.lr = payload["lr"]
+        if payload["rank"] is not None:
+            self.state = payload["rank"]
             self._remote_leaves = dependency_stats(
                 self.state.sub_hdg, self.spec.partition.labels, self.k,
             ).remote_leaves_per_pair[self.rank]
@@ -329,14 +356,6 @@ class _WorkerRuntime:
             obs.phase("feat_fetch")
             self._fetch_features()
             self._feats_version = payload["feats_version"]
-        if self.kv.version < payload["version"]:
-            raise RuntimeError(
-                f"worker {self.rank} sees kv version {self.kv.version}, "
-                f"epoch {epoch} needs {payload['version']}"
-            )
-        pulled = self.kv.pull_batch(self.spec.param_keys)
-        for key, p in zip(self.spec.param_keys, self.model.parameters()):
-            p.data[...] = pulled[key]
 
         comm_s = 0.0
         bytes_total = self._startup_bytes
@@ -344,26 +363,20 @@ class _WorkerRuntime:
         self._startup_bytes = 0.0
         self._startup_messages = 0
         remote = self._remote_leaves
+        last = len(self.model.layers) - 1
         for sync in self.state.program(self.model, self.spec.strategy, self.X,
                                       self.bufs, epoch, phase=self._phase):
-            if sync.name == AWAIT_GRAD:
-                if self.rank == 0:
-                    self.spec.result_q.put(("fwd", epoch))
-                obs.phase(AWAIT_GRAD, layer=None)
-                msg = self.spec.inbox.get()
-                if msg[0] == "die":
-                    self._die("injected_failure")
-                if msg[0] != "bwd":
-                    return  # "stop" mid-epoch: parent is tearing the pool down
-                continue
-            wait = self.comm.barrier()
             reduce_s = 0.0
-            if sync.slabs is None:
-                # layer_sync: the remote rows this layer read, one
-                # message per owning rank.
+            if sync.name == LAYER_SYNC:
+                # The remote rows this layer read, one message per
+                # owning rank; the next layer reads what the peers
+                # wrote, so wait for them — after the last layer nobody
+                # reads the output.
+                wait = 0.0 if sync.layer == last else self.comm.barrier()
                 nbytes = float(remote.sum()) * sync.nbytes
                 messages = int(np.count_nonzero(remote))
             else:
+                wait = self.comm.barrier()
                 obs.phase(sync.name, layer=sync.layer)
                 t0 = time.perf_counter()
                 reduce_slabs(sync.slabs, sync.out, self.rank)
@@ -376,12 +389,16 @@ class _WorkerRuntime:
             obs.record_span("dist.comm", wait + reduce_s, simulated=False,
                             sync=sync.name, bytes=nbytes, reduce_s=reduce_s)
 
+        # The optimizer step closes the backward, as in the engine.
+        obs.phase(BACKWARD, layer=None)
+        apply_reduced_grad(self.model, self.spec.optimizer, self.bufs.pbuf)
         obs.phase("done")
         # One metric sample per epoch: a black box keeps the final
         # counter/gauge state alongside the spans (and, the rank being
         # past its last barrier, writes its journal out now).
         obs.sample_metrics()
         self.spec.result_q.put(("done", self.rank, {
+            "loss": self.state.loss,
             "compute_seconds": (sum(self.state.compute_seconds)
                                 + sum(self.state.backward_seconds)),
             "comm_seconds": comm_s,
@@ -459,21 +476,24 @@ class MultiprocessTrainer:
         self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
         self.comm = ProcessComm(self.k, ctx=ctx, timeout=self.timeout)
         self.ctx = self.comm.ctx
-        self.kv = KVStore(ctx=self.ctx)
-        self._param_keys = [
-            f"param/{i}" for i in range(len(self.model.parameters()))
-        ]
+        self.kv = KVStore()
+        #: allocated with the first pool, reused by every respawn
         self._bufs: Buffers | None = None
         #: the feature array the ``feat/{w}`` shards hold, and its version
         self._shipped: np.ndarray | None = None
         self._feats_version = 0
+        #: the arrays the ranks hold rows of, and the optimizer the
+        #: workers hold replicas of
+        self._labels: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
+        self._optimizer: Optimizer | None = None
         self._procs: list | None = None
         self._inboxes: list = []
         self._result_q = None
-        self._hdg_dirty: set[int] = set()
+        #: ranks whose :class:`Rank` state the next epoch message ships
+        self._dirty: set[int] = set()
         self._die_next: set[int] = set()
         self._stall_next: dict[int, float] = {}
-        self._started = False
         self._closed = False
         #: shared live-metrics plane: one fixed-layout row per rank,
         #: written lock-free by the worker, sampled by the parent's poll
@@ -516,32 +536,27 @@ class MultiprocessTrainer:
         self._shipped = X
         self._feats_version += 1
 
-    def _ensure_started(self) -> None:
-        if self._started:
-            return
-        for key, p in zip(self._param_keys, self.model.parameters()):
-            self.kv.set(key, p.data)
-        self._bufs = Buffers.allocate(self.model, self.graph.num_vertices,
-                                      self.k, SharedArray)
-        self._started = True
-        self._spawn()
-
     def _spawn(self) -> None:
+        """Start the k workers, each with a replica of the parent's
+        current model and optimizer."""
+        if self._bufs is None:
+            self._bufs = Buffers.allocate(self.model, self.graph.num_vertices,
+                                          self.k, SharedArray)
         self._inboxes = [self.ctx.Queue() for _ in range(self.k)]
         self._result_q = self.ctx.Queue()
-        self._hdg_dirty = set(range(self.k))
+        self._dirty = set(range(self.k))
         self.telemetry.reset()
         self._stall_detector.reset()
         self._procs = []
         for rank in range(self.k):
             spec = _WorkerSpec(
                 rank=rank, k=self.k, model=self.model,
+                optimizer=self._optimizer,
                 partition=self.partition, strategy=self.strategy,
                 comm=self.comm, kv=self.kv, bufs=self._bufs,
                 inbox=self._inboxes[rank], result_q=self._result_q,
                 telemetry=self.telemetry,
                 flight_dir=self.flight_dir,
-                param_keys=self._param_keys,
             )
             proc = self.ctx.Process(target=_worker_main, args=(spec,),
                                     daemon=True, name=f"repro-worker-{rank}")
@@ -585,16 +600,18 @@ class MultiprocessTrainer:
         self._result_q = None
 
     def heal(self) -> None:
-        """Respawn the worker pool after a failure (FT recovery path)."""
+        """Respawn the worker pool after a failure (FT recovery path):
+        every replica restarts from the parent's model and optimizer."""
         self._teardown_pool()
         self.comm.reset()
-        if self._started:
+        if self._bufs is not None:
             self._spawn()
 
     def recover(self, worker_id: int) -> None:
         """The :class:`FaultTolerantTrainer` contract: the dead process
         took its peers' barrier down with it, so recovering one worker
-        means respawning the pool."""
+        means respawning the pool — from the parent's model and
+        optimizer, which the caller has just restored."""
         self.heal()
 
     def inject_failure(self, worker_id: int) -> None:
@@ -707,10 +724,10 @@ class MultiprocessTrainer:
 
         A stall is *alive but not progressing*: the heartbeat seqno of a
         rank in an active phase has not moved for ``stall_deadline``
-        seconds.  Ranks parked at a barrier (or awaiting gradients) are
-        exempt — they are the victims when a peer stalls.  Stalls emit
-        events and are recorded; they do not abort the epoch (the
-        ``timeout`` deadline still backstops a stall that never ends).
+        seconds.  Ranks parked at a barrier are exempt — they are the
+        victims when a peer stalls.  Stalls emit events and are recorded;
+        they do not abort the epoch (the ``timeout`` deadline still
+        backstops a stall that never ends).
         """
         samples = self.telemetry.sample(publish=True)
         for stall in self._stall_detector.observe(samples):
@@ -764,10 +781,7 @@ class MultiprocessTrainer:
                 self._teardown_pool()
                 raise RuntimeError(f"worker {rank} failed:\n{tb}")
             if msg[0] == tag:
-                if tag == "fwd":
-                    results[len(results)] = {}
-                else:
-                    results[msg[1]] = msg[2]
+                results[msg[1]] = msg[2]
         return results
 
     def train_epoch(
@@ -781,7 +795,15 @@ class MultiprocessTrainer:
         """One data-parallel full-batch epoch across real processes."""
         t0 = time.perf_counter()
         self._ship_features(feats)
-        self._ensure_started()
+        if labels is not self._labels or mask is not self._mask:
+            attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
+            self._labels, self._mask = labels, mask
+            self._dirty = set(range(self.k))
+        if optimizer is not self._optimizer:
+            # Every worker steps a replica of this optimizer: respawn the
+            # pool from the parent's model and optimizer.
+            self._optimizer = optimizer
+            self.heal()
         if self._procs is None:
             self._spawn()
         # A worker that died between epochs must surface before anything
@@ -791,13 +813,7 @@ class MultiprocessTrainer:
         if rebuilt:
             for rank in self.ranks:
                 rank.attach_hdg(hdg)
-            self._hdg_dirty = set(range(self.k))
-
-        # Parameter sync: fresh replicated state, then bump the version
-        # the dispatched tasks will assert.
-        for key, p in zip(self._param_keys, self.model.parameters()):
-            self.kv.set(key, p.data)
-        version = self.kv.bump_version()
+            self._dirty = set(range(self.k))
 
         trace_id = obs.get_registry().trace_id
         for rank in range(self.k):
@@ -805,29 +821,20 @@ class MultiprocessTrainer:
                 self._die_next.discard(rank)
                 self._inboxes[rank].put(("die",))
                 continue
-            sub = None
-            if rank in self._hdg_dirty:
-                sub = self.ranks[rank].sub_hdg
-                self._hdg_dirty.discard(rank)
+            state = self.ranks[rank] if rank in self._dirty else None
+            self._dirty.discard(rank)
             self._inboxes[rank].put(("epoch", {
-                "epoch": epoch, "version": version, "sub_hdg": sub,
+                "epoch": epoch, "rank": state, "lr": optimizer.lr,
                 "feats_version": self._feats_version,
                 "trace_id": trace_id,
                 "stall_seconds": self._stall_next.pop(rank, 0.0),
             }))
 
-        # Forward runs worker-side; rank 0 signals the final barrier.
-        self._await("fwd", epoch, 1)
-        results: dict[int, dict] = {}
-
-        def backward() -> None:
-            for inbox in self._inboxes:
-                inbox.put(("bwd", epoch))
-            results.update(self._await("done", epoch, self.k))
-
-        loss = parent_step(self.model, optimizer,
-                           self._bufs.map(lambda shared: shared.array),
-                           labels, mask, backward)
+        results = self._await("done", epoch, self.k)
+        # The parent's model is one more replica: stepping it keeps
+        # checkpoints and ``trainer.model`` current, and nothing waits.
+        apply_reduced_grad(self.model, optimizer, self._bufs.pbuf.array)
+        loss = sum(results[rank]["loss"] for rank in sorted(results))
 
         compute = np.zeros(self.k)
         comm = np.zeros(self.k)

@@ -2,11 +2,11 @@
 
 The trainer runs the *real* program of every rank
 (:meth:`~repro.distributed.rank.Rank.program`: sliced per-partition HDG
-aggregation + update, a cut-tape backward, rank-ordered gradient
-reductions) in one process, stepping the k programs round-robin from
-one sync point to the next, and combines their measured times with
-modeled network time from :mod:`repro.distributed.comm`.  One
-epoch's simulated wall time is::
+aggregation + update, a rank-local loss share, a cut-tape backward,
+rank-ordered gradient reductions) in one process, stepping the k
+programs round-robin from one sync point to the next, and combines
+their measured times with modeled network time from
+:mod:`repro.distributed.comm`.  One epoch's simulated wall time is::
 
     selection time / k
     + sum over layers of max over ranks of layer_time(rank)
@@ -41,7 +41,7 @@ from .comm import (
     reduce_slabs,
 )
 from .fault_tolerance import WorkerFailure
-from .rank import AWAIT_GRAD, Buffers, Rank, parent_step
+from .rank import Buffers, Rank, apply_reduced_grad, attach_targets
 
 __all__ = ["DistributedEpochStats", "DistributedTrainer"]
 
@@ -141,6 +141,9 @@ class DistributedTrainer:
         self._dep_stats = None
         self._fail_next: int | None = None
         self._bufs: Buffers | None = None
+        #: the ``labels`` / ``mask`` arrays the ranks hold rows of
+        self._labels: np.ndarray | None = None
+        self._mask: np.ndarray | None = None
         # Rank root sets follow the global HDG root order (vertex id).
         self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
 
@@ -172,8 +175,8 @@ class DistributedTrainer:
             self._dep_stats = dependency_stats(hdg, self.labels_part, self.k)
 
     def _forward(self, feats: Tensor, epoch: int):
-        """Run the rank programs to ``await_grad``, modeling each
-        layer's communication at its ``layer_sync``.
+        """Run the rank programs through the last layer's forward,
+        modeling each layer's communication at its ``layer_sync``.
 
         Returns the suspended lockstep and the totals: simulated forward
         ``seconds`` (and ``aggregation`` seconds, the same model over
@@ -194,12 +197,9 @@ class DistributedTrainer:
                   "messages": 0, "modes": set(),
                   "compute": np.zeros(self.k), "comm": np.zeros(self.k)}
         for syncs in steps:
-            sync = syncs[0]
-            if sync.name == AWAIT_GRAD:
-                break
-            l = sync.layer
+            l = syncs[0].layer
             plan = plan_layer_comm(
-                self._dep_stats, sync.nbytes, self.comm_config, mode,
+                self._dep_stats, syncs[0].nbytes, self.comm_config, mode,
                 self.model.layers[l].commutative,
             )
             totals["modes"].add(plan.mode)
@@ -219,6 +219,8 @@ class DistributedTrainer:
             totals["aggregation"] += float(_layer_times(aggregation, plan).max())
             totals["compute"] += compute
             totals["comm"] += plan.per_worker_seconds
+            if l + 1 == len(self.model.layers):
+                break
         return steps, totals
 
     def _backward(self, steps) -> None:
@@ -241,13 +243,17 @@ class DistributedTrainer:
         if self._fail_next is not None:
             worker_id, self._fail_next = self._fail_next, None
             raise WorkerFailure(worker_id, epoch)
+        if labels is not self._labels or mask is not self._mask:
+            attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
+            self._labels, self._mask = labels, mask
         self._sync_hdg(epoch)
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
         steps, totals = self._forward(feats, epoch)
-        loss = parent_step(self.model, optimizer, self._bufs, labels, mask,
-                           lambda: self._backward(steps))
+        self._backward(steps)
+        apply_reduced_grad(self.model, optimizer, self._bufs.pbuf)
+        loss = sum(rank.loss for rank in self.ranks)
         # Selection is embarrassingly parallel across partitions (§5:
         # "FlexGraph constructs a subgraph of HDGs in parallel").
         selection_sim = self.hdgs.build_seconds / self.k

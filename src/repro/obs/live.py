@@ -36,7 +36,7 @@ A worker is **dead** when its process is gone (``is_alive()`` false —
 surfaced as :class:`~repro.distributed.fault_tolerance.WorkerFailure`).
 A worker is **stalled** when the process is alive but its heartbeat
 seqno has been frozen past a deadline *while in an active phase*.
-Waiting phases (barrier, awaiting the parent's gradient) are exempt:
+Waiting phases (barrier, done, idle) are exempt:
 when rank 2 hangs in its forward, ranks 0 and 1 freeze too — blocked in
 ``Barrier.wait`` — and flagging them would bury the culprit.  The
 :class:`StallDetector` therefore reports exactly the rank whose frozen
@@ -60,7 +60,6 @@ __all__ = [
     "PHASE_FEAT_FETCH",
     "PHASE_FORWARD",
     "PHASE_BARRIER",
-    "PHASE_AWAIT_GRAD",
     "PHASE_BACKWARD",
     "PHASE_GRAD_REDUCE",
     "PHASE_PARAM_REDUCE",
@@ -90,14 +89,13 @@ PHASE_IDLE = 0          # no epoch dispatched / between epochs
 PHASE_FEAT_FETCH = 1    # assembling the input feature matrix
 PHASE_FORWARD = 2       # layer-l aggregation + update
 PHASE_BARRIER = 3       # blocked in a Barrier.wait (peer-dependent)
-PHASE_AWAIT_GRAD = 4    # waiting for the parent's output gradient
-PHASE_BACKWARD = 5      # layer-l backward
-PHASE_GRAD_REDUCE = 6   # hidden-gradient chunk reduction
-PHASE_PARAM_REDUCE = 7  # parameter-gradient chunk reduction
-PHASE_DONE = 8          # epoch results shipped
+PHASE_BACKWARD = 4      # layer-l backward (layer -1: the optimizer step)
+PHASE_GRAD_REDUCE = 5   # hidden-gradient chunk reduction
+PHASE_PARAM_REDUCE = 6  # parameter-gradient chunk reduction
+PHASE_DONE = 7          # epoch results shipped
 
 PHASE_NAMES = (
-    "idle", "feat_fetch", "forward", "barrier", "await_grad",
+    "idle", "feat_fetch", "forward", "barrier",
     "backward", "grad_reduce", "param_reduce", "done",
 )
 
@@ -131,7 +129,7 @@ def is_stalled(phase: int | str, frozen_for: float | None,
 STALL_EVENT = "dist.worker_stalled"
 
 #: schema of the descriptor an out-of-process reader attaches with
-SLAB_SCHEMA = "repro.live-slab/1"
+SLAB_SCHEMA = "repro.live-slab/2"
 
 #: gauge-name prefix the parent publishes samples under
 LIVE_GAUGE_PREFIX = "live.worker."

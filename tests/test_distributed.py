@@ -15,6 +15,7 @@ from repro.distributed import (
     CommConfig,
     DependencyStats,
     DistributedTrainer,
+    MultiprocessTrainer,
     dependency_stats,
     flexgraph_scaling,
     model_baseline_scaling,
@@ -258,23 +259,31 @@ class TestDistributedTrainer:
     def test_one_worker_matches_engine_for_every_model_level_scope(
             self, ds, factory):
         """At k=1 the partitioned loop is the engine's: same HDG
-        lifecycle (one shared implementation), same loss, every epoch."""
+        lifecycle (one shared implementation), a loss share of exactly
+        1.0, so the same loss, bitwise, every epoch, on both backends."""
         feats = Tensor(ds.features)
+        part = hash_partition(ds.graph.num_vertices, 1)
         losses = {}
-        for name in ("engine", "distributed"):
+        for name in ("engine", "distributed", "process"):
             model = factory(ds.feat_dim, 8, ds.num_classes, seed=7)
             opt = Adam(model.parameters(), 0.01)
             if name == "engine":
                 runner = FlexGraphEngine(model, ds.graph, seed=3)
+            elif name == "distributed":
+                runner = DistributedTrainer(model, ds.graph, part, seed=3)
             else:
-                runner = DistributedTrainer(
-                    model, ds.graph, hash_partition(ds.graph.num_vertices, 1),
-                    seed=3)
-            losses[name] = [
-                runner.train_epoch(feats, ds.labels, opt, ds.train_mask, e).loss
-                for e in range(3)
-            ]
-        assert losses["distributed"] == pytest.approx(losses["engine"], rel=1e-9)
+                runner = MultiprocessTrainer(model, ds.graph, part, seed=3)
+            try:
+                losses[name] = [
+                    runner.train_epoch(feats, ds.labels, opt, ds.train_mask,
+                                       e).loss
+                    for e in range(3)
+                ]
+            finally:
+                if name == "process":
+                    runner.close()
+        assert losses["distributed"] == losses["engine"]
+        assert losses["process"] == losses["engine"]
 
     def test_reassembly_permutation_precomputed_once(self, ds):
         # Regression (perf): the constant permutation that puts rank

@@ -148,7 +148,7 @@ class TestTelemetrySlab:
             slab.write_descriptor(path)
             with open(path) as fh:
                 desc = json.load(fh)
-            assert desc["schema"] == "repro.live-slab/1"
+            assert desc["schema"] == "repro.live-slab/2"
             other = TelemetrySlab.attach(desc)
             try:
                 slab.writer(0)(_phase("forward", epoch=9))
@@ -253,7 +253,7 @@ class TestStallDetector:
             assert is_stalled(phase, 6.0, 5.0)
             assert not is_stalled(phase, 4.0, 5.0)
             assert not is_stalled(phase, None, 5.0)
-        for phase in (PHASE_BARRIER, "barrier", "await_grad", "done",
+        for phase in (PHASE_BARRIER, "barrier", "done",
                       "idle", None, "?"):
             assert not in_active_phase(phase)
             assert not is_stalled(phase, 60.0, 5.0)

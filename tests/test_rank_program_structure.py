@@ -1,9 +1,10 @@
 """Structure check: one per-rank implementation under both trainers.
 
 The simulated and the process trainer agree bitwise because they run
-the same rank program (``repro/distributed/rank.py``).  A second
-per-rank forward or backward written in a trainer would silently turn
-that property back into a parity test; this scan fails it in CI.
+the same rank program (``repro/distributed/rank.py``) and step every
+optimizer replica through its one step function.  A second per-rank
+forward, backward or optimizer step written in a trainer would silently
+turn that property back into a parity test; this scan fails it in CI.
 """
 
 import ast
@@ -14,14 +15,15 @@ import repro.distributed
 DISTRIBUTED = Path(repro.distributed.__file__).parent
 RANK_PROGRAM = "rank.py"
 
-#: layer stages and tape entry points (``layer.aggregation(h, hdg)``,
-#: ``layer.update(h, nbr)``, ``layer.forward(h, hdg)``,
-#: ``out.backward(g)`` / ``loss.backward()``)
-_STAGES = {"aggregation", "forward", "backward"}
+#: layer stages, tape entry points and the optimizer step
+#: (``layer.aggregation(h, hdg)``, ``layer.update(h, nbr)``,
+#: ``layer.forward(h, hdg)``, ``out.backward(g)`` / ``loss.backward()``,
+#: ``optimizer.step()``)
+_STAGES = {"aggregation", "forward", "backward", "step"}
 
 
 def _stage_calls(path: Path) -> list[str]:
-    """``file:line`` of every layer-stage or tape call in ``path``.
+    """``file:line`` of every layer-stage, tape or step call in ``path``.
 
     ``update`` counts with two or more positional arguments: a layer's
     Update takes the features and the neighborhood term, while
@@ -47,13 +49,14 @@ def test_only_the_rank_program_runs_layers_and_tapes():
         for call in _stage_calls(path)
     ]
     assert offenders == [], (
-        "per-rank compute outside the rank program: " + ", ".join(offenders))
+        "per-rank compute or an optimizer step outside the rank program: "
+        + ", ".join(offenders))
 
 
 def test_the_scan_sees_the_rank_program():
     """The scan is not vacuous: it finds the rank program's own stage
     calls (``forward(rows=)`` is bitwise ``aggregation`` + ``update``,
-    which the program times separately)."""
+    which the program times separately) and its one optimizer step."""
     names = {call.split(" .")[1].rstrip("(")
              for call in _stage_calls(DISTRIBUTED / RANK_PROGRAM)}
-    assert names == {"aggregation", "update", "backward"}
+    assert names == {"aggregation", "update", "backward", "step"}

@@ -24,7 +24,7 @@ manifest header, the telemetry table at the incident, a
 culprit-vs-victim ranking from the per-rank journals and a merged
 timeline of their final records.  A rank that died, was flagged stalled
 or whose last journaled phase is an active one is a culprit; ranks
-parked in waiting phases (barrier / await_grad / idle / done) froze
+parked in waiting phases (barrier / idle / done) froze
 because of a peer and are victims — the stall detector's own rule
 (``repro.obs.live.in_active_phase``).
 
