@@ -33,7 +33,8 @@ paper's optimizations (batching, overlap) act on.
 * :func:`allreduce_traffic` — the bytes and messages one rank moves in a
   ring allreduce.
 * :func:`reduce_slabs` — one rank's share of a rank-ordered
-  reduce-scatter, bitwise the same whichever trainer runs the ranks.
+  reduce-scatter, bitwise the same whichever trainer runs the ranks
+  (the reduction the rank program's parameter sync carries).
 * :class:`ProcessComm` — the barrier the worker processes of
   :class:`~repro.distributed.runtime.MultiprocessTrainer` meet at.
 """
@@ -126,60 +127,34 @@ def reduce_slabs(slabs: list[np.ndarray], out: np.ndarray, rank: int) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class DependencyStats:
-    """Cross-partition dependency counts for one HDG + partition."""
+    """Cross-partition dependency counts for one HDG + partition, as
+    ``(k, k)`` matrices indexed ``[dst_worker, src_worker]``."""
 
     k: int
     #: remote bottom-level edges per pair — the per-root feature
     #: collection of the straightforward path ("first collect features of
     #: its 1-hop neighbors at other partitions"); drives naive/batched
-    remote_edges_per_pair: np.ndarray    # (k, k) counts, [dst_worker, src_worker]
-    #: unique (worker, remote leaf vertex) pairs (analysis/diagnostics)
-    remote_leaves_per_pair: np.ndarray   # (k, k)
+    remote_edges_per_pair: np.ndarray
     #: unique (root, remote partition) pairs; drives partial aggregation
-    partial_messages_per_pair: np.ndarray  # (k, k)
-    #: bottom-level edge counts whose leaf is local vs remote, per worker
-    local_edges: np.ndarray              # (k,)
-    remote_edges: np.ndarray             # (k,)
+    partial_messages_per_pair: np.ndarray
 
 
 def dependency_stats(hdg: HDG, labels: np.ndarray, k: int) -> DependencyStats:
     """Vectorized cross-partition dependency accounting."""
     labels = np.asarray(labels, dtype=np.int64)
-    root_per_edge = hdg.root_of_leaf_edges()          # root order per edge
-    root_vertex = hdg.roots[root_per_edge]            # global root id
-    leaf_vertex = hdg.leaf_vertices
+    root_vertex = hdg.roots[hdg.root_of_leaf_edges()]   # global root per edge
     w_root = labels[root_vertex]
-    w_leaf = labels[leaf_vertex]
+    w_leaf = labels[hdg.leaf_vertices]
     remote = w_root != w_leaf
-
-    remote_edge_pairs = np.zeros((k, k), dtype=np.int64)
-    remote_leaves = np.zeros((k, k), dtype=np.int64)
-    partial_msgs = np.zeros((k, k), dtype=np.int64)
-    local_edges = np.zeros(k, dtype=np.int64)
-    remote_edges = np.zeros(k, dtype=np.int64)
-
-    np.add.at(local_edges, w_root[~remote], 1)
-    np.add.at(remote_edges, w_root[remote], 1)
-
-    if remote.any():
-        dst_w = w_root[remote]
-        src_w = w_leaf[remote]
-        np.add.at(remote_edge_pairs.reshape(-1), dst_w * k + src_w, 1)
-        # Unique (dst worker, src worker, leaf) triples -> dedup fetch counts.
-        leaf = leaf_vertex[remote]
-        triple = (dst_w * k + src_w) * hdg.num_input_vertices + leaf
-        uniq = np.unique(triple)
-        pair = uniq // hdg.num_input_vertices
-        np.add.at(remote_leaves.reshape(-1), pair, 1)
-        # Unique (root, src worker) pairs -> partial-aggregation messages.
-        root = root_vertex[remote]
-        pair2 = root.astype(np.int64) * k + src_w
-        uniq2 = np.unique(pair2)
-        dst_of = labels[uniq2 // k]
-        src_of = uniq2 % k
-        np.add.at(partial_msgs.reshape(-1), dst_of * k + src_of, 1)
+    src_w = w_leaf[remote]
+    # Unique (root, src worker) pairs -> partial-aggregation messages.
+    partial = np.unique(root_vertex[remote] * k + src_w)
     return DependencyStats(
-        k, remote_edge_pairs, remote_leaves, partial_msgs, local_edges, remote_edges
+        k,
+        np.bincount(w_root[remote] * k + src_w,
+                    minlength=k * k).reshape(k, k),
+        np.bincount(labels[partial // k] * k + partial % k,
+                    minlength=k * k).reshape(k, k),
     )
 
 

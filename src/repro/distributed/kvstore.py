@@ -1,9 +1,11 @@
 """A small shared-memory KV store for the multiprocess runtime.
 
 Holds the tensors every worker must see — the partitioned input
-features — in ``multiprocessing.shared_memory`` segments, so worker
-processes read them zero-copy (:meth:`KVStore.get` returns a numpy view
-over the shared pages, no serialization, no socket).
+features, one shard per owner — in ``multiprocessing.shared_memory``
+segments, so worker processes read them zero-copy (:meth:`KVStore.get`
+returns a numpy view over the shared pages, no serialization, no
+socket); each worker gathers only its own input rows, owned ∪ halo,
+out of those views.
 
 The store is *owner-creates, everyone-reads/writes*: the parent process
 creates every key before the workers are spawned (segment descriptors
@@ -11,7 +13,7 @@ travel to the children by fork inheritance or pickling), then both sides
 may :meth:`set` into existing keys — the parent re-ships changed
 features that way.  Keys cannot be *created* after the workers exist: a
 new segment's name would not propagate.  Ship late-arriving data (e.g.
-per-epoch HDG slices) through task messages instead.
+per-epoch rank blocks) through task messages instead.
 
 This mirrors the split in DGL's ``dis_kvstore``: bulk tensors in shared
 pages, a tiny amount of metadata (names, shapes) in ordinary pickled

@@ -1,38 +1,52 @@
 """One rank's share of a distributed epoch, written once (§5).
 
 Every FlexGraph worker runs the same NAU layers over its own partition
-and exchanges rows with its peers between them.  :class:`Rank` is one
-worker's state — its roots, its slice of the model HDG and its rows of
-the training targets — and :meth:`Rank.program` is its epoch: a
-generator that computes, writes into the epoch's exchange
-:class:`Buffers` and yields a :class:`Sync` wherever every rank must
-arrive before any rank goes on:
+and exchanges rows with its peers between them.  A rank is a *block*:
+:func:`attach_hdg` slices the model HDG down to the rank's roots and
+relabels the slice with :func:`~repro.core.step.compact_blocks` — the
+relabel sampled batches and served requests run through — into the
+rank's universe ``inputs``, its owned rows ∪ its *halo* (the remote
+leaves its slice names, the induced-graph edges of Fig. 11b).  Every
+layer then runs on ``|owned ∪ halo|`` rows, never on n.
 
-* ``layer_sync`` (layer ``l``) — this rank's layer-``l`` rows are in
-  ``h[l + 1]``, which is the next layer's input (the last layer's
-  output stays local: it only feeds this rank's loss);
-* ``grad_reduce`` (layer ``l``) — this rank's gradient w.r.t. the
-  layer-``l`` input is in its slab; the trainer sums the slabs into
-  ``g[l]``;
-* ``param_reduce`` — likewise for the flattened parameter gradient,
-  into ``pbuf``.
+:class:`Rank` is one worker's state — that block, its rows of the
+training targets and the receive lists of its halo gradients — and
+:meth:`Rank.program` is its epoch: a generator that computes, writes
+into the epoch's exchange :class:`Buffers` and yields a :class:`Sync`
+wherever every rank must arrive before any rank goes on:
 
-Each rank computes the node loss over its own rows, scaled by its share
-of the global training count, so the k shares sum to the global mean
-loss and the loss gradient never leaves the rank.  Each layer runs on a
-*cut tape* whose input is a fresh leaf over the boundary buffer;
+* ``layer_sync`` (layer ``l``) — this rank's layer-``l`` rows are in the
+  shared ``h[l + 1]``; on resuming it gathers its universe's rows of it
+  as the next layer's input (the last layer's output stays local: it
+  only feeds this rank's loss);
+* ``grad_reduce`` (layer ``l``) — this rank's gradient w.r.t. its
+  layer-``l`` input rows is in its slab, in local order; the sync's
+  reduction is the owner-side sum: in rank order, add the rows every
+  slab holds for this rank's owned vertices;
+* ``param_reduce`` — the sync's reduction is this rank's chunk of
+  :func:`~repro.distributed.comm.reduce_slabs` over the flattened
+  parameter gradients, into ``pbuf``.
+
+A sync carries its own reduction (``reduce``, ``None`` at a
+``layer_sync``) and the bytes and messages this rank copies from its
+peers there, counted at the copy; the trainers only decide when to call
+it.  Each rank computes the node loss over its own rows, scaled by its
+share of the global training count, so the k shares sum to the global
+mean loss and the loss gradient never leaves the rank.  Each layer runs
+on a *cut tape* whose input is a fresh leaf over the gathered rows;
 parameter gradients move to the rank's slab after every layer, so k
 programs may share one model in one process.  Both distributed trainers
 drive this program — k of them round-robin in one process, or one per
-worker process over shared memory — reduce with the same rank-ordered
-:func:`~repro.distributed.comm.reduce_slabs`, and step every optimizer
-replica with :func:`apply_reduced_grad` on the one reduced gradient, so
-the two backends agree bitwise.
+worker process over shared memory — run the same rank-ordered
+reductions, and step every optimizer replica with
+:func:`apply_reduced_grad` on the one reduced gradient, so the two
+backends agree bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -41,9 +55,10 @@ from .. import obs
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import node_loss
+from ..core.step import compact_blocks, node_loss
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
+from .comm import allreduce_traffic, reduce_slabs
 
 #: sync point names, in the order an epoch reaches them
 LAYER_SYNC = "layer_sync"
@@ -64,30 +79,32 @@ class Sync(NamedTuple):
 
     name: str
     layer: int | None = None
-    #: ``layer_sync``: bytes of one input row of the layer; reductions:
-    #: bytes of this rank's slab
-    nbytes: int = 0
-    #: reductions only: every rank's slab, and the output they sum into
-    slabs: list | None = None
-    out: np.ndarray | None = None
+    #: ``layer_sync``: bytes of one input row of the layer (what a
+    #: modeled plan prices)
+    row_bytes: int = 0
+    #: bytes and messages this rank copies from its peers at this sync
+    nbytes: float = 0.0
+    messages: int = 0
+    #: reductions only: this rank's share, run once every rank is here
+    reduce: Callable[[], None] | None = None
 
 
 @dataclass
 class Buffers:
     """One epoch's exchange buffers, shared by every rank.
 
-    ``h[l]`` / ``g[l]`` (``l = 1..L-1``) are the (n, d) activation at
-    layer boundary ``l`` — the output of layer ``l - 1`` — and the loss
-    gradient w.r.t. it (the logits never leave their rank);
-    ``hslabs[r]`` / ``pslabs[r]`` are rank ``r``'s flat scratch for its
-    hidden- and parameter-gradient contributions; ``pbuf`` is the
-    reduced parameter gradient.  Items are whatever ``alloc`` returns:
-    numpy arrays, or :class:`~repro.distributed.kvstore.SharedArray`
-    segments that :meth:`map` turns into views.
+    ``h[l]`` (``l = 1..L-1``) is the (n, d) activation at layer boundary
+    ``l`` — the output of layer ``l - 1``, each rank writing its owned
+    rows (the logits never leave their rank); ``hslabs[r]`` /
+    ``pslabs[r]`` are rank ``r``'s flat scratch for its hidden-gradient
+    rows (local order) and its parameter-gradient contribution; ``pbuf``
+    is the reduced parameter gradient.  Items are whatever ``alloc``
+    returns: numpy arrays, or
+    :class:`~repro.distributed.kvstore.SharedArray` segments that
+    :meth:`map` turns into views.
     """
 
     h: dict
-    g: dict
     hslabs: list
     pslabs: list
     pbuf: object
@@ -98,7 +115,8 @@ class Buffers:
         ``alloc(shape, dtype)`` makes one (``np.zeros``, ``SharedArray``).
 
         The boundaries exist before any rank runs, so every layer must
-        declare its ``output_dim``.
+        declare its ``output_dim``.  A slab holds any universe's rows, at
+        most n, of the widest boundary.
         """
         dims = []
         for i, layer in enumerate(model.layers):
@@ -114,7 +132,6 @@ class Buffers:
         psize = max(sum(p.data.size for p in model.parameters()), 1)
         return cls(
             h={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(hidden, 1)},
-            g={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(hidden, 1)},
             hslabs=[alloc((slab,), BUFFER_DTYPE) for _ in range(k)],
             pslabs=[alloc((psize,), BUFFER_DTYPE) for _ in range(k)],
             pbuf=alloc((psize,), BUFFER_DTYPE),
@@ -124,7 +141,6 @@ class Buffers:
         """The same layout with ``fn`` applied to every buffer."""
         return Buffers(
             h={l: fn(b) for l, b in self.h.items()},
-            g={l: fn(b) for l, b in self.g.items()},
             hslabs=[fn(b) for b in self.hslabs],
             pslabs=[fn(b) for b in self.pslabs],
             pbuf=fn(self.pbuf),
@@ -132,7 +148,6 @@ class Buffers:
 
     def __iter__(self):
         yield from self.h.values()
-        yield from self.g.values()
         yield from self.hslabs
         yield from self.pslabs
         yield self.pbuf
@@ -142,14 +157,35 @@ def _no_phase(name: str, layer: int | None) -> None:
     pass
 
 
-class Rank:
-    """One shared-nothing rank: its roots, its slice of the model HDG,
-    its rows of the training targets, and the loss share and per-layer
-    timings of its latest :meth:`program` run.
+def _slab_rows(slab: np.ndarray, d: int) -> np.ndarray:
+    """A flat slab viewed as rows of width ``d``."""
+    return slab[: slab.size // d * d].reshape(-1, d)
 
-    ``root_orders`` indexes the global HDG root ordering (vertex ids);
-    ``sub_hdg`` restricts the model HDG to those roots, with leaf ids
-    left global — remote leaves are what synchronization pays for.
+
+def peer_traffic(rows_per_peer: np.ndarray, row_bytes: int) -> tuple[float, int]:
+    """(bytes, messages) of copying ``rows_per_peer[r]`` rows of
+    ``row_bytes`` each from every peer ``r``: one message per peer that
+    has any."""
+    return (float(rows_per_peer.sum()) * row_bytes,
+            int(np.count_nonzero(rows_per_peer)))
+
+
+class Rank:
+    """One shared-nothing rank: its roots, its block, its rows of the
+    training targets, and the loss share and per-layer timings of its
+    latest :meth:`program` run.
+
+    ``root_orders`` indexes the global HDG root ordering (vertex ids):
+    the rank's owned rows.  :func:`attach_hdg` sets the block —
+    ``inputs`` (the universe: sorted global ids, owned ∪ halo), ``block``
+    (the rank's slice of the model HDG in positions of ``inputs``),
+    ``out_rows`` (the owned rows' positions, ``inputs[out_rows] ==
+    root_orders``) — and the exchange lists: ``halo_counts[r]``, the
+    rows of rank ``r`` in this rank's halo, and ``recv[r]``, the
+    (positions in rank ``r``'s universe, positions among this rank's
+    owned rows — ``slice(None)`` when they are all of them) of the rows
+    both hold (``recv[rank]`` is ``(out_rows, slice(None))``);
+    ``recv_counts`` is their sizes, without its own.
     ``labels`` / ``mask`` are this rank's rows of the targets, and
     ``loss_scale`` its share of the global training count
     (:func:`attach_targets`).
@@ -158,7 +194,12 @@ class Rank:
     def __init__(self, rank: int, root_orders: np.ndarray):
         self.rank = rank
         self.root_orders = root_orders
-        self.sub_hdg: HDG | None = None
+        self.block: HDG | None = None
+        self.inputs: np.ndarray | None = None
+        self.out_rows: np.ndarray | None = None
+        self.halo_counts: np.ndarray | None = None
+        self.recv: list[tuple[np.ndarray, np.ndarray | slice]] = []
+        self.recv_counts: np.ndarray | None = None
         self.labels: np.ndarray | None = None
         self.mask: np.ndarray | None = None
         self.loss_scale = 1.0
@@ -169,9 +210,14 @@ class Rank:
         self.compute_seconds: list[float] = []
         self.backward_seconds: list[float] = []
 
-    def attach_hdg(self, model_hdg: HDG) -> None:
-        """Slice the freshly built model HDG down to this rank's roots."""
-        self.sub_hdg = model_hdg.restrict_to_roots(self.root_orders)
+    def _sum_owned_grads(self, slabs: list[np.ndarray], out: np.ndarray) -> None:
+        """The owner-side sum: ``out`` (one row per owned vertex)
+        becomes, in rank order, the sum of the rows every rank's slab
+        holds for those vertices — this rank's own slab included."""
+        d = out.shape[1]
+        out[...] = 0.0
+        for slab, (pos, own) in zip(slabs, self.recv):
+            out[own] += _slab_rows(slab, d)[pos]
 
     def program(
         self,
@@ -184,17 +230,18 @@ class Rank:
         scale: float | None = None,
         phase: Callable[[str, int | None], None] = _no_phase,
     ) -> Iterator[Sync]:
-        """This rank's epoch over ``bufs`` (numpy views), input ``X``.
+        """This rank's epoch over ``bufs`` (numpy views); ``X`` holds its
+        universe's feature rows, one per ``inputs`` entry.
 
         ``scale`` multiplies the measured ``dist.compute`` /
         ``dist.aggregation`` / ``dist.backward`` durations (a modeled
         worker speed); ``phase(name, layer)`` is called as each forward
         and backward layer starts.
         """
-        assert self.sub_hdg is not None, "epoch started before any HDG"
+        assert self.block is not None, "epoch started before any HDG"
         layers = model.layers
         num_layers = len(layers)
-        rows = self.root_orders
+        rows = self.out_rows
         params = model.parameters()
         self.aggregation_seconds = [0.0] * num_layers
         self.compute_seconds = [0.0] * num_layers
@@ -208,22 +255,26 @@ class Rank:
             with obs.span("dist.compute", scale=scale, worker=self.rank,
                           layer=l, epoch=epoch) as s_cmp:
                 with obs.span("dist.aggregation", scale=scale) as s_agg:
-                    nbr = layer.aggregation(h_in, self.sub_hdg, strategy)
+                    nbr = layer.aggregation(h_in, self.block, strategy)
                 out = layer.update(h_in[rows], nbr)
             self.aggregation_seconds[l] = s_agg.duration
             self.compute_seconds[l] = s_cmp.duration
             tapes.append((h_in, out))
             row_bytes = h_in.data.shape[1] * h_in.data.itemsize
-            if l + 1 < num_layers:
-                bufs.h[l + 1][rows] = out.data
-                # Stable until the next epoch's forward overwrites it, so
-                # a zero-copy leaf view is safe for the whole backward.
-                h_in = Tensor(bufs.h[l + 1], requires_grad=True)
-            yield Sync(LAYER_SYNC, l, row_bytes)
+            if l + 1 == num_layers:
+                yield Sync(LAYER_SYNC, l, row_bytes)
+                break
+            boundary = bufs.h[l + 1]
+            boundary[self.root_orders] = out.data
+            yield Sync(LAYER_SYNC, l, row_bytes,
+                       *peer_traffic(self.halo_counts,
+                                 boundary.shape[1] * boundary.itemsize))
+            h_in = Tensor(boundary[self.inputs], requires_grad=True)
 
         model.zero_grad()
         pslab = bufs.pslabs[self.rank]
         pslab[...] = 0.0
+        grad = None  # the loss gradient w.r.t. this layer's owned rows
         for l in range(num_layers - 1, -1, -1):
             h_leaf, out = tapes[l]
             phase(BACKWARD, l)
@@ -236,7 +287,7 @@ class Rank:
                     self.loss = loss.item() * self.loss_scale
                     loss.backward(self.loss_scale)
                 else:
-                    out.backward(bufs.g[l + 1][rows])
+                    out.backward(grad)
             self.backward_seconds[l] = s_bwd.duration
             off = 0
             for p in params:
@@ -247,13 +298,63 @@ class Rank:
                 off += size
             if l == 0:
                 continue  # layer-0 input is the non-differentiable features
-            n, d = bufs.g[l].shape
-            slab = bufs.hslabs[self.rank][: n * d].reshape(n, d)
+            d = h_leaf.data.shape[1]
+            slab = _slab_rows(bufs.hslabs[self.rank], d)[: self.inputs.size]
             slab[...] = 0.0 if h_leaf.grad is None else h_leaf.grad
-            yield Sync(GRAD_REDUCE, l, slab.nbytes,
-                       [s[: n * d].reshape(n, d) for s in bufs.hslabs],
-                       bufs.g[l])
-        yield Sync(PARAM_REDUCE, None, pslab.nbytes, bufs.pslabs, bufs.pbuf)
+            grad = np.empty((rows.size, d), dtype=BUFFER_DTYPE)
+            yield Sync(GRAD_REDUCE, l, 0,
+                       *peer_traffic(self.recv_counts, d * slab.itemsize),
+                       reduce=partial(self._sum_owned_grads, bufs.hslabs, grad))
+        yield Sync(PARAM_REDUCE, None, 0,
+                   *allreduce_traffic(pslab.nbytes, len(bufs.pslabs)),
+                   reduce=partial(reduce_slabs, bufs.pslabs, bufs.pbuf,
+                                  self.rank))
+
+
+def attach_hdg(ranks: list[Rank], model_hdg: HDG, labels: np.ndarray) -> None:
+    """Cut every rank's block out of the freshly built model HDG.
+
+    Each rank's slice is relabeled by
+    :func:`~repro.core.step.compact_blocks` into its universe, owned ∪
+    halo; ``labels`` (vertex → rank) then give each rank its halo rows
+    per owner, and each owner the rows every rank's universe holds of
+    it — the receive lists of its owner-side gradient sum.
+    """
+    k = len(ranks)
+    for rank in ranks:
+        owned = rank.root_orders
+        compact = compact_blocks(
+            [(model_hdg.restrict_to_roots(owned), owned)], owned)
+        (rank.block, rank.out_rows), = compact.blocks
+        rank.inputs = compact.input_vertices
+        rank.halo_counts = np.bincount(labels[rank.inputs], minlength=k)
+        rank.halo_counts[rank.rank] = 0
+    for owner in ranks:
+        owner.recv = []
+        for peer in ranks:
+            pos = np.flatnonzero(labels[peer.inputs] == owner.rank)
+            own = np.searchsorted(owner.root_orders, peer.inputs[pos])
+            # A rank holding every owned row adds them in place, with no
+            # gather and scatter of the sum (its own entry always does).
+            full = own.size == owner.root_orders.size
+            owner.recv.append((pos, slice(None) if full else own))
+        owner.recv_counts = np.array([pos.size for pos, _ in owner.recv])
+        owner.recv_counts[owner.rank] = 0
+
+
+def feature_matrix(feats: Tensor | np.ndarray, n: int) -> np.ndarray:
+    """The array behind ``feats``, checked to hold one row per vertex.
+
+    A rank gathers its universe's rows by vertex id, so a matrix with
+    extra rows would silently train and one with missing rows would fail
+    deep inside a layer: both are a named error, before any rank runs.
+    """
+    X = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ValueError(
+            f"features have shape {X.shape}: distributed training needs "
+            f"one row per vertex, shape ({n}, d)")
+    return X
 
 
 def attach_targets(ranks: list[Rank], n: int, labels: np.ndarray,

@@ -22,21 +22,26 @@ Bulk arrays live in ``multiprocessing.shared_memory`` (zero-copy numpy
 views, see :mod:`repro.distributed.kvstore`):
 
 * ``feat/{w}`` KV keys — the partitioned input features, one shard per
-  owning worker; every worker assembles its full input copy from them
-  (remote shards are the bytes a real cluster would ship).  The parent
-  re-ships the shards when ``train_epoch`` is handed a different
-  feature array than the one it last shipped, and the workers refetch;
-  passing the same array (or ``Tensor``) every epoch ships nothing.
-  Edits made *in place* to the shipped array are not detected.
+  owning worker; every worker gathers only its input rows, its
+  universe owned ∪ halo, from them (the halo rows are the bytes a real
+  cluster would ship).  The parent re-ships the shards when
+  ``train_epoch`` is handed a different feature array than the one it
+  last shipped, and the workers refetch — as they do whenever a new
+  rank state arrives; passing the same array (or ``Tensor``) every
+  epoch ships nothing.  Edits made *in place* to the shipped array are
+  not detected.
 * the epoch's :class:`~repro.distributed.rank.Buffers` — hidden
-  layer-boundary activations and gradients, per-rank slabs and the
-  reduced parameter gradient, each a :class:`SharedArray`.  A
-  ``layer_sync`` is one barrier, except after the last layer, whose
-  output no peer reads.  Every slab sync point is a barrier, this rank's
-  chunk of :func:`~repro.distributed.comm.reduce_slabs`, and a second
-  barrier.  A rank's ``comm_seconds`` is its barrier waits plus the time
-  it spent reducing its own chunks (each ``dist.comm`` span's
-  ``reduce_s``).
+  layer-boundary activations (each rank writes its owned rows and
+  gathers its universe's), per-rank hidden- and parameter-gradient
+  slabs and the reduced parameter gradient, each a
+  :class:`SharedArray`.  A ``layer_sync`` is one barrier, except after
+  the last layer, whose output no peer reads.  Every reducing sync
+  point is a barrier, the sync's own reduction — the owner-side sum of
+  this rank's halo-gradient rows, or its chunk of
+  :func:`~repro.distributed.comm.reduce_slabs` — and a second barrier.
+  Each sync counts the bytes and messages this rank copies from its
+  peers; a rank's ``comm_seconds`` is its barrier waits plus the time
+  it spent in its reductions (each ``dist.comm`` span's ``reduce_s``).
 
 Small state is pickled:
 
@@ -46,10 +51,10 @@ Small state is pickled:
   the optimizer's learning rate (what a schedule moves) rides in every
   epoch message.  Other edits made in place to the model or optimizer
   reach the workers only through ``heal()``.
-* each rank's :class:`~repro.distributed.rank.Rank` state (its sub-HDG
-  and its rows of the labels and mask) — in the epoch message, only
-  when the HDG was rebuilt, ``train_epoch`` got a different ``labels``
-  or ``mask`` array, or the pool respawned.
+* each rank's :class:`~repro.distributed.rank.Rank` state (its block,
+  its exchange lists and its rows of the labels and mask) — in the
+  epoch message, only when the HDG was rebuilt, ``train_epoch`` got a
+  different ``labels`` or ``mask`` array, or the pool respawned.
 
 Each worker sizes its BLAS pool at start-up to
 ``max(1, len(os.sched_getaffinity(0)) // k)`` threads, so k ranks share
@@ -112,24 +117,19 @@ from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
-from .comm import (
-    BYTES_COUNTER,
-    MESSAGES_COUNTER,
-    ProcessComm,
-    allreduce_traffic,
-    dependency_stats,
-    reduce_slabs,
-)
+from .comm import BYTES_COUNTER, MESSAGES_COUNTER, ProcessComm
 from .fault_tolerance import WorkerFailure
 from .kvstore import KVStore, SharedArray
 from .rank import (
     BACKWARD,
     FORWARD,
-    LAYER_SYNC,
     Buffers,
     Rank,
     apply_reduced_grad,
+    attach_hdg,
     attach_targets,
+    feature_matrix,
+    peer_traffic,
 )
 
 __all__ = ["MultiprocessEpochStats", "MultiprocessTrainer"]
@@ -204,8 +204,8 @@ class MultiprocessEpochStats:
     loss: float
     wall_seconds: float
     compute_seconds: np.ndarray      # per worker, measured in-process
-    comm_seconds: np.ndarray         # per worker, barrier waits + its reduction chunks
-    total_bytes: float               # cross-partition traffic (accounted)
+    comm_seconds: np.ndarray         # per worker, barrier waits + its reductions
+    total_bytes: float               # cross-partition traffic (counted at the copies)
     total_messages: int
     backend: str = "process"
 
@@ -251,12 +251,9 @@ class _WorkerRuntime:
         #: first epoch ships it)
         self.state: Rank | None = None
         self.bufs = spec.bufs.map(lambda shared: shared.array)
-        #: unique remote leaf rows per owning rank (from the sub-HDG)
-        self._remote_leaves = np.zeros(spec.k, dtype=np.int64)
+        #: this rank's input rows, one per ``state.inputs`` entry
         self.X: np.ndarray | None = None
         self._feats_version: int | None = None
-        self._startup_bytes = 0.0
-        self._startup_messages = 0
         self._stall_seconds = 0.0
         # Every record this process emits is stamped with its rank.
         obs.set_context(worker=spec.rank)
@@ -293,26 +290,27 @@ class _WorkerRuntime:
                 self._run_epoch(msg[1])
 
     # ------------------------------------------------------------------
-    def _fetch_features(self) -> None:
-        """Assemble the full input matrix from the per-partition shards.
+    def _fetch_features(self) -> tuple[float, int]:
+        """Gather this rank's input rows — its universe ``inputs``, owned
+        ∪ halo — from the per-owner ``feat/{w}`` shards; returns the
+        bytes and messages of its halo rows.
 
-        Remote shards are the traffic a shared-nothing cluster pays
-        whenever the inputs change (layer-0 inputs are fetched once per
-        shipped feature array, unlike hidden activations which move
-        every epoch).
+        The halo rows are the traffic a shared-nothing cluster pays
+        whenever the inputs or the rank's block change (layer-0 inputs
+        are fetched once per shipped feature array and block, unlike
+        hidden activations which move every epoch).
         """
-        parts = self.spec.partition.parts
+        inputs = self.state.inputs
+        owner = self.spec.partition.labels[inputs]
         with obs.span("dist.feat_fetch"):
-            first = self.kv.get("feat/0")
-            n = int(self.spec.partition.labels.size)
-            X = np.empty((n, first.shape[1]), dtype=first.dtype)
-            for src in range(self.k):
-                shard = self.kv.get(f"feat/{src}")
-                X[parts[src]] = shard
-                if src != self.rank:
-                    self._startup_bytes += shard.nbytes
-                    self._startup_messages += 1
+            shards = [self.kv.get(f"feat/{w}") for w in range(self.k)]
+            X = np.empty((inputs.size, shards[0].shape[1]), shards[0].dtype)
+            for w, (shard, part) in enumerate(zip(shards,
+                                                  self.spec.partition.parts)):
+                at = np.flatnonzero(owner == w)
+                X[at] = shard[np.searchsorted(part, inputs[at])]
         self.X = X
+        return peer_traffic(self.state.halo_counts, X.shape[1] * X.itemsize)
 
     def _phase(self, name: str, layer: int | None) -> None:
         """The program's phase hook: a telemetry transition, and the
@@ -348,46 +346,40 @@ class _WorkerRuntime:
         # The one optimizer setting a schedule moves between epochs.
         self.spec.optimizer.lr = payload["lr"]
         if payload["rank"] is not None:
+            # A new block may name another universe: refetch its rows.
             self.state = payload["rank"]
-            self._remote_leaves = dependency_stats(
-                self.state.sub_hdg, self.spec.partition.labels, self.k,
-            ).remote_leaves_per_pair[self.rank]
+            self._feats_version = None
+        bytes_total, messages_total = 0.0, 0
         if payload["feats_version"] != self._feats_version:
             obs.phase("feat_fetch")
-            self._fetch_features()
+            bytes_total, messages_total = self._fetch_features()
             self._feats_version = payload["feats_version"]
 
         comm_s = 0.0
-        bytes_total = self._startup_bytes
-        messages_total = self._startup_messages
-        self._startup_bytes = 0.0
-        self._startup_messages = 0
-        remote = self._remote_leaves
         last = len(self.model.layers) - 1
         for sync in self.state.program(self.model, self.spec.strategy, self.X,
                                       self.bufs, epoch, phase=self._phase):
             reduce_s = 0.0
-            if sync.name == LAYER_SYNC:
-                # The remote rows this layer read, one message per
-                # owning rank; the next layer reads what the peers
+            if sync.reduce is None:
+                # A layer_sync: the next layer gathers what the peers
                 # wrote, so wait for them — after the last layer nobody
                 # reads the output.
                 wait = 0.0 if sync.layer == last else self.comm.barrier()
-                nbytes = float(remote.sum()) * sync.nbytes
-                messages = int(np.count_nonzero(remote))
             else:
+                # Every slab is written; the second barrier keeps it
+                # until every rank has read its rows.
                 wait = self.comm.barrier()
                 obs.phase(sync.name, layer=sync.layer)
                 t0 = time.perf_counter()
-                reduce_slabs(sync.slabs, sync.out, self.rank)
+                sync.reduce()
                 reduce_s = time.perf_counter() - t0
                 wait += self.comm.barrier()
-                nbytes, messages = allreduce_traffic(sync.nbytes, self.k)
             comm_s += wait + reduce_s
-            bytes_total += nbytes
-            messages_total += messages
+            bytes_total += sync.nbytes
+            messages_total += sync.messages
             obs.record_span("dist.comm", wait + reduce_s, simulated=False,
-                            sync=sync.name, bytes=nbytes, reduce_s=reduce_s)
+                            sync=sync.name, bytes=sync.nbytes,
+                            reduce_s=reduce_s)
 
         # The optimizer step closes the backward, as in the engine.
         obs.phase(BACKWARD, layer=None)
@@ -472,7 +464,7 @@ class MultiprocessTrainer:
         self.timeout = float(timeout)
         self.hdgs = ModelHDGs(model, graph, np.random.default_rng(seed),
                               span="dist.neighbor_selection")
-        # The parent slices each rank's sub-HDG and ships it.
+        # The parent cuts each rank's block and ships it.
         self.ranks = [Rank(w, part) for w, part in enumerate(self.partition.parts)]
         self.comm = ProcessComm(self.k, ctx=ctx, timeout=self.timeout)
         self.ctx = self.comm.ctx
@@ -526,11 +518,9 @@ class MultiprocessTrainer:
         first call creates the keys, before any worker exists (KV keys
         must pre-date the spawn — see repro.distributed.kvstore); later
         arrays must keep the first one's shape and dtype."""
-        X = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
+        X = feature_matrix(feats, self.graph.num_vertices)
         if X is self._shipped:
             return
-        if X.shape[0] != self.graph.num_vertices:
-            raise ValueError("features must cover every vertex")
         for rank in self.ranks:
             self.kv.set(f"feat/{rank.rank}", X[rank.root_orders])
         self._shipped = X
@@ -811,8 +801,7 @@ class MultiprocessTrainer:
         self._check_liveness(epoch)
         hdg, rebuilt = self.hdgs.model_level(epoch)
         if rebuilt:
-            for rank in self.ranks:
-                rank.attach_hdg(hdg)
+            attach_hdg(self.ranks, hdg, self.labels_part)
             self._dirty = set(range(self.k))
 
         trace_id = obs.get_registry().trace_id

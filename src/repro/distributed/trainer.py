@@ -1,11 +1,11 @@
 """Distributed FlexGraph training over a simulated shared-nothing cluster.
 
 The trainer runs the *real* program of every rank
-(:meth:`~repro.distributed.rank.Rank.program`: sliced per-partition HDG
-aggregation + update, a rank-local loss share, a cut-tape backward,
-rank-ordered gradient reductions) in one process, stepping the k
-programs round-robin from one sync point to the next, and combines
-their measured times with modeled network time from
+(:meth:`~repro.distributed.rank.Rank.program`: aggregation + update over
+the rank's block in its owned ∪ halo rows, a rank-local loss share, a
+cut-tape backward, rank-ordered gradient reductions) in one process,
+stepping the k programs round-robin from one sync point to the next,
+and combines their measured times with modeled network time from
 :mod:`repro.distributed.comm`.  One epoch's simulated wall time is::
 
     selection time / k
@@ -33,15 +33,16 @@ from ..core.step import ModelHDGs, Partition
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
-from .comm import (
-    CommConfig,
-    CommPlan,
-    dependency_stats,
-    plan_layer_comm,
-    reduce_slabs,
-)
+from .comm import CommConfig, CommPlan, dependency_stats, plan_layer_comm
 from .fault_tolerance import WorkerFailure
-from .rank import Buffers, Rank, apply_reduced_grad, attach_targets
+from .rank import (
+    Buffers,
+    Rank,
+    apply_reduced_grad,
+    attach_hdg,
+    attach_targets,
+    feature_matrix,
+)
 
 __all__ = ["DistributedEpochStats", "DistributedTrainer"]
 
@@ -159,22 +160,21 @@ class DistributedTrainer:
         self._fail_next = worker_id
 
     def recover(self, worker_id: int) -> None:
-        """Rebuild the failed rank's state: its sub-HDG is re-sliced
-        from the global HDGs (shared-nothing state is derived, not
-        primary)."""
+        """Rebuild the failed rank's state: the blocks and receive lists
+        are re-cut from the global HDGs (shared-nothing state is derived,
+        not primary; the lists tie every rank to its peers)."""
         if self.hdgs.model_hdg is not None:
-            self.ranks[worker_id].attach_hdg(self.hdgs.model_hdg)
+            attach_hdg(self.ranks, self.hdgs.model_hdg, self.labels_part)
 
     # ------------------------------------------------------------------
     def _sync_hdg(self, epoch: int) -> None:
-        """Re-slice the ranks when NeighborSelection rebuilt the HDG."""
+        """Re-cut the rank blocks when NeighborSelection rebuilt the HDG."""
         hdg, rebuilt = self.hdgs.model_level(epoch)
         if rebuilt:
-            for rank in self.ranks:
-                rank.attach_hdg(hdg)
+            attach_hdg(self.ranks, hdg, self.labels_part)
             self._dep_stats = dependency_stats(hdg, self.labels_part, self.k)
 
-    def _forward(self, feats: Tensor, epoch: int):
+    def _forward(self, X: np.ndarray, epoch: int):
         """Run the rank programs through the last layer's forward,
         modeling each layer's communication at its ``layer_sync``.
 
@@ -186,10 +186,9 @@ class DistributedTrainer:
         if self._bufs is None:
             self._bufs = Buffers.allocate(self.model, self.graph.num_vertices,
                                           self.k, np.zeros)
-        X = feats.data if isinstance(feats, Tensor) else np.asarray(feats)
         steps = _lockstep([
-            rank.program(self.model, self.strategy, X, self._bufs, epoch,
-                         scale=1.0 / speed)
+            rank.program(self.model, self.strategy, X[rank.inputs],
+                         self._bufs, epoch, scale=1.0 / speed)
             for rank, speed in zip(self.ranks, self.worker_speeds)
         ])
         mode = "pipelined" if self.pipeline else "batched"
@@ -199,7 +198,7 @@ class DistributedTrainer:
         for syncs in steps:
             l = syncs[0].layer
             plan = plan_layer_comm(
-                self._dep_stats, syncs[0].nbytes, self.comm_config, mode,
+                self._dep_stats, syncs[0].row_bytes, self.comm_config, mode,
                 self.model.layers[l].commutative,
             )
             totals["modes"].add(plan.mode)
@@ -224,11 +223,11 @@ class DistributedTrainer:
         return steps, totals
 
     def _backward(self, steps) -> None:
-        """Run the rank programs to their end, reducing every slab sync
-        with each rank's chunk of :func:`reduce_slabs`."""
+        """Run the rank programs to their end, running every rank's
+        reduction once all k reached the sync."""
         for syncs in steps:
-            for rank, sync in enumerate(syncs):
-                reduce_slabs(sync.slabs, sync.out, rank)
+            for sync in syncs:
+                sync.reduce()
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -243,6 +242,7 @@ class DistributedTrainer:
         if self._fail_next is not None:
             worker_id, self._fail_next = self._fail_next, None
             raise WorkerFailure(worker_id, epoch)
+        X = feature_matrix(feats, self.graph.num_vertices)
         if labels is not self._labels or mask is not self._mask:
             attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
             self._labels, self._mask = labels, mask
@@ -250,7 +250,7 @@ class DistributedTrainer:
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
-        steps, totals = self._forward(feats, epoch)
+        steps, totals = self._forward(X, epoch)
         self._backward(steps)
         apply_reduced_grad(self.model, optimizer, self._bufs.pbuf)
         loss = sum(rank.loss for rank in self.ranks)
@@ -314,7 +314,8 @@ class DistributedTrainer:
         """Simulated seconds of the Aggregation stage only (Figures 15a-c
         measure Aggregation rather than end-to-end epochs): the ranks'
         forward, timed by their aggregation spans."""
+        X = feature_matrix(feats, self.graph.num_vertices)
         self._sync_hdg(epoch)
-        steps, totals = self._forward(feats, epoch)
+        steps, totals = self._forward(X, epoch)
         steps.close()
         return totals["aggregation"]

@@ -90,7 +90,7 @@ PHASE_FEAT_FETCH = 1    # assembling the input feature matrix
 PHASE_FORWARD = 2       # layer-l aggregation + update
 PHASE_BARRIER = 3       # blocked in a Barrier.wait (peer-dependent)
 PHASE_BACKWARD = 4      # layer-l backward (layer -1: the optimizer step)
-PHASE_GRAD_REDUCE = 5   # hidden-gradient chunk reduction
+PHASE_GRAD_REDUCE = 5   # owner-side sum of the halo-gradient rows
 PHASE_PARAM_REDUCE = 6  # parameter-gradient chunk reduction
 PHASE_DONE = 7          # epoch results shipped
 

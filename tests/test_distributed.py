@@ -21,8 +21,16 @@ from repro.distributed import (
     model_baseline_scaling,
     plan_layer_comm,
 )
+from repro.core.step import Partition
 from repro.distributed.comm import ProcessComm
-from repro.graph import Metapath, hash_partition, heterogeneous_graph, power_law_graph
+from repro.distributed.rank import Rank, attach_hdg
+from repro.graph import (
+    Metapath,
+    hash_partition,
+    heterogeneous_graph,
+    power_law_graph,
+    spectral_partition,
+)
 from repro.models import gat, gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor
 
@@ -41,9 +49,21 @@ def _stats(counts) -> DependencyStats:
     """A hand-built ``[dst, src]`` count matrix driving every plan."""
     counts = np.asarray(counts, dtype=np.int64)
     k = counts.shape[0]
-    return DependencyStats(k, counts, counts, counts,
-                           np.zeros(k, dtype=np.int64),
-                           np.zeros(k, dtype=np.int64))
+    return DependencyStats(k, counts, counts)
+
+
+def _blocks(hdg, labels):
+    """The rank blocks both trainers cut from ``hdg`` under ``labels``."""
+    ranks = [Rank(w, part) for w, part in
+             enumerate(Partition(labels, hdg.num_roots).parts)]
+    attach_hdg(ranks, hdg, np.asarray(labels))
+    return ranks
+
+
+def _halo_leaf_entries(rank):
+    """Bottom-level edges of a rank's block whose leaf is a halo row."""
+    return int(np.count_nonzero(
+        ~np.isin(rank.block.leaf_vertices, rank.out_rows)))
 
 
 def _plan_by_pairs(counts, feat_bytes, config, mode):
@@ -166,6 +186,9 @@ def test_modeled_numbers_pinned(case):
 
 
 class TestDependencyStats:
+    """The plan's counts, restated against the rank blocks the trainers
+    actually run: a remote edge is a block leaf entry at a halo row."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         g = power_law_graph(200, 6, seed=0)
@@ -174,32 +197,114 @@ class TestDependencyStats:
         return hdg, labels, dependency_stats(hdg, labels, 4)
 
     def test_edges_partition_into_local_and_remote(self, setup):
-        hdg, _labels, stats = setup
-        total = stats.local_edges.sum() + stats.remote_edges.sum()
-        assert total == hdg.leaf_vertices.size
+        hdg, labels, stats = setup
+        ranks = _blocks(hdg, labels)
+        assert [_halo_leaf_entries(r) for r in ranks] == \
+            stats.remote_edges_per_pair.sum(axis=1).tolist()
+        assert sum(r.block.leaf_vertices.size for r in ranks) == \
+            hdg.leaf_vertices.size
 
     def test_no_self_pairs(self, setup):
         _hdg, _labels, stats = setup
-        assert np.all(np.diag(stats.remote_leaves_per_pair) == 0)
+        assert np.all(np.diag(stats.remote_edges_per_pair) == 0)
         assert np.all(np.diag(stats.partial_messages_per_pair) == 0)
 
     def test_partial_messages_never_exceed_leaf_fetches(self, setup):
         """Partial aggregation can only shrink traffic: at most one
-        message per (root, partition) vs one per distinct leaf."""
+        message per (root, partition) vs one per remote edge."""
         _hdg, _labels, stats = setup
-        assert stats.partial_messages_per_pair.sum() <= stats.remote_edges.sum()
+        assert (stats.partial_messages_per_pair.sum()
+                <= stats.remote_edges_per_pair.sum())
 
     def test_single_partition_all_local(self):
         g = power_law_graph(100, 4, seed=1)
         hdg = hdg_from_graph(g)
-        stats = dependency_stats(hdg, np.zeros(100, dtype=int), 1)
-        assert stats.remote_edges.sum() == 0
+        labels = np.zeros(100, dtype=int)
+        stats = dependency_stats(hdg, labels, 1)
+        assert stats.remote_edges_per_pair.sum() == 0
+        (rank,) = _blocks(hdg, labels)
+        assert _halo_leaf_entries(rank) == 0
+        np.testing.assert_array_equal(rank.inputs, np.arange(100))
 
     def test_hierarchical_hdg_supported(self):
         g = heterogeneous_graph(40, 10, 30, seed=2)
         hdg = build_metapath_hdg(g, [Metapath((0, 1, 0)), Metapath((0, 2, 0))])
-        stats = dependency_stats(hdg, hash_partition(g.num_vertices, 2), 2)
-        assert (stats.local_edges + stats.remote_edges).sum() == hdg.leaf_vertices.size
+        labels = hash_partition(g.num_vertices, 2)
+        stats = dependency_stats(hdg, labels, 2)
+        assert [_halo_leaf_entries(r) for r in _blocks(hdg, labels)] == \
+            stats.remote_edges_per_pair.sum(axis=1).tolist()
+
+
+class TestRankBlocks:
+    """Every rank is a block in its own owned ∪ halo coordinates."""
+
+    @pytest.fixture(scope="class", params=["hash-4", "spectral-4",
+                                           "empty-rank", "metapath-2"])
+    def blocks(self, request):
+        if request.param == "metapath-2":
+            g = heterogeneous_graph(40, 10, 30, seed=2)
+            hdg = build_metapath_hdg(g, [Metapath((0, 1, 0)),
+                                         Metapath((0, 2, 0))])
+            labels = hash_partition(g.num_vertices, 2)
+        else:
+            g = load_dataset("reddit", scale="tiny").graph
+            hdg = hdg_from_graph(g)
+            labels = {
+                "hash-4": lambda: hash_partition(g.num_vertices, 4),
+                "spectral-4": lambda: spectral_partition(g, 4),
+                # Labels {0, 2}: worker 1 owns nothing.
+                "empty-rank": lambda: 2 * hash_partition(g.num_vertices, 2),
+            }[request.param]()
+        return hdg, labels, _blocks(hdg, labels)
+
+    def test_owned_sets_partition_the_vertices(self, blocks):
+        hdg, _labels, ranks = blocks
+        owned = np.concatenate([r.root_orders for r in ranks])
+        np.testing.assert_array_equal(np.sort(owned), np.arange(hdg.num_roots))
+
+    def test_universe_is_owned_and_leaves(self, blocks):
+        hdg, _labels, ranks = blocks
+        for r in ranks:
+            sub = hdg.restrict_to_roots(r.root_orders)
+            np.testing.assert_array_equal(
+                r.inputs, np.union1d(r.root_orders, sub.leaf_vertices))
+            assert np.all(np.diff(r.inputs) > 0)          # sorted, unique
+            np.testing.assert_array_equal(r.inputs[r.out_rows], r.root_orders)
+            # The block is the slice, relabeled: same structure, local ids.
+            np.testing.assert_array_equal(r.inputs[r.block.leaf_vertices],
+                                          sub.leaf_vertices)
+            np.testing.assert_array_equal(r.block.leaf_offsets,
+                                          sub.leaf_offsets)
+            np.testing.assert_array_equal(r.block.roots, r.out_rows)
+            assert r.block.num_input_vertices == r.inputs.size
+
+    def test_halo_is_disjoint_from_the_owned_rows(self, blocks):
+        _hdg, labels, ranks = blocks
+        for r in ranks:
+            halo = np.delete(r.inputs, r.out_rows)
+            assert np.intersect1d(halo, r.root_orders).size == 0
+            assert np.all(labels[halo] != r.rank)
+            np.testing.assert_array_equal(
+                r.halo_counts, np.bincount(labels[halo], minlength=len(ranks)))
+
+    def test_receive_lists_cover_each_owners_rows_in_peer_halos(self, blocks):
+        _hdg, labels, ranks = blocks
+        for owner in ranks:
+            assert len(owner.recv) == len(ranks)
+            for peer, (pos, own) in zip(ranks, owner.recv):
+                # Where the rows sit on both sides agree ...
+                np.testing.assert_array_equal(peer.inputs[pos],
+                                              owner.root_orders[own])
+                # ... and they are exactly the owner's rows in the peer's
+                # universe: its halo, or, for the owner itself, its rows.
+                np.testing.assert_array_equal(
+                    np.sort(peer.inputs[pos]),
+                    peer.inputs[labels[peer.inputs] == owner.rank])
+                expected = 0 if peer is owner else peer.halo_counts[owner.rank]
+                assert owner.recv_counts[peer.rank] == expected
+            pos, own = owner.recv[owner.rank]
+            np.testing.assert_array_equal(pos, owner.out_rows)
+            assert own == slice(None)
 
 
 class TestCommPlans:

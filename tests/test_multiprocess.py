@@ -20,11 +20,17 @@ from repro.distributed import (
     SharedArray,
     WorkerFailure,
     dependency_stats,
+    plan_layer_comm,
     runtime,
 )
-from repro.distributed.comm import ProcessComm, allreduce_traffic, reduce_slabs
+from repro.distributed.comm import (
+    CommConfig,
+    ProcessComm,
+    allreduce_traffic,
+    reduce_slabs,
+)
 from repro.distributed.rank import GRAD_REDUCE, LAYER_SYNC, PARAM_REDUCE, Rank
-from repro.graph import hash_partition
+from repro.graph import hash_partition, spectral_partition
 from repro.models import gat, gcn, gin, pinsage
 from repro.tensor import Adam, Tensor
 
@@ -32,6 +38,19 @@ from repro.tensor import Adam, Tensor
 @pytest.fixture(scope="module")
 def ds():
     return load_dataset("reddit", scale="tiny")
+
+
+@pytest.fixture(scope="module")
+def halo_parts(ds):
+    """Partitions whose gcn ranks hold a real halo on reddit tiny (under
+    ``hash_partition`` every rank's universe is all 200 vertices)."""
+    two = spectral_partition(ds.graph, 2)
+    return {
+        "spectral-2": two,
+        "spectral-4": spectral_partition(ds.graph, 4),
+        # Labels {0, 2}: worker 1 owns nothing.
+        "empty-rank": np.where(two == 0, 0, 2),
+    }
 
 
 def train_losses(trainer, ds, epochs, lr=0.01):
@@ -146,10 +165,12 @@ class TestMultiprocessParity:
     same partitions, same code)."""
 
     @staticmethod
-    def _both(ds, factory, k, feats):
+    def _both(ds, factory, k, feats, part=None):
         """Per-epoch losses and the model of each backend, epoch ``e``
-        training on ``feats[e]``."""
-        part = hash_partition(ds.graph.num_vertices, k)
+        training on ``feats[e]``; ``part`` defaults to the hash
+        partition over ``k`` workers."""
+        if part is None:
+            part = hash_partition(ds.graph.num_vertices, k)
         out = []
         for cls in (DistributedTrainer, MultiprocessTrainer):
             model = factory(ds.feat_dim, 8, ds.num_classes, seed=7)
@@ -186,6 +207,19 @@ class TestMultiprocessParity:
     def test_gradients_match_simulated(self, ds):
         (_, ref), (_, mp) = self._both(ds, gcn, 2, [Tensor(ds.features)] * 2)
         for p_ref, p_mp in zip(ref.parameters(), mp.parameters()):
+            np.testing.assert_array_equal(p_mp.grad, p_ref.grad)
+            np.testing.assert_array_equal(p_mp.data, p_ref.data)
+
+    @pytest.mark.parametrize("kind", ["spectral-2", "spectral-4",
+                                      "empty-rank"])
+    def test_parity_with_a_real_halo(self, ds, halo_parts, kind):
+        """Ranks whose universes are smaller than the graph: halo rows
+        gathered forward and their gradients summed at the owner, the
+        same on both backends."""
+        (ref, ref_model), (mp, mp_model) = self._both(
+            ds, gcn, None, [Tensor(ds.features)] * 5, halo_parts[kind])
+        assert mp == ref
+        for p_ref, p_mp in zip(ref_model.parameters(), mp_model.parameters()):
             np.testing.assert_array_equal(p_mp.grad, p_ref.grad)
             np.testing.assert_array_equal(p_mp.data, p_ref.data)
 
@@ -248,35 +282,60 @@ class TestMultiprocessParity:
             if cls is MultiprocessTrainer:
                 trainer.close()
 
-    def test_epoch_bytes_are_the_counted_traffic(self, ds):
-        """One epoch's bytes: every rank's layer inputs read from remote
-        owners (``dependency_stats``), its hidden-gradient and parameter
-        reductions (``allreduce_traffic``), and the remote feature shards
-        of the first fetch."""
+    def test_epoch_bytes_are_the_counted_traffic(self, ds, halo_parts):
+        """One epoch's bytes, counted at the copies: every rank's halo
+        rows of the hidden boundary, gathered forward and summed back at
+        their owners, plus the parameter allreduce; the halo's feature
+        rows only on the epoch that fetched them.  The rows moved never
+        exceed what the batched plan prices for the same HDG."""
         k = 2
-        part = hash_partition(ds.graph.num_vertices, k)
+        for part in (hash_partition(ds.graph.num_vertices, k),
+                     halo_parts["spectral-2"]):
+            model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+            mt = MultiprocessTrainer(model, ds.graph, part, seed=0)
+            try:
+                opt = Adam(model.parameters(), 0.01)
+                stats = [mt.train_epoch(Tensor(ds.features), ds.labels, opt,
+                                        ds.train_mask, epoch=e)
+                         for e in range(2)]
+                hdg = mt.hdgs.model_hdg
+                halo = sum(int(rank.halo_counts.sum()) for rank in mt.ranks)
+            finally:
+                mt.close()
+            hidden_row = 8 * np.dtype(np.float64).itemsize
+            feat_row = ds.feat_dim * ds.features.itemsize
+            params = sum(p.data.nbytes for p in model.parameters())
+            allreduce = k * allreduce_traffic(params, k)[0]
+            assert stats[1].total_bytes == 2 * halo * hidden_row + allreduce
+            assert stats[0].total_bytes == (stats[1].total_bytes
+                                            + halo * feat_row)
+            deps = dependency_stats(hdg, part, k)
+            batched = sum(
+                plan_layer_comm(deps, row, CommConfig(), "batched").total_bytes
+                for row in (feat_row, hidden_row))
+            assert 0 < stats[0].total_bytes - allreduce <= batched
+
+    @pytest.mark.parametrize("cls", [DistributedTrainer, MultiprocessTrainer])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["n+1", "n-1"])
+    def test_features_need_one_row_per_vertex(self, ds, cls, extra):
+        """Ranks gather their rows by vertex id: an extra row trained
+        silently and a missing one failed inside a layer.  Both are a
+        named error, before any rank runs."""
+        n = ds.graph.num_vertices
+        feats = np.resize(ds.features, (n + extra, ds.feat_dim))
         model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
-        mt = MultiprocessTrainer(model, ds.graph, part, seed=0)
+        trainer = cls(model, ds.graph, hash_partition(n, 2), seed=0)
         try:
-            opt = Adam(model.parameters(), 0.01)
-            stats = [mt.train_epoch(Tensor(ds.features), ds.labels, opt,
-                                    ds.train_mask, epoch=e) for e in range(2)]
-            hdg = mt.hdgs.model_hdg
+            with pytest.raises(ValueError,
+                               match=rf"\({n + extra}, {ds.feat_dim}\)"):
+                trainer.train_epoch(Tensor(feats), ds.labels,
+                                    Adam(model.parameters(), 0.01),
+                                    ds.train_mask)
+            assert all(rank.compute_seconds == [] for rank in trainer.ranks)
+            assert multiprocessing.active_children() == []
         finally:
-            mt.close()
-        itemsize = np.dtype(np.float64).itemsize     # boundaries and slabs
-        hidden_row = 8 * itemsize
-        remote = dependency_stats(hdg, part, k).remote_leaves_per_pair
-        rows_read = float(remote.sum()) * (
-            ds.feat_dim * ds.features.itemsize + hidden_row)
-        params = sum(p.data.size for p in model.parameters()) * itemsize
-        per_epoch = rows_read + k * (
-            allreduce_traffic(ds.graph.num_vertices * hidden_row, k)[0]
-            + allreduce_traffic(params, k)[0])
-        shards = sum(ds.features[part == w].nbytes * (k - 1)
-                     for w in range(k))
-        assert stats[1].total_bytes == per_epoch
-        assert stats[0].total_bytes == per_epoch + shards
+            if cls is MultiprocessTrainer:
+                trainer.close()
 
     def test_epoch_stats_and_span_merge(self, ds):
         obs.reset()

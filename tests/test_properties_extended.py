@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import validate_hdg
 from repro.core.hdg import hdg_from_graph
-from repro.core.step import sample_fanout
+from repro.core.step import Partition, sample_fanout
 from repro.distributed import CommConfig, dependency_stats, plan_layer_comm
+from repro.distributed.rank import Rank, attach_hdg
 from repro.graph import Graph
 from repro.graph.pagerank import pagerank
 
@@ -88,10 +89,18 @@ class TestCommPlanProperties:
         hdg = hdg_from_graph(g)
         labels = np.arange(g.num_vertices) % k
         stats = dependency_stats(hdg, labels, k)
-        # Remote edge counts per pair sum to the per-worker remote edges.
+        # A worker's remote edges are its block's leaf entries at halo
+        # rows, and every edge lands in exactly one block.
+        ranks = [Rank(w, part) for w, part in
+                 enumerate(Partition(labels, g.num_vertices).parts)]
+        attach_hdg(ranks, hdg, labels)
+        halo_entries = [
+            np.count_nonzero(~np.isin(r.block.leaf_vertices, r.out_rows))
+            for r in ranks]
         np.testing.assert_array_equal(
-            stats.remote_edges_per_pair.sum(axis=1), stats.remote_edges
-        )
+            stats.remote_edges_per_pair.sum(axis=1), halo_entries)
+        assert sum(r.block.leaf_vertices.size for r in ranks) == \
+            hdg.leaf_vertices.size
 
 
 @st.composite

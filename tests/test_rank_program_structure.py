@@ -1,15 +1,17 @@
 """Structure check: one per-rank implementation under both trainers.
 
 The simulated and the process trainer agree bitwise because they run
-the same rank program (``repro/distributed/rank.py``) and step every
-optimizer replica through its one step function.  A second per-rank
-forward, backward or optimizer step written in a trainer would silently
-turn that property back into a parity test; this scan fails it in CI.
+the same rank program (``repro/distributed/rank.py``), reduce through
+the reductions its syncs carry, and step every optimizer replica
+through its one step function.  A second per-rank forward, backward,
+reduction or optimizer step written in a trainer would silently turn
+that property back into a parity test; these scans fail it in CI.
 """
 
 import ast
 from pathlib import Path
 
+import repro
 import repro.distributed
 
 DISTRIBUTED = Path(repro.distributed.__file__).parent
@@ -60,3 +62,32 @@ def test_the_scan_sees_the_rank_program():
     names = {call.split(" .")[1].rstrip("(")
              for call in _stage_calls(DISTRIBUTED / RANK_PROGRAM)}
     assert names == {"aggregation", "update", "backward", "step"}
+
+
+def _reduce_slabs_uses(path: Path) -> list[str]:
+    """``file:line`` of every reference to ``reduce_slabs`` in ``path``: a
+    call, or the function handed on (``partial(reduce_slabs, ...)``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(DISTRIBUTED.parent)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "reduce_slabs")
+        or (isinstance(node, ast.Attribute) and node.attr == "reduce_slabs")
+    ]
+
+
+def test_only_the_rank_program_uses_reduce_slabs():
+    """The program that yields a sync defines its reduction: a trainer
+    calls ``sync.reduce()``, never ``reduce_slabs`` itself."""
+    offenders = [
+        use
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        if path != DISTRIBUTED / RANK_PROGRAM
+        for use in _reduce_slabs_uses(path)
+    ]
+    assert offenders == [], (
+        "reduce_slabs used outside the rank program: " + ", ".join(offenders))
+
+
+def test_the_reduce_scan_sees_the_rank_program():
+    assert _reduce_slabs_uses(DISTRIBUTED / RANK_PROGRAM)
