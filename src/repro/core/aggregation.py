@@ -32,6 +32,7 @@ from ..tensor.scatter import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 from ..tensor.tensor import Tensor
@@ -215,14 +216,19 @@ class WeightedSumAggregator(Aggregator):
 
 
 class AttentionAggregator(Aggregator):
-    """Softmax attention over group members (MAGNN's scatter_softmax step).
+    """Softmax attention over group members (GAT's neighbour attention and
+    MAGNN's scatter_softmax step).
 
     Each source row gets a scalar score ``x . a`` from a learnable vector;
     scores are softmax-normalized within their group and used as weights.
+    :meth:`fused` is :func:`~repro.tensor.scatter.segment_attention`: each
+    row is scored once and the weighted sum is one SpMM over the level's
+    plan, so only per-edge scalars exist.  :meth:`sparse` is the SA form
+    Figure 14 contrasts it with: gathered member rows, scored, scaled by
+    ``alpha`` and scattered — two per-edge × width tensors.
     """
 
     name = "attention"
-    supports_fused = False  # attention needs explicit per-row scores
 
     def __init__(self, dim: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -235,6 +241,9 @@ class AttentionAggregator(Aggregator):
         # Both kernels share one plan: same index, same destination space.
         alpha = scatter_softmax(scores, plan=plan)
         return scatter_add(values * alpha, plan=plan)
+
+    def fused(self, values, plan, weights=None):
+        return segment_attention(values, self.score_vector, plan)
 
     def dense(self, values):
         from ..tensor.ops import softmax

@@ -108,8 +108,12 @@ def spectral_partition(graph: Graph, k: int, seed: int = 0) -> np.ndarray:
     d_half = sp.diags(inv_sqrt)
     laplacian = sp.identity(n) - d_half @ adj @ d_half
     num_vecs = min(k, n - 1)
-    # Smallest eigenvectors via shift-invert-free eigsh on the PSD matrix.
-    _vals, vecs = spla.eigsh(laplacian, k=num_vecs, which="SM", tol=1e-4)
+    # Smallest eigenvectors via shift-invert-free eigsh on the PSD matrix,
+    # started from a seeded vector: ARPACK's own start is random, and a
+    # loose tolerance then lands on different bases run to run.
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    _vals, vecs = spla.eigsh(laplacian, k=num_vecs, which="SM", tol=1e-4,
+                             v0=v0)
     # Row-normalize the spectral embedding before clustering.
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     embedding = vecs / np.maximum(norms, 1e-12)

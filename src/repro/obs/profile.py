@@ -26,8 +26,10 @@ a matmul ``(n,k) @ (k,m)`` costs ``2*n*k*m`` FLOPs (multiply + add);
 ``scatter_add`` 1 FLOP per scattered element, ``scatter_mean`` 2,
 ``scatter_max``/``min`` 1 comparison, ``scatter_softmax`` ~5;
 ``segment_reduce_csr`` sum/mean ``2 * total * dim`` (the SpMM
-convention); softmax/log-softmax ~5 FLOPs per element; pure data
-movement (gather, concat) is 0 FLOPs but nonzero bytes.  Bytes are the
+convention), ``segment_attention`` that SpMM plus ``2 * rows * dim``
+for the row scores and ~5 per edge for the softmax; softmax/log-softmax
+~5 FLOPs per element; pure data movement (gather, concat) is 0 FLOPs
+but nonzero bytes.  Bytes are the
 logical tensor traffic (operand ``nbytes`` read, result ``nbytes``
 written), not cache-aware — arithmetic intensity derived from them is
 an upper bound on the true intensity, which is the standard roofline

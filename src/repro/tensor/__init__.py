@@ -29,6 +29,7 @@ from .scatter import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 from .tensor import Tensor, is_grad_enabled, no_grad
@@ -37,7 +38,7 @@ __all__ = [
     "Tensor", "no_grad", "is_grad_enabled",
     "zeros", "concat", "softmax", "scatter_rows",
     "scatter_add", "scatter_mean", "scatter_max", "scatter_min",
-    "scatter_softmax", "segment_reduce_csr",
+    "scatter_softmax", "segment_reduce_csr", "segment_attention",
     "ReductionPlan", "PlanCache", "get_plan_cache",
     "materialized_bytes", "peak_materialized_bytes",
     "reset_materialized_bytes", "release_materialized_bytes",

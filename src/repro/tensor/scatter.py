@@ -9,7 +9,9 @@ aggregate neighbor features:
   (Figure 8); this is the memory-explosion path the paper calls out.
 * **FA (feature fusion)** — :func:`segment_reduce_csr`, which reduces
   directly over a CSC/CSR segment structure without per-edge
-  materialization, modeling libgrape-lite's vertex-reduce.
+  materialization, modeling libgrape-lite's vertex-reduce, and
+  :func:`segment_attention`, the same for a softmax-weighted sum: only
+  per-edge *scalars* exist, never one message per edge.
 * **Dense ops** — plain reshape + reduce, used at the schema-tree level.
 
 All reductions run on a :class:`~repro.tensor.plans.ReductionPlan`: the
@@ -32,6 +34,7 @@ experiments can observe the SA-vs-FA difference quantitatively (see
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
 
 from ..obs import counter as _obs_counter
 from ..obs.profile import record_op
@@ -45,6 +48,7 @@ __all__ = [
     "scatter_min",
     "scatter_softmax",
     "segment_reduce_csr",
+    "segment_attention",
     "materialized_bytes",
     "peak_materialized_bytes",
     "reset_materialized_bytes",
@@ -303,12 +307,12 @@ _SEGMENT_REDUCERS = frozenset({"sum", "mean", "max", "min"})
 
 
 def _resolve_segment_plan(value: Tensor, offsets, sources,
-                          plan: ReductionPlan | None) -> ReductionPlan:
+                          plan: ReductionPlan | None,
+                          op: str = "segment_reduce_csr") -> ReductionPlan:
     if plan is not None:
         if plan.kind != "segments":
             raise ValueError(
-                f"segment_reduce_csr requires a segments-kind plan, "
-                f"got {plan.kind!r}"
+                f"{op} requires a segments-kind plan, got {plan.kind!r}"
             )
         if plan.num_rows != value.shape[0]:
             raise ValueError(
@@ -317,9 +321,7 @@ def _resolve_segment_plan(value: Tensor, offsets, sources,
             )
         return plan
     if offsets is None:
-        raise ValueError(
-            "segment_reduce_csr needs offsets when no plan is given"
-        )
+        raise ValueError(f"{op} needs offsets when no plan is given")
     return ReductionPlan.from_segments(offsets, sources, value.shape[0])
 
 
@@ -435,3 +437,106 @@ def segment_reduce_csr(
         return (full.reshape(value.shape),)
 
     return Tensor._make(out_data, (value,), backward)
+
+
+#: Elements in one block of the attention backward's SDDMM: the per-edge
+#: dot products ``g[dst] . x[src]`` are taken a block of edges at a time,
+#: ``SDDMM_BLOCK_ELEMENTS // dim`` edges per block, so the two gathered
+#: row blocks stay cache-sized and no ``(num_edges, dim)`` array exists.
+SDDMM_BLOCK_ELEMENTS = 1 << 15
+
+
+def segment_attention(values: Tensor, score_vector: Tensor,
+                      plan: ReductionPlan) -> Tensor:
+    """Softmax attention fused with its weighted sum (no per-edge rows).
+
+    Over a segments-kind ``plan``, output row ``i`` is
+    ``sum_e alpha_e * values[src_e]`` over the segment's members
+    ``src_e = plan.gather[e]`` (``e`` itself in the elided-Dst identity
+    layout), where ``alpha`` is the softmax, within the segment, of the
+    member scores ``values[src_e] . score_vector``.  This is
+    ``scatter_add(values[src] * scatter_softmax(values[src] @ a))`` —
+    the SA form, which materializes two ``(num_edges, dim)`` tensors —
+    computed with per-edge *scalars* only:
+
+    * forward: each row is scored once (``values @ a``), the scores are
+      picked per edge through ``plan.gather`` and softmax-normalized by
+      ``reduceat`` over the plan's contiguous segments, and the output
+      is one SpMM whose matrix is ``alpha`` on the plan's own CSR
+      structure;
+    * backward: ``d values`` is the CSC (transposed) product with the
+      same arrays plus the score term ``ds (x) a``; the per-edge
+      ``d alpha = g[dst] . values[src]`` is a blocked SDDMM
+      (:data:`SDDMM_BLOCK_ELEMENTS`); ``d values`` is skipped when
+      ``values`` needs no gradient.
+
+    float16 values accumulate in float32 (:func:`accumulation_dtype`);
+    the result has the dtype of ``values * score_vector``.  ``alpha`` is
+    counted as the op's materialized bytes: one scalar per edge.
+    """
+    values = _as_tensor(values)
+    score_vector = _as_tensor(score_vector)
+    plan = _resolve_segment_plan(values, None, None, plan,
+                                 "segment_attention")
+    n, total, num_rows = plan.n, plan.total, plan.num_rows
+    dim = values.shape[1]
+    dtype = np.result_type(values.data.dtype, score_vector.data.dtype)
+    acc = accumulation_dtype(dtype)
+    # contiguous rows: the backward gathers row blocks out of x and g
+    x = np.ascontiguousarray(values.data, dtype=acc)
+    a = score_vector.data.reshape(dim).astype(acc, copy=False)
+    src = plan.gather
+    reps = plan.counts[plan.nonempty]
+    row_scores = x @ a
+    scores = row_scores if src is None else row_scores[src]
+    alpha = np.exp(scores - np.repeat(
+        np.maximum.reduceat(scores, plan.starts), reps))
+    alpha /= np.repeat(np.add.reduceat(alpha, plan.starts), reps)
+    _record_materialization(alpha.nbytes)
+    structure = plan.matrix(acc)
+    weighted = _sp.csr_matrix((alpha, structure.indices, structure.indptr),
+                              shape=(n, num_rows))
+    out_data = (weighted @ x).astype(dtype, copy=False)
+    # scores 2 FLOPs per row element, softmax ~5 per edge, SpMM 2 per
+    # edge element; one member row streamed per edge plus the structure.
+    edge_elements = float(total) * dim
+    edge_bytes = int(edge_elements) * x.itemsize
+    structure_bytes = plan.offsets.nbytes + (0 if src is None else src.nbytes)
+    record_op("segment_attention",
+              flops=2.0 * x.size + 5.0 * total + 2.0 * edge_elements,
+              bytes_read=x.nbytes + edge_bytes + structure_bytes,
+              bytes_written=out_data.nbytes + alpha.nbytes)
+
+    def backward(g):
+        g = np.ascontiguousarray(g.reshape(n, dim), dtype=acc)
+        dst = plan.index
+        d_alpha = np.empty(total, dtype=acc)
+        step = max(1, SDDMM_BLOCK_ELEMENTS // max(dim, 1))
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            members = x[lo:hi] if src is None else x.take(src[lo:hi], axis=0)
+            np.einsum("ij,ij->i", g.take(dst[lo:hi], axis=0), members,
+                      out=d_alpha[lo:hi])
+        # softmax backward on the per-edge scalars
+        dot = np.add.reduceat(alpha * d_alpha, plan.starts)
+        d_scores = alpha * (d_alpha - np.repeat(dot, reps))
+        d_rows = d_scores if src is None else np.bincount(
+            src, weights=d_scores, minlength=num_rows).astype(acc, copy=False)
+        d_a = x.T @ d_rows
+        d_x = None
+        flops = 2.0 * edge_elements + 6.0 * total + 2.0 * x.size
+        read = g.nbytes + edge_bytes + structure_bytes
+        if values.requires_grad:
+            d_x = _sp.csc_matrix(
+                (alpha, structure.indices, structure.indptr),
+                shape=(num_rows, n)) @ g
+            d_x += d_rows[:, None] * a
+            flops += 2.0 * edge_elements + 2.0 * x.size
+            read += edge_bytes
+            d_x = d_x.astype(values.data.dtype, copy=False)
+        record_op("segment_attention.backward", flops=flops, bytes_read=read,
+                  bytes_written=d_a.nbytes + (0 if d_x is None else d_x.nbytes))
+        return d_x, d_a.astype(score_vector.data.dtype, copy=False).reshape(
+            score_vector.shape)
+
+    return Tensor._make(out_data, (values, score_vector), backward)

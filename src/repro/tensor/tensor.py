@@ -22,8 +22,10 @@ training needs.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
 
 from ..obs.profile import record_op
+from .plans import accumulation_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -356,12 +358,20 @@ class Tensor:
         if isinstance(idx, Tensor):
             idx = idx.data.astype(np.int64)
         out_data = self.data[idx]
-        src = self
+        shape, dtype = self.shape, self.data.dtype
 
         def backward(g):
-            full = np.zeros_like(src.data)
-            np.add.at(full, idx, g)
-            return (full,)
+            # Scatter-add the gradient back: duplicate rows sum, in index
+            # order.  A 1-D integer index scatters whole rows; any other
+            # index (slices, masks, tuples) scatters the flat positions
+            # of the elements it selected.
+            if (isinstance(idx, np.ndarray) and idx.ndim == 1
+                    and idx.dtype.kind in "iu"):
+                rows = np.where(idx < 0, idx + shape[0], idx)
+                return (_index_add(rows, g, shape, dtype),)
+            size = int(np.prod(shape))
+            flat = np.arange(size).reshape(shape)[idx].ravel()
+            return (_index_add(flat, g, (size,), dtype).reshape(shape),)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -459,6 +469,25 @@ class Tensor:
             return (g * out_data * (1.0 - out_data),)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _index_add(positions: np.ndarray, g: np.ndarray,
+               shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``out = zeros(shape); out[positions[k]] += g[k]`` along axis 0.
+
+    One CSC product whose column ``k`` holds a single 1 in row
+    ``positions[k]``: it adds in index order, as ``np.add.at`` does, so
+    float32/float64 results are bitwise equal to it.  float16
+    accumulates in float32 (:func:`~repro.tensor.plans.accumulation_dtype`).
+    """
+    acc = accumulation_dtype(dtype)
+    count = positions.size
+    scatter = _sp.csc_matrix(
+        (np.ones(count, dtype=acc), positions, np.arange(count + 1)),
+        shape=(shape[0], count))
+    width = int(np.prod(shape[1:]))
+    flat = g.reshape(count, width).astype(acc, copy=False)
+    return (scatter @ flat).astype(dtype, copy=False).reshape(shape)
 
 
 def _as_tensor(value) -> Tensor:

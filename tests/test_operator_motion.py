@@ -6,7 +6,8 @@ A layer that declares its Update linear in the aggregate lets
 * a numpy-only dense reference (adjacency matmul; no HDG, plans or
   scatter kernels) for loss and every parameter gradient — the first
   cell of the differential oracle (ROADMAP item 4) — matched within
-  1e-10 by both operator orders;
+  1e-10 by both operator orders, and for GAT (adjacency-masked softmax)
+  by the fused and the scatter attention under every strategy;
 * the order is the argmin of two multiply-add counts, nothing else;
 * the counted work moves by exactly the predicted amount where the
   order moves, and not at all where it does not;
@@ -34,7 +35,7 @@ from repro.core.hybrid import BACKEND_EVENT, PROJECT_FIRST, REDUCE_FIRST
 from repro.core.nau import projects_first
 from repro.core.step import run_local_blocks, sample_blocks
 from repro.datasets import load_dataset
-from repro.models import gcn, gin, magnn, pgnn, pinsage
+from repro.models import gat, gcn, gin, magnn, pgnn, pinsage
 from repro.models.gcn import GCNLayer
 from repro.models.gin import GINLayer
 from repro.models.magnn import default_metapaths
@@ -80,6 +81,16 @@ def _adjacency(hdg, mean: bool = False) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the reference: plain numpy forward and hand-derived backward
 # ----------------------------------------------------------------------
+def _cross_entropy(logits, labels):
+    """Mean cross-entropy and its gradient with respect to ``logits``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = np.arange(len(labels)), labels
+    d_logits = np.exp(log_probs)
+    d_logits[picked] -= 1.0
+    return -log_probs[picked].mean(), d_logits / len(labels)
+
+
 def _reference(kind, params, x, blocks, out_rows, labels):
     """Loss and parameter gradients of a two-layer model.
 
@@ -109,15 +120,9 @@ def _reference(kind, params, x, blocks, out_rows, labels):
         h = np.zeros((h.shape[0], out.shape[1]))
         h[rows] = out
 
-    logits = h[out_rows]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = np.arange(len(labels)), labels
-    loss = -log_probs[picked].mean()
-    d_logits = np.exp(log_probs)
-    d_logits[picked] -= 1.0
+    loss, d_logits = _cross_entropy(h[out_rows], labels)
     d_h = np.zeros_like(h)
-    np.add.at(d_h, out_rows, d_logits / len(labels))
+    np.add.at(d_h, out_rows, d_logits)
 
     grads = [None] * len(params)
     for i in reversed(range(len(params))):
@@ -143,12 +148,52 @@ def _reference(kind, params, x, blocks, out_rows, labels):
     return loss, grads
 
 
+def _gat_reference(params, x, c, labels):
+    """Loss and parameter gradients of a full-graph GAT.
+
+    Per layer: scores ``s = h a``; ``P`` is the softmax of ``s`` over
+    each root's in-neighbours, masked and weighted by the edge-count
+    matrix ``c`` (a multi-edge counts twice, a root with no in-edges
+    gets a zero row); ``z = [h ; P h] W + b``, ReLU but for the last.
+    """
+    h, tape = x, []
+    for i, p in enumerate(params):
+        s = h @ p["a"]
+        e = c * np.exp(s - s.max())[None, :]
+        denom = e.sum(axis=1, keepdims=True)
+        prob = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+        cat = np.concatenate([h, prob @ h], axis=1)
+        z = cat @ p["w"] + p["b"]
+        tape.append((h, prob, cat, z))
+        h = z if i == len(params) - 1 else np.maximum(z, 0.0)
+
+    loss, d_h = _cross_entropy(h, labels)
+    grads = [None] * len(params)
+    for i in reversed(range(len(params))):
+        p, (h_in, prob, cat, z) = params[i], tape[i]
+        d_z = d_h if i == len(params) - 1 else d_h * (z > 0)
+        g = {"w": cat.T @ d_z, "b": d_z.sum(axis=0)}
+        d_cat = d_z @ p["w"].T
+        d_own, d_nbr = d_cat[:, :h_in.shape[1]], d_cat[:, h_in.shape[1]:]
+        d_prob = d_nbr @ h_in.T
+        # softmax backward per root; a column's score is shared by
+        # every root that has that in-neighbour
+        d_s = (prob * (d_prob - (prob * d_prob).sum(axis=1, keepdims=True))
+               ).sum(axis=0)
+        g["a"] = h_in.T @ d_s
+        d_h = d_own + prob.T @ d_nbr + np.outer(d_s, p["a"])
+        grads[i] = g
+    return loss, grads
+
+
 #: reference parameter name -> attribute path on the layer
 _PARAMS = {
     "sum": {"w": "linear.weight", "b": "linear.bias"},
     "concat": {"w": "linear.weight", "b": "linear.bias"},
     "gin": {"w": "fc1.weight", "b": "fc1.bias", "w2": "fc2.weight",
             "b2": "fc2.bias", "eps": "eps"},
+    "gat": {"w": "linear.weight", "b": "linear.bias",
+            "a": "_agg0.score_vector"},
 }
 
 
@@ -174,12 +219,19 @@ def _orders():
             for e in obs.get_registry().events if e.name == BACKEND_EVENT]
 
 
+def _params(model, kind):
+    return [{name: _param(layer, path).data.copy()
+             for name, path in _PARAMS[kind].items()}
+            for layer in model.layers]
+
+
 def _check(model, kind, loss, blocks, out_rows, labels, x):
-    params = [{name: _param(layer, path).data.copy()
-               for name, path in _PARAMS[kind].items()}
-              for layer in model.layers]
-    ref_loss, ref_grads = _reference(kind, params, x, blocks, out_rows,
-                                     labels)
+    ref_loss, ref_grads = _reference(kind, _params(model, kind), x, blocks,
+                                     out_rows, labels)
+    _assert_matches(model, kind, loss, ref_loss, ref_grads)
+
+
+def _assert_matches(model, kind, loss, ref_loss, ref_grads):
     assert loss.item() == pytest.approx(ref_loss, rel=TOL, abs=TOL)
     for layer, grads in zip(model.layers, ref_grads):
         for name, path in _PARAMS[kind].items():
@@ -263,6 +315,26 @@ class TestDenseReference:
             a = np.tile(a_row, (roots.size, 1))
             _check(model, "concat", loss, [(a, roots)], roots, labels[roots],
                    x)
+
+    @pytest.mark.parametrize("strategy", ["ha", "sa+fa", "sa"])
+    def test_gat_attention_matches_the_masked_softmax(self, strategy, data):
+        """HA and SA+FA run the fused attention kernel, SA the scatter
+        form; all three match the dense reference, including the root
+        with no in-edges and the multi-edge."""
+        x, labels = data
+        model = gat(D_IN, D_HID, D_OUT, seed=5)
+        _randomize(model, "gat")
+        hdg = _flat_hdg(False)
+        obs.reset()
+        loss = cross_entropy(model.forward(Tensor(x), [hdg, hdg], strategy),
+                             labels)
+        loss.backward()
+        backend = "sparse" if strategy == "sa" else "fused"
+        assert {e.attrs["backend"] for e in obs.get_registry().events
+                if e.name == BACKEND_EVENT} == {backend}
+        ref_loss, ref_grads = _gat_reference(_params(model, "gat"), x,
+                                             _adjacency(hdg), labels)
+        _assert_matches(model, "gat", loss, ref_loss, ref_grads)
 
     def test_nonlinear_chains_never_project_first(self, data):
         x, _ = data

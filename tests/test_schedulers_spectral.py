@@ -115,6 +115,16 @@ class TestSpectralPartition:
             g, hash_partition(250, 4)
         )
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_deterministic_for_a_seed(self, k):
+        """eigsh starts from a vector drawn from ``seed``: repeated calls
+        return the same labels (ARPACK's own random start gave one of
+        two partitions at k = 2)."""
+        graph = load_dataset("reddit", scale="tiny").graph
+        first = spectral_partition(graph, k, seed=0)
+        for _ in range(4):
+            assert np.array_equal(spectral_partition(graph, k, seed=0), first)
+
     def test_single_partition(self):
         g = community_graph(50, 2, 4, seed=0)
         np.testing.assert_array_equal(spectral_partition(g, 1), np.zeros(50))

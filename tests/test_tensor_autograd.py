@@ -172,6 +172,40 @@ class TestShapeOps:
         idx = Tensor(np.array([2, 0]))
         np.testing.assert_allclose(x[idx].numpy(), [[4.0, 5.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(40, 5), (40, 3, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["duplicates", "negative", "empty"])
+    def test_gather_backward_is_bitwise_np_add_at(self, shape, dtype, kind):
+        """The row gather's backward scatters with one CSC product that
+        adds in index order, exactly as ``np.add.at`` does."""
+        rng = np.random.default_rng(4)
+        idx = {"duplicates": rng.integers(0, 8, 500),
+               "negative": rng.integers(-40, 40, 500),
+               "empty": np.array([], dtype=np.int64)}[kind]
+        x = Tensor(rng.standard_normal(shape).astype(dtype),
+                   requires_grad=True)
+        g = rng.standard_normal((idx.size,) + shape[1:]).astype(dtype)
+        x[idx].backward(g)
+        expected = np.zeros(shape, dtype=dtype)
+        np.add.at(expected, idx, g)
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("index", [
+        (slice(None), slice(1, 3)),
+        np.array([[True, False, True]] * 4),
+        (np.array([1, 1, 3]), np.array([2, 2, 0])),
+    ], ids=["slices", "mask", "tuple-duplicates"])
+    def test_other_index_forms_sum_like_np_add_at(self, index):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        y = x[index]
+        g = rng.standard_normal(y.shape)
+        y.backward(g)
+        expected = np.zeros((4, 3))
+        np.add.at(expected, index, g)
+        assert np.array_equal(x.grad, expected)
+
 
 class TestReductions:
     def test_sum_all(self):
