@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..core.engine import FlexGraphEngine
 from ..core.hybrid import ExecutionStrategy
 from ..models.gcn import gcn
@@ -47,7 +45,7 @@ class FlexGraphAdapter(BaselineEngine):
         strategy = self.model_params.get("strategy", ExecutionStrategy.HA)
         self.engine = FlexGraphEngine(model, ds.graph, strategy=strategy, seed=self.seed)
         self.optimizer = Adam(model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features.astype(np.float64))
+        self.feats = Tensor(ds.features)
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
         ds = self.dataset

@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
@@ -46,7 +47,7 @@ class NeuGraphEngine(BaselineEngine):
             seed=self.seed,
         )
         self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features.astype(np.float64))
+        self.feats = Tensor(as_param_dtype(self.model, ds.features))
         self.num_chunks = self.model_params.get("num_chunks", 4)
         if self.num_chunks <= 0:
             raise ValueError("num_chunks must be positive")

@@ -27,6 +27,7 @@ from ..core.schema import SchemaTree
 from ..core.selection import build_metapath_hdg
 from ..graph.random_walk import top_k_visited
 from ..models.magnn import default_metapaths
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
@@ -49,7 +50,7 @@ class PreDGLEngine(BaselineEngine):
             seed=self.seed,
         )
         self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features.astype(np.float64))
+        self.feats = Tensor(as_param_dtype(self.model, ds.features))
         self._walk_params = {
             "num_traces": self.model_params.get("num_traces", 10),
             "n_hops": self.model_params.get("n_hops", 3),

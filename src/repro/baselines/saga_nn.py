@@ -22,6 +22,7 @@ import numpy as np
 from ..core.hdg import hdg_from_flat_arrays
 from ..core.schema import SchemaTree
 from ..graph.graph import Graph
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
@@ -98,7 +99,7 @@ class DGLEngine(BaselineEngine):
             seed=self.seed,
         )
         self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features.astype(np.float64))
+        self.feats = Tensor(as_param_dtype(self.model, ds.features))
         self.saga_layers = [
             _ModelSAGALayer(self.model, i) for i in range(self.model.num_layers)
         ]
@@ -201,7 +202,7 @@ class DistDGLEngine(DGLEngine):
                 self.memory.charge(dup_size * ds.feat_dim * 8, "per-sample neighborhoods")
             self.memory.charge(block.size * ds.feat_dim * 8, "batch subgraph features")
             sub, original = graph.subgraph(block)
-            h = Tensor(ds.features[original].astype(np.float64))
+            h = Tensor(as_param_dtype(self.model, ds.features[original]))
             dst, src = sub.coo()
             for layer_obj in self.saga_layers:
                 h = layer_obj.run(h, src, dst, sub.num_vertices)

@@ -27,6 +27,7 @@ from ..core.schema import SchemaTree
 from ..core.selection import schema_for_metapaths, select_metapath_neighbors
 from ..graph.metapath import count_length3_instances
 from ..models.magnn import default_metapaths
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
@@ -50,7 +51,7 @@ class PyTorchEngine(BaselineEngine):
             seed=self.seed,
         )
         self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features.astype(np.float64))
+        self.feats = Tensor(as_param_dtype(self.model, ds.features))
         if self.model_name == "gcn":
             # COO index tensors, rebuilt once (static graph).
             self._dst, self._src = ds.graph.coo()

@@ -112,9 +112,12 @@ def _member_rows(values: Tensor, plan: ReductionPlan) -> Tensor:
 
 
 def _apply_weights(values: Tensor, weights: np.ndarray | None) -> Tensor:
+    """``values`` scaled row-wise by per-edge ``weights``, in the values'
+    dtype."""
     if weights is None:
         return values
-    return values * Tensor(np.asarray(weights, dtype=np.float64).reshape(-1, 1))
+    return values * Tensor(
+        np.asarray(weights, dtype=values.data.dtype).reshape(-1, 1))
 
 
 def _fused_reduce(values: Tensor, plan: ReductionPlan,
@@ -285,23 +288,22 @@ class LSTMAggregator(Aggregator):
 
     def sparse(self, values: Tensor, plan: ReductionPlan,
                weights: np.ndarray | None = None) -> Tensor:
-        from ..tensor.ops import zeros
-
         # The plan already holds exactly what the sequential sweep needs:
         # the stable-sort permutation and per-group counts/starts.
         dim_size = plan.n
         order = plan.gather
         counts = plan.counts
         starts = plan.offsets[:-1]
-        h = zeros(dim_size, self.hidden_dim)
-        c = zeros(dim_size, self.hidden_dim)
+        dtype = values.data.dtype
+        h = Tensor(np.zeros((dim_size, self.hidden_dim), dtype=dtype))
+        c = Tensor(np.zeros((dim_size, self.hidden_dim), dtype=dtype))
         max_len = min(int(counts.max()) if counts.size else 0, self.max_seq_len)
         for t in range(max_len):
             active = np.flatnonzero(counts > t)
             rows = order[starts[active] + t]
             x_t = values[rows]
             h_new, c_new = self.cell(x_t, h[active], c[active])
-            keep = np.ones(dim_size)
+            keep = np.ones(dim_size, dtype=dtype)
             keep[active] = 0.0
             keep_col = Tensor(keep.reshape(-1, 1))
             h = h * keep_col + self._scatter_rows(h_new, active, dim_size)

@@ -16,6 +16,7 @@ import numpy as np
 from .. import obs
 from ..graph.graph import Graph
 from ..tensor.loss import accuracy
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.scatter import MATERIALIZED_BYTES_COUNTER
@@ -130,11 +131,12 @@ class FlexGraphEngine:
         """Run all layers, accumulating per-stage times in ``last_times``.
 
         Each stage runs under a ``stage.*`` obs span; ``last_times`` is
-        the per-stage sum of those spans' durations.
+        the per-stage sum of those spans' durations.  ``feats`` is cast
+        to the model's parameter dtype (no copy when it already is).
         """
         times = StageTimes()
         self.hdgs.begin_forward()
-        h = feats
+        h = as_param_dtype(self.model, feats)
         for i, layer in enumerate(self.model.layers):
             with obs.span(STAGE_SPANS["neighbor_selection"],
                           layer=i, epoch=epoch) as s_sel:

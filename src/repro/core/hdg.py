@@ -56,7 +56,8 @@ class HDG:
         ``Offset_2`` — per-(root, leaf-type) slot offsets into the
         instance id space; ``None`` for depth-1 HDGs.
     leaf_weights:
-        Optional per-(leaf edge) weights (PinSage importance).
+        Optional per-(leaf edge) weights (PinSage importance), stored
+        float32; a reduction scales rows by them in the rows' dtype.
     """
 
     def __init__(
@@ -76,7 +77,7 @@ class HDG:
         self.instance_offsets = (
             None if instance_offsets is None else np.asarray(instance_offsets, dtype=np.int64)
         )
-        self.leaf_weights = None if leaf_weights is None else np.asarray(leaf_weights, dtype=np.float64)
+        self.leaf_weights = None if leaf_weights is None else np.asarray(leaf_weights, dtype=np.float32)
         self.num_input_vertices = int(
             num_input_vertices
             if num_input_vertices is not None
@@ -437,7 +438,7 @@ def hdg_from_flat_arrays(
     return HDG(
         roots, schema, leaf_ids[perm], leaf_offsets,
         instance_offsets=None,
-        leaf_weights=None if weights is None else np.asarray(weights, dtype=np.float64)[perm],
+        leaf_weights=None if weights is None else np.asarray(weights, dtype=np.float32)[perm],
         num_input_vertices=num_input_vertices,
     )
 
@@ -497,7 +498,7 @@ def hdg_from_instance_arrays(
     return HDG(
         roots, schema, leaf_vertices, leaf_offsets,
         instance_offsets=instance_offsets,
-        leaf_weights=None if weights is None else np.asarray(weights, dtype=np.float64)[gather],
+        leaf_weights=None if weights is None else np.asarray(weights, dtype=np.float32)[gather],
         num_input_vertices=num_input_vertices,
     )
 
@@ -584,7 +585,7 @@ def build_hdg(
     if records and records[0].weight is not None:
         weights = np.fromiter(
             (1.0 if r.weight is None else r.weight for r in records),
-            dtype=np.float64, count=n,
+            dtype=np.float32, count=n,
         )
     if flat:
         leaf_ids = np.fromiter((r.leaves[0] for r in records), dtype=np.int64, count=n)

@@ -17,6 +17,7 @@ import numpy as np
 from .. import obs
 from ..graph.graph import Graph
 from ..tensor.loss import accuracy
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor, no_grad
 from .hybrid import ExecutionStrategy
@@ -224,7 +225,8 @@ class MiniBatchTrainer:
         if hdg is None:
             hdg = self.hdgs.block_source(0)
         with no_grad():
-            h = self.model.forward(feats, [hdg] * self.model.num_layers,
+            h = self.model.forward(as_param_dtype(self.model, feats),
+                                   [hdg] * self.model.num_layers,
                                    self.strategy)
         self.model.train()
         return accuracy(h, labels, mask)

@@ -35,6 +35,7 @@ import numpy as np
 from .. import obs
 from ..graph.graph import Graph
 from ..tensor.loss import binary_cross_entropy_with_logits, cross_entropy
+from ..tensor.nn import as_param_dtype
 from ..tensor.ops import concat, scatter_rows
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
@@ -365,10 +366,11 @@ def run_local_blocks(model: NAUModel, compact: CompactBlocks, feats: Tensor,
     """Layer-wise forward over local-coordinate blocks.
 
     ``feats`` holds the gathered input rows (one per
-    ``input_vertices``); the result stays in the same local universe —
-    index it with ``compact.seed_rows`` for the seed logits.
+    ``input_vertices``), cast to the model's parameter dtype; the result
+    stays in the same local universe — index it with
+    ``compact.seed_rows`` for the seed logits.
     """
-    h = feats
+    h = as_param_dtype(model, feats)
     for layer, (block, out_local) in zip(model.layers, compact.blocks):
         h_rows = layer.forward(h, block, strategy, rows=out_local)
         h = scatter_rows(h_rows, out_local, compact.num_local)

@@ -68,9 +68,11 @@ def _make_splits(n: int, rng: np.random.Generator,
 
 def _class_features(labels: np.ndarray, feat_dim: int, num_classes: int,
                     rng: np.random.Generator, signal: float = 1.0) -> np.ndarray:
-    """Gaussian features whose means differ per class (learnable signal)."""
+    """Gaussian features whose means differ per class (learnable signal),
+    float32 like the on-disk spec's stored features."""
     centers = rng.standard_normal((num_classes, feat_dim)) * signal
-    return centers[labels] + rng.standard_normal((labels.size, feat_dim)) * 0.5
+    noise = rng.standard_normal((labels.size, feat_dim)) * 0.5
+    return (centers[labels] + noise).astype(np.float32)
 
 
 def reddit_like(num_vertices: int = 2000, num_labels: int = 8,

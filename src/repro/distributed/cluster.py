@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..tensor.optim import Adam
@@ -48,7 +46,7 @@ def flexgraph_scaling(
     must return a vertex -> worker assignment.
     """
     points = []
-    feats = Tensor(dataset.features.astype(np.float64))
+    feats = Tensor(dataset.features)
     for k in worker_counts:
         model: NAUModel = model_factory()
         trainer = DistributedTrainer(

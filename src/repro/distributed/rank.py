@@ -56,6 +56,7 @@ from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..core.step import compact_blocks, node_loss
+from ..tensor.nn import param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import allreduce_traffic, reduce_slabs
@@ -68,10 +69,6 @@ PARAM_REDUCE = "param_reduce"
 #: compute phases the program announces through its ``phase`` hook
 FORWARD = "forward"
 BACKWARD = "backward"
-
-#: boundary and slab dtype (hidden activations inherit the float64
-#: parameter dtype)
-BUFFER_DTYPE = np.float64
 
 
 class Sync(NamedTuple):
@@ -98,8 +95,9 @@ class Buffers:
     rows (the logits never leave their rank); ``hslabs[r]`` /
     ``pslabs[r]`` are rank ``r``'s flat scratch for its hidden-gradient
     rows (local order) and its parameter-gradient contribution; ``pbuf``
-    is the reduced parameter gradient.  Items are whatever ``alloc``
-    returns: numpy arrays, or
+    is the reduced parameter gradient.  Every buffer has the model's
+    parameter dtype, which the activations and gradients it holds
+    follow.  Items are whatever ``alloc`` returns: numpy arrays, or
     :class:`~repro.distributed.kvstore.SharedArray` segments that
     :meth:`map` turns into views.
     """
@@ -130,11 +128,12 @@ class Buffers:
         hidden = dims[:-1]
         slab = max([n * d for d in hidden] or [1])
         psize = max(sum(p.data.size for p in model.parameters()), 1)
+        dtype = param_dtype(model)
         return cls(
-            h={l: alloc((n, d), BUFFER_DTYPE) for l, d in enumerate(hidden, 1)},
-            hslabs=[alloc((slab,), BUFFER_DTYPE) for _ in range(k)],
-            pslabs=[alloc((psize,), BUFFER_DTYPE) for _ in range(k)],
-            pbuf=alloc((psize,), BUFFER_DTYPE),
+            h={l: alloc((n, d), dtype) for l, d in enumerate(hidden, 1)},
+            hslabs=[alloc((slab,), dtype) for _ in range(k)],
+            pslabs=[alloc((psize,), dtype) for _ in range(k)],
+            pbuf=alloc((psize,), dtype),
         )
 
     def map(self, fn) -> "Buffers":
@@ -301,7 +300,7 @@ class Rank:
             d = h_leaf.data.shape[1]
             slab = _slab_rows(bufs.hslabs[self.rank], d)[: self.inputs.size]
             slab[...] = 0.0 if h_leaf.grad is None else h_leaf.grad
-            grad = np.empty((rows.size, d), dtype=BUFFER_DTYPE)
+            grad = np.empty((rows.size, d), dtype=slab.dtype)
             yield Sync(GRAD_REDUCE, l, 0,
                        *peer_traffic(self.recv_counts, d * slab.itemsize),
                        reduce=partial(self._sum_owned_grads, bufs.hslabs, grad))
@@ -372,13 +371,15 @@ def attach_targets(ranks: list[Rank], n: int, labels: np.ndarray,
                 f"{name} has shape {np.shape(array)}: distributed training "
                 f"needs one entry per vertex, shape ({n},)")
     labels = np.asarray(labels)
-    weight = np.ones(n) if mask is None else np.asarray(mask, dtype=np.float64)
-    total = max(weight.sum(), 1.0)
+    # Shares are Python floats of the mask's own sums (a count for a
+    # boolean mask): the loss gradient they seed takes the logits' dtype.
+    weight = np.ones(n, dtype=bool) if mask is None else np.asarray(mask)
+    total = max(float(weight.sum()), 1.0)
     for rank in ranks:
         rows = rank.root_orders
         rank.labels = labels[rows]
         rank.mask = None if mask is None else np.asarray(mask)[rows]
-        rank.loss_scale = max(weight[rows].sum(), 1.0) / total
+        rank.loss_scale = max(float(weight[rows].sum()), 1.0) / total
 
 
 def apply_reduced_grad(model: NAUModel, optimizer: Optimizer,

@@ -115,6 +115,7 @@ from ..obs.live import STALL_EVENT, StallDetector, StallEvent, TelemetrySlab
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import BYTES_COUNTER, MESSAGES_COUNTER, ProcessComm
@@ -517,12 +518,15 @@ class MultiprocessTrainer:
         very array (the workers refetch when the version moves).  The
         first call creates the keys, before any worker exists (KV keys
         must pre-date the spawn — see repro.distributed.kvstore); later
-        arrays must keep the first one's shape and dtype."""
+        arrays must keep the first one's shape.  The shards hold the
+        model's parameter dtype, so every rank's layer-0 rows and the
+        halo bytes it fetches are in it."""
         X = feature_matrix(feats, self.graph.num_vertices)
         if X is self._shipped:
             return
         for rank in self.ranks:
-            self.kv.set(f"feat/{rank.rank}", X[rank.root_orders])
+            self.kv.set(f"feat/{rank.rank}",
+                        as_param_dtype(self.model, X[rank.root_orders]))
         self._shipped = X
         self._feats_version += 1
 

@@ -30,6 +30,7 @@ from .. import obs
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
+from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
@@ -242,7 +243,8 @@ class DistributedTrainer:
         if self._fail_next is not None:
             worker_id, self._fail_next = self._fail_next, None
             raise WorkerFailure(worker_id, epoch)
-        X = feature_matrix(feats, self.graph.num_vertices)
+        X = as_param_dtype(self.model,
+                           feature_matrix(feats, self.graph.num_vertices))
         if labels is not self._labels or mask is not self._mask:
             attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
             self._labels, self._mask = labels, mask
@@ -314,7 +316,8 @@ class DistributedTrainer:
         """Simulated seconds of the Aggregation stage only (Figures 15a-c
         measure Aggregation rather than end-to-end epochs): the ranks'
         forward, timed by their aggregation spans."""
-        X = feature_matrix(feats, self.graph.num_vertices)
+        X = as_param_dtype(self.model,
+                           feature_matrix(feats, self.graph.num_vertices))
         self._sync_hdg(epoch)
         steps, totals = self._forward(X, epoch)
         steps.close()

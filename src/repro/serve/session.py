@@ -45,6 +45,7 @@ from ..core.step import (
 from ..graph.graph import Graph
 from ..loader.source import as_source
 from ..storage.store import load_checkpoint
+from ..tensor.nn import as_param_dtype, param_dtype
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor, no_grad
 from .cache import EmbeddingCache, GraphVersion, HDGBlockCache, expand_affected
@@ -88,11 +89,18 @@ class InferenceSession:
         ``None`` pins features exactly as given; ``"float32"`` /
         ``"float16"`` / ``"int8"`` stores them quantized (int8 with
         per-row scales) and dequantizes on gather, shrinking the pinned
-        footprint up to ~8× for float64 inputs.
+        footprint up to ~4× for float32 inputs.  Gathered rows enter the
+        model in its parameter dtype.
+    embed_cache_bytes:
+        Byte budget of the embedding cache.  Exact rows are stored in
+        the model's parameter dtype, 4 bytes per element for the
+        float32 default: a 64-wide row costs 256 bytes, so 64 MiB holds
+        ~262k of them.
     cache_dtype:
         Storage codec for the embedding cache (see
         :class:`~repro.serve.cache.EmbeddingCache`); ``"int8"`` holds
-        ~4×–8× the vertices per byte budget, lifting warm hit rate.
+        ~4× the float32 vertices per byte budget, lifting warm hit
+        rate.
     """
 
     def __init__(
@@ -212,7 +220,8 @@ class InferenceSession:
         """Final-layer rows for ``seeds`` (logits for classifier heads)."""
         seeds = np.atleast_1d(np.asarray(seeds, dtype=np.int64))
         if seeds.size == 0:
-            return np.empty((0, self.model.layers[-1].output_dim))
+            return np.empty((0, self.model.layers[-1].output_dim),
+                            dtype=param_dtype(self.model))
         if seeds.min() < 0 or seeds.max() >= self.graph.num_vertices:
             raise ValueError("seed vertex id out of range")
         with self._lock:
@@ -260,7 +269,8 @@ class InferenceSession:
         prev_rows = self._rows(level - 1, compact.input_vertices)
         with no_grad():
             out = self.model.layers[level - 1].forward(
-                Tensor(prev_rows), local_block, self.strategy, rows=out_local)
+                Tensor(as_param_dtype(self.model, prev_rows)), local_block,
+                self.strategy, rows=out_local)
         if fresh:
             # Stored after its first forward: the block now owns the
             # reduction plans that forward built, and the cache's byte

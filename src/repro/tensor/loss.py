@@ -33,10 +33,13 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray | None = N
     if np.any(targets < 0) or np.any(targets >= c):
         raise ValueError("target class out of range")
     rows = np.arange(n)
+    # The weights and the loss take the dtype of the log-probabilities: a
+    # wider loss would re-promote the whole backward through its seed.
+    dtype = log_probs.data.dtype
     if mask is None:
-        weight = np.ones(n)
+        weight = np.ones(n, dtype=dtype)
     else:
-        weight = np.asarray(mask, dtype=np.float64)
+        weight = np.asarray(mask, dtype=dtype)
         if weight.shape != (n,):
             raise ValueError(f"mask shape {weight.shape} does not match {n} rows")
     denom = max(weight.sum(), 1.0)
@@ -54,8 +57,9 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray | None = N
 def binary_cross_entropy_with_logits(logits: Tensor, targets) -> Tensor:
     """Numerically stable BCE on raw logits (link-prediction objective)."""
     logits = _as_tensor(logits)
-    t = np.asarray(targets if not isinstance(targets, Tensor) else targets.data, dtype=np.float64)
     x = logits.data
+    t = np.asarray(targets if not isinstance(targets, Tensor) else targets.data,
+                   dtype=x.dtype)
     out_data = np.asarray(np.mean(np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))))
 
     def backward(g):

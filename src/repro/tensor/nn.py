@@ -13,18 +13,25 @@ import numpy as np
 from ..obs.profile import record_op
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell"]
+__all__ = ["Parameter", "Module", "Linear", "Embedding", "LSTMCell",
+           "param_dtype", "as_param_dtype"]
 
 
 class Parameter(Tensor):
-    """A tensor registered as a trainable module attribute."""
+    """A tensor registered as a trainable module attribute.
+
+    Parameters store float32, the compute dtype: the model's parameters
+    are the one place a dtype is chosen, and inputs, activations,
+    gradients, optimizer state and exchange buffers follow them.
+    :meth:`Module.astype` is the way to another dtype.
+    """
 
     def __init__(self, data):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True)
+        super().__init__(np.asarray(data, dtype=np.float32), requires_grad=True)
 
 
 class Module:
-    """Base class with parameter discovery and train/eval mode.
+    """Base class with parameter discovery, train/eval mode and astype.
 
     Subclasses implement ``forward``; attribute assignment automatically
     registers :class:`Parameter` and sub-``Module`` instances.
@@ -68,6 +75,19 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns ``self``.
+
+        The only way to a model that computes in another dtype (float64
+        for a dense oracle): build it, then ``model.astype(np.float64)``.
+        Gradients are dropped; build the optimizer after the cast, since
+        its state is allocated like the parameters.
+        """
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+            p.grad = None
+        return self
+
     def state_dict(self) -> dict[str, np.ndarray]:
         """Snapshot parameter values (used by fault-tolerance checkpoints)."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
@@ -88,6 +108,33 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+def param_dtype(module: Module) -> np.dtype:
+    """The dtype ``module`` computes in: its parameters' (float32 for a
+    module without any)."""
+    for p in module.parameters():
+        return p.data.dtype
+    return np.dtype(np.float32)
+
+
+def as_param_dtype(module: Module, feats):
+    """``feats`` (an array or a :class:`Tensor`) in ``module``'s
+    parameter dtype, the same object when it already is one.
+
+    Every entry point that feeds input features to a model calls this,
+    so the model alone decides the compute dtype and an input in it is
+    never copied.
+    """
+    dtype = param_dtype(module)
+    if not isinstance(feats, Tensor):
+        return np.asarray(feats).astype(dtype, copy=False)
+    if feats.data.dtype == dtype:
+        return feats
+    source = feats.data.dtype
+    # A differentiable cast: the gradient goes back in the input's dtype.
+    return Tensor._make(feats.data.astype(dtype), (feats,),
+                        lambda g: (g.astype(source),))
 
 
 class Linear(Module):

@@ -22,9 +22,10 @@ __all__ = [
 
 
 def zeros(*shape, requires_grad: bool = False) -> Tensor:
+    """A float32 (the default compute dtype) tensor of zeros."""
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

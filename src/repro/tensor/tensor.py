@@ -73,8 +73,10 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to ``float64``/``float32`` ndarray
-        (integer payloads are kept as-is but cannot require grad).
+        Array-like payload.  An ndarray or NumPy scalar keeps its dtype
+        (integer ones cannot require grad); anything else becomes a
+        ``float32`` array, the default compute dtype
+        (:class:`~repro.tensor.nn.Parameter`).
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` during
         :meth:`backward`.
@@ -85,9 +87,11 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64) if not isinstance(
-            data, np.ndarray
-        ) else data
+        if isinstance(data, np.generic):  # a reduction's NumPy scalar
+            data = np.asarray(data)
+        elif not isinstance(data, np.ndarray):
+            data = np.asarray(data, dtype=np.float32)
+        self.data = data
         if self.data.dtype.kind in "iub" and requires_grad:
             raise TypeError("integer tensors cannot require grad")
         self.requires_grad = bool(requires_grad and _GRAD_ENABLED)
@@ -220,7 +224,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self.data)
         out_data = self.data + other.data
         a_shape, b_shape = self.shape, other.shape
 
@@ -236,7 +240,7 @@ class Tensor:
         return self + other
 
     def __sub__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self.data)
         out_data = self.data - other.data
         a_shape, b_shape = self.shape, other.shape
 
@@ -246,10 +250,10 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) - self
+        return _as_tensor(other, self.data) - self
 
     def __mul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self.data)
         out_data = self.data * other.data
         a, b = self, other
 
@@ -263,7 +267,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self.data)
         out_data = self.data / other.data
         a, b = self, other
 
@@ -279,7 +283,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return _as_tensor(other) / self
+        return _as_tensor(other, self.data) / self
 
     def __neg__(self) -> "Tensor":
         def backward(g):
@@ -300,7 +304,7 @@ class Tensor:
     # Matrix ops
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = _as_tensor(other, self.data)
         out_data = self.data @ other.data
         a, b = self, other
         # (n,k)@(k,m): 2nkm FLOPs (multiply+add); the same count again
@@ -490,5 +494,21 @@ def _index_add(positions: np.ndarray, g: np.ndarray,
     return (scatter @ flat).astype(dtype, copy=False).reshape(shape)
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
+def _as_tensor(value, like: np.ndarray | None = None) -> Tensor:
+    """``value`` as a :class:`Tensor`.
+
+    A Python scalar meeting ``like`` (the other operand of a binary op)
+    promotes the way NumPy promotes a bare scalar: it takes ``like``'s
+    dtype unless its kind needs a wider one, so ``float32 * 2.0`` and
+    ``float32 + 1`` stay float32.  A NumPy float scalar counts as a
+    Python float here.  Float arrays keep their dtype; anything else
+    becomes float32.
+    """
+    if isinstance(value, Tensor):
+        return value
+    if like is not None and isinstance(value, (int, float)):
+        scalar = float(value) if isinstance(value, float) else int(value)
+        return Tensor(np.asarray(value, dtype=np.result_type(like, scalar)))
+    if isinstance(value, np.ndarray) and value.dtype.kind != "f":
+        value = value.astype(np.float32)
+    return Tensor(value)

@@ -141,7 +141,12 @@ class TestCustomAggregator:
     def test_guide_udf_trains_like_sum(self, ds, kind, strategy):
         losses, builds = self._train(kind, GuideSum(), ds, strategy)
         reference, _ = self._train(kind, "sum", ds, strategy)
-        np.testing.assert_allclose(losses, reference, rtol=1e-12, atol=0)
+        # The built-in sum is linear, so it may project before reducing;
+        # the UDF reduces first.  Only each neighbor sum's order changes:
+        # in float32, at most (max in-degree) * eps32 relative.
+        max_degree = int(np.diff(ds.graph.csc[0]).max())
+        bound = max_degree * float(np.finfo(np.float32).eps)
+        np.testing.assert_allclose(losses, reference, rtol=bound, atol=0)
         assert builds[0] > 0
         if kind != "minibatch":      # a sampled batch's topology is one-shot
             assert builds[1:] == [0, 0], builds

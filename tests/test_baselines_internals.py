@@ -154,10 +154,14 @@ class TestNeuGraphEngine:
 
         ng = NeuGraphEngine(ds, "gcn", hidden_dim=8, seed=3, num_chunks=3)
         dgl = DGLEngine(ds, "gcn", hidden_dim=8, seed=3)
+        # Chunking only regroups each vertex's in-neighbor sum: in float32
+        # that moves a loss by at most (max in-degree) * eps32 relative.
+        max_degree = int(np.diff(ds.graph.csc[0]).max())
+        bound = max_degree * float(np.finfo(np.float32).eps)
         for epoch in range(2):
             a = ng.run_epoch(epoch).loss
             b = dgl.run_epoch(epoch).loss
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(b, rel=bound)
 
     def test_peak_memory_bounded_by_chunking(self, ds):
         from repro.baselines import NeuGraphEngine

@@ -144,21 +144,22 @@ class TestNetworkModel:
 
 #: clock-free modeled numbers of two epochs (reddit tiny, hash
 #: partition, seed-0 model), fixed when the per-pair communicator was
-#: replaced by the closed form: per epoch (per-rank comm seconds, total
-#: bytes, total messages), then the dist.allreduce span duration and the
-#: comm.bytes / comm.messages counter totals.
+#: replaced by the closed form and re-pinned when compute moved to
+#: float32 (every byte count exactly halved): per epoch (per-rank comm
+#: seconds, total bytes, total messages), then the dist.allreduce span
+#: duration and the comm.bytes / comm.messages counter totals.
 _PINNED = {
     "gcn-k4-pipelined": (
         gcn, 4,
-        (["0x1.7fc7607c419a0p-10"] * 4, "0x1.5180000000000p+18", 24),
-        "0x1.5fd176d59f595p-12",
-        ("0x1.5180000000000p+19", "0x1.8000000000000p+5"),
+        (["0x1.0e8858ff75968p-10"] * 4, "0x1.5180000000000p+17", 24),
+        "0x1.4d320ced793fbp-12",
+        ("0x1.5180000000000p+18", "0x1.8000000000000p+5"),
     ),
     "gat-k2-batched": (
         gat, 2,
-        (["0x1.e504d1f6d8391p-7"] * 2, "0x1.647c000000000p+21", 4),
-        "0x1.39bbe3707d40ap-13",
-        ("0x1.647c000000000p+22", "0x1.0000000000000p+3"),
+        (["0x1.eb928ab19f49ep-8"] * 2, "0x1.647c000000000p+20", 4),
+        "0x1.05b97d64afad0p-13",
+        ("0x1.647c000000000p+21", "0x1.0000000000000p+3"),
     ),
 }
 
@@ -357,7 +358,12 @@ class TestDistributedTrainer:
         d_stats = trainer.train_epoch(
             feats, ds.labels, Adam(dist_model.parameters(), 0.01), ds.train_mask
         )
-        assert d_stats.loss == pytest.approx(s_stats.loss, rel=1e-8)
+        # A rank's universe may flip the project/reduce order of a layer,
+        # and the loss becomes k partial sums: in float32 each reorders a
+        # sum of at most (max in-degree) terms.
+        max_degree = int(np.diff(ds.graph.csc[0]).max())
+        bound = max_degree * float(np.finfo(np.float32).eps)
+        assert d_stats.loss == pytest.approx(s_stats.loss, rel=bound)
 
     @pytest.mark.parametrize("factory", [gcn, pinsage],
                              ids=["gcn-static", "pinsage-per-epoch"])
@@ -437,13 +443,16 @@ class TestDistributedTrainer:
         assert stats.total_bytes > 0
         assert stats.comm_mode == "pipelined"
 
-    def test_comm_bytes_follow_feature_dtype(self, ds):
-        """Traffic accounting uses the actual row itemsize; float32
-        features move exactly half the bytes of float64 (single-layer
-        model so every counted row carries the feature dtype)."""
+    def test_comm_bytes_follow_model_dtype(self, ds):
+        """Traffic accounting uses the actual row itemsize, and rows cross
+        in the model's parameter dtype whatever the feature array's: a
+        float64 model moves exactly twice the bytes of the float32
+        default (single-layer model so every counted row is a feature
+        row)."""
 
-        def epoch_bytes(feats_np):
-            model = gcn(ds.feat_dim, 8, ds.num_classes, num_layers=1, seed=7)
+        def epoch_bytes(feats_np, dtype):
+            model = gcn(ds.feat_dim, 8, ds.num_classes, num_layers=1,
+                        seed=7).astype(dtype)
             trainer = DistributedTrainer(
                 model, ds.graph, hash_partition(ds.graph.num_vertices, 2)
             )
@@ -453,10 +462,11 @@ class TestDistributedTrainer:
             )
             return stats.total_bytes
 
-        bytes64 = epoch_bytes(ds.features.astype(np.float64))
-        bytes32 = epoch_bytes(ds.features.astype(np.float32))
-        assert bytes64 > 0
-        assert bytes32 * 2 == bytes64
+        feats64 = ds.features.astype(np.float64)
+        bytes32 = epoch_bytes(ds.features, np.float32)
+        assert bytes32 > 0
+        assert epoch_bytes(feats64, np.float32) == bytes32
+        assert epoch_bytes(ds.features, np.float64) == 2 * bytes32
 
     def test_bad_partition_shape_raises(self, ds):
         model = gcn(ds.feat_dim, 8, ds.num_classes)

@@ -114,7 +114,7 @@ def test_float16_values_with_a_float64_score_vector():
     the largest entry."""
     plan = _gathered_plan()
     rng = np.random.default_rng(2)
-    agg = AttentionAggregator(DIM, rng=rng)
+    agg = AttentionAggregator(DIM, rng=rng).astype(np.float64)
     x = rng.standard_normal((ROWS, DIM)).astype(np.float16)
     fused = _run(agg, x, plan, True)
     sparse = _run(agg, x, plan, False)
@@ -151,8 +151,9 @@ def test_requires_a_segments_plan():
 # counted work of one GAT forward + backward
 # ----------------------------------------------------------------------
 def _gat_step(strategy):
-    """(bytes materialized, FLOPs, edges, input width) of one forward +
-    backward after a warm-up forward that builds the plans."""
+    """(bytes materialized, FLOPs, edges, input width, itemsize of the
+    model's dtype) of one forward + backward after a warm-up forward
+    that builds the plans."""
     ds = load_dataset("reddit", scale="tiny")
     model = gat(ds.feat_dim, 8, ds.num_classes, seed=0)
     engine = FlexGraphEngine(model, ds.graph, strategy=strategy, seed=0)
@@ -164,16 +165,17 @@ def _gat_step(strategy):
     loss.backward()
     edges = engine.hdg_for_layer(0).leaf_vertices.size
     return (materialized_bytes(), obs.work_since(before)["flops"], edges,
-            ds.feat_dim)
+            ds.feat_dim, model.layers[0].linear.weight.data.itemsize)
 
 
 @pytest.mark.parametrize("strategy", ["ha", "sa+fa"])
 def test_fused_gat_materializes_scalars_not_messages(strategy):
-    """Two layers keep one float64 attention weight per edge each; the SA
-    form materializes at least the gathered first-layer messages."""
-    fused, fused_flops, edges, width = _gat_step(strategy)
-    sparse, sparse_flops, _, _ = _gat_step("sa")
-    itemsize = np.dtype(np.float64).itemsize
+    """Two layers keep one attention weight per edge each, in the model's
+    dtype (float32: 2 * E * 4 bytes); the SA form materializes at least
+    the gathered first-layer messages."""
+    fused, fused_flops, edges, width, itemsize = _gat_step(strategy)
+    sparse, sparse_flops, _, _, _ = _gat_step("sa")
+    assert itemsize == 4
     assert 0 < fused <= 2 * edges * itemsize
     assert sparse >= edges * width * itemsize
     # the work is still counted, and of the SA form's order

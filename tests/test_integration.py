@@ -236,4 +236,8 @@ class TestDistributedEquivalence:
         from repro.tensor import cross_entropy
 
         ref_loss = cross_entropy(Tensor(expected), ds.labels, ds.train_mask).item()
-        assert stats.loss == pytest.approx(ref_loss, rel=1e-8)
+        # Partitioning only reorders sums (per-rank project/reduce order,
+        # k partial losses): in float32, (max in-degree) * eps32 relative.
+        max_degree = int(np.diff(ds.graph.csc[0]).max())
+        bound = max_degree * float(np.finfo(np.float32).eps)
+        assert stats.loss == pytest.approx(ref_loss, rel=bound)

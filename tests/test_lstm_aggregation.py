@@ -165,9 +165,12 @@ class TestNonCommutativeDistributed:
             ds.train_mask,
         )
         # The fallback ships per-edge features: bytes must match the
-        # batched plan, not the (smaller) partial-aggregation plan.
+        # batched plan, not the (smaller) partial-aggregation plan.  Rows
+        # cross in the model's dtype (float32: 4 bytes per element).
         dep = dependency_stats(trainer.hdgs.model_hdg, trainer.labels_part, 2)
-        batched = plan_layer_comm(dep, ds.feat_dim * 8, trainer.comm_config, "batched")
+        row_bytes = ds.feat_dim * model.parameters()[0].data.itemsize
+        assert row_bytes == ds.feat_dim * 4
+        batched = plan_layer_comm(dep, row_bytes, trainer.comm_config, "batched")
         assert stats.total_bytes == pytest.approx(batched.total_bytes)
         assert np.isfinite(stats.loss)
 

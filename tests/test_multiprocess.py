@@ -33,6 +33,7 @@ from repro.distributed.rank import GRAD_REDUCE, LAYER_SYNC, PARAM_REDUCE, Rank
 from repro.graph import hash_partition, spectral_partition
 from repro.models import gat, gcn, gin, pinsage
 from repro.tensor import Adam, Tensor
+from repro.tensor.nn import param_dtype
 
 
 @pytest.fixture(scope="module")
@@ -302,8 +303,10 @@ class TestMultiprocessParity:
                 halo = sum(int(rank.halo_counts.sum()) for rank in mt.ranks)
             finally:
                 mt.close()
-            hidden_row = 8 * np.dtype(np.float64).itemsize
-            feat_row = ds.feat_dim * ds.features.itemsize
+            # Hidden and feature rows both cross in the model's dtype.
+            itemsize = param_dtype(model).itemsize
+            hidden_row = 8 * itemsize
+            feat_row = ds.feat_dim * itemsize
             params = sum(p.data.nbytes for p in model.parameters())
             allreduce = k * allreduce_traffic(params, k)[0]
             assert stats[1].total_bytes == 2 * halo * hidden_row + allreduce

@@ -4,10 +4,13 @@ A layer that declares its Update linear in the aggregate lets
 ``GNNLayer`` reduce at the narrower width.  Four things are pinned here:
 
 * a numpy-only dense reference (adjacency matmul; no HDG, plans or
-  scatter kernels) for loss and every parameter gradient — the first
-  cell of the differential oracle (ROADMAP item 4) — matched within
-  1e-10 by both operator orders, and for GAT (adjacency-masked softmax)
-  by the fused and the scatter attention under every strategy;
+  scatter kernels, float64 throughout) for loss and every parameter
+  gradient — the first cell of the differential oracle (ROADMAP item
+  4) — matched within 1e-10 by both operator orders of a float64 model
+  (built, then cast with ``Module.astype``), and for GAT
+  (adjacency-masked softmax) by the fused and the scatter attention
+  under every strategy; the float32 default matches it within
+  :data:`TOL32`;
 * the order is the argmin of two multiply-add counts, nothing else;
 * the counted work moves by exactly the predicted amount where the
   order moves, and not at all where it does not;
@@ -44,6 +47,13 @@ from repro.tensor import Adam, Tensor, concat, cross_entropy
 
 N, D_IN, D_HID, D_OUT = 14, 6, 4, 3
 TOL = 1e-10
+EPS32 = float(np.finfo(np.float32).eps)
+#: float32 model against the float64 reference, relative to the largest
+#: entry of each compared array: every value is a chain of at most
+#: ~2^6 roundings (two layers of <= 6-term neighbor sums, width-6 dot
+#: products, softmax and their transposes in the backward), each
+#: <= eps32/2 relative to the magnitudes it combines.
+TOL32 = 64 * EPS32
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +230,8 @@ def _orders():
 
 
 def _params(model, kind):
-    return [{name: _param(layer, path).data.copy()
+    """The reference's parameters: float64 copies of the model's."""
+    return [{name: _param(layer, path).data.astype(np.float64)
              for name, path in _PARAMS[kind].items()}
             for layer in model.layers]
 
@@ -232,20 +243,41 @@ def _check(model, kind, loss, blocks, out_rows, labels, x):
 
 
 def _assert_matches(model, kind, loss, ref_loss, ref_grads):
-    assert loss.item() == pytest.approx(ref_loss, rel=TOL, abs=TOL)
+    """Loss and gradients against the reference: within :data:`TOL` for
+    a float64 model, within :data:`TOL32` of each array's largest entry
+    for a float32 one (whose gradients must stay float32)."""
+    dtype = model.parameters()[0].data.dtype
+    for layer in model.layers:
+        for path in _PARAMS[kind].values():
+            assert _param(layer, path).grad.dtype == dtype, path
+    if dtype == np.float64:
+        assert loss.item() == pytest.approx(ref_loss, rel=TOL, abs=TOL)
+        for layer, grads in zip(model.layers, ref_grads):
+            for name, path in _PARAMS[kind].items():
+                np.testing.assert_allclose(
+                    _param(layer, path).grad, grads[name], rtol=TOL, atol=TOL,
+                    err_msg=f"{type(layer).__name__}.{path}")
+        return
+    assert loss.data.dtype == np.float32
+    assert loss.item() == pytest.approx(ref_loss, rel=TOL32)
     for layer, grads in zip(model.layers, ref_grads):
         for name, path in _PARAMS[kind].items():
-            np.testing.assert_allclose(
-                _param(layer, path).grad, grads[name], rtol=TOL, atol=TOL,
-                err_msg=f"{type(layer).__name__}.{path}")
+            got, want = _param(layer, path).grad, grads[name]
+            assert np.abs(got - want).max() <= TOL32 * np.abs(want).max(), (
+                f"{type(layer).__name__}.{path}")
 
 
+#: float64 models: the reference's own dtype, so the 1e-10 bound holds
 MODELS = {
-    "gcn-sum": (lambda: gcn(D_IN, D_HID, D_OUT, seed=5), "sum", False),
-    "gcn-mean": (lambda: gcn(D_IN, D_HID, D_OUT, seed=5, aggregator="mean"),
+    "gcn-sum": (lambda: gcn(D_IN, D_HID, D_OUT, seed=5).astype(np.float64),
+                "sum", False),
+    "gcn-mean": (lambda: gcn(D_IN, D_HID, D_OUT, seed=5,
+                             aggregator="mean").astype(np.float64),
                  "sum", False),
-    "gin": (lambda: gin(D_IN, D_HID, D_OUT, seed=5), "gin", False),
-    "pinsage": (lambda: pinsage(D_IN, D_HID, D_OUT, seed=5), "concat", True),
+    "gin": (lambda: gin(D_IN, D_HID, D_OUT, seed=5).astype(np.float64),
+            "gin", False),
+    "pinsage": (lambda: pinsage(D_IN, D_HID, D_OUT,
+                                seed=5).astype(np.float64), "concat", True),
 }
 
 
@@ -270,6 +302,24 @@ class TestDenseReference:
         a = _adjacency(hdg, mean=name == "gcn-mean")
         rows = np.arange(N)
         _check(model, kind, loss, [(a, rows), (a, rows)], rows, labels, x)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_float32_full_graph_matches_within_the_fp32_bound(self, name,
+                                                                data):
+        """The float32 default against the same reference: the model's
+        float32 weights and inputs are exact in float64."""
+        factory, kind, weighted = MODELS[name]
+        x, labels = data
+        model = factory().astype(np.float32)
+        _randomize(model, kind)
+        x32 = x.astype(np.float32)
+        hdg = _flat_hdg(weighted)
+        loss = cross_entropy(model.forward(Tensor(x32), [hdg, hdg]), labels)
+        loss.backward()
+        a = _adjacency(hdg, mean=name == "gcn-mean")
+        rows = np.arange(N)
+        _check(model, kind, loss, [(a, rows), (a, rows)], rows, labels,
+               x32.astype(np.float64))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_sampled_block_reduces_first_and_matches(self, name, data):
@@ -304,7 +354,8 @@ class TestDenseReference:
             a_row[list(s)] += 1.0 / len(s) / len(sets)
         for roots, expect in ((np.arange(N), PROJECT_FIRST),
                               (np.array([0, 3]), REDUCE_FIRST)):
-            model = pgnn(D_IN, D_HID, D_HID, num_layers=1, seed=5)
+            model = pgnn(D_IN, D_HID, D_HID, num_layers=1,
+                         seed=5).astype(np.float64)
             _randomize(model, "concat")
             block = hdg.restrict_to_roots(roots)
             obs.reset()
@@ -322,7 +373,7 @@ class TestDenseReference:
         form; all three match the dense reference, including the root
         with no in-edges and the multi-edge."""
         x, labels = data
-        model = gat(D_IN, D_HID, D_OUT, seed=5)
+        model = gat(D_IN, D_HID, D_OUT, seed=5).astype(np.float64)
         _randomize(model, "gat")
         hdg = _flat_hdg(False)
         obs.reset()
@@ -334,6 +385,19 @@ class TestDenseReference:
                 if e.name == BACKEND_EVENT} == {backend}
         ref_loss, ref_grads = _gat_reference(_params(model, "gat"), x,
                                              _adjacency(hdg), labels)
+        _assert_matches(model, "gat", loss, ref_loss, ref_grads)
+
+    def test_float32_gat_matches_within_the_fp32_bound(self, data):
+        x, labels = data
+        model = gat(D_IN, D_HID, D_OUT, seed=5)
+        _randomize(model, "gat")
+        x32 = x.astype(np.float32)
+        hdg = _flat_hdg(False)
+        loss = cross_entropy(model.forward(Tensor(x32), [hdg, hdg]), labels)
+        loss.backward()
+        ref_loss, ref_grads = _gat_reference(
+            _params(model, "gat"), x32.astype(np.float64), _adjacency(hdg),
+            labels)
         _assert_matches(model, "gat", loss, ref_loss, ref_grads)
 
     def test_nonlinear_chains_never_project_first(self, data):
@@ -384,31 +448,50 @@ class _HandPinSage(_HandWritten, PinSageLayer):
         return out.relu() if self.activation else out
 
 
+def _thirty_losses(ds, factory, hand, dtype):
+    """30 Adam epochs of ``factory``'s model in ``dtype``; with ``hand``
+    its layers write Update out by hand (the reference ordering)."""
+    model = factory(ds.feat_dim, 16, ds.num_classes, seed=3).astype(dtype)
+    if hand is not None:
+        for layer in model.layers:
+            layer.__class__ = hand
+    engine = FlexGraphEngine(model, ds.graph)
+    opt = Adam(model.parameters(), 0.01)
+    feats = Tensor(ds.features)
+    return np.array([engine.train_epoch(feats, ds.labels, opt, ds.train_mask,
+                                        epoch=e).loss for e in range(30)])
+
+
+_HAND_WRITTEN = [
+    (gcn, _HandGCN), (gin, _HandGIN),
+    (lambda *a, **k: pinsage(*a, selection="ppr", **k), _HandPinSage),
+]
+
+
 class TestNumericBound:
-    @pytest.mark.parametrize("factory,hand", [
-        (gcn, _HandGCN), (gin, _HandGIN),
-        (lambda *a, **k: pinsage(*a, selection="ppr", **k), _HandPinSage),
-    ])
+    @pytest.mark.parametrize("factory,hand", _HAND_WRITTEN)
     def test_thirty_epochs_within_1e9_of_the_hand_written_update(
             self, factory, hand):
         """Moving the projection reorders sums and turns ``W(h + a)``
-        into ``Wh + Wa``: not bitwise, but the loss of 30 Adam epochs
-        stays within 1e-9 relative."""
+        into ``Wh + Wa``: not bitwise, but the loss of 30 Adam epochs of
+        a float64 model stays within 1e-9 relative."""
         ds = load_dataset("reddit", scale="tiny")
+        np.testing.assert_allclose(
+            _thirty_losses(ds, factory, None, np.float64),
+            _thirty_losses(ds, factory, hand, np.float64), rtol=1e-9, atol=0)
 
-        def losses(reference: bool):
-            model = factory(ds.feat_dim, 16, ds.num_classes, seed=3)
-            if reference:
-                for layer in model.layers:
-                    layer.__class__ = hand
-            engine = FlexGraphEngine(model, ds.graph)
-            opt = Adam(model.parameters(), 0.01)
-            feats = Tensor(ds.features)
-            return [engine.train_epoch(feats, ds.labels, opt, ds.train_mask,
-                                       epoch=e).loss for e in range(30)]
-
-        np.testing.assert_allclose(losses(False), losses(True),
-                                   rtol=1e-9, atol=0)
+    @pytest.mark.parametrize("factory,hand", _HAND_WRITTEN)
+    def test_thirty_float32_epochs_within_the_fp32_bound(self, factory, hand):
+        """The same in the float32 default.  A loss near zero has no
+        useful relative bound, so each epoch is held to the scale of the
+        first: the reordered neighbor sums (at most max in-degree terms)
+        move it by at most (max in-degree) * eps32 of the first loss."""
+        ds = load_dataset("reddit", scale="tiny")
+        moved = _thirty_losses(ds, factory, None, np.float32)
+        reference = _thirty_losses(ds, factory, hand, np.float32)
+        max_degree = int(np.diff(ds.graph.csc[0]).max())
+        bound = max_degree * EPS32 * abs(reference[0])
+        assert np.abs(moved - reference).max() <= bound
 
 
 # ----------------------------------------------------------------------
@@ -480,18 +563,21 @@ class TestCountedWork:
     def test_full_graph_epoch_drops_by_the_predicted_amount(self):
         """Full graph (N == R): both orders run the same matmuls, so the
         whole difference is the segment sum running ``d_in - d_out``
-        columns narrower — 2 FLOPs per edge-column, and 8 bytes per
-        edge-column read plus per root-column written."""
+        columns narrower — 2 FLOPs per edge-column, and one element (4
+        bytes in the float32 default) per edge-column read plus per
+        root-column written."""
         ds = load_dataset("reddit", scale="tiny")
         moved, hdg = self._epoch_work(ds, "sum")
         fixed, _ = self._epoch_work(ds, _OpaqueSum())
         edges, roots = hdg.leaf_vertices.size, hdg.num_roots
         narrower = (ds.feat_dim - 8) + (8 - ds.num_classes)
+        item = 4
         assert narrower > 0
         assert fixed["flops"] - moved["flops"] == 2.0 * edges * narrower
-        assert fixed["bytes_read"] - moved["bytes_read"] == 8 * edges * narrower
+        assert (fixed["bytes_read"] - moved["bytes_read"]
+                == item * edges * narrower)
         assert (fixed["bytes_written"] - moved["bytes_written"]
-                == 8 * roots * narrower)
+                == item * roots * narrower)
 
     def test_fanout_block_work_is_unchanged(self):
         ds = load_dataset("reddit", scale="tiny")

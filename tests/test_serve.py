@@ -32,6 +32,17 @@ def imdb():
     return load_dataset("imdb", scale="tiny")
 
 
+def assert_reordered_close(got, expected, graph):
+    """Rows from blocks whose neighbor sums ran in another order than the
+    full-graph forward's (a small block reduces before projecting, the
+    whole graph projects first): in float32 each sum of at most (max
+    in-degree) terms moves by that many eps32 of the largest entry."""
+    max_degree = int(np.diff(graph.csc[0]).max())
+    bound = max_degree * float(np.finfo(np.float32).eps) * np.abs(expected).max()
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= bound
+
+
 def trained(factory, ds, epochs=2, seed=0, **kwargs):
     model = factory(ds.feat_dim, 8, ds.num_classes, seed=seed, **kwargs)
     engine = FlexGraphEngine(model, ds.graph, seed=seed)
@@ -149,7 +160,7 @@ class TestServingParity:
                        max_delay=0.001) as server:
             futures = [server.submit("embed", np.array([s])) for s in seeds]
             got = np.vstack([f.result(timeout=30) for f in futures])
-            np.testing.assert_allclose(got, full, atol=1e-6)
+            assert_reordered_close(got, full, reddit.graph)
             np.testing.assert_array_equal(
                 server.predict(seeds), full.argmax(axis=1)
             )
@@ -457,7 +468,7 @@ class TestInvalidation:
                      .with_edges_added(added))
         fresh = FlexGraphEngine(model, new_graph, seed=0)
         expected = fresh.embed(Tensor(reddit.features))
-        np.testing.assert_allclose(session.embed(all_v), expected, atol=1e-6)
+        assert_reordered_close(session.embed(all_v), expected, new_graph)
 
     def test_gcn_unaffected_entries_survive_with_hits(self, reddit):
         model, _ = trained(gcn, reddit)

@@ -72,11 +72,19 @@ def test_worker_slices_compose_to_global_forward(reddit, name):
     h = feats
     for i, layer in enumerate(model.layers):
         layer_hdg = engine.hdg_for_layer(i)
-        pieces = np.zeros((reddit.graph.num_vertices, layer.output_dim))
+        pieces = np.zeros((reddit.graph.num_vertices, layer.output_dim),
+                          dtype=h.dtype)
         for w in range(3):
             owned = np.flatnonzero(labels == w)
             sub = layer_hdg.restrict_to_roots(owned)
             nbr = layer.aggregation(h, sub, engine.strategy)
             pieces[owned] = layer.update(h[owned], nbr).numpy()
         h = Tensor(pieces)
-    np.testing.assert_allclose(h.numpy(), expected, rtol=1e-7, atol=1e-9)
+    # A slice has fewer rows than the graph, so a declared linear Update
+    # may reduce before projecting where the global forward projected
+    # first: each neighbor sum is reordered, which in float32 moves an
+    # output by at most (max in-degree) * eps32 of the largest one.
+    max_degree = int(np.diff(reddit.graph.csc[0]).max())
+    bound = max_degree * float(np.finfo(np.float32).eps)
+    err = np.abs(h.numpy() - expected).max() / np.abs(expected).max()
+    assert err <= bound

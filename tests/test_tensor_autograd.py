@@ -41,9 +41,12 @@ def check_gradient(op, x_data, seed=0):
 
 class TestTensorBasics:
     def test_construction_from_list(self):
+        # A Python payload takes the default compute dtype, the one
+        # Parameter stores; an ndarray keeps its own.
         t = Tensor([1.0, 2.0, 3.0])
         assert t.shape == (3,)
-        assert t.dtype == np.float64
+        assert t.dtype == np.float32
+        assert Tensor(np.ones(2)).dtype == np.float64
 
     def test_requires_grad_flag(self):
         t = Tensor(np.ones(3), requires_grad=True)

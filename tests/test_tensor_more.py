@@ -39,8 +39,10 @@ class TestLSTMCellGradients:
         np.testing.assert_allclose(x.grad, num, rtol=1e-4, atol=1e-7)
 
     def test_weight_gradient_matches_numerical(self):
+        # Central differences at eps=1e-6 need float64 weights: a float64
+        # model is built, then cast.
         rng = np.random.default_rng(1)
-        cell = LSTMCell(2, 2, rng=rng)
+        cell = LSTMCell(2, 2, rng=rng).astype(np.float64)
         x = Tensor(rng.standard_normal((3, 2)))
         h0, c0 = Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2)))
         w_data = cell.w_x.data.copy()
@@ -58,6 +60,28 @@ class TestLSTMCellGradients:
         num = numerical_grad(f, w_data.copy())
         cell.w_x.data[...] = w_data
         np.testing.assert_allclose(analytic, num, rtol=1e-4, atol=1e-7)
+
+    def test_float32_weight_gradient_matches_float64(self):
+        """The float32 cell's analytic gradient against the same weights
+        in float64.  Each gradient entry passes through a handful of
+        sums, products and gate derivatives, each rounding once, so the
+        entries agree within 16 * eps32 of the largest one."""
+        rng = np.random.default_rng(1)
+        cell32 = LSTMCell(2, 2, rng=rng)
+        x = rng.standard_normal((3, 2))
+        cell64 = LSTMCell(2, 2).astype(np.float64)
+        cell64.load_state_dict(cell32.state_dict())
+        grads = []
+        for cell in (cell32, cell64):
+            dtype = cell.w_x.data.dtype
+            zeros = Tensor(np.zeros((3, 2), dtype=dtype))
+            h, _c = cell(Tensor(x.astype(dtype)), zeros, zeros)
+            h.sum().backward()
+            assert cell.w_x.grad.dtype == dtype
+            grads.append(cell.w_x.grad)
+        scale = np.abs(grads[1]).max()
+        eps32 = float(np.finfo(np.float32).eps)
+        assert np.abs(grads[0] - grads[1]).max() <= 16 * eps32 * scale
 
 
 class TestAttentionGradients:
