@@ -276,61 +276,55 @@ def test_ablation_dynamic_graph(benchmark, report):
 
 
 def test_ablation_minibatch_sampling(benchmark, report):
-    """Extension ablation: full-batch vs fan-out-sampled mini-batch
-    FlexGraph on the dense Reddit stand-in — the failure mode that sinks
-    the naive mini-batch baselines (§7.1) does not apply when sampling is
-    HDG-native."""
+    """Extension ablation: a sampled batch reads only what it keeps.
+
+    The naive §7.1 mini-batch baselines expand *full* neighborhoods per
+    batch; HDG-native fan-out sampling reads each block root's offsets
+    and only its kept leaves.  Counted, not timed: the ``sample.fanout``
+    op records the leaf entries a block read, which must be exactly
+    Σ min(degree, fanout) over the block's roots — so fan-out 5 reads
+    fewer than fan-out 15, and both far fewer than Σ degree."""
+    from repro import obs
     from repro.core import MiniBatchTrainer, build_seed_blocks
     from repro.models import gcn
-    from repro.tensor import Adam, Tensor
 
     ds = cfg.dataset("reddit")
+    seeds = np.arange(256)
     rows = []
-    results = {}
+    read, expected = {}, {}
 
     def run_all():
-        feats = Tensor(ds.features)
-        # Full batch.
-        model = gcn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes, seed=0,
-                    aggregator="mean")
-        engine = FlexGraphEngine(model, ds.graph, seed=0)
-        opt = Adam(model.parameters(), 0.01)
-        engine.train_epoch(feats, ds.labels, opt, ds.train_mask, 0)  # warm
-        stats = engine.train_epoch(feats, ds.labels, opt, ds.train_mask, 1)
-        results["full"] = stats.times.total
-        rows.append(["full-batch", f"{stats.times.total:.3f}", "-", "-"])
-        # Sampled mini-batch at two fan-outs.
+        model = gcn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes, seed=0)
+        trainer = MiniBatchTrainer(model, ds.graph, batch_size=256, seed=0)
+        hdg = trainer.hdgs.block_source(0)
+        degrees = np.diff(hdg.leaf_offsets)
+        leaf_bytes = obs.counter("profile.op.sample.fanout.bytes")
         for fanout in (5, 15):
-            model = gcn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes, seed=0,
-                        aggregator="mean")
-            trainer = MiniBatchTrainer(model, ds.graph, batch_size=256,
-                                       fanouts=[fanout, fanout], seed=0)
-            opt = Adam(model.parameters(), 0.01)
-            trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, 0)
-            mb = trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, 1)
-            results[fanout] = mb.seconds
-            blocks = build_seed_blocks(trainer.hdgs.block_source(0),
-                                       np.arange(256), trainer.fanouts,
-                                       trainer.hdgs.rng)
-            block_size = blocks[0][1].size
+            before = leaf_bytes.total
+            blocks = build_seed_blocks(hdg, seeds, [fanout, fanout],
+                                       np.random.default_rng(0))
+            read[fanout] = (leaf_bytes.total - before) / hdg.leaf_vertices.itemsize
+            expected[fanout] = sum(int(np.minimum(degrees[out], fanout).sum())
+                                   for _, out in blocks)
+            full = sum(int(degrees[out].sum()) for _, out in blocks)
             rows.append([
-                f"sampled fanout={fanout}", f"{mb.seconds:.3f}",
-                str(mb.num_batches), f"{block_size}/{ds.graph.num_vertices}",
+                f"fanout={fanout}", f"{read[fanout]:.0f}", str(full),
+                f"{blocks[0][1].size}/{ds.graph.num_vertices}",
             ])
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_minibatch_sampling",
         render_table(
-            "Ablation (extension): full-batch vs HDG-native sampled "
-            "mini-batch (reddit, seconds/epoch)",
-            ["mode", "sec/epoch", "batches", "block size (256 seeds)"],
+            "Ablation (extension): leaf entries a sampled batch reads "
+            "(reddit, 256 seeds, two layers)",
+            ["mode", "leaf entries read", "full neighborhoods",
+             "input vertices"],
             rows,
         ),
     )
-    # Smaller fan-out -> cheaper batches; and unlike the §7.1 baselines,
-    # sampled blocks stay well below the full graph.
-    assert results[5] <= results[15] * 1.3
+    assert read == expected
+    assert read[5] < read[15]
 
 
 def test_ablation_message_batching(benchmark, report):

@@ -221,8 +221,11 @@ class HDG:
         root_orders = np.asarray(root_orders, dtype=np.int64)
         sub_roots = self.roots[root_orders]
         if self.depth == 1:
-            counts = np.diff(self.leaf_offsets)[root_orders]
-            starts = self.leaf_offsets[root_orders]
+            # Only the selected roots' offsets are read: a memmapped HDG
+            # touches just their pages, and no call scans all n offsets.
+            starts = np.asarray(self.leaf_offsets[root_orders], dtype=np.int64)
+            counts = np.asarray(self.leaf_offsets[root_orders + 1],
+                                dtype=np.int64) - starts
             gather = _ranges_gather(starts, counts)
             new_offsets = np.zeros(root_orders.size + 1, dtype=np.int64)
             np.cumsum(counts, out=new_offsets[1:])
@@ -347,12 +350,11 @@ class MemmapHDG(HDG):
     The out-of-core path (:mod:`repro.storage.ondisk`) exposes a graph's
     topology as ``np.memmap`` arrays; wrapping them in a regular
     :class:`HDG` would defeat the point — ``np.asarray`` copies nothing,
-    but ``_validate`` scans every offset and ``restrict_to_roots`` runs
-    ``np.diff`` over the *whole* offset array per batch.  This subclass
-    keeps the memmaps as-is (no validation pass, the manifest already
-    vouches for the files) and restricts by touching only the selected
-    roots' pages, so per-batch sampling cost is O(batch neighborhoods),
-    independent of graph size.
+    but ``_validate`` scans every offset.  This subclass keeps the
+    memmaps as-is (no validation pass, the manifest already vouches for
+    the files).  Restriction and fan-out sampling read only the selected
+    roots' offsets and leaves, so they return regular in-RAM HDGs at a
+    per-batch cost independent of graph size.
 
     Only depth-1 (flat) HDGs can be memmap-backed; that is the layout
     DNFA models (GCN/SAGE) build via :func:`hdg_from_graph`.
@@ -371,23 +373,6 @@ class MemmapHDG(HDG):
         self.leaf_weights = None
         self.num_input_vertices = int(num_input_vertices)
         self._plans = PlanMemo()
-
-    def restrict_to_roots(self, root_orders: np.ndarray) -> HDG:
-        """Materialize the selected roots' sub-HDG as a regular in-RAM
-        HDG, reading only the pages those roots' ranges touch."""
-        root_orders = np.asarray(root_orders, dtype=np.int64)
-        starts = np.asarray(self.leaf_offsets[root_orders], dtype=np.int64)
-        ends = np.asarray(self.leaf_offsets[root_orders + 1], dtype=np.int64)
-        counts = ends - starts
-        gather = _ranges_gather(starts, counts)
-        new_offsets = np.zeros(root_orders.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_offsets[1:])
-        return HDG(
-            self.roots[root_orders], self.schema,
-            np.asarray(self.leaf_vertices[gather], dtype=np.int64),
-            new_offsets, instance_offsets=None, leaf_weights=None,
-            num_input_vertices=self.num_input_vertices,
-        )
 
 
 def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -21,9 +21,9 @@ four decisions those loops used to re-make by hand:
 Fan-out sampling is the FlexGraph-native answer to Euler/DistDGL-style
 training: the paper shows mini-batch systems collapse on GCN because
 they expand *full* k-hop neighborhoods per batch (§7.1).  Because flat
-HDGs already group each root's neighbors contiguously, sampling is a
-per-segment top-``fanout`` selection, and the per-layer blocks are just
-root-restricted sub-HDGs.
+HDGs already group each root's neighbors contiguously, sampling draws
+``fanout`` positions inside each selected root's segment, and the
+per-layer blocks are just root-restricted sub-HDGs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from ..tensor.nn import as_param_dtype
 from ..tensor.ops import concat, scatter_rows
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
-from .hdg import HDG
+from .hdg import HDG, _ranges_gather
 from .nau import GNNLayer, NAUModel, SelectionScope
 
 __all__ = [
@@ -214,14 +214,28 @@ def check_block_source(hdg: HDG, num_vertices: int, *, flat: bool) -> None:
         )
 
 
-def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
-    """Uniformly keep at most ``fanout`` leaves per root of a flat HDG.
+def _floyd_positions(degrees: np.ndarray, k: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Row ``i`` is a uniform ``k``-subset of ``range(degrees[i])``,
+    sorted; every degree must be at least ``k``.
 
-    Per-edge random keys are ranked within each root's contiguous
-    segment — fully vectorized.  PinSage-style importance weights are
-    renormalized over the kept edges so the weighted sum stays a proper
-    average.
+    Floyd's algorithm, one step for all rows at a time: step ``s`` draws
+    ``t`` uniformly from ``0..j`` with ``j = degree - k + s`` and keeps
+    ``t``, or ``j`` when ``t`` is already kept.  The work is ``k`` draws
+    per row, whatever the degree.
     """
+    picks = np.empty((degrees.size, k), dtype=np.int64)
+    for step in range(k):
+        top = degrees - k + step
+        t = rng.integers(0, top + 1)
+        taken = (picks[:, :step] == t[:, None]).any(axis=1)
+        picks[:, step] = np.where(taken, top, t)
+    picks.sort(axis=1)
+    return picks
+
+
+def _check_fanout(hdg: HDG, fanout: int,
+                  rng: np.random.Generator | None) -> None:
     if hdg.depth != 1:
         raise ValueError(
             "fan-out sampling applies to flat HDGs; bound hierarchical "
@@ -229,34 +243,59 @@ def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
         )
     if fanout <= 0:
         raise ValueError("fanout must be positive")
-    counts = np.diff(hdg.leaf_offsets)
-    if counts.size == 0 or counts.max() <= fanout:
-        return hdg
-    num_edges = hdg.leaf_vertices.size
-    owner = np.repeat(np.arange(hdg.num_roots, dtype=np.int64), counts)
-    keys = rng.random(num_edges)
-    order = np.lexsort((keys, owner))
-    group_start = np.zeros(num_edges, dtype=np.int64)
-    change = np.flatnonzero(np.diff(owner[order], prepend=owner[order[0]] - 1))
-    group_start[change] = change
-    group_start = np.maximum.accumulate(group_start)
-    rank = np.arange(num_edges) - group_start
-    keep = np.sort(order[rank < fanout])
+    if rng is None:
+        raise ValueError("fan-out sampling needs an rng")
 
-    new_counts = np.minimum(counts, fanout)
-    new_offsets = np.zeros(hdg.num_roots + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=new_offsets[1:])
+
+def _fanout_block(hdg: HDG, root_orders: np.ndarray, fanout: int,
+                  rng: np.random.Generator) -> HDG:
+    """The sub-HDG of ``root_orders`` with at most ``fanout`` uniformly
+    chosen leaves per root, kept in CSC order.
+
+    Only the selected roots' offsets and the kept ``leaf_vertices``
+    entries are read (counted as the ``sample.fanout`` op), so the cost
+    is O(roots × fanout) however large the degrees.  When any root is
+    sampled, PinSage-style importance weights are renormalized over the
+    kept edges so the weighted sum stays a proper average.
+    """
+    starts = np.asarray(hdg.leaf_offsets[root_orders], dtype=np.int64)
+    degrees = np.asarray(hdg.leaf_offsets[root_orders + 1],
+                         dtype=np.int64) - starts
+    counts = np.minimum(degrees, fanout)
+    offsets = np.zeros(root_orders.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    gather = _ranges_gather(starts, counts)
+    sampled = np.flatnonzero(degrees > fanout)
+    if sampled.size:
+        slots = offsets[sampled, None] + np.arange(fanout)
+        gather[slots] = starts[sampled, None] + _floyd_positions(
+            degrees[sampled], fanout, rng)
+    leaves = np.asarray(hdg.leaf_vertices[gather], dtype=np.int64)
+    obs.record_op("sample.fanout", bytes_read=leaves.nbytes)
     weights = None
     if hdg.leaf_weights is not None:
-        kept_owner = owner[keep]
-        raw = hdg.leaf_weights[keep]
-        sums = np.bincount(kept_owner, weights=raw, minlength=hdg.num_roots)
-        weights = raw / np.maximum(sums[kept_owner], 1e-12)
+        weights = hdg.leaf_weights[gather]
+        if sampled.size:
+            owner = np.repeat(np.arange(root_orders.size), counts)
+            sums = np.bincount(owner, weights=weights,
+                               minlength=root_orders.size)
+            weights = weights / np.maximum(sums[owner], 1e-12)
     return HDG(
-        hdg.roots, hdg.schema, hdg.leaf_vertices[keep], new_offsets,
+        hdg.roots[root_orders], hdg.schema, leaves, offsets,
         instance_offsets=None, leaf_weights=weights,
         num_input_vertices=hdg.num_input_vertices,
     )
+
+
+def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
+    """Uniformly keep at most ``fanout`` leaves per root of a flat HDG:
+    :func:`build_block` over every root.  Returns ``hdg`` itself when no
+    root has more than ``fanout`` leaves."""
+    _check_fanout(hdg, fanout, rng)
+    if not (np.diff(hdg.leaf_offsets) > fanout).any():
+        return hdg
+    return _fanout_block(hdg, np.arange(hdg.num_roots, dtype=np.int64),
+                         fanout, rng)
 
 
 def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
@@ -266,15 +305,15 @@ def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
 
     Requires an HDG that passes :func:`check_block_source` (vertex ids
     double as root orders).  ``fanout=None`` keeps the full
-    neighborhoods (exact inference); a positive ``fanout`` applies
-    :func:`sample_fanout` (flat HDGs only) and needs ``rng``.
+    neighborhoods (exact inference); a positive ``fanout`` keeps a
+    uniform ``fanout``-subset of each larger neighborhood (flat HDGs
+    only) and needs ``rng``.
     """
-    block = hdg.restrict_to_roots(np.asarray(vertices, dtype=np.int64))
-    if fanout is not None:
-        if rng is None:
-            raise ValueError("fan-out sampling needs an rng")
-        block = sample_fanout(block, fanout, rng)
-    return block
+    root_orders = np.asarray(vertices, dtype=np.int64)
+    if fanout is None:
+        return hdg.restrict_to_roots(root_orders)
+    _check_fanout(hdg, fanout, rng)
+    return _fanout_block(hdg, root_orders, fanout, rng)
 
 
 def build_seed_blocks(
@@ -287,14 +326,19 @@ def build_seed_blocks(
 
     Built top-down: the last layer needs the seeds; each earlier layer
     needs everything the next layer's block references.  ``fanouts``
-    entries may be ``None`` for exact full-neighborhood blocks.
+    entries may be ``None`` for exact full-neighborhood blocks.  The
+    union is marked in one table over the vertex ids, as
+    :func:`compact_blocks` does, so no step sorts the ids.
     """
-    need = np.unique(np.asarray(seeds, dtype=np.int64))
+    needed = np.zeros(hdg.num_input_vertices, dtype=bool)
+    needed[np.asarray(seeds, dtype=np.int64)] = True
+    need = np.flatnonzero(needed)
     reversed_blocks: list[tuple[HDG, np.ndarray]] = []
     for fanout in reversed(list(fanouts)):
         block = build_block(hdg, need, fanout, rng)
         reversed_blocks.append((block, need))
-        need = np.unique(np.concatenate([need, block.leaf_vertices]))
+        needed[block.leaf_vertices] = True
+        need = np.flatnonzero(needed)
     return list(reversed(reversed_blocks))
 
 

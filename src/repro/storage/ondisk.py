@@ -361,9 +361,9 @@ class OnDiskDataset:
         memmap: memmap gathers fault whole readahead/fault-around
         windows into the *process* (page granularity is 16+ pages on
         stock Linux), so a scattered batch can make entire shards
-        resident.  ``pread`` copies exactly the requested rows; the
-        kernel keeps its page cache to itself and peak RSS stays
-        O(batch).
+        resident.  ``pread`` copies only the read windows
+        :meth:`gather_features` asks for; the kernel keeps its page
+        cache to itself and peak RSS stays O(batch).
         """
         entry = self._shard_files.get(shard)
         if entry is None:
@@ -403,14 +403,28 @@ class OnDiskDataset:
             count, self.feat_dim
         )
 
+    def _vertex_ids(self, rows) -> np.ndarray:
+        """``rows`` as int64 vertex ids; an id outside ``[0, n)`` is an
+        ``IndexError`` naming the first one, not a short read or a
+        wrapped-around row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = np.flatnonzero((rows < 0) | (rows >= self.num_vertices))
+        if bad.size:
+            raise IndexError(
+                f"{self.root}: vertex id {int(rows.flat[bad[0]])} is out of "
+                f"range for {self.num_vertices} vertices"
+            )
+        return rows
+
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         """Feature rows (in the requested order) read out of the shards.
 
-        Per shard, a *dense* request (needed rows cover ≥¼ of their
-        span) is served by one positional read of the whole span and a
-        vectorized slice; a *sparse* one by per-run reads over
-        consecutive row groups.  Either way the transient buffer is
-        bounded by 4× the useful bytes — residency stays O(batch).
+        The sorted requests are split into read windows, one positional
+        read each.  A window ends at a shard boundary or before a gap
+        wider than one page (``mmap.PAGESIZE``), so a window reads only
+        pages its rows touch or gaps of at most one page between them:
+        the bytes read are at most 2 × (pages the requested rows touch)
+        × ``PAGESIZE``, and residency stays O(batch).
 
         Quantized datasets pread rows in the storage dtype and decode
         into ``compute_dtype`` on the way out, so for int8 both the
@@ -418,45 +432,34 @@ class OnDiskDataset:
         fp32 store; the ``feature.gather`` profiler op records the
         wire-format bytes actually read.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = self._vertex_ids(rows)
         quant = self.feature_codec == "int8"
         out = np.empty((rows.size, self.feat_dim), dtype=self.compute_dtype)
         if rows.size == 0:
             return out
-        wire = 0
+        row_nbytes = self.feat_dim * self.feature_dtype.itemsize
         order = np.argsort(rows, kind="stable")
         sorted_rows = rows[order]
         shard_of = sorted_rows // self.rows_per_shard
-        for shard in np.unique(shard_of):
-            sel = np.flatnonzero(shard_of == shard)
-            local = sorted_rows[sel] - int(shard) * self.rows_per_shard
-            scales = self._shard_scales(int(shard)) if quant else None
-            lo, hi = int(local[0]), int(local[-1]) + 1
-            if hi - lo <= 4 * local.size:
-                span = self._pread_rows(int(shard), lo, hi - lo)
-                wire += span.nbytes
-                picked = span[local - lo]
-                if quant:
-                    wire += local.size * 4
-                    out[order[sel]] = decode_int8(
-                        picked, scales[local], out_dtype=self.compute_dtype
-                    )
-                else:
-                    out[order[sel]] = picked
-            else:
-                breaks = np.flatnonzero(np.diff(local) != 1) + 1
-                starts = np.concatenate(([0], breaks))
-                ends = np.concatenate((breaks, [local.size]))
-                for s, e in zip(starts, ends):
-                    run = self._pread_rows(int(shard), int(local[s]), e - s)
-                    wire += run.nbytes
-                    if quant:
-                        wire += (e - s) * 4
-                        out[order[sel[s:e]]] = decode_int8(
-                            run, scales[local[s:e]], out_dtype=self.compute_dtype
-                        )
-                    else:
-                        out[order[sel[s:e]]] = run
+        local = sorted_rows - shard_of * self.rows_per_shard
+        gap_bytes = (np.diff(sorted_rows) - 1) * row_nbytes
+        breaks = np.flatnonzero((np.diff(shard_of) != 0)
+                                | (gap_bytes > mmap.PAGESIZE)) + 1
+        wire = 0
+        for s, e in zip(np.concatenate(([0], breaks)),
+                        np.concatenate((breaks, [rows.size]))):
+            shard = int(shard_of[s])
+            lo, hi = int(local[s]), int(local[e - 1]) + 1
+            span = self._pread_rows(shard, lo, hi - lo)
+            wire += span.nbytes
+            picked = span[local[s:e] - lo]
+            if quant:
+                wire += (e - s) * 4
+                picked = decode_int8(
+                    picked, self._shard_scales(shard)[local[s:e]],
+                    out_dtype=self.compute_dtype,
+                )
+            out[order[s:e]] = picked
         record_op(
             "feature.gather",
             flops=2.0 * out.size if quant else 0.0,
@@ -466,7 +469,7 @@ class OnDiskDataset:
         return out
 
     def gather_labels(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = self._vertex_ids(rows)
         return np.asarray(self.labels[rows], dtype=self.labels.dtype)
 
     # -- Integrity ------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the staged streaming dataloader (``repro.loader``)."""
 
 import gc
+import mmap
+import os
 import threading
 
 import numpy as np
@@ -210,13 +212,29 @@ class TestTrainerParity:
             )
 
 
+def _pages_touched(od: OnDiskDataset, rows: np.ndarray) -> int:
+    """File pages of the feature shards that ``rows`` lie on."""
+    row_bytes = od.feat_dim * od.feature_dtype.itemsize
+    shard, local = np.divmod(np.unique(rows), od.rows_per_shard)
+    pages = 0
+    for s in np.unique(shard):
+        path = os.path.join(od.root, f"features/shard-{int(s):05d}.npy")
+        data0 = np.load(path, mmap_mode="r").offset
+        begin = data0 + local[shard == s] * row_bytes
+        first = begin // mmap.PAGESIZE
+        last = (begin + row_bytes - 1) // mmap.PAGESIZE
+        pages += np.unique(np.concatenate(
+            [np.arange(a, b + 1) for a, b in zip(first, last)])).size
+    return pages
+
+
 class TestStreamedResidency:
     def test_gather_bytes_are_touched_rows_not_dataset(self, tmp_path,
                                                        monkeypatch):
         """Residency is O(touched rows): an epoch over a bounded seed
         window gathers exactly the rows its batches name — a small
-        fraction of the feature shards, which are pread per row run and
-        never materialized."""
+        fraction of the feature shards, which are pread in page-coalesced
+        windows and never materialized."""
         spec = ShardedSyntheticSpec(
             name="residency", num_vertices=20_000, num_edges=100_000,
             feat_dim=32, num_classes=4, seed=0,
@@ -252,17 +270,20 @@ class TestStreamedResidency:
         # The same batches, re-derived from (seed, epoch) alone.
         hdg = trainer.hdgs.block_source(0)
         plans = plan_epoch(np.flatnonzero(mask), batch_size, seed=seed, epoch=0)
-        input_rows = sum(
+        batch_inputs = [
             sample_blocks(
                 hdg, plan.seeds, fanouts, np.random.default_rng(plan.rng_seed)
-            ).input_vertices.size
+            ).input_vertices
             for plan in plans
-        )
+        ]
+        input_rows = sum(rows.size for rows in batch_inputs)
         assert stats.num_batches == len(plans) == 4
         row_bytes = od.feat_dim * od.compute_dtype.itemsize
         assert moved == input_rows * row_bytes
-        # Shard reads are coalesced over row runs, never whole shards:
-        # at most 4x the useful bytes (gather_features' stated bound).
-        assert moved <= pread <= 4 * moved
+        # Shard reads are coalesced over windows whose gaps are at most a
+        # page, never whole shards: at most 2x the pages the requested
+        # rows touch (gather_features' stated bound).
+        touched = sum(_pages_touched(od, rows) for rows in batch_inputs)
+        assert moved <= pread <= 2 * touched * mmap.PAGESIZE
         # ... and under a tenth of the feature table the shards hold.
         assert 0 < moved * 10 < od.num_vertices * row_bytes

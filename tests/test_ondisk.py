@@ -73,6 +73,22 @@ class TestOnDiskRoundtrip:
         # dtypes survive exactly
         assert ondisk.gather_features(rows).dtype == ds.features.dtype
         assert ondisk.gather_labels(rows).dtype == ds.labels.dtype
+        # repeats, reversed order and reads that cross shard boundaries
+        n = ds.graph.num_vertices
+        rows = np.array([n - 1, 0, 0, 5, 63, 64, 65, n - 1, 1, 64])
+        np.testing.assert_array_equal(
+            ondisk.gather_features(rows), ds.features[rows]
+        )
+
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_range_ids_raise_index_error(self, ondisk, bad):
+        """An id outside [0, n) is named, not reported as a corrupt
+        shard (id n) or wrapped to vertex n-1 (id -1)."""
+        bad = ondisk.num_vertices if bad == "n" else bad
+        rows = np.array([3, bad, 5, bad - 1 if bad > 0 else -7])
+        for gather in (ondisk.gather_features, ondisk.gather_labels):
+            with pytest.raises(IndexError, match=f"vertex id {bad} "):
+                gather(rows)
 
     def test_topology_parity(self, ondisk, ds):
         for v in (0, 1, ds.graph.num_vertices - 1):

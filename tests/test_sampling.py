@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     FlexGraphEngine,
     MiniBatchTrainer,
+    build_block,
     build_seed_blocks,
     validate_hdg,
 )
-from repro.core.hdg import hdg_from_graph
+from repro.core.hdg import HDG, MemmapHDG, hdg_from_graph
+from repro.core.schema import SchemaTree
 from repro.core.step import sample_fanout
 from repro.datasets import load_dataset
 from repro.models import gcn, magnn, pinsage
+from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.tensor import Adam, Tensor, scatter_rows
 
 
@@ -89,6 +93,76 @@ class TestSampleFanout:
     def test_rejects_bad_fanout(self, ds):
         with pytest.raises(ValueError):
             sample_fanout(hdg_from_graph(ds.graph), 0, np.random.default_rng(0))
+
+
+def _star_hdg(degree: int, roots: int = 1) -> HDG:
+    """``roots`` roots, each with leaves ``0..degree-1`` in CSC order."""
+    leaves = np.tile(np.arange(degree, dtype=np.int64), roots)
+    offsets = np.arange(roots + 1, dtype=np.int64) * degree
+    return HDG(np.arange(roots), SchemaTree(), leaves, offsets,
+               num_input_vertices=max(degree, roots))
+
+
+class TestFanoutSampler:
+    def test_uniform_distinct_and_in_csc_order(self):
+        """A degree-40 root at fan-out 10, drawn 4,000 times: each
+        neighbour is kept with probability 1/4, so its count is
+        Binomial(4000, 1/4) — mean 1,000, sd ≈ 27.4 — and must lie
+        within 5 sd (137) of the mean."""
+        degree, fanout, draws = 40, 10, 4_000
+        hdg = _star_hdg(degree)
+        rng = np.random.default_rng(0)
+        counts = np.zeros(degree, dtype=np.int64)
+        for _ in range(draws):
+            kept = build_block(hdg, np.array([0]), fanout, rng).leaf_vertices
+            assert kept.size == fanout
+            # leaf id = CSC position here: strictly increasing means the
+            # kept leaves are distinct and in CSC order
+            assert np.all(np.diff(kept) > 0)
+            counts[kept] += 1
+        mean = draws * fanout / degree
+        sd = np.sqrt(draws * (fanout / degree) * (1 - fanout / degree))
+        assert np.abs(counts - mean).max() <= 5 * sd
+
+    def test_rows_are_sampled_independently(self):
+        """Floyd's steps run over all roots at once; each root must still
+        get its own subset."""
+        hdg = _star_hdg(40, roots=64)
+        block = build_block(hdg, np.arange(64), 10, np.random.default_rng(1))
+        subsets = {tuple(row) for row in block.leaf_vertices.reshape(64, 10)}
+        assert len(subsets) > 60
+
+    def test_memmap_hdg_matches_in_ram(self, ds, tmp_path):
+        root = str(tmp_path / "ondisk")
+        write_ondisk_dataset(ds, root)
+        mm = hdg_from_graph(OnDiskDataset(root).graph)
+        ram = hdg_from_graph(ds.graph)
+        assert isinstance(mm, MemmapHDG) and not isinstance(ram, MemmapHDG)
+        seeds = np.array([0, 3, 17, 42, ds.graph.num_vertices - 1])
+        a = build_seed_blocks(mm, seeds, [4, 3], np.random.default_rng(5))
+        b = build_seed_blocks(ram, seeds, [4, 3], np.random.default_rng(5))
+        assert len(a) == len(b) == 2
+        for (block_a, out_a), (block_b, out_b) in zip(a, b):
+            np.testing.assert_array_equal(out_a, out_b)
+            np.testing.assert_array_equal(block_a.roots, block_b.roots)
+            np.testing.assert_array_equal(block_a.leaf_offsets,
+                                          block_b.leaf_offsets)
+            np.testing.assert_array_equal(block_a.leaf_vertices,
+                                          block_b.leaf_vertices)
+
+    @pytest.mark.parametrize("fanout", [1, 3, 10, 1_000])
+    def test_reads_exactly_the_kept_leaves(self, ds, fanout):
+        """The ``sample.fanout`` op counts leaf entries read:
+        Σ min(degree, fanout) over the block's roots, never Σ degree."""
+        hdg = hdg_from_graph(ds.graph)
+        degrees = np.diff(hdg.leaf_offsets)
+        roots = np.arange(0, ds.graph.num_vertices, 3)
+        read = obs.counter("profile.op.sample.fanout.bytes")
+        before = read.total
+        block = build_block(hdg, roots, fanout, np.random.default_rng(2))
+        entries = (read.total - before) / hdg.leaf_vertices.itemsize
+        assert entries == block.leaf_vertices.size
+        assert entries == np.minimum(degrees[roots], fanout).sum()
 
 
 class TestMiniBatchTrainer:
