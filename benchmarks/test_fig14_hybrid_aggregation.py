@@ -7,7 +7,10 @@ MAGNN (GCN/PinSage have trivial schema trees, so HA == SA+FA).
 
 The oracle asserts on the work that causes those gains, counted over one
 forward after warm-up: bytes of per-edge intermediates materialized and
-bytes written by the tensor ops.  Both are deterministic.  Aggregation
+bytes written by the tensor ops.  Both are deterministic.  It first
+asserts that the three strategies reduce every level in the same
+operator order at the same width (the ``aggregation.backend`` events),
+so the comparison is of backends, not of operator orders.  Aggregation
 wall seconds are only rendered in the table.
 """
 
@@ -17,6 +20,7 @@ import pytest
 
 from repro import obs
 from repro.core import FlexGraphEngine
+from repro.core.hybrid import BACKEND_EVENT
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Tensor, materialized_bytes, reset_materialized_bytes
 
@@ -27,17 +31,21 @@ STRATEGIES = ["sa", "sa+fa", "ha"]
 
 
 def counted_forward(model_factory, ds, strategy):
-    """(bytes materialized, bytes written, Aggregation seconds) of one
-    forward after a warm-up forward (which builds the HDG)."""
+    """(bytes materialized, bytes written, Aggregation seconds, (level,
+    order, width) per backend call) of one forward after a warm-up
+    forward (which builds the HDG)."""
     engine = FlexGraphEngine(model_factory(), ds.graph, strategy=strategy,
                              seed=0)
     feats = Tensor(ds.features)
     engine.forward(feats)
     reset_materialized_bytes()
+    obs.reset()
     mark = obs.work_snapshot()
     engine.forward(feats)
+    levels = [(e.attrs["level"], e.attrs["order"], e.attrs["width"])
+              for e in obs.get_registry().events if e.name == BACKEND_EVENT]
     return (materialized_bytes(), obs.work_since(mark)["bytes_written"],
-            engine.last_times.aggregation)
+            engine.last_times.aggregation, levels)
 
 
 @pytest.mark.parametrize("ds_name", ["fb91", "twitter"])
@@ -50,7 +58,7 @@ def test_fig14(benchmark, report, ds_name):
         "MAGNN": lambda: magnn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes,
                                max_instances_per_root=cfg.MAGNN_CAP),
     }
-    results: dict[str, dict[str, tuple[int, float, float]]] = {}
+    results: dict[str, dict[str, tuple]] = {}
 
     def run_all():
         for name, factory in factories.items():
@@ -77,6 +85,14 @@ def test_fig14(benchmark, report, ds_name):
             rows,
         ),
     )
+    for name in factories:
+        orders = [results[name][s][3] for s in STRATEGIES]
+        assert orders[0] and orders[0] == orders[1] == orders[2], (
+            f"strategies reduce in different orders or widths ({name})")
+    # MAGNN moves its projection through the attention: every strategy
+    # reduces the bottom level at hidden + 1 (the carried score column).
+    assert results["MAGNN"]["ha"][3][0] == (
+        "bottom", "project_first", cfg.HIDDEN_DIM + 1)
     for name in factories:
         sa, safa, ha = (results[name][s][:2] for s in STRATEGIES)
         for i, count in enumerate(("materialized", "written")):

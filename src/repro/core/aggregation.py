@@ -70,6 +70,13 @@ class Aggregator(Module):
     * ``commutative`` — member order does not matter and partial results
       fold, so §5's pipelined partial aggregation is valid (the
       ``linear`` ones plus max/min; not attention, not LSTM).
+
+    A third flag marks attention: ``scored`` — the members are weighed
+    by a softmax of one linear score per row, ``values @ score_vector``,
+    and reduced linearly with those weights.  Its backends take the
+    scores as a ``(rows, 1)`` column ``scores=`` (``values @
+    score_vector`` on the tape when omitted), so a projection that
+    carries ``score_vector`` as one more column may move below it.
     """
 
     name = "base"
@@ -77,6 +84,7 @@ class Aggregator(Module):
     supports_dense = True
     linear = False
     commutative = False
+    scored = False
 
     def sparse(self, values: Tensor, plan: ReductionPlan,
                weights: np.ndarray | None = None) -> Tensor:
@@ -224,14 +232,18 @@ class AttentionAggregator(Aggregator):
 
     Each source row gets a scalar score ``x . a`` from a learnable vector;
     scores are softmax-normalized within their group and used as weights.
-    :meth:`fused` is :func:`~repro.tensor.scatter.segment_attention`: each
-    row is scored once and the weighted sum is one SpMM over the level's
-    plan, so only per-edge scalars exist.  :meth:`sparse` is the SA form
-    Figure 14 contrasts it with: gathered member rows, scored, scaled by
-    ``alpha`` and scattered — two per-edge × width tensors.
+    Every backend takes the scores as one ``(rows, 1)`` column: the
+    level's own ``values @ a`` (:meth:`score`) by default, or the column
+    a projection carried up from below (``scored``).  :meth:`fused` is
+    :func:`~repro.tensor.scatter.segment_attention`: the weighted sum is
+    one SpMM over the level's plan, so only per-edge scalars exist.
+    :meth:`sparse` is the SA form Figure 14 contrasts it with: gathered
+    member rows, softmaxed scores, scaled by ``alpha`` and scattered —
+    two per-edge × width tensors.
     """
 
     name = "attention"
+    scored = True
 
     def __init__(self, dim: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -239,22 +251,27 @@ class AttentionAggregator(Aggregator):
         self.dim = dim
         self.score_vector = Parameter(rng.standard_normal(dim) / np.sqrt(dim))
 
-    def sparse(self, values, plan, weights=None):
-        scores = values @ self.score_vector.reshape(self.dim, 1)
+    def score(self, values: Tensor) -> Tensor:
+        """``values @ a``: each row's score, as a ``(rows, 1)`` column."""
+        return values @ self.score_vector.reshape(self.dim, 1)
+
+    def sparse(self, values, plan, weights=None, scores=None):
+        scores = self.score(values) if scores is None else scores
         # Both kernels share one plan: same index, same destination space.
         alpha = scatter_softmax(scores, plan=plan)
         return scatter_add(values * alpha, plan=plan)
 
-    def fused(self, values, plan, weights=None):
-        return segment_attention(values, self.score_vector, plan)
+    def fused(self, values, plan, weights=None, scores=None):
+        scores = self.score(values) if scores is None else scores
+        return segment_attention(values, scores, plan)
 
-    def dense(self, values):
+    def dense(self, values, scores=None):
         from ..tensor.ops import softmax
 
         n, g, d = values.shape
-        scores = values.reshape(n * g, d) @ self.score_vector.reshape(d, 1)
-        alpha = softmax(scores.reshape(n, g, 1), axis=1)
-        return (values * alpha).sum(axis=1)
+        if scores is None:
+            scores = self.score(values.reshape(n * g, d)).reshape(n, g, 1)
+        return (values * softmax(scores, axis=1)).sum(axis=1)
 
 
 class LSTMAggregator(Aggregator):

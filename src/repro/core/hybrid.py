@@ -28,6 +28,7 @@ import time
 
 from ..obs import event as _obs_event
 from ..obs.profile import record_op, work_since, work_snapshot
+from ..tensor.ops import concat
 from ..tensor.tensor import Tensor
 from .aggregation import Aggregator
 from .hdg import HDG
@@ -116,7 +117,12 @@ def hierarchical_aggregate(
     order:
         Reported on the ``aggregation.backend`` events: whether
         ``feats`` already went through the layer's Update projection
-        (:data:`PROJECT_FIRST`) or not (:data:`REDUCE_FIRST`).
+        (:data:`PROJECT_FIRST`) or not (:data:`REDUCE_FIRST`).  A
+        projected ``feats`` ends with one score column per attention
+        (``scored``) level, the bottom-most level's last
+        (:func:`carried_projection`): every level below an attention
+        level reduces its column with the rest, and the attention level
+        takes it off as its scores.
 
     Returns
     -------
@@ -149,6 +155,31 @@ def hierarchical_aggregate(
     return _reduce_schema(hdg, slot_feats, aggregators[2], strategy, order)
 
 
+def carried_projection(aggregators: list[Aggregator],
+                       weight: Tensor) -> Tensor:
+    """``weight`` widened by one column per attention (``scored``)
+    level, ``[W | a_top ... a_bottom]``: the projection a
+    :data:`PROJECT_FIRST` call of :func:`hierarchical_aggregate` reduces,
+    in which each attention level takes the last column left."""
+    scored = [agg for agg in aggregators if agg.scored]
+    if not scored:
+        return weight
+    d_in = weight.shape[0]
+    return concat([weight] + [agg.score_vector.reshape(d_in, 1)
+                              for agg in reversed(scored)], axis=-1)
+
+
+def _carried(agg: Aggregator, values: Tensor,
+             order: str) -> tuple[Tensor, dict]:
+    """``(values, kwargs)`` for a backend of ``agg``: under
+    :data:`PROJECT_FIRST` an attention level takes its score column —
+    the last — off the carried values (``scores=``); otherwise a UDF
+    gets its values whole (an attention level scores them itself)."""
+    if order == PROJECT_FIRST and agg.scored:
+        return values[..., :-1], {"scores": values[..., -1:]}
+    return values, {}
+
+
 def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
                    strategy: ExecutionStrategy, order: str) -> Tensor:
     """Leaves -> instances (depth 3) or leaves -> roots (depth 1)."""
@@ -160,30 +191,34 @@ def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
             record_op("gather",
                       bytes_read=gathered.data.nbytes + src.nbytes,
                       bytes_written=gathered.data.nbytes)
-            return agg.sparse(gathered, hdg.plan(level, "index"),
-                              hdg.leaf_weights)
+            values, kwargs = _carried(agg, gathered, order)
+            return agg.sparse(values, hdg.plan(level, "index"),
+                              hdg.leaf_weights, **kwargs)
         return _run_backend("bottom", "sparse", strategy, agg, feats, order,
                             sparse_path)
 
-    return _run_backend(
-        "bottom", "fused", strategy, agg, feats, order,
-        lambda: agg.fused(feats, hdg.plan(level, "segments", feats.shape[0]),
-                          hdg.leaf_weights),
-    )
+    def fused_path():
+        values, kwargs = _carried(agg, feats, order)
+        return agg.fused(values,
+                         hdg.plan(level, "segments", feats.shape[0]),
+                         hdg.leaf_weights, **kwargs)
+    return _run_backend("bottom", "fused", strategy, agg, feats, order,
+                        fused_path)
 
 
 def _reduce_instances(hdg: HDG, instance_feats: Tensor, agg: Aggregator,
                       strategy: ExecutionStrategy, order: str) -> Tensor:
     """Instances -> slots.  Instances are consecutive per slot, so HA can
     reduce on the elided layout without building an index."""
+    values, kwargs = _carried(agg, instance_feats, order)
     if strategy is ExecutionStrategy.HA and agg.supports_fused:
         return _run_backend(
             "instances", "fused", strategy, agg, instance_feats, order,
-            lambda: agg.fused(instance_feats, hdg.plan(2, "segments")),
+            lambda: agg.fused(values, hdg.plan(2, "segments"), **kwargs),
         )
     return _run_backend(
         "instances", "sparse", strategy, agg, instance_feats, order,
-        lambda: agg.sparse(instance_feats, hdg.plan(2, "index")),
+        lambda: agg.sparse(values, hdg.plan(2, "index"), **kwargs),
     )
 
 
@@ -200,7 +235,8 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
         def dense_path():
             dim = slot_feats.shape[-1]
             reshaped = slot_feats.reshape(hdg.num_roots, num_leaves, dim)
-            out = agg.dense(reshaped)
+            values, kwargs = _carried(agg, reshaped, order)
+            out = agg.dense(values, **kwargs)
             # reshape is free (a view); the reduction costs one FLOP per
             # input element and streams the slot matrix once
             record_op("dense_reduce", flops=float(reshaped.data.size),
@@ -210,7 +246,8 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
         return _run_backend("schema", "dense", strategy, agg, slot_feats, order,
                             dense_path)
 
+    values, kwargs = _carried(agg, slot_feats, order)
     return _run_backend(
         "schema", "sparse", strategy, agg, slot_feats, order,
-        lambda: agg.sparse(slot_feats, hdg.plan(1, "index")),
+        lambda: agg.sparse(values, hdg.plan(1, "index"), **kwargs),
     )

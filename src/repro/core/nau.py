@@ -26,7 +26,12 @@ from ..tensor.nn import Module
 from ..tensor.tensor import Tensor
 from .aggregation import Aggregator, get_aggregator
 from .hdg import HDG, hdg_from_graph
-from .hybrid import PROJECT_FIRST, ExecutionStrategy, hierarchical_aggregate
+from .hybrid import (
+    PROJECT_FIRST,
+    ExecutionStrategy,
+    carried_projection,
+    hierarchical_aggregate,
+)
 
 __all__ = ["SelectionScope", "GNNLayer", "NAUModel", "projects_first"]
 
@@ -40,19 +45,34 @@ class SelectionScope(enum.Enum):
 
 
 def projects_first(edges: int, rows: int, roots: int,
-                   d_in: int, d_out: int) -> bool:
+                   d_in: int, d_out: int, scores: int = 0) -> bool:
     """The operator order of a declared linear Update, from counts alone.
 
-    Projecting first costs ``rows*d_in*d_out`` multiply-adds for the
-    projection of every input row plus ``edges*d_out`` for the
-    reduction; reducing first costs ``edges*d_in`` plus
+    ``edges`` counts the rows reduced over every level of the HDG
+    (:func:`reduced_rows`); ``scores`` the attention levels, each of
+    which the projection carries as one more column.  Projecting first
+    costs ``rows*d_in*(d_out + scores)`` multiply-adds for the
+    projection of every input row plus ``edges*(d_out + scores)`` for
+    the reduction; reducing first costs ``edges*d_in`` plus
     ``roots*d_in*d_out`` for projecting the roots' aggregates.  The
     cheaper one runs; a tie reduces first.  A pure function of counts
     the call already holds — never a timing, so two passes of one commit
     always choose alike.
     """
-    return (rows * d_in * d_out + edges * d_out
-            < edges * d_in + roots * d_in * d_out)
+    width = d_out + scores
+    return rows * d_in * width + edges * width < edges * d_in + roots * d_in * d_out
+
+
+def reduced_rows(hdg: HDG) -> int:
+    """Rows the levels of ``hdg`` reduce, summed bottom-up: its leaf
+    entries, and for a depth-3 HDG its instances and — unless the schema
+    has one leaf, whose level is the identity — its slots."""
+    rows = hdg.leaf_vertices.size
+    if hdg.depth == 3:
+        rows += hdg.num_instances
+        if hdg.schema.num_leaves > 1:
+            rows += hdg.num_slots
+    return int(rows)
 
 
 class GNNLayer(Module):
@@ -114,21 +134,30 @@ class GNNLayer(Module):
                                strategy: ExecutionStrategy,
                                nbr_weight: Tensor) -> tuple[Tensor, Tensor | None]:
         """``(nbr_proj, projected)``: the projected neighborhood term,
-        and ``feats @ nbr_weight`` when the project-first order ran
-        (``None`` when the levels reduced at the input width).
+        and ``feats @ nbr_weight`` when the project-first order ran with
+        no attention level (``None`` otherwise).
 
         The projection may move below the reduction only when every
-        level's UDF is ``linear``; the bias never moves with it
-        (``sum(W h_u + b) != W sum(h_u) + b``) — it lives in
-        :meth:`combine`.
+        level's UDF is ``linear`` or ``scored``.  An attention level is
+        linear in its values once its weights are known, and its weights
+        depend on the values only through ``values @ a``, so the
+        projection carries each level's ``a`` as one more column
+        (:func:`~repro.core.hybrid.carried_projection`): ``mean(x) @ a
+        == mean(x @ a)`` carries a score up through the linear levels,
+        and the attention level takes its column off.  The bias
+        never moves with the projection (``sum(W h_u + b) != W sum(h_u)
+        + b``) — it lives in :meth:`combine`.
         """
         d_in, d_out = nbr_weight.shape
-        if (all(agg.linear for agg in self.aggregators)
-                and projects_first(hdg.leaf_vertices.size, feats.shape[0],
-                                   hdg.num_roots, d_in, d_out)):
-            projected = feats @ nbr_weight
-            return hierarchical_aggregate(hdg, projected, self.aggregators,
-                                          strategy, PROJECT_FIRST), projected
+        scores = sum(agg.scored for agg in self.aggregators)
+        if (all(agg.linear or agg.scored for agg in self.aggregators)
+                and projects_first(reduced_rows(hdg), feats.shape[0],
+                                   hdg.num_roots, d_in, d_out, scores)):
+            carried = carried_projection(self.aggregators, nbr_weight)
+            projected = feats @ carried
+            nbr = hierarchical_aggregate(hdg, projected, self.aggregators,
+                                         strategy, PROJECT_FIRST)
+            return nbr, projected if carried is nbr_weight else None
         nbr = hierarchical_aggregate(hdg, feats, self.aggregators, strategy)
         return nbr @ nbr_weight, None
 
@@ -144,21 +173,24 @@ class GNNLayer(Module):
         return bool(self.aggregators) and self.aggregators[0].commutative
 
     # -- Update --------------------------------------------------------------
-    def linear_update(self) -> tuple[Tensor, Tensor] | None:
+    def linear_update(self) -> tuple[Tensor | None, Tensor] | None:
         """Declare Update linear in the aggregate, or ``None`` (default).
 
         Returns ``(self_weight, nbr_weight)``: the bias-free
         ``(in, out)`` matrices Update applies to a vertex's own feature
         and to its neighborhood representation — the *same object* twice
         when they are shared (``W(h + a)``), two halves of one matrix
-        for ``W[h ; a]``.  Everything after the two projections — bias,
-        scaling, further layers, activation — goes in :meth:`combine`.
+        for ``W[h ; a]``, and ``self_weight=None`` when Update has no
+        self term (``W a``).  Everything after the two projections —
+        bias, scaling, further layers, activation — goes in
+        :meth:`combine`.
         """
         return None
 
-    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
-        """Tail of a declared linear Update: from ``h @ self_weight`` and
-        the projected neighborhood term to the layer's output."""
+    def combine(self, self_proj: Tensor | None, nbr_proj: Tensor) -> Tensor:
+        """Tail of a declared linear Update: from ``h @ self_weight``
+        (``None`` without a self term) and the projected neighborhood
+        term to the layer's output."""
         raise NotImplementedError
 
     def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
@@ -167,7 +199,7 @@ class GNNLayer(Module):
         weights = self.linear_update()
         if weights is None:
             raise NotImplementedError
-        return self.combine(feats @ weights[0], nbr_feats)
+        return self.combine(_project(feats, weights[0]), nbr_feats)
 
     def forward(self, feats: Tensor, hdg: HDG,
                 strategy: ExecutionStrategy = ExecutionStrategy.HA,
@@ -194,12 +226,17 @@ class GNNLayer(Module):
         if projected is not None and rows is None and self_weight is nbr_weight:
             return self.combine(projected, nbr_proj)
         self_feats = feats if rows is None else feats[rows]
-        return self.combine(self_feats @ self_weight, nbr_proj)
+        return self.combine(_project(self_feats, self_weight), nbr_proj)
 
     @property
     def output_dim(self) -> int:
         """Feature dimension this layer produces (used for stacking checks)."""
         raise NotImplementedError
+
+
+def _project(feats: Tensor, weight: Tensor | None) -> Tensor | None:
+    """``feats @ weight``, or ``None`` for an Update with no self term."""
+    return None if weight is None else feats @ weight
 
 
 class NAUModel(Module):

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..core.nau import GNNLayer, NAUModel, SelectionScope
 from ..tensor.nn import Linear
-from ..tensor.ops import concat
 from ..tensor.tensor import Tensor
 
 __all__ = ["GATLayer", "GAT", "gat"]
@@ -29,8 +28,13 @@ class GATLayer(GNNLayer):
         self.linear = Linear(2 * in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
-        out = self.linear(concat([feats, nbr_feats], axis=-1))
+    def linear_update(self) -> tuple[Tensor, Tensor]:
+        # W [h ; a] = W_top h + W_bottom a
+        weight, in_dim = self.linear.weight, self.linear.in_features // 2
+        return weight[:in_dim], weight[in_dim:]
+
+    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
+        out = self_proj + nbr_proj + self.linear.bias
         return out.relu() if self.activation else out
 
     @property

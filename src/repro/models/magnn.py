@@ -52,8 +52,12 @@ class MAGNNLayer(GNNLayer):
         self.linear = Linear(in_dim, out_dim, rng=rng)
         self.activation = activation
 
-    def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
-        out = self.linear(nbr_feats)
+    def linear_update(self) -> tuple[None, Tensor]:
+        # no self term: W a
+        return None, self.linear.weight
+
+    def combine(self, self_proj: None, nbr_proj: Tensor) -> Tensor:
+        out = nbr_proj + self.linear.bias
         return out.relu() if self.activation else out
 
     @property

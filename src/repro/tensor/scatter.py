@@ -446,7 +446,7 @@ def segment_reduce_csr(
 SDDMM_BLOCK_ELEMENTS = 1 << 15
 
 
-def segment_attention(values: Tensor, score_vector: Tensor,
+def segment_attention(values: Tensor, scores: Tensor,
                       plan: ReductionPlan) -> Tensor:
     """Softmax attention fused with its weighted sum (no per-edge rows).
 
@@ -454,57 +454,62 @@ def segment_attention(values: Tensor, score_vector: Tensor,
     ``sum_e alpha_e * values[src_e]`` over the segment's members
     ``src_e = plan.gather[e]`` (``e`` itself in the elided-Dst identity
     layout), where ``alpha`` is the softmax, within the segment, of the
-    member scores ``values[src_e] . score_vector``.  This is
-    ``scatter_add(values[src] * scatter_softmax(values[src] @ a))`` —
-    the SA form, which materializes two ``(num_edges, dim)`` tensors —
-    computed with per-edge *scalars* only:
+    member scores ``scores[src_e]`` — ``scores`` is a ``(rows, 1)``
+    column, one score per *row* of ``values``, picked per edge.  This is
+    ``scatter_add(values[src] * scatter_softmax(scores[src]))`` — the SA
+    form, which materializes two ``(num_edges, dim)`` tensors — computed
+    with per-edge *scalars* only:
 
-    * forward: each row is scored once (``values @ a``), the scores are
-      picked per edge through ``plan.gather`` and softmax-normalized by
-      ``reduceat`` over the plan's contiguous segments, and the output
-      is one SpMM whose matrix is ``alpha`` on the plan's own CSR
-      structure;
+    * forward: the row scores are picked per edge through
+      ``plan.gather`` and softmax-normalized by ``reduceat`` over the
+      plan's contiguous segments, and the output is one SpMM whose
+      matrix is ``alpha`` on the plan's own CSR structure;
     * backward: ``d values`` is the CSC (transposed) product with the
-      same arrays plus the score term ``ds (x) a``; the per-edge
-      ``d alpha = g[dst] . values[src]`` is a blocked SDDMM
-      (:data:`SDDMM_BLOCK_ELEMENTS`); ``d values`` is skipped when
-      ``values`` needs no gradient.
+      same arrays, skipped when ``values`` needs no gradient; the
+      per-edge ``d alpha = g[dst] . values[src]`` is a blocked SDDMM
+      (:data:`SDDMM_BLOCK_ELEMENTS`), and ``d scores`` sums the softmax
+      backward of each edge onto its row.
 
-    float16 values accumulate in float32 (:func:`accumulation_dtype`);
-    the result has the dtype of ``values * score_vector``.  ``alpha`` is
-    counted as the op's materialized bytes: one scalar per edge.
+    Where the scores come from is the caller's: ``values @ a`` on the
+    tape, or a column a projection carried through the levels below
+    (:meth:`repro.core.nau.GNNLayer.linear_update`).  float16 values
+    accumulate in float32 (:func:`accumulation_dtype`); the result has
+    the dtype of ``values * scores``.  ``alpha`` is counted as the op's
+    materialized bytes: one scalar per edge.
     """
     values = _as_tensor(values)
-    score_vector = _as_tensor(score_vector)
+    scores = _as_tensor(scores)
     plan = _resolve_segment_plan(values, None, None, plan,
                                  "segment_attention")
     n, total, num_rows = plan.n, plan.total, plan.num_rows
     dim = values.shape[1]
-    dtype = np.result_type(values.data.dtype, score_vector.data.dtype)
+    if scores.shape != (num_rows, 1):
+        raise ValueError(f"segment_attention needs a ({num_rows}, 1) score "
+                         f"column, got {scores.shape}")
+    dtype = np.result_type(values.data.dtype, scores.data.dtype)
     acc = accumulation_dtype(dtype)
     # contiguous rows: the backward gathers row blocks out of x and g
     x = np.ascontiguousarray(values.data, dtype=acc)
-    a = score_vector.data.reshape(dim).astype(acc, copy=False)
+    row_scores = scores.data.reshape(num_rows).astype(acc, copy=False)
     src = plan.gather
     reps = plan.counts[plan.nonempty]
-    row_scores = x @ a
-    scores = row_scores if src is None else row_scores[src]
-    alpha = np.exp(scores - np.repeat(
-        np.maximum.reduceat(scores, plan.starts), reps))
+    edge_scores = row_scores if src is None else row_scores[src]
+    alpha = np.exp(edge_scores - np.repeat(
+        np.maximum.reduceat(edge_scores, plan.starts), reps))
     alpha /= np.repeat(np.add.reduceat(alpha, plan.starts), reps)
     _record_materialization(alpha.nbytes)
     structure = plan.matrix(acc)
     weighted = _sp.csr_matrix((alpha, structure.indices, structure.indptr),
                               shape=(n, num_rows))
     out_data = (weighted @ x).astype(dtype, copy=False)
-    # scores 2 FLOPs per row element, softmax ~5 per edge, SpMM 2 per
-    # edge element; one member row streamed per edge plus the structure.
+    # softmax ~5 FLOPs per edge, SpMM 2 per edge element; one member row
+    # and one score streamed per edge plus the structure.
     edge_elements = float(total) * dim
     edge_bytes = int(edge_elements) * x.itemsize
     structure_bytes = plan.offsets.nbytes + (0 if src is None else src.nbytes)
     record_op("segment_attention",
-              flops=2.0 * x.size + 5.0 * total + 2.0 * edge_elements,
-              bytes_read=x.nbytes + edge_bytes + structure_bytes,
+              flops=5.0 * total + 2.0 * edge_elements,
+              bytes_read=row_scores.nbytes + edge_bytes + structure_bytes,
               bytes_written=out_data.nbytes + alpha.nbytes)
 
     def backward(g):
@@ -517,26 +522,24 @@ def segment_attention(values: Tensor, score_vector: Tensor,
             members = x[lo:hi] if src is None else x.take(src[lo:hi], axis=0)
             np.einsum("ij,ij->i", g.take(dst[lo:hi], axis=0), members,
                       out=d_alpha[lo:hi])
-        # softmax backward on the per-edge scalars
+        # softmax backward on the per-edge scalars, summed onto each row
         dot = np.add.reduceat(alpha * d_alpha, plan.starts)
-        d_scores = alpha * (d_alpha - np.repeat(dot, reps))
-        d_rows = d_scores if src is None else np.bincount(
-            src, weights=d_scores, minlength=num_rows).astype(acc, copy=False)
-        d_a = x.T @ d_rows
+        d_edge = alpha * (d_alpha - np.repeat(dot, reps))
+        d_scores = d_edge if src is None else np.bincount(
+            src, weights=d_edge, minlength=num_rows).astype(acc, copy=False)
         d_x = None
-        flops = 2.0 * edge_elements + 6.0 * total + 2.0 * x.size
+        flops = 2.0 * edge_elements + 6.0 * total
         read = g.nbytes + edge_bytes + structure_bytes
         if values.requires_grad:
-            d_x = _sp.csc_matrix(
+            d_x = (_sp.csc_matrix(
                 (alpha, structure.indices, structure.indptr),
-                shape=(num_rows, n)) @ g
-            d_x += d_rows[:, None] * a
-            flops += 2.0 * edge_elements + 2.0 * x.size
+                shape=(num_rows, n)) @ g).astype(values.data.dtype, copy=False)
+            flops += 2.0 * edge_elements
             read += edge_bytes
-            d_x = d_x.astype(values.data.dtype, copy=False)
         record_op("segment_attention.backward", flops=flops, bytes_read=read,
-                  bytes_written=d_a.nbytes + (0 if d_x is None else d_x.nbytes))
-        return d_x, d_a.astype(score_vector.data.dtype, copy=False).reshape(
-            score_vector.shape)
+                  bytes_written=d_scores.nbytes
+                  + (0 if d_x is None else d_x.nbytes))
+        return d_x, d_scores.astype(scores.data.dtype, copy=False).reshape(
+            scores.shape)
 
-    return Tensor._make(out_data, (values, score_vector), backward)
+    return Tensor._make(out_data, (values, scores), backward)

@@ -365,10 +365,16 @@ class Tensor:
         shape, dtype = self.shape, self.data.dtype
 
         def backward(g):
-            # Scatter-add the gradient back: duplicate rows sum, in index
-            # order.  A 1-D integer index scatters whole rows; any other
-            # index (slices, masks, tuples) scatters the flat positions
-            # of the elements it selected.
+            # A basic index selects each position at most once: write the
+            # gradient into place.  Otherwise scatter-add it back:
+            # duplicate rows sum, in index order.  A 1-D integer index
+            # scatters whole rows; any other index (masks, arrays in a
+            # tuple) scatters the flat positions of the elements it
+            # selected.
+            if _is_basic_index(idx):
+                grad = np.zeros(shape, dtype=dtype)
+                grad[idx] = g
+                return (grad,)
             if (isinstance(idx, np.ndarray) and idx.ndim == 1
                     and idx.dtype.kind in "iu"):
                 rows = np.where(idx < 0, idx + shape[0], idx)
@@ -473,6 +479,17 @@ class Tensor:
             return (g * out_data * (1.0 - out_data),)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _is_basic_index(idx) -> bool:
+    """Whether ``idx`` is NumPy *basic* indexing — ints, slices,
+    ``Ellipsis`` and ``None``, alone or in a tuple — which never selects
+    one position twice.  A bool is an advanced (mask) index."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        part is None or part is Ellipsis or isinstance(part, slice)
+        or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))
+        for part in parts)
 
 
 def _index_add(positions: np.ndarray, g: np.ndarray,

@@ -20,6 +20,7 @@ import pytest
 from repro import obs
 from repro.core import FlexGraphEngine
 from repro.core.aggregation import AttentionAggregator
+from repro.core.hybrid import BACKEND_EVENT
 from repro.datasets import load_dataset
 from repro.models import gat
 from repro.tensor import (
@@ -125,17 +126,17 @@ def test_float16_values_with_a_float64_score_vector():
 
 
 def test_all_float16_accumulates_in_float32():
-    """float16 values and score vector: scores, softmax and both sums run
-    in float32 and only the result is narrowed, so the output is within
-    2**-10 (one float16 ulp) of the float64 result relative to its
-    largest entry."""
+    """float16 values and scores (a float16 ``x @ a``): softmax and both
+    sums run in float32 and only the result is narrowed, so the output
+    is within 2**-10 (one float16 ulp) of the float64 result relative to
+    its largest entry."""
     plan = _gathered_plan()
     rng = np.random.default_rng(3)
     x = rng.standard_normal((ROWS, DIM)).astype(np.float16)
-    a = (rng.standard_normal(DIM) / np.sqrt(DIM)).astype(np.float16)
-    half = segment_attention(Tensor(x), Tensor(a), plan)
-    full = segment_attention(Tensor(x.astype(np.float64)),
-                             Tensor(a.astype(np.float64)), plan)
+    a = (rng.standard_normal((DIM, 1)) / np.sqrt(DIM)).astype(np.float16)
+    half = segment_attention(Tensor(x), Tensor(x @ a), plan)
+    x64, a64 = x.astype(np.float64), a.astype(np.float64)
+    full = segment_attention(Tensor(x64), Tensor(x64 @ a64), plan)
     assert half.data.dtype == np.float16
     assert _rel(half.data, full.data) <= 2.0 ** -10
 
@@ -143,7 +144,7 @@ def test_all_float16_accumulates_in_float32():
 def test_requires_a_segments_plan():
     index_plan = ReductionPlan.from_index(np.array([0, 1, 1]), 2)
     with pytest.raises(ValueError, match="segment_attention requires"):
-        segment_attention(Tensor(np.ones((3, 2))), Tensor(np.ones(2)),
+        segment_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))),
                           index_plan)
 
 
@@ -151,28 +152,32 @@ def test_requires_a_segments_plan():
 # counted work of one GAT forward + backward
 # ----------------------------------------------------------------------
 def _gat_step(strategy):
-    """(bytes materialized, FLOPs, edges, input width, itemsize of the
-    model's dtype) of one forward + backward after a warm-up forward
-    that builds the plans."""
+    """(bytes materialized, FLOPs, edges, width the first layer reduces
+    at, itemsize of the model's dtype) of one forward + backward after a
+    warm-up forward that builds the plans."""
     ds = load_dataset("reddit", scale="tiny")
     model = gat(ds.feat_dim, 8, ds.num_classes, seed=0)
     engine = FlexGraphEngine(model, ds.graph, strategy=strategy, seed=0)
     feats = Tensor(ds.features)
     engine.forward(feats)
     reset_materialized_bytes()
+    obs.reset()
     before = obs.work_snapshot()
     loss = cross_entropy(engine.forward(feats), ds.labels, ds.train_mask)
     loss.backward()
     edges = engine.hdg_for_layer(0).leaf_vertices.size
+    width = next(e.attrs["width"] for e in obs.get_registry().events
+                 if e.name == BACKEND_EVENT)
     return (materialized_bytes(), obs.work_since(before)["flops"], edges,
-            ds.feat_dim, model.layers[0].linear.weight.data.itemsize)
+            width, model.layers[0].linear.weight.data.itemsize)
 
 
 @pytest.mark.parametrize("strategy", ["ha", "sa+fa"])
 def test_fused_gat_materializes_scalars_not_messages(strategy):
     """Two layers keep one attention weight per edge each, in the model's
     dtype (float32: 2 * E * 4 bytes); the SA form materializes at least
-    the gathered first-layer messages."""
+    the gathered first-layer messages, at the width that layer reduces
+    at."""
     fused, fused_flops, edges, width, itemsize = _gat_step(strategy)
     sparse, sparse_flops, _, _, _ = _gat_step("sa")
     assert itemsize == 4

@@ -7,9 +7,10 @@ A layer that declares its Update linear in the aggregate lets
   scatter kernels, float64 throughout) for loss and every parameter
   gradient — the first cell of the differential oracle (ROADMAP item
   4) — matched within 1e-10 by both operator orders of a float64 model
-  (built, then cast with ``Module.astype``), and for GAT
+  (built, then cast with ``Module.astype``), for GAT
   (adjacency-masked softmax) by the fused and the scatter attention
-  under every strategy; the float32 default matches it within
+  under every strategy, and for MAGNN's mean → attention → mean chain
+  on a typed graph; the float32 default matches it within
   :data:`TOL32`;
 * the order is the argmin of two multiply-add counts, nothing else;
 * the counted work moves by exactly the predicted amount where the
@@ -32,16 +33,21 @@ from repro.core import (
     build_hdg,
     hdg_from_flat_arrays,
 )
-from repro.core.aggregation import SumAggregator
+from repro.core.aggregation import (
+    AttentionAggregator,
+    SumAggregator,
+    get_aggregator,
+)
 from repro.core.hdg import hdg_from_graph
 from repro.core.hybrid import BACKEND_EVENT, PROJECT_FIRST, REDUCE_FIRST
-from repro.core.nau import projects_first
+from repro.core.nau import projects_first, reduced_rows
 from repro.core.step import run_local_blocks, sample_blocks
 from repro.datasets import load_dataset
 from repro.models import gat, gcn, gin, magnn, pgnn, pinsage
+from repro.models.gat import GATLayer
 from repro.models.gcn import GCNLayer
 from repro.models.gin import GINLayer
-from repro.models.magnn import default_metapaths
+from repro.models.magnn import MAGNNLayer, default_metapaths
 from repro.models.pinsage import PinSageLayer
 from repro.tensor import Adam, Tensor, concat, cross_entropy
 
@@ -194,6 +200,88 @@ def _gat_reference(params, x, c, labels):
         d_h = d_own + prob.T @ d_nbr + np.outer(d_s, p["a"])
         grads[i] = g
     return loss, grads
+
+
+def _typed_hdg():
+    """A depth-3 HDG over two instance types: 0-3 instances of 2-3
+    member vertices per (root, type) slot; root 0 has no instances and
+    root 1 none of the second type (empty slots)."""
+    rng = np.random.default_rng(4)
+    records = []
+    for v in range(1, N):
+        for t in range(1 if v == 1 else 2):
+            for _ in range(rng.integers(1 if v == 1 else 0, 4)):
+                members = rng.choice(N, size=rng.integers(2, 4))
+                records.append(NeighborRecord(v, members, t))
+    return build_hdg(records, SchemaTree(("a", "b")), np.arange(N), N,
+                     flat=False)
+
+
+def _level_counts(hdg):
+    """Dense ``(dst, src)`` count matrices of a depth-3 HDG's levels,
+    bottom-up: members -> instances, instances -> slots, slots -> roots
+    (a repeated member counts twice)."""
+    inst = np.zeros((hdg.num_instances, hdg.num_input_vertices))
+    owner = np.repeat(np.arange(hdg.num_instances), np.diff(hdg.leaf_offsets))
+    np.add.at(inst, (owner, hdg.leaf_vertices), 1.0)
+    slot = np.zeros((hdg.num_slots, hdg.num_instances))
+    owner = np.repeat(np.arange(hdg.num_slots), np.diff(hdg.instance_offsets))
+    slot[owner, np.arange(hdg.num_instances)] = 1.0
+    root = np.zeros((hdg.num_roots, hdg.num_slots))
+    slots = np.arange(hdg.num_slots)
+    root[slots // hdg.schema.num_leaves, slots] = 1.0
+    return [inst, slot, root]
+
+
+def _chain_reference(kinds, p, x, counts, labels):
+    """Output, loss and parameter gradients of one layer ``agg W + b``
+    (no self term, no activation) whose aggregate runs ``x`` through a
+    chain of levels, bottom-up: ``mean`` averages each destination's
+    sources, ``attention`` weighs them by the softmax of ``s = h a``
+    (``p["a"]`` lists one ``a`` per attention level, bottom-up), masked
+    by the level's count matrix (an empty destination gets a zero
+    row)."""
+    h, tape, scores = x, [], iter(p["a"])
+    for kind, c in zip(kinds, counts):
+        a = None
+        if kind == "mean":
+            m = c / np.maximum(c.sum(axis=1, keepdims=True), 1.0)
+        else:
+            a = next(scores)
+            s = h @ a
+            e = c * np.exp(s - s.max())[None, :]
+            denom = e.sum(axis=1, keepdims=True)
+            m = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+        tape.append((a, h, m))
+        h = m @ h
+    out = h @ p["w"] + p["b"]
+    loss, d_out = _cross_entropy(out, labels)
+    grads = {"w": h.T @ d_out, "b": d_out.sum(axis=0), "a": []}
+    d_h = d_out @ p["w"].T
+    for a, h_in, m in reversed(tape):
+        d_in = m.T @ d_h
+        if a is not None:
+            d_m = d_h @ h_in.T
+            d_s = (m * (d_m - (m * d_m).sum(axis=1, keepdims=True))
+                   ).sum(axis=0)
+            grads["a"].insert(0, h_in.T @ d_s)
+            d_in += np.outer(d_s, a)
+        d_h = d_in
+    return out, loss, grads
+
+
+def _chain_layer(chain, d_out):
+    """A float64 MAGNN layer, ``W a + b``, whose three levels run
+    ``chain`` (fresh UDFs, one score vector per attention level)."""
+    layer = magnn(D_IN, d_out, d_out, num_layers=1, seed=5).layers[0]
+    rng = np.random.default_rng(8)
+    layer.aggregators = [
+        AttentionAggregator(D_IN, rng=rng) if kind == "attention"
+        else get_aggregator(kind) for kind in chain]
+    for i, agg in enumerate(layer.aggregators):
+        setattr(layer, f"_agg{i}", agg)
+    layer.linear.bias.data[...] = np.linspace(0.2, 0.9, d_out)
+    return layer.astype(np.float64)
 
 
 #: reference parameter name -> attribute path on the layer
@@ -400,6 +488,74 @@ class TestDenseReference:
             labels)
         _assert_matches(model, "gat", loss, ref_loss, ref_grads)
 
+    @pytest.mark.parametrize("strategy", ["ha", "sa+fa", "sa"])
+    def test_gat_projects_first_and_matches_the_masked_softmax(
+            self, strategy, data):
+        """A narrow first layer moves its projection below the attention,
+        carrying ``a`` as one more column: width ``2 + 1``."""
+        x, labels = data
+        model = gat(D_IN, 2, D_OUT, seed=5).astype(np.float64)
+        _randomize(model, "gat")
+        hdg = _flat_hdg(False)
+        obs.reset()
+        loss = cross_entropy(model.forward(Tensor(x), [hdg, hdg], strategy),
+                             labels)
+        loss.backward()
+        assert _orders() == [(PROJECT_FIRST, 2 + 1), (REDUCE_FIRST, 2)]
+        ref_loss, ref_grads = _gat_reference(_params(model, "gat"), x,
+                                             _adjacency(hdg), labels)
+        _assert_matches(model, "gat", loss, ref_loss, ref_grads)
+
+    @pytest.mark.parametrize("strategy", ["ha", "sa+fa", "sa"])
+    @pytest.mark.parametrize("chain", [("mean", "attention", "mean"),
+                                       ("mean", "mean", "attention"),
+                                       ("attention", "attention", "mean")],
+                             ids=["magnn", "schema-attention",
+                                  "two-attention"])
+    def test_magnn_chain_matches_in_both_orders(self, chain, strategy, data):
+        """MAGNN's ``W a + b`` over a typed graph; the same Update with
+        the attention on the schema level (HA's dense backend), and with
+        two attention levels (two carried columns, the bottom one last).
+        The full graph projects first — each score column rides up
+        through the levels below its attention — and a 3-root block
+        reduces first; output, loss and every parameter gradient within
+        1e-10."""
+        x, labels = data
+        d_out, labels = 2, labels % 2
+        scored = chain.count("attention")
+        hdg = _typed_hdg()
+        for roots, expect in ((None, PROJECT_FIRST),
+                              (np.array([0, 1, 9]), REDUCE_FIRST)):
+            layer = _chain_layer(chain, d_out)
+            block = hdg if roots is None else hdg.restrict_to_roots(roots)
+            rows = np.arange(N) if roots is None else roots
+            obs.reset()
+            out = layer.forward(Tensor(x), block, strategy, rows=roots)
+            loss = cross_entropy(out, labels[rows])
+            loss.backward()
+            orders = _orders()
+            assert {order for order, _ in orders} == {expect}
+            assert orders[0][1] == (d_out + scored if expect == PROJECT_FIRST
+                                    else D_IN)
+            attention = [agg for agg in layer.aggregators if agg.scored]
+            params = {"w": layer.linear.weight.data,
+                      "b": layer.linear.bias.data,
+                      "a": [agg.score_vector.data for agg in attention]}
+            ref_out, ref_loss, ref_grads = _chain_reference(
+                chain, params, x, _level_counts(block), labels[rows])
+            np.testing.assert_allclose(out.numpy(), ref_out, rtol=TOL,
+                                       atol=TOL)
+            assert loss.item() == pytest.approx(ref_loss, rel=TOL, abs=TOL)
+            got = {"w": [layer.linear.weight.grad],
+                   "b": [layer.linear.bias.grad],
+                   "a": [agg.score_vector.grad for agg in attention]}
+            for name, grads in got.items():
+                want = ref_grads[name] if name == "a" else [ref_grads[name]]
+                for g, w in zip(grads, want, strict=True):
+                    np.testing.assert_allclose(
+                        g, w, rtol=TOL, atol=TOL,
+                        err_msg=f"{chain} {expect} {name}")
+
     def test_nonlinear_chains_never_project_first(self, data):
         x, _ = data
         hdg = _flat_hdg(False)
@@ -408,14 +564,23 @@ class TestDenseReference:
                                                           [hdg, hdg])
         assert _orders() == [(REDUCE_FIRST, D_IN), (REDUCE_FIRST, D_HID)]
 
+    def test_magnn_projects_first_through_its_attention(self):
+        """MAGNN's mean → attention → mean is linear but for the
+        attention's score, which the projection carries: the first layer
+        reduces at ``d_out + 1`` up to the attention and ``d_out``
+        above it; the second narrows too little to move."""
         ds = load_dataset("imdb", scale="tiny")
         model = magnn(ds.feat_dim, 4, ds.num_classes,
                       metapaths=default_metapaths(), seed=0)
+        engine = FlexGraphEngine(model, ds.graph)
         obs.reset()
-        FlexGraphEngine(model, ds.graph).forward(Tensor(ds.features))
-        orders = _orders()
-        assert orders and {order for order, _ in orders} == {REDUCE_FIRST}
-        assert orders[0][1] == ds.feat_dim
+        engine.forward(Tensor(ds.features))
+        hdg = engine.hdg_for_layer(1)
+        assert not projects_first(reduced_rows(hdg), hdg.num_input_vertices,
+                                  hdg.num_roots, 4, ds.num_classes, 1)
+        assert _orders() == [(PROJECT_FIRST, 4 + 1), (PROJECT_FIRST, 4 + 1),
+                             (PROJECT_FIRST, 4), (REDUCE_FIRST, 4),
+                             (REDUCE_FIRST, 4), (REDUCE_FIRST, 4)]
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +588,10 @@ class TestDenseReference:
 # ----------------------------------------------------------------------
 class _HandWritten:
     """Mixed into a converted layer: withdraw the declaration and write
-    Update out as the models did before — the reference ordering."""
+    Update out as the models did before — the reference ordering —
+    trained on the ``dataset`` its model runs on."""
+
+    dataset = "reddit"
 
     def linear_update(self):
         return None
@@ -448,6 +616,20 @@ class _HandPinSage(_HandWritten, PinSageLayer):
         return out.relu() if self.activation else out
 
 
+class _HandGAT(_HandWritten, GATLayer):
+    def update(self, feats, nbr_feats):
+        out = self.linear(concat([feats, nbr_feats], axis=-1))
+        return out.relu() if self.activation else out
+
+
+class _HandMAGNN(_HandWritten, MAGNNLayer):
+    dataset = "imdb"
+
+    def update(self, feats, nbr_feats):
+        out = self.linear(nbr_feats)
+        return out.relu() if self.activation else out
+
+
 def _thirty_losses(ds, factory, hand, dtype):
     """30 Adam epochs of ``factory``'s model in ``dtype``; with ``hand``
     its layers write Update out by hand (the reference ordering)."""
@@ -465,6 +647,7 @@ def _thirty_losses(ds, factory, hand, dtype):
 _HAND_WRITTEN = [
     (gcn, _HandGCN), (gin, _HandGIN),
     (lambda *a, **k: pinsage(*a, selection="ppr", **k), _HandPinSage),
+    (gat, _HandGAT), (magnn, _HandMAGNN),
 ]
 
 
@@ -473,9 +656,10 @@ class TestNumericBound:
     def test_thirty_epochs_within_1e9_of_the_hand_written_update(
             self, factory, hand):
         """Moving the projection reorders sums and turns ``W(h + a)``
-        into ``Wh + Wa``: not bitwise, but the loss of 30 Adam epochs of
-        a float64 model stays within 1e-9 relative."""
-        ds = load_dataset("reddit", scale="tiny")
+        into ``Wh + Wa`` (and an attention's ``(P h) a`` into the
+        carried ``P (h a)``): not bitwise, but the loss of 30 Adam
+        epochs of a float64 model stays within 1e-9 relative."""
+        ds = load_dataset(hand.dataset, scale="tiny")
         np.testing.assert_allclose(
             _thirty_losses(ds, factory, None, np.float64),
             _thirty_losses(ds, factory, hand, np.float64), rtol=1e-9, atol=0)
@@ -486,7 +670,7 @@ class TestNumericBound:
         useful relative bound, so each epoch is held to the scale of the
         first: the reordered neighbor sums (at most max in-degree terms)
         move it by at most (max in-degree) * eps32 of the first loss."""
-        ds = load_dataset("reddit", scale="tiny")
+        ds = load_dataset(hand.dataset, scale="tiny")
         moved = _thirty_losses(ds, factory, None, np.float32)
         reference = _thirty_losses(ds, factory, hand, np.float32)
         max_degree = int(np.diff(ds.graph.csc[0]).max())
@@ -536,6 +720,25 @@ class TestCountRule:
         layer.forward(Tensor(np.ones((rows, d_in))), hdg, "ha", rows=root_ids)
         width = d_out if expected == PROJECT_FIRST else d_in
         assert _orders() == [(expected, width)]
+
+
+    @pytest.mark.parametrize("d_out", [1, 2, 3, 4, 5])
+    def test_every_level_and_each_score_column_is_priced(self, d_out):
+        """MAGNN on the typed graph: the rows reduced are the leaf
+        entries plus the instances plus the schema slots, each priced at
+        ``d_out + 1`` when the projection carries the score column."""
+        hdg = _typed_hdg()
+        edges = (hdg.leaf_vertices.size + hdg.num_instances
+                 + hdg.num_roots * 2)
+        assert reduced_rows(hdg) == edges
+        project = N * D_IN * (d_out + 1) + edges * (d_out + 1)
+        reduce = edges * D_IN + N * D_IN * d_out
+        expected = PROJECT_FIRST if project < reduce else REDUCE_FIRST
+        layer = magnn(D_IN, d_out, d_out, num_layers=1, seed=5).layers[0]
+        obs.reset()
+        layer.forward(Tensor(np.ones((N, D_IN))), hdg, "ha")
+        width = d_out + 1 if expected == PROJECT_FIRST else D_IN
+        assert _orders()[0] == (expected, width)
 
 
 # ----------------------------------------------------------------------
@@ -624,6 +827,30 @@ class TestStagesComposeToForward:
             assert {order for order, _ in _orders()} == {expected}
             assert nbr.shape == (hdg.num_roots, D_HID)
             split = layer.update(x if rows is None else x[rows], nbr)
+            assert np.array_equal(whole.numpy(), split.numpy())
+
+    @pytest.mark.parametrize("kind", ["gat", "magnn"])
+    def test_attention_aggregation_then_update_is_bitwise_forward(self,
+                                                                  kind):
+        """The carried score column changes nothing here: with the self
+        term two halves of one weight (GAT) or absent (MAGNN), both
+        orders split into the two stages bitwise."""
+        if kind == "gat":
+            layer, hdg = gat(D_IN, 2, D_OUT, seed=5).layers[0], _flat_hdg(False)
+        else:
+            layer = magnn(D_IN, 2, D_OUT, num_layers=1, seed=5).layers[0]
+            hdg = _typed_hdg()
+        x = Tensor(np.random.default_rng(2).standard_normal((N, D_IN)))
+        rows = np.array([0, 4, 9])
+        for block, roots, expected in ((hdg, None, PROJECT_FIRST),
+                                       (hdg.restrict_to_roots(rows), rows,
+                                        REDUCE_FIRST)):
+            obs.reset()
+            whole = layer.forward(x, block, "ha", rows=roots)
+            nbr = layer.aggregation(x, block, "ha")
+            assert {order for order, _ in _orders()} == {expected}
+            assert nbr.shape == (block.num_roots, layer.output_dim)
+            split = layer.update(x if roots is None else x[roots], nbr)
             assert np.array_equal(whole.numpy(), split.numpy())
 
     def test_two_threads_one_model_both_orders(self):

@@ -12,6 +12,7 @@ from repro.tensor import (
     zeros,
 )
 from repro.tensor.ops import log_softmax
+from repro.tensor.tensor import _index_add
 
 
 def numerical_grad(f, x, eps=1e-6):
@@ -208,6 +209,36 @@ class TestShapeOps:
         expected = np.zeros((4, 3))
         np.add.at(expected, index, g)
         assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    @pytest.mark.parametrize("index", [
+        (slice(None), slice(None, 16)),
+        (slice(None), -1),
+        (slice(None), slice(-1, None)),
+        3,
+        np.int64(-2),
+        (Ellipsis, 2),
+        (None, slice(1, 9, 3)),
+        (slice(None, None, -1), slice(4, 0, -2)),
+        (2, None, Ellipsis),
+    ], ids=["cols", "last-col", "last-col-keepdim", "int", "np-int",
+            "ellipsis", "newaxis-step", "reversed", "int-newaxis-ellipsis"])
+    def test_basic_index_backward_is_bitwise_the_scatter(self, index, dtype):
+        """A basic index writes its gradient into place; each position is
+        selected once, so this is bitwise the flat-position scatter every
+        index used to take."""
+        rng = np.random.default_rng(6)
+        shape = (12, 17)
+        x = Tensor(rng.standard_normal(shape).astype(dtype),
+                   requires_grad=True)
+        y = x[index]
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        size = int(np.prod(shape))
+        flat = np.arange(size).reshape(shape)[index].ravel()
+        scattered = _index_add(flat, g, (size,), dtype).reshape(shape)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == scattered.tobytes()
 
 
 class TestReductions:
