@@ -303,3 +303,18 @@ class Graph:
             f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges}, "
             f"num_types={self.num_types})"
         )
+
+
+def vertex_ids(rows, num_vertices: int) -> np.ndarray:
+    """``rows`` as int64 vertex ids.  An id outside ``[0, num_vertices)``
+    is an ``IndexError`` naming the first one: numpy would wrap a
+    negative id to a row from the end, and a read past the end is a
+    short read, not a bad id."""
+    rows = np.asarray(rows, dtype=np.int64)
+    bad = np.flatnonzero((rows < 0) | (rows >= num_vertices))
+    if bad.size:
+        raise IndexError(
+            f"vertex id {int(rows.flat[bad[0]])} is out of range for "
+            f"{num_vertices} vertices"
+        )
+    return rows

@@ -14,6 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..graph.graph import vertex_ids
 from ..tensor.quant import dequantize_rows, quantize_rows, resolve_codec
 
 __all__ = ["DataSource", "InMemorySource", "QuantizedSource", "as_source"]
@@ -48,51 +49,36 @@ class InMemorySource:
         self.num_vertices = int(self.features.shape[0])
         self.feat_dim = int(self.features.shape[1])
 
-    @property
-    def feature_dtype(self) -> np.dtype:
-        return self.features.dtype
-
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
-        return self.features[np.asarray(rows, dtype=np.int64)]
+        return self.features[vertex_ids(rows, self.num_vertices)]
 
     def gather_labels(self, rows: np.ndarray) -> np.ndarray:
         if self.labels is None:
             raise ValueError("this source carries no labels")
-        return self.labels[np.asarray(rows, dtype=np.int64)]
+        return self.labels[vertex_ids(rows, self.num_vertices)]
 
 
 class QuantizedSource:
     """An in-RAM :class:`DataSource` holding its features quantized.
 
     Features are encoded once up front (``int8`` with per-row scales,
-    or ``float16``/``float32``) and dequantized per gather into
-    ``compute_dtype`` — the resident footprint and the bytes a gather
-    moves shrink to the wire format (``wire_bytes_per_row``), the same
-    trade the quantized on-disk tier makes.
+    or ``float16``/``float32``) and decoded per gather straight into
+    float32 — the resident footprint and the bytes a gather moves shrink
+    to the wire format (``wire_bytes_per_row``), the same trade the
+    quantized on-disk tier makes.  The codec chooses only how rows are
+    stored; the model's parameters choose the compute dtype.
     """
 
     def __init__(self, features, labels: np.ndarray | None = None,
-                 codec: str = "int8", compute_dtype=None):
+                 codec: str = "int8"):
         data = np.asarray(getattr(features, "data", features))
         if data.ndim != 2:
             raise ValueError("features must be 2-D (num_vertices, feat_dim)")
         self.codec = resolve_codec(codec)
         self.quantized = quantize_rows(data, self.codec)
-        self.compute_dtype = np.dtype(
-            compute_dtype if compute_dtype is not None
-            else (np.float32 if self.codec == "int8" else self.codec)
-        )
-        if self.compute_dtype.kind != "f":
-            raise ValueError(
-                f"compute_dtype must be a float dtype, got {self.compute_dtype}"
-            )
         self.labels = None if labels is None else np.asarray(labels)
         self.num_vertices = self.quantized.num_rows
         self.feat_dim = self.quantized.dim
-
-    @property
-    def feature_dtype(self) -> np.dtype:
-        return self.compute_dtype
 
     @property
     def wire_bytes_per_row(self) -> int:
@@ -103,14 +89,13 @@ class QuantizedSource:
         return self.quantized.nbytes
 
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        return dequantize_rows(self.quantized, rows=rows,
-                               out_dtype=self.compute_dtype)
+        return dequantize_rows(self.quantized,
+                               rows=vertex_ids(rows, self.num_vertices))
 
     def gather_labels(self, rows: np.ndarray) -> np.ndarray:
         if self.labels is None:
             raise ValueError("this source carries no labels")
-        return self.labels[np.asarray(rows, dtype=np.int64)]
+        return self.labels[vertex_ids(rows, self.num_vertices)]
 
 
 def as_source(obj, labels: np.ndarray | None = None,
@@ -157,12 +142,8 @@ class _LabelOverride:
         self.num_vertices = base.num_vertices
         self.feat_dim = base.feat_dim
 
-    @property
-    def feature_dtype(self):
-        return getattr(self._base, "feature_dtype", None)
-
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         return self._base.gather_features(rows)
 
     def gather_labels(self, rows: np.ndarray) -> np.ndarray:
-        return self._labels[np.asarray(rows, dtype=np.int64)]
+        return self._labels[vertex_ids(rows, self.num_vertices)]

@@ -50,7 +50,7 @@ from ..datasets.synthetic import (
     mask_shards,
     shard_row_range,
 )
-from ..graph.graph import Graph
+from ..graph.graph import Graph, vertex_ids
 from ..obs.profile import record_op
 from ..tensor.quant import (
     decode_int8,
@@ -289,15 +289,16 @@ class OnDiskDataset:
         gathers return the storage dtype untouched.  With one,
         the storage dtype must match the codec (int8 additionally needs
         one ``features/scale-*.npy`` float32 sidecar per shard) and
-        gathers dequantize into ``compute_dtype``.  Every mismatch is an
+        gathers decode into float32.  Every mismatch is an
         :class:`OnDiskIntegrityError` — silently training on
         misdecoded features is the failure mode this guards against.
+        The decode dtype older writers recorded in int8 manifests is
+        ignored.
         """
         codec = self.manifest.get("feature_codec")
         self._scale_cache: dict[int, np.ndarray] = {}
         if codec is None:
             self.feature_codec = None
-            self.compute_dtype = self.feature_dtype
             return
         try:
             self.feature_codec = resolve_codec(codec)
@@ -310,14 +311,6 @@ class OnDiskDataset:
                 f"{storage}, but manifest feature_dtype is {self.feature_dtype}"
             )
         if self.feature_codec == "int8":
-            self.compute_dtype = np.dtype(
-                self.manifest.get("compute_dtype", "float32")
-            )
-            if self.compute_dtype.kind != "f":
-                raise OnDiskIntegrityError(
-                    f"{self.root}: compute_dtype must be a float dtype, "
-                    f"got {self.compute_dtype}"
-                )
             for shard in range(self.num_feature_shards):
                 if _scale_shard_rel(shard) not in self.manifest["files"]:
                     raise OnDiskIntegrityError(
@@ -325,8 +318,6 @@ class OnDiskDataset:
                         f"{_scale_shard_rel(shard)!r} in the manifest — "
                         "dataset was not written by --quantize int8?"
                     )
-        else:
-            self.compute_dtype = self.feature_dtype
 
     # -- DataSource protocol -------------------------------------------
     @property
@@ -403,19 +394,6 @@ class OnDiskDataset:
             count, self.feat_dim
         )
 
-    def _vertex_ids(self, rows) -> np.ndarray:
-        """``rows`` as int64 vertex ids; an id outside ``[0, n)`` is an
-        ``IndexError`` naming the first one, not a short read or a
-        wrapped-around row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        bad = np.flatnonzero((rows < 0) | (rows >= self.num_vertices))
-        if bad.size:
-            raise IndexError(
-                f"{self.root}: vertex id {int(rows.flat[bad[0]])} is out of "
-                f"range for {self.num_vertices} vertices"
-            )
-        return rows
-
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         """Feature rows (in the requested order) read out of the shards.
 
@@ -427,14 +405,17 @@ class OnDiskDataset:
         × ``PAGESIZE``, and residency stays O(batch).
 
         Quantized datasets pread rows in the storage dtype and decode
-        into ``compute_dtype`` on the way out, so for int8 both the
-        transient buffer and the page traffic are ~4× smaller than an
-        fp32 store; the ``feature.gather`` profiler op records the
-        wire-format bytes actually read.
+        them into the float32 output on the way out (int8: codes ×
+        scale; float16: one cast), so for int8 both the transient buffer
+        and the page traffic are ~4× smaller than an fp32 store; the
+        ``feature.gather`` profiler op records the wire-format bytes
+        actually read.  An exact store returns its storage dtype.
         """
-        rows = self._vertex_ids(rows)
+        rows = vertex_ids(rows, self.num_vertices)
         quant = self.feature_codec == "int8"
-        out = np.empty((rows.size, self.feat_dim), dtype=self.compute_dtype)
+        out = np.empty((rows.size, self.feat_dim),
+                       dtype=self.feature_dtype if self.feature_codec is None
+                       else np.float32)
         if rows.size == 0:
             return out
         row_nbytes = self.feat_dim * self.feature_dtype.itemsize
@@ -456,9 +437,7 @@ class OnDiskDataset:
             if quant:
                 wire += (e - s) * 4
                 picked = decode_int8(
-                    picked, self._shard_scales(shard)[local[s:e]],
-                    out_dtype=self.compute_dtype,
-                )
+                    picked, self._shard_scales(shard)[local[s:e]])
             out[order[s:e]] = picked
         record_op(
             "feature.gather",
@@ -469,7 +448,7 @@ class OnDiskDataset:
         return out
 
     def gather_labels(self, rows: np.ndarray) -> np.ndarray:
-        rows = self._vertex_ids(rows)
+        rows = vertex_ids(rows, self.num_vertices)
         return np.asarray(self.labels[rows], dtype=self.labels.dtype)
 
     # -- Integrity ------------------------------------------------------
@@ -563,11 +542,7 @@ def _codec_meta(codec: str | None, exact_dtype) -> dict:
     """Manifest keys describing the feature codec of a written dataset."""
     if codec is None:
         return {"feature_dtype": str(np.dtype(exact_dtype))}
-    storage = storage_dtype(codec)
-    meta = {"feature_dtype": str(storage), "feature_codec": codec}
-    if codec == "int8":
-        meta["compute_dtype"] = "float32"
-    return meta
+    return {"feature_dtype": str(storage_dtype(codec)), "feature_codec": codec}
 
 
 def write_ondisk_dataset(dataset: Dataset, root: str,

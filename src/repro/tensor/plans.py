@@ -38,7 +38,6 @@ __all__ = [
     "ReductionPlan",
     "PlanMemo",
     "PlanCache",
-    "accumulation_dtype",
     "get_plan_cache",
     "PLAN_HIT_COUNTER",
     "PLAN_MISS_COUNTER",
@@ -48,19 +47,6 @@ __all__ = [
 PLAN_HIT_COUNTER = "plan.cache.hit"
 PLAN_MISS_COUNTER = "plan.cache.miss"
 PLAN_BUILD_COUNTER = "plan.cache.build"
-
-
-def accumulation_dtype(dtype) -> np.dtype:
-    """Accumulator dtype for a reduction over ``dtype`` values.
-
-    float16 values accumulate in float32: half precision loses ulps
-    after a few hundred additions (and overflows at 65504), and scipy's
-    SpMM has no fp16 kernel.  Every other float dtype accumulates
-    natively.  The quantized feature tier stores fp16/int8 but all
-    reductions run through this mapping, so compute stays well-behaved.
-    """
-    dtype = np.dtype(dtype)
-    return np.dtype(np.float32) if dtype == np.float16 else dtype
 
 
 class ReductionPlan:
@@ -181,10 +167,8 @@ class ReductionPlan:
 
     def matrix(self, dtype) -> _sp.csr_matrix:
         """``(n, num_rows)`` CSR reduction matrix: ``matrix @ value`` sums
-        each segment.  Memoized per dtype; float16 requests resolve to
-        the float32 matrix (fp16 accumulates in fp32, see
-        :func:`accumulation_dtype`)."""
-        key = accumulation_dtype(dtype).str
+        each segment.  Memoized per dtype."""
+        key = np.dtype(dtype).str
         m = self._matrices.get(key)
         if m is None:
             if self.gather is not None:
@@ -192,7 +176,7 @@ class ReductionPlan:
             else:
                 indices = np.arange(self.total, dtype=np.int64)
             m = _sp.csr_matrix(
-                (np.ones(self.total, dtype=accumulation_dtype(dtype)),
+                (np.ones(self.total, dtype=dtype),
                  indices, self.offsets),
                 shape=(self.n, self.num_rows),
             )
@@ -204,7 +188,7 @@ class ReductionPlan:
         backward SpMM converts once per plan, not per call.  Memoized per
         dtype; first asked for by a backward, so a plan that only ever
         runs forward (inference) never holds one."""
-        key = accumulation_dtype(dtype).str
+        key = np.dtype(dtype).str
         m = self._matrices_t.get(key)
         if m is None:
             m = self.matrix(dtype).T.tocsr()
@@ -213,18 +197,17 @@ class ReductionPlan:
 
     def safe_counts(self, dtype) -> np.ndarray:
         """``max(counts, 1)`` in ``dtype`` — the mean divisor.  Computed in
-        the value dtype so float32 models stay float32 end-to-end (fp16
-        routes to fp32 — counts above 2048 are not exact in half)."""
-        key = accumulation_dtype(dtype).str
+        the value dtype so float32 models stay float32 end-to-end."""
+        key = np.dtype(dtype).str
         c = self._safe_counts.get(key)
         if c is None:
-            c = np.maximum(self.counts, 1).astype(accumulation_dtype(dtype))
+            c = np.maximum(self.counts, 1).astype(dtype)
             self._safe_counts[key] = c
         return c
 
     def inv_counts(self, dtype) -> np.ndarray:
         """``1 / max(counts, 1)`` in ``dtype`` — the mean backward scale."""
-        key = accumulation_dtype(dtype).str
+        key = np.dtype(dtype).str
         c = self._inv_counts.get(key)
         if c is None:
             c = 1.0 / self.safe_counts(dtype)

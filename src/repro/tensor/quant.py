@@ -29,7 +29,11 @@ shards, the in-RAM quantized source and the serving embedding cache all
 encode with :func:`quantize_rows` and decode with :func:`decode_int8` /
 :func:`dequantize_rows`.  All encode/decode paths are vectorized; decode
 accounts its work via ``record_op`` so roofline reports see quantized
-wire bytes on the read side and compute-dtype bytes on the write side.
+wire bytes on the read side and decoded bytes on the write side.
+
+A codec chooses how rows are stored, never how they are computed: every
+decode writes float32 (or the ``out_dtype`` a caller asks for), and the
+model's parameters pick the compute dtype.
 """
 
 from __future__ import annotations
@@ -138,10 +142,6 @@ class QuantizedRows:
     def wire_bytes_per_row(self) -> int:
         return wire_bytes_per_row(self.codec, self.dim)
 
-    def dequantize(self, rows=None, out_dtype=np.float32) -> np.ndarray:
-        """Decode ``rows`` (or the whole table) into ``out_dtype``."""
-        return dequantize_rows(self, rows=rows, out_dtype=out_dtype)
-
 
 def quantize_rows(rows: np.ndarray, codec: str) -> QuantizedRows:
     """Encode a float ``(n, dim)`` array with ``codec``.
@@ -172,17 +172,16 @@ def quantize_rows(rows: np.ndarray, codec: str) -> QuantizedRows:
     return QuantizedRows(codec, codes, scales)
 
 
-def decode_int8(codes: np.ndarray, scales: np.ndarray, out_dtype=np.float32,
-                out: np.ndarray | None = None) -> np.ndarray:
+def decode_int8(codes: np.ndarray, scales: np.ndarray,
+                out_dtype=np.float32) -> np.ndarray:
     """Dequantize raw int8 codes with per-row scales (no container needed).
 
     This is the hot path the on-disk gather uses directly on pread
-    buffers; ``out`` lets callers decode into a preallocated slice.
+    buffers.
     """
     codes = np.asarray(codes)
     scales = np.asarray(scales, dtype=np.float32)
-    if out is None:
-        out = np.empty(codes.shape, dtype=out_dtype)
+    out = np.empty(codes.shape, dtype=out_dtype)
     np.multiply(codes, scales[..., None], out=out, casting="unsafe")
     return out
 
@@ -206,7 +205,8 @@ def dequantize_rows(q: QuantizedRows, rows=None, out_dtype=np.float32) -> np.nda
         out = decode_int8(codes, scales, out_dtype=out_dtype)
         flops = 2.0 * codes.size
     else:
-        out = codes.astype(out_dtype, copy=True)
+        # A row subset is already a fresh array; the whole table is not.
+        out = codes.astype(out_dtype, copy=rows is None)
         flops = float(codes.size)
     record_op(
         "feature.dequantize",

@@ -38,7 +38,7 @@ import scipy.sparse as _sp
 
 from ..obs import counter as _obs_counter
 from ..obs.profile import record_op
-from .plans import ReductionPlan, accumulation_dtype
+from .plans import ReductionPlan
 from .tensor import Tensor, _as_tensor
 
 __all__ = [
@@ -108,11 +108,24 @@ def _dim_size(index: np.ndarray, dim_size: int | None) -> int:
     return int(index.max()) + 1 if index.size else 0
 
 
+def _reject_half(value: Tensor, op: str) -> None:
+    """Reject half-precision values: a float narrower than float32 is a
+    storage codec (:mod:`repro.tensor.quant`), never a compute dtype,
+    and scipy's SpMM would silently return float32 for it."""
+    dtype = value.data.dtype
+    if dtype.kind == "f" and dtype.itemsize < 4:
+        raise TypeError(
+            f"{op} got {dtype} values: {dtype} is a storage codec, not a "
+            "compute dtype; cast them to the model's dtype (as_param_dtype)"
+        )
+
+
 def _resolve_index_plan(value: Tensor, index, dim_size: int | None,
                         plan: ReductionPlan | None,
                         op: str) -> ReductionPlan:
     """Pick the plan for a scatter call: the explicit ``plan``, or an
     ephemeral one built from ``index``."""
+    _reject_half(value, op)
     if plan is not None:
         if plan.kind != "index":
             raise ValueError(
@@ -147,15 +160,12 @@ def scatter_add(value: Tensor, index: np.ndarray | None = None,
     plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_add")
     n = plan.n
     dtype = value.data.dtype
-    acc = accumulation_dtype(dtype)
     _record_materialization(value.data.nbytes)
     if plan.total == 0:
         out_data = np.zeros((n,) + value.shape[1:], dtype=dtype)
     else:
-        flat = value.data.reshape(plan.num_rows, -1).astype(acc, copy=False)
-        out_data = (plan.matrix(acc) @ flat).astype(dtype, copy=False).reshape(
-            (n,) + value.shape[1:]
-        )
+        flat = value.data.reshape(plan.num_rows, -1)
+        out_data = (plan.matrix(dtype) @ flat).reshape((n,) + value.shape[1:])
     # one add per scattered element
     record_op("scatter_add", flops=float(value.data.size),
               bytes_read=value.data.nbytes + plan.index.nbytes,
@@ -175,28 +185,25 @@ def scatter_mean(value: Tensor, index: np.ndarray | None = None,
     plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_mean")
     n = plan.n
     dtype = value.data.dtype
-    acc = accumulation_dtype(dtype)
     _record_materialization(value.data.nbytes)
     if plan.total == 0:
         out_data = np.zeros((n,) + value.shape[1:], dtype=dtype)
     else:
-        flat = value.data.reshape(plan.num_rows, -1).astype(acc, copy=False)
-        out_flat = plan.matrix(acc) @ flat
-        # Divisor stays in the accumulator dtype: the value dtype for
-        # float32/float64 models, float32 for fp16 inputs.
-        out_flat /= plan.safe_counts(acc)[:, None]
-        out_data = out_flat.astype(dtype, copy=False).reshape((n,) + value.shape[1:])
+        flat = value.data.reshape(plan.num_rows, -1)
+        out_flat = plan.matrix(dtype) @ flat
+        out_flat /= plan.safe_counts(dtype)[:, None]
+        out_data = out_flat.reshape((n,) + value.shape[1:])
     # add + normalize: ~2 FLOPs per scattered element
     record_op("scatter_mean", flops=2.0 * value.data.size,
               bytes_read=value.data.nbytes + plan.index.nbytes,
               bytes_written=out_data.nbytes)
 
     def backward(g):
-        scale = plan.inv_counts(acc)[plan.index]
-        grad = g[plan.index].astype(acc, copy=False) * scale.reshape(
+        scale = plan.inv_counts(dtype)[plan.index]
+        grad = g[plan.index].astype(dtype, copy=False) * scale.reshape(
             (-1,) + (1,) * (value.ndim - 1)
         )
-        return (grad.astype(dtype, copy=False),)
+        return (grad,)
 
     return Tensor._make(out_data, (value,), backward)
 
@@ -263,7 +270,6 @@ def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
     value = _as_tensor(value)
     plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_softmax")
     dtype = value.data.dtype
-    acc = accumulation_dtype(dtype)
     _record_materialization(value.data.nbytes)
     if plan.total == 0:
         out_data = np.zeros_like(value.data)
@@ -271,9 +277,7 @@ def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
     else:
         order = plan.gather
         reps = plan.counts[plan.nonempty]
-        # exp/sum run in the accumulator dtype (fp32 for fp16 inputs);
-        # only the normalized result is narrowed back.
-        sv = value.data[order].astype(acc, copy=False)
+        sv = value.data[order]
         # Stabilize per group: subtract group max (sorted-domain sweep).
         shifted = sv - np.repeat(
             np.maximum.reduceat(sv, plan.starts, axis=0), reps, axis=0
@@ -291,14 +295,14 @@ def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
     def backward(g):
         if plan.total == 0:
             return (np.zeros_like(value.data),)
-        gs = (g.astype(acc, copy=False) * out_data.astype(acc, copy=False))[plan.gather]
+        g = g.astype(dtype, copy=False)
+        gs = (g * out_data)[plan.gather]
         dot = np.repeat(
             np.add.reduceat(gs, plan.starts, axis=0), reps, axis=0
         )
-        dot_rows = np.empty(value.shape, dtype=acc)
+        dot_rows = np.empty(value.shape, dtype=dtype)
         dot_rows[plan.gather] = dot
-        grad = out_data.astype(acc, copy=False) * (g.astype(acc, copy=False) - dot_rows)
-        return (grad.astype(dtype, copy=False),)
+        return (out_data * (g - dot_rows),)
 
     return Tensor._make(out_data, (value,), backward)
 
@@ -309,6 +313,7 @@ _SEGMENT_REDUCERS = frozenset({"sum", "mean", "max", "min"})
 def _resolve_segment_plan(value: Tensor, offsets, sources,
                           plan: ReductionPlan | None,
                           op: str = "segment_reduce_csr") -> ReductionPlan:
+    _reject_half(value, op)
     if plan is not None:
         if plan.kind != "segments":
             raise ValueError(
@@ -374,18 +379,16 @@ def segment_reduce_csr(
 
         return Tensor._make(out_data, (value,), backward_empty)
 
-    acc = accumulation_dtype(dtype)
     if reducer in ("sum", "mean"):
         # Fused reduction as one sparse-matrix / dense-matrix product: the
         # (offsets, sources) pair *is* the CSR of the reduction matrix, so
         # no per-edge tensor enters the tape — this is the analogue of the
         # SIMD vertex reduce the paper implements in libgrape-lite.
-        matrix = plan.matrix(acc)
-        flat = value.data.reshape(plan.num_rows, -1).astype(acc, copy=False)
-        out_flat = matrix @ flat
+        flat = value.data.reshape(plan.num_rows, -1)
+        out_flat = plan.matrix(dtype) @ flat
         if reducer == "mean":
-            out_flat = out_flat / plan.safe_counts(acc)[:, None]
-        out_data = out_flat.astype(dtype, copy=False).reshape(out_shape)
+            out_flat = out_flat / plan.safe_counts(dtype)[:, None]
+        out_data = out_flat.reshape(out_shape)
         # SpMM convention: 2 FLOPs (multiply+add) per reduced element;
         # reads stream one source row per edge plus the CSR structure.
         dim = flat.shape[1]
@@ -398,13 +401,13 @@ def segment_reduce_csr(
         )
 
         def backward(g):
-            g_flat = g.reshape(n, -1).astype(acc, copy=False)
+            g_flat = g.reshape(n, -1).astype(dtype, copy=False)
             if reducer == "mean":
-                g_flat = g_flat / plan.safe_counts(acc)[:, None]
+                g_flat = g_flat / plan.safe_counts(dtype)[:, None]
             # The transpose (CSC of the forward matrix, stored as CSR) is
             # built by the plan's first backward and kept, so training
             # converts once and inference never does.
-            return ((plan.matrix_t(acc) @ g_flat).astype(dtype, copy=False).reshape(value.shape),)
+            return ((plan.matrix_t(dtype) @ g_flat).reshape(value.shape),)
 
         return Tensor._make(out_data, (value,), backward)
 
@@ -472,8 +475,7 @@ def segment_attention(values: Tensor, scores: Tensor,
 
     Where the scores come from is the caller's: ``values @ a`` on the
     tape, or a column a projection carried through the levels below
-    (:meth:`repro.core.nau.GNNLayer.linear_update`).  float16 values
-    accumulate in float32 (:func:`accumulation_dtype`); the result has
+    (:meth:`repro.core.nau.GNNLayer.linear_update`).  The result has
     the dtype of ``values * scores``.  ``alpha`` is counted as the op's
     materialized bytes: one scalar per edge.
     """
@@ -487,10 +489,9 @@ def segment_attention(values: Tensor, scores: Tensor,
         raise ValueError(f"segment_attention needs a ({num_rows}, 1) score "
                          f"column, got {scores.shape}")
     dtype = np.result_type(values.data.dtype, scores.data.dtype)
-    acc = accumulation_dtype(dtype)
     # contiguous rows: the backward gathers row blocks out of x and g
-    x = np.ascontiguousarray(values.data, dtype=acc)
-    row_scores = scores.data.reshape(num_rows).astype(acc, copy=False)
+    x = np.ascontiguousarray(values.data, dtype=dtype)
+    row_scores = scores.data.reshape(num_rows).astype(dtype, copy=False)
     src = plan.gather
     reps = plan.counts[plan.nonempty]
     edge_scores = row_scores if src is None else row_scores[src]
@@ -498,10 +499,10 @@ def segment_attention(values: Tensor, scores: Tensor,
         np.maximum.reduceat(edge_scores, plan.starts), reps))
     alpha /= np.repeat(np.add.reduceat(alpha, plan.starts), reps)
     _record_materialization(alpha.nbytes)
-    structure = plan.matrix(acc)
+    structure = plan.matrix(dtype)
     weighted = _sp.csr_matrix((alpha, structure.indices, structure.indptr),
                               shape=(n, num_rows))
-    out_data = (weighted @ x).astype(dtype, copy=False)
+    out_data = weighted @ x
     # softmax ~5 FLOPs per edge, SpMM 2 per edge element; one member row
     # and one score streamed per edge plus the structure.
     edge_elements = float(total) * dim
@@ -513,9 +514,9 @@ def segment_attention(values: Tensor, scores: Tensor,
               bytes_written=out_data.nbytes + alpha.nbytes)
 
     def backward(g):
-        g = np.ascontiguousarray(g.reshape(n, dim), dtype=acc)
+        g = np.ascontiguousarray(g.reshape(n, dim), dtype=dtype)
         dst = plan.index
-        d_alpha = np.empty(total, dtype=acc)
+        d_alpha = np.empty(total, dtype=dtype)
         step = max(1, SDDMM_BLOCK_ELEMENTS // max(dim, 1))
         for lo in range(0, total, step):
             hi = min(lo + step, total)
@@ -526,7 +527,7 @@ def segment_attention(values: Tensor, scores: Tensor,
         dot = np.add.reduceat(alpha * d_alpha, plan.starts)
         d_edge = alpha * (d_alpha - np.repeat(dot, reps))
         d_scores = d_edge if src is None else np.bincount(
-            src, weights=d_edge, minlength=num_rows).astype(acc, copy=False)
+            src, weights=d_edge, minlength=num_rows).astype(dtype, copy=False)
         d_x = None
         flops = 2.0 * edge_elements + 6.0 * total
         read = g.nbytes + edge_bytes + structure_bytes

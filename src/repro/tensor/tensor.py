@@ -25,7 +25,6 @@ import numpy as np
 import scipy.sparse as _sp
 
 from ..obs.profile import record_op
-from .plans import accumulation_dtype
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
@@ -498,16 +497,16 @@ def _index_add(positions: np.ndarray, g: np.ndarray,
 
     One CSC product whose column ``k`` holds a single 1 in row
     ``positions[k]``: it adds in index order, as ``np.add.at`` does, so
-    float32/float64 results are bitwise equal to it.  float16
-    accumulates in float32 (:func:`~repro.tensor.plans.accumulation_dtype`).
+    float32/float64 results are bitwise equal to it.
     """
-    acc = accumulation_dtype(dtype)
     count = positions.size
     scatter = _sp.csc_matrix(
-        (np.ones(count, dtype=acc), positions, np.arange(count + 1)),
+        (np.ones(count, dtype=dtype), positions, np.arange(count + 1)),
         shape=(shape[0], count))
     width = int(np.prod(shape[1:]))
-    flat = g.reshape(count, width).astype(acc, copy=False)
+    flat = g.reshape(count, width).astype(dtype, copy=False)
+    # scipy has no half-precision SpMM: it returns float32 for a float16
+    # ``g``, and the gradient keeps the indexed tensor's dtype.
     return (scatter @ flat).astype(dtype, copy=False).reshape(shape)
 
 

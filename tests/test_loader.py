@@ -31,6 +31,32 @@ def ds():
     return load_dataset("reddit", scale="tiny")
 
 
+@pytest.fixture(scope="module")
+def sources(tmp_path_factory):
+    """One source of each kind over the same reddit tiny features."""
+    data = load_dataset("reddit", scale="tiny")
+    root = str(tmp_path_factory.mktemp("ondisk"))
+    write_ondisk_dataset(data, root, rows_per_shard=64)
+    return {
+        "InMemory": as_source(data),
+        "Quantized": as_source(data, feature_dtype="int8"),
+        "OnDisk": OnDiskDataset(root),
+    }
+
+
+@pytest.mark.parametrize("bad", [-1, "n"])
+@pytest.mark.parametrize("what", ["features", "labels"])
+@pytest.mark.parametrize("kind", ["InMemory", "Quantized", "OnDisk"])
+def test_sources_reject_out_of_range_ids(sources, kind, what, bad):
+    """An id outside [0, n) is named; numpy would wrap -1 to the last
+    row."""
+    source = sources[kind]
+    bad = source.num_vertices if bad == "n" else bad
+    gather = getattr(source, "gather_" + what)
+    with pytest.raises(IndexError, match=f"vertex id {bad} "):
+        gather(np.array([3, bad, 5]))
+
+
 class TestPlanEpoch:
     def test_covers_pool_exactly_once(self):
         pool = np.arange(100)
@@ -278,7 +304,7 @@ class TestStreamedResidency:
         ]
         input_rows = sum(rows.size for rows in batch_inputs)
         assert stats.num_batches == len(plans) == 4
-        row_bytes = od.feat_dim * od.compute_dtype.itemsize
+        row_bytes = od.feat_dim * od.feature_dtype.itemsize
         assert moved == input_rows * row_bytes
         # Shard reads are coalesced over windows whose gaps are at most a
         # page, never whole shards: at most 2x the pages the requested

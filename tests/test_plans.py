@@ -30,6 +30,7 @@ from repro.tensor.scatter import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 
@@ -303,14 +304,13 @@ class TestLazyTranspose:
                                plan=plan)
         assert len(plan._matrices) == 1 and not plan._matrices_t
 
-    def test_backward_builds_one_transpose_per_accumulation_dtype(self):
+    def test_backward_builds_one_transpose_per_dtype(self):
         plan = self._plan()
-        for dtype in (np.float32, np.float16, np.float64, np.float32):
+        for dtype in (np.float32, np.float64, np.float32):
             value = Tensor(np.ones((5, 3), dtype=dtype), requires_grad=True)
             out = segment_reduce_csr(value, reducer="mean", plan=plan)
             out.backward(np.ones(out.shape, dtype=dtype))
             assert value.grad.dtype == dtype
-        # fp16 accumulates in fp32: two accumulation dtypes, two transposes.
         assert sorted(plan._matrices_t) == sorted(
             np.dtype(t).str for t in (np.float32, np.float64))
 
@@ -463,94 +463,30 @@ class TestSteadyState:
         assert obs.counter("profile.op.memo_probe.flops").total == 2.0
 
 
-class TestHalfPrecisionAccumulation:
-    """float16 inputs reduce through fp32 accumulators: outputs stay
-    fp16, but long sums must not lose mass to fp16 ulp rounding."""
+_HALF_INDEX = np.array([0, 1, 1, 2, 0], dtype=np.int64)
 
-    def test_accumulation_dtype_mapping(self):
-        from repro.tensor.plans import accumulation_dtype
 
-        assert accumulation_dtype(np.float16) == np.dtype(np.float32)
-        assert accumulation_dtype(np.float32) == np.dtype(np.float32)
-        assert accumulation_dtype(np.float64) == np.dtype(np.float64)
-
-    def test_plan_matrices_shared_between_fp16_and_fp32(self):
-        index = np.array([0, 1, 1, 2, 0], dtype=np.int64)
-        plan = ReductionPlan.from_index(index, 3)
-        assert plan.matrix(np.float16) is plan.matrix(np.float32)
-        assert plan.matrix_t(np.float16) is plan.matrix_t(np.float32)
-        assert plan.safe_counts(np.float16) is plan.safe_counts(np.float32)
-
-    def test_fp16_scatter_add_exact_long_sum(self):
-        # 5000 additions of 0.25 == 1250 exactly in fp32 accumulation;
-        # naive fp16 accumulation saturates near 2048 (1-ulp gaps > 0.25)
-        # and also overflows past 65504 for larger addends.
-        values = Tensor(np.full((5000, 1), 0.25, dtype=np.float16))
-        out = scatter_add(values, np.zeros(5000, dtype=np.int64), 1)
-        assert out.data.dtype == np.float16
-        assert float(out.data[0, 0]) == 1250.0
-
-    @pytest.mark.parametrize("op", [scatter_add, scatter_mean])
-    def test_fp16_scatter_matches_fp32(self, op):
-        rng = np.random.default_rng(3)
-        index = rng.integers(0, 37, size=400)
-        base = rng.standard_normal((400, 8)).astype(np.float16)
-        half = Tensor(base.copy(), requires_grad=True)
-        full = Tensor(base.astype(np.float32), requires_grad=True)
-        out_h = op(half, index, 37)
-        out_f = op(full, index, 37)
-        assert out_h.data.dtype == np.float16
-        np.testing.assert_allclose(out_h.data.astype(np.float32),
-                                   out_f.data, atol=2e-2, rtol=2e-3)
-        g = rng.standard_normal(out_f.shape).astype(np.float32)
-        out_h.backward(g.astype(np.float16))
-        out_f.backward(g)
-        assert half.grad.dtype == np.float16
-        np.testing.assert_allclose(half.grad.astype(np.float32),
-                                   full.grad, atol=2e-2, rtol=2e-3)
-
-    def test_fp16_scatter_mean_large_segment(self):
-        # A 3000-element segment of ones must average to exactly 1.0;
-        # fp16 accumulation would stall the running sum around 2048.
-        values = Tensor(np.ones((3000, 2), dtype=np.float16))
-        out = scatter_mean(values, np.zeros(3000, dtype=np.int64), 1)
-        assert out.data.dtype == np.float16
-        np.testing.assert_array_equal(
-            out.data, np.ones((1, 2), dtype=np.float16))
-
-    def test_fp16_scatter_softmax_matches_fp32(self):
-        rng = np.random.default_rng(4)
-        index = rng.integers(0, 11, size=200)
-        base = (rng.standard_normal((200, 4)) * 4).astype(np.float16)
-        half = Tensor(base.copy(), requires_grad=True)
-        full = Tensor(base.astype(np.float32), requires_grad=True)
-        out_h = scatter_softmax(half, index, 11)
-        out_f = scatter_softmax(full, index, 11)
-        assert out_h.data.dtype == np.float16
-        np.testing.assert_allclose(out_h.data.astype(np.float32),
-                                   out_f.data, atol=2e-3)
-        g = rng.standard_normal((200, 4)).astype(np.float32)
-        out_h.backward(g.astype(np.float16))
-        out_f.backward(g)
-        np.testing.assert_allclose(half.grad.astype(np.float32),
-                                   full.grad, atol=2e-2)
-
-    @pytest.mark.parametrize("reducer", ["sum", "mean"])
-    def test_fp16_segment_reduce_matches_fp32(self, reducer):
-        rng = np.random.default_rng(5)
-        index = np.sort(rng.integers(0, 13, size=300))
-        offsets = np.searchsorted(index, np.arange(14))
-        order = np.arange(300, dtype=np.int64)
-        base = rng.standard_normal((300, 6)).astype(np.float16)
-        half = Tensor(base.copy(), requires_grad=True)
-        full = Tensor(base.astype(np.float32), requires_grad=True)
-        out_h = segment_reduce_csr(half, offsets, order, reducer)
-        out_f = segment_reduce_csr(full, offsets, order, reducer)
-        assert out_h.data.dtype == np.float16
-        np.testing.assert_allclose(out_h.data.astype(np.float32),
-                                   out_f.data, atol=2e-2, rtol=2e-3)
-        g = rng.standard_normal((13, 6)).astype(np.float32)
-        out_h.backward(g.astype(np.float16))
-        out_f.backward(g)
-        np.testing.assert_allclose(half.grad.astype(np.float32),
-                                   full.grad, atol=2e-2, rtol=2e-3)
+@pytest.mark.parametrize("reduce", [
+    lambda v, plan: scatter_add(v, _HALF_INDEX, 3),
+    lambda v, plan: scatter_mean(v, _HALF_INDEX, 3),
+    lambda v, plan: scatter_max(v, _HALF_INDEX, 3),
+    lambda v, plan: scatter_min(v, _HALF_INDEX, 3),
+    lambda v, plan: scatter_softmax(v, _HALF_INDEX, 3),
+    lambda v, plan: segment_reduce_csr(v, reducer="sum", plan=plan),
+    lambda v, plan: segment_reduce_csr(v, reducer="mean", plan=plan),
+    lambda v, plan: segment_reduce_csr(v, reducer="max", plan=plan),
+    lambda v, plan: segment_reduce_csr(v, reducer="min", plan=plan),
+    lambda v, plan: segment_attention(
+        v, Tensor(np.ones((5, 1), dtype=np.float32)), plan),
+], ids=["scatter_add", "scatter_mean", "scatter_max", "scatter_min",
+        "scatter_softmax", "segment_sum", "segment_mean", "segment_max",
+        "segment_min", "segment_attention"])
+def test_reducers_reject_float16_values(reduce):
+    """float16 is a storage codec, never a compute dtype: every reducer
+    names it instead of computing in it or silently upcasting (scipy's
+    SpMM returns float32 for float16 operands)."""
+    plan = ReductionPlan.from_segments(
+        np.array([0, 2, 2, 5]), np.array([4, 0, 1, 1, 3]), 5)
+    value = Tensor(np.ones((5, 3), dtype=np.float16), requires_grad=True)
+    with pytest.raises(TypeError, match="got float16 values"):
+        reduce(value, plan)

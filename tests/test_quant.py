@@ -13,6 +13,7 @@ from repro.serve.cache import EmbeddingCache, HDGBlockCache, block_nbytes
 from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.storage.ondisk import OnDiskIntegrityError
 from repro.tensor import Adam
+from repro.tensor.nn import Linear, as_param_dtype
 from repro.tensor.quant import (
     FEATURE_DTYPES,
     QuantizedRows,
@@ -119,10 +120,18 @@ class TestGatherParity:
         assert src.nbytes < rows.nbytes / 4
 
     def test_as_source_feature_dtype(self):
+        """An fp16 codec stores half precision and decodes to float32:
+        the rows are the stored codes, cast once."""
         rows = _rows(10, 4)
         src = as_source(rows, np.zeros(10), feature_dtype="float16")
         assert isinstance(src, QuantizedSource)
-        assert src.gather_features(np.arange(10)).dtype == np.float16
+        idx = np.array([3, 0, 9, 3])
+        got = src.gather_features(idx)
+        expected = quantize_rows(rows, "float16").codes[idx].astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+        # ... already in a float32 model's dtype: no second pass.
+        assert as_param_dtype(Linear(4, 2), got) is got
 
     def test_as_source_refuses_requantizing_a_source(self):
         rows = _rows(10, 4)
@@ -140,13 +149,13 @@ class TestGatherParity:
         idx = np.array([0, 63, 64, 65, 199, 1])  # spans shard boundaries
         got = ds.gather_features(idx)
         exact = np.asarray(dataset.features)[idx]
+        assert got.dtype == np.float32
         if codec == "int8":
-            assert got.dtype == np.float32
             bound = int8_error_bound(exact)[:, None]
+            assert np.all(np.abs(got - exact) <= bound + 1e-6)
         else:
-            assert got.dtype == np.float16
-            bound = np.abs(exact) * 2.0 ** -10 + 1e-6
-        assert np.all(np.abs(got - exact) <= bound + 1e-6)
+            expected = quantize_rows(dataset.features, "float16").codes[idx]
+            assert got.tobytes() == expected.astype(np.float32).tobytes()
         assert ds.wire_bytes_per_row == wire_bytes_per_row(
             codec, dataset.features.shape[1])
 
@@ -165,6 +174,26 @@ class TestGatherParity:
         with pytest.raises(OnDiskIntegrityError):
             OnDiskDataset(root)
 
+    def test_manifest_with_a_decode_dtype_still_opens(self, dataset, tmp_path):
+        """Older writers recorded a ``compute_dtype`` in int8 manifests.
+        It is ignored: the dataset opens and decodes to float32."""
+        import json
+
+        root = str(tmp_path / "old")
+        write_ondisk_dataset(dataset, root, rows_per_shard=64,
+                             quantize="int8")
+        idx = np.array([0, 63, 64, 199])
+        fresh = OnDiskDataset(root).gather_features(idx)
+        manifest_path = os.path.join(root, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["compute_dtype"] = "float64"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        got = OnDiskDataset(root).gather_features(idx)
+        assert got.dtype == np.float32
+        assert got.tobytes() == fresh.tobytes()
+
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_partitioned_store_parity(self, dataset, tmp_path, codec):
         """A worker's partition gathered out of a quantized dataset."""
@@ -177,13 +206,13 @@ class TestGatherParity:
         owned = Partition(np.arange(n) % 2, n).parts[0]
         exact = np.asarray(dataset.features)[owned]
         got = ds.gather_features(owned)
+        assert got.dtype == np.float32
         if codec == "int8":
-            assert got.dtype == np.float32
             bound = int8_error_bound(exact)[:, None]
+            assert np.all(np.abs(got - exact) <= bound + 1e-6)
         else:
-            assert got.dtype == np.float16
-            bound = np.abs(exact) * 2.0 ** -10 + 1e-6
-        assert np.all(np.abs(got - exact) <= bound + 1e-6)
+            expected = quantize_rows(dataset.features, "float16").codes[owned]
+            assert got.tobytes() == expected.astype(np.float32).tobytes()
         # Remote fetches move the stored codes, not the decoded rows.
         assert ds.feature_dtype == storage_dtype(codec)
         assert ds.wire_bytes_per_row == wire_bytes_per_row(codec, ds.feat_dim)
