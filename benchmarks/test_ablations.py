@@ -219,47 +219,70 @@ def test_ablation_training_mode_convergence(benchmark, report):
         assert acc > best - 0.15, f"{mode} failed to converge comparably"
 
 
-def test_ablation_dynamic_graph(benchmark, report):
-    """§7.2's closing remark, quantified: on an evolving graph the
-    pre-expanded approach must re-materialize from scratch per change
-    batch, while NAU's NeighborSelection can repair HDGs incrementally."""
-    import time
+#: leaf bytes ``model.reselect`` selected again (three per instance)
+RESELECTED = "profile.op.neighbor_selection.reselect.bytes"
 
-    from repro.core import MetapathHDGMaintainer
-    from repro.core.selection import build_metapath_hdg
+
+def _evolving_fb91():
+    """The §7.2 ablation's setting: uncapped MAGNN over the first four
+    default metapaths on fb91."""
     from repro.models.magnn import default_metapaths
 
     ds = cfg.dataset("fb91")
-    metapaths = [mp for mp in default_metapaths(ds.graph.num_types)][:4]
+    metapaths = default_metapaths(ds.graph.num_types)[:4]
+    return ds.graph, magnn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes,
+                           metapaths=metapaths)
+
+
+def _edge_batch(graph, rng, count=8):
+    """One change batch: ``count`` random directed edges, no self-loops."""
+    a = rng.integers(0, graph.num_vertices, count)
+    b = rng.integers(0, graph.num_vertices, count)
+    keep = a != b
+    return np.stack([a[keep], b[keep]], 1)
+
+
+def _reselected_instances(counter, before, hdg) -> float:
+    return (counter.total - before) / (3 * hdg.leaf_vertices.itemsize)
+
+
+def test_ablation_dynamic_graph(benchmark, report):
+    """§7.2's closing remark, quantified: on an evolving graph the
+    pre-expanded approach must re-materialize from scratch per change
+    batch, while NAU's NeighborSelection repairs only the roots an edit
+    touches (``model.reselect``)."""
+    import time
+
+    from repro import obs
+
     rows = []
     totals = {}
 
     def run_all():
         rng = np.random.default_rng(0)
-        maintainer = MetapathHDGMaintainer(ds.graph, metapaths)
+        graph, model = _evolving_fb91()
+        hdg = model.neighbor_selection(graph, rng)
+        reselected = obs.counter(RESELECTED)
+        before = reselected.total
         incremental = full = 0.0
-        deltas = 0
         num_steps = 5
         for _step in range(num_steps):
-            graph = maintainer.graph
-            a = rng.integers(0, graph.num_vertices, 8)
-            b = rng.integers(0, graph.num_vertices, 8)
-            keep = a != b
-            added = np.stack([a[keep], b[keep]], 1)
+            added = _edge_batch(graph, rng)
+            graph = graph.with_edges_added(added)
             t0 = time.perf_counter()
-            maintainer.apply_edge_changes(added=added)
+            hdg, _ = model.reselect(hdg, graph, added)
             incremental += time.perf_counter() - t0
-            deltas += maintainer.last_delta
             # What Pre+DGL must do instead: re-expand everything.
             t0 = time.perf_counter()
-            build_metapath_hdg(maintainer.graph, metapaths)
+            model.neighbor_selection(graph, rng)
             full += time.perf_counter() - t0
         totals["incremental"] = incremental
         totals["full"] = full
+        instances = _reselected_instances(reselected, before, hdg) / num_steps
         rows.append(["incremental repair", f"{incremental / num_steps:.4f}",
-                     f"{deltas} instances touched"])
+                     f"{instances:.0f} instances re-selected"])
         rows.append(["full re-expansion", f"{full / num_steps:.4f}",
-                     f"{maintainer.num_instances} instances total"])
+                     f"{hdg.num_instances} instances total"])
         rows.append(["speedup", f"{full / max(incremental, 1e-12):.1f}x", ""])
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -273,6 +296,52 @@ def test_ablation_dynamic_graph(benchmark, report):
         ),
     )
     assert totals["incremental"] < totals["full"]
+
+
+def test_ablation_dynamic_graph_counted(benchmark, report):
+    """§7.2 on counted work: each change batch of the timed ablation
+    re-selects only the roots it touches — under a tenth of the
+    instances a full re-expansion selects — and the repaired HDG is
+    array-for-array that full selection."""
+    from repro import obs
+
+    rows = []
+    shares = []
+    mismatched = []
+
+    def run_all():
+        rng = np.random.default_rng(0)
+        graph, model = _evolving_fb91()
+        hdg = model.neighbor_selection(graph, rng)
+        reselected = obs.counter(RESELECTED)
+        for step in range(5):
+            added = _edge_batch(graph, rng)
+            graph = graph.with_edges_added(added)
+            before = reselected.total
+            hdg, touched = model.reselect(hdg, graph, added)
+            instances = _reselected_instances(reselected, before, hdg)
+            full = model.neighbor_selection(graph, rng)
+            for name in ("roots", "leaf_vertices", "leaf_offsets",
+                         "instance_offsets"):
+                if not np.array_equal(getattr(hdg, name), getattr(full, name)):
+                    mismatched.append(f"batch {step}: {name}")
+            shares.append(instances / full.num_instances)
+            rows.append([str(step), str(touched.size), f"{instances:.0f}",
+                         str(full.num_instances), f"{shares[-1]:.1%}"])
+
+    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    report(
+        "ablation_dynamic_graph_counted",
+        render_table(
+            "Ablation (§7.2): instances each change batch re-selects "
+            "(fb91, 8 edges per batch)",
+            ["batch", "roots changed", "re-selected", "full selection",
+             "share"],
+            rows,
+        ),
+    )
+    assert not mismatched, mismatched
+    assert max(shares) < 0.1
 
 
 def test_ablation_minibatch_sampling(benchmark, report):

@@ -8,7 +8,6 @@ single-machine execution engine, and the ADB workload balancer (§5-6).
 from .aggregation import Aggregator, AttentionAggregator, MeanAggregator
 from .balancer import ADBBalancer, BalancePlan, induced_dependency_edges
 from .cost_model import CostModel, metrics_from_hdg
-from .dynamic import MetapathHDGMaintainer
 from .engine import EpochStats, FlexGraphEngine, StageTimes
 from .hdg import HDG, build_hdg, hdg_from_flat_arrays
 from .hybrid import ExecutionStrategy, hierarchical_aggregate
@@ -33,6 +32,7 @@ from .schema import NeighborRecord, SchemaTree
 from .validate import HDGInvariantError, validate_hdg
 from .selection import (
     build_metapath_hdg,
+    reselect_metapath_hdg,
     schema_for_metapaths,
     schema_for_rings,
     select_anchor_set_neighbors,
@@ -53,10 +53,9 @@ __all__ = [
     "run_local_blocks", "Partition", "train_step", "node_loss",
     "edge_scores", "link_loss",
     "validate_hdg", "HDGInvariantError",
-    "MetapathHDGMaintainer",
     "CostModel", "metrics_from_hdg",
     "ADBBalancer", "BalancePlan", "induced_dependency_edges",
     "select_metapath_neighbors", "select_anchor_set_neighbors",
     "select_distance_ring_neighbors",
-    "schema_for_metapaths", "schema_for_rings",
+    "schema_for_metapaths", "schema_for_rings", "reselect_metapath_hdg",
 ]

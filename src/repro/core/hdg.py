@@ -257,6 +257,62 @@ class HDG:
             num_input_vertices=self.num_input_vertices,
         )
 
+    def splice(self, sub: "HDG") -> "HDG":
+        """This HDG with ``sub.roots``' slots replaced by ``sub``'s: how
+        :func:`~repro.core.selection.reselect_metapath_hdg` repairs the
+        roots an edge edit touched.
+
+        Each run of untouched roots is copied as one contiguous slice
+        with its offsets shifted, and ``sub``'s slots go in between; the
+        result is a new, validated HDG (HDGs are never mutated, so plans
+        memoized on this one stay valid).  Unweighted depth-3 HDGs only
+        (metapath selection emits no leaf weights).  A schema or depth
+        mismatch, leaf weights, or a root of ``sub`` this HDG does not
+        have raises ``ValueError``.
+        """
+        if self.depth != 3 or sub.depth != 3:
+            raise ValueError("splice needs two depth-3 HDGs")
+        if sub.schema != self.schema:
+            raise ValueError(
+                f"cannot splice schema {sub.schema.leaf_types} into "
+                f"{self.schema.leaf_types}")
+        if self.leaf_weights is not None or sub.leaf_weights is not None:
+            raise ValueError("splice does not carry leaf weights")
+        pos = _root_orders(self, sub.roots)
+        if np.unique(pos).size != pos.size:
+            raise ValueError("splice roots must be distinct")
+        if np.any(np.diff(pos) < 0):
+            by_pos = np.argsort(pos)
+            sub, pos = sub.restrict_to_roots(by_pos), pos[by_pos]
+        L = self.schema.num_leaves
+        slot_counts = np.diff(self.instance_offsets).reshape(self.num_roots, L)
+        slot_counts[pos] = sub.instance_counts_per_type()
+        instance_offsets = np.zeros(self.num_slots + 1, dtype=np.int64)
+        np.cumsum(slot_counts, out=instance_offsets[1:])
+        # The untouched roots before, between and after the spliced ones
+        # form pos.size + 1 runs; each is copied as one instance range,
+        # followed by the next spliced root's instances.
+        run_lo = self.instance_offsets[np.concatenate([[0], pos + 1]) * L]
+        run_hi = self.instance_offsets[np.concatenate([pos, [self.num_roots]]) * L]
+        sub_lo = sub.instance_offsets[::L]
+        parts = [(self, run_lo[0], run_hi[0])]
+        for k in range(pos.size):
+            parts += [(sub, sub_lo[k], sub_lo[k + 1]),
+                      (self, run_lo[k + 1], run_hi[k + 1])]
+        offsets, leaves = [], []
+        shift = 0
+        for src, lo, hi in parts:
+            first, last = src.leaf_offsets[lo], src.leaf_offsets[hi]
+            offsets.append(src.leaf_offsets[lo:hi] + (shift - first))
+            leaves.append(src.leaf_vertices[first:last])
+            shift += last - first
+        offsets.append(np.array([shift], dtype=np.int64))
+        return HDG(
+            self.roots, self.schema, np.concatenate(leaves),
+            np.concatenate(offsets), instance_offsets=instance_offsets,
+            num_input_vertices=self.num_input_vertices,
+        )
+
     def root_of_leaf_edges(self) -> np.ndarray:
         """Root order index per bottom-level edge slot (dependency map)."""
         if self.depth == 1:
@@ -386,6 +442,20 @@ def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         - np.repeat(offsets, counts)
         + np.repeat(starts, counts)
     )
+
+
+def _root_orders(hdg: HDG, roots: np.ndarray) -> np.ndarray:
+    """Slot order of each of ``roots`` in ``hdg``; ``ValueError`` for a
+    root it does not have."""
+    roots = np.asarray(roots, dtype=np.int64)
+    order = _order_of(hdg.roots, hdg.num_input_vertices)
+    inside = (roots >= 0) & (roots < order.size)
+    pos = np.full(roots.size, -1, dtype=np.int64)
+    pos[inside] = order[roots[inside]]
+    missing = np.flatnonzero(pos < 0)
+    if missing.size:
+        raise ValueError(f"root {int(roots[missing[0]])} is not in this HDG")
+    return pos
 
 
 def _order_of(roots: np.ndarray, num_input_vertices: int) -> np.ndarray:

@@ -281,6 +281,26 @@ class NAUModel(Module):
         """
         return hdg_from_graph(graph)
 
+    def reselect(self, hdg: HDG, graph: Graph,
+                 changed: np.ndarray) -> tuple[HDG, np.ndarray] | None:
+        """Repair ``hdg`` after an edge edit: ``(new_hdg, touched)``.
+
+        ``graph`` is the edited graph and ``changed`` the ``(m, 2)``
+        edges added or removed.  ``new_hdg`` equals
+        ``neighbor_selection(graph)`` and ``touched`` lists the roots
+        whose neighbourhoods changed.  ``None`` means the model cannot
+        repair its selection (it is stochastic, or an override this
+        method does not know): the caller selects again from scratch and
+        treats every root as touched.  The default covers the DNFA fast
+        path, where the HDG *is* the graph's CSC and only the changed
+        edges' destinations moved.
+        """
+        if (type(self).neighbor_selection is not NAUModel.neighbor_selection
+                or self.selection_scope is not SelectionScope.STATIC):
+            return None
+        changed = np.asarray(changed, dtype=np.int64).reshape(-1, 2)
+        return hdg_from_graph(graph), np.unique(changed[:, 1])
+
     def forward(self, feats: Tensor, hdgs: list[HDG],
                 strategy: ExecutionStrategy = ExecutionStrategy.HA) -> Tensor:
         """Run all layers given one HDG per layer."""

@@ -102,9 +102,9 @@ class ModelHDGs:
         self._pass_hdg = None
 
     def pin(self, hdg: HDG, epoch: int = 0) -> None:
-        """Install an externally built model-level HDG (a maintainer's
-        incrementally repaired one, or the exact HDG a training engine
-        used) as if NeighborSelection had produced it at ``epoch``."""
+        """Install an externally built model-level HDG (one an edge edit
+        repaired, or the exact HDG a training engine used) as if
+        NeighborSelection had produced it at ``epoch``."""
         self.model_hdg = hdg
         self._epoch = epoch
 

@@ -46,10 +46,7 @@ class Graph:
             raise ValueError("src and dst must be 1-D arrays of equal length")
         if num_vertices <= 0:
             raise ValueError("graph must have at least one vertex")
-        if src.size and (src.min() < 0 or src.max() >= num_vertices):
-            raise ValueError("src vertex id out of range")
-        if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
-            raise ValueError("dst vertex id out of range")
+        _check_endpoints(src, dst, num_vertices)
 
         self.num_vertices = int(num_vertices)
         self.num_edges = int(src.size)
@@ -154,22 +151,6 @@ class Graph:
         """Whether the directed edge ``u -> v`` exists."""
         return bool(np.isin(v, self.out_neighbors(u)).any())
 
-    def edge_multiplicity(self, pairs) -> np.ndarray:
-        """Parallel-edge count for each directed ``(u, v)`` pair.
-
-        Vectorized over an ``(m, 2)`` array: a searchsorted range query
-        against the sorted edge-key multiset, so multigraph-aware callers
-        (incremental metapath maintenance) get exact multiplicities in
-        ``O(m log E)``.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src, dst = self.edges()
-        keys = np.sort(src * np.int64(self.num_vertices) + dst)
-        query = pairs[:, 0] * np.int64(self.num_vertices) + pairs[:, 1]
-        lo = np.searchsorted(keys, query, side="left")
-        hi = np.searchsorted(keys, query, side="right")
-        return (hi - lo).astype(np.int64)
-
     def vertices_of_type(self, type_id: int) -> np.ndarray:
         """All vertex ids of the given type."""
         return np.flatnonzero(self.vertex_types == type_id)
@@ -244,23 +225,26 @@ class Graph:
     def with_edges_removed(self, edges) -> "Graph":
         """A new graph with the given directed edges removed.
 
-        Each listed ``(u, v)`` removes *one* occurrence of that edge
-        (multi-edges lose one copy per mention); absent edges are
-        ignored.
+        Each listed ``(u, v)`` removes *one* occurrence of that edge, the
+        first in CSR order not yet removed (multi-edges lose one copy per
+        mention); absent edges are ignored.  An endpoint outside the
+        graph raises the ``ValueError`` :meth:`with_edges_added` does.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        _check_endpoints(edges[:, 0], edges[:, 1], self.num_vertices)
         src, dst = self.edges()
         key = src * self.num_vertices + dst
-        remove_key = edges[:, 0] * self.num_vertices + edges[:, 1]
-        remove_counts: dict[int, int] = {}
-        for k in remove_key:
-            remove_counts[int(k)] = remove_counts.get(int(k), 0) + 1
+        remove_key, quota = np.unique(
+            edges[:, 0] * self.num_vertices + edges[:, 1], return_counts=True)
+        # Rank each listed edge's copies in CSR order; the first `quota`
+        # copies go.
+        hits = np.flatnonzero(np.isin(key, remove_key))
+        order = np.argsort(key[hits], kind="stable")
+        hit_keys = key[hits][order]
+        rank = np.arange(hit_keys.size) - np.searchsorted(hit_keys, hit_keys)
+        drop = rank < quota[np.searchsorted(remove_key, hit_keys)]
         keep = np.ones(key.size, dtype=bool)
-        for i, k in enumerate(key):
-            k = int(k)
-            if remove_counts.get(k, 0) > 0:
-                keep[i] = False
-                remove_counts[k] -= 1
+        keep[hits[order[drop]]] = False
         return Graph(
             self.num_vertices, src[keep], dst[keep],
             self.vertex_types, self.type_names,
@@ -303,6 +287,13 @@ class Graph:
             f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges}, "
             f"num_types={self.num_types})"
         )
+
+
+def _check_endpoints(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> None:
+    if src.size and (src.min() < 0 or src.max() >= num_vertices):
+        raise ValueError("src vertex id out of range")
+    if dst.size and (dst.min() < 0 or dst.max() >= num_vertices):
+        raise ValueError("dst vertex id out of range")
 
 
 def vertex_ids(rows, num_vertices: int) -> np.ndarray:

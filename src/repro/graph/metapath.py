@@ -134,6 +134,7 @@ def match_length3_metapath(
     graph: Graph,
     metapath: Metapath,
     max_instances_per_root: int | None = None,
+    roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """All instances of a 3-vertex metapath as an ``(count, 3)`` array.
 
@@ -142,6 +143,11 @@ def match_length3_metapath(
     constraint ``a != c``.  This is the bulk matcher the FlexGraph graph
     engine would run in parallel; the DFS in
     :func:`find_metapath_instances` is the reference semantics.
+
+    ``roots`` (default: every vertex) keeps only the first edges leaving
+    those roots.  A root's instances come out in an order that depends
+    only on its own and its middle vertices' out-edges, so its rows are
+    the same, in the same order, whatever other roots are matched.
     """
     if metapath.length != 3:
         raise ValueError("match_length3_metapath handles 3-vertex metapaths only")
@@ -149,6 +155,10 @@ def match_length3_metapath(
     types = graph.vertex_types
     src, dst = graph.edges()
     first = (types[src] == t0) & (types[dst] == t1)
+    if roots is not None:
+        keep = np.zeros(graph.num_vertices, dtype=bool)
+        keep[roots] = True
+        first &= keep[src]
     a, b1 = src[first], dst[first]
     second = (types[src] == t1) & (types[dst] == t2)
     b2, c = src[second], dst[second]

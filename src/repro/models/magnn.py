@@ -9,7 +9,8 @@ and builds depth-3 HDGs.  Aggregation applies, bottom-up (Figure 7):
 3. ``scatter_mean`` over metapath types (inter-metapath).
 
 Update is ``ReLU(W * nbr_feas)``.  The HDGs never change across epochs,
-so NeighborSelection runs once for the entire training process.
+so NeighborSelection runs once for the entire training process; an edge
+edit re-selects only the roots it touches (:meth:`MAGNN.reselect`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..core.hdg import HDG
 from ..core.nau import GNNLayer, NAUModel, SelectionScope
-from ..core.selection import build_metapath_hdg
+from ..core.selection import build_metapath_hdg, reselect_metapath_hdg
 from ..graph.graph import Graph
 from ..graph.metapath import Metapath
 from ..tensor.nn import Linear
@@ -89,6 +90,14 @@ class MAGNN(NAUModel):
         return build_metapath_hdg(
             graph, self.metapaths, max_instances_per_root=self.max_instances_per_root
         )
+
+    def reselect(self, hdg: HDG, graph: Graph,
+                 changed: np.ndarray) -> tuple[HDG, np.ndarray] | None:
+        # The touched-root rule covers 3-vertex metapaths only.
+        if any(mp.length != 3 for mp in self.metapaths):
+            return None
+        return reselect_metapath_hdg(hdg, graph, changed, self.metapaths,
+                                     self.max_instances_per_root)
 
 
 def magnn(in_dim: int, hidden_dim: int, out_dim: int,

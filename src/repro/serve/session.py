@@ -19,11 +19,11 @@ tail latency at the cost of exactness — cached rows then memoize the
 first sample drawn for a vertex.
 
 Dynamic graphs: :meth:`InferenceSession.apply_edge_changes` evolves the
-pinned graph, bumps the :class:`~repro.serve.cache.GraphVersion`, and
-evicts exactly the affected vertices per layer (hop-expanded).  With a
-:class:`~repro.core.dynamic.MetapathHDGMaintainer` attached, the
-touched-root sets the maintainer already computes drive the eviction;
-for the DNFA adjacency fast path the changed edges' endpoints do.
+pinned graph, lets the model repair its HDG
+(:meth:`~repro.core.nau.NAUModel.reselect`), bumps the
+:class:`~repro.serve.cache.GraphVersion`, and evicts exactly the
+affected vertices per layer (hop-expanded from the roots the repair
+touched).
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import threading
 
 import numpy as np
 
-from ..core.dynamic import MetapathHDGMaintainer
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
+from ..core.nau import NAUModel
 from ..core.step import (
     ModelHDGs,
     build_block,
@@ -78,10 +77,6 @@ class InferenceSession:
         Optional pre-built model-level HDG to pin (e.g. the exact HDG a
         training engine used); default builds one via the model's
         NeighborSelection.
-    maintainer:
-        Optional :class:`MetapathHDGMaintainer` owning the HDG over an
-        evolving graph (INHA serving); ``graph``/``hdg`` then default to
-        the maintainer's.
     fanouts:
         Per-layer fan-out budgets for sampled (approximate) serving;
         ``None`` entries (or ``fanouts=None``) keep exact neighborhoods.
@@ -106,12 +101,11 @@ class InferenceSession:
     def __init__(
         self,
         model: NAUModel,
-        graph: Graph | None = None,
-        features: np.ndarray | None = None,
+        graph: Graph,
+        features: np.ndarray,
         *,
         checkpoint: str | None = None,
         hdg: HDG | None = None,
-        maintainer: MetapathHDGMaintainer | None = None,
         fanouts: list[int | None] | None = None,
         strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
         seed: int = 0,
@@ -120,15 +114,8 @@ class InferenceSession:
         feature_dtype: str | None = None,
         cache_dtype: str | None = None,
     ):
-        if graph is None:
-            if maintainer is None:
-                raise ValueError("need a graph (or a maintainer that owns one)")
-            graph = maintainer.graph
-        if features is None:
-            raise ValueError("serving needs pinned vertex features")
         self.model = model
         self.graph = graph
-        self.maintainer = maintainer
         self.strategy = ExecutionStrategy.parse(strategy)
         feats = np.asarray(features)
         if feats.shape[0] != graph.num_vertices:
@@ -149,8 +136,6 @@ class InferenceSession:
         self.model.eval()
 
         self._hdgs = ModelHDGs(model, graph, self._rng)
-        if hdg is None and maintainer is not None:
-            hdg = maintainer.build_hdg()
         self._pin(hdg)
 
         self.version = GraphVersion()
@@ -288,12 +273,10 @@ class InferenceSession:
     ) -> int:
         """Evolve the pinned graph and invalidate exactly what went stale.
 
-        Returns the number of embedding-cache rows evicted.  With a
-        maintainer attached, the HDG is repaired incrementally and the
-        maintainer's touched-root set seeds the eviction; on the DNFA
-        adjacency fast path the changed edges' destination endpoints do.
-        Models with stochastic or opaque NeighborSelection fall back to
-        a full flush (their rebuilt HDGs are not comparable entry-wise).
+        Returns the number of embedding-cache rows evicted.  The model
+        repairs its HDG (:meth:`~repro.core.nau.NAUModel.reselect`) and
+        the roots it touched seed the eviction; a model whose selection
+        is opaque (``None``) is selected again and the cache flushed.
         """
         added_arr = (
             np.empty((0, 2), dtype=np.int64) if added is None
@@ -304,33 +287,16 @@ class InferenceSession:
             else np.asarray(removed, dtype=np.int64).reshape(-1, 2)
         )
         with self._lock:
-            if self.maintainer is not None:
-                hdg = self.maintainer.apply_edge_changes(
-                    added_arr, removed_arr
-                )
-                self.graph = self.maintainer.graph
-                touched = self.maintainer.last_touched_roots
-            else:
-                graph = self.graph
-                if removed_arr.size:
-                    graph = graph.with_edges_removed(removed_arr)
-                if added_arr.size:
-                    graph = graph.with_edges_added(added_arr)
-                self.graph = graph
-                if (
-                    type(self.model).neighbor_selection
-                    is NAUModel.neighbor_selection
-                    and self.model.selection_scope is SelectionScope.STATIC
-                ):
-                    # Adjacency fast path: the HDG *is* the graph's CSC,
-                    # so only the changed edges' destinations went stale.
-                    touched = np.unique(
-                        np.concatenate([added_arr[:, 1], removed_arr[:, 1]])
-                    )
-                else:
-                    touched = None  # opaque selection: full flush
-                hdg = None
-            self._hdgs = ModelHDGs(self.model, self.graph, self._rng)
+            graph = self.graph
+            if removed_arr.size:
+                graph = graph.with_edges_removed(removed_arr)
+            if added_arr.size:
+                graph = graph.with_edges_added(added_arr)
+            repaired = self.model.reselect(
+                self.hdg, graph, np.concatenate([added_arr, removed_arr]))
+            hdg, touched = (None, None) if repaired is None else repaired
+            self.graph = graph
+            self._hdgs = ModelHDGs(self.model, graph, self._rng)
             self._pin(hdg)
             self.version.bump()
             self.block_cache.clear()

@@ -17,6 +17,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "recommendation_pinsage.py",
     "custom_nau_model.py",
+    "dynamic_graphs.py",
 ]
 
 

@@ -4,11 +4,10 @@ load shedding, and serving/training numerical parity."""
 import numpy as np
 import pytest
 
-from repro.core import FlexGraphEngine, MetapathHDGMaintainer
+from repro.core import FlexGraphEngine
 from repro.core import build_block, build_seed_blocks
 from repro.datasets import load_dataset
 from repro.models import gcn, magnn, pinsage
-from repro.models.magnn import default_metapaths
 from repro.serve import (
     CheckpointMismatch,
     EmbeddingCache,
@@ -489,11 +488,11 @@ class TestInvalidation:
         assert session.embed_cache.misses == misses0
 
     def test_magnn_maintainer_update_parity(self, imdb):
+        """A served MAGNN keeps serving the model's own HDG across an
+        edit: the model repairs it (``reselect``), the cap included, and
+        every row equals a full-graph engine's on the edited graph."""
         model, _ = trained(magnn, imdb, max_instances_per_root=30)
-        metapaths = default_metapaths(imdb.graph.num_types)
-        maintainer = MetapathHDGMaintainer(imdb.graph, metapaths)
-        session = InferenceSession(model, features=imdb.features,
-                                   maintainer=maintainer)
+        session = InferenceSession(model, imdb.graph, imdb.features)
         all_v = np.arange(imdb.graph.num_vertices)
         session.embed(all_v)
         warm_entries = len(session.embed_cache)
@@ -502,17 +501,10 @@ class TestInvalidation:
         removed = np.array([[src[0], dst[0]]])
         evicted = session.apply_edge_changes(removed=removed)
         assert 0 < evicted < warm_entries
-        assert maintainer.last_touched_roots.size > 0
 
-        # Fresh recompute with identical (maintainer) HDG semantics on
-        # the updated graph.
-        cold = InferenceSession(
-            model, features=imdb.features,
-            maintainer=MetapathHDGMaintainer(maintainer.graph, metapaths),
-        )
-        np.testing.assert_allclose(
-            session.embed(all_v), cold.embed(all_v), atol=1e-6
-        )
+        edited = imdb.graph.with_edges_removed(removed)
+        expected = FlexGraphEngine(model, edited).embed(Tensor(imdb.features))
+        np.testing.assert_allclose(session.embed(all_v), expected, atol=1e-6)
 
     def test_opaque_selection_full_flush(self, reddit):
         model, engine = trained(pinsage, reddit)
