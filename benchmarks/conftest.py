@@ -35,16 +35,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", name)
         for line in _TABLES[name].splitlines():
             terminalreporter.write_line(line)
-
-
-def render_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
-    """Plain-text table renderer for paper-style result tables."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(str(cell)))
-    def fmt(row):
-        return "  ".join(str(c).ljust(w) for c, w in zip(row, widths))
-    lines = [title, fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in rows)
-    return "\n".join(lines)

@@ -11,12 +11,12 @@ import pytest
 
 from repro.core import ADBBalancer, FlexGraphEngine, metrics_from_hdg
 from repro.distributed import CommConfig, dependency_stats, plan_layer_comm
+from repro.experiments import render_rows
 from repro.graph import hash_partition, pulp_partition
 from repro.models import magnn, pinsage
 from repro.tensor import Tensor
 
 import bench_config as cfg
-from conftest import render_table
 
 
 def test_ablation_hdg_storage(benchmark, report):
@@ -42,7 +42,7 @@ def test_ablation_hdg_storage(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_hdg_storage",
-        render_table(
+        render_rows(
             "Ablation (§4.1): MAGNN HDG storage, compact vs naive CSC (MB)",
             ["dataset", "compact", "naive", "saved"],
             rows,
@@ -96,7 +96,7 @@ def test_ablation_balancing_plans(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_balancing_plans",
-        render_table(
+        render_rows(
             "Ablation (§6): balancing-plan count vs chosen plan's induced cut",
             ["num_plans", "chosen cut_edges"],
             rows,
@@ -136,13 +136,13 @@ def test_ablation_neugraph_chunking(benchmark, report):
         flex = FlexGraphAdapter(ds, "gcn", hidden_dim=cfg.HIDDEN_DIM, seed=0)
         flex.run_epoch(0)
         rep = flex.run_epoch(1)
-        rows.append(["flexgraph (fused)", f"{rep.seconds:.3f}", "0.0*"])
-        rows.append(["(*feature fusion never materializes edge tensors)", "", ""])
+        rows.append(["flexgraph (fused, counted)", f"{rep.seconds:.3f}",
+                     f"{rep.peak_memory_mb:.1f}"])
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_neugraph_chunking",
-        render_table(
+        render_rows(
             "Ablation (§8 extension): NeuGraph chunk grid vs DGL vs "
             "FlexGraph on reddit GCN",
             ["engine", "sec/epoch", "peak transient MB"],
@@ -207,7 +207,7 @@ def test_ablation_training_mode_convergence(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_training_modes",
-        render_table(
+        render_rows(
             f"Ablation (extension): test accuracy after {epochs} epochs, "
             "same GCN under three training modes (reddit)",
             ["mode", "test accuracy"],
@@ -288,7 +288,7 @@ def test_ablation_dynamic_graph(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_dynamic_graph",
-        render_table(
+        render_rows(
             "Ablation (§7.2): per-change-batch HDG maintenance on an "
             "evolving graph (fb91, 8 edges per batch, seconds)",
             ["approach", "sec/batch", "work"],
@@ -332,7 +332,7 @@ def test_ablation_dynamic_graph_counted(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_dynamic_graph_counted",
-        render_table(
+        render_rows(
             "Ablation (§7.2): instances each change batch re-selects "
             "(fb91, 8 edges per batch)",
             ["batch", "roots changed", "re-selected", "full selection",
@@ -384,7 +384,7 @@ def test_ablation_minibatch_sampling(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_minibatch_sampling",
-        render_table(
+        render_rows(
             "Ablation (extension): leaf entries a sampled batch reads "
             "(reddit, 256 seeds, two layers)",
             ["mode", "leaf entries read", "full neighborhoods",
@@ -424,7 +424,7 @@ def test_ablation_message_batching(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "ablation_message_batching",
-        render_table(
+        render_rows(
             "Ablation (§5): synchronization plans for one PinSage layer "
             "(twitter, k=8)",
             ["mode", "messages", "MB", "max worker ms"],

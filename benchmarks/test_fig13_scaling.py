@@ -14,11 +14,11 @@ import pytest
 from repro.baselines import DistDGLEngine, EulerEngine
 from repro.datasets import reddit_like
 from repro.distributed import CommConfig, flexgraph_scaling, model_baseline_scaling
+from repro.experiments import render_rows
 from repro.graph import hash_partition
 from repro.models import gcn, magnn, pinsage
 
 import bench_config as cfg
-from conftest import render_table
 
 WORKER_COUNTS = [1, 2, 4, 8, 16]
 
@@ -93,7 +93,7 @@ def test_fig13_scaling(benchmark, report, model_name):
             rows.append([name] + [f"{p.seconds:.3f}" for p in pts])
     report(
         f"fig13_scaling_{model_name}",
-        render_table(
+        render_rows(
             f"Figure 13 ({model_name}, reddit): simulated epoch seconds vs workers",
             ["system"] + [f"k={k}" for k in WORKER_COUNTS],
             rows,

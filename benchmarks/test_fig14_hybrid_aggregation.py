@@ -21,11 +21,11 @@ import pytest
 from repro import obs
 from repro.core import FlexGraphEngine
 from repro.core.hybrid import BACKEND_EVENT
+from repro.experiments import render_rows
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Tensor, materialized_bytes, reset_materialized_bytes
 
 import bench_config as cfg
-from conftest import render_table
 
 STRATEGIES = ["sa", "sa+fa", "ha"]
 
@@ -78,7 +78,7 @@ def test_fig14(benchmark, report, ds_name):
     ]
     report(
         f"fig14_hybrid_aggregation_{ds_name}",
-        render_table(
+        render_rows(
             f"Figure 14 ({ds_name}): one forward per strategy, MB "
             f"materialized / written, and Aggregation seconds",
             ["model", "SA MB", "SA+FA MB", "HA MB", "SA s", "SA+FA s", "HA s"],

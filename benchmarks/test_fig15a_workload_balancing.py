@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import ADBBalancer, FlexGraphEngine, metrics_from_hdg
 from repro.distributed import DistributedTrainer
+from repro.experiments import render_rows
 from repro.graph import (
     balance_factor,
     hash_partition,
@@ -23,7 +24,6 @@ from repro.models import gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor
 
 import bench_config as cfg
-from conftest import render_table
 
 K = 8
 
@@ -98,7 +98,7 @@ def test_fig15a_workload_balancing(benchmark, report):
     ]
     report(
         "fig15a_workload_balancing",
-        render_table(
+        render_rows(
             "Figure 15a (twitter, k=8): Aggregation seconds per partitioner "
             "(last column: workload balance PuLP/Hash/Spectral/ADB; "
             "Spectral is an extension beyond the paper's pair)",

@@ -12,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed import CommConfig, DistributedTrainer
+from repro.experiments import render_rows
 from repro.graph import hash_partition
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor
 
 import bench_config as cfg
-from conftest import render_table
 
 K = 8
 
@@ -59,7 +59,7 @@ def test_fig15bc_pipeline(benchmark, report, ds_name):
     ]
     report(
         f"fig15bc_pipeline_{ds_name}",
-        render_table(
+        render_rows(
             f"Figure 15b/c ({ds_name}, k=8): Aggregation seconds with/without "
             "pipeline processing",
             ["model", "w/ PP", "w/o PP", "improvement"],

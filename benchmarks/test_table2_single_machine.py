@@ -3,8 +3,10 @@ across PyTorch, DGL, DistDGL, Euler and FlexGraph.
 
 Expected shape (paper): FlexGraph fastest everywhere; mini-batch engines
 (DistDGL, Euler) collapse on full-neighborhood GCN; only FlexGraph (and
-PyTorch, on the small heterogeneous graph) can run MAGNN; Euler is the
-best baseline on PinSage.
+PyTorch, on the smaller graphs) can run MAGNN; Euler is the best
+baseline on PinSage.  ``test_table2_counted`` checks the memory half on
+counted bytes: which cells OOM, and FlexGraph's peak at most every
+baseline's.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import ENGINES
-from repro.experiments import measure_epoch_cell
+from repro.experiments import measure_epoch_cell, render_rows
 
 import bench_config as cfg
-from conftest import render_table
 
 ENGINE_ORDER = ["pytorch", "dgl", "distdgl", "euler", "flexgraph"]
 
@@ -51,7 +52,7 @@ def test_table2(benchmark, report, model, datasets):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         f"table2_{model}",
-        render_table(
+        render_rows(
             f"Table 2 ({model}): runtime in seconds for 1 epoch, single machine",
             ["dataset"] + ENGINE_ORDER,
             rows,
@@ -68,3 +69,14 @@ def test_table2(benchmark, report, model, datasets):
             assert flex <= float(cell.lstrip("~")) * 1.5, (
                 f"FlexGraph not fastest on {model}/{row[0]} vs {engine_name}"
             )
+
+
+@pytest.mark.parametrize("model,datasets", TABLE2_ROWS, ids=[r[0] for r in TABLE2_ROWS])
+def test_table2_counted(benchmark, report, model, datasets):
+    benchmark.pedantic(
+        cfg.counted_table,
+        args=(report, f"table2_{model}_counted",
+              f"Table 2 ({model}): peak transient MB in 1 epoch, single machine",
+              model, datasets, ENGINE_ORDER),
+        rounds=1, iterations=1,
+    )

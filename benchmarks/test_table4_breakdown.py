@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import FlexGraphEngine
+from repro.experiments import render_rows
 from repro.models import gcn, magnn, pinsage
 from repro.tensor import Adam, Tensor
 
 import bench_config as cfg
-from conftest import render_table
 
 
 def stage_breakdown(model_factory, ds, epochs=3):
@@ -63,7 +63,7 @@ def test_table4_breakdown(benchmark, report):
         ])
     report(
         "table4_breakdown",
-        render_table(
+        render_rows(
             "Table 4: breakdown of 3 stages on Twitter (seconds, share of forward)",
             ["model", "Nbr.Selection", "Aggregation", "Update"],
             rows,

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments import render_rows
 from repro.models import magnn, pinsage
 
 import bench_config as cfg
-from conftest import render_table
 
 DATASETS = ["reddit", "fb91", "twitter"]
 
@@ -39,7 +39,7 @@ def test_table5_hdg_memory(benchmark, report):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "table5_hdg_memory",
-        render_table(
+        render_rows(
             "Table 5: memory footprint of HDGs w.r.t. input graph "
             "(GCN row omitted: it builds no extra HDGs)",
             ["dataset", "PinSage", "MAGNN"],

@@ -12,16 +12,29 @@ Resource envelopes are scaled down alongside the datasets:
 
 * :class:`MemoryMeter` imposes a per-step transient-allocation budget
   standing in for the testbed's 512 GB RAM; exceeding it raises
-  :class:`OutOfMemoryError` (the paper's "OOM" cells).
+  :class:`OutOfMemoryError` (the paper's "OOM" cells).  A baseline
+  projects each large intermediate through :meth:`MemoryMeter.hold`,
+  in the dtype of the array it builds; FlexGraph's column is the tensor
+  layer's counted per-edge bytes.
 * Engines may report ``status="timeout"`` when an extrapolated epoch
   exceeds the time limit (the paper's ">3600s" cells).
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..core.hdg import hdg_from_flat_arrays
+from ..core.schema import SchemaTree
+from ..tensor.nn import as_param_dtype
+from ..tensor.optim import Adam
+from ..tensor.scatter import scatter_add
+from ..tensor.tensor import Tensor
+from .model_math import BaselineModel
 
 __all__ = [
     "OutOfMemoryError",
@@ -33,6 +46,9 @@ __all__ = [
 
 MODEL_NAMES = ("gcn", "pinsage", "magnn")
 
+#: PinSage NeighborSelection defaults (10 walks x 3 hops, top-10)
+WALK_DEFAULTS = {"num_traces": 10, "n_hops": 3, "top_k": 10}
+
 
 class OutOfMemoryError(Exception):
     """A projected allocation exceeds the engine's memory budget
@@ -42,9 +58,10 @@ class OutOfMemoryError(Exception):
 class MemoryMeter:
     """Tracks transient allocations against a budget.
 
-    ``charge`` is called *before* a large intermediate is materialized
-    with its projected size; ``release`` returns the bytes when the
-    intermediate dies.  ``peak`` records the high-water mark.
+    ``hold(shape, dtype)`` spans the life of one large intermediate: it
+    charges the array's bytes *before* the array is built — raising
+    :class:`OutOfMemoryError` when they do not fit — and releases them
+    on exit.  ``peak`` records the high-water mark since ``reset``.
     """
 
     def __init__(self, budget_bytes: int | None = None):
@@ -64,11 +81,19 @@ class MemoryMeter:
                 f"budget is {self.budget_bytes / 1e6:.0f} MB"
             )
 
-    def release(self, nbytes: int) -> None:
-        self.current = max(0, self.current - int(nbytes))
+    @contextmanager
+    def hold(self, shape, dtype, what: str = ""):
+        """Charge an array of ``shape`` and ``dtype`` for the ``with`` body."""
+        nbytes = math.prod(int(s) for s in shape) * np.dtype(dtype).itemsize
+        self.charge(nbytes, what)
+        try:
+            yield
+        finally:
+            self.current -= nbytes
 
     def reset(self) -> None:
         self.current = 0
+        self.peak = 0
 
 
 @dataclass
@@ -102,9 +127,11 @@ class EpochReport:
 class BaselineEngine:
     """Base class for competitor engines.
 
-    Subclasses set ``name`` and implement ``_prepare`` (build model state
-    for the chosen GNN) and ``_run_epoch`` (one epoch, returning wall
-    seconds and loss).  ``supported_models`` gates Table 2's "X" cells.
+    Subclasses set ``name`` and implement ``_run_epoch`` (one epoch,
+    returning wall seconds and loss); ``_prepare`` builds the shared
+    :class:`~repro.baselines.model_math.BaselineModel`, its optimizer and
+    the features in its dtype, and engines extend it with their own
+    state.  ``supported_models`` gates Table 2's "X" cells.
     """
 
     name = "base"
@@ -122,17 +149,50 @@ class BaselineEngine:
         self.memory = MemoryMeter(memory_budget)
         self.time_limit = time_limit
         self.model_params = model_params
+        self._walk_params = {
+            key: model_params.get(key, default) for key, default in WALK_DEFAULTS.items()
+        }
         self._rng = np.random.default_rng(seed)
         if model_name in self.supported_models:
             self._prepare()
 
     # -- subclass hooks -----------------------------------------------------
     def _prepare(self) -> None:
-        raise NotImplementedError
+        ds = self.dataset
+        self.model = BaselineModel(
+            self.model_name, ds.feat_dim, self.hidden_dim, ds.num_classes,
+            seed=self.seed,
+        )
+        self.optimizer = Adam(self.model.parameters(), lr=0.01)
+        self.feats = Tensor(as_param_dtype(self.model, ds.features))
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
         """Return (seconds, loss, extrapolated)."""
         raise NotImplementedError
+
+    # -- shared epoch bodies -------------------------------------------------
+    def _weighted_flat_epoch(self, owners: np.ndarray, nbrs: np.ndarray,
+                             weights: np.ndarray) -> float:
+        """One PinSage epoch over the flat weighted neighbourhoods
+        ``(owners, nbrs, weights)`` an engine's NeighborSelection yields.
+
+        Per layer: gather ``h[src]`` onto the edges, scale by the leaf
+        weights, ``scatter_add`` per root and Update — one edge view held
+        per layer, with no feature fusion; then one train step.
+        """
+        ds = self.dataset
+        n = ds.graph.num_vertices
+        hdg = hdg_from_flat_arrays(
+            SchemaTree(), np.arange(n, dtype=np.int64), owners, nbrs, weights, n
+        )
+        dst, src = hdg.sub_graph(1)
+        edge_weights = Tensor(hdg.leaf_weights.reshape(-1, 1))
+        h = self.feats
+        for layer in range(self.model.num_layers):
+            with self.memory.hold((src.size, h.shape[1]), h.dtype, "edge messages"):
+                agg = scatter_add(h[src] * edge_weights, dst, n)
+            h = self.model.update(layer, h, agg)
+        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
 
     # -- public API ----------------------------------------------------------
     def run_epoch(self, epoch: int = 0) -> EpochReport:

@@ -24,11 +24,7 @@ import time
 
 import numpy as np
 
-from ..core.hdg import hdg_from_flat_arrays
-from ..core.schema import SchemaTree
 from ..graph.random_walk import top_k_visited
-from ..tensor.scatter import scatter_add
-from ..tensor.tensor import Tensor
 from .saga_nn import DistDGLEngine
 
 __all__ = ["EulerEngine"]
@@ -50,25 +46,13 @@ class EulerEngine(DistDGLEngine):
         return self._minibatch_gcn_epoch(dedup=False)
 
     def _pinsage_sampled_epoch(self) -> float:
-        ds = self.dataset
-        n = ds.graph.num_vertices
-        roots = np.arange(n, dtype=np.int64)
-        # Euler's efficient sampling engine: the fast walk kernel.
+        graph = self.dataset.graph
+        roots = np.arange(graph.num_vertices, dtype=np.int64)
+        # Euler's efficient sampling engine: the fast walk kernel; the
+        # aggregation stays sparse tensor ops (no feature fusion).
         owners, nbrs, weights = top_k_visited(
-            ds.graph, roots,
+            graph, roots,
             self._walk_params["num_traces"], self._walk_params["n_hops"],
             self._walk_params["top_k"], self._rng,
         )
-        hdg = hdg_from_flat_arrays(
-            SchemaTree(), roots, owners, nbrs, weights, n
-        )
-        dst, src = hdg.sub_graph(1)
-        h = self.feats
-        for layer in range(self.model.num_layers):
-            # Sparse tensor aggregation only (no feature fusion).
-            self.memory.charge(src.size * h.shape[1] * 8, "sampled neighborhood tensor")
-            gathered = h[src] * Tensor(hdg.leaf_weights.reshape(-1, 1))
-            agg = scatter_add(gathered, dst, n)
-            self.memory.release(src.size * h.shape[1] * 8)
-            h = self.model.update(layer, h, agg)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+        return self._weighted_flat_epoch(owners, nbrs, weights)

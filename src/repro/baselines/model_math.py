@@ -50,9 +50,6 @@ class BaselineModel(Module):
     def num_layers(self) -> int:
         return len(self.linears)
 
-    def layer_in_dim(self, layer: int) -> int:
-        return self.dims[layer]
-
     def update(self, layer: int, feats: Tensor, nbr_feats: Tensor) -> Tensor:
         """Equation (2) for the model family (Figure 7's Update bodies)."""
         if self.model_name == "gcn":

@@ -23,12 +23,8 @@ import time
 
 import numpy as np
 
-from ..tensor.nn import as_param_dtype
-from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
-from ..tensor.tensor import Tensor
 from .common import BaselineEngine
-from .model_math import BaselineModel
 
 __all__ = ["NeuGraphEngine"]
 
@@ -41,13 +37,8 @@ class NeuGraphEngine(BaselineEngine):
     supported_models = ("gcn",)
 
     def _prepare(self) -> None:
+        super()._prepare()
         ds = self.dataset
-        self.model = BaselineModel(
-            self.model_name, ds.feat_dim, self.hidden_dim, ds.num_classes,
-            seed=self.seed,
-        )
-        self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(as_param_dtype(self.model, ds.features))
         self.num_chunks = self.model_params.get("num_chunks", 4)
         if self.num_chunks <= 0:
             raise ValueError("num_chunks must be positive")
@@ -84,10 +75,9 @@ class NeuGraphEngine(BaselineEngine):
                 # One chunk's live edge state only (the memory bound);
                 # SAGA-NN over the chunk, accumulated into the running
                 # intermediate result.
-                chunk_bytes = (hi - lo) * h.shape[1] * 8
-                self.memory.charge(chunk_bytes, "chunk edge messages")
-                partial = scatter_add(h[src], dst, n)
-                self.memory.release(chunk_bytes)
+                with self.memory.hold((hi - lo, h.shape[1]), h.dtype,
+                                      "chunk edge messages"):
+                    partial = scatter_add(h[src], dst, n)
                 agg = partial if agg is None else agg + partial
             if agg is None:
                 from ..tensor.ops import zeros

@@ -21,18 +21,12 @@ import time
 
 import numpy as np
 
-from ..core.hdg import HDG, hdg_from_flat_arrays
+from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy, hierarchical_aggregate
-from ..core.schema import SchemaTree
 from ..core.selection import build_metapath_hdg
 from ..graph.random_walk import top_k_visited
 from ..models.magnn import default_metapaths
-from ..tensor.nn import as_param_dtype
-from ..tensor.optim import Adam
-from ..tensor.scatter import scatter_add
-from ..tensor.tensor import Tensor
 from .common import BaselineEngine
-from .model_math import BaselineModel
 
 __all__ = ["PreDGLEngine"]
 
@@ -44,18 +38,7 @@ class PreDGLEngine(BaselineEngine):
     supported_models = ("pinsage", "magnn")
 
     def _prepare(self) -> None:
-        ds = self.dataset
-        self.model = BaselineModel(
-            self.model_name, ds.feat_dim, self.hidden_dim, ds.num_classes,
-            seed=self.seed,
-        )
-        self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(as_param_dtype(self.model, ds.features))
-        self._walk_params = {
-            "num_traces": self.model_params.get("num_traces", 10),
-            "n_hops": self.model_params.get("n_hops", 3),
-            "top_k": self.model_params.get("top_k", 10),
-        }
+        super()._prepare()
         self.precompute_seconds = 0.0
         t0 = time.perf_counter()
         if self.model_name == "pinsage":
@@ -128,18 +111,7 @@ class PreDGLEngine(BaselineEngine):
         raw = self._cand_weight[keep]
         sums = np.bincount(owners, weights=raw, minlength=n)
         weights = raw / sums[owners]
-        hdg = hdg_from_flat_arrays(
-            SchemaTree(), np.arange(n, dtype=np.int64), owners, nbrs, weights, n
-        )
-        dst, src = hdg.sub_graph(1)
-        h = self.feats
-        for layer in range(self.model.num_layers):
-            self.memory.charge(src.size * h.shape[1] * 8, "edge messages")
-            gathered = h[src] * Tensor(hdg.leaf_weights.reshape(-1, 1))
-            agg = scatter_add(gathered, dst, n)
-            self.memory.release(src.size * h.shape[1] * 8)
-            h = self.model.update(layer, h, agg)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+        return self._weighted_flat_epoch(owners, nbrs, weights)
 
     def _magnn_epoch(self) -> float:
         ds = self.dataset
@@ -148,12 +120,10 @@ class PreDGLEngine(BaselineEngine):
         for layer in range(self.model.num_layers):
             # Multiple GAS rounds on the expanded graph = scatter ops at
             # every HDG level (the SA strategy).
-            self.memory.charge(
-                hdg.leaf_vertices.size * h.shape[1] * 8, "expanded-graph messages"
-            )
-            agg = hierarchical_aggregate(
-                hdg, h, self.model.magnn_aggregators[layer], ExecutionStrategy.SA
-            )
-            self.memory.release(hdg.leaf_vertices.size * h.shape[1] * 8)
+            with self.memory.hold((hdg.leaf_vertices.size, h.shape[1]), h.dtype,
+                                  "expanded-graph messages"):
+                agg = hierarchical_aggregate(
+                    hdg, h, self.model.magnn_aggregators[layer], ExecutionStrategy.SA
+                )
             h = self.model.update(layer, h, agg)
         return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)

@@ -19,11 +19,8 @@ import time
 
 import numpy as np
 
-from ..core.hdg import hdg_from_flat_arrays
-from ..core.schema import SchemaTree
 from ..graph.graph import Graph
 from ..tensor.nn import as_param_dtype
-from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
 from .common import BaselineEngine
@@ -61,13 +58,10 @@ class SAGANNLayer:
         """Stage 4: the Update NN op."""
         raise NotImplementedError
 
-    def run(self, feats: Tensor, src: np.ndarray, dst: np.ndarray, n: int,
-            edge_weights: np.ndarray | None = None) -> Tensor:
+    def run(self, feats: Tensor, src: np.ndarray, dst: np.ndarray, n: int) -> Tensor:
         edge_feats = self.scatter(feats, src)
         if not self.fuse_kernels:
             edge_feats = self.apply_edge(edge_feats)
-        if edge_weights is not None:
-            edge_feats = edge_feats * Tensor(edge_weights.reshape(-1, 1))
         agg = self.gather_reduce(edge_feats, dst, n)
         return self.apply_vertex(feats, agg)
 
@@ -93,22 +87,11 @@ class DGLEngine(BaselineEngine):
     walk_edge_temporaries = 1
 
     def _prepare(self) -> None:
-        ds = self.dataset
-        self.model = BaselineModel(
-            self.model_name, ds.feat_dim, self.hidden_dim, ds.num_classes,
-            seed=self.seed,
-        )
-        self.optimizer = Adam(self.model.parameters(), lr=0.01)
-        self.feats = Tensor(as_param_dtype(self.model, ds.features))
+        super()._prepare()
         self.saga_layers = [
             _ModelSAGALayer(self.model, i) for i in range(self.model.num_layers)
         ]
-        self._dst, self._src = ds.graph.coo()
-        self._walk_params = {
-            "num_traces": self.model_params.get("num_traces", 10),
-            "n_hops": self.model_params.get("n_hops", 3),
-            "top_k": self.model_params.get("top_k", 10),
-        }
+        self._dst, self._src = self.dataset.graph.coo()
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
         t0 = time.perf_counter()
@@ -124,10 +107,9 @@ class DGLEngine(BaselineEngine):
         n = ds.graph.num_vertices
         for layer_obj in self.saga_layers:
             # Fused kernel still gathers one (E, dim) view for the reduce.
-            self.memory.charge(self._src.size * h.shape[1] * 8, "gathered edge view")
-            h_new = layer_obj.run(h, self._src, self._dst, n)
-            self.memory.release(self._src.size * h.shape[1] * 8)
-            h = h_new
+            with self.memory.hold((self._src.size, h.shape[1]), h.dtype,
+                                  "gathered edge view"):
+                h = layer_obj.run(h, self._src, self._dst, n)
         return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
 
     def _pinsage_epoch(self) -> float:
@@ -139,19 +121,7 @@ class DGLEngine(BaselineEngine):
         owners, nbrs, weights = top_k_from_visits(
             roots, visited, ds.graph.num_vertices, self._walk_params["top_k"]
         )
-        all_roots = np.arange(ds.graph.num_vertices, dtype=np.int64)
-        hdg = hdg_from_flat_arrays(
-            SchemaTree(), all_roots, owners, nbrs, weights, ds.graph.num_vertices
-        )
-        dst, src = hdg.sub_graph(1)
-        h = self.feats
-        n = ds.graph.num_vertices
-        for layer_obj in self.saga_layers:
-            self.memory.charge(src.size * h.shape[1] * 8, "gathered edge view")
-            h_new = layer_obj.run(h, src, dst, n, edge_weights=hdg.leaf_weights)
-            self.memory.release(src.size * h.shape[1] * 8)
-            h = h_new
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+        return self._weighted_flat_epoch(owners, nbrs, weights)
 
 
 class DistDGLEngine(DGLEngine):
@@ -197,24 +167,24 @@ class DistDGLEngine(DGLEngine):
         for b in range(measured):
             seeds = seeds_all[b * self.batch_size : (b + 1) * self.batch_size]
             block = self._expand_k_hop(graph, seeds, num_hops)
-            if not dedup:
-                dup_size = self._duplicated_expansion_size(graph, seeds, num_hops)
-                self.memory.charge(dup_size * ds.feat_dim * 8, "per-sample neighborhoods")
-            self.memory.charge(block.size * ds.feat_dim * 8, "batch subgraph features")
-            sub, original = graph.subgraph(block)
-            h = Tensor(as_param_dtype(self.model, ds.features[original]))
-            dst, src = sub.coo()
-            for layer_obj in self.saga_layers:
-                h = layer_obj.run(h, src, dst, sub.num_vertices)
-            # Loss over the seed rows only (they are the batch targets).
-            local_of = {int(v): i for i, v in enumerate(original)}
-            seed_rows = np.array([local_of[int(s)] for s in seeds])
-            loss = self.model.train_step(
-                h[seed_rows], ds.labels[seeds], None, self.optimizer
+            dup_size = 0 if dedup else self._duplicated_expansion_size(
+                graph, seeds, num_hops
             )
-            self.memory.release(block.size * ds.feat_dim * 8)
-            if not dedup:
-                self.memory.release(dup_size * ds.feat_dim * 8)
+            with self.memory.hold((dup_size, ds.feat_dim), self.feats.dtype,
+                                  "per-sample neighborhoods"), \
+                 self.memory.hold((block.size, ds.feat_dim), self.feats.dtype,
+                                  "batch subgraph features"):
+                sub, original = graph.subgraph(block)
+                h = Tensor(as_param_dtype(self.model, ds.features[original]))
+                dst, src = sub.coo()
+                for layer_obj in self.saga_layers:
+                    h = layer_obj.run(h, src, dst, sub.num_vertices)
+                # Loss over the seed rows only (they are the batch targets).
+                local_of = {int(v): i for i, v in enumerate(original)}
+                seed_rows = np.array([local_of[int(s)] for s in seeds])
+                loss = self.model.train_step(
+                    h[seed_rows], ds.labels[seeds], None, self.optimizer
+                )
         elapsed = time.perf_counter() - t0
         extrapolated = measured < num_batches
         total = elapsed * num_batches / max(measured, 1)

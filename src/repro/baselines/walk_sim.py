@@ -51,14 +51,14 @@ def propagation_random_walks(
         current = all_roots.copy()
         for _hop in range(n_hops):
             # Materialize per-edge random keys (the propagation message).
-            memory.charge(num_edges * 8 * edge_temporaries, "per-edge walk messages")
-            keys = rng.random(num_edges)
-            best = np.full(n, -1.0)
-            np.maximum.at(best, src, keys)
-            chosen = keys == best[src]
-            next_of = np.arange(n, dtype=np.int64)  # sinks stay put
-            next_of[src[chosen]] = dst[chosen]
-            memory.release(num_edges * 8 * edge_temporaries)
+            with memory.hold((edge_temporaries, num_edges), np.float64,
+                             "per-edge walk messages"):
+                keys = rng.random(num_edges)
+                best = np.full(n, -1.0)
+                np.maximum.at(best, src, keys)
+                chosen = keys == best[src]
+                next_of = np.arange(n, dtype=np.int64)  # sinks stay put
+                next_of[src[chosen]] = dst[chosen]
             current = next_of[current]
             roots_out.append(all_roots)
             visits_out.append(current.copy())

@@ -57,17 +57,6 @@ class StageTimes:
     def total(self) -> float:
         return self.neighbor_selection + self.aggregation + self.update + self.backward
 
-    @property
-    def forward_total(self) -> float:
-        return self.neighbor_selection + self.aggregation + self.update
-
-    def __iadd__(self, other: "StageTimes") -> "StageTimes":
-        self.neighbor_selection += other.neighbor_selection
-        self.aggregation += other.aggregation
-        self.update += other.update
-        self.backward += other.backward
-        return self
-
     @classmethod
     def from_spans(cls, spans: Iterable) -> "StageTimes":
         """Aggregate ``stage.*`` spans (records or trace dicts) by stage."""
@@ -286,14 +275,3 @@ class FlexGraphEngine:
                  mask: np.ndarray | None = None) -> float:
         """Accuracy of the current model on ``mask`` (no gradients)."""
         return accuracy(self._inference_forward(feats), labels, mask)
-
-    # ------------------------------------------------------------------
-    # Fault tolerance (Figure 12's fault-tolerance module)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Snapshot model parameters for recovery."""
-        return {"model_state": self.model.state_dict()}
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore parameters from :meth:`checkpoint` output."""
-        self.model.load_state_dict(snapshot["model_state"])

@@ -66,19 +66,6 @@ class SharedArray:
                                     buffer=self._shm.buf)
         return self._view
 
-    def descriptor(self) -> dict:
-        """JSON-serializable attach handle (name, shape, dtype) —
-        enough for an unrelated process (e.g. ``tools/obsview.py live``) to
-        map the same segment without inheriting anything."""
-        return {"name": self.name, "shape": list(self.shape),
-                "dtype": self.dtype.str}
-
-    @classmethod
-    def from_descriptor(cls, descriptor: dict) -> "SharedArray":
-        """Attach (read/write, non-owning) to a segment by descriptor."""
-        return cls(tuple(descriptor["shape"]), descriptor["dtype"],
-                   name=descriptor["name"], create=False)
-
     def __getstate__(self):
         return {"shape": self.shape, "dtype": self.dtype.str, "name": self.name}
 

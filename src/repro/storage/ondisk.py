@@ -219,15 +219,6 @@ class OnDiskGraph:
             return np.diff(self._csc_indptr)
         return int(self._csc_indptr[v + 1] - self._csc_indptr[v])
 
-    def degrees_of(self, vertices: np.ndarray, in_edges: bool = True) -> np.ndarray:
-        """Degrees of a vertex subset, touching only their indptr pages
-        (``out_degree(None)`` would scan the whole array)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        indptr = self._csc_indptr if in_edges else self._csr_indptr
-        return np.asarray(indptr[vertices + 1], dtype=np.int64) - np.asarray(
-            indptr[vertices], dtype=np.int64
-        )
-
     def fingerprint(self) -> str:
         """The manifest's content-derived structural fingerprint."""
         return str(self._manifest["graph_fingerprint"])

@@ -20,6 +20,7 @@ from repro.baselines.walk_sim import propagation_random_walks, top_k_from_visits
 from repro.datasets import load_dataset
 from repro.graph import community_graph, top_k_visited
 from repro.tensor import Tensor
+from repro.tensor.scatter import peak_materialized_bytes
 
 
 @pytest.fixture(scope="module")
@@ -35,27 +36,48 @@ def imdb():
 class TestMemoryMeter:
     def test_charge_within_budget(self):
         meter = MemoryMeter(1000)
-        meter.charge(500)
-        assert meter.current == 500 and meter.peak == 500
+        with meter.hold((125,), np.float32):
+            assert meter.current == 500 and meter.peak == 500
 
     def test_charge_over_budget_raises(self):
         meter = MemoryMeter(1000)
-        with pytest.raises(OutOfMemoryError):
-            meter.charge(2000, "big tensor")
+        with pytest.raises(OutOfMemoryError, match="big tensor"):
+            with meter.hold((250,), np.float64, "big tensor"):
+                raise AssertionError("the body ran past the budget")
 
     def test_release_and_peak(self):
         meter = MemoryMeter(None)
-        meter.charge(100)
-        meter.release(100)
-        meter.charge(50)
-        assert meter.current == 50 and meter.peak == 100
+        with meter.hold((100,), np.uint8):
+            pass
+        with meter.hold((50,), np.uint8):
+            assert meter.current == 50 and meter.peak == 100
+        assert meter.current == 0
 
     def test_unlimited_budget_never_raises(self):
-        MemoryMeter(None).charge(int(1e15))
+        with MemoryMeter(None).hold((10**6, 10**6), np.float64):
+            pass
 
     def test_negative_charge_raises(self):
         with pytest.raises(ValueError):
-            MemoryMeter(None).charge(-1)
+            with MemoryMeter(None).hold((-1, 4), np.float32):
+                pass
+
+    def test_released_on_exit_also_after_an_exception(self):
+        meter = MemoryMeter(None)
+        with pytest.raises(RuntimeError):
+            with meter.hold((4, 8), np.float32):
+                assert meter.current == 128
+                raise RuntimeError("the body failed")
+        assert meter.current == 0 and meter.peak == 128
+
+    def test_reset_starts_a_new_peak(self):
+        meter = MemoryMeter(None)
+        with meter.hold((100,), np.uint8):
+            pass
+        meter.reset()
+        with meter.hold((50,), np.uint8):
+            pass
+        assert meter.peak == 50
 
 
 class TestSupportMatrix:
@@ -205,10 +227,18 @@ class TestEnginesTrain:
         b = DistDGLEngine(reddit, "pinsage", hidden_dim=8, seed=3).run_epoch()
         assert a.loss == pytest.approx(b.loss, rel=1e-9)
 
-    def test_flexgraph_adapter_exposes_stage_times(self, reddit):
-        eng = FlexGraphAdapter(reddit, "pinsage", hidden_dim=8)
-        eng.run_epoch()
-        assert eng.last_stage_times.aggregation > 0
+    def test_flexgraph_memory_is_counted(self, reddit):
+        """FlexGraph's column is the tensor layer's counted per-edge peak:
+        SA materializes messages, a budget below them is an OOM cell, and
+        HA-GCN's fused aggregation builds none."""
+        sa = FlexGraphAdapter(reddit, "gcn", hidden_dim=8, strategy="sa")
+        rep = sa.run_epoch()
+        assert rep.peak_memory_mb > 0
+        assert rep.peak_memory_mb == peak_materialized_bytes() / 1e6
+        tiny = FlexGraphAdapter(reddit, "gcn", hidden_dim=8, strategy="sa",
+                                memory_budget=1_000)
+        assert tiny.run_epoch().status == "oom"
+        assert FlexGraphAdapter(reddit, "gcn", hidden_dim=8).run_epoch().peak_memory_mb == 0
 
     def test_euler_gcn_oom_with_small_budget(self, reddit):
         eng = EulerEngine(reddit, "gcn", hidden_dim=8, memory_budget=100_000,

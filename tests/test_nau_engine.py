@@ -219,7 +219,6 @@ class TestEngineTraining:
         assert stats.times.aggregation > 0
         assert stats.times.update > 0
         assert stats.times.backward > 0
-        assert stats.times.total >= stats.times.forward_total
 
     def test_loss_decreases_over_epochs(self, ds):
         model = gcn(ds.feat_dim, 16, ds.num_classes)
@@ -253,26 +252,6 @@ class TestEngineTraining:
         model.train()
         eng.predict(feats)
         assert model.training is True
-
-    def test_stage_times_iadd(self):
-        from repro.core import StageTimes
-
-        a = StageTimes(1.0, 2.0, 3.0, 4.0)
-        a += StageTimes(1.0, 1.0, 1.0, 1.0)
-        assert a.total == 14.0
-
-    def test_checkpoint_restore_roundtrip(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
-        eng = FlexGraphEngine(model, ds.graph)
-        snap = eng.checkpoint()
-        opt = Adam(model.parameters(), 0.05)
-        eng.train_epoch(Tensor(ds.features), ds.labels, opt, ds.train_mask)
-        changed = model.layers[0].linear.weight.data.copy()
-        eng.restore(snap)
-        assert not np.allclose(changed, model.layers[0].linear.weight.data)
-        np.testing.assert_allclose(
-            model.layers[0].linear.weight.data, snap["model_state"]["layer0.linear.weight"]
-        )
 
     def test_forward_strategy_configurable(self, ds):
         model = gcn(ds.feat_dim, 8, ds.num_classes, seed=1)
