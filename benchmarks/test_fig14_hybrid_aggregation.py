@@ -23,7 +23,9 @@ from repro.core import FlexGraphEngine
 from repro.core.hybrid import BACKEND_EVENT
 from repro.experiments import render_rows
 from repro.models import gcn, magnn, pinsage
-from repro.tensor import Tensor, materialized_bytes, reset_materialized_bytes
+from repro.tensor import (
+    Tensor, materialized_bytes, no_grad, reset_materialized_bytes,
+)
 
 import bench_config as cfg
 
@@ -33,15 +35,18 @@ STRATEGIES = ["sa", "sa+fa", "ha"]
 def counted_forward(model_factory, ds, strategy):
     """(bytes materialized, bytes written, Aggregation seconds, (level,
     order, width) per backend call) of one forward after a warm-up
-    forward (which builds the HDG)."""
+    forward (which builds the HDG).  Both run without the tape, so every
+    layer reduces: a training forward over a STATIC HDG projects layer
+    0 from the memo of its first reduction instead."""
     engine = FlexGraphEngine(model_factory(), ds.graph, strategy=strategy,
                              seed=0)
     feats = Tensor(ds.features)
-    engine.forward(feats)
-    reset_materialized_bytes()
-    obs.reset()
-    mark = obs.work_snapshot()
-    engine.forward(feats)
+    with no_grad():
+        engine.forward(feats)
+        reset_materialized_bytes()
+        obs.reset()
+        mark = obs.work_snapshot()
+        engine.forward(feats)
     levels = [(e.attrs["level"], e.attrs["order"], e.attrs["width"])
               for e in obs.get_registry().events if e.name == BACKEND_EVENT]
     return (materialized_bytes(), obs.work_since(mark)["bytes_written"],

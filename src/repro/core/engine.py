@@ -21,7 +21,7 @@ from ..tensor.optim import Optimizer
 from ..tensor.plans import get_plan_cache
 from ..tensor.scatter import MATERIALIZED_BYTES_COUNTER
 from ..tensor.tensor import Tensor, no_grad
-from .hdg import HDG
+from .hdg import HDG, memo_since, memo_snapshot
 from .hybrid import ExecutionStrategy
 from .nau import NAUModel
 from .step import ModelHDGs, node_loss, train_step
@@ -161,6 +161,7 @@ class FlexGraphEngine:
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
+        memo_mark = memo_snapshot()
         with obs.span("engine.train_epoch", epoch=epoch):
             logits = self.forward(feats, epoch)
             loss = node_loss(logits, labels, mask)
@@ -187,6 +188,7 @@ class FlexGraphEngine:
             work_bytes=work["bytes_read"] + work["bytes_written"],
             plan_hits=plan_cache.hits - plan_mark[0],
             plan_misses=plan_cache.misses - plan_mark[1],
+            **memo_since(memo_mark),
         )
         return EpochStats(
             epoch=epoch,

@@ -21,8 +21,13 @@ under roots and the instance level disappears, matching Figure 3a-3b.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from typing import Callable, Hashable
+
 import numpy as np
 
+from ..obs import counter as _obs_counter
 from ..tensor.plans import PlanMemo, ReductionPlan
 from .schema import NeighborRecord, SchemaTree
 
@@ -58,6 +63,12 @@ class HDG:
     leaf_weights:
         Optional per-(leaf edge) weights (PinSage importance), stored
         float32; a reduction scales rows by them in the rows' dtype.
+    persistent:
+        Whether a holder keeps this HDG for more than one epoch, so a
+        reduction of a constant input over it is worth memoizing
+        (:meth:`memoized_reduction`).  ``False`` on construction; set by
+        :class:`~repro.core.step.ModelHDGs` for a ``STATIC`` model's HDG
+        and by the distributed trainers for the rank blocks cut from it.
     """
 
     def __init__(
@@ -83,7 +94,9 @@ class HDG:
             if num_input_vertices is not None
             else (self.leaf_vertices.max() + 1 if self.leaf_vertices.size else 0)
         )
+        self.persistent = False
         self._plans = PlanMemo()
+        self._reductions = ReductionMemo()
         self._validate()
 
     def _validate(self) -> None:
@@ -369,6 +382,19 @@ class HDG:
         )
 
     # ------------------------------------------------------------------
+    # Reductions of constant inputs (kept only by an HDG that outlives
+    # the epoch)
+    # ------------------------------------------------------------------
+    def memoized_reduction(self, key: Hashable, values: np.ndarray,
+                           build: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``build(values)``, the reduction ``key`` names, memoized for
+        as long as this HDG lives (:class:`ReductionMemo`), like its
+        plans.  Callers ask only when :attr:`persistent` holds; a
+        pickled HDG (a rank block shipped to its worker) keeps the mark,
+        not the memo."""
+        return self._reductions.get_or_build(key, values, build)
+
+    # ------------------------------------------------------------------
     # Memory accounting (Table 5 and the storage ablation)
     # ------------------------------------------------------------------
     @property
@@ -428,7 +454,97 @@ class MemmapHDG(HDG):
         self.instance_offsets = None
         self.leaf_weights = None
         self.num_input_vertices = int(num_input_vertices)
+        self.persistent = False
         self._plans = PlanMemo()
+        self._reductions = ReductionMemo()
+
+
+#: counters of :class:`ReductionMemo`: memos built, memos reused, and
+#: the bytes memos hold (each memo and its check copy; released when an
+#: entry is replaced or its HDG is freed)
+MEMO_BUILD_COUNTER = "reduce.memo.build"
+MEMO_HIT_COUNTER = "reduce.memo.hit"
+MEMO_BYTES_COUNTER = "reduce.memo.bytes"
+
+
+class ReductionMemo:
+    """The reductions of constant inputs one HDG has computed.
+
+    One entry per key (the reduction: level UDFs and strategy) holds the
+    result and a copy of the input it was built from.  An entry is
+    reused only when the input's bytes equal that copy's, so an
+    in-place edit or a different array of the same shape rebuilds it:
+    whether a call hits never depends on which array object it got.
+    Memos are vertex-level state (one row per root), counted under
+    ``reduce.memo.bytes``, never as per-edge materialized bytes.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
+        #: bytes held, in a cell the finalizer reads once this memo dies
+        #: (set up by the first build: a transient HDG registers none)
+        self._held: list[int] | None = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # Derived from arrays the receiver holds itself: a pickled HDG
+        # rebuilds its own entries.
+        return (ReductionMemo, ())
+
+    def get_or_build(self, key: Hashable, values: np.ndarray,
+                     build: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and _same_bytes(entry[0], values):
+                _obs_counter(MEMO_HIT_COUNTER).add(1)
+                return entry[1]
+            reduced = build(values)
+            source = np.array(values, order="C")
+            if self._held is None:
+                self._held = [0]
+                weakref.finalize(self, _release_memo_bytes, self._held)
+            if entry is not None:
+                freed = entry[0].nbytes + entry[1].nbytes
+                self._held[0] -= freed
+                _obs_counter(MEMO_BYTES_COUNTER).release(freed)
+            self._entries[key] = (source, reduced)
+            held = source.nbytes + reduced.nbytes
+            self._held[0] += held
+            _obs_counter(MEMO_BUILD_COUNTER).add(1)
+            _obs_counter(MEMO_BYTES_COUNTER).add(held)
+            return reduced
+
+
+def memo_snapshot() -> dict:
+    """Current ``reduce.memo.*`` hit and build totals, for
+    :func:`memo_since`."""
+    return {"memo_hits": int(_obs_counter(MEMO_HIT_COUNTER).total),
+            "memo_builds": int(_obs_counter(MEMO_BUILD_COUNTER).total)}
+
+
+def memo_since(snapshot: dict) -> dict:
+    """``memo_hits`` / ``memo_builds`` since ``snapshot`` — the fields
+    of an ``epoch`` event."""
+    now = memo_snapshot()
+    return {key: now[key] - snapshot[key] for key in now}
+
+
+def _release_memo_bytes(held: list[int]) -> None:
+    if held[0]:
+        _obs_counter(MEMO_BYTES_COUNTER).release(held[0])
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bytes: same dtype and shape, and
+    equal bit patterns (so ``-0.0`` differs from ``0.0``, and a NaN
+    equals itself)."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    bits = np.dtype(f"u{a.itemsize}") if a.itemsize in (1, 2, 4, 8) else None
+    if bits is None:
+        return a.tobytes() == b.tobytes()
+    return bool(np.array_equal(np.ascontiguousarray(a).view(bits),
+                               np.ascontiguousarray(b).view(bits)))
 
 
 def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -26,15 +26,19 @@ from __future__ import annotations
 import enum
 import time
 
+import numpy as np
+
+from ..obs import counter as _obs_counter
 from ..obs import event as _obs_event
 from ..obs.profile import record_op, work_since, work_snapshot
 from ..tensor.ops import concat
-from ..tensor.tensor import Tensor
+from ..tensor.scatter import MATERIALIZED_BYTES_COUNTER
+from ..tensor.tensor import Tensor, no_grad
 from .aggregation import Aggregator
 from .hdg import HDG
 
 __all__ = ["ExecutionStrategy", "hierarchical_aggregate", "BACKEND_EVENT",
-           "PROJECT_FIRST", "REDUCE_FIRST"]
+           "PROJECT_FIRST", "REDUCE_FIRST", "MEMOIZED"]
 
 #: The two operator orders of a declared linear Update
 #: (:meth:`repro.core.nau.GNNLayer.linear_update`): project the input
@@ -42,6 +46,14 @@ __all__ = ["ExecutionStrategy", "hierarchical_aggregate", "BACKEND_EVENT",
 #: width and project the roots.
 PROJECT_FIRST = "project_first"
 REDUCE_FIRST = "reduce_first"
+#: The order of a reduction that builds an HDG's memo of a constant
+#: input (:func:`reduce_constant`): reduced once, at the input width,
+#: and projected from the memo on every call.
+MEMOIZED = "memoized"
+
+#: Columns per block of a memo build: a narrow block of the input
+#: stays in cache while the level's plan streams over it.
+MEMO_BLOCK_COLUMNS = 16
 
 #: obs event emitted once per HDG level per aggregation, recording which
 #: backend (sparse / fused / dense) the hybrid executor picked, the
@@ -153,6 +165,33 @@ def hierarchical_aggregate(
 
     # Level 1: schema-leaf slots -> roots.
     return _reduce_schema(hdg, slot_feats, aggregators[2], strategy, order)
+
+
+def reduce_constant(hdg: HDG, values: np.ndarray,
+                    aggregators: list[Aggregator],
+                    strategy: ExecutionStrategy) -> np.ndarray:
+    """``hierarchical_aggregate(hdg, values, ...)`` of an input no
+    gradient flows into, as an array: the build of an HDG's memo
+    (:meth:`HDG.memoized_reduction`).
+
+    Runs off the tape, :data:`MEMO_BLOCK_COLUMNS` columns at a time (a
+    column of a sum or mean is reduced alone, so the blocks give the
+    bits one pass would), and its backend events say
+    :data:`MEMOIZED`.  Per-edge rows a block materializes die with the
+    block and are released from the materialized counter before the
+    next one.
+    """
+    materialized = _obs_counter(MATERIALIZED_BYTES_COUNTER)
+    out = np.empty((hdg.num_roots, values.shape[1]), dtype=values.dtype)
+    with no_grad():
+        for lo in range(0, values.shape[1], MEMO_BLOCK_COLUMNS):
+            columns = slice(lo, lo + MEMO_BLOCK_COLUMNS)
+            mark = materialized.current
+            block = Tensor(np.ascontiguousarray(values[:, columns]))
+            out[:, columns] = hierarchical_aggregate(
+                hdg, block, aggregators, strategy, MEMOIZED).data
+            materialized.release(materialized.current - mark)
+    return out
 
 
 def carried_projection(aggregators: list[Aggregator],

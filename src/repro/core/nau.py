@@ -23,7 +23,7 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..tensor.nn import Module
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import Tensor, is_grad_enabled
 from .aggregation import Aggregator, get_aggregator
 from .hdg import HDG, hdg_from_graph
 from .hybrid import (
@@ -31,6 +31,7 @@ from .hybrid import (
     ExecutionStrategy,
     carried_projection,
     hierarchical_aggregate,
+    reduce_constant,
 )
 
 __all__ = ["SelectionScope", "GNNLayer", "NAUModel", "projects_first"]
@@ -147,7 +148,20 @@ class GNNLayer(Module):
         and the attention level takes its column off.  The bias
         never moves with the projection (``sum(W h_u + b) != W sum(h_u)
         + b``) — it lives in :meth:`combine`.
+
+        Over an HDG that outlives the epoch, a gradient-free input's
+        reduction is a constant of the run (:meth:`_memoizable`): the
+        HDG memoizes it and the call projects the memo, so the
+        reduction runs once, not forward and backward every epoch.
         """
+        strategy = ExecutionStrategy.parse(strategy)
+        if self._memoizable(feats, hdg):
+            reduced = hdg.memoized_reduction(
+                (tuple(type(agg) for agg in self.aggregators), strategy),
+                feats.data,
+                lambda values: reduce_constant(hdg, values, self.aggregators,
+                                               strategy))
+            return Tensor(reduced) @ nbr_weight, None
         d_in, d_out = nbr_weight.shape
         scores = sum(agg.scored for agg in self.aggregators)
         if (all(agg.linear or agg.scored for agg in self.aggregators)
@@ -160,6 +174,21 @@ class GNNLayer(Module):
             return nbr, projected if carried is nbr_weight else None
         nbr = hierarchical_aggregate(hdg, feats, self.aggregators, strategy)
         return nbr @ nbr_weight, None
+
+    def _memoizable(self, feats: Tensor, hdg: HDG) -> bool:
+        """Whether the reduction of ``feats`` over ``hdg`` is a constant
+        worth keeping: the HDG is marked persistent, the tape is on,
+        no gradient flows into ``feats``, and every level's UDF is
+        ``linear`` and parameter-free (a fixed function of its input).
+        Only observable properties decide, never which array arrived,
+        so every eligible call computes ``reduce(feats) @ W`` and gives
+        the same bits, first call or fifth.  Inference (``no_grad``)
+        keeps the cheaper projected order and builds no memo.
+        """
+        return (hdg.persistent and is_grad_enabled()
+                and not feats.requires_grad
+                and all(agg.linear and not agg.parameters()
+                        for agg in self.aggregators))
 
     @property
     def commutative(self) -> bool:

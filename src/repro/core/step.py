@@ -66,7 +66,9 @@ __all__ = [
 class ModelHDGs:
     """The HDGs of one (model, graph) pair, rebuilt when their scope says.
 
-    ``STATIC`` HDGs are built once, ``PER_EPOCH`` ones whenever the
+    ``STATIC`` HDGs are built once — the model-level one is marked
+    :attr:`~repro.core.hdg.HDG.persistent`, since it outlives the
+    epoch — ``PER_EPOCH`` ones whenever the
     epoch changes, ``PER_LAYER`` ones on every layer invocation; a layer
     that defines its own ``neighbor_selection`` overrides the model's.
     :meth:`for_layer` serves all of that; :meth:`model_level` serves
@@ -135,6 +137,10 @@ class ModelHDGs:
         if rebuilt:
             self.model_hdg = self._build(epoch)
             self._epoch = epoch
+        if self.model.selection_scope is SelectionScope.STATIC:
+            # Kept run-long (built or pinned): a reduction of a constant
+            # input over it is worth memoizing.
+            self.model_hdg.persistent = True
         return self.model_hdg, rebuilt
 
     def for_layer(self, layer_index: int, epoch: int = 0) -> HDG:

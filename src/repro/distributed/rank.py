@@ -317,7 +317,9 @@ def attach_hdg(ranks: list[Rank], model_hdg: HDG, labels: np.ndarray) -> None:
     :func:`~repro.core.step.compact_blocks` into its universe, owned ∪
     halo; ``labels`` (vertex → rank) then give each rank its halo rows
     per owner, and each owner the rows every rank's universe holds of
-    it — the receive lists of its owner-side gradient sum.
+    it — the receive lists of its owner-side gradient sum.  A block cut
+    from a persistent HDG (a ``STATIC`` model's) lives as long as it,
+    and is marked persistent too.
     """
     k = len(ranks)
     for rank in ranks:
@@ -325,6 +327,7 @@ def attach_hdg(ranks: list[Rank], model_hdg: HDG, labels: np.ndarray) -> None:
         compact = compact_blocks(
             [(model_hdg.restrict_to_roots(owned), owned)], owned)
         (rank.block, rank.out_rows), = compact.blocks
+        rank.block.persistent = model_hdg.persistent
         rank.inputs = compact.input_vertices
         rank.halo_counts = np.bincount(labels[rank.inputs], minlength=k)
         rank.halo_counts[rank.rank] = 0

@@ -112,6 +112,7 @@ from ..obs.flight import (
     write_incident_bundle,
 )
 from ..obs.live import STALL_EVENT, StallDetector, StallEvent, TelemetrySlab
+from ..core.hdg import memo_since, memo_snapshot
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
@@ -834,6 +835,8 @@ class MultiprocessTrainer:
         total_bytes = 0.0
         total_messages = 0
         reg = obs.get_registry()
+        # The workers' memo counters arrive with their telemetry.
+        memo_mark = memo_snapshot()
         for rank in sorted(results):
             stats = results[rank]
             compute[rank] = stats["compute_seconds"]
@@ -841,6 +844,7 @@ class MultiprocessTrainer:
             total_bytes += stats["bytes"]
             total_messages += stats["messages"]
             reg.merge(stats["telemetry"])
+        memo = memo_since(memo_mark)
         obs.counter(BYTES_COUNTER).add(total_bytes)
         obs.counter(MESSAGES_COUNTER).add(total_messages)
         self._poll_telemetry()  # final sample: phase/epoch gauges current
@@ -855,6 +859,7 @@ class MultiprocessTrainer:
             messages=total_messages,
             backend="process",
             workers=self.k,
+            **memo,
         )
         return MultiprocessEpochStats(
             epoch=epoch,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..core.hdg import memo_since, memo_snapshot
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
 from ..core.step import ModelHDGs, Partition
@@ -252,6 +253,7 @@ class DistributedTrainer:
         work_mark = obs.work_snapshot()
         plan_cache = get_plan_cache()
         plan_mark = (plan_cache.hits, plan_cache.misses)
+        memo_mark = memo_snapshot()
         steps, totals = self._forward(X, epoch)
         self._backward(steps)
         apply_reduced_grad(self.model, optimizer, self._bufs.pbuf)
@@ -298,6 +300,7 @@ class DistributedTrainer:
             work_bytes=work["bytes_read"] + work["bytes_written"],
             plan_hits=plan_cache.hits - plan_mark[0],
             plan_misses=plan_cache.misses - plan_mark[1],
+            **memo_since(memo_mark),
         )
 
         return DistributedEpochStats(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.profile import record_op
 from .graph import Graph
 
 __all__ = [
@@ -200,6 +201,10 @@ def match_length3_metapath(
     result = np.stack([out_a[keep], out_b[keep], out_c[keep]], axis=1)
     if max_instances_per_root is not None:
         result = _cap_per_root(result, max_instances_per_root)
+    # One scan of the edge list per hop of the metapath, and the
+    # instances written.
+    record_op("select.metapath", bytes_read=2 * (src.nbytes + dst.nbytes),
+              bytes_written=result.nbytes)
     return result
 
 

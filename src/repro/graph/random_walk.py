@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs.profile import record_op
 from .graph import Graph
 
 __all__ = ["random_walks", "top_k_visited", "select_top_k_per_owner"]
@@ -45,6 +46,11 @@ def random_walks(
         nxt[movable] = indices[indptr[current[movable]] + offsets[movable]]
         current = nxt
         walks[:, step] = current
+    # Each step of each walker reads its vertex's two offsets and the
+    # chosen out-edge, and writes the vertex it moved to.
+    steps = current.size * length
+    record_op("select.walk", bytes_read=steps * (3 * indices.itemsize),
+              bytes_written=walks.nbytes)
     return walks
 
 
@@ -86,6 +92,12 @@ def top_k_visited(
     uniq_owner = uniq // (graph.num_vertices + 1)
     uniq_visit = uniq % (graph.num_vertices + 1)
     owners, nbrs, weights = select_top_k_per_owner(uniq_owner, uniq_visit, counts, k)
+    # Counting the visits streams the (owner, vertex) keys; each kept
+    # neighbour's weight is one add into its owner's total and one
+    # divide.
+    record_op("select.top_k", flops=2.0 * weights.size,
+              bytes_read=key.nbytes,
+              bytes_written=uniq.nbytes + counts.nbytes + weights.nbytes)
     return starts[owners], nbrs, weights
 
 

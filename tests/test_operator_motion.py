@@ -751,17 +751,42 @@ class _OpaqueSum(SumAggregator):
     linear = False
 
 
+def _driver_epoch(model, hdg, feats, ds, opt):
+    """One epoch as the engine runs it — aggregation, then update, per
+    layer — over ``hdg`` as given."""
+    h = feats
+    for layer in model.layers:
+        h = layer.update(h, layer.aggregation(h, hdg))
+    loss = cross_entropy(h, ds.labels, ds.train_mask)
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+
+
 class TestCountedWork:
-    def _epoch_work(self, ds, aggregator):
+    def _epoch_work(self, ds, aggregator, engine=False):
+        """Work of a second epoch over a hand-built HDG, which the
+        reduction memo does not cover, or — ``engine=True`` — through
+        the engine, whose STATIC HDG memoizes layer 0's reduction."""
         model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0,
                     aggregator=aggregator)
-        engine = FlexGraphEngine(model, ds.graph)
         opt = Adam(model.parameters(), 0.01)
         feats = Tensor(ds.features)
-        engine.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch=0)
+        if engine:
+            runner = FlexGraphEngine(model, ds.graph)
+            hdg = runner.hdg_for_layer(0)
+
+            def epoch(e):
+                runner.train_epoch(feats, ds.labels, opt, ds.train_mask, e)
+        else:
+            hdg = hdg_from_graph(ds.graph)
+
+            def epoch(e):
+                _driver_epoch(model, hdg, feats, ds, opt)
+        epoch(0)
         before = obs.work_snapshot()
-        engine.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch=1)
-        return obs.work_since(before), engine.hdg_for_layer(0)
+        epoch(1)
+        return obs.work_since(before), hdg
 
     def test_full_graph_epoch_drops_by_the_predicted_amount(self):
         """Full graph (N == R): both orders run the same matmuls, so the
@@ -781,6 +806,34 @@ class TestCountedWork:
                 == item * edges * narrower)
         assert (fixed["bytes_written"] - moved["bytes_written"]
                 == item * roots * narrower)
+
+    def test_memoized_epoch_drops_the_layer0_reduction(self):
+        """The engine's second epoch against the same epoch over a
+        hand-built HDG: layer 1 is the same, and layer 0 trades the
+        projection ``X @ W``, its segment sum at ``d_out`` and its
+        ``dW = X^T g`` for ``M @ W`` and ``dW = M^T g`` over the memo
+        ``M`` — 2·R·d_in·d_out FLOPs each — and no reduction at all.
+        (The segment sum's backward records no work of its own.)"""
+        ds = load_dataset("reddit", scale="tiny")
+        moved, hdg = self._epoch_work(ds, "sum")
+        memo, _ = self._epoch_work(ds, "sum", engine=True)
+        edges, roots = hdg.leaf_vertices.size, hdg.num_roots
+        rows, d_in, d_out, item = ds.graph.num_vertices, ds.feat_dim, 8, 4
+        projection = 2.0 * rows * d_in * d_out
+        reduction = 2.0 * edges * d_out
+        from_memo = 2.0 * roots * d_in * d_out
+        assert (memo["flops"]
+                == moved["flops"] - (2 * projection + reduction)
+                + 2 * from_memo)
+        # X and M have the same shape here (N == R): only the reduction's
+        # reads (rows, offsets, edge ids) and writes are left over — less
+        # the HDG the engine records handing to each layer's aggregation.
+        handed = 2 * hdg.nbytes
+        assert (moved["bytes_read"] - memo["bytes_read"]
+                == item * edges * d_out + hdg.leaf_offsets.nbytes + 8 * edges
+                - handed)
+        assert (moved["bytes_written"] - memo["bytes_written"]
+                == item * roots * d_out)
 
     def test_fanout_block_work_is_unchanged(self):
         ds = load_dataset("reddit", scale="tiny")
