@@ -73,10 +73,11 @@ class Aggregator(Module):
 
     A third flag marks attention: ``scored`` — the members are weighed
     by a softmax of one linear score per row, ``values @ score_vector``,
-    and reduced linearly with those weights.  Its backends take the
-    scores as a ``(rows, 1)`` column ``scores=`` (``values @
-    score_vector`` on the tape when omitted), so a projection that
-    carries ``score_vector`` as one more column may move below it.
+    and reduced linearly with those weights.  Its backends take
+    ``packed=True`` when ``values`` carries those scores as its last
+    column (``values @ score_vector`` on the tape otherwise), so a
+    projection that carries ``score_vector`` as one more column may move
+    below it.
     """
 
     name = "base"
@@ -232,14 +233,16 @@ class AttentionAggregator(Aggregator):
 
     Each source row gets a scalar score ``x . a`` from a learnable vector;
     scores are softmax-normalized within their group and used as weights.
-    Every backend takes the scores as one ``(rows, 1)`` column: the
-    level's own ``values @ a`` (:meth:`score`) by default, or the column
-    a projection carried up from below (``scored``).  :meth:`fused` is
+    Every backend scores with one ``(rows, 1)`` column: the level's own
+    ``values @ a`` (:meth:`score`) by default, or, with ``packed=True``,
+    the last column of ``values``, which a projection carried up from
+    below (``scored``).  :meth:`fused` is
     :func:`~repro.tensor.scatter.segment_attention`: the weighted sum is
-    one SpMM over the level's plan, so only per-edge scalars exist.
-    :meth:`sparse` is the SA form Figure 14 contrasts it with: gathered
-    member rows, softmaxed scores, scaled by ``alpha`` and scattered —
-    two per-edge × width tensors.
+    one SpMM over the level's plan, so only per-edge scalars exist, and
+    a packed ``values`` goes in whole.  :meth:`sparse` is the SA form
+    Figure 14 contrasts it with: gathered member rows, softmaxed scores,
+    scaled by ``alpha`` and scattered — two per-edge × width tensors.
+    It and :meth:`dense` take a packed column off with two slices.
     """
 
     name = "attention"
@@ -255,21 +258,26 @@ class AttentionAggregator(Aggregator):
         """``values @ a``: each row's score, as a ``(rows, 1)`` column."""
         return values @ self.score_vector.reshape(self.dim, 1)
 
-    def sparse(self, values, plan, weights=None, scores=None):
-        scores = self.score(values) if scores is None else scores
+    def sparse(self, values, plan, weights=None, packed=False):
+        if packed:
+            values, scores = values[..., :-1], values[..., -1:]
+        else:
+            scores = self.score(values)
         # Both kernels share one plan: same index, same destination space.
         alpha = scatter_softmax(scores, plan=plan)
         return scatter_add(values * alpha, plan=plan)
 
-    def fused(self, values, plan, weights=None, scores=None):
-        scores = self.score(values) if scores is None else scores
+    def fused(self, values, plan, weights=None, packed=False):
+        scores = None if packed else self.score(values)
         return segment_attention(values, scores, plan)
 
-    def dense(self, values, scores=None):
+    def dense(self, values, packed=False):
         from ..tensor.ops import softmax
 
-        n, g, d = values.shape
-        if scores is None:
+        if packed:
+            values, scores = values[..., :-1], values[..., -1:]
+        else:
+            n, g, d = values.shape
             scores = self.score(values.reshape(n * g, d)).reshape(n, g, 1)
         return (values * softmax(scores, axis=1)).sum(axis=1)
 

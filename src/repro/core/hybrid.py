@@ -134,7 +134,7 @@ def hierarchical_aggregate(
         (``scored``) level, the bottom-most level's last
         (:func:`carried_projection`): every level below an attention
         level reduces its column with the rest, and the attention level
-        takes it off as its scores.
+        reads it as its scores (``packed=True``).
 
     Returns
     -------
@@ -208,15 +208,11 @@ def carried_projection(aggregators: list[Aggregator],
                               for agg in reversed(scored)], axis=-1)
 
 
-def _carried(agg: Aggregator, values: Tensor,
-             order: str) -> tuple[Tensor, dict]:
-    """``(values, kwargs)`` for a backend of ``agg``: under
-    :data:`PROJECT_FIRST` an attention level takes its score column —
-    the last — off the carried values (``scores=``); otherwise a UDF
-    gets its values whole (an attention level scores them itself)."""
-    if order == PROJECT_FIRST and agg.scored:
-        return values[..., :-1], {"scores": values[..., -1:]}
-    return values, {}
+def _carried(agg: Aggregator, order: str) -> dict:
+    """Backend kwargs of ``agg``: under :data:`PROJECT_FIRST` the values
+    an attention level gets carry its score column as their last
+    (``packed=True``); otherwise an attention level scores them itself."""
+    return {"packed": True} if order == PROJECT_FIRST and agg.scored else {}
 
 
 def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
@@ -230,17 +226,14 @@ def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
             record_op("gather",
                       bytes_read=gathered.data.nbytes + src.nbytes,
                       bytes_written=gathered.data.nbytes)
-            values, kwargs = _carried(agg, gathered, order)
-            return agg.sparse(values, hdg.plan(level, "index"),
-                              hdg.leaf_weights, **kwargs)
+            return agg.sparse(gathered, hdg.plan(level, "index"),
+                              hdg.leaf_weights, **_carried(agg, order))
         return _run_backend("bottom", "sparse", strategy, agg, feats, order,
                             sparse_path)
 
     def fused_path():
-        values, kwargs = _carried(agg, feats, order)
-        return agg.fused(values,
-                         hdg.plan(level, "segments", feats.shape[0]),
-                         hdg.leaf_weights, **kwargs)
+        return agg.fused(feats, hdg.plan(level, "segments", feats.shape[0]),
+                         hdg.leaf_weights, **_carried(agg, order))
     return _run_backend("bottom", "fused", strategy, agg, feats, order,
                         fused_path)
 
@@ -249,15 +242,16 @@ def _reduce_instances(hdg: HDG, instance_feats: Tensor, agg: Aggregator,
                       strategy: ExecutionStrategy, order: str) -> Tensor:
     """Instances -> slots.  Instances are consecutive per slot, so HA can
     reduce on the elided layout without building an index."""
-    values, kwargs = _carried(agg, instance_feats, order)
+    kwargs = _carried(agg, order)
     if strategy is ExecutionStrategy.HA and agg.supports_fused:
         return _run_backend(
             "instances", "fused", strategy, agg, instance_feats, order,
-            lambda: agg.fused(values, hdg.plan(2, "segments"), **kwargs),
+            lambda: agg.fused(instance_feats, hdg.plan(2, "segments"),
+                              **kwargs),
         )
     return _run_backend(
         "instances", "sparse", strategy, agg, instance_feats, order,
-        lambda: agg.sparse(values, hdg.plan(2, "index"), **kwargs),
+        lambda: agg.sparse(instance_feats, hdg.plan(2, "index"), **kwargs),
     )
 
 
@@ -274,8 +268,7 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
         def dense_path():
             dim = slot_feats.shape[-1]
             reshaped = slot_feats.reshape(hdg.num_roots, num_leaves, dim)
-            values, kwargs = _carried(agg, reshaped, order)
-            out = agg.dense(values, **kwargs)
+            out = agg.dense(reshaped, **_carried(agg, order))
             # reshape is free (a view); the reduction costs one FLOP per
             # input element and streams the slot matrix once
             record_op("dense_reduce", flops=float(reshaped.data.size),
@@ -285,8 +278,8 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
         return _run_backend("schema", "dense", strategy, agg, slot_feats, order,
                             dense_path)
 
-    values, kwargs = _carried(agg, slot_feats, order)
     return _run_backend(
         "schema", "sparse", strategy, agg, slot_feats, order,
-        lambda: agg.sparse(values, hdg.plan(1, "index"), **kwargs),
+        lambda: agg.sparse(slot_feats, hdg.plan(1, "index"),
+                           **_carried(agg, order)),
     )

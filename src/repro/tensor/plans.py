@@ -2,12 +2,12 @@
 
 Every scatter/segment reduction in :mod:`repro.tensor.scatter` needs the
 same handful of derived structures: a stable-sort permutation of the
-destination index, per-segment counts and offsets, a CSR reduction
-matrix for the sum/mean SpMM forward, and that matrix's CSC transpose
-for the backward.  HDG topology is fixed across epochs (and across
-serve requests hitting a cached block), so recomputing these per call
-is pure overhead — NeuGraph-style topology-aware scheduling amortizes
-it once.
+destination index, per-segment counts and offsets, and a CSR reduction
+matrix for the sum/mean SpMM forward, whose arrays the backward reads
+again as the CSC of its transpose.  HDG topology is fixed across epochs
+(and across serve requests hitting a cached block), so recomputing
+these per call is pure overhead — NeuGraph-style topology-aware
+scheduling amortizes it once.
 
 :class:`ReductionPlan` packages the precomputation for one reduction
 structure.  A plan belongs to the topology it describes: each HDG holds
@@ -61,15 +61,16 @@ class ReductionPlan:
       pair (the FA path).  Rows are already in segment order; ``gather``
       is ``sources`` (or ``None`` for the elided-Dst identity layout).
 
-    Heavy artifacts (the SpMM matrix, its CSC transpose re-expressed as
-    CSR, safe divisor vectors, the derived plans) are built lazily — per
-    dtype where one applies — and memoized on the plan.
+    Heavy artifacts (the SpMM matrix, safe divisor vectors, the derived
+    plans) are built lazily — per dtype where one applies — and memoized
+    on the plan.  No plan holds a transpose: a backward multiplies by
+    ``matrix(dtype).T``, the same three arrays read as CSC.
     """
 
     __slots__ = (
         "kind", "n", "num_rows", "total", "offsets", "counts",
         "nonempty", "starts", "gather",
-        "_index", "_matrices", "_matrices_t", "_safe_counts",
+        "_index", "_matrices", "_safe_counts",
         "_inv_counts", "_derived",
     )
 
@@ -88,7 +89,6 @@ class ReductionPlan:
         self.gather = gather
         self._index = index
         self._matrices: dict[str, _sp.csr_matrix] = {}
-        self._matrices_t: dict[str, _sp.csr_matrix] = {}
         self._safe_counts: dict[str, np.ndarray] = {}
         self._inv_counts: dict[str, np.ndarray] = {}
         self._derived: dict[str, ReductionPlan] = {}
@@ -183,18 +183,6 @@ class ReductionPlan:
             self._matrices[key] = m
         return m
 
-    def matrix_t(self, dtype) -> _sp.csr_matrix:
-        """CSC transpose of :meth:`matrix`, re-expressed as CSR so the
-        backward SpMM converts once per plan, not per call.  Memoized per
-        dtype; first asked for by a backward, so a plan that only ever
-        runs forward (inference) never holds one."""
-        key = np.dtype(dtype).str
-        m = self._matrices_t.get(key)
-        if m is None:
-            m = self.matrix(dtype).T.tocsr()
-            self._matrices_t[key] = m
-        return m
-
     def safe_counts(self, dtype) -> np.ndarray:
         """``max(counts, 1)`` in ``dtype`` — the mean divisor.  Computed in
         the value dtype so float32 models stay float32 end-to-end."""
@@ -254,7 +242,7 @@ class ReductionPlan:
         owned = [self.offsets, self.counts, self.nonempty, self.starts,
                  self.gather, self._index,
                  *self._safe_counts.values(), *self._inv_counts.values()]
-        for m in (*self._matrices.values(), *self._matrices_t.values()):
+        for m in self._matrices.values():
             owned += [m.data, m.indices, m.indptr]
         seen.update((id(a), a) for a in owned if a is not None)
         for plan in self._derived.values():

@@ -15,8 +15,9 @@ aggregate neighbor features:
 * **Dense ops** — plain reshape + reduce, used at the schema-tree level.
 
 All reductions run on a :class:`~repro.tensor.plans.ReductionPlan`: the
-stable-sort permutation, segment offsets, SpMM matrix and its transpose
-are precomputed once per topology and reused every call (pass ``plan=``;
+stable-sort permutation, segment offsets and SpMM matrix are precomputed
+once per topology and reused every call (a backward reads the matrix's
+arrays as the CSC of its transpose; pass ``plan=``;
 an HDG memoizes one per level, :meth:`repro.core.hdg.HDG.plan`).
 Without it, an ephemeral plan is built per call from ``index`` /
 ``offsets`` — still vectorized (sum/mean are one SpMM, max/min/softmax
@@ -404,10 +405,10 @@ def segment_reduce_csr(
             g_flat = g.reshape(n, -1).astype(dtype, copy=False)
             if reducer == "mean":
                 g_flat = g_flat / plan.safe_counts(dtype)[:, None]
-            # The transpose (CSC of the forward matrix, stored as CSR) is
-            # built by the plan's first backward and kept, so training
-            # converts once and inference never does.
-            return ((plan.matrix_t(dtype) @ g_flat).reshape(value.shape),)
+            # The transpose is the forward matrix's own arrays read as
+            # CSC (``.T`` copies nothing): it adds into each source row in
+            # segment order, as a CSR of the transpose would.
+            return ((plan.matrix(dtype).T @ g_flat).reshape(value.shape),)
 
         return Tensor._make(out_data, (value,), backward)
 
@@ -449,7 +450,7 @@ def segment_reduce_csr(
 SDDMM_BLOCK_ELEMENTS = 1 << 15
 
 
-def segment_attention(values: Tensor, scores: Tensor,
+def segment_attention(values: Tensor, scores: Tensor | None,
                       plan: ReductionPlan) -> Tensor:
     """Softmax attention fused with its weighted sum (no per-edge rows).
 
@@ -467,31 +468,42 @@ def segment_attention(values: Tensor, scores: Tensor,
       ``plan.gather`` and softmax-normalized by ``reduceat`` over the
       plan's contiguous segments, and the output is one SpMM whose
       matrix is ``alpha`` on the plan's own CSR structure;
-    * backward: ``d values`` is the CSC (transposed) product with the
-      same arrays, skipped when ``values`` needs no gradient; the
-      per-edge ``d alpha = g[dst] . values[src]`` is a blocked SDDMM
-      (:data:`SDDMM_BLOCK_ELEMENTS`), and ``d scores`` sums the softmax
-      backward of each edge onto its row.
+    * backward: ``d values`` is the product with the same arrays read
+      as CSC (the transpose; nothing is converted), skipped when
+      ``values`` needs no gradient; the per-edge
+      ``d alpha = g[dst] . values[src]`` is a blocked SDDMM
+      (:data:`SDDMM_BLOCK_ELEMENTS`) over contiguous rows, and
+      ``d scores`` sums the softmax backward of each edge onto its row.
 
     Where the scores come from is the caller's: ``values @ a`` on the
     tape, or a column a projection carried through the levels below
-    (:meth:`repro.core.nau.GNNLayer.linear_update`).  The result has
-    the dtype of ``values * scores``.  ``alpha`` is counted as the op's
-    materialized bytes: one scalar per edge.
+    (:meth:`repro.core.nau.GNNLayer.linear_update`).  A carried column
+    stays packed: with ``scores=None``, ``values`` is ``(rows, d + 1)``
+    with the scores as its last column, read in place, and the single
+    gradient is ``(rows, d + 1)`` — no slice of it enters the tape and
+    no two gradients are summed.  The result has the dtype of
+    ``values * scores``.  ``alpha`` is counted as the op's materialized
+    bytes: one scalar per edge.
     """
     values = _as_tensor(values)
-    scores = _as_tensor(scores)
     plan = _resolve_segment_plan(values, None, None, plan,
                                  "segment_attention")
     n, total, num_rows = plan.n, plan.total, plan.num_rows
-    dim = values.shape[1]
-    if scores.shape != (num_rows, 1):
-        raise ValueError(f"segment_attention needs a ({num_rows}, 1) score "
-                         f"column, got {scores.shape}")
-    dtype = np.result_type(values.data.dtype, scores.data.dtype)
+    packed = scores is None
+    if packed:
+        dim = values.shape[1] - 1
+        dtype = values.data.dtype
+        row_scores = values.data[:, dim]
+    else:
+        scores = _as_tensor(scores)
+        dim = values.shape[1]
+        if scores.shape != (num_rows, 1):
+            raise ValueError(f"segment_attention needs a ({num_rows}, 1) "
+                             f"score column, got {scores.shape}")
+        dtype = np.result_type(values.data.dtype, scores.data.dtype)
+        row_scores = scores.data.reshape(num_rows).astype(dtype, copy=False)
     # contiguous rows: the backward gathers row blocks out of x and g
-    x = np.ascontiguousarray(values.data, dtype=dtype)
-    row_scores = scores.data.reshape(num_rows).astype(dtype, copy=False)
+    x = np.ascontiguousarray(values.data[:, :dim], dtype=dtype)
     src = plan.gather
     reps = plan.counts[plan.nonempty]
     edge_scores = row_scores if src is None else row_scores[src]
@@ -531,16 +543,20 @@ def segment_attention(values: Tensor, scores: Tensor,
         d_x = None
         flops = 2.0 * edge_elements + 6.0 * total
         read = g.nbytes + edge_bytes + structure_bytes
-        if values.requires_grad:
-            d_x = (_sp.csc_matrix(
-                (alpha, structure.indices, structure.indptr),
-                shape=(num_rows, n)) @ g).astype(values.data.dtype, copy=False)
+        if packed or values.requires_grad:
+            d_x = (weighted.T @ g).astype(values.data.dtype, copy=False)
             flops += 2.0 * edge_elements
             read += edge_bytes
         record_op("segment_attention.backward", flops=flops, bytes_read=read,
                   bytes_written=d_scores.nbytes
                   + (0 if d_x is None else d_x.nbytes))
+        if packed:
+            grad = np.empty(values.shape, dtype=dtype)
+            grad[:, :dim] = d_x
+            grad[:, dim] = d_scores
+            return (grad,)
         return d_x, d_scores.astype(scores.data.dtype, copy=False).reshape(
             scores.shape)
 
-    return Tensor._make(out_data, (values, scores), backward)
+    return Tensor._make(out_data, (values,) if packed else (values, scores),
+                        backward)

@@ -21,6 +21,8 @@ training needs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as _sp
 
@@ -388,7 +390,7 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = _reduce(self.data, "sum", axis, keepdims)
         src_shape = self.shape
 
         def backward(g):
@@ -400,7 +402,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.mean(axis=axis, keepdims=keepdims)
+        out_data = _reduce(self.data, "mean", axis, keepdims)
         src_shape = self.shape
         if axis is None:
             count = self.data.size
@@ -478,6 +480,43 @@ class Tensor:
             return (g * out_data * (1.0 - out_data),)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _slice_axis(data: np.ndarray, axis) -> int | None:
+    """``axis`` as a non-negative int where :func:`_reduce` adds slices,
+    else ``None``.  That is one middle axis of a C-contiguous
+    float32/float64 array whose slices are wider than one element: numpy
+    loops such an axis outside the contiguous trailing ones, adding its
+    slices in index order.  Along width-1 slices it reduces the axis in
+    its inner loop, pairwise, in another order; axis 0 would be a Python
+    loop over rows; a float16 sum accumulates in float32."""
+    if (not isinstance(axis, (int, np.integer)) or data.size == 0
+            or data.dtype.kind != "f" or data.dtype.itemsize not in (4, 8)
+            or not data.flags.c_contiguous):
+        return None
+    axis = int(axis) + data.ndim if axis < 0 else int(axis)
+    if not 0 < axis < data.ndim - 1 or math.prod(data.shape[axis + 1:]) == 1:
+        return None
+    return axis
+
+
+def _reduce(data: np.ndarray, op: str, axis, keepdims: bool) -> np.ndarray:
+    """``data.sum`` or ``data.mean`` (``op``) over ``axis``, bit for bit;
+    over a middle axis (:func:`_slice_axis`) as slice adds in index
+    order, which skip numpy's reduction machinery."""
+    middle = _slice_axis(data, axis)
+    if middle is None:
+        return getattr(data, op)(axis=axis, keepdims=keepdims)
+    lead = (slice(None),) * middle
+    first, count = data[lead + (0,)], data.shape[middle]
+    out = first.copy() if count == 1 else first + data[lead + (1,)]
+    for i in range(2, count):
+        out += data[lead + (i,)]
+    if op == "mean":
+        # numpy's mean: the sum divided in place by an intp count (in
+        # float64 for a float32 sum, rounded back)
+        np.true_divide(out, np.intp(count), out=out, casting="unsafe")
+    return np.expand_dims(out, middle) if keepdims else out
 
 
 def _is_basic_index(idx) -> bool:

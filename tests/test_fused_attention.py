@@ -7,6 +7,9 @@ Two things are pinned here:
   output and on the gradients of ``values`` and ``score_vector`` —
   within 1e-12 relative in float64, over empty, single-member and hub
   segments, both plan layouts, and ``values`` with and without grad;
+* packing: a carried ``[XW | s]`` projection goes into the kernel whole
+  — bit for bit the split ``(values, scores)`` call, with no slice on
+  the tape and one gradient for the level's input;
 * counted work: a GAT forward + backward under HA and SA+FA keeps one
   scalar per edge per layer (no per-edge × width tensor), SA still
   materializes the messages Figure 14 contrasts, and the FLOPs stay
@@ -19,9 +22,13 @@ import pytest
 from repro import obs
 from repro.core import FlexGraphEngine
 from repro.core.aggregation import AttentionAggregator
-from repro.core.hybrid import BACKEND_EVENT
+from repro.core.hybrid import (
+    BACKEND_EVENT,
+    PROJECT_FIRST,
+    hierarchical_aggregate,
+)
 from repro.datasets import load_dataset
-from repro.models import gat
+from repro.models import gat, magnn
 from repro.tensor import (
     ReductionPlan,
     Tensor,
@@ -112,6 +119,89 @@ def test_requires_a_segments_plan():
     with pytest.raises(ValueError, match="segment_attention requires"):
         segment_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))),
                           index_plan)
+
+
+# ----------------------------------------------------------------------
+# a carried score column stays packed
+# ----------------------------------------------------------------------
+def _model_level(name):
+    """(hdg, aggregators, input rows) of layer 0 of a tiny GAT or MAGNN."""
+    ds = load_dataset("imdb" if name == "magnn" else "reddit", scale="tiny",
+                      seed=0)
+    model = (magnn if name == "magnn" else gat)(ds.feat_dim, 8,
+                                                ds.num_classes, seed=0)
+    hdg = FlexGraphEngine(model, ds.graph, seed=0).hdg_for_layer(0)
+    return hdg, model.layers[0].aggregators, ds.features.shape[0]
+
+
+def _real_plan(name):
+    """MAGNN's level-2 plan (identity layout) or GAT's (gathered)."""
+    hdg, _, rows = _model_level(name)
+    if name == "magnn":
+        return hdg.plan(2, "segments")
+    return hdg.plan(hdg.max_level, "segments", rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["gathered", "identity", "gat", "magnn"])
+def test_packed_matches_the_split_call_bitwise(layout, dtype):
+    """``segment_attention(xs, None, plan)`` over a packed ``[x | s]`` is
+    the split call ``segment_attention(x, s, plan)`` bit for bit: the
+    output, and the one packed gradient against the two split ones."""
+    plan = {"gathered": _gathered_plan, "identity": _identity_plan}.get(
+        layout, lambda: _real_plan(layout))()
+    assert (plan.gather is None) == (layout in ("identity", "magnn"))
+    rng = np.random.default_rng(5)
+    xs = (rng.standard_normal((plan.num_rows, DIM + 1)) * 2.0).astype(dtype)
+    grad = rng.standard_normal((plan.n, DIM)).astype(dtype)
+    packed = Tensor(xs.copy(), requires_grad=True)
+    values = Tensor(xs[:, :DIM].copy(), requires_grad=True)
+    scores = Tensor(xs[:, DIM:].copy(), requires_grad=True)
+    out = segment_attention(packed, None, plan)
+    ref = segment_attention(values, scores, plan)
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == ref.data.tobytes()
+    out.backward(grad)
+    ref.backward(grad)
+    assert packed.grad.shape == xs.shape and packed.grad.dtype == dtype
+    assert packed.grad[:, :DIM].tobytes() == values.grad.tobytes()
+    assert packed.grad[:, DIM:].tobytes() == scores.grad.tobytes()
+
+
+def _tape(out):
+    """Every node on ``out``'s tape, and how many nodes read each one."""
+    nodes, readers, stack = {}, {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes[id(node)] = node
+        for parent in node._parents:
+            readers[id(parent)] = readers.get(id(parent), 0) + 1
+            stack.append(parent)
+    return list(nodes.values()), readers
+
+
+def _ops(nodes, name):
+    return [node for node in nodes if node._backward is not None
+            and name in node._backward.__qualname__]
+
+
+@pytest.mark.parametrize("name", ["gat", "magnn"])
+def test_project_first_attention_takes_its_input_whole(name):
+    """Under project-first the fused attention level reads the carried
+    ``[XW | s]`` whole: no slice node enters the tape, and the level's
+    input has one reader, so it receives exactly one gradient."""
+    hdg, aggregators, rows = _model_level(name)
+    feats = Tensor(np.random.default_rng(6).standard_normal((rows, DIM + 1)),
+                   requires_grad=True)
+    out = hierarchical_aggregate(hdg, feats, aggregators, "ha", PROJECT_FIRST)
+    nodes, readers = _tape(out)
+    assert not _ops(nodes, "__getitem__")
+    (attention,) = _ops(nodes, "segment_attention")
+    (level_input,) = attention._parents
+    assert readers[id(level_input)] == 1
+    assert (level_input is feats) == (name == "gat")
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,40 @@ class TestKernelParity:
         np.testing.assert_allclose(t1.grad, t2.grad, atol=1e-5)
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("reducer", ["sum", "mean"])
+    @pytest.mark.parametrize("layout", ["gathered", "identity"])
+    def test_segment_backward_is_the_transpose_product(self, dtype, reducer,
+                                                       layout):
+        """The sum/mean backward is ``M.T @ g`` for the forward's matrix
+        ``M``, bit for bit: each source row adds its segments' gradients
+        in segment order."""
+        rng = np.random.default_rng(4)
+        offsets = np.array([0, 3, 3, 4, 9, 12])
+        # repeated sources inside a segment and across segments
+        sources = (np.array([2, 0, 2, 5, 1, 1, 3, 0, 6, 4, 0, 2])
+                   if layout == "gathered" else None)
+        rows = 7 if layout == "gathered" else 12
+        plan = ReductionPlan.from_segments(offsets, sources, rows)
+        dst, src = plan.index, (np.arange(12) if sources is None
+                                else sources)
+        dense = np.zeros((plan.n, rows), dtype=dtype)
+        np.add.at(dense, (dst, src), 1)
+        counts = np.maximum(plan.counts, 1).astype(dtype)[:, None]
+        integer = rng.integers(-9, 9, (plan.n, 4)).astype(dtype)
+        for grad in (integer, rng.standard_normal((plan.n, 4)).astype(dtype)):
+            value = Tensor(rng.standard_normal((rows, 4)).astype(dtype),
+                           requires_grad=True)
+            segment_reduce_csr(value, reducer=reducer, plan=plan).backward(
+                grad)
+            scaled = grad / counts if reducer == "mean" else grad
+            ordered = np.zeros((rows, 4), dtype=dtype)
+            np.add.at(ordered, src, scaled[dst])
+            assert value.grad.tobytes() == ordered.tobytes()
+            if reducer == "sum" and grad is integer:
+                # integer gradients sum exactly in any order
+                assert value.grad.tobytes() == (dense.T @ grad).tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_weighted_sum_planned(self, dtype):
         values, index, n, grad = _case(dtype)
         weights = np.random.default_rng(2).uniform(0.5, 2.0, index.size)
@@ -202,9 +236,12 @@ class TestPlanObject:
         # matrix @ ones == counts
         m = plan.matrix(np.float64)
         np.testing.assert_array_equal(m @ np.ones(4), plan.counts)
-        # transpose is prebuilt CSR and memoized
-        assert plan.matrix_t(np.float64) is plan.matrix_t(np.float64)
-        assert plan.matrix_t(np.float64).shape == (4, 4)
+        # the transpose is the same three arrays read as CSC, no copy
+        t = plan.matrix(np.float64).T
+        assert t.format == "csc" and t.shape == (4, 4)
+        assert all(np.shares_memory(a, b) for a, b in (
+            (t.data, m.data), (t.indices, m.indices), (t.indptr, m.indptr)))
+        np.testing.assert_array_equal(t @ np.ones(4), np.ones(4))
 
     def test_safe_counts_dtype(self):
         plan = ReductionPlan.from_index(np.array([0, 0, 2]), 3)
@@ -224,8 +261,14 @@ class TestPlanObject:
         plan = ReductionPlan.from_index(np.arange(10) % 3, 3)
         before = plan.nbytes
         plan.matrix(np.float64)
-        plan.matrix_t(np.float64)
         assert plan.nbytes > before
+        grown = plan.nbytes
+        plan.inv_counts(np.float64)
+        assert plan.nbytes > grown
+        grown = plan.nbytes
+        # a transpose view is no artifact
+        plan.matrix(np.float64).T
+        assert plan.nbytes == grown
 
 
 class TestPlanCache:
@@ -289,8 +332,9 @@ class TestVersioning:
         np.testing.assert_allclose(out2.data, ref, atol=1e-6)
 
 
-class TestLazyTranspose:
-    """Inference must not pay for a backward it never runs."""
+class TestNoTranspose:
+    """No pass builds a transpose: a backward reads the forward's CSR
+    arrays as CSC, so training holds what inference holds."""
 
     @staticmethod
     def _plan():
@@ -302,17 +346,41 @@ class TestLazyTranspose:
         with no_grad():
             segment_reduce_csr(Tensor(np.ones((5, 3), dtype=np.float32)),
                                plan=plan)
-        assert len(plan._matrices) == 1 and not plan._matrices_t
+        assert list(plan._matrices) == [np.dtype(np.float32).str]
+        assert not hasattr(plan, "matrix_t")
 
-    def test_backward_builds_one_transpose_per_dtype(self):
+    def test_backward_builds_no_transpose(self):
         plan = self._plan()
         for dtype in (np.float32, np.float64, np.float32):
             value = Tensor(np.ones((5, 3), dtype=dtype), requires_grad=True)
             out = segment_reduce_csr(value, reducer="mean", plan=plan)
+            after_forward = plan.nbytes
             out.backward(np.ones(out.shape, dtype=dtype))
             assert value.grad.dtype == dtype
-        assert sorted(plan._matrices_t) == sorted(
+            assert plan.nbytes == after_forward
+        # one forward matrix per dtype, and nothing else
+        assert sorted(plan._matrices) == sorted(
             np.dtype(t).str for t in (np.float32, np.float64))
+
+    @pytest.mark.parametrize("name", ["gcn", "gat", "magnn"])
+    def test_training_backward_adds_no_plan_bytes(self, fresh_cache, name):
+        """Across a whole training backward, no plan of any level grows
+        by more than the per-edge destination index an attention SDDMM
+        reads (``plan.index``, built on first use)."""
+        ds = load_dataset("imdb" if name == "magnn" else "reddit",
+                          scale="tiny", seed=0)
+        model = getattr(models, name)(ds.feat_dim, 8, ds.num_classes,
+                                      seed=0)
+        engine = FlexGraphEngine(model, ds.graph, seed=0)
+        feats = Tensor(ds.features)
+        out = engine.forward(feats)
+        plans = [p for memo in fresh_cache._live() for p in memo.plans()]
+        assert plans
+        before = [(p.nbytes, p._index is not None) for p in plans]
+        (out * Tensor(np.ones_like(out.data))).sum().backward()
+        for plan, (nbytes, had_index) in zip(plans, before):
+            index_bytes = 0 if had_index else plan.index.nbytes
+            assert plan.nbytes == nbytes + index_bytes
 
 
 class TestPlanLifetime:

@@ -2,6 +2,7 @@
 modules (LSTM cell, attention), indexing edge cases, tape subtleties."""
 
 import numpy as np
+import pytest
 
 from repro.tensor import LSTMCell, ReductionPlan, Tensor, no_grad, softmax
 
@@ -185,3 +186,50 @@ class TestTapeSubtleties:
         y = (x * 2).detach() + x
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0, 1.0])
+
+
+class TestMiddleAxisReduction:
+    """``Tensor.sum`` / ``Tensor.mean`` over one middle axis add slices
+    in index order; the result must be numpy's, bit for bit — also where
+    numpy reduces another way (width-1 slices, where it sums the axis
+    pairwise in its inner loop) and so the slice adds must not run."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("group", [1, 2, 3, 6, 9, 17])
+    @pytest.mark.parametrize("width", [1, 4, 16])
+    def test_sum_and_mean_are_numpys_bits(self, dtype, group, width):
+        rng = np.random.default_rng(group * 100 + width)
+        cases = [
+            ((37, group, width), 1), ((37, group, width), -2),
+            ((5, group, width, 3), 1), ((5, 3, group, width), 2),
+            ((5, 3, group, width), -2),
+        ]
+        for shape, axis in cases:
+            data = (rng.standard_normal(shape) * 100).astype(dtype)
+            for keepdims in (False, True):
+                for op in ("sum", "mean"):
+                    out = getattr(Tensor(data), op)(axis=axis,
+                                                    keepdims=keepdims).data
+                    ref = getattr(data, op)(axis=axis, keepdims=keepdims)
+                    assert out.shape == ref.shape and out.dtype == ref.dtype
+                    assert out.tobytes() == ref.tobytes(), (shape, axis, op)
+
+    def test_slices_are_added_only_where_numpy_adds_them_in_order(self):
+        from repro.tensor.tensor import _slice_axis
+
+        wide = np.ones((8, 9, 4), dtype=np.float32)
+        assert _slice_axis(wide, 1) == _slice_axis(wide, -2) == 1
+        assert _slice_axis(wide, 0) is None          # a loop over rows
+        assert _slice_axis(wide, 2) is None          # the last axis
+        assert _slice_axis(wide, (1,)) is None
+        assert _slice_axis(np.ones((8, 9, 1), np.float32), 1) is None
+        assert _slice_axis(wide.astype(np.float16), 1) is None
+        assert _slice_axis(wide.transpose(0, 2, 1), 1) is None
+        assert _slice_axis(np.ones((0, 9, 4), np.float32), 1) is None
+
+    def test_middle_axis_gradients(self):
+        data = np.random.default_rng(0).standard_normal((4, 3, 5))
+        for op, scale in (("sum", 1.0), ("mean", 1.0 / 3)):
+            t = Tensor(data, requires_grad=True)
+            getattr(t, op)(axis=1).sum().backward()
+            np.testing.assert_array_equal(t.grad, np.full(data.shape, scale))
