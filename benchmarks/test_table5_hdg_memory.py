@@ -1,7 +1,8 @@
 """Table 5 — memory footprint of HDGs relative to the input graph.
 
-Expected shape (paper): GCN builds no extra HDGs; PinSage's HDGs are a
-small fraction of the graph; MAGNN's are the largest (multi-vertex
+Expected shape (paper): GCN builds no extra HDGs — its model-level HDG
+is the input graph's CSC, shared, so it adds 0 bytes; PinSage's HDGs are
+a small fraction of the graph; MAGNN's are the largest (multi-vertex
 instances) but stay within low multiples of the input graph thanks to
 the compact storage of §4.1.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import render_rows
-from repro.models import magnn, pinsage
+from repro.models import gcn, magnn, pinsage
 
 import bench_config as cfg
 
@@ -21,12 +22,23 @@ DATASETS = ["reddit", "fb91", "twitter"]
 def test_table5_hdg_memory(benchmark, report):
     rows = []
     ratios = {}
+    gcn_extra = {}
 
     def run_all():
         rng = np.random.default_rng(0)
         for ds_name in DATASETS:
             ds = cfg.dataset(ds_name)
             graph_bytes = ds.graph.nbytes
+            gcn_hdg = gcn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes
+                          ).neighbor_selection(ds.graph, rng)
+            # GCN's HDG is the graph's CSC (§7.8): count the bytes of any
+            # leaf array that is a copy instead.
+            gcn_extra[ds_name] = sum(
+                own.nbytes
+                for own, graph_array in zip(
+                    (gcn_hdg.leaf_offsets, gcn_hdg.leaf_vertices), ds.graph.csc)
+                if not np.shares_memory(own, graph_array)
+            )
             ps = pinsage(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes,
                          **cfg.PINSAGE_PARAMS)
             mg = magnn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes,
@@ -34,19 +46,21 @@ def test_table5_hdg_memory(benchmark, report):
             ps_ratio = ps.neighbor_selection(ds.graph, rng).nbytes / graph_bytes
             mg_ratio = mg.neighbor_selection(ds.graph, rng).nbytes / graph_bytes
             ratios[ds_name] = (ps_ratio, mg_ratio)
-            rows.append([ds_name, f"{ps_ratio:.2%}", f"{mg_ratio:.2%}"])
+            rows.append([ds_name, f"{gcn_extra[ds_name] / graph_bytes:.2%}",
+                         f"{ps_ratio:.2%}", f"{mg_ratio:.2%}"])
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
     report(
         "table5_hdg_memory",
         render_rows(
-            "Table 5: memory footprint of HDGs w.r.t. input graph "
-            "(GCN row omitted: it builds no extra HDGs)",
-            ["dataset", "PinSage", "MAGNN"],
+            "Table 5: memory footprint of HDGs w.r.t. input graph",
+            ["dataset", "GCN", "PinSage", "MAGNN"],
             rows,
         ),
     )
     for ds_name, (ps_ratio, mg_ratio) in ratios.items():
+        # GCN's HDG is the input graph's CSC: no extra bytes (§7.8).
+        assert gcn_extra[ds_name] == 0, f"GCN copied the CSC on {ds_name}"
         # PinSage HDGs are a modest fraction; MAGNN's are always larger.
         assert mg_ratio > ps_ratio, f"MAGNN HDG should outweigh PinSage on {ds_name}"
         # Compact storage keeps MAGNN within low multiples of the graph.

@@ -33,7 +33,6 @@ from .schema import NeighborRecord, SchemaTree
 
 __all__ = [
     "HDG",
-    "MemmapHDG",
     "build_hdg",
     "hdg_from_graph",
     "hdg_from_flat_arrays",
@@ -81,12 +80,21 @@ class HDG:
         leaf_weights: np.ndarray | None = None,
         num_input_vertices: int | None = None,
     ):
-        self.roots = np.asarray(roots, dtype=np.int64)
+        self._set_fields(roots, schema, leaf_vertices, leaf_offsets,
+                         instance_offsets, leaf_weights, num_input_vertices)
+        self._validate()
+
+    def _set_fields(self, roots, schema, leaf_vertices, leaf_offsets,
+                    instance_offsets, leaf_weights, num_input_vertices) -> None:
+        """Adopt the arrays without copying (a memmap stays a memmap) and
+        start empty memos; :meth:`_validate` is the separate full pass."""
+        self.roots = np.asanyarray(roots, dtype=np.int64)
         self.schema = schema
-        self.leaf_vertices = np.asarray(leaf_vertices, dtype=np.int64)
-        self.leaf_offsets = np.asarray(leaf_offsets, dtype=np.int64)
+        self.leaf_vertices = np.asanyarray(leaf_vertices, dtype=np.int64)
+        self.leaf_offsets = np.asanyarray(leaf_offsets, dtype=np.int64)
         self.instance_offsets = (
-            None if instance_offsets is None else np.asarray(instance_offsets, dtype=np.int64)
+            None if instance_offsets is None
+            else np.asanyarray(instance_offsets, dtype=np.int64)
         )
         self.leaf_weights = None if leaf_weights is None else np.asarray(leaf_weights, dtype=np.float32)
         self.num_input_vertices = int(
@@ -97,7 +105,6 @@ class HDG:
         self.persistent = False
         self._plans = PlanMemo()
         self._reductions = ReductionMemo()
-        self._validate()
 
     def _validate(self) -> None:
         if self.leaf_offsets.ndim != 1 or self.leaf_offsets.size == 0:
@@ -209,19 +216,6 @@ class HDG:
             return np.diff(self.leaf_offsets).reshape(-1, 1)
         counts = np.diff(self.instance_offsets)
         return counts.reshape(self.num_roots, self.schema.num_leaves)
-
-    def dependency_leaves(self, root_order: int) -> np.ndarray:
-        """All input-graph leaf ids a root depends on (induced-graph edges
-        used by the ADB balancer, Figure 11b)."""
-        if self.depth == 1:
-            lo, hi = self.leaf_offsets[root_order], self.leaf_offsets[root_order + 1]
-            return np.unique(self.leaf_vertices[lo:hi])
-        slot_lo = root_order * self.schema.num_leaves
-        slot_hi = slot_lo + self.schema.num_leaves
-        inst_lo = self.instance_offsets[slot_lo]
-        inst_hi = self.instance_offsets[slot_hi]
-        lo, hi = self.leaf_offsets[inst_lo], self.leaf_offsets[inst_hi]
-        return np.unique(self.leaf_vertices[lo:hi])
 
     def restrict_to_roots(self, root_orders: np.ndarray) -> "HDG":
         """The sub-HDG owned by a subset of roots (given by root order).
@@ -424,39 +418,6 @@ class HDG:
             f"num_instances={self.num_instances}, "
             f"num_leaf_edges={self.leaf_vertices.size}, schema={self.schema.leaf_types})"
         )
-
-
-class MemmapHDG(HDG):
-    """A flat HDG whose CSC arrays are memory-mapped files.
-
-    The out-of-core path (:mod:`repro.storage.ondisk`) exposes a graph's
-    topology as ``np.memmap`` arrays; wrapping them in a regular
-    :class:`HDG` would defeat the point — ``np.asarray`` copies nothing,
-    but ``_validate`` scans every offset.  This subclass keeps the
-    memmaps as-is (no validation pass, the manifest already vouches for
-    the files).  Restriction and fan-out sampling read only the selected
-    roots' offsets and leaves, so they return regular in-RAM HDGs at a
-    per-batch cost independent of graph size.
-
-    Only depth-1 (flat) HDGs can be memmap-backed; that is the layout
-    DNFA models (GCN/SAGE) build via :func:`hdg_from_graph`.
-    """
-
-    def __init__(self, roots: np.ndarray, schema: SchemaTree,
-                 leaf_vertices: np.ndarray, leaf_offsets: np.ndarray,
-                 num_input_vertices: int):
-        # Deliberately skip HDG.__init__: its asarray calls would drop
-        # the memmap subclass and its validation reads every page.
-        self.roots = np.asarray(roots, dtype=np.int64)
-        self.schema = schema
-        self.leaf_vertices = leaf_vertices
-        self.leaf_offsets = leaf_offsets
-        self.instance_offsets = None
-        self.leaf_weights = None
-        self.num_input_vertices = int(num_input_vertices)
-        self.persistent = False
-        self._plans = PlanMemo()
-        self._reductions = ReductionMemo()
 
 
 #: counters of :class:`ReductionMemo`: memos built, memos reused, and
@@ -675,33 +636,24 @@ def hdg_from_instance_arrays(
 
 
 def hdg_from_graph(graph, weights: np.ndarray | None = None) -> HDG:
-    """Flat HDG directly from a graph's CSC arrays (zero extra work).
+    """Flat HDG over a graph's own CSC arrays: no copy, no pass.
 
     This is the DNFA fast path: "FlexGraph does not construct extra HDGs
     for GCN, since the input graph serves the desired purpose" (§7.8).
-    Each vertex's neighbors are its in-neighbors; ``weights`` optionally
-    attaches a per-in-edge weight in CSC order.
+    Each vertex's neighbors are its in-neighbors; ``leaf_vertices`` and
+    ``leaf_offsets`` *are* the graph's CSC (read-only, memmapped when
+    the graph is), which is valid by construction or vouched for by an
+    on-disk manifest, so the offsets are not validated again.
+    ``weights`` optionally attaches a per-in-edge weight in CSC order.
     """
     indptr, indices = graph.csc
-    roots = np.arange(graph.num_vertices, dtype=np.int64)
-    if isinstance(indices, np.memmap) or isinstance(indptr, np.memmap):
-        # Out-of-core topology (repro.storage.ondisk): keep the memmaps,
-        # never copy the edge array into RAM.
-        if weights is not None:
-            raise ValueError("memmap-backed graphs do not support edge weights")
-        return MemmapHDG(
-            roots, SchemaTree(), indices, indptr,
-            num_input_vertices=graph.num_vertices,
-        )
-    return HDG(
-        roots,
-        SchemaTree(),
-        indices.copy(),
-        indptr.copy(),
-        instance_offsets=None,
-        leaf_weights=weights,
-        num_input_vertices=graph.num_vertices,
-    )
+    if weights is not None and np.size(weights) != indices.size:
+        raise ValueError("leaf_weights must align with leaf_vertices")
+    hdg = HDG.__new__(HDG)
+    hdg._set_fields(np.arange(graph.num_vertices, dtype=np.int64),
+                    SchemaTree(), indices, indptr, None, weights,
+                    graph.num_vertices)
+    return hdg
 
 
 def build_hdg(

@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["Graph"]
 
+#: edges :meth:`Graph.fingerprint` sorts and hashes per step
+FINGERPRINT_CHUNK = 1 << 20
+
 
 class Graph:
     """A directed graph over vertices ``0..n-1`` stored as CSR + CSC.
@@ -29,7 +32,12 @@ class Graph:
         Optional ``(num_vertices,)`` int array of type ids for
         heterogeneous graphs (MAGNN); defaults to a single type ``0``.
     type_names:
-        Optional human-readable names aligned with type ids.
+        Optional human-readable names aligned with type ids; when given,
+        ``num_types`` is their count.
+
+    The adjacency arrays and ``vertex_types`` are read-only views: a
+    GCN's HDG shares the CSC (:func:`~repro.core.hdg.hdg_from_graph`),
+    and an edit builds a new graph.
     """
 
     def __init__(
@@ -47,33 +55,41 @@ class Graph:
         if num_vertices <= 0:
             raise ValueError("graph must have at least one vertex")
         _check_endpoints(src, dst, num_vertices)
+        self._adopt(num_vertices, _compress(src, dst, num_vertices),
+                    _compress(dst, src, num_vertices),
+                    _checked_types(vertex_types, num_vertices), type_names)
 
+    @classmethod
+    def from_adjacency(
+        cls,
+        num_vertices: int,
+        csr: tuple[np.ndarray, np.ndarray],
+        csc: tuple[np.ndarray, np.ndarray],
+        vertex_types: np.ndarray | None = None,
+        type_names: list[str] | None = None,
+    ) -> "Graph":
+        """A graph over prebuilt CSR and CSC ``(indptr, indices)`` pairs,
+        adopted without copying: a memory-mapped pair stays a memmap.
+
+        The pairs are trusted to hold the same edges, and nothing here
+        reads them in full; with ``type_names`` given, neither is
+        ``vertex_types`` read.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt(num_vertices, csr, csc, vertex_types, type_names)
+        return graph
+
+    def _adopt(self, num_vertices, csr, csc, vertex_types, type_names) -> None:
         self.num_vertices = int(num_vertices)
-        self.num_edges = int(src.size)
-
-        # CSR (out-edges): sort edges by src.
-        order = np.argsort(src, kind="stable")
-        self._csr_indices = dst[order]
-        self._csr_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_vertices), out=self._csr_indptr[1:])
-        self._csr_eid = order  # original edge id per CSR slot
-
-        # CSC (in-edges): sort edges by dst.
-        order_in = np.argsort(dst, kind="stable")
-        self._csc_indices = src[order_in]
-        self._csc_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=num_vertices), out=self._csc_indptr[1:])
-        self._csc_eid = order_in
-
+        self._csr_indptr, self._csr_indices = map(_read_only, csr)
+        self._csc_indptr, self._csc_indices = map(_read_only, csc)
+        self.num_edges = int(self._csr_indices.size)
         if vertex_types is None:
-            self.vertex_types = np.zeros(num_vertices, dtype=np.int64)
-        else:
-            self.vertex_types = np.asarray(vertex_types, dtype=np.int64)
-            if self.vertex_types.shape != (num_vertices,):
-                raise ValueError("vertex_types must have shape (num_vertices,)")
-            if self.vertex_types.size and self.vertex_types.min() < 0:
-                raise ValueError("vertex types must be non-negative")
-        self.num_types = int(self.vertex_types.max()) + 1 if num_vertices else 1
+            vertex_types = np.zeros(self.num_vertices, dtype=np.int64)
+        self.vertex_types = _read_only(vertex_types)
+        # Named types are counted by their names, in every tier.
+        self.num_types = (len(type_names) if type_names
+                          else int(self.vertex_types.max()) + 1)
         self.type_names = type_names or [f"type{i}" for i in range(self.num_types)]
 
     # ------------------------------------------------------------------
@@ -140,16 +156,12 @@ class Graph:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (src, dst) arrays in CSR order."""
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.out_degree())
-        return src, self._csr_indices.copy()
+        return src, np.array(self._csr_indices)
 
     def coo(self) -> tuple[np.ndarray, np.ndarray]:
         """COO (dst_ids, src_ids) in CSC order — the layout Figure 7 uses."""
         dst = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.in_degree())
-        return dst, self._csc_indices.copy()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``u -> v`` exists."""
-        return bool(np.isin(v, self.out_neighbors(u)).any())
+        return dst, np.array(self._csc_indices)
 
     def vertices_of_type(self, type_id: int) -> np.ndarray:
         """All vertex ids of the given type."""
@@ -188,18 +200,9 @@ class Graph:
         vertex types (Section 7, "the input graph consists of 3 types of
         vertices"); this is the hook for that retyping.
         """
-        import copy as _copy
-
-        vertex_types = np.asarray(vertex_types, dtype=np.int64)
-        if vertex_types.shape != (self.num_vertices,):
-            raise ValueError("vertex_types must have shape (num_vertices,)")
-        if vertex_types.size and vertex_types.min() < 0:
-            raise ValueError("vertex types must be non-negative")
-        clone = _copy.copy(self)
-        clone.vertex_types = vertex_types
-        clone.num_types = int(vertex_types.max()) + 1 if vertex_types.size else 1
-        clone.type_names = type_names or [f"type{i}" for i in range(clone.num_types)]
-        return clone
+        return Graph.from_adjacency(
+            self.num_vertices, self.csr, self.csc,
+            _checked_types(vertex_types, self.num_vertices), type_names)
 
     def reverse(self) -> "Graph":
         """Graph with all edges flipped."""
@@ -254,17 +257,34 @@ class Graph:
         """Stable hex digest of the graph's structure.
 
         Covers vertex count, the *sorted* edge multiset and vertex types
-        — independent of the order edges were supplied in — so a
+        — independent of the order edges were supplied in, and of
+        whether the arrays live in RAM or in memory-mapped files — so a
         checkpoint stamped with a fingerprint can later verify it is
         being served against the same graph (``repro.serve``).
+
+        The edge keys ``src * n + dst`` are hashed in chunks of about
+        :data:`FINGERPRINT_CHUNK` edges cut at CSR row boundaries.  Every
+        key of a row is smaller than every key of a later row, so the
+        sorted chunks concatenate to the one-shot sort, and no temporary
+        is edge-sized.
         """
         import hashlib
 
-        src, dst = self.edges()
-        edge_keys = np.sort(src * np.int64(self.num_vertices) + dst)
+        n = self.num_vertices
+        indptr, indices = self.csr
         h = hashlib.sha256()
-        h.update(np.int64(self.num_vertices).tobytes())
-        h.update(edge_keys.tobytes())
+        h.update(np.int64(n).tobytes())
+        row = 0
+        while row < n:
+            end = int(np.searchsorted(indptr, indptr[row] + FINGERPRINT_CHUNK,
+                                      side="right")) - 1
+            end = min(max(end, row + 1), n)
+            src = np.repeat(np.arange(row, end, dtype=np.int64),
+                            np.diff(indptr[row:end + 1]))
+            keys = src * np.int64(n) + indices[indptr[row]:indptr[end]]
+            keys.sort()
+            h.update(keys.tobytes())
+            row = end
         h.update(self.vertex_types.tobytes())
         return h.hexdigest()[:16]
 
@@ -287,6 +307,35 @@ class Graph:
             f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges}, "
             f"num_types={self.num_types})"
         )
+
+
+def _compress(key: np.ndarray, val: np.ndarray,
+              num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the edges ``key -> val`` grouped by
+    ``key``, each group in edge order."""
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=num_vertices), out=indptr[1:])
+    return indptr, val[np.argsort(key, kind="stable")]
+
+
+def _checked_types(vertex_types, num_vertices: int) -> np.ndarray | None:
+    """``vertex_types`` as int64 after the shape and sign checks."""
+    if vertex_types is None:
+        return None
+    vertex_types = np.asarray(vertex_types, dtype=np.int64)
+    if vertex_types.shape != (num_vertices,):
+        raise ValueError("vertex_types must have shape (num_vertices,)")
+    if vertex_types.size and vertex_types.min() < 0:
+        raise ValueError("vertex types must be non-negative")
+    return vertex_types
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only int64 view of ``arr`` (a memmap stays a memmap); the
+    caller's own array keeps its flags."""
+    view = np.asanyarray(arr, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_endpoints(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> None:

@@ -63,7 +63,6 @@ from ..tensor.quant import (
 __all__ = [
     "ONDISK_FORMAT",
     "OnDiskIntegrityError",
-    "OnDiskGraph",
     "OnDiskDataset",
     "write_ondisk_dataset",
     "write_synthetic_ondisk",
@@ -72,12 +71,6 @@ __all__ = [
 ONDISK_FORMAT = "repro.ondisk/1"
 
 MANIFEST_NAME = "manifest.json"
-_TOPOLOGY_FILES = (
-    "topology/csc.indptr.npy",
-    "topology/csc.indices.npy",
-    "topology/csr.indptr.npy",
-    "topology/csr.indices.npy",
-)
 _HASH_BLOCK = 1 << 23  # 8 MiB
 
 
@@ -124,13 +117,6 @@ def _write_manifest(root: str, meta: dict, rel_files: list[str]) -> dict:
     manifest = dict(meta)
     manifest["format"] = ONDISK_FORMAT
     manifest["files"] = {rel: _file_entry(root, rel) for rel in sorted(rel_files)}
-    # The graph fingerprint is derived from the CSC content hashes the
-    # manifest already carries — no extra pass over the edges.
-    g = hashlib.sha256()
-    g.update(np.int64(manifest["num_vertices"]).tobytes())
-    for rel in ("topology/csc.indptr.npy", "topology/csc.indices.npy"):
-        g.update(manifest["files"][rel]["sha256"].encode())
-    manifest["graph_fingerprint"] = g.hexdigest()[:16]
     with open(os.path.join(root, MANIFEST_NAME), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return manifest
@@ -165,78 +151,6 @@ def _open_memmap(path: str) -> np.ndarray:
 # Readers
 # ----------------------------------------------------------------------
 
-class OnDiskGraph:
-    """Graph-compatible adjacency over memory-mapped CSR/CSC files.
-
-    Implements the :class:`~repro.graph.graph.Graph` lookup surface the
-    sampling and training tiers use (``csr``/``csc``, neighbor and
-    degree queries, ``vertex_types``, ``fingerprint``) without ever
-    materializing an edge array; ``hdg_from_graph`` recognizes the
-    memmapped CSC and builds a :class:`~repro.core.hdg.MemmapHDG`, so
-    DNFA models sample straight off the files.
-    """
-
-    def __init__(self, root: str, manifest: dict):
-        self.root = root
-        self._manifest = manifest
-        self.num_vertices = int(manifest["num_vertices"])
-        self.num_edges = int(manifest["num_edges"])
-        mm = lambda rel: _open_memmap(os.path.join(root, rel))  # noqa: E731
-        self._csc_indptr = mm("topology/csc.indptr.npy")
-        self._csc_indices = mm("topology/csc.indices.npy")
-        self._csr_indptr = mm("topology/csr.indptr.npy")
-        self._csr_indices = mm("topology/csr.indices.npy")
-        self.vertex_types = mm("vertex_types.npy")
-        self.num_types = int(manifest.get("num_types", 1))
-        self.type_names = list(
-            manifest.get("type_names") or [f"type{i}" for i in range(self.num_types)]
-        )
-
-    # -- Graph lookup surface ------------------------------------------
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) over out-edges — memmapped."""
-        return self._csr_indptr, self._csr_indices
-
-    @property
-    def csc(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) over in-edges — memmapped."""
-        return self._csc_indptr, self._csc_indices
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self._csr_indices[self._csr_indptr[v] : self._csr_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self._csc_indices[self._csc_indptr[v] : self._csc_indptr[v + 1]]
-
-    def out_degree(self, v: int | None = None):
-        if v is None:
-            return np.diff(self._csr_indptr)
-        return int(self._csr_indptr[v + 1] - self._csr_indptr[v])
-
-    def in_degree(self, v: int | None = None):
-        if v is None:
-            return np.diff(self._csc_indptr)
-        return int(self._csc_indptr[v + 1] - self._csc_indptr[v])
-
-    def fingerprint(self) -> str:
-        """The manifest's content-derived structural fingerprint."""
-        return str(self._manifest["graph_fingerprint"])
-
-    @property
-    def nbytes(self) -> int:
-        """On-disk bytes of the adjacency files (nothing is resident
-        until touched)."""
-        files = self._manifest["files"]
-        return sum(files[rel]["bytes"] for rel in _TOPOLOGY_FILES)
-
-    def __repr__(self) -> str:
-        return (
-            f"OnDiskGraph(num_vertices={self.num_vertices}, "
-            f"num_edges={self.num_edges}, root={self.root!r})"
-        )
-
-
 class OnDiskDataset:
     """A graph learning task whose arrays live on disk.
 
@@ -259,7 +173,7 @@ class OnDiskDataset:
         _check_format(self.manifest, root)
         self._check_layout()
         self.name = str(self.manifest.get("name", os.path.basename(root)))
-        self.graph = OnDiskGraph(root, self.manifest)
+        self.graph = self._adopt_graph(_open_memmap)
         self.feat_dim = int(self.manifest["feat_dim"])
         self.num_classes = int(self.manifest["num_classes"])
         self.rows_per_shard = int(self.manifest["rows_per_shard"])
@@ -272,6 +186,19 @@ class OnDiskDataset:
         self.val_mask = np.load(os.path.join(root, "masks/val.npy"))
         self.test_mask = np.load(os.path.join(root, "masks/test.npy"))
         self._shard_files: dict[int, tuple] = {}
+
+    def _adopt_graph(self, load) -> Graph:
+        """A :class:`Graph` over the stored CSR, CSC and vertex types,
+        each opened by ``load(path)``.  The type count is the manifest's
+        ``type_names``, so no array is read here."""
+        arr = lambda rel: load(os.path.join(self.root, rel))  # noqa: E731
+        pair = lambda kind: (arr(f"topology/{kind}.indptr.npy"),  # noqa: E731
+                             arr(f"topology/{kind}.indices.npy"))
+        return Graph.from_adjacency(
+            int(self.manifest["num_vertices"]), pair("csr"), pair("csc"),
+            vertex_types=arr("vertex_types.npy"),
+            type_names=self.manifest.get("type_names"),
+        )
 
     def _init_codec(self) -> None:
         """Resolve the optional quantized-feature codec from the manifest.
@@ -475,19 +402,12 @@ class OnDiskDataset:
     # -- Escape hatch ---------------------------------------------------
     def materialize(self) -> Dataset:
         """Load everything into an in-RAM :class:`Dataset` (small
-        datasets, parity tests, exact full-graph evaluation)."""
+        datasets, parity tests, exact full-graph evaluation).  The graph
+        adopts in-RAM copies of the stored arrays, rows in stored order."""
         n = self.num_vertices
-        indptr = np.asarray(self.graph._csc_indptr, dtype=np.int64)
-        indices = np.asarray(self.graph._csc_indices, dtype=np.int64)
-        dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        graph = Graph(
-            n, indices, dst,
-            vertex_types=np.asarray(self.graph.vertex_types, dtype=np.int64),
-            type_names=self.graph.type_names,
-        )
         return Dataset(
             name=self.name,
-            graph=graph,
+            graph=self._adopt_graph(np.load),
             features=self.gather_features(np.arange(n, dtype=np.int64)),
             labels=np.asarray(self.labels),
             train_mask=self.train_mask.copy(),

@@ -71,7 +71,7 @@ class ReductionPlan:
         "kind", "n", "num_rows", "total", "offsets", "counts",
         "nonempty", "starts", "gather",
         "_index", "_matrices", "_safe_counts",
-        "_inv_counts", "_derived",
+        "_inv_counts", "_derived", "_gather_copy",
     )
 
     def __init__(self, kind: str, n: int, num_rows: int, total: int,
@@ -92,6 +92,7 @@ class ReductionPlan:
         self._safe_counts: dict[str, np.ndarray] = {}
         self._inv_counts: dict[str, np.ndarray] = {}
         self._derived: dict[str, ReductionPlan] = {}
+        self._gather_copy: np.ndarray | None = None
         record_op("plan.build",
                   bytes_read=(0 if index is None else index.nbytes),
                   bytes_written=self.nbytes)
@@ -202,6 +203,17 @@ class ReductionPlan:
             self._inv_counts[key] = c
         return c
 
+    def writable_gather(self) -> np.ndarray | None:
+        """``gather`` as an array numpy's ``take`` and ``bincount`` read
+        in place.  Both copy a read-only index on every call, and a plan
+        over a graph's own CSC (which a flat HDG shares) has one, so such
+        a gather is copied once and kept."""
+        if self.gather is None or self.gather.flags.writeable:
+            return self.gather
+        if self._gather_copy is None:
+            self._gather_copy = self.gather.copy()
+        return self._gather_copy
+
     def _derive(self, name: str,
                 build: Callable[[], "ReductionPlan"]) -> "ReductionPlan":
         plan = self._derived.get(name)
@@ -240,7 +252,7 @@ class ReductionPlan:
         """Collect every array this plan keeps resident, once each: the
         derived plans and the CSR matrices share arrays with it."""
         owned = [self.offsets, self.counts, self.nonempty, self.starts,
-                 self.gather, self._index,
+                 self.gather, self._gather_copy, self._index,
                  *self._safe_counts.values(), *self._inv_counts.values()]
         for m in self._matrices.values():
             owned += [m.data, m.indices, m.indptr]

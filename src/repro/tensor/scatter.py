@@ -504,7 +504,7 @@ def segment_attention(values: Tensor, scores: Tensor | None,
         row_scores = scores.data.reshape(num_rows).astype(dtype, copy=False)
     # contiguous rows: the backward gathers row blocks out of x and g
     x = np.ascontiguousarray(values.data[:, :dim], dtype=dtype)
-    src = plan.gather
+    src = plan.writable_gather()  # the backward's take and bincount read it
     reps = plan.counts[plan.nonempty]
     edge_scores = row_scores if src is None else row_scores[src]
     alpha = np.exp(edge_scores - np.repeat(

@@ -1,8 +1,17 @@
 """Tests for the flexgraph CLI."""
 
+import os
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools")
+)
+
+import make_ondisk  # noqa: E402
 
 
 class TestParser:
@@ -51,6 +60,19 @@ class TestCommands:
         state, meta = load_checkpoint(path)
         assert meta["model"] == "gcn"
         assert any("weight" in k for k in state)
+
+    def test_ondisk_checkpoint_serves_in_ram(self, tmp_path, capsys):
+        """make_ondisk, train --ondisk --checkpoint, then serve the same
+        dataset from RAM: the checkpoint's graph fingerprint matches."""
+        root, path = str(tmp_path / "ondisk"), str(tmp_path / "model.npz")
+        assert make_ondisk.main(["--dataset", "reddit", "--scale", "tiny",
+                                 root]) == 0
+        assert main(["train", "--model", "gcn", "--ondisk", root,
+                     "--epochs", "1", "--checkpoint", path]) == 0
+        assert main(["serve", "--model", "gcn", "--dataset", "reddit",
+                     "--scale", "tiny", "--checkpoint", path,
+                     "--requests", "8"]) == 0
+        assert "latency" in capsys.readouterr().out
 
     def test_train_magnn_on_imdb(self, capsys):
         rc = main(["train", "--model", "magnn", "--dataset", "imdb",

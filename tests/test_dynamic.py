@@ -59,16 +59,16 @@ class TestGraphEvolution:
         g = Graph.from_edges(4, [[0, 1]])
         g2 = g.with_edges_added([[1, 2], [2, 3]])
         assert g2.num_edges == 3
-        assert g2.has_edge(1, 2)
+        assert 2 in g2.out_neighbors(1)
         assert g.num_edges == 1  # original untouched
 
     def test_remove_edges(self):
         g = Graph.from_edges(3, [[0, 1], [1, 2], [0, 1]])
         g2 = g.with_edges_removed([[0, 1]])
         assert g2.num_edges == 2  # one copy of the multi-edge removed
-        assert g2.has_edge(0, 1)
+        assert 1 in g2.out_neighbors(0)
         g3 = g2.with_edges_removed([[0, 1]])
-        assert not g3.has_edge(0, 1)
+        assert 1 not in g3.out_neighbors(0)
 
     def test_remove_absent_edge_is_noop(self):
         g = Graph.from_edges(3, [[0, 1]])

@@ -101,10 +101,6 @@ class TestAdjacency:
         for d, s in zip(dst[:5], src[:5]):
             assert s in sample.in_neighbors(int(d))
 
-    def test_has_edge(self, triangle):
-        assert triangle.has_edge(0, 1)
-        assert not triangle.has_edge(1, 0)
-
     def test_vertices_of_type(self):
         g = Graph.from_edges(4, [[0, 1]], vertex_types=np.array([0, 1, 1, 0]))
         np.testing.assert_array_equal(g.vertices_of_type(1), [1, 2])
@@ -121,7 +117,7 @@ class TestDerivedGraphs:
         assert sub.num_vertices == 3
         np.testing.assert_array_equal(original, [0, 1, 3])
         # Edge 0-1 survives; edges to 2 and 4 are dropped.
-        assert sub.has_edge(0, 1)
+        assert 1 in sub.out_neighbors(0)
 
     def test_subgraph_keeps_types(self):
         g = Graph.from_edges(3, [[0, 1]], vertex_types=np.array([2, 0, 1]))
@@ -134,8 +130,8 @@ class TestDerivedGraphs:
 
     def test_reverse(self, triangle):
         rev = triangle.reverse()
-        assert rev.has_edge(1, 0)
-        assert not rev.has_edge(0, 1)
+        assert 0 in rev.out_neighbors(1)
+        assert 1 not in rev.out_neighbors(0)
 
     def test_with_vertex_types(self, triangle):
         typed = triangle.with_vertex_types(np.array([0, 1, 2]))

@@ -190,12 +190,6 @@ class TestHierarchicalHDG:
         np.testing.assert_array_equal(hdg.leaf_weights,
                                       [1.0, 2.0, 2.0, 2.0, 0.5, 0.5])
 
-    def test_dependency_leaves(self):
-        schema = SchemaTree(("MP1", "MP2"))
-        hdg = build_hdg(magnn_style_records(), schema, np.arange(9), 9)
-        leaves = hdg.dependency_leaves(0)
-        np.testing.assert_array_equal(leaves, [0, 1, 2, 3, 4, 5, 6, 7, 8])
-
 
 class TestHDGStorage:
     def test_memory_optimization_saves_bytes(self):

@@ -2,6 +2,7 @@
 and the shard-by-shard synthetic generators."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 from repro.core import hierarchical_aggregate
 from repro.core.aggregation import SumAggregator
-from repro.core.hdg import MemmapHDG, hdg_from_graph
+from repro.core.hdg import hdg_from_graph
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import (
     ShardedSyntheticSpec,
@@ -20,8 +21,10 @@ from repro.datasets.synthetic import (
     feature_shard,
     label_shard,
     mask_shards,
+    reddit_like,
     shard_row_range,
 )
+from repro.graph import graph as graph_module
 from repro.storage import (
     OnDiskDataset,
     OnDiskIntegrityError,
@@ -158,9 +161,16 @@ class TestIntegrity:
 
 
 class TestMemmapHDG:
+    """An HDG over a memory-mapped graph is a plain HDG whose leaf arrays
+    are the graph's memmapped CSC."""
+
     def test_hdg_from_ondisk_graph_is_memmap(self, ondisk):
         hdg = hdg_from_graph(ondisk.graph)
-        assert isinstance(hdg, MemmapHDG)
+        indptr, indices = ondisk.graph.csc
+        assert isinstance(hdg.leaf_vertices, np.memmap)
+        assert isinstance(hdg.leaf_offsets, np.memmap)
+        assert np.shares_memory(hdg.leaf_vertices, indices)
+        assert np.shares_memory(hdg.leaf_offsets, indptr)
 
     def test_restrict_parity_with_in_ram(self, ondisk, ds):
         mm = hdg_from_graph(ondisk.graph)
@@ -213,6 +223,97 @@ class TestMemmapHDG:
         out2, ref2 = aggregate(open_hdg()[0])
         assert not np.allclose(ref2, ref1), "the two datasets must differ"
         np.testing.assert_allclose(out2, ref2, atol=1e-9)
+
+
+class TestOneGraph:
+    """An on-disk graph is a :class:`Graph` over the stored files: it
+    fingerprints like the graph it was written from, and a GCN's HDG is
+    its CSC, shared rather than copied, in either tier."""
+
+    SPEC = ShardedSyntheticSpec(
+        name="fp-test", num_vertices=700, num_edges=6000, feat_dim=4,
+        num_classes=2, seed=3, edges_per_chunk=2500, rows_per_shard=256,
+    )
+
+    def test_fingerprint_is_the_source_graphs(self, ondisk, ds):
+        assert ondisk.graph.fingerprint() == ds.graph.fingerprint()
+        manifest = json.loads(
+            open(os.path.join(ondisk.root, "manifest.json")).read())
+        assert "graph_fingerprint" not in manifest
+
+    def test_an_older_manifests_fingerprint_is_ignored(self, ondisk, ds):
+        path = os.path.join(ondisk.root, "manifest.json")
+        manifest = json.loads(open(path).read())
+        manifest["graph_fingerprint"] = "cb9f15b081d9752f"
+        open(path, "w").write(json.dumps(manifest))
+        assert (OnDiskDataset(ondisk.root).graph.fingerprint()
+                == ds.graph.fingerprint())
+
+    def test_synthetic_fingerprint_is_the_materialized_graphs(self, tmp_path):
+        root = str(tmp_path / "gen")
+        write_synthetic_ondisk(root, self.SPEC)
+        od = OnDiskDataset(root)
+        assert od.graph.fingerprint() == od.materialize().graph.fingerprint()
+
+    @pytest.mark.parametrize("name, digest", [
+        ("reddit_like(500)", "f7b49c18614de10d"),
+        ("reddit", "c7deb6a89505320a"),
+        ("imdb", "e96a8881051835ca"),
+    ])
+    def test_in_ram_digests_are_pinned(self, name, digest):
+        """Checkpoints already written record these digests."""
+        graph = (reddit_like(500) if name == "reddit_like(500)"
+                 else load_dataset(name, scale="tiny")).graph
+        assert graph.fingerprint() == digest
+
+    def test_chunked_digest_is_the_one_shot_sort(self, ondisk, ds,
+                                                 monkeypatch):
+        src, dst = ds.graph.edges()
+        n = ds.graph.num_vertices
+        h = hashlib.sha256()
+        h.update(np.int64(n).tobytes())
+        h.update(np.sort(src * n + dst).tobytes())
+        h.update(np.asarray(ds.graph.vertex_types).tobytes())
+        one_shot = h.hexdigest()[:16]
+        # many chunks, and hub rows that alone outgrow one
+        assert ds.graph.out_degree().max() > 64
+        monkeypatch.setattr(graph_module, "FINGERPRINT_CHUNK", 64)
+        assert ds.graph.fingerprint() == one_shot
+        assert ondisk.graph.fingerprint() == one_shot
+
+    def test_materialize_adopts_the_stored_arrays(self, ondisk, ds):
+        back = ondisk.materialize().graph
+        for got, want in zip([*back.csr, *back.csc, back.vertex_types],
+                             [*ds.graph.csr, *ds.graph.csc,
+                              ds.graph.vertex_types]):
+            assert not isinstance(got, np.memmap)
+            np.testing.assert_array_equal(got, want)
+        assert back.type_names == ds.graph.type_names
+
+    @pytest.mark.parametrize("tier", ["ram", "ondisk"])
+    def test_gcn_hdg_shares_the_read_only_csc(self, tier, ondisk):
+        graph = reddit_like(500).graph if tier == "ram" else ondisk.graph
+        hdg = hdg_from_graph(graph)
+        indptr, indices = graph.csc
+        assert np.shares_memory(hdg.leaf_vertices, indices)
+        assert np.shares_memory(hdg.leaf_offsets, indptr)
+        for arr in (*graph.csr, *graph.csc, graph.vertex_types):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            hdg.leaf_vertices[0] = 0
+
+    def test_open_reads_no_topology_array(self, ondisk):
+        """Opening maps the topology and takes the type count from the
+        manifest's names: no array is scanned."""
+        path = os.path.join(ondisk.root, "manifest.json")
+        manifest = json.loads(open(path).read())
+        manifest["type_names"] = ["a", "b", "c", "d"]
+        manifest.pop("num_types")
+        open(path, "w").write(json.dumps(manifest))
+        graph = OnDiskDataset(ondisk.root).graph
+        assert graph.num_types == 4
+        for arr in (*graph.csr, *graph.csc, graph.vertex_types):
+            assert isinstance(arr, np.memmap)
 
 
 class TestShardedGenerator:
@@ -303,7 +404,10 @@ class TestMakeOndiskTool:
         ) == 0
         for root in (fp32, int8):
             assert make_ondisk.main(["--verify", root]) == 0
-        assert capsys.readouterr().out.count("all fingerprints match") == 2
+        out = capsys.readouterr().out
+        assert out.count("all fingerprints match") == 2
+        digest = OnDiskDataset(fp32).graph.fingerprint()
+        assert out.count(f"graph fingerprint: {digest}") == 2
         assert OnDiskDataset(int8).feature_codec == "int8"
         # int8 codes + float32 scale sidecars vs float32 rows: d+4 vs 4d
         # bytes per row, so >= 3x smaller on disk for d >= 16.

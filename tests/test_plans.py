@@ -270,6 +270,20 @@ class TestPlanObject:
         plan.matrix(np.float64).T
         assert plan.nbytes == grown
 
+    def test_a_read_only_gather_is_copied_once(self):
+        """A plan over a graph's read-only CSC hands take/bincount one
+        kept writeable copy; a writeable gather is handed as it is."""
+        graph = community_graph(60, 4, 8.0)
+        indptr, indices = graph.csc
+        shared = hdg_from_graph(graph).plan(1, "segments", 60)
+        assert np.shares_memory(shared.gather, indices)
+        copy = shared.writable_gather()
+        assert copy.flags.writeable and not np.shares_memory(copy, indices)
+        np.testing.assert_array_equal(copy, indices)
+        assert shared.writable_gather() is copy
+        own = ReductionPlan.from_segments(indptr, indices.copy(), 60)
+        assert own.writable_gather() is own.gather
+
 
 class TestPlanCache:
     def test_hit_miss_and_counters(self, fresh_cache):

@@ -11,7 +11,7 @@ from repro.core import (
     build_seed_blocks,
     validate_hdg,
 )
-from repro.core.hdg import HDG, MemmapHDG, hdg_from_graph
+from repro.core.hdg import HDG, hdg_from_graph
 from repro.core.schema import SchemaTree
 from repro.core.step import sample_fanout
 from repro.datasets import load_dataset
@@ -137,7 +137,8 @@ class TestFanoutSampler:
         write_ondisk_dataset(ds, root)
         mm = hdg_from_graph(OnDiskDataset(root).graph)
         ram = hdg_from_graph(ds.graph)
-        assert isinstance(mm, MemmapHDG) and not isinstance(ram, MemmapHDG)
+        assert isinstance(mm.leaf_vertices, np.memmap)
+        assert not isinstance(ram.leaf_vertices, np.memmap)
         seeds = np.array([0, 3, 17, 42, ds.graph.num_vertices - 1])
         a = build_seed_blocks(mm, seeds, [4, 3], np.random.default_rng(5))
         b = build_seed_blocks(ram, seeds, [4, 3], np.random.default_rng(5))

@@ -216,6 +216,31 @@ class TestCheckpointVerification:
         with pytest.raises(CheckpointMismatch, match="fingerprint"):
             InferenceSession(fresh, mutated, reddit.features, checkpoint=path)
 
+    def test_ondisk_checkpoint_serves_in_ram(self, reddit, tmp_path):
+        """A model trained streaming off the on-disk copy of a graph is
+        served over the same graph in RAM: both tiers fingerprint it
+        alike, so the checkpoint loads."""
+        from repro.core.sampling import MiniBatchTrainer
+        from repro.storage import OnDiskDataset, write_ondisk_dataset
+
+        root = str(tmp_path / "ondisk")
+        write_ondisk_dataset(reddit, root)
+        ondisk = OnDiskDataset(root)
+        model = gcn(reddit.feat_dim, 8, reddit.num_classes, seed=0)
+        trainer = MiniBatchTrainer(model, ondisk, batch_size=64,
+                                   fanouts=[5, 5], seed=0)
+        trainer.train_epoch(optimizer=Adam(model.parameters(), lr=0.01),
+                            mask=ondisk.train_mask, epoch=0)
+        path = str(tmp_path / "ondisk.npz")
+        save_checkpoint(model.state_dict(), path,
+                        checkpoint_metadata(model, ondisk.graph))
+        fresh = gcn(reddit.feat_dim, 8, reddit.num_classes, seed=1)
+        InferenceSession(fresh, reddit.graph, reddit.features,
+                         checkpoint=path)
+        trained_state = model.state_dict()
+        for name, value in fresh.state_dict().items():
+            np.testing.assert_array_equal(value, trained_state[name])
+
     def test_fingerprint_is_edge_order_independent(self, reddit):
         from repro.graph import Graph
 

@@ -15,7 +15,7 @@ Usage::
     python tools/make_ondisk.py --dataset reddit --scale small out/reddit
     python tools/make_ondisk.py --generate --num-vertices 1000000 \
         --num-edges 20000000 --feat-dim 64 out/synth
-    python tools/make_ondisk.py --verify out/synth
+    python tools/make_ondisk.py --verify out/synth   # + graph fingerprint
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ def main(argv: list[str] | None = None) -> int:
         ds = OnDiskDataset(args.root)
         ds.verify()
         print(f"{args.root}: all fingerprints match ({ds!r})")
+        # The digest a checkpoint trained on this dataset records, equal
+        # to the same graph's in RAM.
+        print(f"graph fingerprint: {ds.graph.fingerprint()}")
         return 0
 
     if args.generate:
