@@ -23,7 +23,7 @@ Packages
     on real worker processes; workload balancing, pipeline processing,
     fault tolerance.
 ``repro.loader``
-    The staged streaming minibatch pipeline (sample, gather, transfer)
+    The staged streaming minibatch pipeline (sample, gather)
     with a bounded prefetch window.
 ``repro.storage``
     The on-disk dataset format and model checkpoints.

@@ -199,37 +199,40 @@ def _cmd_minibatch_train(args) -> int:
     from .datasets import load_dataset
     from .tensor import Adam, Tensor
 
-    feature_dtype = getattr(args, "feature_dtype", None)
+    # The codec is the store's: an ondisk dataset's manifest fixes it,
+    # and an in-RAM --feature-dtype builds a quantized store here.
+    source = None
     if args.ondisk:
         from .storage import OnDiskDataset
 
         ds = OnDiskDataset(args.ondisk)
         print(f"streaming from {ds!r}")
-        # An ondisk dataset carries its storage codec in the manifest;
-        # --feature-dtype must agree with it, not re-quantize it.
-        if feature_dtype is not None:
-            stored = ds.feature_codec or str(ds.feature_dtype)
-            if feature_dtype != stored:
+        if args.feature_dtype is not None:
+            stored = ds.codec or str(ds.feature_dtype)
+            if args.feature_dtype != stored:
                 raise SystemExit(
-                    f"--feature-dtype {feature_dtype} conflicts with the "
-                    f"ondisk dataset's storage codec {stored!r}; regenerate "
-                    "the dataset with tools/make_ondisk.py --quantize "
-                    f"{feature_dtype}"
+                    f"--feature-dtype {args.feature_dtype} conflicts with "
+                    f"the ondisk dataset's storage codec {stored!r}; "
+                    "regenerate the dataset with tools/make_ondisk.py "
+                    f"--quantize {args.feature_dtype}"
                 )
-            feature_dtype = None  # already quantized on disk
     else:
         ds = load_dataset(args.dataset, scale=args.scale)
+        if args.feature_dtype is not None:
+            from .loader import QuantizedSource
+
+            source = QuantizedSource(ds.features, ds.labels,
+                                     args.feature_dtype)
     model = _build_model(args, ds)
     trainer = MiniBatchTrainer(
         model, ds, batch_size=args.batch_size, fanouts=args.fanouts,
         strategy=args.strategy, seed=args.seed,
         prefetch_depth=args.prefetch_depth, num_workers=args.loader_workers,
-        feature_dtype=feature_dtype,
     )
     optimizer = Adam(model.parameters(), lr=args.lr)
     for epoch in range(args.epochs):
         stats = trainer.train_epoch(
-            optimizer=optimizer, mask=ds.train_mask, epoch=epoch,
+            source, optimizer=optimizer, mask=ds.train_mask, epoch=epoch,
         )
         print(f"epoch {epoch:2d}  loss={stats.loss:.4f}  "
               f"acc={stats.train_accuracy:.3f}  "
@@ -260,7 +263,7 @@ def _cmd_train(args) -> int:
 
     if args.ondisk or args.minibatch:
         return _cmd_minibatch_train(args)
-    if getattr(args, "feature_dtype", None) is not None:
+    if args.feature_dtype is not None:
         raise SystemExit(
             "--feature-dtype requires the gather-based path; add "
             "--minibatch (or --ondisk)"
@@ -388,10 +391,15 @@ def _cmd_serve(args) -> int:
         optimizer = Adam(model.parameters(), lr=0.01)
         engine.fit(Tensor(ds.features), ds.labels, optimizer,
                    args.train_epochs, mask=ds.train_mask)
+    features = ds.features
+    if args.feature_dtype is not None:
+        from .loader import QuantizedSource
+
+        # Pinned quantized; the session caches rows in the same codec.
+        features = QuantizedSource(ds.features, codec=args.feature_dtype)
     session = InferenceSession(
-        model, ds.graph, ds.features,
+        model, ds.graph, features,
         checkpoint=args.checkpoint, seed=args.seed,
-        feature_dtype=args.feature_dtype, cache_dtype=args.feature_dtype,
     )
 
     # Zipfian seed popularity: a small hot set dominates, which is what
@@ -426,7 +434,7 @@ def _cmd_serve(args) -> int:
     print(f"  batches      : {summary['batches']['count']} "
           f"(mean {summary['batches']['mean_ms']:.2f}ms)")
     print(f"  embed cache  : {cache['entries']} entries, "
-          f"hit rate {cache['hit_rate']:.1%}")
+          f"{cache['store_dtype']} rows, hit rate {cache['hit_rate']:.1%}")
     return 0
 
 

@@ -19,7 +19,9 @@ from ..graph.graph import Graph
 from ..tensor.loss import accuracy
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
+from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor, no_grad
+from .hdg import memo_since, memo_snapshot
 from .hybrid import ExecutionStrategy
 from .nau import NAUModel
 from .step import ModelHDGs, node_loss, run_local_blocks, train_step
@@ -31,14 +33,14 @@ __all__ = ["MiniBatchTrainer", "MiniBatchEpochStats"]
 class MiniBatchEpochStats:
     """Outcome of one sampled mini-batch epoch.
 
-    The stage fields break the epoch down by pipeline stage: *sample*,
-    *gather* and *transfer* are production work (overlappable with
-    training when ``prefetch_depth > 0``), *train* is the sequential
+    The stage fields break the epoch down by pipeline stage: *sample*
+    and *gather* are production work (overlappable with training when
+    ``prefetch_depth > 0``), *train* is the sequential
     forward/backward/step, and *wait* is how long the training loop sat
     idle waiting for the next batch.  ``overlap_efficiency`` is
-    ``1 - wait / (sample + gather + transfer)`` clamped to [0, 1]: 0
-    means production was fully exposed (the synchronous baseline), 1
-    means it hid entirely behind training.
+    ``1 - wait / (sample + gather)`` clamped to [0, 1]: 0 means
+    production was fully exposed (the synchronous baseline), 1 means it
+    hid entirely behind training.
     """
 
     epoch: int
@@ -48,7 +50,6 @@ class MiniBatchEpochStats:
     train_accuracy: float | None = None
     sample_seconds: float = 0.0
     gather_seconds: float = 0.0
-    transfer_seconds: float = 0.0
     train_seconds: float = 0.0
     wait_seconds: float = 0.0
     overlap_efficiency: float = 0.0
@@ -68,7 +69,10 @@ class MiniBatchTrainer:
         :class:`~repro.storage.ondisk.OnDiskDataset`.  With a dataset,
         ``train_epoch`` can be called without ``feats``/``labels`` and
         features are gathered per batch from the dataset (for ondisk
-        data: only the memmap pages the batch touches).
+        data: only the memmap pages the batch touches).  A feature
+        codec is the store's: pass a
+        :class:`~repro.loader.QuantizedSource` (or a quantized
+        ``OnDiskDataset``) to train from quantized rows.
     batch_size:
         Seed vertices per batch.
     fanouts:
@@ -82,20 +86,13 @@ class MiniBatchTrainer:
         prefetch depths and worker counts.
     num_workers:
         Loader worker threads when ``prefetch_depth > 0``.
-    feature_dtype:
-        ``"float32"``/``"float16"``/``"int8"`` stores in-RAM features
-        quantized (:class:`~repro.loader.QuantizedSource`, dequantize on
-        gather).  Only valid for raw arrays and in-RAM datasets — an
-        :class:`~repro.storage.ondisk.OnDiskDataset` carries its own
-        storage codec and re-quantizing it here raises.
     """
 
     def __init__(self, model: NAUModel, data, batch_size: int = 256,
                  fanouts: list[int] | None = None,
                  strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
                  seed: int = 0, prefetch_depth: int = 0,
-                 num_workers: int = 2,
-                 feature_dtype: str | None = None):
+                 num_workers: int = 2):
         self.model = model
         self._dataset = data if hasattr(data, "graph") else None
         self.graph: Graph = data.graph if self._dataset is not None else data
@@ -113,12 +110,6 @@ class MiniBatchTrainer:
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
         self.num_workers = int(num_workers)
-        if feature_dtype is not None:
-            from ..tensor.quant import resolve_codec
-
-            feature_dtype = resolve_codec(feature_dtype)
-        self.feature_dtype = feature_dtype
-        self._source_cache: tuple | None = None
         self.hdgs = ModelHDGs(model, self.graph, np.random.default_rng(seed))
 
     def _resolve_source(self, feats, labels):
@@ -132,19 +123,12 @@ class MiniBatchTrainer:
                     "constructed with a dataset"
                 )
             feats = self._dataset
-        # Cache the source across epochs: a quantized tier encodes the
-        # full feature table once, not once per train_epoch call.
-        key = (id(feats), id(labels))
-        if self._source_cache is None or self._source_cache[0] != key:
-            self._source_cache = (key, as_source(
-                feats, labels, feature_dtype=self.feature_dtype
-            ))
-        return self._source_cache[1]
+        return as_source(feats, labels)
 
     # ------------------------------------------------------------------
     def train_epoch(
         self,
-        feats: Tensor | None = None,
+        feats=None,
         labels: np.ndarray | None = None,
         optimizer: Optimizer | None = None,
         mask: np.ndarray | None = None,
@@ -152,9 +136,12 @@ class MiniBatchTrainer:
     ) -> MiniBatchEpochStats:
         """One pass over the (masked) vertices in sampled mini-batches.
 
+        ``feats`` is a feature array / ``Tensor`` or any
+        :class:`~repro.loader.DataSource` (default: the trainer's
+        dataset); an explicit ``labels`` array overrides the source's.
         Batches flow through the staged loader (sample → gather →
-        transfer → train); with ``prefetch_depth > 0`` the first three
-        stages run on background workers while earlier batches train.
+        train); with ``prefetch_depth > 0`` the first two stages run on
+        background workers while earlier batches train.
         The per-batch RNG seeds are pre-drawn from ``(seed, epoch)``, so
         the losses do not depend on prefetch depth or worker count.
         """
@@ -164,6 +151,10 @@ class MiniBatchTrainer:
             raise ValueError("train_epoch needs an optimizer")
         self.model.train()
         t0 = time.perf_counter()
+        work_mark = obs.work_snapshot()
+        plan_cache = get_plan_cache()
+        plan_mark = (plan_cache.hits, plan_cache.misses)
+        memo_mark = memo_snapshot()
         hdg = self.hdgs.block_source(epoch)
         n = self.graph.num_vertices
         pool = np.flatnonzero(mask) if mask is not None else np.arange(n)
@@ -175,7 +166,7 @@ class MiniBatchTrainer:
         batches = iter(loader.epoch_batches(hdg, pool, epoch=epoch, seed=self.seed))
         losses = []
         correct = 0
-        sample_s = gather_s = transfer_s = train_s = wait_s = 0.0
+        sample_s = gather_s = train_s = wait_s = 0.0
         while True:
             t_wait = time.perf_counter()
             batch = next(batches, None)
@@ -195,8 +186,7 @@ class MiniBatchTrainer:
             )
             sample_s += batch.sample_seconds
             gather_s += batch.gather_seconds
-            transfer_s += batch.transfer_seconds
-        hidden = sample_s + gather_s + transfer_s
+        hidden = sample_s + gather_s
         overlap = min(max(1.0 - wait_s / hidden, 0.0), 1.0) if hidden > 0 else 0.0
         seconds = time.perf_counter() - t0
         stats = MiniBatchEpochStats(
@@ -207,13 +197,21 @@ class MiniBatchTrainer:
             train_accuracy=correct / max(pool.size, 1),
             sample_seconds=sample_s,
             gather_seconds=gather_s,
-            transfer_seconds=transfer_s,
             train_seconds=train_s,
             wait_seconds=wait_s,
             overlap_efficiency=overlap,
             prefetch_depth=self.prefetch_depth,
         )
-        obs.event("epoch", **asdict(stats))
+        work = obs.work_since(work_mark)
+        obs.event(
+            "epoch",
+            **asdict(stats),
+            flops=work["flops"],
+            work_bytes=work["bytes_read"] + work["bytes_written"],
+            plan_hits=plan_cache.hits - plan_mark[0],
+            plan_misses=plan_cache.misses - plan_mark[1],
+            **memo_since(memo_mark),
+        )
         return stats
 
     def evaluate(self, feats: Tensor, labels: np.ndarray,

@@ -1,4 +1,4 @@
-"""The staged streaming minibatch pipeline: sample → gather → transfer.
+"""The staged streaming minibatch pipeline: sample → gather.
 
 Each epoch is split into per-batch descriptors up front — the seed
 permutation *and* one RNG seed per batch are pre-drawn from the epoch
@@ -20,9 +20,9 @@ waits on the smallest outstanding index, whose claimant holds a permit
 and never blocks while producing.
 
 Every stage reports into :mod:`repro.obs`: per-batch
-``loader.sample`` / ``loader.gather`` / ``loader.transfer`` spans,
-``loader.queue_depth`` (ready-but-unconsumed batches) and
-``loader.batches`` / ``loader.bytes_gathered`` counters.
+``loader.sample`` / ``loader.gather`` spans, ``loader.queue_depth``
+(ready-but-unconsumed batches) and ``loader.batches`` /
+``loader.bytes_gathered`` / ``loader.wire_bytes`` counters.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .. import obs
 from ..core.hdg import HDG
 from ..core.step import CompactBlocks, sample_blocks
 from ..tensor.tensor import Tensor
-from .source import DataSource, as_source
+from .source import DataSource
 
 __all__ = ["BatchPlan", "SampledBatch", "StreamingLoader", "plan_epoch"]
 
@@ -88,7 +88,6 @@ class SampledBatch:
     labels: np.ndarray | None
     sample_seconds: float = 0.0
     gather_seconds: float = 0.0
-    transfer_seconds: float = 0.0
 
     @property
     def seed_rows(self) -> np.ndarray:
@@ -106,14 +105,16 @@ class _EpochRun:
 
 
 class StreamingLoader:
-    """Background sample/gather/transfer over a bounded prefetch window.
+    """Background sample/gather over a bounded prefetch window.
 
     Parameters
     ----------
     source:
-        A :class:`~repro.loader.DataSource` (or anything
-        :func:`as_source` accepts) features and labels are gathered
-        from.
+        The :class:`~repro.loader.DataSource` features and labels are
+        gathered from, taken as given: its codec decides what a gather
+        decodes.  Gather traffic is reported both as compute bytes
+        (``loader.bytes_gathered``) and as the source's stored wire
+        bytes (``loader.wire_bytes``).
     fanouts:
         Per-layer neighbor budgets, bottom layer first (entries may be
         ``None`` for exact neighborhoods).
@@ -126,20 +127,12 @@ class StreamingLoader:
     num_workers:
         Worker threads executing the staged production (capped by
         ``prefetch_depth``; ignored when ``prefetch_depth == 0``).
-    feature_dtype:
-        ``"float32"``/``"float16"``/``"int8"`` wraps raw features in an
-        in-RAM :class:`~repro.loader.QuantizedSource` (dequantize on
-        gather); ``None`` keeps them exact.  Gather traffic is reported
-        both as compute bytes (``loader.bytes_gathered``) and storage
-        wire bytes (``loader.wire_bytes``).
     """
 
-    def __init__(self, source, fanouts: list, batch_size: int = 256,
-                 prefetch_depth: int = 2, num_workers: int = 2,
-                 labels: np.ndarray | None = None,
-                 feature_dtype: str | None = None):
-        self.source: DataSource = as_source(source, labels,
-                                            feature_dtype=feature_dtype)
+    def __init__(self, source: DataSource, fanouts: list,
+                 batch_size: int = 256, prefetch_depth: int = 2,
+                 num_workers: int = 2):
+        self.source = source
         self.fanouts = list(fanouts)
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
@@ -163,33 +156,22 @@ class StreamingLoader:
         labels = self.source.gather_labels(plan.seeds)
         gather_s = time.perf_counter() - t1
 
-        t2 = time.perf_counter()
-        # Device-transfer stub: the contiguous staging copy a real
-        # H2D upload would make; keeps the stage's cost visible.
-        rows = np.ascontiguousarray(rows)
-        transfer_s = time.perf_counter() - t2
-
         reg = obs.get_registry()
         attrs = {"epoch": plan.epoch, "batch": plan.index}
         reg.record_span("loader.sample", sample_s, simulated=False, **attrs)
         reg.record_span("loader.gather", gather_s, simulated=False, **attrs)
-        reg.record_span("loader.transfer", transfer_s, simulated=False,
-                        **attrs)
         obs.counter("loader.batches").add(1)
         obs.counter("loader.bytes_gathered").add(int(rows.nbytes))
-        # Wire bytes: what the storage tier actually moved for this
-        # gather (quantized codes + sidecars for a quantized source);
-        # equals bytes_gathered only for unquantized storage.
-        wire_per_row = getattr(self.source, "wire_bytes_per_row", None)
-        wire = (int(wire_per_row) * int(compact.input_vertices.size)
-                if wire_per_row is not None else int(rows.nbytes))
-        obs.counter("loader.wire_bytes").add(wire)
+        # Wire bytes: what the storage tier moved for this gather, in
+        # the source's stored format (quantized codes + sidecars for a
+        # quantized source); equals bytes_gathered for an exact store.
+        obs.counter("loader.wire_bytes").add(
+            self.source.wire_bytes_per_row * int(compact.input_vertices.size))
 
         return SampledBatch(
             index=plan.index, epoch=plan.epoch, seeds=plan.seeds,
             compact=compact, feats=Tensor(rows), labels=labels,
             sample_seconds=sample_s, gather_seconds=gather_s,
-            transfer_seconds=transfer_s,
         )
 
     # ------------------------------------------------------------------

@@ -68,7 +68,10 @@ class InferenceSession:
     graph:
         The pinned input graph.
     features:
-        ``(num_vertices, feat_dim)`` input features.
+        ``(num_vertices, feat_dim)`` input features: an array, pinned
+        exactly, or a :class:`~repro.loader.DataSource`, pinned in the
+        codec it was built with.  The embedding cache stores rows in
+        that codec too (``source.codec``).
     checkpoint:
         Optional path to a ``save_checkpoint`` artifact; metadata written
         by :func:`repro.storage.checkpoint_metadata` is verified (model
@@ -80,29 +83,18 @@ class InferenceSession:
     fanouts:
         Per-layer fan-out budgets for sampled (approximate) serving;
         ``None`` entries (or ``fanouts=None``) keep exact neighborhoods.
-    feature_dtype:
-        ``None`` pins features exactly as given; ``"float32"`` /
-        ``"float16"`` / ``"int8"`` stores them quantized (int8 with
-        per-row scales) and dequantizes on gather, shrinking the pinned
-        footprint up to ~4× for float32 inputs.  Gathered rows enter the
-        model in its parameter dtype.
     embed_cache_bytes:
         Byte budget of the embedding cache.  Exact rows are stored in
         the model's parameter dtype, 4 bytes per element for the
         float32 default: a 64-wide row costs 256 bytes, so 64 MiB holds
-        ~262k of them.
-    cache_dtype:
-        Storage codec for the embedding cache (see
-        :class:`~repro.serve.cache.EmbeddingCache`); ``"int8"`` holds
-        ~4× the float32 vertices per byte budget, lifting warm hit
-        rate.
+        ~262k of them; an int8 cache holds ~4× as many.
     """
 
     def __init__(
         self,
         model: NAUModel,
         graph: Graph,
-        features: np.ndarray,
+        features,
         *,
         checkpoint: str | None = None,
         hdg: HDG | None = None,
@@ -111,18 +103,13 @@ class InferenceSession:
         seed: int = 0,
         embed_cache_bytes: int = 64 * 1024 * 1024,
         block_cache_bytes: int = 16 * 1024 * 1024,
-        feature_dtype: str | None = None,
-        cache_dtype: str | None = None,
     ):
         self.model = model
         self.graph = graph
         self.strategy = ExecutionStrategy.parse(strategy)
-        feats = np.asarray(features)
-        if feats.shape[0] != graph.num_vertices:
+        self._source = as_source(features)
+        if self._source.num_vertices != graph.num_vertices:
             raise ValueError("features must cover every vertex of the graph")
-        # Pinned exactly as given, or (with a codec) held quantized and
-        # dequantized on gather — the loader's in-RAM feature tiers.
-        self._source = as_source(feats, feature_dtype=feature_dtype)
         if fanouts is not None and len(fanouts) != model.num_layers:
             raise ValueError(
                 f"need one fanout per layer ({model.num_layers}), got {len(fanouts)}"
@@ -140,7 +127,7 @@ class InferenceSession:
 
         self.version = GraphVersion()
         self.embed_cache = EmbeddingCache(embed_cache_bytes,
-                                          store_dtype=cache_dtype)
+                                          store_dtype=self._source.codec)
         self.block_cache = HDGBlockCache(block_cache_bytes)
 
     # ------------------------------------------------------------------

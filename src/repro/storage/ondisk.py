@@ -216,19 +216,19 @@ class OnDiskDataset:
         codec = self.manifest.get("feature_codec")
         self._scale_cache: dict[int, np.ndarray] = {}
         if codec is None:
-            self.feature_codec = None
+            self.codec = None
             return
         try:
-            self.feature_codec = resolve_codec(codec)
+            self.codec = resolve_codec(codec)
         except ValueError as exc:
             raise OnDiskIntegrityError(f"{self.root}: {exc}") from exc
-        storage = storage_dtype(self.feature_codec)
+        storage = storage_dtype(self.codec)
         if storage != self.feature_dtype:
             raise OnDiskIntegrityError(
-                f"{self.root}: feature_codec {self.feature_codec!r} stores "
+                f"{self.root}: feature_codec {self.codec!r} stores "
                 f"{storage}, but manifest feature_dtype is {self.feature_dtype}"
             )
-        if self.feature_codec == "int8":
+        if self.codec == "int8":
             for shard in range(self.num_feature_shards):
                 if _scale_shard_rel(shard) not in self.manifest["files"]:
                     raise OnDiskIntegrityError(
@@ -245,8 +245,8 @@ class OnDiskDataset:
     @property
     def wire_bytes_per_row(self) -> int:
         """Bytes one gathered row moves in the stored (wire) format."""
-        if self.feature_codec is not None:
-            return _codec_row_bytes(self.feature_codec, self.feat_dim)
+        if self.codec is not None:
+            return _codec_row_bytes(self.codec, self.feat_dim)
         return self.feat_dim * self.feature_dtype.itemsize
 
     def _shard_scales(self, shard: int) -> np.ndarray:
@@ -330,9 +330,9 @@ class OnDiskDataset:
         actually read.  An exact store returns its storage dtype.
         """
         rows = vertex_ids(rows, self.num_vertices)
-        quant = self.feature_codec == "int8"
+        quant = self.codec == "int8"
         out = np.empty((rows.size, self.feat_dim),
-                       dtype=self.feature_dtype if self.feature_codec is None
+                       dtype=self.feature_dtype if self.codec is None
                        else np.float32)
         if rows.size == 0:
             return out

@@ -74,6 +74,20 @@ class TestCommands:
                      "--requests", "8"]) == 0
         assert "latency" in capsys.readouterr().out
 
+    def test_train_minibatch_int8_store(self, capsys):
+        assert main(["train", "--model", "gcn", "--dataset", "reddit",
+                     "--scale", "tiny", "--epochs", "1", "--minibatch",
+                     "--feature-dtype", "int8"]) == 0
+        assert "test acc" in capsys.readouterr().out
+
+    def test_serve_int8_store_caches_int8(self, capsys):
+        assert main(["serve", "--model", "gcn", "--dataset", "reddit",
+                     "--scale", "tiny", "--train-epochs", "1",
+                     "--requests", "8", "--feature-dtype", "int8"]) == 0
+        out = capsys.readouterr().out
+        assert "latency" in out
+        assert "int8 rows" in out
+
     def test_train_magnn_on_imdb(self, capsys):
         rc = main(["train", "--model", "magnn", "--dataset", "imdb",
                    "--scale", "tiny", "--epochs", "1"])

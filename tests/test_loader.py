@@ -14,7 +14,13 @@ from repro.core.hdg import hdg_from_graph
 from repro.core.sampling import MiniBatchTrainer
 from repro.datasets import load_dataset
 from repro.datasets.synthetic import ShardedSyntheticSpec
-from repro.loader import StreamingLoader, as_source, compact_blocks, plan_epoch
+from repro.loader import (
+    QuantizedSource,
+    StreamingLoader,
+    as_source,
+    compact_blocks,
+    plan_epoch,
+)
 from repro.loader.source import InMemorySource
 from repro.models import gcn
 from repro.storage import (
@@ -39,7 +45,7 @@ def sources(tmp_path_factory):
     write_ondisk_dataset(data, root, rows_per_shard=64)
     return {
         "InMemory": as_source(data),
-        "Quantized": as_source(data, feature_dtype="int8"),
+        "Quantized": QuantizedSource(data.features, data.labels, "int8"),
         "OnDisk": OnDiskDataset(root),
     }
 
@@ -221,6 +227,19 @@ class TestTrainerParity:
         assert stats.gather_seconds >= 0
         assert stats.train_seconds > 0
         assert 0.0 <= stats.overlap_efficiency <= 1.0
+
+    def test_epoch_event_carries_counts(self, ds):
+        """The minibatch epoch event carries the engine epoch event's
+        counted fields next to its stage seconds."""
+        obs.reset()
+        self._losses(ds, ds, 0, 1, epochs=1)
+        (event,) = [e.attrs for e in obs.get_registry().events
+                    if e.name == "epoch"]
+        assert event["flops"] > 0
+        assert event["work_bytes"] > 0
+        for key in ("plan_hits", "plan_misses", "memo_hits", "memo_builds"):
+            assert event[key] >= 0
+        assert "transfer_seconds" not in event
 
     def test_dataset_trainer_without_explicit_arrays(self, ds):
         stats = self._losses(ds, ds, 0, 1, epochs=1)[0]

@@ -408,7 +408,7 @@ class TestMakeOndiskTool:
         assert out.count("all fingerprints match") == 2
         digest = OnDiskDataset(fp32).graph.fingerprint()
         assert out.count(f"graph fingerprint: {digest}") == 2
-        assert OnDiskDataset(int8).feature_codec == "int8"
+        assert OnDiskDataset(int8).codec == "int8"
         # int8 codes + float32 scale sidecars vs float32 rows: d+4 vs 4d
         # bytes per row, so >= 3x smaller on disk for d >= 16.
         assert self._features_bytes(int8) * 3 <= self._features_bytes(fp32)

@@ -2,13 +2,14 @@
 across every storage backend, and byte-budget accounting in the serve
 caches."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from repro.loader import StreamingLoader, as_source
-from repro.loader.source import QuantizedSource
+from repro.loader import QuantizedSource, StreamingLoader, as_source
+from repro.loader.source import InMemorySource
 from repro.serve.cache import EmbeddingCache, HDGBlockCache, block_nbytes
 from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.storage.ondisk import OnDiskIntegrityError
@@ -120,24 +121,20 @@ class TestGatherParity:
         assert src.nbytes < rows.nbytes / 4
 
     def test_as_source_feature_dtype(self):
-        """An fp16 codec stores half precision and decodes to float32:
-        the rows are the stored codes, cast once."""
+        """An fp16 store decodes its stored codes to float32, and
+        ``as_source`` hands it on with the codec it was built with."""
         rows = _rows(10, 4)
-        src = as_source(rows, np.zeros(10), feature_dtype="float16")
-        assert isinstance(src, QuantizedSource)
+        built = QuantizedSource(rows, np.zeros(10), codec="float16")
+        assert as_source(built) is built
+        relabeled = as_source(built, np.ones(10))
+        assert relabeled.codec == "float16"
         idx = np.array([3, 0, 9, 3])
-        got = src.gather_features(idx)
+        got = relabeled.gather_features(idx)
         expected = quantize_rows(rows, "float16").codes[idx].astype(np.float32)
         assert got.dtype == np.float32
         assert got.tobytes() == expected.tobytes()
         # ... already in a float32 model's dtype: no second pass.
         assert as_param_dtype(Linear(4, 2), got) is got
-
-    def test_as_source_refuses_requantizing_a_source(self):
-        rows = _rows(10, 4)
-        base = as_source(rows, np.zeros(10))
-        with pytest.raises(ValueError, match="cannot re-quantize"):
-            as_source(base, feature_dtype="int8")
 
     @pytest.mark.parametrize("codec", ["float16", "int8"])
     def test_ondisk_parity(self, dataset, tmp_path, codec):
@@ -145,7 +142,7 @@ class TestGatherParity:
         write_ondisk_dataset(dataset, root, rows_per_shard=64,
                              quantize=codec)
         ds = OnDiskDataset(root)
-        assert ds.feature_codec == codec
+        assert ds.codec == codec
         idx = np.array([0, 63, 64, 65, 199, 1])  # spans shard boundaries
         got = ds.gather_features(idx)
         exact = np.asarray(dataset.features)[idx]
@@ -225,13 +222,74 @@ class TestGatherParity:
         obs.reset()
         model = gcn(dataset.feat_dim, 8, dataset.num_classes, seed=0)
         hdg = FlexGraphEngine(model, dataset.graph, seed=0).hdg_for_layer(0)
-        loader = StreamingLoader(dataset, [5, 5], batch_size=64,
-                                 prefetch_depth=0, feature_dtype="int8")
+        source = QuantizedSource(dataset.features, dataset.labels, "int8")
+        loader = StreamingLoader(source, [5, 5], batch_size=64,
+                                 prefetch_depth=0)
         for _ in loader.epoch_batches(hdg, np.arange(128), epoch=0, seed=0):
             pass
         wire = obs.counter("loader.wire_bytes").total
         compute = obs.counter("loader.bytes_gathered").total
         assert 0 < wire < compute / 3
+
+
+# ---------------------------------------------------------------------------
+# A source answers for its own codec and wire bytes
+# ---------------------------------------------------------------------------
+def _store(kind, dataset, tmp_path):
+    """A store of ``kind`` (``<tier>[-<codec>]``) over ``dataset``."""
+    tier, _, codec = kind.partition("-")
+    codec = codec or None
+    if tier == "InMemory":
+        return InMemorySource(dataset.features, dataset.labels)
+    if tier == "Quantized":
+        return QuantizedSource(dataset.features, dataset.labels, codec)
+    root = str(tmp_path / kind)
+    write_ondisk_dataset(dataset, root, rows_per_shard=64, quantize=codec)
+    return OnDiskDataset(root)
+
+
+class TestSourceReportsItsStore:
+    @pytest.mark.parametrize("relabel", [False, True])
+    @pytest.mark.parametrize("kind", [
+        "InMemory", "Quantized-int8", "Quantized-float16", "OnDisk",
+        "OnDisk-int8",
+    ])
+    def test_every_source_reports_codec_and_wire_bytes(self, dataset,
+                                                       tmp_path, kind,
+                                                       relabel):
+        store = _store(kind, dataset, tmp_path)
+        source = as_source(store, dataset.labels) if relabel else store
+        codec = kind.partition("-")[2] or None
+        assert source.codec == codec
+        dim = dataset.features.shape[1]
+        itemsize = np.asarray(dataset.features).itemsize
+        expected = (dim * itemsize if codec is None
+                    else wire_bytes_per_row(codec, dim))
+        assert source.wire_bytes_per_row == expected
+
+    @pytest.mark.parametrize("kind", ["Quantized-int8", "OnDisk-int8"])
+    def test_loader_wire_bytes_ignore_a_label_override(self, dataset,
+                                                       tmp_path, kind):
+        """Regression: a source with an explicit label array counted the
+        decoded float32 bytes as wire bytes (3.8x over for int8)."""
+        from repro import obs
+        from repro.core.hdg import hdg_from_graph
+
+        store = _store(kind, dataset, tmp_path)
+        hdg = hdg_from_graph(dataset.graph)
+
+        def wire_bytes(source):
+            obs.reset()
+            loader = StreamingLoader(source, [5, 5], batch_size=64,
+                                     prefetch_depth=0)
+            rows = sum(
+                b.compact.input_vertices.size for b in
+                loader.epoch_batches(hdg, np.arange(128), epoch=0, seed=0))
+            return obs.counter("loader.wire_bytes").total, rows
+
+        plain, rows = wire_bytes(store)
+        assert plain == rows * store.wire_bytes_per_row
+        assert wire_bytes(as_source(store, dataset.labels))[0] == plain
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +372,9 @@ class TestQuantizedServeTier:
         model = gcn(dataset.feat_dim, 8, dataset.num_classes, seed=0)
         exact = InferenceSession(model, dataset.graph, dataset.features,
                                  seed=0)
-        quant = InferenceSession(model, dataset.graph, dataset.features,
-                                 seed=0, feature_dtype="int8",
-                                 cache_dtype="int8")
+        quant = InferenceSession(
+            model, dataset.graph,
+            QuantizedSource(dataset.features, codec="int8"), seed=0)
         seeds = np.arange(16)
         ref = exact.embed(seeds)
         got = quant.embed(seeds)
@@ -332,6 +390,19 @@ class TestQuantizedServeTier:
         # inside the codec's per-row bound.
         assert np.all(np.abs(warm - got)
                       <= int8_error_bound(got)[:, None] + 1e-6)
+        # An exact pin caches exactly: the cache's codec is the store's.
+        assert exact.stats()["embed_cache"]["store_dtype"] == "exact"
+        # Bit for bit what the former ``feature_dtype="int8",
+        # cache_dtype="int8"`` options served and cached.
+        digest = hashlib.sha256()
+        for rows in (got, warm, quant.predict(seeds)):
+            digest.update(np.ascontiguousarray(rows).tobytes())
+        assert digest.hexdigest()[:16] == "d0b2fe77a808e29c"
+        stats = quant.stats()["embed_cache"]
+        assert {k: stats[k] for k in ("store_dtype", "entries", "bytes",
+                                      "hits", "misses")} == {
+            "store_dtype": "int8", "entries": 192, "bytes": 2304,
+            "hits": 32, "misses": 192}
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +414,16 @@ class TestTrainingParity:
         from repro.models import gcn
 
         losses = {}
-        for codec in (None, "int8"):
+        for codec in (None, "int8", "float16"):
             model = gcn(dataset.feat_dim, 8, dataset.num_classes, seed=0)
             trainer = MiniBatchTrainer(model, dataset, batch_size=64,
-                                       fanouts=[5, 5], seed=0,
-                                       feature_dtype=codec)
+                                       fanouts=[5, 5], seed=0)
+            source = (None if codec is None else
+                      QuantizedSource(dataset.features, dataset.labels, codec))
             opt = Adam(model.parameters(), lr=0.01)
             losses[codec] = [
-                trainer.train_epoch(optimizer=opt, mask=dataset.train_mask,
-                                    epoch=epoch).loss
+                trainer.train_epoch(source, optimizer=opt,
+                                    mask=dataset.train_mask, epoch=epoch).loss
                 for epoch in range(2)
             ]
         for exact, quant in zip(losses[None], losses["int8"]):
@@ -359,18 +431,9 @@ class TestTrainingParity:
             assert quant != exact
             # ... and its error stays inside the stated 1% bound.
             assert abs(quant - exact) <= 0.01 * max(abs(exact), 1.0)
-
-    def test_trainer_refuses_requantizing_ondisk(self, dataset, tmp_path):
-        from repro.core.sampling import MiniBatchTrainer
-        from repro.models import gcn
-
-        root = str(tmp_path / "ds")
-        write_ondisk_dataset(dataset, root, rows_per_shard=64,
-                             quantize="int8")
-        ds = OnDiskDataset(root)
-        model = gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
-        trainer = MiniBatchTrainer(model, ds, batch_size=64, fanouts=[5, 5],
-                                   seed=0, feature_dtype="float16")
-        with pytest.raises(ValueError, match="re-quantize"):
-            trainer.train_epoch(optimizer=Adam(model.parameters(), lr=0.01),
-                                mask=ds.train_mask, epoch=0)
+        # Bit for bit the losses of the former
+        # ``MiniBatchTrainer(feature_dtype=codec)``.
+        assert [loss.hex() for loss in losses["int8"]] == [
+            "0x1.86f71c0000000p+4", "0x1.e79a040000000p+2"]
+        assert [loss.hex() for loss in losses["float16"]] == [
+            "0x1.86e67c0000000p+4", "0x1.e94f810000000p+2"]
