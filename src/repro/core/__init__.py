@@ -19,7 +19,6 @@ from .step import (
     Partition,
     build_block,
     build_seed_blocks,
-    check_block_source,
     compact_blocks,
     edge_scores,
     link_loss,
@@ -48,7 +47,7 @@ __all__ = [
     "Aggregator", "MeanAggregator", "AttentionAggregator",
     "FlexGraphEngine", "StageTimes", "EpochStats",
     "MiniBatchTrainer", "MiniBatchEpochStats",
-    "ModelHDGs", "check_block_source", "build_block",
+    "ModelHDGs", "build_block",
     "build_seed_blocks", "CompactBlocks", "compact_blocks", "sample_blocks",
     "run_local_blocks", "Partition", "train_step", "node_loss",
     "edge_scores", "link_loss",

@@ -18,13 +18,12 @@ from ..graph.graph import Graph
 from ..tensor.loss import accuracy
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
-from ..tensor.plans import get_plan_cache
 from ..tensor.scatter import MATERIALIZED_BYTES_COUNTER
 from ..tensor.tensor import Tensor, no_grad
-from .hdg import HDG, memo_since, memo_snapshot
+from .hdg import HDG
 from .hybrid import ExecutionStrategy
 from .nau import NAUModel
-from .step import ModelHDGs, node_loss, train_step
+from .step import ModelHDGs, epoch_counts, epoch_mark, node_loss, train_step
 
 __all__ = ["StageTimes", "EpochStats", "FlexGraphEngine", "STAGE_SPANS"]
 
@@ -106,11 +105,15 @@ class FlexGraphEngine:
         self.last_times = StageTimes()
 
     def hdg_for_layer(self, layer_index: int, epoch: int = 0) -> HDG:
-        """HDG for a layer, honoring the model's selection scope."""
-        return self.hdgs.for_layer(layer_index, epoch)
+        """The HDG layer ``layer_index`` aggregates over at ``epoch``:
+        the model-level one, shared by every layer."""
+        if not 0 <= layer_index < self.model.num_layers:
+            raise IndexError(f"layer {layer_index} out of range for a "
+                             f"{self.model.num_layers}-layer model")
+        return self.hdgs.model_level(epoch)[0]
 
     def invalidate_hdgs(self) -> None:
-        """Drop all cached HDGs (e.g. after the graph changed)."""
+        """Drop the cached HDG (e.g. after the graph changed)."""
         self.hdgs.invalidate()
 
     # ------------------------------------------------------------------
@@ -124,12 +127,11 @@ class FlexGraphEngine:
         to the model's parameter dtype (no copy when it already is).
         """
         times = StageTimes()
-        self.hdgs.begin_forward()
         h = as_param_dtype(self.model, feats)
         for i, layer in enumerate(self.model.layers):
             with obs.span(STAGE_SPANS["neighbor_selection"],
                           layer=i, epoch=epoch) as s_sel:
-                hdg = self.hdg_for_layer(i, epoch)
+                hdg, _ = self.hdgs.model_level(epoch)
                 # The selection stage's work is structural, not FLOPs: it
                 # hands the HDG (offsets, leaves, schema) to aggregation.
                 obs.record_op("neighbor_selection.hdg",
@@ -158,10 +160,7 @@ class FlexGraphEngine:
         self.model.train()
         mat = obs.counter(MATERIALIZED_BYTES_COUNTER)
         mat_mark = mat.current
-        work_mark = obs.work_snapshot()
-        plan_cache = get_plan_cache()
-        plan_mark = (plan_cache.hits, plan_cache.misses)
-        memo_mark = memo_snapshot()
+        mark = epoch_mark()
         with obs.span("engine.train_epoch", epoch=epoch):
             logits = self.forward(feats, epoch)
             loss = node_loss(logits, labels, mask)
@@ -174,7 +173,6 @@ class FlexGraphEngine:
         mat.release(mat.current - mat_mark)
         train_acc = accuracy(logits, labels, mask)
         seconds = self.last_times.total
-        work = obs.work_since(work_mark)
         obs.event(
             "epoch",
             epoch=epoch,
@@ -184,11 +182,7 @@ class FlexGraphEngine:
             vertices_per_sec=(
                 self.graph.num_vertices / seconds if seconds > 0 else 0.0
             ),
-            flops=work["flops"],
-            work_bytes=work["bytes_read"] + work["bytes_written"],
-            plan_hits=plan_cache.hits - plan_mark[0],
-            plan_misses=plan_cache.misses - plan_mark[1],
-            **memo_since(memo_mark),
+            **epoch_counts(mark),
         )
         return EpochStats(
             epoch=epoch,

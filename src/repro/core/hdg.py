@@ -476,20 +476,6 @@ class ReductionMemo:
             return reduced
 
 
-def memo_snapshot() -> dict:
-    """Current ``reduce.memo.*`` hit and build totals, for
-    :func:`memo_since`."""
-    return {"memo_hits": int(_obs_counter(MEMO_HIT_COUNTER).total),
-            "memo_builds": int(_obs_counter(MEMO_BUILD_COUNTER).total)}
-
-
-def memo_since(snapshot: dict) -> dict:
-    """``memo_hits`` / ``memo_builds`` since ``snapshot`` — the fields
-    of an ``epoch`` event."""
-    now = memo_snapshot()
-    return {key: now[key] - snapshot[key] for key in now}
-
-
 def _release_memo_bytes(held: list[int]) -> None:
     if held[0]:
         _obs_counter(MEMO_BYTES_COUNTER).release(held[0])

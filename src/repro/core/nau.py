@@ -42,7 +42,6 @@ class SelectionScope(enum.Enum):
 
     STATIC = "static"      # once for the whole training run (GCN, MAGNN)
     PER_EPOCH = "per_epoch"  # rebuilt at each epoch (PinSage's random walks)
-    PER_LAYER = "per_layer"  # rebuilt for every layer invocation
 
 
 def projects_first(edges: int, rows: int, roots: int,
@@ -93,8 +92,8 @@ class GNNLayer(Module):
       neighborhood term, reduced at whichever width costs fewer
       multiply-adds (:func:`projects_first`).
 
-    :meth:`neighbor_selection` defaults to ``None``, meaning the layer
-    uses the model-level HDGs (the common case).
+    A layer selects no neighbors of its own: every layer of a model
+    aggregates over the one HDG its :class:`NAUModel` selected.
     """
 
     def __init__(self, aggregators: list[Aggregator | str] | None = None,
@@ -107,11 +106,6 @@ class GNNLayer(Module):
                 self.aggregators.append(agg)
                 # Register parameterized aggregators (attention) as children.
                 setattr(self, f"_agg{i}", agg)
-
-    # -- NeighborSelection -------------------------------------------------
-    def neighbor_selection(self, graph: Graph, rng: np.random.Generator) -> HDG | None:
-        """Build this layer's HDGs, or return ``None`` to use the model's."""
-        return None
 
     # -- Aggregation --------------------------------------------------------
     def aggregation(self, feats: Tensor, hdg: HDG,
@@ -269,7 +263,7 @@ def _project(feats: Tensor, weight: Tensor | None) -> Tensor | None:
 
 
 class NAUModel(Module):
-    """A stack of :class:`GNNLayer` with a shared NeighborSelection policy.
+    """A stack of :class:`GNNLayer` over one NeighborSelection.
 
     Parameters
     ----------
@@ -302,11 +296,14 @@ class NAUModel(Module):
 
     # -- NeighborSelection ---------------------------------------------------
     def neighbor_selection(self, graph: Graph, rng: np.random.Generator) -> HDG:
-        """Build the model-level HDGs.
+        """Build the model-level HDG every layer aggregates over.
 
-        The default is the DNFA fast path: reuse the input graph as a flat
-        HDG of direct neighbors.  INFA/INHA models override this with
-        their own UDF-driven construction.
+        Its roots must be every vertex of ``graph`` in id order: blocks,
+        rank slices and partitions read a root's position as its vertex
+        id (:class:`~repro.core.step.ModelHDGs` refuses any other
+        layout).  The default is the DNFA fast path: reuse the input
+        graph as a flat HDG of direct neighbors.  INFA/INHA models
+        override this with their own UDF-driven construction.
         """
         return hdg_from_graph(graph)
 
@@ -330,12 +327,10 @@ class NAUModel(Module):
         changed = np.asarray(changed, dtype=np.int64).reshape(-1, 2)
         return hdg_from_graph(graph), np.unique(changed[:, 1])
 
-    def forward(self, feats: Tensor, hdgs: list[HDG],
+    def forward(self, feats: Tensor, hdg: HDG,
                 strategy: ExecutionStrategy = ExecutionStrategy.HA) -> Tensor:
-        """Run all layers given one HDG per layer."""
-        if len(hdgs) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} HDGs, got {len(hdgs)}")
+        """Run all layers over the model-level ``hdg``."""
         h = feats
-        for layer, hdg in zip(self.layers, hdgs):
+        for layer in self.layers:
             h = layer.forward(h, hdg, strategy)
         return h

@@ -19,12 +19,17 @@ from ..graph.graph import Graph
 from ..tensor.loss import accuracy
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
-from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor, no_grad
-from .hdg import memo_since, memo_snapshot
 from .hybrid import ExecutionStrategy
 from .nau import NAUModel
-from .step import ModelHDGs, node_loss, run_local_blocks, train_step
+from .step import (
+    ModelHDGs,
+    epoch_counts,
+    epoch_mark,
+    node_loss,
+    run_local_blocks,
+    train_step,
+)
 
 __all__ = ["MiniBatchTrainer", "MiniBatchEpochStats"]
 
@@ -151,10 +156,7 @@ class MiniBatchTrainer:
             raise ValueError("train_epoch needs an optimizer")
         self.model.train()
         t0 = time.perf_counter()
-        work_mark = obs.work_snapshot()
-        plan_cache = get_plan_cache()
-        plan_mark = (plan_cache.hits, plan_cache.misses)
-        memo_mark = memo_snapshot()
+        mark = epoch_mark()
         hdg = self.hdgs.block_source(epoch)
         n = self.graph.num_vertices
         pool = np.flatnonzero(mask) if mask is not None else np.arange(n)
@@ -202,16 +204,7 @@ class MiniBatchTrainer:
             overlap_efficiency=overlap,
             prefetch_depth=self.prefetch_depth,
         )
-        work = obs.work_since(work_mark)
-        obs.event(
-            "epoch",
-            **asdict(stats),
-            flops=work["flops"],
-            work_bytes=work["bytes_read"] + work["bytes_written"],
-            plan_hits=plan_cache.hits - plan_mark[0],
-            plan_misses=plan_cache.misses - plan_mark[1],
-            **memo_since(memo_mark),
-        )
+        obs.event("epoch", **asdict(stats), **epoch_counts(mark))
         return stats
 
     def evaluate(self, feats: Tensor, labels: np.ndarray,
@@ -223,8 +216,7 @@ class MiniBatchTrainer:
         if hdg is None:
             hdg = self.hdgs.block_source(0)
         with no_grad():
-            h = self.model.forward(as_param_dtype(self.model, feats),
-                                   [hdg] * self.model.num_layers,
+            h = self.model.forward(as_param_dtype(self.model, feats), hdg,
                                    self.strategy)
         self.model.train()
         return accuracy(h, labels, mask)

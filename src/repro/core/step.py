@@ -3,10 +3,11 @@
 A GNN is one NAU program; full-batch, sampled, partitioned and
 multi-process training differ in *where batches come from* and *how
 workers talk*, not in what a training step is.  This module owns the
-four decisions those loops used to re-make by hand:
+five decisions those loops used to re-make by hand:
 
-* :class:`ModelHDGs` — when the HDGs NeighborSelection built go stale
-  (``SelectionScope``), and who rebuilds them;
+* :class:`ModelHDGs` — when the model-level HDG NeighborSelection built
+  goes stale (``SelectionScope``), who rebuilds it, and that its roots
+  are every vertex in id order;
 * the block forward — a seed batch becomes per-layer blocks
   (:func:`build_seed_blocks`), is relabeled into batch-local
   coordinates (:func:`compact_blocks`) and runs there
@@ -16,7 +17,9 @@ four decisions those loops used to re-make by hand:
 * :class:`Partition` — validated vertex → worker labels and the
   per-worker root orders;
 * :func:`train_step` and the two loss heads, :func:`node_loss` and
-  :func:`link_loss`.
+  :func:`link_loss`;
+* what an ``epoch`` event counts (:func:`epoch_mark`,
+  :func:`epoch_counts`).
 
 Fan-out sampling is the FlexGraph-native answer to Euler/DistDGL-style
 training: the paper shows mini-batch systems collapse on GCN because
@@ -34,17 +37,18 @@ import numpy as np
 
 from .. import obs
 from ..graph.graph import Graph
+from ..obs.profile import BYTES_READ_COUNTER, BYTES_WRITTEN_COUNTER, FLOPS_COUNTER
 from ..tensor.loss import binary_cross_entropy_with_logits, cross_entropy
 from ..tensor.nn import as_param_dtype
 from ..tensor.ops import concat, scatter_rows
 from ..tensor.optim import Optimizer
+from ..tensor.plans import PLAN_HIT_COUNTER, PLAN_MISS_COUNTER
 from ..tensor.tensor import Tensor
-from .hdg import HDG, _ranges_gather
-from .nau import GNNLayer, NAUModel, SelectionScope
+from .hdg import HDG, MEMO_BUILD_COUNTER, MEMO_HIT_COUNTER, _ranges_gather
+from .nau import NAUModel, SelectionScope
 
 __all__ = [
     "ModelHDGs",
-    "check_block_source",
     "sample_fanout",
     "build_block",
     "build_seed_blocks",
@@ -57,6 +61,8 @@ __all__ = [
     "node_loss",
     "edge_scores",
     "link_loss",
+    "epoch_mark",
+    "epoch_counts",
 ]
 
 
@@ -64,19 +70,22 @@ __all__ = [
 # HDG lifecycle (NAU's caching discussion, Section 3.2)
 # ----------------------------------------------------------------------
 class ModelHDGs:
-    """The HDGs of one (model, graph) pair, rebuilt when their scope says.
+    """The one model-level HDG of a (model, graph) pair.
 
-    ``STATIC`` HDGs are built once — the model-level one is marked
+    NeighborSelection runs once per model, never per layer: every layer
+    aggregates over the one HDG it built, rebuilt as the model's scope
+    says.  A ``STATIC`` HDG is built once and marked
     :attr:`~repro.core.hdg.HDG.persistent`, since it outlives the
-    epoch — ``PER_EPOCH`` ones whenever the
-    epoch changes, ``PER_LAYER`` ones on every layer invocation; a layer
-    that defines its own ``neighbor_selection`` overrides the model's.
-    :meth:`for_layer` serves all of that; :meth:`model_level` serves
-    callers that slice, sample or pin *one* HDG for the whole model and
-    refuses models that cannot provide one.
+    epoch; a ``PER_EPOCH`` one whenever the epoch changes.
 
-    ``span``, when given, names the obs span model-level builds run
-    under (the distributed trainers report selection time from it).
+    Every HDG built or pinned here must root every vertex in id order:
+    blocks, rank slices and :class:`Partition` read a root's position as
+    its vertex id, so any other layout would pair one vertex's self term
+    with another vertex's aggregate.  It is checked once per HDG, where
+    the HDG enters, so every runtime refuses the same models.
+
+    ``span``, when given, names the obs span builds run under (the
+    distributed trainers report selection time from it).
     """
 
     def __init__(self, model: NAUModel, graph: Graph,
@@ -90,136 +99,77 @@ class ModelHDGs:
         #: seconds the latest :meth:`model_level` call spent building
         #: (0.0 when it reused the cache)
         self.build_seconds = 0.0
-        self._layer_hdgs: dict[int, HDG] = {}
         self._epoch = -1
-        # PER_LAYER scope: layers without their own selection share one
-        # model-level HDG per forward pass (see begin_forward).
-        self._pass_hdg: HDG | None = None
 
     def invalidate(self) -> None:
-        """Drop every cached HDG (e.g. after the graph changed)."""
+        """Drop the cached HDG (e.g. after the graph changed)."""
         self.model_hdg = None
-        self._layer_hdgs.clear()
         self._epoch = -1
-        self._pass_hdg = None
 
     def pin(self, hdg: HDG, epoch: int = 0) -> None:
         """Install an externally built model-level HDG (one an edge edit
         repaired, or the exact HDG a training engine used) as if
         NeighborSelection had produced it at ``epoch``."""
+        self._check_roots(hdg)
         self.model_hdg = hdg
         self._epoch = epoch
 
-    def begin_forward(self) -> None:
-        """Start a forward pass: the PER_LAYER fallback HDG is shared by
-        the layers of one pass, not across passes."""
-        self._pass_hdg = None
+    def _check_roots(self, hdg: HDG) -> None:
+        n = self.graph.num_vertices
+        if not np.array_equal(hdg.roots, np.arange(n, dtype=np.int64)):
+            raise ValueError(
+                f"model {self.model.name!r}: NeighborSelection must root "
+                f"every vertex in id order (0..{n - 1}), but its HDG's "
+                f"{hdg.num_roots} roots are not that sequence"
+            )
 
     def _build(self, epoch: int) -> HDG:
         if self.span is None:
-            return self.model.neighbor_selection(self.graph, self.rng)
-        with obs.span(self.span, epoch=epoch) as s_sel:
             hdg = self.model.neighbor_selection(self.graph, self.rng)
-            obs.record_op("neighbor_selection.hdg", bytes_read=hdg.nbytes)
-        self.build_seconds = s_sel.duration
+        else:
+            with obs.span(self.span, epoch=epoch) as s_sel:
+                hdg = self.model.neighbor_selection(self.graph, self.rng)
+                obs.record_op("neighbor_selection.hdg", bytes_read=hdg.nbytes)
+            self.build_seconds = s_sel.duration
+        self._check_roots(hdg)
         return hdg
-
-    def _expire(self, epoch: int) -> None:
-        if (self.model.selection_scope is SelectionScope.PER_EPOCH
-                and self._epoch != epoch):
-            self.invalidate()
-            self._epoch = epoch
-
-    def _cached_model_level(self, epoch: int) -> tuple[HDG, bool]:
-        self._expire(epoch)
-        self.build_seconds = 0.0
-        rebuilt = self.model_hdg is None
-        if rebuilt:
-            self.model_hdg = self._build(epoch)
-            self._epoch = epoch
-        if self.model.selection_scope is SelectionScope.STATIC:
-            # Kept run-long (built or pinned): a reduction of a constant
-            # input over it is worth memoizing.
-            self.model_hdg.persistent = True
-        return self.model_hdg, rebuilt
-
-    def for_layer(self, layer_index: int, epoch: int = 0) -> HDG:
-        """HDG for one layer invocation, honoring scope and overrides."""
-        layer = self.model.layers[layer_index]
-        if self.model.selection_scope is SelectionScope.PER_LAYER:
-            own = layer.neighbor_selection(self.graph, self.rng)
-            if own is not None:
-                return own
-            # Rebuilding the fallback for every layer repeated the same
-            # (possibly expensive) construction L times per forward.
-            if self._pass_hdg is None:
-                self._pass_hdg = self._build(epoch)
-            return self._pass_hdg
-        self._expire(epoch)
-        if layer_index in self._layer_hdgs:
-            return self._layer_hdgs[layer_index]
-        own = layer.neighbor_selection(self.graph, self.rng)
-        if own is not None:
-            self._layer_hdgs[layer_index] = own
-            return own
-        return self._cached_model_level(epoch)[0]
 
     def model_level(self, epoch: int = 0) -> tuple[HDG, bool]:
         """``(hdg, rebuilt)``: the one HDG every layer of the model uses.
 
         ``rebuilt`` is true when this call ran NeighborSelection, i.e.
         anything derived from the previous HDG (worker slices,
-        dependency statistics, shipped sub-HDGs) is now stale.  Raises a
-        ``ValueError`` naming the model and scope when the model has no
-        single model-level HDG: ``PER_LAYER`` scope, or a layer with its
-        own ``neighbor_selection``.
+        dependency statistics, shipped sub-HDGs) is now stale.
         """
-        scope = self.model.selection_scope
-        own = [
-            i for i, layer in enumerate(self.model.layers)
-            if type(layer).neighbor_selection is not GNNLayer.neighbor_selection
-        ]
-        if scope is SelectionScope.PER_LAYER or own:
-            why = (f"layers {own} define their own neighbor_selection" if own
-                   else "its HDGs are rebuilt for every layer invocation")
-            raise ValueError(
-                f"model {self.model.name!r} (selection scope {scope.value!r}) "
-                f"has no single model-level HDG: {why}; only FlexGraphEngine "
-                f"runs per-layer NeighborSelection"
-            )
-        return self._cached_model_level(epoch)
+        if (self.model.selection_scope is SelectionScope.PER_EPOCH
+                and self._epoch != epoch):
+            self.model_hdg = None
+        self._epoch = epoch
+        self.build_seconds = 0.0
+        rebuilt = self.model_hdg is None
+        if rebuilt:
+            self.model_hdg = self._build(epoch)
+        if self.model.selection_scope is SelectionScope.STATIC:
+            # Kept run-long (built or pinned): a reduction of a constant
+            # input over it is worth memoizing.
+            self.model_hdg.persistent = True
+        return self.model_hdg, rebuilt
 
     def block_source(self, epoch: int = 0) -> HDG:
-        """The model-level HDG sampled blocks are cut from (validated
-        by :func:`check_block_source` whenever it is rebuilt)."""
-        hdg, rebuilt = self.model_level(epoch)
-        if rebuilt:
-            check_block_source(hdg, self.graph.num_vertices, flat=True)
+        """The model-level HDG sampled blocks are cut from; fan-out
+        sampling needs it flat."""
+        hdg, _ = self.model_level(epoch)
+        if hdg.depth != 1:
+            raise ValueError(
+                "sampled mini-batch training requires flat HDGs; bound "
+                "hierarchical models with max_instances_per_root instead"
+            )
         return hdg
 
 
 # ----------------------------------------------------------------------
 # Blocks: seed batch -> per-layer sub-HDGs -> batch-local coordinates
 # ----------------------------------------------------------------------
-def check_block_source(hdg: HDG, num_vertices: int, *, flat: bool) -> None:
-    """Validate a model-level HDG that blocks will be cut from.
-
-    Blocks are addressed by vertex id, so the roots must be every vertex
-    in id order (the layout every model-level NeighborSelection in this
-    repo produces); fan-out sampling additionally needs a flat HDG.
-    """
-    if flat and hdg.depth != 1:
-        raise ValueError(
-            "sampled mini-batch training requires flat HDGs; bound "
-            "hierarchical models with max_instances_per_root instead"
-        )
-    if not np.array_equal(hdg.roots, np.arange(num_vertices, dtype=np.int64)):
-        raise ValueError(
-            "seed-restricted blocks expect HDG roots to cover all vertices "
-            "in id order"
-        )
-
-
 def _floyd_positions(degrees: np.ndarray, k: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Row ``i`` is a uniform ``k``-subset of ``range(degrees[i])``,
@@ -309,7 +259,7 @@ def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
     """One layer's seed-restricted block: the sub-HDG rooted at
     ``vertices``, optionally fan-out sampled.
 
-    Requires an HDG that passes :func:`check_block_source` (vertex ids
+    Requires a model-level HDG from :class:`ModelHDGs` (vertex ids
     double as root orders).  ``fanout=None`` keeps the full
     neighborhoods (exact inference); a positive ``fanout`` keeps a
     uniform ``fanout``-subset of each larger neighborhood (flat HDGs
@@ -434,7 +384,7 @@ class Partition:
     """A validated vertex → worker assignment (from Hash/PuLP/ADB).
 
     ``parts[w]`` are worker ``w``'s vertices in id order — equivalently
-    its root orders in any HDG that passes :func:`check_block_source`.
+    its root orders in any model-level HDG (see :class:`ModelHDGs`).
     Everything here depends only on the fixed labels, so it is computed
     once instead of per layer per epoch.
     """
@@ -481,3 +431,35 @@ def link_loss(embeddings: Tensor, pos: np.ndarray, neg: np.ndarray) -> Tensor:
                      edge_scores(embeddings, neg).reshape(-1, 1)], axis=0)
     targets = np.concatenate([np.ones(pos.shape[0]), np.zeros(neg.shape[0])])
     return binary_cross_entropy_with_logits(logits.reshape(-1), targets)
+
+
+# ----------------------------------------------------------------------
+# What an ``epoch`` event counts
+# ----------------------------------------------------------------------
+#: each count an ``epoch`` event carries: its type and the obs counters
+#: it sums
+_EPOCH_COUNTS = {
+    "flops": (float, (FLOPS_COUNTER,)),
+    "work_bytes": (float, (BYTES_READ_COUNTER, BYTES_WRITTEN_COUNTER)),
+    "plan_hits": (int, (PLAN_HIT_COUNTER,)),
+    "plan_misses": (int, (PLAN_MISS_COUNTER,)),
+    "memo_hits": (int, (MEMO_HIT_COUNTER,)),
+    "memo_builds": (int, (MEMO_BUILD_COUNTER,)),
+}
+
+
+def epoch_mark() -> dict[str, float]:
+    """The obs counter totals :func:`epoch_counts` differences."""
+    reg = obs.get_registry()
+    return {name: reg.counter(name).total
+            for _, names in _EPOCH_COUNTS.values() for name in names}
+
+
+def epoch_counts(mark: dict[str, float]) -> dict:
+    """What an ``epoch`` event counts since ``mark``: ``flops``,
+    ``work_bytes``, ``plan_hits`` / ``plan_misses`` and ``memo_hits`` /
+    ``memo_builds``.  Read off the obs counters, so the counts include
+    whatever worker processes merged into this registry."""
+    now = epoch_mark()
+    return {field: kind(sum(now[name] - mark[name] for name in names))
+            for field, (kind, names) in _EPOCH_COUNTS.items()}

@@ -112,10 +112,9 @@ from ..obs.flight import (
     write_incident_bundle,
 )
 from ..obs.live import STALL_EVENT, StallDetector, StallEvent, TelemetrySlab
-from ..core.hdg import memo_since, memo_snapshot
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import ModelHDGs, Partition
+from ..core.step import ModelHDGs, Partition, epoch_counts, epoch_mark
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
@@ -789,6 +788,7 @@ class MultiprocessTrainer:
     ) -> MultiprocessEpochStats:
         """One data-parallel full-batch epoch across real processes."""
         t0 = time.perf_counter()
+        mark = epoch_mark()
         self._ship_features(feats)
         if labels is not self._labels or mask is not self._mask:
             attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
@@ -835,8 +835,8 @@ class MultiprocessTrainer:
         total_bytes = 0.0
         total_messages = 0
         reg = obs.get_registry()
-        # The workers' memo counters arrive with their telemetry.
-        memo_mark = memo_snapshot()
+        # The workers' work, plan and memo counters arrive with their
+        # telemetry.
         for rank in sorted(results):
             stats = results[rank]
             compute[rank] = stats["compute_seconds"]
@@ -844,7 +844,6 @@ class MultiprocessTrainer:
             total_bytes += stats["bytes"]
             total_messages += stats["messages"]
             reg.merge(stats["telemetry"])
-        memo = memo_since(memo_mark)
         obs.counter(BYTES_COUNTER).add(total_bytes)
         obs.counter(MESSAGES_COUNTER).add(total_messages)
         self._poll_telemetry()  # final sample: phase/epoch gauges current
@@ -859,7 +858,7 @@ class MultiprocessTrainer:
             messages=total_messages,
             backend="process",
             workers=self.k,
-            **memo,
+            **epoch_counts(mark),
         )
         return MultiprocessEpochStats(
             epoch=epoch,

@@ -27,13 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.hdg import memo_since, memo_snapshot
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import ModelHDGs, Partition
+from ..core.step import ModelHDGs, Partition, epoch_counts, epoch_mark
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Optimizer
-from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, CommPlan, dependency_stats, plan_layer_comm
 from .fault_tolerance import WorkerFailure
@@ -250,10 +248,7 @@ class DistributedTrainer:
             attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
             self._labels, self._mask = labels, mask
         self._sync_hdg(epoch)
-        work_mark = obs.work_snapshot()
-        plan_cache = get_plan_cache()
-        plan_mark = (plan_cache.hits, plan_cache.misses)
-        memo_mark = memo_snapshot()
+        mark = epoch_mark()
         steps, totals = self._forward(X, epoch)
         self._backward(steps)
         apply_reduced_grad(self.model, optimizer, self._bufs.pbuf)
@@ -283,7 +278,6 @@ class DistributedTrainer:
             float(per_worker_compute.max() / mean_compute)
             if mean_compute > 0 else 1.0
         )
-        work = obs.work_since(work_mark)
         obs.event(
             "epoch",
             epoch=epoch,
@@ -296,11 +290,7 @@ class DistributedTrainer:
                 self.graph.num_vertices / simulated if simulated > 0 else 0.0
             ),
             comm_mode=effective_mode,
-            flops=work["flops"],
-            work_bytes=work["bytes_read"] + work["bytes_written"],
-            plan_hits=plan_cache.hits - plan_mark[0],
-            plan_misses=plan_cache.misses - plan_mark[1],
-            **memo_since(memo_mark),
+            **epoch_counts(mark),
         )
 
         return DistributedEpochStats(

@@ -5,9 +5,8 @@ popularity), so the dominant cost saving at serve time is *not*
 recomputing layer outputs that are already known.  Two caches cooperate:
 
 * :class:`EmbeddingCache` — an LRU, byte-budgeted store of per-layer
-  output rows, keyed ``(layer, vertex)``.  Entries are tagged with the
-  :class:`GraphVersion` current when they were computed; graph updates
-  evict *exactly* the affected vertices (per layer, hop-expanded via
+  output rows, keyed ``(layer, vertex)``.  Graph updates evict
+  *exactly* the affected vertices (per layer, hop-expanded via
   :func:`expand_affected`) so the untouched working set survives an
   update with its hit rate intact.
 * :class:`HDGBlockCache` — an LRU cache of seed-restricted blocks in
@@ -94,9 +93,9 @@ def block_nbytes(block) -> int:
 class GraphVersion:
     """Monotonic counter identifying the pinned graph's current state.
 
-    Bumped once per applied edge-change batch; cache entries carry the
-    version they were computed under so exporters (and debugging) can
-    tell which graph state produced a row.
+    Bumped once per applied edge-change batch; the block cache keys on
+    it, so a block cut from an older graph state is never looked up
+    again.
     """
 
     def __init__(self) -> None:
@@ -136,7 +135,7 @@ def expand_affected(hdg: HDG, vertices: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingCache:
-    """LRU, byte-budgeted, versioned store of per-layer embedding rows.
+    """LRU, byte-budgeted store of per-layer embedding rows.
 
     Parameters
     ----------
@@ -197,7 +196,7 @@ class EmbeddingCache:
     @staticmethod
     def _entry_nbytes(entry: tuple) -> int:
         # int8 entries pay for their float32 scale sidecar.
-        return int(entry[1].nbytes) + (4 if entry[2] is not None else 0)
+        return int(entry[0].nbytes) + (4 if entry[1] is not None else 0)
 
     def lookup(self, layer: int, vertices: np.ndarray) -> tuple[np.ndarray, list]:
         """``(hit_mask, rows)``: per-vertex hit flags and the hit rows
@@ -212,8 +211,8 @@ class EmbeddingCache:
             if entry is not None:
                 self._entries.move_to_end((layer, v))
                 hit_mask[i] = True
-                rows.append(entry[1])
-                scales.append(entry[2])
+                rows.append(entry[0])
+                scales.append(entry[1])
         hits = int(hit_mask.sum())
         misses = vertices.size - hits
         self.hits += hits
@@ -225,9 +224,15 @@ class EmbeddingCache:
         return hit_mask, rows
 
     def store(self, layer: int, vertices: np.ndarray, rows: np.ndarray,
-              version: int) -> None:
-        """Insert one row per vertex, tagged with ``version``; evict LRU
-        entries beyond the byte budget."""
+              version: int | None = None) -> None:
+        """Insert one row per vertex; evict LRU entries beyond the byte
+        budget.
+
+        No entry carries a graph version — a graph update evicts the
+        stale rows (:meth:`invalidate`) — so ``version`` is ignored; it
+        is still accepted because the performance ledger's serve probe
+        passes one.
+        """
         if self.max_bytes <= 0:
             return
         vertices = np.asarray(vertices, dtype=np.int64)
@@ -241,7 +246,7 @@ class EmbeddingCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self.current_bytes -= self._entry_nbytes(old)
-            entry = (version, payload, scale)
+            entry = (payload, scale)
             self._entries[key] = entry
             self.current_bytes += self._entry_nbytes(entry)
         while self.current_bytes > self.max_bytes and self._entries:

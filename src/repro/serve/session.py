@@ -35,12 +35,7 @@ import numpy as np
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.step import (
-    ModelHDGs,
-    build_block,
-    check_block_source,
-    compact_blocks,
-)
+from ..core.step import ModelHDGs, build_block, compact_blocks
 from ..graph.graph import Graph
 from ..loader.source import as_source
 from ..storage.store import load_checkpoint
@@ -175,11 +170,11 @@ class InferenceSession:
 
     def _pin(self, hdg: HDG | None) -> None:
         """Pin ``hdg`` (or, when ``None``, one freshly built by the
-        model's NeighborSelection) and check blocks can be cut from it."""
+        model's NeighborSelection); :class:`ModelHDGs` checks blocks can
+        be cut from it."""
         if hdg is not None:
             self._hdgs.pin(hdg)
-        hdg, _ = self._hdgs.model_level()
-        check_block_source(hdg, self.graph.num_vertices, flat=False)
+        self._hdgs.model_level()
 
     # ------------------------------------------------------------------
     # Request path
@@ -215,7 +210,7 @@ class InferenceSession:
         computed: np.ndarray | None = None
         if missing.size:
             computed = self._compute(level, missing)
-            self.embed_cache.store(level, missing, computed, self.version.value)
+            self.embed_cache.store(level, missing, computed)
         dim = (computed.shape[1] if computed is not None else hit_rows[0].shape[0])
         dtype = computed.dtype if computed is not None else hit_rows[0].dtype
         result = np.empty((vertices.size, dim), dtype=dtype)

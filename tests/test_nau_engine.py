@@ -16,6 +16,7 @@ from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer, MultiprocessTrainer
 from repro.graph import hash_partition
 from repro.models import gcn
+from repro.serve import InferenceSession
 from repro.tensor import Adam, Linear, Tensor
 
 
@@ -71,55 +72,13 @@ class TestSelectionScopes:
         eng.forward(feats, 0)  # same epoch: reuse
         assert model.selection_calls == 1
 
-    def test_per_layer_scope_rebuilds_every_layer(self, ds):
-        model = CountingModel(ds.feat_dim, ds.num_classes, SelectionScope.PER_LAYER)
+    def test_every_layer_shares_the_model_level_hdg(self, ds):
+        model = gcn(ds.feat_dim, 8, ds.num_classes)
         eng = FlexGraphEngine(model, ds.graph)
-        feats = Tensor(ds.features)
-        eng.forward(feats, 0)
-        eng.forward(feats, 0)
-        assert model.selection_calls == 2  # one layer, two forwards
-
-    def test_per_layer_fallback_shared_within_one_forward(self, ds):
-        # Regression (perf): layers *without* their own selection used to
-        # rebuild the model-level HDG once per layer per forward; the
-        # fallback is now built once per forward pass and shared.
-        class TwoLayerCounting(NAUModel):
-            def __init__(self):
-                class L(GNNLayer):
-                    def __init__(self, in_dim, out_dim):
-                        super().__init__(aggregators=["sum"])
-                        self.linear = Linear(in_dim, out_dim)
-
-                    def update(self, feats, nbr_feats):
-                        return self.linear(feats.add(nbr_feats))
-
-                super().__init__(
-                    [L(ds.feat_dim, ds.feat_dim), L(ds.feat_dim, 4)],
-                    SelectionScope.PER_LAYER, name="two-layer-counting",
-                )
-                self.selection_calls = 0
-
-            def neighbor_selection(self, graph, rng):
-                self.selection_calls += 1
-                return hdg_from_graph(graph)
-
-        model = TwoLayerCounting()
-        eng = FlexGraphEngine(model, ds.graph)
-        feats = Tensor(ds.features)
-        eng.forward(feats, 0)
-        assert model.selection_calls == 1   # shared across both layers
-        eng.forward(feats, 0)
-        assert model.selection_calls == 2   # but rebuilt per forward
-
-    def test_per_layer_fallback_invalidated(self, ds):
-        model = CountingModel(ds.feat_dim, ds.num_classes, SelectionScope.PER_LAYER)
-        eng = FlexGraphEngine(model, ds.graph)
-        eng.forward(Tensor(ds.features), 0)
-        calls = model.selection_calls
-        eng.invalidate_hdgs()
-        # No new forward pass began, so only a dropped fallback rebuilds.
-        eng.hdg_for_layer(0)
-        assert model.selection_calls == calls + 1
+        assert eng.hdg_for_layer(0) is eng.hdg_for_layer(1, epoch=3)
+        with pytest.raises(IndexError):
+            eng.hdg_for_layer(2)
+        assert not hasattr(GNNLayer, "neighbor_selection")
 
     def test_invalidate_forces_rebuild(self, ds):
         model = CountingModel(ds.feat_dim, ds.num_classes, SelectionScope.STATIC)
@@ -130,85 +89,60 @@ class TestSelectionScopes:
         eng.forward(feats, 1)
         assert model.selection_calls == 2
 
-    def test_layer_level_selection_takes_precedence(self, ds):
-        class OwnSelectionLayer(GNNLayer):
-            def __init__(self):
-                super().__init__(aggregators=["sum"])
-                self.linear = Linear(ds.feat_dim, 4)
-                self.own_calls = 0
-
-            def neighbor_selection(self, graph, rng):
-                self.own_calls += 1
-                return hdg_from_graph(graph)
-
-            def update(self, feats, nbr_feats):
-                return self.linear(feats.add(nbr_feats))
-
-        layer = OwnSelectionLayer()
-        model = NAUModel([layer], SelectionScope.STATIC)
-        eng = FlexGraphEngine(model, ds.graph)
-        eng.forward(Tensor(ds.features), 0)
-        eng.forward(Tensor(ds.features), 1)
-        assert layer.own_calls == 1  # cached after the first build
-
-
-class OwnSelectionModel(NAUModel):
-    """STATIC model whose only layer brings its own NeighborSelection."""
+class ReversedRootsModel(NAUModel):
+    """A GCN whose selection lists every root, with its own CSC
+    neighborhood, in reverse id order."""
 
     def __init__(self, in_dim, out_dim):
-        class L(GNNLayer):
-            def __init__(self):
-                super().__init__(aggregators=["sum"])
-                self.linear = Linear(in_dim, out_dim)
+        super().__init__(gcn(in_dim, 8, out_dim).layers, name="reversed-roots")
 
-            def neighbor_selection(self, graph, rng):
-                return hdg_from_graph(graph)
-
-            def update(self, feats, nbr_feats):
-                return self.linear(feats.add(nbr_feats))
-
-            output_dim = out_dim
-
-        super().__init__([L()], SelectionScope.STATIC, name="own-selection")
+    def neighbor_selection(self, graph, rng):
+        hdg = hdg_from_graph(graph)
+        return hdg.restrict_to_roots(np.arange(hdg.num_roots)[::-1])
 
 
-class TestModelLevelScope:
-    """Trainers that slice or sample one model-level HDG used to ignore
-    PER_LAYER scope and layer-level selection silently (training a
-    different program than FlexGraphEngine runs); they now refuse."""
+class TestRootLayout:
+    """Blocks, rank slices and partitions read a root's position as its
+    vertex id, so every runtime refuses, by the model's name, an HDG
+    whose roots are not every vertex in id order."""
 
-    TRAINERS = {
+    RUNTIMES = {
+        "engine": lambda model, ds, part: FlexGraphEngine(model, ds.graph),
         "minibatch": lambda model, ds, part: MiniBatchTrainer(
-            model, ds.graph, batch_size=32, fanouts=[3]),
-        "distributed": lambda model, ds, part: DistributedTrainer(
+            model, ds.graph, batch_size=32, fanouts=[3, 3]),
+        "simulated": lambda model, ds, part: DistributedTrainer(
             model, ds.graph, part),
-        "multiprocess": lambda model, ds, part: MultiprocessTrainer(
+        "process": lambda model, ds, part: MultiprocessTrainer(
             model, ds.graph, part),
     }
 
-    @pytest.mark.parametrize("trainer_name", sorted(TRAINERS))
-    @pytest.mark.parametrize("make_model, names", [
-        (lambda ds: CountingModel(ds.feat_dim, ds.num_classes,
-                                  SelectionScope.PER_LAYER),
-         ("counting", "per_layer")),
-        (lambda ds: OwnSelectionModel(ds.feat_dim, ds.num_classes),
-         ("own-selection", "neighbor_selection")),
-    ], ids=["per-layer-scope", "layer-level-selection"])
-    def test_no_model_level_hdg_is_a_named_error(self, ds, trainer_name,
-                                                 make_model, names):
-        model = make_model(ds)
+    @pytest.mark.parametrize("runtime", sorted(RUNTIMES))
+    def test_trainer_refuses_reversed_roots(self, ds, runtime):
+        model = ReversedRootsModel(ds.feat_dim, ds.num_classes)
         part = hash_partition(ds.graph.num_vertices, 2)
-        trainer = self.TRAINERS[trainer_name](model, ds, part)
+        trainer = self.RUNTIMES[runtime](model, ds, part)
         try:
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(ValueError, match="reversed-roots.*id order"):
                 trainer.train_epoch(Tensor(ds.features), ds.labels,
                                     Adam(model.parameters(), 0.01),
                                     ds.train_mask)
         finally:
-            if trainer_name == "multiprocess":
+            if runtime == "process":
                 trainer.close()
-        assert all(name in str(exc.value) for name in names)
-        assert getattr(model, "selection_calls", 0) == 0
+
+    def test_session_refuses_reversed_roots(self, ds):
+        model = ReversedRootsModel(ds.feat_dim, ds.num_classes)
+        with pytest.raises(ValueError, match="reversed-roots.*id order"):
+            InferenceSession(model, ds.graph, ds.features)
+
+    def test_pinned_hdg_is_checked(self, ds):
+        model = gcn(ds.feat_dim, 8, ds.num_classes)
+        hdg = hdg_from_graph(ds.graph)
+        reversed_hdg = hdg.restrict_to_roots(np.arange(hdg.num_roots)[::-1])
+        with pytest.raises(ValueError, match="id order"):
+            FlexGraphEngine(model, ds.graph).hdgs.pin(reversed_hdg)
+        with pytest.raises(ValueError, match="id order"):
+            InferenceSession(model, ds.graph, ds.features, hdg=reversed_hdg)
 
 
 class TestEngineTraining:
@@ -268,15 +202,10 @@ class TestNAUModelValidation:
         with pytest.raises(ValueError):
             NAUModel([])
 
-    def test_forward_requires_matching_hdgs(self, ds):
-        model = gcn(ds.feat_dim, 8, ds.num_classes)
-        with pytest.raises(ValueError):
-            model.forward(Tensor(ds.features), [])
-
     def test_model_forward_with_explicit_hdgs(self, ds):
         model = gcn(ds.feat_dim, 8, ds.num_classes)
         hdg = hdg_from_graph(ds.graph)
-        out = model.forward(Tensor(ds.features), [hdg, hdg])
+        out = model.forward(Tensor(ds.features), hdg)
         assert out.shape == (ds.graph.num_vertices, ds.num_classes)
 
     def test_layer_without_aggregators_raises(self, ds):

@@ -384,7 +384,7 @@ class TestDenseReference:
         _randomize(model, kind)
         hdg = _flat_hdg(weighted)
         obs.reset()
-        loss = cross_entropy(model.forward(Tensor(x), [hdg, hdg]), labels)
+        loss = cross_entropy(model.forward(Tensor(x), hdg), labels)
         loss.backward()
         assert _orders() == [(PROJECT_FIRST, D_HID), (PROJECT_FIRST, D_OUT)]
         a = _adjacency(hdg, mean=name == "gcn-mean")
@@ -402,7 +402,7 @@ class TestDenseReference:
         _randomize(model, kind)
         x32 = x.astype(np.float32)
         hdg = _flat_hdg(weighted)
-        loss = cross_entropy(model.forward(Tensor(x32), [hdg, hdg]), labels)
+        loss = cross_entropy(model.forward(Tensor(x32), hdg), labels)
         loss.backward()
         a = _adjacency(hdg, mean=name == "gcn-mean")
         rows = np.arange(N)
@@ -465,7 +465,7 @@ class TestDenseReference:
         _randomize(model, "gat")
         hdg = _flat_hdg(False)
         obs.reset()
-        loss = cross_entropy(model.forward(Tensor(x), [hdg, hdg], strategy),
+        loss = cross_entropy(model.forward(Tensor(x), hdg, strategy),
                              labels)
         loss.backward()
         backend = "sparse" if strategy == "sa" else "fused"
@@ -481,7 +481,7 @@ class TestDenseReference:
         _randomize(model, "gat")
         x32 = x.astype(np.float32)
         hdg = _flat_hdg(False)
-        loss = cross_entropy(model.forward(Tensor(x32), [hdg, hdg]), labels)
+        loss = cross_entropy(model.forward(Tensor(x32), hdg), labels)
         loss.backward()
         ref_loss, ref_grads = _gat_reference(
             _params(model, "gat"), x32.astype(np.float64), _adjacency(hdg),
@@ -498,7 +498,7 @@ class TestDenseReference:
         _randomize(model, "gat")
         hdg = _flat_hdg(False)
         obs.reset()
-        loss = cross_entropy(model.forward(Tensor(x), [hdg, hdg], strategy),
+        loss = cross_entropy(model.forward(Tensor(x), hdg, strategy),
                              labels)
         loss.backward()
         assert _orders() == [(PROJECT_FIRST, 2 + 1), (REDUCE_FIRST, 2)]
@@ -560,8 +560,7 @@ class TestDenseReference:
         x, _ = data
         hdg = _flat_hdg(False)
         obs.reset()
-        gcn(D_IN, D_HID, D_OUT, aggregator="max").forward(Tensor(x),
-                                                          [hdg, hdg])
+        gcn(D_IN, D_HID, D_OUT, aggregator="max").forward(Tensor(x), hdg)
         assert _orders() == [(REDUCE_FIRST, D_IN), (REDUCE_FIRST, D_HID)]
 
     def test_magnn_projects_first_through_its_attention(self):

@@ -476,6 +476,36 @@ class TestPlanLifetime:
                 trainer.close()
         assert built[0] > 0 and built[1] == built[2] == 0, built
 
+    @pytest.mark.parametrize("kind", ["engine", "simulated", "process"])
+    def test_epoch_events_carry_the_six_counts(self, ds, kind):
+        """Every trainer's ``epoch`` event counts the same six fields off
+        the obs counters; the process trainer's include what its workers
+        merged in."""
+        obs.reset()
+        model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)
+        part = hash_partition(ds.graph.num_vertices, 2)
+        if kind == "engine":
+            trainer = FlexGraphEngine(model, ds.graph, seed=0)
+        elif kind == "simulated":
+            trainer = DistributedTrainer(model, ds.graph, part, seed=0)
+        else:
+            trainer = MultiprocessTrainer(model, ds.graph, part, seed=0)
+        try:
+            list(self._epochs(trainer, ds, 3))
+        finally:
+            if kind == "process":
+                trainer.close()
+        events = [e.attrs for e in obs.get_registry().events
+                  if e.name == "epoch"]
+        assert len(events) == 3
+        assert all(e["flops"] > 0 and e["work_bytes"] > 0 for e in events)
+        # Plans and layer 0's memo are built in the first epoch only.
+        for built, reused in (("plan_misses", "plan_hits"),
+                              ("memo_builds", "memo_hits")):
+            assert events[0][built] > 0
+            assert [e[built] for e in events[1:]] == [0, 0]
+            assert all(e[reused] > 0 for e in events[1:])
+
     def test_plans_die_with_their_engine_and_clear_forgets(self, fresh_cache,
                                                            ds):
         model = models.gcn(ds.feat_dim, 8, ds.num_classes, seed=0)

@@ -300,7 +300,7 @@ class TestQuantizedServeTier:
         cache = EmbeddingCache(1 << 20, store_dtype="int8")
         rows = _rows(32, 8, dtype=np.float32)
         ids = np.arange(32)
-        cache.store(0, ids, rows, version=1)
+        cache.store(0, ids, rows)
         hit_mask, hit_rows = cache.lookup(0, ids)
         assert hit_mask.all()
         got = np.stack(hit_rows)
@@ -317,8 +317,8 @@ class TestQuantizedServeTier:
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((256, dim)).astype(np.float32)
         for v in range(256):
-            exact.store(0, np.array([v]), rows[v:v + 1], version=1)
-            quant.store(0, np.array([v]), rows[v:v + 1], version=1)
+            exact.store(0, np.array([v]), rows[v:v + 1])
+            quant.store(0, np.array([v]), rows[v:v + 1])
         assert quant.stats()["entries"] > 3 * exact.stats()["entries"]
         assert quant.stats()["bytes"] <= budget
         assert exact.stats()["bytes"] <= budget

@@ -24,8 +24,6 @@ from repro.core.hdg import (
     MEMO_BYTES_COUNTER,
     MEMO_HIT_COUNTER,
     hdg_from_graph,
-    memo_since,
-    memo_snapshot,
 )
 from repro.core.hybrid import (
     BACKEND_EVENT,
@@ -33,7 +31,7 @@ from repro.core.hybrid import (
     MEMOIZED,
     PROJECT_FIRST,
 )
-from repro.core.step import node_loss, train_step
+from repro.core.step import epoch_counts, epoch_mark, node_loss, train_step
 from repro.datasets import load_dataset
 from repro.distributed import DistributedTrainer
 from repro.graph import hash_partition
@@ -113,9 +111,9 @@ class TestEngine:
         engine.train_epoch(feats, ds.labels, opt, ds.train_mask, 0)
         fresh_model, fresh_opt = copy.deepcopy((model, opt))
         X[::3] *= 0.5      # the same array object, other bytes
-        before = memo_snapshot()
+        before = epoch_mark()
         edited = engine.train_epoch(feats, ds.labels, opt, ds.train_mask, 1)
-        assert memo_since(before)["memo_builds"] == 1   # rebuilt, not reused
+        assert _memo_since(before)["memo_builds"] == 1   # rebuilt, not reused
         fresh = FlexGraphEngine(fresh_model, ds.graph).train_epoch(
             Tensor(X.copy()), ds.labels, fresh_opt, ds.train_mask, 1)
         assert edited.loss == fresh.loss
@@ -135,13 +133,13 @@ class TestEligibleCall:
         hdg = hdg_from_graph(ds.graph)
         hdg.persistent = True
         feats = Tensor(ds.features)
-        before = memo_snapshot()
+        before = epoch_mark()
         first = self._call(layer, hdg, feats)
         for _ in range(3):
             self._call(layer, hdg, feats)
         # A fresh copy of the same bytes: identity does not decide.
         fifth = self._call(layer, hdg, Tensor(ds.features.copy()))
-        assert memo_since(before) == {"memo_hits": 4, "memo_builds": 1}
+        assert _memo_since(before) == {"memo_hits": 4, "memo_builds": 1}
         assert np.array_equal(first[0], fifth[0])
         for a, b in zip(first[1], fifth[1]):
             assert np.array_equal(a, b)
@@ -171,18 +169,24 @@ class TestEligibleCall:
         layer.aggregation(feats, hdg)
         shipped = pickle.loads(pickle.dumps(hdg))
         assert shipped.persistent
-        before = memo_snapshot()
+        before = epoch_mark()
         layer.aggregation(feats, shipped)
-        assert memo_since(before) == {"memo_hits": 0, "memo_builds": 1}
+        assert _memo_since(before) == {"memo_hits": 0, "memo_builds": 1}
+
+
+def _memo_since(mark):
+    """The ``memo_hits`` / ``memo_builds`` an epoch event would carry."""
+    counts = epoch_counts(mark)
+    return {key: counts[key] for key in ("memo_hits", "memo_builds")}
 
 
 def _unchanged(run):
     """Run ``run`` and assert it built and reused no memo and reduced
     in no memoized order; returns the orders it reduced in."""
     obs.reset()
-    before = memo_snapshot()
+    before = epoch_mark()
     run()
-    assert memo_since(before) == {"memo_hits": 0, "memo_builds": 0}
+    assert _memo_since(before) == {"memo_hits": 0, "memo_builds": 0}
     assert MEMOIZED not in _orders()
     return _orders()
 

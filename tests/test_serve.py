@@ -418,10 +418,10 @@ class TestEmbeddingCache:
     def test_lru_byte_budget_eviction(self):
         row = np.ones(4)
         cache = EmbeddingCache(max_bytes=3 * row.nbytes)
-        cache.store(1, np.array([0, 1, 2]), np.tile(row, (3, 1)), version=0)
+        cache.store(1, np.array([0, 1, 2]), np.tile(row, (3, 1)))
         # Touch vertex 0 so vertex 1 is the LRU entry.
         cache.lookup(1, np.array([0]))
-        cache.store(1, np.array([3]), row[None], version=0)
+        cache.store(1, np.array([3]), row[None])
         hit_mask, _ = cache.lookup(1, np.array([0, 1, 2, 3]))
         np.testing.assert_array_equal(hit_mask, [True, False, True, True])
         assert cache.evictions == 1
@@ -429,8 +429,8 @@ class TestEmbeddingCache:
     def test_invalidate_counts_per_layer(self):
         cache = EmbeddingCache(max_bytes=1 << 20)
         rows = np.ones((3, 2))
-        cache.store(1, np.array([0, 1, 2]), rows, version=0)
-        cache.store(2, np.array([0, 1, 2]), rows, version=0)
+        cache.store(1, np.array([0, 1, 2]), rows)
+        cache.store(2, np.array([0, 1, 2]), rows)
         assert cache.invalidate(np.array([1, 2]), layer=1) == 2
         assert len(cache) == 4
         hit_mask, _ = cache.lookup(2, np.array([1]))
@@ -438,7 +438,7 @@ class TestEmbeddingCache:
 
     def test_zero_budget_disables(self):
         cache = EmbeddingCache(max_bytes=0)
-        cache.store(1, np.array([0]), np.ones((1, 2)), version=0)
+        cache.store(1, np.array([0]), np.ones((1, 2)))
         hit_mask, _ = cache.lookup(1, np.array([0]))
         assert not hit_mask.any()
 
