@@ -19,10 +19,17 @@ _TABLES: dict[str, str] = {}
 
 @pytest.fixture
 def report():
-    """Save a rendered experiment table: ``report(name, text)``."""
+    """Save a rendered experiment table: ``report(name, text)``.
 
-    def save(name: str, text: str) -> None:
+    ``report(name, text, to_file=False)`` only echoes the table in the
+    terminal summary — for wall-clock readings an oracle must not write
+    into a committed results file.
+    """
+
+    def save(name: str, text: str, to_file: bool = True) -> None:
         _TABLES[name] = text
+        if not to_file:
+            return
         os.makedirs(RESULTS_DIR, exist_ok=True)
         with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as f:
             f.write(text + "\n")

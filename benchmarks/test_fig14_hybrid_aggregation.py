@@ -11,7 +11,8 @@ bytes written by the tensor ops.  Both are deterministic.  It first
 asserts that the three strategies reduce every level in the same
 operator order at the same width (the ``aggregation.backend`` events),
 so the comparison is of backends, not of operator orders.  Aggregation
-wall seconds are only rendered in the table.
+wall seconds are only printed: the committed results file holds the
+counted columns alone, so rerunning the oracle leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -74,21 +75,27 @@ def test_fig14(benchmark, report, ds_name):
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     mb = 1e6
-    rows = [
-        [name]
-        + [f"{results[name][s][0] / mb:.1f} / {results[name][s][1] / mb:.1f}"
-           for s in STRATEGIES]
-        + [f"{results[name][s][2]:.4f}" for s in STRATEGIES]
-        for name in factories
-    ]
     report(
         f"fig14_hybrid_aggregation_{ds_name}",
         render_rows(
             f"Figure 14 ({ds_name}): one forward per strategy, MB "
-            f"materialized / written, and Aggregation seconds",
-            ["model", "SA MB", "SA+FA MB", "HA MB", "SA s", "SA+FA s", "HA s"],
-            rows,
+            f"materialized / written",
+            ["model", "SA MB", "SA+FA MB", "HA MB"],
+            [[name]
+             + [f"{results[name][s][0] / mb:.1f} / "
+                f"{results[name][s][1] / mb:.1f}" for s in STRATEGIES]
+             for name in factories],
         ),
+    )
+    report(
+        f"fig14_hybrid_aggregation_{ds_name}_seconds",
+        render_rows(
+            f"Figure 14 ({ds_name}): Aggregation seconds of the same forward",
+            ["model", "SA s", "SA+FA s", "HA s"],
+            [[name] + [f"{results[name][s][2]:.4f}" for s in STRATEGIES]
+             for name in factories],
+        ),
+        to_file=False,
     )
     for name in factories:
         orders = [results[name][s][3] for s in STRATEGIES]

@@ -118,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--batch-size", type=int, default=32,
                        help="micro-batch max coalesced seeds")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch max delay window")
+    serve.add_argument("--max-delay-ms", type=float, default=0.0,
+                       help="hold a micro-batch open this long for more "
+                            "requests (default 0: a batch is whatever "
+                            "queued behind the running forward)")
     serve.add_argument("--queue-depth", type=int, default=256,
                        help="admission bound (requests beyond it are shed)")
     serve.add_argument("--feature-dtype",

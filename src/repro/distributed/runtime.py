@@ -794,6 +794,11 @@ class MultiprocessTrainer:
             attach_targets(self.ranks, self.graph.num_vertices, labels, mask)
             self._labels, self._mask = labels, mask
             self._dirty = set(range(self.k))
+        # The HDG is built (and checked) before any worker starts, so a
+        # model the runtime refuses never spawns the pool.  The ranks'
+        # blocks are cut after the fork: each worker receives only its
+        # own, so no worker inherits all k.
+        hdg, rebuilt = self.hdgs.model_level(epoch)
         if optimizer is not self._optimizer:
             # Every worker steps a replica of this optimizer: respawn the
             # pool from the parent's model and optimizer.
@@ -804,7 +809,6 @@ class MultiprocessTrainer:
         # A worker that died between epochs must surface before anything
         # is queued for it: nobody would ever read that inbox again.
         self._check_liveness(epoch)
-        hdg, rebuilt = self.hdgs.model_level(epoch)
         if rebuilt:
             attach_hdg(self.ranks, hdg, self.labels_part)
             self._dirty = set(range(self.k))

@@ -1,12 +1,16 @@
 """Micro-batching request queue: coalesce concurrent seed requests.
 
 Per-seed forwards waste the vectorized aggregation kernels — a blocked
-forward over 64 seeds costs barely more than over one.  The batcher
-implements the standard max-batch-size / max-delay policy: the first
-request in an empty queue starts a delay window; the batch closes when
-either the coalesced seed count reaches ``max_batch_size`` or
-``max_delay`` elapses, whichever is first.  Results are scattered back
-to per-request futures by the server's workers.
+forward over 64 seeds costs barely more than over one.  Batching is
+work-conserving: a worker that asks for a batch takes whatever is
+queued at that moment, up to ``max_batch_size`` seeds, and never waits
+while the server is idle.  Requests coalesce because they queued behind
+a busy forward — the session serializes forwards, so a backlog forms by
+itself exactly when batching pays.  A ``max_delay`` hold is opt-in: with
+``max_delay > 0`` a batch stays open until it reaches ``max_batch_size``
+or the window (anchored at the oldest pending request) expires, trading
+every idle-server request's latency for larger batches.  Results are
+scattered back to per-request futures by the server's workers.
 
 Admission control lives here too: the queue is bounded, and
 :meth:`MicroBatcher.submit` raises :class:`ServerOverloaded` instead of
@@ -50,7 +54,10 @@ class InferenceRequest:
 
 
 class MicroBatcher:
-    """Bounded FIFO request queue with max-batch-size/max-delay batching.
+    """Bounded FIFO request queue with work-conserving batching.
+
+    A batch is whatever queued while the workers were busy, capped at
+    ``max_batch_size`` seeds; the hold is opt-in.
 
     Parameters
     ----------
@@ -58,13 +65,15 @@ class MicroBatcher:
         Close a batch once the coalesced requests carry at least this
         many seeds.
     max_delay:
-        Seconds to hold an open batch waiting for more requests.
+        Seconds to hold an open batch waiting for more requests.  The
+        default 0 holds nothing: a queued request goes to the next free
+        worker at once.
     max_queue_depth:
         Admission bound: pending requests beyond this are shed with
         :class:`ServerOverloaded`.
     """
 
-    def __init__(self, max_batch_size: int = 64, max_delay: float = 0.002,
+    def __init__(self, max_batch_size: int = 64, max_delay: float = 0.0,
                  max_queue_depth: int = 256):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -109,11 +118,13 @@ class MicroBatcher:
         return request
 
     def next_batch(self) -> list[InferenceRequest] | None:
-        """Block until a batch is ready; ``None`` once closed and drained.
+        """Block until a request is queued; ``None`` once closed and
+        drained.
 
-        The delay window is anchored at the *oldest* pending request, so
-        a request never waits more than ``max_delay`` for co-batching on
-        top of its queueing time.
+        With no hold (``max_delay == 0``) the batch is what is queued
+        now.  Otherwise the window is anchored at the *oldest* pending
+        request, so a request never waits more than ``max_delay`` for
+        co-batching on top of its queueing time.
         """
         with self._cond:
             while True:
@@ -122,7 +133,7 @@ class MicroBatcher:
                         return None
                     self._cond.wait()
                 deadline = self._queue[0].enqueue_time + self.max_delay
-                while self._queue:
+                while self.max_delay > 0 and self._queue:
                     pending = sum(r.seeds.size for r in self._queue)
                     if pending >= self.max_batch_size or self._closed:
                         break

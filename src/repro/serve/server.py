@@ -2,10 +2,15 @@
 
 The server owns a :class:`~repro.serve.batcher.MicroBatcher` and a pool
 of worker threads.  Each worker pulls a coalesced batch, runs ONE
-blocked forward through the session over the union of the batch's seeds,
-and scatters the per-request slices back to futures (predict requests
-additionally argmax).  Because both ``predict`` and ``embed`` consume
-the final-layer rows, mixed-kind batches coalesce into a single forward.
+blocked forward through the session over the batch's seeds (the session
+dedups them), and hands each request its slice of the rows (predict
+requests additionally argmax).  Because both ``predict`` and ``embed``
+consume the final-layer rows, mixed-kind batches coalesce into a single
+forward.
+
+Batching is work-conserving: a request that reaches an idle server runs
+at once, and a batch is whatever queued while the workers were busy.
+Holding a batch open for more requests (``max_delay > 0``) is opt-in.
 
 Operational behavior:
 
@@ -132,7 +137,9 @@ class GNNServer:
         workers overlap result scatter/bookkeeping with the next batch.
     max_batch_size, max_delay, max_queue_depth:
         Batching policy and admission bound (see
-        :class:`~repro.serve.batcher.MicroBatcher`).
+        :class:`~repro.serve.batcher.MicroBatcher`).  The default
+        ``max_delay=0`` holds no batch open: a batch is whatever queued
+        behind the running forward.
     window_seconds:
         Width of the rolling SLO window (recent p50/p99 + shed rate in
         :meth:`slo_summary`'s ``"window"`` entry).
@@ -146,7 +153,7 @@ class GNNServer:
     """
 
     def __init__(self, session: InferenceSession, num_workers: int = 2,
-                 max_batch_size: int = 64, max_delay: float = 0.002,
+                 max_batch_size: int = 64, max_delay: float = 0.0,
                  max_queue_depth: int = 256, window_seconds: float = 60.0,
                  flight_dir: str | None = None,
                  slo_p99_ms: float | None = None,
@@ -265,8 +272,7 @@ class GNNServer:
                               request_ids=request_ids)
         try:
             with batch_span:
-                uniq, inverse = np.unique(all_seeds, return_inverse=True)
-                rows = self.session.embed(uniq)
+                rows = self.session.embed(all_seeds)
         except Exception as exc:  # propagate the failure to every caller
             obs.counter(ERRORS_COUNTER).add(len(batch))
             for request in batch:
@@ -279,9 +285,8 @@ class GNNServer:
         offset = 0
         for request in batch:
             span_len = request.seeds.size
-            idx = inverse[offset : offset + span_len]
+            result = rows[offset : offset + span_len]
             offset += span_len
-            result = rows[idx]
             if request.kind == "predict":
                 result = result.argmax(axis=1)
             else:

@@ -194,7 +194,7 @@ class InferenceSession:
         with self._lock:
             uniq, inverse = np.unique(seeds, return_inverse=True)
             rows = self._rows(self.num_layers, uniq)
-            return rows[inverse].copy()
+            return rows[inverse]
 
     def predict(self, seeds: np.ndarray) -> np.ndarray:
         """Argmax class predictions for ``seeds``."""

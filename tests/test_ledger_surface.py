@@ -8,8 +8,10 @@ collected by tier-1 at all, and ``tools/`` / ``examples/`` are covered
 only as far as some test happens to run them.  This reads those sources
 (never imports or runs them) and checks that every ``repro`` name they
 import, and every attribute they read off an imported ``repro`` module,
-still resolves — and that every call of such a name still binds to its
-signature (positional count and keyword names).
+still resolves — and that every call of such a name, and every method
+call on a local built by a ``repro`` class (``cache = EmbeddingCache(...)``
+then ``cache.store(...)``), still binds to its signature (positional
+count and keyword names).
 
 The last test holds every package's ``__all__`` to the consumer-count
 rule: a public name stays only while something other than the
@@ -100,18 +102,109 @@ def _callee(func: ast.expr, bound: dict[str, object]):
     return None
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
-def test_every_repro_call_the_suite_makes_binds(path):
-    """A dropped or renamed parameter breaks the caller as surely as a
-    dropped name; calls spreading ``*args`` / ``**kwargs`` are skipped."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    bound, _ = _repro_imports(tree)
-    unbound = []
-    for node in ast.walk(tree):
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of ``scope``'s own body: nested functions and classes
+    are yielded but not entered."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _instances(scope: ast.AST, bound: dict[str, object],
+               outer: dict[str, type]) -> dict[str, type]:
+    """Names visible in ``scope`` that hold one ``repro`` class's
+    instance: ``batcher = MicroBatcher(...)`` -> ``MicroBatcher``, or
+    one an enclosing scope holds and ``scope`` does not rebind.  A name
+    the scope also binds any other way (another value, a parameter, a
+    loop or ``with`` target) is left out: its type is not known."""
+    classes: dict[str, set] = {}
+    typed: set[int] = set()
+    nodes = list(_own_nodes(scope))
+    for node in nodes:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            cls = _callee(node.value.func, bound)
+            if not inspect.isclass(cls):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    classes.setdefault(target.id, set()).add(cls)
+                    typed.add(id(target))
+    for node in nodes:
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and id(node) not in typed):
+            classes.setdefault(node.id, set()).add(None)
+        elif isinstance(node, ast.arg):         # the scope's own parameters
+            classes.setdefault(node.arg, set()).add(None)
+        elif isinstance(node, _SCOPES) and not isinstance(node, ast.Lambda):
+            classes.setdefault(node.name, set()).add(None)
+    visible = {name: cls for name, cls in outer.items() if name not in classes}
+    visible.update((name, cls) for name, (cls, *rest) in classes.items()
+                   if not rest and cls is not None)
+    return visible
+
+
+def _is_forwarder(node: ast.AST) -> bool:
+    """``def timed(fn, *args, **kwargs)``: calls its first argument with
+    the rest."""
+    return (isinstance(node, ast.FunctionDef) and not node.args.posonlyargs
+            and len(node.args.args) == 1 and node.args.vararg is not None)
+
+
+#: module-level helpers in the scanned trees that call
+#: ``fn(*args, **kwargs)`` — ``timed(cache.store, 1, rows)`` is a call
+#: of ``cache.store``
+FORWARDERS = {node.name for path in SOURCES
+              for node in ast.parse(path.read_text()).body
+              if _is_forwarder(node)}
+
+
+def _method_signature(cls: type, name: str) -> inspect.Signature | None:
+    """``cls.name``'s signature as called on an instance (``self``
+    dropped); ``None`` for a property.  Raises ``AttributeError`` when
+    the class has no such attribute."""
+    raw = inspect.getattr_static(cls, name)
+    if isinstance(raw, property):
+        return None
+    signature = inspect.signature(getattr(cls, name))
+    if isinstance(raw, (staticmethod, classmethod)):
+        return signature
+    return signature.replace(parameters=list(signature.parameters.values())[1:])
+
+
+def _calls(scope: ast.AST, bound: dict[str, object],
+           outer: dict[str, type] | None = None):
+    """``(call node, callee text, signature, args, keywords)`` for every
+    call of a ``repro`` name and every method call on a ``repro``
+    instance in ``scope`` and the scopes it encloses, direct or through
+    a forwarder; a signature is a string when the callee no longer
+    resolves."""
+    instances = _instances(scope, bound, outer or {})
+    for node in _own_nodes(scope):
+        if isinstance(node, _SCOPES):
+            yield from _calls(node, bound, instances)
         if not isinstance(node, ast.Call):
             continue
-        if (any(isinstance(arg, ast.Starred) for arg in node.args)
-                or any(kw.arg is None for kw in node.keywords)):
+        func, args = node.func, node.args
+        if (isinstance(func, ast.Name) and func.id in FORWARDERS and args
+                and isinstance(args[0], ast.Attribute)):
+            func, args = args[0], args[1:]
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in instances):
+            cls = instances[func.value.id]
+            try:
+                signature = _method_signature(cls, func.attr)
+            except AttributeError:
+                signature = f"{cls.__name__} has no attribute {func.attr!r}"
+            except (TypeError, ValueError):   # builtins without one
+                continue
+            if signature is not None:
+                yield node, ast.unparse(func), signature, args, node.keywords
             continue
         target = _callee(node.func, bound)
         if not callable(target):
@@ -120,10 +213,27 @@ def test_every_repro_call_the_suite_makes_binds(path):
             signature = inspect.signature(target)
         except (TypeError, ValueError):       # builtins without one
             continue
+        yield node, ast.unparse(node.func), signature, node.args, node.keywords
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_source_id)
+def test_every_repro_call_the_suite_makes_binds(path):
+    """A dropped or renamed parameter breaks the caller as surely as a
+    dropped name; calls spreading ``*args`` / ``**kwargs`` are skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound, _ = _repro_imports(tree)
+    unbound = []
+    for node, callee, signature, args, keywords in _calls(tree, bound):
+        if (any(isinstance(arg, ast.Starred) for arg in args)
+                or any(kw.arg is None for kw in keywords)):
+            continue
+        if isinstance(signature, str):
+            unbound.append(f"line {node.lineno}: {callee}(): {signature}")
+            continue
         try:
-            signature.bind(*node.args, **{kw.arg: None for kw in node.keywords})
+            signature.bind(*args, **{kw.arg: None for kw in keywords})
         except TypeError as exc:
-            unbound.append(f"line {node.lineno}: {ast.unparse(node.func)}(): {exc}")
+            unbound.append(f"line {node.lineno}: {callee}(): {exc}")
     assert not unbound, f"{path.name} calls repro with stale signatures: {unbound}"
 
 

@@ -1,6 +1,8 @@
 """Tests for the NAU abstraction and the single-machine execution engine:
 layer interfaces, HDG caching scopes, stage timing, checkpointing."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ class TestRootLayout:
         finally:
             if runtime == "process":
                 trainer.close()
+
+    def test_process_trainer_refuses_before_spawning(self, ds):
+        model = ReversedRootsModel(ds.feat_dim, ds.num_classes)
+        part = hash_partition(ds.graph.num_vertices, 2)
+        trainer = MultiprocessTrainer(model, ds.graph, part)
+        try:
+            with pytest.raises(ValueError, match="reversed-roots.*id order"):
+                trainer.train_epoch(Tensor(ds.features), ds.labels,
+                                    Adam(model.parameters(), 0.01),
+                                    ds.train_mask)
+            assert multiprocessing.active_children() == []
+        finally:
+            trainer.close()
 
     def test_session_refuses_reversed_roots(self, ds):
         model = ReversedRootsModel(ds.feat_dim, ds.num_classes)

@@ -1,6 +1,8 @@
 """Tests for repro.serve: sessions, micro-batching, versioned caches,
 load shedding, and serving/training numerical parity."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,23 @@ class TestServingParity:
                 server.predict(seeds), full.argmax(axis=1)
             )
 
+    def test_default_server_matches_engine_predict(self, reddit):
+        model, engine = trained(gcn, reddit)
+        feats = Tensor(reddit.features)
+        expected = engine.predict(feats)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        seeds = np.arange(reddit.graph.num_vertices)
+        with GNNServer(session) as server:
+            futures = [server.submit("predict", seeds[i : i + 3])
+                       for i in range(0, seeds.size, 3)]
+            got = np.concatenate([f.result(timeout=30) for f in futures])
+            np.testing.assert_array_equal(got, expected)
+            repeated = np.array([3, 3, 1])
+            np.testing.assert_array_equal(server.predict(repeated),
+                                          expected[repeated])
+            np.testing.assert_array_equal(server.embed(repeated),
+                                          session.embed(repeated))
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint metadata verification
@@ -283,6 +302,40 @@ class TestMicroBatcher:
         assert len(batcher.next_batch()) == 2
         assert len(batcher.next_batch()) == 2
         assert len(batcher.next_batch()) == 1
+
+    def test_default_hands_out_queued_work_without_a_timed_wait(self):
+        # Work-conserving: a request queued on an idle server goes to the
+        # next worker at once, without opening a delay window.
+        batcher = MicroBatcher()
+
+        def no_wait(*args, **kwargs):
+            raise AssertionError("next_batch waited with a request queued")
+
+        batcher._cond.wait = no_wait
+        batcher.submit("predict", np.array([7]))
+        assert [int(r.seeds[0]) for r in batcher.next_batch()] == [7]
+
+    def test_default_coalesces_a_backlog_up_to_max_batch_size(self):
+        batcher = MicroBatcher()
+        for seed in (1, 2, 3):
+            batcher.submit("embed", np.array([seed]))
+        assert [int(r.seeds[0]) for r in batcher.next_batch()] == [1, 2, 3]
+        batcher = MicroBatcher(max_batch_size=2)
+        for seed in range(5):
+            batcher.submit("embed", np.array([seed]))
+        assert [len(batcher.next_batch()) for _ in range(3)] == [2, 2, 1]
+
+    def test_opt_in_hold_waits_for_more_requests(self):
+        batcher = MicroBatcher(max_batch_size=2, max_delay=30.0)
+        batcher.submit("embed", np.array([0]))
+        late = threading.Timer(
+            0.01, batcher.submit, args=("embed", np.array([1])))
+        late.start()
+        try:
+            # Held open until the late request fills the batch.
+            assert [int(r.seeds[0]) for r in batcher.next_batch()] == [0, 1]
+        finally:
+            late.join()
 
     def test_queue_bound_sheds(self):
         batcher = MicroBatcher(max_batch_size=4, max_delay=0.0,
