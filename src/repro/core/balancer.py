@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..graph.graph import group_by
 from .cost_model import CostModel
 from .hdg import HDG
 
@@ -290,12 +291,7 @@ def _build_adjacency(src: np.ndarray, dst: np.ndarray) -> dict[int, np.ndarray]:
     if src.size == 0:
         return {}
     all_src = np.concatenate([src, dst])
-    all_dst = np.concatenate([dst, src])
-    order = np.argsort(all_src, kind="stable")
-    all_src, all_dst = all_src[order], all_dst[order]
-    adjacency: dict[int, np.ndarray] = {}
-    uniq, starts = np.unique(all_src, return_index=True)
-    bounds = np.append(starts, all_src.size)
-    for i, v in enumerate(uniq):
-        adjacency[int(v)] = all_dst[bounds[i] : bounds[i + 1]]
-    return adjacency
+    offsets, order = group_by(all_src, int(all_src.max()) + 1)
+    all_dst = np.concatenate([dst, src])[order]
+    return {int(v): all_dst[offsets[v]:offsets[v + 1]]
+            for v in np.flatnonzero(np.diff(offsets))}

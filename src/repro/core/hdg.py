@@ -27,6 +27,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
+from ..graph.graph import group_by
 from ..obs import counter as _obs_counter
 from ..tensor.plans import PlanMemo, ReductionPlan
 from .schema import NeighborRecord, SchemaTree
@@ -549,10 +550,7 @@ def hdg_from_flat_arrays(
     owner_order = order[owner_roots]
     if owner_order.size and owner_order.min() < 0:
         raise ValueError("owner root not in the HDG root set")
-    perm = np.argsort(owner_order, kind="stable")
-    counts = np.bincount(owner_order, minlength=roots.size)
-    leaf_offsets = np.zeros(roots.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=leaf_offsets[1:])
+    leaf_offsets, perm = group_by(owner_order, roots.size)
     return HDG(
         roots, schema, leaf_ids[perm], leaf_offsets,
         instance_offsets=None,
@@ -592,7 +590,7 @@ def hdg_from_instance_arrays(
         raise ValueError("instance root not in the HDG root set")
     num_leaves = schema.num_leaves
     slots = owner_order * num_leaves + instance_types
-    perm = np.argsort(slots, kind="stable")
+    instance_offsets, perm = group_by(slots, roots.size * num_leaves)
 
     # Permute ragged leaf groups into slot order.
     src_offsets = np.zeros(leaf_counts.size + 1, dtype=np.int64)
@@ -601,7 +599,6 @@ def hdg_from_instance_arrays(
     leaf_offsets = np.zeros(leaf_counts.size + 1, dtype=np.int64)
     np.cumsum(new_counts, out=leaf_offsets[1:])
     total = int(new_counts.sum())
-    gather = np.empty(total, dtype=np.int64)
     # gather[j] = position in leaf_flat of the j-th leaf after permutation
     group_starts = src_offsets[perm]
     gather = (
@@ -610,9 +607,6 @@ def hdg_from_instance_arrays(
         + np.repeat(group_starts, new_counts)
     )
     leaf_vertices = leaf_flat[gather]
-    slot_counts = np.bincount(slots, minlength=roots.size * num_leaves)
-    instance_offsets = np.zeros(roots.size * num_leaves + 1, dtype=np.int64)
-    np.cumsum(slot_counts, out=instance_offsets[1:])
     return HDG(
         roots, schema, leaf_vertices, leaf_offsets,
         instance_offsets=instance_offsets,

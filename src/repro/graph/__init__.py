@@ -1,13 +1,14 @@
 """``repro.graph`` — the graph-engine substrate (libgrape-lite substitute).
 
-CSR/CSC graph storage with typed vertices, BFS levels (JK-Net's distance
-rings), random walks (PinSage), metapath matching (MAGNN), PageRank
-neighborhoods, partitioners, and synthetic graph generators standing in
-for the paper's datasets.
+CSR/CSC graph storage with typed vertices, linear-time grouping by
+vertex id (``group_by``, which every CSR/CSC, HDG and plan build uses),
+BFS levels (JK-Net's distance rings), random walks (PinSage), metapath
+matching (MAGNN), PageRank neighborhoods, partitioners, and synthetic
+graph generators standing in for the paper's datasets.
 """
 
 from .generators import community_graph, heterogeneous_graph, power_law_graph
-from .graph import Graph
+from .graph import Graph, group_by
 from .metrics import graph_summary
 from .metapath import (
     Metapath,
@@ -27,7 +28,7 @@ from .random_walk import select_top_k_per_owner, top_k_visited
 from .traversal import bfs_levels, k_hop_neighbors
 
 __all__ = [
-    "Graph",
+    "Graph", "group_by",
     "bfs_levels", "k_hop_neighbors",
     "top_k_visited", "select_top_k_per_owner",
     "Metapath", "MetapathInstance", "find_metapath_instances",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "group_by"]
 
 #: edges :meth:`Graph.fingerprint` sorts and hashes per step
 FINGERPRINT_CHUNK = 1 << 20
@@ -313,9 +313,35 @@ def _compress(key: np.ndarray, val: np.ndarray,
               num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, indices)`` of the edges ``key -> val`` grouped by
     ``key``, each group in edge order."""
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=num_vertices), out=indptr[1:])
-    return indptr, val[np.argsort(key, kind="stable")]
+    indptr, order = group_by(key, num_vertices)
+    return indptr, val[order]
+
+
+def group_by(key, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group positions by a bounded id: ``(offsets, order)``.
+
+    Key ``k``'s positions are ``order[offsets[k]:offsets[k + 1]]``, and
+    ``order`` is exactly ``np.argsort(key, kind="stable")``: one stable
+    pass (ids below ``2**16``) or two (below ``2**32``) over ``uint16``
+    digits, which numpy sorts by radix in linear time.  A key outside
+    ``[0, num_keys)`` raises ``ValueError`` before any digit is cast.
+    """
+    key = np.asarray(key)
+    num_keys = int(num_keys)
+    counts = np.bincount(key, minlength=num_keys)  # negatives raise here
+    if counts.size != num_keys:
+        raise ValueError(f"group_by key {counts.size - 1} is out of range "
+                         f"for {num_keys} keys")
+    offsets = np.zeros(num_keys + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    if num_keys > 1 << 32:
+        return offsets, np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.uint16, copy=False), kind="stable")
+    if num_keys > 1 << 16:
+        high = np.right_shift(key, 16, out=np.empty(key.shape, np.uint16),
+                              casting="unsafe")
+        order = order[np.argsort(high[order], kind="stable")]
+    return offsets, order
 
 
 def _checked_types(vertex_types, num_vertices: int) -> np.ndarray | None:

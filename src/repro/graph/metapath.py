@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.profile import record_op
-from .graph import Graph
+from .graph import Graph, group_by
 
 __all__ = [
     "Metapath",
@@ -167,28 +167,25 @@ def match_length3_metapath(
         return np.empty((0, 3), dtype=np.int64)
 
     # Group both edge lists by the middle vertex and emit cross products.
-    o1 = np.argsort(b1, kind="stable")
-    a, b1 = a[o1], b1[o1]
-    o2 = np.argsort(b2, kind="stable")
-    b2, c = b2[o2], c[o2]
     n = graph.num_vertices
-    cnt1 = np.bincount(b1, minlength=n)
-    cnt2 = np.bincount(b2, minlength=n)
-    pair_counts = cnt1 * cnt2
+    offsets1, o1 = group_by(b1, n)
+    a, b1 = a[o1], b1[o1]
+    start2, o2 = group_by(b2, n)
+    c = c[o2]
+    cnt2 = np.diff(start2)
+    pair_counts = np.diff(offsets1) * cnt2
     total = int(pair_counts.sum())
     if total == 0:
         return np.empty((0, 3), dtype=np.int64)
 
-    start2 = np.concatenate([[0], np.cumsum(cnt2)[:-1]])
     # For each middle vertex b: repeat each of its first-edges cnt2[b]
     # times (block-wise), and tile its second-edges cnt1[b] times.
     rep_first = np.repeat(np.arange(b1.size, dtype=np.int64), cnt2[b1])
     out_a = a[rep_first]
     out_b = b1[rep_first]
     # Tile second-edge indices: position within each output block.
-    per_b_out = pair_counts
-    block_owner = np.repeat(np.arange(n, dtype=np.int64), per_b_out)
-    out_starts = np.concatenate([[0], np.cumsum(per_b_out)[:-1]])
+    block_owner = np.repeat(np.arange(n, dtype=np.int64), pair_counts)
+    out_starts = np.concatenate([[0], np.cumsum(pair_counts)[:-1]])
     pos_in_block = np.arange(total, dtype=np.int64) - out_starts[block_owner]
     safe_cnt2 = np.maximum(cnt2, 1)
     second_idx = start2[block_owner] + pos_in_block % safe_cnt2[block_owner]
@@ -200,7 +197,7 @@ def match_length3_metapath(
     keep = out_a != out_c
     result = np.stack([out_a[keep], out_b[keep], out_c[keep]], axis=1)
     if max_instances_per_root is not None:
-        result = _cap_per_root(result, max_instances_per_root)
+        result = _cap_per_root(result, max_instances_per_root, n)
     # One scan of the edge list per hop of the metapath, and the
     # instances written.
     record_op("select.metapath", bytes_read=2 * (src.nbytes + dst.nbytes),
@@ -227,15 +224,11 @@ def count_length3_instances(graph: Graph, metapath: Metapath) -> int:
     return int((cnt1 * cnt2).sum())
 
 
-def _cap_per_root(instances: np.ndarray, cap: int) -> np.ndarray:
+def _cap_per_root(instances: np.ndarray, cap: int,
+                  num_vertices: int) -> np.ndarray:
     """Keep at most ``cap`` instances per root (column 0), deterministically."""
-    order = np.argsort(instances[:, 0], kind="stable")
+    offsets, order = group_by(instances[:, 0], num_vertices)
     inst = instances[order]
-    roots = inst[:, 0]
     # Rank within each root group.
-    change = np.flatnonzero(np.diff(roots, prepend=roots[0] - 1))
-    group_start = np.zeros(roots.size, dtype=np.int64)
-    group_start[change] = change
-    group_start = np.maximum.accumulate(group_start)
-    rank = np.arange(roots.size) - group_start
+    rank = np.arange(inst.shape[0]) - offsets[inst[:, 0]]
     return inst[rank < cap]

@@ -50,7 +50,7 @@ from ..datasets.synthetic import (
     mask_shards,
     shard_row_range,
 )
-from ..graph.graph import Graph, vertex_ids
+from ..graph.graph import Graph, group_by, vertex_ids
 from ..obs.profile import record_op
 from ..tensor.quant import (
     decode_int8,
@@ -518,7 +518,7 @@ def _streamed_adjacency(root: str, spec: ShardedSyntheticSpec,
     n, m = spec.num_vertices, spec.num_edges
     counts = np.zeros(n, dtype=np.int64)
     for src, dst in edge_chunks(spec):
-        np.add.at(counts, dst if by_dst else src, 1)
+        counts += np.bincount(dst if by_dst else src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     kind = "csc" if by_dst else "csr"
@@ -531,18 +531,12 @@ def _streamed_adjacency(root: str, spec: ShardedSyntheticSpec,
     cursors = indptr[:-1].copy()
     for src, dst in edge_chunks(spec):
         key, val = (dst, src) if by_dst else (src, dst)
-        order = np.argsort(key, kind="stable")
-        key_sorted = key[order]
-        # Rank within each equal-key run -> position = cursor + rank.
-        change = np.flatnonzero(np.diff(key_sorted)) + 1
-        run_starts = np.zeros(key_sorted.size, dtype=np.int64)
-        run_starts[change] = change
-        run_starts = np.maximum.accumulate(run_starts)
-        rank = np.arange(key_sorted.size, dtype=np.int64) - run_starts
-        positions = cursors[key_sorted] + rank
-        indices[positions] = val[order]
-        uniq, per_key = np.unique(key_sorted, return_counts=True)
-        cursors[uniq] += per_key
+        offsets, order = group_by(key, n)
+        # The chunk's j-th edge in key order lands at its key's cursor
+        # plus its rank in the key's run, j - offsets[key].
+        shift = cursors - offsets[:-1]
+        indices[shift[key[order]] + np.arange(key.size)] = val[order]
+        cursors += np.diff(offsets)
     indices.flush()
     del indices
     return indptr_rel, indices_rel

@@ -31,6 +31,7 @@ from typing import Callable, Hashable
 import numpy as np
 import scipy.sparse as _sp
 
+from ..graph.graph import group_by
 from ..obs import counter as _obs_counter
 from ..obs.profile import record_op
 
@@ -114,12 +115,9 @@ class ReductionPlan:
                     f"scatter index values must lie in [0, {n}), "
                     f"got range [{lo}, {hi}]"
                 )
-        counts = np.bincount(index, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        order = np.argsort(index, kind="stable")
-        return cls("index", n, index.size, index.size, offsets, counts,
-                   order, index)
+        offsets, order = group_by(index, n)
+        return cls("index", n, index.size, index.size, offsets,
+                   np.diff(offsets), order, index)
 
     @classmethod
     def from_segments(cls, offsets: np.ndarray,

@@ -1,5 +1,7 @@
 """Tests for the dataset generators and registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,33 @@ class TestDatasetIntegrity:
 
     def test_repr(self):
         assert "reddit-like" in repr(reddit_like(num_vertices=100))
+
+
+class TestPinnedGraphs:
+    """Every generator's graph, pinned bitwise: the fingerprint (the
+    sorted edge multiset) and a SHA-256 over the CSR and CSC arrays (the
+    edge order inside each row too).  A change to how the graph groups
+    edges must leave both as they are."""
+
+    @staticmethod
+    def _adjacency_digest(graph):
+        h = hashlib.sha256()
+        for arr in (*graph.csr, *graph.csc):
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("name, make, fingerprint, adjacency", [
+        ("reddit_like(2_000)", lambda: reddit_like(2_000),
+         "7e4dc3583298c64c", "5a0154bdb085e27e"),
+        ("fb91_like(1_000)", lambda: fb91_like(1_000),
+         "ac79a14e75330cdc", "b995daa8ad501265"),
+        ("twitter_like(1_000)", lambda: twitter_like(1_000),
+         "44dba38fb7e5b310", "f437b0eb23e15b48"),
+        ("imdb_like(60, 12, 40)", lambda: imdb_like(60, 12, 40),
+         "e96a8881051835ca", "2d454af9caa243fd"),
+    ])
+    def test_generated_graph_is_pinned(self, name, make, fingerprint,
+                                       adjacency):
+        graph = make().graph
+        assert graph.fingerprint() == fingerprint, name
+        assert self._adjacency_digest(graph) == adjacency, name

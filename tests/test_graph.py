@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.graph import Graph
+from repro.graph import Graph, group_by
 
 
 @pytest.fixture
@@ -153,3 +154,67 @@ class TestAccounting:
 
     def test_repr(self, triangle):
         assert "num_vertices=3" in repr(triangle)
+
+
+#: one radix pass up to 2**16 keys, two above
+NUM_KEYS = [1, 255, 2**16, 2**16 + 1, 2**20]
+KEY_DTYPES = [np.int32, np.int64, np.uint16]
+
+
+@st.composite
+def bounded_keys(draw):
+    """``(key, num_keys)``: random or all-equal ids, possibly empty."""
+    num_keys = draw(st.sampled_from(NUM_KEYS))
+    dtype = draw(st.sampled_from(KEY_DTYPES))
+    top = min(num_keys, np.iinfo(dtype).max + 1) - 1
+    size = draw(st.integers(0, 200))
+    if draw(st.booleans()):
+        ids = [draw(st.integers(0, top))] * size
+    else:
+        ids = draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+    return np.array(ids, dtype=dtype), num_keys
+
+
+def _reference(key, num_keys):
+    counts = np.bincount(key.astype(np.int64), minlength=num_keys)
+    return (np.concatenate([[0], np.cumsum(counts)]),
+            np.argsort(key, kind="stable"))
+
+
+class TestGroupBy:
+    """``group_by`` is the bincount/cumsum/stable-argsort idiom, bit for
+    bit, at every digit count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounded_keys())
+    def test_matches_the_comparison_sort(self, case):
+        key, num_keys = case
+        offsets, order = group_by(key, num_keys)
+        want_offsets, want_order = _reference(key, num_keys)
+        assert offsets.dtype == np.int64 and offsets.shape == (num_keys + 1,)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(order, want_order)
+
+    @pytest.mark.parametrize("num_keys", NUM_KEYS)
+    @pytest.mark.parametrize("dtype", KEY_DTYPES)
+    def test_large_keys_cross_both_digits(self, num_keys, dtype):
+        top = min(num_keys, np.iinfo(dtype).max + 1)
+        key = np.random.default_rng(num_keys).integers(
+            0, top, 50_000).astype(dtype)
+        key[:3] = top - 1  # the largest id, in a run of ties
+        offsets, order = group_by(key, num_keys)
+        want_offsets, want_order = _reference(key, num_keys)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(order, want_order)
+
+    @pytest.mark.parametrize("num_keys", NUM_KEYS)
+    def test_key_equal_to_num_keys_raises(self, num_keys):
+        key = np.array([0, num_keys, 0], dtype=np.int64)
+        with pytest.raises(ValueError):
+            group_by(key, num_keys)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_key_raises(self, dtype):
+        # -1 casts to the uint16 digit 0xFFFF, an id in range here.
+        with pytest.raises(ValueError):
+            group_by(np.array([3, -1, 3], dtype=dtype), 2**16)

@@ -1,10 +1,11 @@
-"""Structure check: no ``ufunc.at`` on the compute path.
+"""Structure check: no ``ufunc.at`` on the compute or graph-build path.
 
 ``np.add.at`` and its siblings run one unbuffered Python-level loop
 iteration per index and are an order of magnitude slower than a sorted
-``reduceat`` sweep or one sparse product.  The tensor kernels and the
-hybrid executor reduce without them; this scan fails CI when a call
-like ``np.add.at(`` comes back.
+``reduceat`` sweep, one sparse product or one ``np.bincount``.  The
+tensor kernels, the hybrid executor and the graph builders (in RAM and
+the streamed on-disk writer) run without them; this scan fails CI when
+a call like ``np.add.at(`` comes back.
 """
 
 import ast
@@ -16,6 +17,8 @@ SRC = Path(repro.__file__).parent
 COMPUTE_PATH = sorted((SRC / "tensor").glob("*.py")) + [
     SRC / "core" / "hybrid.py",
     SRC / "core" / "aggregation.py",
+    SRC / "graph" / "graph.py",
+    SRC / "storage" / "ondisk.py",
 ]
 _NUMPY = {"np", "numpy"}
 
@@ -40,7 +43,7 @@ def test_no_ufunc_at_on_the_compute_path():
         for call in _ufunc_at_calls(path.read_text(),
                                     str(path.relative_to(SRC)))
     ]
-    assert offenders == [], "ufunc.at on the compute path: " + ", ".join(
+    assert offenders == [], "ufunc.at on the compute or build path: " + ", ".join(
         offenders)
 
 

@@ -379,6 +379,36 @@ class TestShardedGenerator:
         )
 
 
+class TestPinnedWriterOutput:
+    """The streamed writer's files, pinned by hash: a change to how the
+    writer groups edges must leave every file bit-identical.  Over 2**16
+    vertices, so the CSR/CSC builds order ids with two radix passes."""
+
+    SPEC = ShardedSyntheticSpec(
+        num_vertices=70_000, num_edges=30_000, feat_dim=4, num_classes=4,
+        edges_per_chunk=8_000, rows_per_shard=32_768,
+    )
+    SHA256 = {
+        "features/shard-00000.npy": "5462e437defc8848",
+        "features/shard-00001.npy": "4dc05a1d46d93778",
+        "features/shard-00002.npy": "5cd9692064d5c843",
+        "labels.npy": "57e3a9fb068faf8c",
+        "masks/test.npy": "a1105551da857327",
+        "masks/train.npy": "f9222d29cfdc8305",
+        "masks/val.npy": "84ad276bf0d0752b",
+        "topology/csc.indices.npy": "51dd6e76fc9fd3b7",
+        "topology/csc.indptr.npy": "2c969728114eda0d",
+        "topology/csr.indices.npy": "89b1626241fac428",
+        "topology/csr.indptr.npy": "6373124436a37476",
+        "vertex_types.npy": "79b34da5b2a661fa",
+    }
+
+    def test_manifest_hashes_are_pinned(self, tmp_path):
+        manifest = write_synthetic_ondisk(str(tmp_path / "gen"), self.SPEC)
+        assert {rel: entry["sha256"][:16]
+                for rel, entry in manifest["files"].items()} == self.SHA256
+
+
 class TestMakeOndiskTool:
     """``tools/make_ondisk.py`` end to end: generate, verify, int8."""
 
