@@ -36,7 +36,8 @@ Packages
     events, JSON trace export and summary tables.
 ``repro.serve``
     Online inference serving: sessions over pinned checkpoints/graphs,
-    micro-batching, versioned embedding caches, load-shedding server.
+    micro-batching, an embedding cache with targeted invalidation,
+    load-shedding server.
 
 Quickstart
 ----------

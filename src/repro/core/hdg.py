@@ -501,11 +501,7 @@ def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, counts)
-        + np.repeat(starts, counts)
-    )
+    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
 
 
 def _root_orders(hdg: HDG, roots: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ the request/response side: load a checkpoint against a pinned graph
 via seed-restricted HDG blocks instead of full-graph forwards, coalesce
 concurrent requests into blocked forwards
 (:class:`~repro.serve.batcher.MicroBatcher`), memoize per-layer
-embeddings in a versioned byte-budgeted LRU
+embeddings in a byte-budgeted LRU
 (:class:`~repro.serve.cache.EmbeddingCache`) with targeted invalidation
 on graph updates, and run it all behind :class:`GNNServer` — a worker
 pool with queue-depth-bounded admission control (load shedding),

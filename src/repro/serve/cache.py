@@ -1,29 +1,25 @@
-"""Versioned serving caches: per-layer embeddings and HDG blocks.
+"""The serving cache: per-layer embedding rows.
 
 Online inference revisits the same hot seeds over and over (Zipfian
 popularity), so the dominant cost saving at serve time is *not*
-recomputing layer outputs that are already known.  Two caches cooperate:
+recomputing layer outputs that are already known.
+:class:`EmbeddingCache` is an LRU, byte-budgeted store of per-layer
+output rows, keyed ``(layer, vertex)``.  Graph updates evict *exactly*
+the affected vertices (per layer, hop-expanded via
+:func:`expand_affected`) so the untouched working set survives an
+update with its hit rate intact.
 
-* :class:`EmbeddingCache` — an LRU, byte-budgeted store of per-layer
-  output rows, keyed ``(layer, vertex)``.  Graph updates evict
-  *exactly* the affected vertices (per layer, hop-expanded via
-  :func:`expand_affected`) so the untouched working set survives an
-  update with its hit rate intact.
-* :class:`HDGBlockCache` — an LRU cache of seed-restricted blocks in
-  block-local coordinates (:class:`~repro.core.step.CompactBlocks`),
-  each holding the reduction plans its forward built.  Block keys embed
-  the graph version, so a version bump makes every stale block
-  unreachable without any per-entry bookkeeping; the session clears it
-  outright on update to reclaim the bytes.
+Blocks are not cached: a request's seed-restricted block is almost
+never requested twice, so the session builds it, runs it and drops it
+together with the reduction plans its forward built.
 
-Both caches report into :mod:`repro.obs` (``serve.cache.*`` counters),
-so hit/miss/eviction totals show up in traces and in the ledger's
-``serve.embed_hit_rate`` / ``serve.block_hit_rate`` for free.
+The cache reports into :mod:`repro.obs` (``serve.cache.embed.*``
+counters), so hit/miss/eviction totals show up in traces and in the
+ledger's ``serve.embed_hit_rate`` for free.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -32,87 +28,7 @@ from .. import obs
 from ..core.hdg import HDG
 from ..tensor.quant import QuantizedRows, dequantize_rows, quantize_rows, resolve_codec
 
-__all__ = [
-    "GraphVersion",
-    "EmbeddingCache",
-    "HDGBlockCache",
-    "expand_affected",
-    "block_nbytes",
-]
-
-
-def block_nbytes(block) -> int:
-    """Recursive resident-byte accounting over every array a block holds.
-
-    ``HDG.nbytes`` is the paper's §4.1 storage footprint and knows only
-    the arrays the base class declares; a cached block also holds its
-    local-coordinate mappings and the reduction plans (index arrays,
-    CSR matrices) its HDG has built — arrays a flat ``block.nbytes``
-    omits, so a byte-budgeted cache would admit more than its budget.
-    This walks ``__slots__``/``__dict__``/containers, summing each
-    distinct ndarray once.  Memory-mapped arrays count 0: their pages
-    belong to the kernel, not the cache's budget.
-    """
-    seen: set[int] = set()
-    total = 0
-    stack = [block]
-    while stack:
-        obj = stack.pop()
-        if obj is None or id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.memmap):
-            continue
-        if isinstance(obj, np.ndarray):
-            if not obj.flags["OWNDATA"] and isinstance(obj.base, np.memmap):
-                continue
-            total += int(obj.nbytes)
-            continue
-        if isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-            continue
-        if isinstance(obj, dict):
-            stack.extend(obj.values())
-            continue
-        if isinstance(obj, (int, float, complex, bool, str, bytes, np.dtype)):
-            continue
-        slots: list[str] = []
-        for klass in type(obj).__mro__:
-            declared = getattr(klass, "__slots__", ())
-            slots.extend((declared,) if isinstance(declared, str) else declared)
-        attrs = getattr(obj, "__dict__", None)
-        if not slots and attrs is None:
-            continue
-        for name in slots:
-            stack.append(getattr(obj, name, None))
-        if attrs is not None:
-            stack.extend(attrs.values())
-    return total
-
-
-class GraphVersion:
-    """Monotonic counter identifying the pinned graph's current state.
-
-    Bumped once per applied edge-change batch; the block cache keys on
-    it, so a block cut from an older graph state is never looked up
-    again.
-    """
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def bump(self) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"GraphVersion({self._value})"
+__all__ = ["EmbeddingCache", "expand_affected"]
 
 
 def expand_affected(hdg: HDG, vertices: np.ndarray) -> np.ndarray:
@@ -289,87 +205,4 @@ class EmbeddingCache:
             "hit_rate": self.hit_rate,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-        }
-
-
-class HDGBlockCache:
-    """LRU cache of seed-restricted blocks.
-
-    A block is a block HDG, or the :class:`~repro.core.step.CompactBlocks`
-    wrapping one in block-local coordinates (what the session stores).
-    Keys are ``(layer, version, fanout, digest-of-roots)``; embedding
-    the graph version means stale blocks are simply never looked up
-    again after an update.  A block is sized once, when it is put —
-    put it *after* its first forward, so ``max_bytes`` also covers the
-    reduction plans the block owns from then on.
-    """
-
-    def __init__(self, max_bytes: int = 16 * 1024 * 1024):
-        self.max_bytes = int(max_bytes)
-        self._entries: OrderedDict[tuple, tuple[int, object]] = OrderedDict()
-        self.current_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _key(layer: int, version: int, fanout: int | None,
-             roots: np.ndarray) -> tuple:
-        roots = np.ascontiguousarray(roots, dtype=np.int64)
-        return (layer, version, fanout, hash(roots.tobytes()))
-
-    def get(self, layer: int, version: int, fanout: int | None,
-            roots: np.ndarray):
-        key = self._key(layer, version, fanout, roots)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            obs.counter("serve.cache.block.miss").add(1)
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        obs.counter("serve.cache.block.hit").add(1)
-        return entry[1]
-
-    def put(self, layer: int, version: int, fanout: int | None,
-            roots: np.ndarray, block) -> None:
-        if self.max_bytes <= 0:
-            return
-        key = self._key(layer, version, fanout, roots)
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.current_bytes -= old[0]
-        # Recursive accounting: a block carries arrays (mappings, plans)
-        # the base HDG.nbytes does not know about, and undercounting
-        # lets the cache blow past its byte budget.
-        nbytes = block_nbytes(block)
-        self._entries[key] = (nbytes, block)
-        self.current_bytes += nbytes
-        while self.current_bytes > self.max_bytes and self._entries:
-            _, (stale_bytes, _) = self._entries.popitem(last=False)
-            self.current_bytes -= stale_bytes
-            self.evictions += 1
-            obs.counter("serve.cache.block.evictions").add(1)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.current_bytes = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "bytes": self.current_bytes,
-            "max_bytes": self.max_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
         }

@@ -8,8 +8,10 @@ blocks (the same block forward sampled mini-batch training uses —
 :func:`repro.core.step.build_block`, relabeled into block-local
 coordinates by :func:`repro.core.step.compact_blocks`, so a request
 touches O(block) rows, never O(graph)), and it fills every layer's
-outputs through the versioned :class:`~repro.serve.cache.EmbeddingCache`
-so hot vertices are never recomputed.
+outputs through the :class:`~repro.serve.cache.EmbeddingCache` so hot
+vertices are never recomputed.  A block, and the reduction plans its
+forward builds, live only as long as the request: a seed set is almost
+never requested twice, so there is no block cache.
 
 Exactness: with ``fanouts=None`` (the default) blocks keep full
 neighborhoods, so responses are numerically identical to a full-graph
@@ -20,8 +22,7 @@ first sample drawn for a vertex.
 
 Dynamic graphs: :meth:`InferenceSession.apply_edge_changes` evolves the
 pinned graph, lets the model repair its HDG
-(:meth:`~repro.core.nau.NAUModel.reselect`), bumps the
-:class:`~repro.serve.cache.GraphVersion`, and evicts exactly the
+(:meth:`~repro.core.nau.NAUModel.reselect`), and evicts exactly the
 affected vertices per layer (hop-expanded from the roots the repair
 touched).
 """
@@ -42,7 +43,7 @@ from ..storage.store import load_checkpoint
 from ..tensor.nn import as_param_dtype, param_dtype
 from ..tensor.plans import get_plan_cache
 from ..tensor.tensor import Tensor, no_grad
-from .cache import EmbeddingCache, GraphVersion, HDGBlockCache, expand_affected
+from .cache import EmbeddingCache, expand_affected
 
 __all__ = ["InferenceSession", "CheckpointMismatch"]
 
@@ -97,7 +98,6 @@ class InferenceSession:
         strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
         seed: int = 0,
         embed_cache_bytes: int = 64 * 1024 * 1024,
-        block_cache_bytes: int = 16 * 1024 * 1024,
     ):
         self.model = model
         self.graph = graph
@@ -120,10 +120,9 @@ class InferenceSession:
         self._hdgs = ModelHDGs(model, graph, self._rng)
         self._pin(hdg)
 
-        self.version = GraphVersion()
         self.embed_cache = EmbeddingCache(embed_cache_bytes,
                                           store_dtype=self._source.codec)
-        self.block_cache = HDGBlockCache(block_cache_bytes)
+        self._blocks_built = 0
 
     # ------------------------------------------------------------------
     # Checkpoint loading (with round-trip verification)
@@ -223,26 +222,15 @@ class InferenceSession:
     def _compute(self, level: int, roots: np.ndarray) -> np.ndarray:
         """Layer ``level``'s output rows for ``roots``: one block forward
         in block-local coordinates over the rows the block references."""
-        fanout = self.fanouts[level - 1]
-        version = self.version.value
-        # Sampled blocks are draw-dependent; caching one draw per root
-        # set is the INFA memoization the docstring describes.
-        compact = self.block_cache.get(level, version, fanout, roots)
-        fresh = compact is None
-        if fresh:
-            block = build_block(self.hdg, roots, fanout, self._rng)
-            compact = compact_blocks([(block, roots)], roots)
+        block = build_block(self.hdg, roots, self.fanouts[level - 1], self._rng)
+        compact = compact_blocks([(block, roots)], roots)
+        self._blocks_built += 1
         (local_block, out_local), = compact.blocks
         prev_rows = self._rows(level - 1, compact.input_vertices)
         with no_grad():
             out = self.model.layers[level - 1].forward(
                 Tensor(as_param_dtype(self.model, prev_rows)), local_block,
                 self.strategy, rows=out_local)
-        if fresh:
-            # Stored after its first forward: the block now owns the
-            # reduction plans that forward built, and the cache's byte
-            # budget has to pay for them.
-            self.block_cache.put(level, version, fanout, roots, compact)
         return out.numpy()
 
     # ------------------------------------------------------------------
@@ -280,8 +268,6 @@ class InferenceSession:
             self.graph = graph
             self._hdgs = ModelHDGs(self.model, graph, self._rng)
             self._pin(hdg)
-            self.version.bump()
-            self.block_cache.clear()
             if touched is None:
                 evicted = len(self.embed_cache)
                 self.embed_cache.clear()
@@ -305,12 +291,12 @@ class InferenceSession:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        # Reduction plans belong to the blocks the block cache holds, so
-        # plan hits track block-cache hits.  "plan_cache" is the
-        # process-wide view (training and serving share it).
+        # No block is ever reused, so "block_cache" counts every block
+        # built as a miss: the ledger's serve.block_hit_rate still reads
+        # it.  "plan_cache" is the process-wide view (training and
+        # serving share it); a block's plans die with its request.
         return {
-            "graph_version": self.version.value,
             "embed_cache": self.embed_cache.stats(),
-            "block_cache": self.block_cache.stats(),
+            "block_cache": {"hits": 0, "misses": self._blocks_built},
             "plan_cache": get_plan_cache().stats(),
         }

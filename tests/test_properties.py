@@ -12,6 +12,7 @@ from repro.core import (
     hierarchical_aggregate,
 )
 from repro.core.aggregation import get_aggregator
+from repro.core.hdg import _ranges_gather
 from repro.graph import Graph
 from repro.tensor import (
     Tensor,
@@ -217,3 +218,19 @@ class TestHDGProperties:
             hdg.restrict_to_roots(h).num_instances for h in halves if h.size
         )
         assert total_instances == hdg.num_instances
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 6)),
+                    max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_ranges_gather_matches_the_two_repeat_formula(self, ranges):
+        starts = np.array([s for s, _ in ranges], dtype=np.int64)
+        counts = np.array([c for _, c in ranges], dtype=np.int64)
+        total = int(counts.sum())
+        expected = np.empty(0, dtype=np.int64)
+        if total:
+            offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            expected = (np.arange(total, dtype=np.int64)
+                        - np.repeat(offsets, counts) + np.repeat(starts, counts))
+        got = _ranges_gather(starts, counts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.loader import QuantizedSource, StreamingLoader, as_source
 from repro.loader.source import InMemorySource
-from repro.serve.cache import EmbeddingCache, HDGBlockCache, block_nbytes
+from repro.serve.cache import EmbeddingCache
 from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.storage.ondisk import OnDiskIntegrityError
 from repro.tensor import Adam
@@ -326,44 +326,6 @@ class TestQuantizedServeTier:
         kept = rows[hit_mask]
         assert np.all(np.abs(np.stack(hit_rows) - kept)
                       <= int8_error_bound(kept)[:, None] + 1e-6)
-
-    def test_block_nbytes_counts_composite_blocks(self):
-        class Block:
-            __slots__ = ("a", "parts", "meta")
-
-            def __init__(self):
-                self.a = np.zeros(100, dtype=np.int64)
-                self.parts = [np.zeros(50, dtype=np.float32),
-                              np.zeros(10)]
-                self.meta = {"idx": np.arange(7)}
-
-        block = Block()
-        expected = (block.a.nbytes + block.parts[0].nbytes
-                    + block.parts[1].nbytes + block.meta["idx"].nbytes)
-        assert block_nbytes(block) == expected
-
-    def test_block_nbytes_counts_shared_arrays_once(self):
-        shared = np.zeros(64)
-        assert block_nbytes([shared, shared, (shared,)]) == shared.nbytes
-
-    def test_block_cache_budget_bounds_composite_blocks(self):
-        class Block:
-            __slots__ = ("a", "extra")
-
-            def __init__(self):
-                self.a = np.zeros(64, dtype=np.int64)      # 512 B
-                self.extra = [np.zeros(192, dtype=np.int64)]  # 1536 B unseen
-                                                              # by a.nbytes
-
-        per_block = block_nbytes(Block())
-        cache = HDGBlockCache(2 * per_block)
-        for i in range(6):
-            cache.put(0, 1, None, np.array([i], dtype=np.int64), Block())
-        stats = cache.stats()
-        # Regression: flat block.nbytes accounting admitted 8 blocks
-        # into a 2-block budget; the recursive walk keeps it honest.
-        assert stats["entries"] == 2
-        assert stats["bytes"] <= 2 * per_block
 
     def test_session_quantized_features_and_cache(self, dataset):
         from repro.models import gcn

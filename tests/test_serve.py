@@ -1,4 +1,4 @@
-"""Tests for repro.serve: sessions, micro-batching, versioned caches,
+"""Tests for repro.serve: sessions, micro-batching, the embedding cache,
 load shedding, and serving/training numerical parity."""
 
 import threading
@@ -18,7 +18,8 @@ from repro.serve import (
     MicroBatcher,
     ServerOverloaded,
 )
-from repro.serve.cache import GraphVersion, HDGBlockCache, expand_affected
+from repro.serve import session as session_module
+from repro.serve.cache import expand_affected
 from repro.storage import checkpoint_metadata, save_checkpoint
 from repro.tensor import Adam, Tensor
 
@@ -495,21 +496,33 @@ class TestEmbeddingCache:
         hit_mask, _ = cache.lookup(1, np.array([0]))
         assert not hit_mask.any()
 
-    def test_block_cache_keys_on_version(self, reddit):
-        model = gcn(reddit.feat_dim, 8, reddit.num_classes, seed=0)
-        hdg = model.neighbor_selection(reddit.graph, np.random.default_rng(0))
-        cache = HDGBlockCache(max_bytes=1 << 20)
-        roots = np.array([0, 1])
-        block = build_block(hdg, roots)
-        cache.put(1, 0, None, roots, block)
-        assert cache.get(1, 0, None, roots) is block
-        assert cache.get(1, 1, None, roots) is None
 
-    def test_graph_version_bumps(self):
-        version = GraphVersion()
-        assert version.value == 0
-        assert version.bump() == 1
-        assert version.value == 1
+class TestSessionStats:
+    """``stats()`` carries what the performance ledger's serve pass reads."""
+
+    def test_cache_entries_count_hits_and_misses(self, reddit, monkeypatch):
+        built = []
+
+        def counting_build_block(*args, **kwargs):
+            built.append(build_block(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(session_module, "build_block", counting_build_block)
+        model = gcn(reddit.feat_dim, 8, reddit.num_classes, seed=0)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            session.predict(rng.choice(reddit.graph.num_vertices, 3,
+                                       replace=False))
+        stats = session.stats()
+        for cache in ("embed_cache", "block_cache"):
+            assert type(stats[cache]["hits"]) is int
+            assert type(stats[cache]["misses"]) is int
+        assert stats["embed_cache"]["hits"] > 0
+        assert built
+        # No block is reused: every block built is one miss.
+        assert stats["block_cache"]["hits"] == 0
+        assert stats["block_cache"]["misses"] == len(built)
 
 
 class TestInvalidation:
@@ -538,7 +551,6 @@ class TestInvalidation:
         added = np.array([[0, 1]])
         evicted = session.apply_edge_changes(added=added, removed=removed)
         assert 0 < evicted < warm_entries  # targeted, not a flush
-        assert session.version.value == 1
         assert len(session.embed_cache) == warm_entries - evicted
 
         new_graph = (reddit.graph.with_edges_removed(removed)
