@@ -5,7 +5,8 @@ The Aggregation stage applies one UDF per HDG level, bottom-up
 three execution backends so the hybrid strategy (Section 4.2) can pick
 per level:
 
-* ``sparse``  — scatter ops over an explicit COO index (the SA path);
+* ``sparse``  — scatter ops over rows already gathered one per member
+  (the SA path: per-edge messages materialized);
 * ``fused``   — segment reduction over CSC offsets, no per-edge tensor
   materialization (the FA / libgrape-lite vertex-reduce path);
 * ``dense``   — reshape-based reduction for regular (schema-tree) levels.
@@ -55,10 +56,10 @@ class Aggregator(Module):
 
     ``values`` is always a ``(rows, dim)`` tensor of source features;
     ``plan`` is the :class:`~repro.tensor.plans.ReductionPlan` of the HDG
-    level being reduced (``plan.index``, ``plan.n``, ``plan.offsets``,
-    ``plan.gather`` and ``plan.counts`` describe it; every kernel takes
-    it as ``plan=``); ``weights`` (optional, per source row) carries
-    edge importances.
+    level being reduced (``plan.n``, ``plan.offsets``, ``plan.gather``,
+    ``plan.counts`` and ``plan.index`` describe it; every kernel takes
+    it as ``plan=``); ``weights`` (optional, per member) carries edge
+    importances.
 
     Two algebraic flags say what the engine may do *around* the UDF;
     both default to ``False``, so an unknown UDF stays on the safe path:
@@ -89,8 +90,11 @@ class Aggregator(Module):
 
     def sparse(self, values: Tensor, plan: ReductionPlan,
                weights: np.ndarray | None = None) -> Tensor:
-        """Scatter-op reduction (per-edge messages materialized): row
-        ``i`` of ``values`` reduces into output row ``plan.index[i]``."""
+        """Scatter-op reduction (per-edge messages materialized): the
+        same segments as :meth:`fused`, reduced by ``scatter_*`` ops,
+        which count ``values`` as materialized.  The hybrid executor
+        hands it the rows already gathered, one per member, with the
+        level's ``plan.pregathered()``."""
         raise NotImplementedError
 
     def fused(self, values: Tensor, plan: ReductionPlan,
@@ -100,11 +104,11 @@ class Aggregator(Module):
 
         Built-in reducers override this with a kernel that never builds
         the per-edge tensor.  The default is correct for any UDF — gather
-        the member rows, then :meth:`sparse` — but materializes them, so
-        the hybrid executor only picks it when ``supports_fused`` says a
-        real one exists.
+        the member rows, then :meth:`sparse` over ``plan.pregathered()``
+        — but materializes them, so the hybrid executor only picks it
+        when ``supports_fused`` says a real one exists.
         """
-        return self.sparse(_member_rows(values, plan), plan.member_plan(),
+        return self.sparse(_member_rows(values, plan), plan.pregathered(),
                            weights)
 
     def dense(self, values: Tensor) -> Tensor:
@@ -263,7 +267,7 @@ class AttentionAggregator(Aggregator):
             values, scores = values[..., :-1], values[..., -1:]
         else:
             scores = self.score(values)
-        # Both kernels share one plan: same index, same destination space.
+        # Both kernels share one plan: the same segments.
         alpha = scatter_softmax(scores, plan=plan)
         return scatter_add(values * alpha, plan=plan)
 
@@ -314,9 +318,9 @@ class LSTMAggregator(Aggregator):
     def sparse(self, values: Tensor, plan: ReductionPlan,
                weights: np.ndarray | None = None) -> Tensor:
         # The plan already holds exactly what the sequential sweep needs:
-        # the stable-sort permutation and per-group counts/starts.
+        # the member gather (none in the identity layout) and per-group
+        # counts/starts.
         dim_size = plan.n
-        order = plan.gather
         counts = plan.counts
         starts = plan.offsets[:-1]
         dtype = values.data.dtype
@@ -325,8 +329,8 @@ class LSTMAggregator(Aggregator):
         max_len = min(int(counts.max()) if counts.size else 0, self.max_seq_len)
         for t in range(max_len):
             active = np.flatnonzero(counts > t)
-            rows = order[starts[active] + t]
-            x_t = values[rows]
+            rows = starts[active] + t
+            x_t = values[rows if plan.gather is None else plan.gather[rows]]
             h_new, c_new = self.cell(x_t, h[active], c[active])
             keep = np.ones(dim_size, dtype=dtype)
             keep[active] = 0.0

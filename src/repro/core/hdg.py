@@ -333,18 +333,18 @@ class HDG:
     # ------------------------------------------------------------------
     # Reduction plans (the kernels' precomputed structure, one per level)
     # ------------------------------------------------------------------
-    def plan(self, level: int, layout: str,
-             num_rows: int | None = None) -> ReductionPlan:
+    def plan(self, level: int, num_rows: int | None = None) -> ReductionPlan:
         """The :class:`~repro.tensor.plans.ReductionPlan` that reduces
         ``level`` into ``level - 1`` (numbered as in :meth:`sub_graph`),
         built on first use and kept for as long as this HDG lives.
 
-        ``layout="index"`` is the scatter (SA) plan over the level's COO
-        destination index, one row per edge.  ``layout="segments"`` is
-        the fused (FA) plan over the level's offsets: the bottom level
-        gathers ``leaf_vertices`` out of a ``num_rows``-row feature
-        matrix, the in-between level reduces its consecutive instances
-        in place (the elided-Dst identity layout).
+        The bottom level gathers ``leaf_vertices`` out of a
+        ``num_rows``-row feature matrix (``Dst_max`` / ``Offset_max``);
+        the levels above reduce their own consecutive rows in place, the
+        identity layout: level 2 of a depth-3 HDG over
+        ``instance_offsets`` (the elided Dst array), level 1 over
+        ``num_leaves`` slots per root.  SA reduces the same plans over
+        the rows it gathered first (``plan.pregathered()``).
 
         HDG arrays are never mutated after construction (an edit builds
         a new HDG), so a memoized plan cannot go stale; the memo key is
@@ -352,28 +352,22 @@ class HDG:
         plan.  Plans are not part of :attr:`nbytes` and are not pickled.
         """
         return self._plans.get_or_build(
-            (level, layout, num_rows),
-            lambda: self._build_plan(level, layout, num_rows),
-        )
+            (level, num_rows), lambda: self._build_plan(level, num_rows))
 
-    def _build_plan(self, level: int, layout: str,
-                    num_rows: int | None) -> ReductionPlan:
-        if layout == "index" and num_rows is None:
-            dst = self.sub_graph(level)[0]  # rejects levels this HDG lacks
-            n_out = (self.num_roots if level == 1 else
-                     self.num_slots if level == 2 else self.num_instances)
-            return ReductionPlan.from_index(dst, n_out)
-        if layout == "segments" and level == self.max_level \
-                and num_rows is not None:
+    def _build_plan(self, level: int, num_rows: int | None) -> ReductionPlan:
+        if level == self.max_level and num_rows is not None:
             return ReductionPlan.from_segments(
                 self.leaf_offsets, self.leaf_vertices, num_rows)
-        if layout == "segments" and level == 2 and self.depth == 3 \
-                and num_rows is None:
+        if self.depth == 3 and level == 2 and num_rows is None:
             return ReductionPlan.from_segments(
                 self.instance_offsets, None, self.num_instances)
+        if self.depth == 3 and level == 1 and num_rows is None:
+            return ReductionPlan.from_segments(
+                np.arange(0, self.num_slots + 1, self.schema.num_leaves),
+                None, self.num_slots)
         raise ValueError(
-            f"no {layout!r} plan for level {level} of a depth-{self.depth} "
-            f"HDG (num_rows={num_rows})"
+            f"no plan for level {level} of a depth-{self.depth} HDG "
+            f"(num_rows={num_rows}; only the bottom level gathers rows)"
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ HDG level              backend per strategy
 =====================  =================================================
 neighbor instances     SA: scatter ops (per-edge messages materialized)
 (bottom, level max)    SA+FA / HA: **feature fusion** (segment reduce)
-in-between (level 2)   SA / SA+FA: scatter ops over an explicit index
+in-between (level 2)   SA / SA+FA: scatter ops over the instance rows
                        HA: segment reduce on the compact elided layout
 schema tree (level 1)  SA / SA+FA: scatter ops
                        HA: **dense** reshape + reduce (Figure 10)
@@ -18,7 +18,8 @@ schema tree (level 1)  SA / SA+FA: scatter ops
 Figure 14.  Whichever backend runs, the level's structure comes from one
 place: the ``_reduce_*`` functions ask the HDG for the level's memoized
 :class:`~repro.tensor.plans.ReductionPlan` (:meth:`HDG.plan`) and hand it
-to the UDF.
+to the UDF — the sparse backend its ``pregathered()`` form, over the
+member rows it gathered first.
 """
 
 from __future__ import annotations
@@ -226,13 +227,14 @@ def _reduce_bottom(hdg: HDG, feats: Tensor, agg: Aggregator,
             record_op("gather",
                       bytes_read=gathered.data.nbytes + src.nbytes,
                       bytes_written=gathered.data.nbytes)
-            return agg.sparse(gathered, hdg.plan(level, "index"),
-                              hdg.leaf_weights, **_carried(agg, order))
+            plan = hdg.plan(level, feats.shape[0]).pregathered()
+            return agg.sparse(gathered, plan, hdg.leaf_weights,
+                              **_carried(agg, order))
         return _run_backend("bottom", "sparse", strategy, agg, feats, order,
                             sparse_path)
 
     def fused_path():
-        return agg.fused(feats, hdg.plan(level, "segments", feats.shape[0]),
+        return agg.fused(feats, hdg.plan(level, feats.shape[0]),
                          hdg.leaf_weights, **_carried(agg, order))
     return _run_backend("bottom", "fused", strategy, agg, feats, order,
                         fused_path)
@@ -246,12 +248,11 @@ def _reduce_instances(hdg: HDG, instance_feats: Tensor, agg: Aggregator,
     if strategy is ExecutionStrategy.HA and agg.supports_fused:
         return _run_backend(
             "instances", "fused", strategy, agg, instance_feats, order,
-            lambda: agg.fused(instance_feats, hdg.plan(2, "segments"),
-                              **kwargs),
+            lambda: agg.fused(instance_feats, hdg.plan(2), **kwargs),
         )
     return _run_backend(
         "instances", "sparse", strategy, agg, instance_feats, order,
-        lambda: agg.sparse(instance_feats, hdg.plan(2, "index"), **kwargs),
+        lambda: agg.sparse(instance_feats, hdg.plan(2), **kwargs),
     )
 
 
@@ -280,6 +281,5 @@ def _reduce_schema(hdg: HDG, slot_feats: Tensor, agg: Aggregator,
 
     return _run_backend(
         "schema", "sparse", strategy, agg, slot_feats, order,
-        lambda: agg.sparse(slot_feats, hdg.plan(1, "index"),
-                           **_carried(agg, order)),
+        lambda: agg.sparse(slot_feats, hdg.plan(1), **_carried(agg, order)),
     )

@@ -48,13 +48,11 @@ class SAGELayer(GNNLayer):
         if hdg.depth != 1:
             raise ValueError("SAGE-pool is a DNFA model (flat HDGs only)")
         pooled = self.pool(feats).relu()
-        strategy = ExecutionStrategy.parse(strategy)
-        if strategy is ExecutionStrategy.SA:
+        plan = hdg.plan(1, pooled.shape[0])
+        if ExecutionStrategy.parse(strategy) is ExecutionStrategy.SA:
             return scatter_max(pooled[hdg.leaf_vertices],
-                               plan=hdg.plan(1, "index"))
-        return segment_reduce_csr(
-            pooled, reducer="max",
-            plan=hdg.plan(1, "segments", pooled.shape[0]))
+                               plan=plan.pregathered())
+        return segment_reduce_csr(pooled, reducer="max", plan=plan)
 
     def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
         out = self.linear(concat([feats, nbr_feats], axis=-1))

@@ -1,13 +1,13 @@
 """Reduction plans — structure setup hoisted off the kernel hot path.
 
 Every scatter/segment reduction in :mod:`repro.tensor.scatter` needs the
-same handful of derived structures: a stable-sort permutation of the
-destination index, per-segment counts and offsets, and a CSR reduction
+same handful of derived structures: per-segment offsets and counts, the
+gather that brings member rows into segment order (for an unsorted
+destination index, its stable-sort permutation), and a CSR reduction
 matrix for the sum/mean SpMM forward, whose arrays the backward reads
-again as the CSC of its transpose.  HDG topology is fixed across epochs
-(and across serve requests hitting a cached block), so recomputing
-these per call is pure overhead — NeuGraph-style topology-aware
-scheduling amortizes it once.
+again as the CSC of its transpose.  HDG topology is fixed across
+epochs, so recomputing these per call is pure overhead — NeuGraph-style
+topology-aware scheduling amortizes it once.
 
 :class:`ReductionPlan` packages the precomputation for one reduction
 structure.  A plan belongs to the topology it describes: each HDG holds
@@ -53,14 +53,15 @@ PLAN_BUILD_COUNTER = "plan.cache.build"
 class ReductionPlan:
     """Precomputed structure for one segmented reduction.
 
-    Two layouts share the class:
-
-    * ``kind == "index"`` — built from a per-row destination index (the
-      SA path).  ``gather`` is the stable-sort permutation bringing rows
-      into segment order; the CSR matrix has one column per input row.
-    * ``kind == "segments"`` — built from a CSR ``(offsets, sources)``
-      pair (the FA path).  Rows are already in segment order; ``gather``
-      is ``sources`` (or ``None`` for the elided-Dst identity layout).
+    One layout, ``(offsets, gather, num_rows)``: segment ``i`` reduces
+    the value rows ``gather[offsets[i]:offsets[i + 1]]`` of a
+    ``num_rows``-row value, or the contiguous rows
+    ``offsets[i]:offsets[i + 1]`` when ``gather`` is ``None`` (the
+    elided-Dst identity layout).  :meth:`from_segments` takes a CSR
+    ``(offsets, sources)`` pair as it is; :meth:`from_index` builds one
+    from a per-row destination index, with ``gather`` its stable-sort
+    permutation.  SA and FA reduce over the same plans: SA gathers the
+    member rows first and reduces them over :meth:`pregathered`.
 
     Heavy artifacts (the SpMM matrix, safe divisor vectors, the derived
     plans) are built lazily — per dtype where one applies — and memoized
@@ -69,55 +70,44 @@ class ReductionPlan:
     """
 
     __slots__ = (
-        "kind", "n", "num_rows", "total", "offsets", "counts",
+        "n", "num_rows", "total", "offsets", "counts",
         "nonempty", "starts", "gather",
-        "_index", "_matrices", "_safe_counts",
-        "_inv_counts", "_derived", "_gather_copy",
+        "_index", "_matrices", "_safe_counts", "_derived", "_gather_copy",
     )
 
-    def __init__(self, kind: str, n: int, num_rows: int, total: int,
-                 offsets: np.ndarray, counts: np.ndarray,
-                 gather: np.ndarray | None,
-                 index: np.ndarray | None) -> None:
-        self.kind = kind
-        self.n = int(n)
+    def __init__(self, offsets: np.ndarray, gather: np.ndarray | None,
+                 num_rows: int, counts: np.ndarray | None = None,
+                 bytes_read: int = 0) -> None:
+        self.n = offsets.size - 1
         self.num_rows = int(num_rows)
-        self.total = int(total)
+        self.total = int(offsets[-1])
         self.offsets = offsets
-        self.counts = counts
-        self.nonempty = counts > 0
+        self.counts = np.diff(offsets) if counts is None else counts
+        self.nonempty = self.counts > 0
         self.starts = offsets[:-1][self.nonempty]
         self.gather = gather
-        self._index = index
+        self._index: np.ndarray | None = None
         self._matrices: dict[str, _sp.csr_matrix] = {}
         self._safe_counts: dict[str, np.ndarray] = {}
-        self._inv_counts: dict[str, np.ndarray] = {}
         self._derived: dict[str, ReductionPlan] = {}
         self._gather_copy: np.ndarray | None = None
-        record_op("plan.build",
-                  bytes_read=(0 if index is None else index.nbytes),
-                  bytes_written=self.nbytes)
+        # Only these arrays exist yet, one object each: their sum is
+        # what :attr:`nbytes` reports at build.
+        built = (offsets, self.counts, self.nonempty, self.starts, gather)
+        record_op("plan.build", bytes_read=bytes_read,
+                  bytes_written=sum(a.nbytes for a in built if a is not None))
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_index(cls, index: np.ndarray, dim_size: int) -> "ReductionPlan":
-        """Plan for ``scatter_*(value, index, dim_size)`` calls."""
+        """Plan for ``scatter_*(value, index, dim_size)`` calls: row ``i``
+        of the value reduces into segment ``index[i]``.  An index outside
+        ``[0, dim_size)`` is a ``ValueError`` (:func:`group_by`)."""
         index = np.asarray(index)
-        index = index.astype(np.int64, copy=False)
         if index.ndim != 1:
             raise ValueError(f"scatter index must be 1-D, got shape {index.shape}")
-        n = int(dim_size)
-        if index.size:
-            lo = int(index.min())
-            hi = int(index.max())
-            if lo < 0 or hi >= n:
-                raise ValueError(
-                    f"scatter index values must lie in [0, {n}), "
-                    f"got range [{lo}, {hi}]"
-                )
-        offsets, order = group_by(index, n)
-        return cls("index", n, index.size, index.size, offsets,
-                   np.diff(offsets), order, index)
+        offsets, order = group_by(index, dim_size)
+        return cls(offsets, order, index.size, bytes_read=index.nbytes)
 
     @classmethod
     def from_segments(cls, offsets: np.ndarray,
@@ -151,13 +141,12 @@ class ReductionPlan:
                 raise ValueError(
                     f"sources must lie in [0, {num_rows})"
                 )
-        return cls("segments", offsets.size - 1, num_rows, total,
-                   offsets, counts, gather, None)
+        return cls(offsets, gather, num_rows, counts)
 
     # -- lazy artifacts -------------------------------------------------
     @property
     def index(self) -> np.ndarray:
-        """Per-row destination index (``dst_of_edge`` for segment plans)."""
+        """The destination segment of each member, in segment order."""
         if self._index is None:
             self._index = np.repeat(
                 np.arange(self.n, dtype=np.int64), self.counts
@@ -192,15 +181,6 @@ class ReductionPlan:
             self._safe_counts[key] = c
         return c
 
-    def inv_counts(self, dtype) -> np.ndarray:
-        """``1 / max(counts, 1)`` in ``dtype`` — the mean backward scale."""
-        key = np.dtype(dtype).str
-        c = self._inv_counts.get(key)
-        if c is None:
-            c = 1.0 / self.safe_counts(dtype)
-            self._inv_counts[key] = c
-        return c
-
     def writable_gather(self) -> np.ndarray | None:
         """``gather`` as an array numpy's ``take`` and ``bincount`` read
         in place.  Both copy a read-only index on every call, and a plan
@@ -220,30 +200,23 @@ class ReductionPlan:
         return plan
 
     def source_plan(self) -> "ReductionPlan | None":
-        """For gathered segment plans: an index plan over ``sources`` that
-        scatters per-edge gradients back to source rows.  ``None`` when the
-        layout is the identity (edge grads map 1:1 to value rows)."""
+        """For gathered plans: the plan over ``gather`` that sums per-member
+        gradients back onto their value rows.  ``None`` for the identity
+        layout (member grads map 1:1 to value rows)."""
         if self.gather is None:
             return None
         return self._derive("source", lambda: ReductionPlan.from_index(
             self.gather, self.num_rows))
 
     def pregathered(self) -> "ReductionPlan":
-        """For segment plans: the same segments over rows the caller has
-        already gathered into segment order (``value[plan.gather]``, e.g.
-        to scale each by a per-edge weight) — the identity layout."""
+        """The same segments over rows the caller has already gathered
+        into segment order (``value[plan.gather]``: SA's materialized
+        messages, or members scaled by a per-edge weight) — the identity
+        layout."""
         if self.gather is None:
             return self
         return self._derive("pregathered", lambda: ReductionPlan(
-            "segments", self.n, self.total, self.total, self.offsets,
-            self.counts, None, None))
-
-    def member_plan(self) -> "ReductionPlan":
-        """For segment plans: the index-kind plan over the same
-        pre-gathered rows, for UDFs that reduce with ``scatter_*``."""
-        return self._derive("members", lambda: ReductionPlan(
-            "index", self.n, self.total, self.total, self.offsets,
-            self.counts, np.arange(self.total, dtype=np.int64), self.index))
+            self.offsets, None, self.total, self.counts))
 
     # -- accounting -----------------------------------------------------
     def _arrays(self, seen: dict[int, np.ndarray]) -> None:
@@ -251,7 +224,7 @@ class ReductionPlan:
         derived plans and the CSR matrices share arrays with it."""
         owned = [self.offsets, self.counts, self.nonempty, self.starts,
                  self.gather, self._gather_copy, self._index,
-                 *self._safe_counts.values(), *self._inv_counts.values()]
+                 *self._safe_counts.values()]
         for m in self._matrices.values():
             owned += [m.data, m.indices, m.indptr]
         seen.update((id(a), a) for a in owned if a is not None)
@@ -269,7 +242,7 @@ class ReductionPlan:
 class PlanMemo:
     """The plans one topology owner (an HDG) has built so far.
 
-    Keys name the owner's own structure (level, layout, row count), so
+    Keys name the owner's own structure (level, row count), so
     there is nothing to collide with and nothing to invalidate: the memo
     dies with its owner.  Reuse and builds are reported to the
     process-wide :class:`PlanCache` view.

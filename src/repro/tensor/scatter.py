@@ -14,15 +14,19 @@ aggregate neighbor features:
   per-edge *scalars* exist, never one message per edge.
 * **Dense ops** — plain reshape + reduce, used at the schema-tree level.
 
+SA and FA differ only in the data they move: a ``scatter_*`` reduction
+is FA's sum / mean / max / min kernel run over the materialized rows
+(``plan.pregathered()`` of the level's plan), counted as materialized
+and recorded as its own op.
+
 All reductions run on a :class:`~repro.tensor.plans.ReductionPlan`: the
-stable-sort permutation, segment offsets and SpMM matrix are precomputed
-once per topology and reused every call (a backward reads the matrix's
-arrays as the CSC of its transpose; pass ``plan=``;
-an HDG memoizes one per level, :meth:`repro.core.hdg.HDG.plan`).
-Without it, an ephemeral plan is built per call from ``index`` /
-``offsets`` — still vectorized (sum/mean are one SpMM, max/min/softmax
-are sorted ``reduceat`` sweeps; no ``np.add.at`` / ``np.maximum.at`` on
-any path), just not amortized.
+segment offsets, member gather and SpMM matrix are precomputed once per
+topology and reused every call (a backward reads the matrix's arrays as
+the CSC of its transpose; pass ``plan=``; an HDG memoizes one per level,
+:meth:`repro.core.hdg.HDG.plan`).  Without it, an ephemeral plan is
+built per call from ``index`` / ``offsets`` — still vectorized (sum/mean
+are one SpMM, max/min/softmax are sorted ``reduceat`` sweeps; no
+``np.add.at`` / ``np.maximum.at`` on any path), just not amortized.
 
 All reductions here are autograd-aware.  The ``scatter.materialized_bytes``
 observability counter tracks both the running *total* and the *peak*
@@ -121,31 +125,111 @@ def _reject_half(value: Tensor, op: str) -> None:
         )
 
 
-def _resolve_index_plan(value: Tensor, index, dim_size: int | None,
-                        plan: ReductionPlan | None,
-                        op: str) -> ReductionPlan:
-    """Pick the plan for a scatter call: the explicit ``plan``, or an
-    ephemeral one built from ``index``."""
+def _resolve_plan(value: Tensor, plan: ReductionPlan | None, op: str, *,
+                  index=None, dim_size: int | None = None,
+                  offsets=None, sources=None) -> ReductionPlan:
+    """The plan a reduction runs on: the explicit ``plan``, or an
+    ephemeral one built from a scatter call's ``index`` or a segment
+    call's ``offsets`` / ``sources``."""
     _reject_half(value, op)
-    if plan is not None:
-        if plan.kind != "index":
-            raise ValueError(
-                f"{op} requires an index-kind plan, got {plan.kind!r}"
-            )
-        if plan.num_rows != value.shape[0]:
-            raise ValueError(
-                f"plan covers {plan.num_rows} rows but value has "
-                f"{value.shape[0]}"
-            )
-        if dim_size is not None and int(dim_size) != plan.n:
-            raise ValueError(
-                f"dim_size {int(dim_size)} does not match plan dim {plan.n}"
-            )
-        return plan
-    if index is None:
-        raise ValueError(f"{op} needs an index when no plan is given")
-    index = _check_index(index, value.shape[0])
-    return ReductionPlan.from_index(index, _dim_size(index, dim_size))
+    rows = value.shape[0]
+    if plan is None:
+        if index is not None:
+            index = _check_index(index, rows)
+            return ReductionPlan.from_index(index, _dim_size(index, dim_size))
+        if offsets is not None:
+            return ReductionPlan.from_segments(offsets, sources, rows)
+        raise ValueError(f"{op} needs a plan, an index or offsets")
+    if plan.num_rows != rows:
+        raise ValueError(
+            f"plan covers {plan.num_rows} rows but value has {rows}"
+        )
+    if dim_size is not None and int(dim_size) != plan.n:
+        raise ValueError(
+            f"dim_size {int(dim_size)} does not match plan dim {plan.n}"
+        )
+    return plan
+
+
+_REDUCERS = frozenset({"sum", "mean", "max", "min"})
+
+
+def _reduce(value: Tensor, plan: ReductionPlan, reducer: str) -> Tensor:
+    """The one sum / mean / max / min kernel, over any plan.
+
+    Sum and mean are one SpMM against the plan's CSR matrix (its
+    ``(offsets, gather)`` pair *is* that CSR), and their backward is the
+    product with the same arrays read as CSC.  Max and min are one
+    sorted ``reduceat`` sweep over the member rows.  What the callers add
+    is their own accounting: :func:`segment_reduce_csr` and the
+    ``scatter_*`` ops record different ops, and a scatter counts its
+    input rows as materialized messages.
+    """
+    n, total, dtype = plan.n, plan.total, value.data.dtype
+    out_shape = (n,) + value.shape[1:]
+    if total == 0:
+        def backward_empty(g):
+            return (np.zeros_like(value.data),)
+
+        return Tensor._make(np.zeros(out_shape, dtype=dtype), (value,),
+                            backward_empty)
+
+    if reducer in ("sum", "mean"):
+        flat = value.data.reshape(plan.num_rows, -1)
+        out_flat = plan.matrix(dtype) @ flat
+        if reducer == "mean":
+            out_flat = out_flat / plan.safe_counts(dtype)[:, None]
+
+        def backward(g):
+            g_flat = g.reshape(n, -1).astype(dtype, copy=False)
+            if reducer == "mean":
+                g_flat = g_flat / plan.safe_counts(dtype)[:, None]
+            # The transpose is the forward matrix's own arrays read as
+            # CSC (``.T`` copies nothing): it adds into each source row in
+            # segment order, as a CSR of the transpose would.
+            return ((plan.matrix(dtype).T @ g_flat).reshape(value.shape),)
+
+        return Tensor._make(out_flat.reshape(out_shape), (value,), backward)
+
+    rows = value.data if plan.gather is None else value.data[plan.gather]
+    ufunc = np.maximum if reducer == "max" else np.minimum
+    # Segments with no members get 0 (the conventional empty reduction).
+    out_data = np.zeros(out_shape, dtype=dtype)
+    out_data[plan.nonempty] = ufunc.reduceat(rows, plan.starts, axis=0)
+
+    def backward(g):
+        # Route gradient only to the members that achieved the extremum,
+        # splitting ties equally.
+        dst = plan.index
+        winner = (rows == out_data[dst]).astype(dtype)
+        ties = np.ones(out_shape, dtype=dtype)
+        ties[plan.nonempty] = np.maximum(
+            np.add.reduceat(winner, plan.starts, axis=0), 1.0
+        )
+        member_grad = winner * g[dst] / ties[dst]
+        if plan.gather is None:
+            return (member_grad,)
+        full = (plan.source_plan().matrix(dtype)
+                @ member_grad.reshape(total, -1))
+        return (full.reshape(value.shape),)
+
+    return Tensor._make(out_data, (value,), backward)
+
+
+def _scatter(value, index, dim_size: int | None,
+             plan: ReductionPlan | None, reducer: str, op: str,
+             flops_per_element: float) -> Tensor:
+    """An SA reduction: ``value`` holds one materialized message per row,
+    reduced by :func:`_reduce` and recorded as ``op``."""
+    value = _as_tensor(value)
+    plan = _resolve_plan(value, plan, op, index=index, dim_size=dim_size)
+    _record_materialization(value.data.nbytes)
+    out = _reduce(value, plan, reducer)
+    # reads every message plus one int64 destination per member
+    record_op(op, flops=flops_per_element * value.data.size,
+              bytes_read=value.data.nbytes + 8 * plan.total,
+              bytes_written=out.data.nbytes)
+    return out
 
 
 def scatter_add(value: Tensor, index: np.ndarray | None = None,
@@ -155,109 +239,33 @@ def scatter_add(value: Tensor, index: np.ndarray | None = None,
 
     The per-edge ``value`` tensor is counted as a materialized
     intermediate — this is the memory-hungry sparse path.  The reduction
-    itself is one SpMM against the plan's CSR matrix.
+    itself is :func:`segment_reduce_csr`'s kernel over the plan.
     """
-    value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_add")
-    n = plan.n
-    dtype = value.data.dtype
-    _record_materialization(value.data.nbytes)
-    if plan.total == 0:
-        out_data = np.zeros((n,) + value.shape[1:], dtype=dtype)
-    else:
-        flat = value.data.reshape(plan.num_rows, -1)
-        out_data = (plan.matrix(dtype) @ flat).reshape((n,) + value.shape[1:])
     # one add per scattered element
-    record_op("scatter_add", flops=float(value.data.size),
-              bytes_read=value.data.nbytes + plan.index.nbytes,
-              bytes_written=out_data.nbytes)
-
-    def backward(g):
-        return (g[plan.index],)
-
-    return Tensor._make(out_data, (value,), backward)
+    return _scatter(value, index, dim_size, plan, "sum", "scatter_add", 1.0)
 
 
 def scatter_mean(value: Tensor, index: np.ndarray | None = None,
                  dim_size: int | None = None, *,
                  plan: ReductionPlan | None = None) -> Tensor:
     """Average rows of ``value`` per destination index."""
-    value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_mean")
-    n = plan.n
-    dtype = value.data.dtype
-    _record_materialization(value.data.nbytes)
-    if plan.total == 0:
-        out_data = np.zeros((n,) + value.shape[1:], dtype=dtype)
-    else:
-        flat = value.data.reshape(plan.num_rows, -1)
-        out_flat = plan.matrix(dtype) @ flat
-        out_flat /= plan.safe_counts(dtype)[:, None]
-        out_data = out_flat.reshape((n,) + value.shape[1:])
     # add + normalize: ~2 FLOPs per scattered element
-    record_op("scatter_mean", flops=2.0 * value.data.size,
-              bytes_read=value.data.nbytes + plan.index.nbytes,
-              bytes_written=out_data.nbytes)
-
-    def backward(g):
-        scale = plan.inv_counts(dtype)[plan.index]
-        grad = g[plan.index].astype(dtype, copy=False) * scale.reshape(
-            (-1,) + (1,) * (value.ndim - 1)
-        )
-        return (grad,)
-
-    return Tensor._make(out_data, (value,), backward)
-
-
-def _scatter_extremum(value: Tensor, index, dim_size: int | None, kind: str,
-                      plan: ReductionPlan | None) -> Tensor:
-    value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan,
-                               "scatter_" + kind)
-    n = plan.n
-    dtype = value.data.dtype
-    _record_materialization(value.data.nbytes)
-    ufunc = np.maximum if kind == "max" else np.minimum
-    # Destinations with no sources get 0 (the conventional empty reduction);
-    # nonempty segments are one sorted reduceat sweep.
-    out_data = np.zeros((n,) + value.shape[1:], dtype=dtype)
-    if plan.total:
-        out_data[plan.nonempty] = ufunc.reduceat(
-            value.data[plan.gather], plan.starts, axis=0
-        )
-    # one comparison per scattered element
-    record_op("scatter_" + kind, flops=float(value.data.size),
-              bytes_read=value.data.nbytes + plan.index.nbytes,
-              bytes_written=out_data.nbytes)
-
-    def backward(g):
-        # Route gradient only to the rows that achieved the extremum,
-        # splitting ties equally.
-        idx = plan.index
-        winner = (value.data == out_data[idx]).astype(dtype)
-        ties = np.ones((n,) + value.shape[1:], dtype=dtype)
-        if plan.total:
-            ties[plan.nonempty] = np.maximum(
-                np.add.reduceat(winner[plan.gather], plan.starts, axis=0),
-                1.0,
-            )
-        return (winner * g[idx] / ties[idx],)
-
-    return Tensor._make(out_data, (value,), backward)
+    return _scatter(value, index, dim_size, plan, "mean", "scatter_mean", 2.0)
 
 
 def scatter_max(value: Tensor, index: np.ndarray | None = None,
                 dim_size: int | None = None, *,
                 plan: ReductionPlan | None = None) -> Tensor:
     """Per-destination elementwise max."""
-    return _scatter_extremum(value, index, dim_size, "max", plan)
+    # one comparison per scattered element
+    return _scatter(value, index, dim_size, plan, "max", "scatter_max", 1.0)
 
 
 def scatter_min(value: Tensor, index: np.ndarray | None = None,
                 dim_size: int | None = None, *,
                 plan: ReductionPlan | None = None) -> Tensor:
     """Per-destination elementwise min."""
-    return _scatter_extremum(value, index, dim_size, "min", plan)
+    return _scatter(value, index, dim_size, plan, "min", "scatter_min", 1.0)
 
 
 def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
@@ -269,14 +277,16 @@ def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
     ``scatter_softmax`` as the level-2 UDF).
     """
     value = _as_tensor(value)
-    plan = _resolve_index_plan(value, index, dim_size, plan, "scatter_softmax")
+    plan = _resolve_plan(value, plan, "scatter_softmax", index=index,
+                         dim_size=dim_size)
     dtype = value.data.dtype
+    # members in segment order: a view of the rows in the identity layout
+    order = slice(None) if plan.gather is None else plan.gather
     _record_materialization(value.data.nbytes)
     if plan.total == 0:
         out_data = np.zeros_like(value.data)
         reps = None
     else:
-        order = plan.gather
         reps = plan.counts[plan.nonempty]
         sv = value.data[order]
         # Stabilize per group: subtract group max (sorted-domain sweep).
@@ -290,45 +300,22 @@ def scatter_softmax(value: Tensor, index: np.ndarray | None = None,
         out_data[order] = out_sorted
     # group max + shift + exp + sum + divide: ~5 FLOPs per element
     record_op("scatter_softmax", flops=5.0 * value.data.size,
-              bytes_read=value.data.nbytes + plan.index.nbytes,
+              bytes_read=value.data.nbytes + 8 * plan.total,
               bytes_written=out_data.nbytes)
 
     def backward(g):
         if plan.total == 0:
             return (np.zeros_like(value.data),)
         g = g.astype(dtype, copy=False)
-        gs = (g * out_data)[plan.gather]
+        gs = (g * out_data)[order]
         dot = np.repeat(
             np.add.reduceat(gs, plan.starts, axis=0), reps, axis=0
         )
         dot_rows = np.empty(value.shape, dtype=dtype)
-        dot_rows[plan.gather] = dot
+        dot_rows[order] = dot
         return (out_data * (g - dot_rows),)
 
     return Tensor._make(out_data, (value,), backward)
-
-
-_SEGMENT_REDUCERS = frozenset({"sum", "mean", "max", "min"})
-
-
-def _resolve_segment_plan(value: Tensor, offsets, sources,
-                          plan: ReductionPlan | None,
-                          op: str = "segment_reduce_csr") -> ReductionPlan:
-    _reject_half(value, op)
-    if plan is not None:
-        if plan.kind != "segments":
-            raise ValueError(
-                f"{op} requires a segments-kind plan, got {plan.kind!r}"
-            )
-        if plan.num_rows != value.shape[0]:
-            raise ValueError(
-                f"plan covers {plan.num_rows} rows but value has "
-                f"{value.shape[0]}"
-            )
-        return plan
-    if offsets is None:
-        raise ValueError(f"{op} needs offsets when no plan is given")
-    return ReductionPlan.from_segments(offsets, sources, value.shape[0])
 
 
 def segment_reduce_csr(
@@ -364,83 +351,29 @@ def segment_reduce_csr(
         The :class:`~repro.tensor.plans.ReductionPlan` to reduce with
         (an HDG level's memoized one); ephemeral when omitted.
     """
-    if reducer not in _SEGMENT_REDUCERS:
-        raise ValueError(f"unknown reducer {reducer!r}; expected one of {sorted(_SEGMENT_REDUCERS)}")
+    if reducer not in _REDUCERS:
+        raise ValueError(f"unknown reducer {reducer!r}; expected one of {sorted(_REDUCERS)}")
     value = _as_tensor(value)
-    plan = _resolve_segment_plan(value, offsets, sources, plan)
-    n = plan.n
+    plan = _resolve_plan(value, plan, "segment_reduce_csr",
+                         offsets=offsets, sources=sources)
+    out = _reduce(value, plan, reducer)
     total = plan.total
-    dtype = value.data.dtype
-    out_shape = (n,) + value.shape[1:]
-    if total == 0:
-        out_data = np.zeros(out_shape, dtype=dtype)
-
-        def backward_empty(g):
-            return (np.zeros_like(value.data),)
-
-        return Tensor._make(out_data, (value,), backward_empty)
-
-    if reducer in ("sum", "mean"):
-        # Fused reduction as one sparse-matrix / dense-matrix product: the
-        # (offsets, sources) pair *is* the CSR of the reduction matrix, so
-        # no per-edge tensor enters the tape — this is the analogue of the
-        # SIMD vertex reduce the paper implements in libgrape-lite.
-        flat = value.data.reshape(plan.num_rows, -1)
-        out_flat = plan.matrix(dtype) @ flat
-        if reducer == "mean":
-            out_flat = out_flat / plan.safe_counts(dtype)[:, None]
-        out_data = out_flat.reshape(out_shape)
-        # SpMM convention: 2 FLOPs (multiply+add) per reduced element;
-        # reads stream one source row per edge plus the CSR structure.
-        dim = flat.shape[1]
-        record_op(
-            "segment_reduce." + reducer,
-            flops=2.0 * total * dim + (out_flat.size if reducer == "mean" else 0),
-            bytes_read=(total * dim * value.data.itemsize
-                        + plan.offsets.nbytes + total * 8),
-            bytes_written=out_data.nbytes,
-        )
-
-        def backward(g):
-            g_flat = g.reshape(n, -1).astype(dtype, copy=False)
-            if reducer == "mean":
-                g_flat = g_flat / plan.safe_counts(dtype)[:, None]
-            # The transpose is the forward matrix's own arrays read as
-            # CSC (``.T`` copies nothing): it adds into each source row in
-            # segment order, as a CSR of the transpose would.
-            return ((plan.matrix(dtype).T @ g_flat).reshape(value.shape),)
-
-        return Tensor._make(out_data, (value,), backward)
-
-    # max / min: sorted segmented extremum over the plan's segment starts.
-    rows = value.data if plan.gather is None else value.data[plan.gather]
-    ufunc = np.maximum if reducer == "max" else np.minimum
-    out_data = np.zeros(out_shape, dtype=dtype)
-    out_data[plan.nonempty] = ufunc.reduceat(rows, plan.starts, axis=0)
-    # one comparison per reduced element
-    record_op(
-        "segment_reduce." + reducer,
-        flops=float(rows.size),
-        bytes_read=rows.nbytes + plan.offsets.nbytes
-        + (0 if plan.gather is None else plan.gather.nbytes),
-        bytes_written=out_data.nbytes,
-    )
-
-    def backward(g):
-        dst = plan.index
-        winner = (rows == out_data[dst]).astype(dtype)
-        ties = np.ones(out_shape, dtype=dtype)
-        ties[plan.nonempty] = np.maximum(
-            np.add.reduceat(winner, plan.starts, axis=0), 1.0
-        )
-        edge_grad = winner * g[dst] / ties[dst]
-        if plan.gather is None:
-            return (edge_grad,)
-        source_plan = plan.source_plan()
-        full = (source_plan.matrix(dtype) @ edge_grad.reshape(total, -1))
-        return (full.reshape(value.shape),)
-
-    return Tensor._make(out_data, (value,), backward)
+    if total:
+        # one member row streamed per edge plus the CSR structure
+        elements = total * (value.data.size // plan.num_rows)
+        read = elements * value.data.itemsize + plan.offsets.nbytes
+        if reducer in ("sum", "mean"):
+            # SpMM convention: 2 FLOPs (multiply+add) per reduced element
+            flops = 2.0 * elements + (out.data.size if reducer == "mean"
+                                      else 0)
+            read += total * 8
+        else:
+            # one comparison per reduced element
+            flops = float(elements)
+            read += 0 if plan.gather is None else plan.gather.nbytes
+        record_op("segment_reduce." + reducer, flops=flops, bytes_read=read,
+                  bytes_written=out.data.nbytes)
+    return out
 
 
 #: Elements in one block of the attention backward's SDDMM: the per-edge
@@ -454,7 +387,7 @@ def segment_attention(values: Tensor, scores: Tensor | None,
                       plan: ReductionPlan) -> Tensor:
     """Softmax attention fused with its weighted sum (no per-edge rows).
 
-    Over a segments-kind ``plan``, output row ``i`` is
+    Over ``plan``, output row ``i`` is
     ``sum_e alpha_e * values[src_e]`` over the segment's members
     ``src_e = plan.gather[e]`` (``e`` itself in the elided-Dst identity
     layout), where ``alpha`` is the softmax, within the segment, of the
@@ -486,8 +419,7 @@ def segment_attention(values: Tensor, scores: Tensor | None,
     bytes: one scalar per edge.
     """
     values = _as_tensor(values)
-    plan = _resolve_segment_plan(values, None, None, plan,
-                                 "segment_attention")
+    plan = _resolve_plan(values, plan, "segment_attention")
     n, total, num_rows = plan.n, plan.total, plan.num_rows
     packed = scores is None
     if packed:

@@ -174,6 +174,22 @@ class TestStrategyEquivalenceFlat:
         np.testing.assert_allclose(results[0], results[1], rtol=1e-9)
         np.testing.assert_allclose(results[0], results[2], rtol=1e-9)
 
+    @pytest.mark.parametrize("name", ["gcn", "gin", "graphsage"])
+    def test_sa_is_ha_over_materialized_rows_bitwise(self, flat_hdg, name):
+        """SA reduces the rows it gathered with the same kernel HA runs
+        over the gathering plan, so the two layer Aggregations agree bit
+        for bit, not only within a tolerance."""
+        from repro import models
+
+        hdg, g = flat_hdg
+        layer = getattr(models, name)(6, 8, 3, seed=0).layers[0]
+        feats = Tensor(np.random.default_rng(0).standard_normal(
+            (g.num_vertices, 6)).astype(np.float32))
+        sa, ha = (layer.aggregation(feats, hdg, s).data
+                  for s in (ExecutionStrategy.SA, ExecutionStrategy.HA))
+        assert sa.dtype == np.float32
+        np.testing.assert_array_equal(sa.view(np.uint32), ha.view(np.uint32))
+
     def test_weighted_sum_strategies_agree(self, flat_hdg):
         hdg, g = flat_hdg
         rng = np.random.default_rng(1)

@@ -70,7 +70,7 @@ def _run(agg, x, plan, fused, values_grad=True):
         out = agg.fused(values, plan)
     else:
         rows = values if plan.gather is None else values[plan.gather]
-        out = agg.sparse(rows, plan.member_plan())
+        out = agg.sparse(rows, plan.pregathered())
     weights = np.random.default_rng(9).standard_normal(out.shape)
     (out * Tensor(weights)).sum().backward()
     return out.data, values.grad, agg.score_vector.grad
@@ -114,11 +114,21 @@ def test_no_members_gives_zeros_and_zero_grads():
     assert not d_x.any() and not d_a.any()
 
 
-def test_requires_a_segments_plan():
-    index_plan = ReductionPlan.from_index(np.array([0, 1, 1]), 2)
-    with pytest.raises(ValueError, match="segment_attention requires"):
-        segment_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1))),
-                          index_plan)
+def test_an_index_built_plan_is_the_same_plan():
+    """A plan built from an unsorted destination index is the gathered
+    layout of its stable-sort permutation: attention over it is attention
+    over those segments, bit for bit."""
+    index = np.array([1, 0, 1, 2, 0, 1])
+    index_plan = ReductionPlan.from_index(index, 4)
+    segments = ReductionPlan.from_segments(index_plan.offsets,
+                                           np.argsort(index, kind="stable"),
+                                           index.size)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((index.size, DIM))
+    s = rng.standard_normal((index.size, 1))
+    a, b = (segment_attention(Tensor(x), Tensor(s), plan).data
+            for plan in (index_plan, segments))
+    assert a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +148,8 @@ def _real_plan(name):
     """MAGNN's level-2 plan (identity layout) or GAT's (gathered)."""
     hdg, _, rows = _model_level(name)
     if name == "magnn":
-        return hdg.plan(2, "segments")
-    return hdg.plan(hdg.max_level, "segments", rows)
+        return hdg.plan(2)
+    return hdg.plan(hdg.max_level, rows)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -260,5 +260,4 @@ class TestGraphSAGE:
             sage.forward(feats, hdg, strategy)
             conv.forward(feats, hdg, strategy)
         assert get_plan_cache().builds == builds
-        layout = ("index",) if strategy == "sa" else ("segments", feats.shape[0])
-        assert hdg._plans.plans() == [hdg.plan(1, *layout)]
+        assert hdg._plans.plans() == [hdg.plan(1, feats.shape[0])]

@@ -209,6 +209,38 @@ class TestKernelParity:
         single = scatter_mean(Tensor(values), np.zeros(4, dtype=np.int64), 1)
         np.testing.assert_allclose(single.data, values.mean(0, keepdims=True))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("layout", ["gathered", "identity"])
+    @pytest.mark.parametrize("name", ["add", "mean", "max", "min",
+                                      "softmax"])
+    def test_scatter_over_a_segments_plan(self, dtype, layout, name):
+        """A ``scatter_*`` op takes any plan: over a ``from_segments``
+        plan it gives what it gives over ``from_index`` of the index
+        that plan describes, forward and backward."""
+        values, index, n, grad = _case(dtype)
+        if layout == "identity":
+            index = np.sort(index)
+        fn = {"add": scatter_add, "mean": scatter_mean, "max": scatter_max,
+              "min": scatter_min, "softmax": scatter_softmax}[name]
+        by_index = ReductionPlan.from_index(index, n)
+        sources = by_index.gather if layout == "gathered" else None
+        by_segments = ReductionPlan.from_segments(by_index.offsets, sources,
+                                                  index.size)
+        if name == "softmax":
+            grad = np.random.default_rng(1).standard_normal(
+                values.shape).astype(dtype)
+        results = []
+        for plan in (by_index, by_segments):
+            t = Tensor(values, requires_grad=True)
+            out = fn(t, plan=plan)
+            out.backward(grad)
+            results.append((out.data, t.grad))
+        (out_i, grad_i), (out_s, grad_s) = results
+        assert out_s.dtype == grad_s.dtype == dtype
+        assert out_s.tobytes() == out_i.tobytes()
+        # equal up to the sign of a zero gradient
+        np.testing.assert_array_equal(grad_s, grad_i)
+
     def test_out_of_range_index_rejected(self):
         values = Tensor(np.ones((3, 2)))
         with pytest.raises(ValueError):
@@ -231,7 +263,9 @@ class TestPlanObject:
         np.testing.assert_array_equal(plan.counts, [1, 0, 3, 0])
         np.testing.assert_array_equal(plan.offsets, [0, 1, 1, 4, 4])
         np.testing.assert_array_equal(plan.starts, [0, 1])
-        np.testing.assert_array_equal(plan.index, index)
+        # the members in segment order, and each one's segment
+        np.testing.assert_array_equal(plan.gather, [1, 0, 2, 3])
+        np.testing.assert_array_equal(plan.index, [0, 2, 2, 2])
         # matrix @ ones == counts
         m = plan.matrix(np.float64)
         np.testing.assert_array_equal(m @ np.ones(4), plan.counts)
@@ -242,10 +276,31 @@ class TestPlanObject:
             (t.data, m.data), (t.indices, m.indices), (t.indptr, m.indptr)))
         np.testing.assert_array_equal(t @ np.ones(4), np.ones(4))
 
+    @pytest.mark.parametrize("build", ["from_index", "from_segments",
+                                       "pregathered"])
+    def test_build_records_the_plan_bytes(self, build):
+        """``plan.build`` writes what the new plan holds (its
+        :attr:`nbytes` at build) and reads the index it sorted."""
+        index = np.array([3, 0, 0, 2, 5, 5, 1, 3])
+        order = np.argsort(index, kind="stable")
+        offsets = ReductionPlan.from_index(index, 7).offsets
+        gathered = ReductionPlan.from_segments(offsets, order, index.size)
+        obs.reset()
+        if build == "from_index":
+            plan, read = ReductionPlan.from_index(index, 7), index.nbytes
+        elif build == "from_segments":
+            plan, read = ReductionPlan.from_segments(offsets, order,
+                                                     index.size), 0
+        else:
+            plan, read = gathered.pregathered(), 0
+        assert plan.nbytes > 0
+        assert obs.counter("profile.op.plan.build.bytes").total == (
+            read + plan.nbytes)
+        assert obs.counter("profile.bytes_written").total == plan.nbytes
+
     def test_safe_counts_dtype(self):
         plan = ReductionPlan.from_index(np.array([0, 0, 2]), 3)
         assert plan.safe_counts(np.float32).dtype == np.float32
-        assert plan.inv_counts(np.float32).dtype == np.float32
         np.testing.assert_array_equal(plan.safe_counts(np.float64), [2, 1, 1])
 
     def test_from_segments_validation(self):
@@ -262,7 +317,7 @@ class TestPlanObject:
         plan.matrix(np.float64)
         assert plan.nbytes > before
         grown = plan.nbytes
-        plan.inv_counts(np.float64)
+        plan.safe_counts(np.float64)
         assert plan.nbytes > grown
         grown = plan.nbytes
         # a transpose view is no artifact
@@ -274,7 +329,7 @@ class TestPlanObject:
         kept writeable copy; a writeable gather is handed as it is."""
         graph = community_graph(60, 4, 8.0)
         indptr, indices = graph.csc
-        shared = hdg_from_graph(graph).plan(1, "segments", 60)
+        shared = hdg_from_graph(graph).plan(1, 60)
         assert np.shares_memory(shared.gather, indices)
         copy = shared.writable_gather()
         assert copy.flags.writeable and not np.shares_memory(copy, indices)
@@ -288,8 +343,8 @@ class TestPlanCache:
     def test_hit_miss_and_counters(self, fresh_cache):
         obs.reset()
         hdg = hdg_from_graph(community_graph(12, 2, 3, seed=0))
-        p1 = hdg.plan(1, "index")
-        p2 = hdg.plan(1, "index")
+        p1 = hdg.plan(1, 12)
+        p2 = hdg.plan(1, 12)
         assert p1 is p2
         assert fresh_cache.hits == 1 and fresh_cache.misses == 1
         assert fresh_cache.builds == 1
@@ -303,16 +358,14 @@ class TestPlanCache:
     def test_key_structure_separates_shapes(self, fresh_cache):
         # Same level, differently shaped call -> its own plan.
         hdg = hdg_from_graph(community_graph(12, 2, 3, seed=0))
-        index = hdg.plan(1, "index")
-        seg = hdg.plan(1, "segments", 12)
-        wider = hdg.plan(1, "segments", 20)
-        assert index.kind == "index" and seg.kind == "segments"
+        seg = hdg.plan(1, 12)
+        wider = hdg.plan(1, 20)
         assert seg is not wider and (seg.num_rows, wider.num_rows) == (12, 20)
-        assert fresh_cache.stats()["entries"] == 3
+        assert fresh_cache.stats()["entries"] == 2
         with pytest.raises(ValueError):
-            hdg.plan(2, "segments")          # flat HDG: no instance level
+            hdg.plan(2)          # flat HDG: no instance level
         with pytest.raises(ValueError):
-            hdg.plan(1, "segments")          # gathered layout needs num_rows
+            hdg.plan(1)          # the bottom level gathers: needs num_rows
 
 
 class TestVersioning:

@@ -50,7 +50,7 @@ class TestGAT:
         feats = Tensor(np.ones((ds.graph.num_vertices, 4)))
         attn = AttentionAggregator(4)
         out = attn.fused(
-            feats, hdg.plan(1, "segments", feats.shape[0])).numpy()
+            feats, hdg.plan(1, feats.shape[0])).numpy()
         has_nbrs = np.diff(hdg.leaf_offsets) > 0
         np.testing.assert_allclose(out[has_nbrs], 1.0, rtol=1e-9)
         np.testing.assert_allclose(out[~has_nbrs], 0.0)
