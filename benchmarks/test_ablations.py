@@ -155,6 +155,44 @@ def test_ablation_neugraph_chunking(benchmark, report):
     assert times[8] >= times[1] * 0.8
 
 
+def test_ablation_neugraph_chunking_counted(benchmark, report):
+    """§8 extension on counted bytes: one epoch's peak transient edge
+    state per chunk grid shrinks as the grid grows, and FlexGraph's
+    counted per-edge peak is no larger than DGL's unchunked view."""
+    from repro.baselines import DGLEngine, FlexGraphAdapter, NeuGraphEngine
+
+    ds = cfg.dataset("reddit")
+    rows = []
+    peaks = {}
+
+    def run_all():
+        for chunks in (1, 2, 4, 8):
+            engine = NeuGraphEngine(ds, "gcn", hidden_dim=cfg.HIDDEN_DIM,
+                                    seed=0, num_chunks=chunks)
+            rep = engine.run_epoch(0)
+            peaks[chunks] = rep.peak_memory_mb
+            rows.append([f"neugraph ({chunks}x{chunks} grid)",
+                         f"{rep.peak_memory_mb:.1f}"])
+        for label, engine in (("dgl (no chunking)", DGLEngine),
+                              ("flexgraph (fused, counted)", FlexGraphAdapter)):
+            rep = engine(ds, "gcn", hidden_dim=cfg.HIDDEN_DIM, seed=0).run_epoch(0)
+            peaks[engine.name] = rep.peak_memory_mb
+            rows.append([label, f"{rep.peak_memory_mb:.1f}"])
+
+    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    report(
+        "ablation_neugraph_chunking_counted",
+        render_rows(
+            "Ablation (§8 extension): peak transient MB in 1 epoch, "
+            "NeuGraph chunk grid vs DGL vs FlexGraph on reddit GCN",
+            ["engine", "peak transient MB"],
+            rows,
+        ),
+    )
+    assert peaks[8] < peaks[4] < peaks[1]
+    assert peaks["flexgraph"] <= peaks["dgl"]
+
+
 def test_ablation_training_mode_convergence(benchmark, report):
     """Extension ablation: the three training modes (full-batch, sampled
     mini-batch, simulated-distributed) run the same NAU program — after a

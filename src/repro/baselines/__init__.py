@@ -1,7 +1,9 @@
 """``repro.baselines`` — re-implementations of the paper's competitors.
 
 Each engine reproduces the *algorithmic strategy* the paper attributes to
-one baseline system, over the same numpy substrate FlexGraph uses:
+one baseline system, over the same numpy substrate FlexGraph uses.  Every
+engine trains the one ``repro.models`` model FlexGraph trains; the
+engines differ only in NeighborSelection and Aggregation:
 
 ==============  =========================================================
 engine          strategy

@@ -4,9 +4,11 @@ The paper compares FlexGraph against PyTorch, DGL, DistDGL and Euler.
 None of those are available offline, so ``repro.baselines`` re-implements
 the *algorithms* the paper attributes to each system (per-edge sparse
 tensor ops, GAS/SAGA-NN with kernel fusion, mini-batch k-hop sampling,
-pre-expanded graphs).  Every engine trains the same model math with the
-same numpy/autograd substrate, so runtime differences reflect execution
-strategy — which is exactly what the paper's comparisons measure.
+pre-expanded graphs).  Every engine trains the one ``repro.models``
+model FlexGraph trains — its weights, its Update, its loss head — on the
+same numpy/autograd substrate, and differs only in how NeighborSelection
+and Aggregation run, so runtime differences reflect execution strategy:
+exactly what the paper's comparisons measure.
 
 Resource envelopes are scaled down alongside the datasets:
 
@@ -29,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hdg import hdg_from_flat_arrays
+from ..core.nau import GNNLayer
 from ..core.schema import SchemaTree
+from ..core.step import node_loss, train_step
+from ..models.gcn import gcn
+from ..models.magnn import default_metapaths, magnn
+from ..models.pinsage import pinsage
 from ..tensor.nn import as_param_dtype
 from ..tensor.optim import Adam
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
-from .model_math import BaselineModel
 
 __all__ = [
     "OutOfMemoryError",
@@ -45,9 +51,6 @@ __all__ = [
 ]
 
 MODEL_NAMES = ("gcn", "pinsage", "magnn")
-
-#: PinSage NeighborSelection defaults (10 walks x 3 hops, top-10)
-WALK_DEFAULTS = {"num_traces": 10, "n_hops": 3, "top_k": 10}
 
 
 class OutOfMemoryError(Exception):
@@ -124,14 +127,24 @@ class EpochReport:
         return f"{prefix}{self.seconds:.3f}"
 
 
+def update(layer: GNNLayer, h: Tensor, agg: Tensor) -> Tensor:
+    """``layer``'s own Update over an aggregate reduced before any
+    projection: the neighborhood term is ``agg @ nbr_weight``."""
+    return layer.update(h, agg @ layer.linear_update()[1])
+
+
 class BaselineEngine:
     """Base class for competitor engines.
 
     Subclasses set ``name`` and implement ``_run_epoch`` (one epoch,
-    returning wall seconds and loss); ``_prepare`` builds the shared
-    :class:`~repro.baselines.model_math.BaselineModel`, its optimizer and
-    the features in its dtype, and engines extend it with their own
-    state.  ``supported_models`` gates Table 2's "X" cells.
+    returning wall seconds and loss); ``_prepare`` builds the
+    ``repro.models`` model (``model_params`` may set PinSage's
+    ``num_traces`` / ``n_hops`` / ``top_k`` and MAGNN's ``metapaths`` /
+    ``max_instances_per_root``), its optimizer and the features in its
+    dtype, and engines extend it with their own state.  An engine reads
+    its NeighborSelection parameters off the model and runs each layer's
+    own Update (:func:`update`).  ``supported_models`` gates Table 2's
+    "X" cells.
     """
 
     name = "base"
@@ -149,20 +162,26 @@ class BaselineEngine:
         self.memory = MemoryMeter(memory_budget)
         self.time_limit = time_limit
         self.model_params = model_params
-        self._walk_params = {
-            key: model_params.get(key, default) for key, default in WALK_DEFAULTS.items()
-        }
         self._rng = np.random.default_rng(seed)
         if model_name in self.supported_models:
             self._prepare()
 
     # -- subclass hooks -----------------------------------------------------
     def _prepare(self) -> None:
-        ds = self.dataset
-        self.model = BaselineModel(
-            self.model_name, ds.feat_dim, self.hidden_dim, ds.num_classes,
-            seed=self.seed,
-        )
+        ds, params = self.dataset, self.model_params
+        dims = (ds.feat_dim, self.hidden_dim, ds.num_classes)
+        if self.model_name == "gcn":
+            self.model = gcn(*dims, seed=self.seed)
+        elif self.model_name == "pinsage":
+            walks = {key: params[key] for key in ("num_traces", "n_hops", "top_k")
+                     if key in params}
+            self.model = pinsage(*dims, seed=self.seed, **walks)
+        else:
+            self.model = magnn(
+                *dims, seed=self.seed,
+                metapaths=params.get("metapaths") or default_metapaths(ds.graph.num_types),
+                max_instances_per_root=params.get("max_instances_per_root"),
+            )
         self.optimizer = Adam(self.model.parameters(), lr=0.01)
         self.feats = Tensor(as_param_dtype(self.model, ds.features))
 
@@ -188,11 +207,18 @@ class BaselineEngine:
         dst, src = hdg.sub_graph(1)
         edge_weights = Tensor(hdg.leaf_weights.reshape(-1, 1))
         h = self.feats
-        for layer in range(self.model.num_layers):
+        for layer in self.model.layers:
             with self.memory.hold((src.size, h.shape[1]), h.dtype, "edge messages"):
                 agg = scatter_add(h[src] * edge_weights, dst, n)
-            h = self.model.update(layer, h, agg)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+            h = update(layer, h, agg)
+        return self._train_step(h, ds.labels, ds.train_mask)
+
+    def _train_step(self, logits: Tensor, labels: np.ndarray,
+                    mask: np.ndarray | None) -> float:
+        """The step core's node loss and optimise step; the loss value."""
+        loss = node_loss(logits, labels, mask)
+        train_step(loss, self.optimizer)
+        return loss.item()
 
     # -- public API ----------------------------------------------------------
     def run_epoch(self, epoch: int = 0) -> EpochReport:

@@ -7,12 +7,7 @@ import time
 
 from ..core.engine import FlexGraphEngine
 from ..core.hybrid import ExecutionStrategy
-from ..models.gcn import gcn
-from ..models.magnn import default_metapaths, magnn
-from ..models.pinsage import pinsage
-from ..tensor.optim import Adam
 from ..tensor.scatter import peak_materialized_bytes, reset_materialized_bytes
-from ..tensor.tensor import Tensor
 from .common import BaselineEngine
 
 __all__ = ["FlexGraphAdapter"]
@@ -30,26 +25,10 @@ class FlexGraphAdapter(BaselineEngine):
     supported_models = ("gcn", "pinsage", "magnn")
 
     def _prepare(self) -> None:
-        ds = self.dataset
-        if self.model_name == "gcn":
-            model = gcn(ds.feat_dim, self.hidden_dim, ds.num_classes, seed=self.seed)
-        elif self.model_name == "pinsage":
-            model = pinsage(
-                ds.feat_dim, self.hidden_dim, ds.num_classes, seed=self.seed,
-                **self._walk_params,
-            )
-        else:
-            model = magnn(
-                ds.feat_dim, self.hidden_dim, ds.num_classes, seed=self.seed,
-                metapaths=self.model_params.get("metapaths")
-                or default_metapaths(ds.graph.num_types),
-                max_instances_per_root=self.model_params.get("max_instances_per_root"),
-            )
-        self.model = model
+        super()._prepare()
         strategy = self.model_params.get("strategy", ExecutionStrategy.HA)
-        self.engine = FlexGraphEngine(model, ds.graph, strategy=strategy, seed=self.seed)
-        self.optimizer = Adam(model.parameters(), lr=0.01)
-        self.feats = Tensor(ds.features)
+        self.engine = FlexGraphEngine(self.model, self.dataset.graph,
+                                      strategy=strategy, seed=self.seed)
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
         ds = self.dataset

@@ -50,9 +50,8 @@ class EulerEngine(DistDGLEngine):
         roots = np.arange(graph.num_vertices, dtype=np.int64)
         # Euler's efficient sampling engine: the fast walk kernel; the
         # aggregation stays sparse tensor ops (no feature fusion).
+        model = self.model
         owners, nbrs, weights = top_k_visited(
-            graph, roots,
-            self._walk_params["num_traces"], self._walk_params["n_hops"],
-            self._walk_params["top_k"], self._rng,
+            graph, roots, model.num_traces, model.n_hops, model.top_k, self._rng,
         )
         return self._weighted_flat_epoch(owners, nbrs, weights)

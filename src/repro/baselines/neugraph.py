@@ -23,8 +23,10 @@ import time
 
 import numpy as np
 
+from ..graph.graph import group_by
+from ..tensor.ops import zeros
 from ..tensor.scatter import scatter_add
-from .common import BaselineEngine
+from .common import BaselineEngine, update
 
 __all__ = ["NeuGraphEngine"]
 
@@ -44,26 +46,19 @@ class NeuGraphEngine(BaselineEngine):
             raise ValueError("num_chunks must be positive")
         # 2-D chunk grid over the edge set: bucket edges by
         # (dst block, src block) once.
-        n = ds.graph.num_vertices
         dst, src = ds.graph.coo()
-        block = int(np.ceil(n / self.num_chunks))
-        self._block = block
-        dst_blk = dst // block
-        src_blk = src // block
-        grid_key = dst_blk * self.num_chunks + src_blk
-        order = np.argsort(grid_key, kind="stable")
+        block = int(np.ceil(ds.graph.num_vertices / self.num_chunks))
+        grid_key = dst // block * self.num_chunks + src // block
+        self._chunk_offsets, order = group_by(grid_key, self.num_chunks**2)
         self._dst = dst[order]
         self._src = src[order]
-        counts = np.bincount(grid_key, minlength=self.num_chunks**2)
-        self._chunk_offsets = np.zeros(self.num_chunks**2 + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._chunk_offsets[1:])
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
         t0 = time.perf_counter()
         ds = self.dataset
         n = ds.graph.num_vertices
         h = self.feats
-        for layer in range(self.model.num_layers):
+        for layer in self.model.layers:
             agg = None
             for chunk in range(self.num_chunks**2):
                 lo = self._chunk_offsets[chunk]
@@ -80,9 +75,7 @@ class NeuGraphEngine(BaselineEngine):
                     partial = scatter_add(h[src], dst, n)
                 agg = partial if agg is None else agg + partial
             if agg is None:
-                from ..tensor.ops import zeros
-
                 agg = zeros(n, h.shape[1])
-            h = self.model.update(layer, h, agg)
-        loss = self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+            h = update(layer, h, agg)
+        loss = self._train_step(h, ds.labels, ds.train_mask)
         return time.perf_counter() - t0, loss, False

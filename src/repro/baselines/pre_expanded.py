@@ -21,12 +21,10 @@ import time
 
 import numpy as np
 
-from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy, hierarchical_aggregate
-from ..core.selection import build_metapath_hdg
+from ..graph.graph import group_by
 from ..graph.random_walk import top_k_visited
-from ..models.magnn import default_metapaths
-from .common import BaselineEngine
+from .common import BaselineEngine, update
 
 __all__ = ["PreDGLEngine"]
 
@@ -49,34 +47,25 @@ class PreDGLEngine(BaselineEngine):
 
     # -- offline pre-computation (not counted in epoch time) ---------------
     def _precompute_pinsage_candidates(self) -> None:
-        ds = self.dataset
+        ds, model = self.dataset, self.model
         n = ds.graph.num_vertices
         roots = np.arange(n, dtype=np.int64)
         oversample = self.model_params.get("oversample", 4)
         # Run many more walks offline and keep an enlarged candidate list
         # per root, with importance weights.
         owners, nbrs, weights = top_k_visited(
-            ds.graph, roots,
-            self._walk_params["num_traces"] * oversample,
-            self._walk_params["n_hops"],
-            self._walk_params["top_k"] * oversample,
-            self._rng,
+            ds.graph, roots, model.num_traces * oversample, model.n_hops,
+            model.top_k * oversample, self._rng,
         )
-        order = np.argsort(owners, kind="stable")
+        self._cand_offsets, order = group_by(owners, n)
         self._cand_owner = owners[order]
         self._cand_nbr = nbrs[order]
         self._cand_weight = weights[order]
-        counts = np.bincount(self._cand_owner, minlength=n)
-        self._cand_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._cand_offsets[1:])
 
     def _precompute_magnn_expansion(self) -> None:
-        ds = self.dataset
-        metapaths = self.model_params.get("metapaths") or default_metapaths(
-            ds.graph.num_types
-        )
-        cap = self.model_params.get("max_instances_per_root")
-        self._expanded_hdg: HDG = build_metapath_hdg(ds.graph, metapaths, cap)
+        # MAGNN's HDGs are static: the expanded graph is exactly the
+        # model's own metapath selection, built once.
+        self._expanded_hdg = self.model.neighbor_selection(self.dataset.graph, self._rng)
 
     # -- runtime ------------------------------------------------------------
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
@@ -90,7 +79,7 @@ class PreDGLEngine(BaselineEngine):
     def _pinsage_epoch(self) -> float:
         ds = self.dataset
         n = ds.graph.num_vertices
-        k = self._walk_params["top_k"]
+        k = self.model.top_k
         # Weighted sampling of k neighbors per root from the candidate
         # lists — cheaper than walking, but over a larger edge set than
         # FlexGraph's exact top-k HDG.  Vectorized weighted reservoir
@@ -117,13 +106,13 @@ class PreDGLEngine(BaselineEngine):
         ds = self.dataset
         hdg = self._expanded_hdg
         h = self.feats
-        for layer in range(self.model.num_layers):
+        for layer in self.model.layers:
             # Multiple GAS rounds on the expanded graph = scatter ops at
             # every HDG level (the SA strategy).
             with self.memory.hold((hdg.leaf_vertices.size, h.shape[1]), h.dtype,
                                   "expanded-graph messages"):
                 agg = hierarchical_aggregate(
-                    hdg, h, self.model.magnn_aggregators[layer], ExecutionStrategy.SA
+                    hdg, h, layer.aggregators, ExecutionStrategy.SA
                 )
-            h = self.model.update(layer, h, agg)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+            h = update(layer, h, agg)
+        return self._train_step(h, ds.labels, ds.train_mask)

@@ -19,12 +19,12 @@ import time
 
 import numpy as np
 
-from ..graph.graph import Graph
+from ..core.nau import GNNLayer
+from ..graph.graph import Graph, range_positions
 from ..tensor.nn import as_param_dtype
 from ..tensor.scatter import scatter_add
 from ..tensor.tensor import Tensor
-from .common import BaselineEngine
-from .model_math import BaselineModel
+from .common import BaselineEngine, update
 from .walk_sim import propagation_random_walks, top_k_from_visits
 
 __all__ = ["SAGANNLayer", "DGLEngine", "DistDGLEngine"]
@@ -67,15 +67,14 @@ class SAGANNLayer:
 
 
 class _ModelSAGALayer(SAGANNLayer):
-    """SAGA-NN layer whose ApplyVertex is a BaselineModel update."""
+    """SAGA-NN layer whose ApplyVertex is a model layer's own Update."""
 
-    def __init__(self, model: BaselineModel, layer: int, fuse_kernels: bool = True):
+    def __init__(self, layer: GNNLayer, fuse_kernels: bool = True):
         super().__init__(fuse_kernels)
-        self.model = model
         self.layer = layer
 
     def apply_vertex(self, feats: Tensor, agg: Tensor) -> Tensor:
-        return self.model.update(self.layer, feats, agg)
+        return update(self.layer, feats, agg)
 
 
 class DGLEngine(BaselineEngine):
@@ -88,9 +87,7 @@ class DGLEngine(BaselineEngine):
 
     def _prepare(self) -> None:
         super()._prepare()
-        self.saga_layers = [
-            _ModelSAGALayer(self.model, i) for i in range(self.model.num_layers)
-        ]
+        self.saga_layers = [_ModelSAGALayer(layer) for layer in self.model.layers]
         self._dst, self._src = self.dataset.graph.coo()
 
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
@@ -110,16 +107,16 @@ class DGLEngine(BaselineEngine):
             with self.memory.hold((self._src.size, h.shape[1]), h.dtype,
                                   "gathered edge view"):
                 h = layer_obj.run(h, self._src, self._dst, n)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+        return self._train_step(h, ds.labels, ds.train_mask)
 
     def _pinsage_epoch(self) -> float:
-        ds = self.dataset
+        ds, model = self.dataset, self.model
         roots, visited = propagation_random_walks(
-            ds.graph, self._walk_params["num_traces"], self._walk_params["n_hops"],
-            self._rng, self.memory, edge_temporaries=self.walk_edge_temporaries,
+            ds.graph, model.num_traces, model.n_hops, self._rng, self.memory,
+            edge_temporaries=self.walk_edge_temporaries,
         )
         owners, nbrs, weights = top_k_from_visits(
-            roots, visited, ds.graph.num_vertices, self._walk_params["top_k"]
+            roots, visited, ds.graph.num_vertices, model.top_k
         )
         return self._weighted_flat_epoch(owners, nbrs, weights)
 
@@ -182,9 +179,7 @@ class DistDGLEngine(DGLEngine):
                 # Loss over the seed rows only (they are the batch targets).
                 local_of = {int(v): i for i, v in enumerate(original)}
                 seed_rows = np.array([local_of[int(s)] for s in seeds])
-                loss = self.model.train_step(
-                    h[seed_rows], ds.labels[seeds], None, self.optimizer
-                )
+                loss = self._train_step(h[seed_rows], ds.labels[seeds], None)
         elapsed = time.perf_counter() - t0
         extrapolated = measured < num_batches
         total = elapsed * num_batches / max(measured, 1)
@@ -200,13 +195,7 @@ class DistDGLEngine(DGLEngine):
             counts = indptr[frontier + 1] - indptr[frontier]
             if counts.sum() == 0:
                 break
-            starts = indptr[frontier]
-            total = int(counts.sum())
-            offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            flat = (
-                np.arange(total) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-            )
-            nbrs = indices[flat]
+            nbrs = indices[range_positions(indptr[frontier], counts)]
             frontier = np.setdiff1d(nbrs, block)
             block = np.union1d(block, frontier)
         return block

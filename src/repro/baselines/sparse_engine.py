@@ -25,9 +25,8 @@ from ..core.hdg import build_hdg
 from ..core.hybrid import ExecutionStrategy, hierarchical_aggregate
 from ..core.selection import schema_for_metapaths, select_metapath_neighbors
 from ..graph.metapath import count_length3_instances
-from ..models.magnn import default_metapaths
 from ..tensor.scatter import scatter_add
-from .common import BaselineEngine
+from .common import BaselineEngine, update
 from .walk_sim import propagation_random_walks, top_k_from_visits
 
 __all__ = ["PyTorchEngine"]
@@ -41,15 +40,9 @@ class PyTorchEngine(BaselineEngine):
 
     def _prepare(self) -> None:
         super()._prepare()
-        ds = self.dataset
         if self.model_name == "gcn":
             # COO index tensors, rebuilt once (static graph).
-            self._dst, self._src = ds.graph.coo()
-        elif self.model_name == "magnn":
-            self.metapaths = self.model_params.get("metapaths") or default_metapaths(
-                ds.graph.num_types
-            )
-            self._cap = self.model_params.get("max_instances_per_root")
+            self._dst, self._src = self.dataset.graph.coo()
 
     # ------------------------------------------------------------------
     def _run_epoch(self, epoch: int) -> tuple[float, float | None, bool]:
@@ -67,7 +60,7 @@ class PyTorchEngine(BaselineEngine):
         ds = self.dataset
         h = self.feats
         n = ds.graph.num_vertices
-        for layer in range(self.model.num_layers):
+        for layer in self.model.layers:
             edges = (self._src.size, h.shape[1])
             # Scatter stage: materialize source features on every edge.
             with self.memory.hold(edges, h.dtype, "edge messages (Scatter)"):
@@ -77,24 +70,24 @@ class PyTorchEngine(BaselineEngine):
                 with self.memory.hold(edges, h.dtype, "edge messages (ApplyEdge)"):
                     edge_feats = edge_feats * 1.0
                     agg = scatter_add(edge_feats, self._dst, n)
-            h = self.model.update(layer, h, agg)
-        return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+            h = update(layer, h, agg)
+        return self._train_step(h, ds.labels, ds.train_mask)
 
     def _pinsage_epoch(self) -> float:
-        ds = self.dataset
+        ds, model = self.dataset, self.model
         # Walk simulation by graph propagation, re-run every epoch; plain
         # PyTorch stages each hop through two edge tensors.
         roots, visited = propagation_random_walks(
-            ds.graph, self._walk_params["num_traces"], self._walk_params["n_hops"],
-            self._rng, self.memory, edge_temporaries=2,
+            ds.graph, model.num_traces, model.n_hops, self._rng, self.memory,
+            edge_temporaries=2,
         )
         owners, nbrs, weights = top_k_from_visits(
-            roots, visited, ds.graph.num_vertices, self._walk_params["top_k"]
+            roots, visited, ds.graph.num_vertices, model.top_k
         )
         return self._weighted_flat_epoch(owners, nbrs, weights)
 
     def _magnn_epoch(self) -> float:
-        ds = self.dataset
+        ds, model = self.dataset, self.model
         # Project the per-instance feature tensor a naive implementation
         # materializes; refuse before doing the work if it cannot fit.
         # The naive tensor join materializes *every* matched instance
@@ -103,7 +96,7 @@ class PyTorchEngine(BaselineEngine):
         # behind the paper's OOM cells (§7.1).
         total_instances = sum(
             count_length3_instances(ds.graph, mp)
-            for mp in self.metapaths
+            for mp in model.metapaths
             if mp.length == 3
         )
         with self.memory.hold((total_instances, 3, self.feats.shape[1]),
@@ -112,17 +105,18 @@ class PyTorchEngine(BaselineEngine):
             # (there is no HDG cache); this DFS dominates the epoch (§7.1:
             # >95%).
             records = select_metapath_neighbors(
-                ds.graph, self.metapaths, max_instances_per_root=self._cap
+                ds.graph, model.metapaths,
+                max_instances_per_root=model.max_instances_per_root,
             )
             roots = np.arange(ds.graph.num_vertices, dtype=np.int64)
             hdg = build_hdg(
-                records, schema_for_metapaths(self.metapaths), roots,
+                records, schema_for_metapaths(model.metapaths), roots,
                 ds.graph.num_vertices, flat=False,
             )
             h = self.feats
-            for layer in range(self.model.num_layers):
+            for layer in model.layers:
                 agg = hierarchical_aggregate(
-                    hdg, h, self.model.magnn_aggregators[layer], ExecutionStrategy.SA
+                    hdg, h, layer.aggregators, ExecutionStrategy.SA
                 )
-                h = self.model.update(layer, h, agg)
-            return self.model.train_step(h, ds.labels, ds.train_mask, self.optimizer)
+                h = update(layer, h, agg)
+            return self._train_step(h, ds.labels, ds.train_mask)

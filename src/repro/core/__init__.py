@@ -5,7 +5,7 @@ compact storage of §4.1, hybrid aggregation execution (§4.2), the
 single-machine execution engine, and the ADB workload balancer (§5-6).
 """
 
-from .aggregation import Aggregator, AttentionAggregator, MeanAggregator
+from .aggregation import Aggregator
 from .balancer import ADBBalancer, BalancePlan, induced_dependency_edges
 from .cost_model import CostModel, metrics_from_hdg
 from .engine import EpochStats, FlexGraphEngine, StageTimes
@@ -44,7 +44,7 @@ __all__ = [
     "HDG", "build_hdg", "hdg_from_flat_arrays", "build_metapath_hdg",
     "GNNLayer", "NAUModel", "SelectionScope",
     "ExecutionStrategy", "hierarchical_aggregate",
-    "Aggregator", "MeanAggregator", "AttentionAggregator",
+    "Aggregator",
     "FlexGraphEngine", "StageTimes", "EpochStats",
     "MiniBatchTrainer", "MiniBatchEpochStats",
     "ModelHDGs", "build_block",

@@ -27,7 +27,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from ..graph.graph import group_by
+from ..graph.graph import group_by, range_positions
 from ..obs import counter as _obs_counter
 from ..tensor.plans import PlanMemo, ReductionPlan
 from .schema import NeighborRecord, SchemaTree
@@ -234,7 +234,7 @@ class HDG:
             starts = np.asarray(self.leaf_offsets[root_orders], dtype=np.int64)
             counts = np.asarray(self.leaf_offsets[root_orders + 1],
                                 dtype=np.int64) - starts
-            gather = _ranges_gather(starts, counts)
+            gather = range_positions(starts, counts)
             new_offsets = np.zeros(root_orders.size + 1, dtype=np.int64)
             np.cumsum(counts, out=new_offsets[1:])
             return HDG(
@@ -246,18 +246,18 @@ class HDG:
         num_leaves = self.schema.num_leaves
         # Slot ranges for the selected roots (contiguous per root).
         slot_starts = root_orders * num_leaves
-        slot_gather = _ranges_gather(slot_starts, np.full(root_orders.size, num_leaves, dtype=np.int64))
+        slot_gather = range_positions(slot_starts, np.full(root_orders.size, num_leaves, dtype=np.int64))
         slot_counts = np.diff(self.instance_offsets)[slot_gather]
         new_instance_offsets = np.zeros(slot_gather.size + 1, dtype=np.int64)
         np.cumsum(slot_counts, out=new_instance_offsets[1:])
         # Instance ranges per selected slot.
         inst_starts = self.instance_offsets[slot_gather]
-        inst_gather = _ranges_gather(inst_starts, slot_counts)
+        inst_gather = range_positions(inst_starts, slot_counts)
         leaf_counts = np.diff(self.leaf_offsets)[inst_gather]
         new_leaf_offsets = np.zeros(inst_gather.size + 1, dtype=np.int64)
         np.cumsum(leaf_counts, out=new_leaf_offsets[1:])
         leaf_starts = self.leaf_offsets[inst_gather]
-        leaf_gather = _ranges_gather(leaf_starts, leaf_counts)
+        leaf_gather = range_positions(leaf_starts, leaf_counts)
         return HDG(
             sub_roots, self.schema, self.leaf_vertices[leaf_gather], new_leaf_offsets,
             instance_offsets=new_instance_offsets,
@@ -489,15 +489,6 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
                                np.ascontiguousarray(b).view(bits)))
 
 
-def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat index array covering ``starts[i]..starts[i]+counts[i]`` for all i."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
-
-
 def _root_orders(hdg: HDG, roots: np.ndarray) -> np.ndarray:
     """Slot order of each of ``roots`` in ``hdg``; ``ValueError`` for a
     root it does not have."""
@@ -588,14 +579,8 @@ def hdg_from_instance_arrays(
     new_counts = leaf_counts[perm]
     leaf_offsets = np.zeros(leaf_counts.size + 1, dtype=np.int64)
     np.cumsum(new_counts, out=leaf_offsets[1:])
-    total = int(new_counts.sum())
     # gather[j] = position in leaf_flat of the j-th leaf after permutation
-    group_starts = src_offsets[perm]
-    gather = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(leaf_offsets[:-1], new_counts)
-        + np.repeat(group_starts, new_counts)
-    )
+    gather = range_positions(src_offsets[perm], new_counts)
     leaf_vertices = leaf_flat[gather]
     return HDG(
         roots, schema, leaf_vertices, leaf_offsets,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..graph.graph import Graph
+from ..graph.graph import Graph, range_positions
 from ..graph.metapath import Metapath, find_metapath_instances
 from ..graph.traversal import bfs_levels
 from .schema import NeighborRecord, SchemaTree
@@ -170,7 +170,7 @@ def reselect_metapath_hdg(
     ``build_metapath_hdg(graph, metapaths, max_instances_per_root)``.
     ``touched`` lists the roots whose slots actually changed.
     """
-    from .hdg import _ranges_gather, _root_orders
+    from .hdg import _root_orders
 
     changed = np.asarray(changed, dtype=np.int64).reshape(-1, 2)
     u, v = changed[:, 0], changed[:, 1]
@@ -183,7 +183,7 @@ def reselect_metapath_hdg(
         t0, t1, t2 = mp.types
         found.append(u[(types[u] == t0) & (types[v] == t1)])
         mid = u[(types[u] == t1) & (types[v] == t2)]
-        starts = indices[_ranges_gather(indptr[mid], indptr[mid + 1] - indptr[mid])]
+        starts = indices[range_positions(indptr[mid], indptr[mid + 1] - indptr[mid])]
         found.append(starts[types[starts] == t0])
     roots = np.unique(np.concatenate(found))
     if roots.size == 0:

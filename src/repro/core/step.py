@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..graph.graph import Graph
+from ..graph.graph import Graph, range_positions
 from ..obs.profile import BYTES_READ_COUNTER, BYTES_WRITTEN_COUNTER, FLOPS_COUNTER
 from ..tensor.loss import binary_cross_entropy_with_logits, cross_entropy
 from ..tensor.nn import as_param_dtype
@@ -44,7 +44,7 @@ from ..tensor.ops import concat, scatter_rows
 from ..tensor.optim import Optimizer
 from ..tensor.plans import PLAN_HIT_COUNTER, PLAN_MISS_COUNTER
 from ..tensor.tensor import Tensor
-from .hdg import HDG, MEMO_BUILD_COUNTER, MEMO_HIT_COUNTER, _ranges_gather
+from .hdg import HDG, MEMO_BUILD_COUNTER, MEMO_HIT_COUNTER
 from .nau import NAUModel, SelectionScope
 
 __all__ = [
@@ -220,7 +220,7 @@ def _fanout_block(hdg: HDG, root_orders: np.ndarray, fanout: int,
     counts = np.minimum(degrees, fanout)
     offsets = np.zeros(root_orders.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    gather = _ranges_gather(starts, counts)
+    gather = range_positions(starts, counts)
     sampled = np.flatnonzero(degrees > fanout)
     if sampled.size:
         slots = offsets[sampled, None] + np.arange(fanout)

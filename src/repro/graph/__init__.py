@@ -1,14 +1,15 @@
 """``repro.graph`` — the graph-engine substrate (libgrape-lite substitute).
 
 CSR/CSC graph storage with typed vertices, linear-time grouping by
-vertex id (``group_by``, which every CSR/CSC, HDG and plan build uses),
+vertex id (``group_by``, which every CSR/CSC, HDG and plan build uses)
+and the flat positions of a set of id ranges (``range_positions``),
 BFS levels (JK-Net's distance rings), random walks (PinSage), metapath
 matching (MAGNN), PageRank neighborhoods, partitioners, and synthetic
 graph generators standing in for the paper's datasets.
 """
 
 from .generators import community_graph, heterogeneous_graph, power_law_graph
-from .graph import Graph, group_by
+from .graph import Graph, group_by, range_positions
 from .metrics import graph_summary
 from .metapath import (
     Metapath,
@@ -28,7 +29,7 @@ from .random_walk import select_top_k_per_owner, top_k_visited
 from .traversal import bfs_levels, k_hop_neighbors
 
 __all__ = [
-    "Graph", "group_by",
+    "Graph", "group_by", "range_positions",
     "bfs_levels", "k_hop_neighbors",
     "top_k_visited", "select_top_k_per_owner",
     "Metapath", "MetapathInstance", "find_metapath_instances",

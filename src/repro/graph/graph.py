@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Graph", "group_by"]
+__all__ = ["Graph", "group_by", "range_positions"]
 
 #: edges :meth:`Graph.fingerprint` sorts and hashes per step
 FINGERPRINT_CHUNK = 1 << 20
@@ -342,6 +342,18 @@ def group_by(key, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
                               casting="unsafe")
         order = order[np.argsort(high[order], kind="stable")]
     return offsets, order
+
+
+def range_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat positions of the ranges ``[starts[i], starts[i] + counts[i])``.
+
+    Range after range, in order: indexing with them gathers the CSR/CSC
+    rows or the HDG groups of a set of owners in one step."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
 
 
 def _checked_types(vertex_types, num_vertices: int) -> np.ndarray | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, range_positions
 
 __all__ = ["bfs_levels", "k_hop_neighbors"]
 
@@ -38,33 +38,15 @@ def bfs_levels(graph: Graph, source: int, direction: str = "out") -> np.ndarray:
 
 
 def _expand(graph: Graph, frontier: np.ndarray, direction: str) -> np.ndarray:
-    parts = []
+    adjacency = []
     if direction in ("out", "both"):
-        indptr, indices = graph.csr
-        counts = indptr[frontier + 1] - indptr[frontier]
-        if counts.sum():
-            starts = indptr[frontier]
-            parts.append(_gather_ranges(indices, starts, counts))
+        adjacency.append(graph.csr)
     if direction in ("in", "both"):
-        indptr, indices = graph.csc
-        counts = indptr[frontier + 1] - indptr[frontier]
-        if counts.sum():
-            starts = indptr[frontier]
-            parts.append(_gather_ranges(indices, starts, counts))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def _gather_ranges(indices: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``indices[starts[i]:starts[i]+counts[i]]`` for all i."""
-    total = int(counts.sum())
-    out = np.empty(total, dtype=np.int64)
-    # Build a flat index: for each range, positions start..start+count.
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    flat = np.arange(total) - np.repeat(offsets, counts) + np.repeat(starts, counts)
-    out[:] = indices[flat]
-    return out
+        adjacency.append(graph.csc)
+    return np.concatenate([
+        indices[range_positions(indptr[frontier], indptr[frontier + 1] - indptr[frontier])]
+        for indptr, indices in adjacency
+    ])
 
 
 def k_hop_neighbors(graph: Graph, source: int, k: int, direction: str = "both") -> np.ndarray:

@@ -11,10 +11,8 @@ import pytest
 from repro import obs
 from repro.core import (
     Aggregator,
-    AttentionAggregator,
     ExecutionStrategy,
     FlexGraphEngine,
-    MeanAggregator,
     MiniBatchTrainer,
     NeighborRecord,
     SchemaTree,
@@ -22,7 +20,9 @@ from repro.core import (
     hierarchical_aggregate,
 )
 from repro.core.aggregation import (
+    AttentionAggregator,
     MaxAggregator,
+    MeanAggregator,
     MinAggregator,
     SumAggregator,
     WeightedSumAggregator,

@@ -12,13 +12,13 @@ from repro.baselines import (
     FlexGraphAdapter,
     PreDGLEngine,
 )
-from repro.baselines.common import MemoryMeter, OutOfMemoryError
-from repro.baselines.model_math import BaselineModel
+from repro.baselines.common import MemoryMeter, OutOfMemoryError, update
 from repro.baselines.saga_nn import SAGANNLayer
 from repro.baselines.sparse_engine import PyTorchEngine
 from repro.baselines.walk_sim import propagation_random_walks, top_k_from_visits
 from repro.datasets import load_dataset
 from repro.graph import community_graph, top_k_visited
+from repro.models import gcn
 from repro.tensor import Tensor
 from repro.tensor.scatter import peak_materialized_bytes
 
@@ -180,16 +180,19 @@ class TestWalkSimulation:
 
 class TestSAGANN:
     def test_stages_compose_to_gcn_layer(self, reddit):
-        model = BaselineModel("gcn", reddit.feat_dim, 8, reddit.num_classes)
+        model = gcn(reddit.feat_dim, 8, reddit.num_classes)
+        layer = model.layers[0]
 
         class L(SAGANNLayer):
             def apply_vertex(self, feats, agg):
-                return model.update(0, feats, agg)
+                return update(layer, feats, agg)
 
         dst, src = reddit.graph.coo()
         h = Tensor(reddit.features)
         out = L().run(h, src, dst, reddit.graph.num_vertices)
-        assert out.shape == (reddit.graph.num_vertices, 8)
+        hdg = model.neighbor_selection(reddit.graph, np.random.default_rng(0))
+        np.testing.assert_allclose(out.data, layer.forward(h, hdg).data,
+                                   rtol=1e-5, atol=1e-3)
 
     def test_apply_vertex_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -249,3 +252,41 @@ class TestEnginesTrain:
         eng = PyTorchEngine(reddit, "gcn", hidden_dim=8)
         rep = eng.run_epoch()
         assert rep.peak_memory_mb > 0
+
+
+class TestOneModel:
+    """Every engine trains the ``repro.models`` model FlexGraph trains;
+    only NeighborSelection and Aggregation differ, so the losses agree.
+
+    Measured on tiny reddit / imdb, hidden 16, seed 0, epochs 0-2: GCN
+    under pytorch, dgl and neugraph within 7.9e-8 relative of FlexGraph
+    (one float32 ulp of a loss near 3084: the baselines project ``h`` and
+    the aggregate separately), MAGNN under pytorch and pre+dgl equal to
+    it.  The bound, 1e-6 relative, is eight float32 ulps."""
+
+    RTOL = 1e-6
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_every_engine_builds_flexgraphs_model(self, reddit, imdb, engine):
+        for model_name in ENGINES[engine].supported_models:
+            ds = imdb if model_name == "magnn" else reddit
+            built = ENGINES[engine](ds, model_name, hidden_dim=8).model
+            assert type(built) is type(FlexGraphAdapter(ds, model_name, hidden_dim=8).model)
+
+    @staticmethod
+    def _losses(engine, ds, model_name):
+        eng = ENGINES[engine](ds, model_name, hidden_dim=16, seed=0)
+        return [eng.run_epoch(epoch).loss for epoch in range(3)]
+
+    @pytest.mark.parametrize("engine", ["pytorch", "dgl", "neugraph"])
+    def test_gcn_losses_equal_flexgraphs(self, reddit, engine):
+        np.testing.assert_allclose(self._losses(engine, reddit, "gcn"),
+                                   self._losses("flexgraph", reddit, "gcn"),
+                                   rtol=self.RTOL)
+
+    @pytest.mark.parametrize("engine", ["pytorch", "pre+dgl"])
+    def test_magnn_losses_equal_flexgraphs(self, imdb, engine):
+        """Uncapped MAGNN: one set of attention vectors across engines."""
+        np.testing.assert_allclose(self._losses(engine, imdb, "magnn"),
+                                   self._losses("flexgraph", imdb, "magnn"),
+                                   rtol=self.RTOL)

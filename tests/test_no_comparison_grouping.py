@@ -1,7 +1,8 @@
 """Structure check: the graph-build path groups ids with ``group_by``.
 
 Every CSR, CSC, HDG and reduction plan groups positions by a bounded
-id.  :func:`repro.graph.group_by` does that in linear time (16-bit
+id, and so do two baseline builds: NeuGraph's chunk grid and Pre+DGL's
+candidate lists.  :func:`repro.graph.group_by` does that in linear time (16-bit
 radix passes) and returns exactly the permutation the comparison sort
 ``np.argsort(key, kind="stable")`` would, at O(E log E).  This scan
 fails CI when a stable ``argsort`` comes back to one of the modules
@@ -19,6 +20,8 @@ BUILD_PATH = [
     SRC / "graph" / "metapath.py",
     SRC / "core" / "hdg.py",
     SRC / "tensor" / "plans.py",
+    SRC / "baselines" / "neugraph.py",
+    SRC / "baselines" / "pre_expanded.py",
 ]
 #: ``module:function`` -> why a stable comparison sort stays there
 EXEMPT = {

@@ -12,8 +12,7 @@ from repro.core import (
     hierarchical_aggregate,
 )
 from repro.core.aggregation import get_aggregator
-from repro.core.hdg import _ranges_gather
-from repro.graph import Graph
+from repro.graph import Graph, range_positions
 from repro.tensor import (
     Tensor,
     scatter_add,
@@ -231,6 +230,6 @@ class TestHDGProperties:
             offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
             expected = (np.arange(total, dtype=np.int64)
                         - np.repeat(offsets, counts) + np.repeat(starts, counts))
-        got = _ranges_gather(starts, counts)
+        got = range_positions(starts, counts)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)

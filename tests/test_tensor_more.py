@@ -87,7 +87,7 @@ class TestLSTMCellGradients:
 
 class TestAttentionGradients:
     def test_attention_aggregator_matches_numerical(self):
-        from repro.core import AttentionAggregator
+        from repro.core.aggregation import AttentionAggregator
 
         rng = np.random.default_rng(2)
         attn = AttentionAggregator(3, rng=rng)
@@ -105,7 +105,7 @@ class TestAttentionGradients:
         np.testing.assert_allclose(v.grad, num, rtol=1e-4, atol=1e-6)
 
     def test_score_vector_receives_gradient(self):
-        from repro.core import AttentionAggregator
+        from repro.core.aggregation import AttentionAggregator
 
         attn = AttentionAggregator(3)
         v = Tensor(np.random.default_rng(3).standard_normal((4, 3)))
