@@ -11,7 +11,14 @@ from .cost_model import CostModel, metrics_from_hdg
 from .engine import EpochStats, FlexGraphEngine, StageTimes
 from .hdg import HDG, build_hdg, hdg_from_flat_arrays
 from .hybrid import ExecutionStrategy, hierarchical_aggregate
-from .nau import GNNLayer, NAUModel, SelectionScope
+from .nau import (
+    GNNLayer,
+    LinearUpdateLayer,
+    NAUModel,
+    SelectionScope,
+    layer_dims,
+    stack_layers,
+)
 from .sampling import MiniBatchEpochStats, MiniBatchTrainer
 from .step import (
     CompactBlocks,
@@ -42,7 +49,8 @@ from .selection import (
 __all__ = [
     "SchemaTree", "NeighborRecord",
     "HDG", "build_hdg", "hdg_from_flat_arrays", "build_metapath_hdg",
-    "GNNLayer", "NAUModel", "SelectionScope",
+    "GNNLayer", "LinearUpdateLayer", "NAUModel", "SelectionScope",
+    "layer_dims", "stack_layers",
     "ExecutionStrategy", "hierarchical_aggregate",
     "Aggregator",
     "FlexGraphEngine", "StageTimes", "EpochStats",

@@ -22,7 +22,7 @@ import enum
 import numpy as np
 
 from ..graph.graph import Graph
-from ..tensor.nn import Module
+from ..tensor.nn import Linear, Module
 from ..tensor.tensor import Tensor, is_grad_enabled
 from .aggregation import Aggregator, get_aggregator
 from .hdg import HDG, hdg_from_graph
@@ -34,7 +34,8 @@ from .hybrid import (
     reduce_constant,
 )
 
-__all__ = ["SelectionScope", "GNNLayer", "NAUModel", "projects_first"]
+__all__ = ["SelectionScope", "GNNLayer", "LinearUpdateLayer", "NAUModel",
+           "projects_first", "layer_dims", "stack_layers"]
 
 
 class SelectionScope(enum.Enum):
@@ -90,7 +91,8 @@ class GNNLayer(Module):
       class owns :meth:`aggregation`, :meth:`update` and
       :meth:`forward`: ``aggregation`` then returns the *projected*
       neighborhood term, reduced at whichever width costs fewer
-      multiply-adds (:func:`projects_first`).
+      multiply-adds (:func:`projects_first`).  :class:`LinearUpdateLayer`
+      is that declaration for an Update that is one ``Linear``.
 
     A layer selects no neighbors of its own: every layer of a model
     aggregates over the one HDG its :class:`NAUModel` selected.
@@ -257,6 +259,53 @@ class GNNLayer(Module):
         raise NotImplementedError
 
 
+class LinearUpdateLayer(GNNLayer):
+    """A GNN layer whose Update is one ``Linear``, then ReLU.
+
+    The ``Linear`` reads the vertex's feature ``h`` and its
+    neighborhood representation ``a``; the ReLU is off when
+    ``activation`` is (the model's last layer).  The class attribute
+    ``form`` says how the ``Linear`` reads them:
+
+    * ``"sum"`` — ``W(h + a) + b`` (GCN): one shared weight;
+    * ``"concat"`` — ``W[h ; a] + b`` (GAT, P-GNN, PinSage): the top
+      half of ``W`` projects ``h``, the bottom half ``a``;
+    * ``"nbr"`` — ``W a + b`` (MAGNN): no self term.
+
+    A subclass names its aggregation UDFs and its ``form``; the
+    ``Linear`` is ``self.linear``, so its parameters are
+    ``linear.weight`` and ``linear.bias``.
+    """
+
+    form = "sum"
+
+    def __init__(self, aggregators: list[Aggregator | str], in_dim: int,
+                 out_dim: int, activation: bool = True,
+                 rng: np.random.Generator | None = None):
+        super().__init__(aggregators, dim=in_dim)
+        width = 2 * in_dim if self.form == "concat" else in_dim
+        self.linear = Linear(width, out_dim, rng=rng)
+        self.activation = activation
+
+    def linear_update(self) -> tuple[Tensor | None, Tensor]:
+        weight = self.linear.weight
+        if self.form == "sum":
+            return weight, weight
+        if self.form == "nbr":
+            return None, weight
+        in_dim = self.linear.in_features // 2
+        return weight[:in_dim], weight[in_dim:]
+
+    def combine(self, self_proj: Tensor | None, nbr_proj: Tensor) -> Tensor:
+        out = nbr_proj if self_proj is None else self_proj + nbr_proj
+        out = out + self.linear.bias
+        return out.relu() if self.activation else out
+
+    @property
+    def output_dim(self) -> int:
+        return self.linear.out_features
+
+
 def _project(feats: Tensor, weight: Tensor | None) -> Tensor | None:
     """``feats @ weight``, or ``None`` for an Update with no self term."""
     return None if weight is None else feats @ weight
@@ -334,3 +383,32 @@ class NAUModel(Module):
         for layer in self.layers:
             h = layer.forward(h, hdg, strategy)
         return h
+
+
+def layer_dims(in_dim: int, hidden_dim: int, out_dim: int,
+               num_layers: int) -> list[int]:
+    """The layer widths of a ``num_layers``-deep model.
+
+    ``in_dim``, then ``hidden_dim`` between layers, then ``out_dim``.
+    """
+    if num_layers < 1:
+        raise ValueError("num_layers must be >= 1")
+    return [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
+
+
+def stack_layers(layer_cls: type[GNNLayer], dims: list[int], seed: int,
+                 **kwargs) -> list[GNNLayer]:
+    """The layers of a model whose widths are ``dims``.
+
+    One ``layer_cls(dims[i], dims[i + 1], ...)`` per consecutive pair,
+    all drawing their parameters from one rng seeded with ``seed``, in
+    layer order; every layer but the last applies its activation.
+    ``kwargs`` go to every layer.
+    """
+    if len(dims) < 2:
+        raise ValueError("dims must list input, hidden..., output sizes")
+    rng = np.random.default_rng(seed)
+    last = len(dims) - 2
+    return [layer_cls(dims[i], dims[i + 1], activation=i < last, rng=rng,
+                      **kwargs)
+            for i in range(len(dims) - 1)]

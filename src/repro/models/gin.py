@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import GNNLayer, NAUModel, SelectionScope, layer_dims, stack_layers
 from ..tensor.nn import Linear, Parameter
 from ..tensor.tensor import Tensor
 
@@ -46,20 +46,11 @@ class GIN(NAUModel):
     category = "DNFA"
 
     def __init__(self, dims: list[int], seed: int = 0):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
-        rng = np.random.default_rng(seed)
-        layers = [
-            GINLayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
-        super().__init__(layers, SelectionScope.STATIC, name="GIN")
+        super().__init__(stack_layers(GINLayer, dims, seed),
+                         SelectionScope.STATIC, name="GIN")
 
 
 def gin(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,
         seed: int = 0) -> GIN:
     """Build a GIN model."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    return GIN(dims, seed=seed)
+    return GIN(layer_dims(in_dim, hidden_dim, out_dim, num_layers), seed=seed)

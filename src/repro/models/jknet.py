@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hdg import HDG, build_hdg
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import GNNLayer, NAUModel, SelectionScope, layer_dims, stack_layers
 from ..core.selection import schema_for_rings, select_distance_ring_neighbors
 from ..graph.graph import Graph
 from ..tensor.nn import Linear
@@ -46,15 +46,9 @@ class JKNet(NAUModel):
     category = "INHA"
 
     def __init__(self, dims: list[int], max_distance: int = 2, seed: int = 0):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
+        layers = stack_layers(JKNetLayer, dims, seed)
         if max_distance < 1:
             raise ValueError("max_distance must be >= 1")
-        rng = np.random.default_rng(seed)
-        layers = [
-            JKNetLayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
         super().__init__(layers, SelectionScope.STATIC, name="JK-Net")
         self.max_distance = max_distance
 
@@ -68,7 +62,5 @@ class JKNet(NAUModel):
 def jknet(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,
           max_distance: int = 2, seed: int = 0) -> JKNet:
     """Build a JK-Net model."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    return JKNet(dims, max_distance, seed=seed)
+    return JKNet(layer_dims(in_dim, hidden_dim, out_dim, num_layers),
+                 max_distance, seed=seed)

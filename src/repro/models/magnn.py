@@ -18,12 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hdg import HDG
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import (LinearUpdateLayer, NAUModel, SelectionScope,
+                        layer_dims, stack_layers)
 from ..core.selection import build_metapath_hdg, reselect_metapath_hdg
 from ..graph.graph import Graph
 from ..graph.metapath import Metapath
-from ..tensor.nn import Linear
-from ..tensor.tensor import Tensor
 
 __all__ = ["MAGNNLayer", "MAGNN", "magnn", "default_metapaths"]
 
@@ -44,26 +43,15 @@ def default_metapaths(num_types: int = 3, length: int = 3) -> list[Metapath]:
     return paths[:6] if length == 3 else paths
 
 
-class MAGNNLayer(GNNLayer):
+class MAGNNLayer(LinearUpdateLayer):
     """One MAGNN layer: mean / attention / mean hierarchy + ReLU(W a)."""
+
+    form = "nbr"
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__(aggregators=["mean", "attention", "mean"], dim=in_dim)
-        self.linear = Linear(in_dim, out_dim, rng=rng)
-        self.activation = activation
-
-    def linear_update(self) -> tuple[None, Tensor]:
-        # no self term: W a
-        return None, self.linear.weight
-
-    def combine(self, self_proj: None, nbr_proj: Tensor) -> Tensor:
-        out = nbr_proj + self.linear.bias
-        return out.relu() if self.activation else out
-
-    @property
-    def output_dim(self) -> int:
-        return self.linear.out_features
+        super().__init__(["mean", "attention", "mean"], in_dim, out_dim,
+                         activation, rng)
 
 
 class MAGNN(NAUModel):
@@ -73,15 +61,9 @@ class MAGNN(NAUModel):
 
     def __init__(self, dims: list[int], metapaths: list[Metapath],
                  max_instances_per_root: int | None = None, seed: int = 0):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
+        layers = stack_layers(MAGNNLayer, dims, seed)
         if not metapaths:
             raise ValueError("MAGNN needs at least one metapath")
-        rng = np.random.default_rng(seed)
-        layers = [
-            MAGNNLayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
         super().__init__(layers, SelectionScope.STATIC, name="MAGNN")
         self.metapaths = list(metapaths)
         self.max_instances_per_root = max_instances_per_root
@@ -103,9 +85,8 @@ class MAGNN(NAUModel):
 def magnn(in_dim: int, hidden_dim: int, out_dim: int,
           metapaths: list[Metapath] | None = None, num_layers: int = 2,
           max_instances_per_root: int | None = None, seed: int = 0) -> MAGNN:
-    """Build MAGNN; defaults to the 6 three-vertex metapaths of §7."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    metapaths = metapaths or default_metapaths()
-    return MAGNN(dims, metapaths, max_instances_per_root, seed=seed)
+    """Build MAGNN; ``metapaths=None`` takes the 6 metapaths of §7."""
+    if metapaths is None:
+        metapaths = default_metapaths()
+    return MAGNN(layer_dims(in_dim, hidden_dim, out_dim, num_layers),
+                 metapaths, max_instances_per_root, seed=seed)

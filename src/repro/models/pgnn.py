@@ -13,37 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hdg import HDG, build_hdg
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import (LinearUpdateLayer, NAUModel, SelectionScope,
+                        layer_dims, stack_layers)
 from ..core.schema import SchemaTree
 from ..core.selection import select_anchor_set_neighbors
 from ..graph.graph import Graph
-from ..tensor.nn import Linear
-from ..tensor.tensor import Tensor
 
 __all__ = ["PGNNLayer", "PGNN", "pgnn"]
 
 
-class PGNNLayer(GNNLayer):
+class PGNNLayer(LinearUpdateLayer):
     """One P-GNN layer: mean/mean hierarchy + ReLU(W [h ; a])."""
+
+    form = "concat"
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__(aggregators=["mean", "mean", "mean"])
-        self.linear = Linear(2 * in_dim, out_dim, rng=rng)
-        self.activation = activation
-
-    def linear_update(self) -> tuple[Tensor, Tensor]:
-        # W [h ; a] = W_top h + W_bottom a
-        weight, in_dim = self.linear.weight, self.linear.in_features // 2
-        return weight[:in_dim], weight[in_dim:]
-
-    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
-        out = self_proj + nbr_proj + self.linear.bias
-        return out.relu() if self.activation else out
-
-    @property
-    def output_dim(self) -> int:
-        return self.linear.out_features
+        super().__init__(["mean", "mean", "mean"], in_dim, out_dim,
+                         activation, rng)
 
 
 class PGNN(NAUModel):
@@ -53,14 +40,8 @@ class PGNN(NAUModel):
 
     def __init__(self, dims: list[int], num_anchor_sets: int = 4,
                  anchor_set_size: int = 8, seed: int = 0):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
-        rng = np.random.default_rng(seed)
-        layers = [
-            PGNNLayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
-        super().__init__(layers, SelectionScope.STATIC, name="P-GNN")
+        super().__init__(stack_layers(PGNNLayer, dims, seed),
+                         SelectionScope.STATIC, name="P-GNN")
         self.num_anchor_sets = num_anchor_sets
         self.anchor_set_size = anchor_set_size
 
@@ -77,7 +58,5 @@ class PGNN(NAUModel):
 def pgnn(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,
          num_anchor_sets: int = 4, anchor_set_size: int = 8, seed: int = 0) -> PGNN:
     """Build a P-GNN model."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    return PGNN(dims, num_anchor_sets, anchor_set_size, seed=seed)
+    return PGNN(layer_dims(in_dim, hidden_dim, out_dim, num_layers),
+                num_anchor_sets, anchor_set_size, seed=seed)

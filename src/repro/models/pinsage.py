@@ -15,37 +15,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.hdg import HDG, hdg_from_flat_arrays
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import (LinearUpdateLayer, NAUModel, SelectionScope,
+                        layer_dims, stack_layers)
 from ..core.schema import SchemaTree
 from ..graph.random_walk import top_k_visited
 from ..graph.graph import Graph
-from ..tensor.nn import Linear
-from ..tensor.tensor import Tensor
 
 __all__ = ["PinSageLayer", "PinSage", "pinsage"]
 
 
-class PinSageLayer(GNNLayer):
+class PinSageLayer(LinearUpdateLayer):
     """One PinSage layer: weighted-sum aggregation + ReLU(W [h ; a])."""
+
+    form = "concat"
 
     def __init__(self, in_dim: int, out_dim: int, activation: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__(aggregators=["weighted_sum"])
-        self.linear = Linear(2 * in_dim, out_dim, rng=rng)
-        self.activation = activation
-
-    def linear_update(self) -> tuple[Tensor, Tensor]:
-        # W [h ; a] = W_top h + W_bottom a
-        weight, in_dim = self.linear.weight, self.linear.in_features // 2
-        return weight[:in_dim], weight[in_dim:]
-
-    def combine(self, self_proj: Tensor, nbr_proj: Tensor) -> Tensor:
-        out = self_proj + nbr_proj + self.linear.bias
-        return out.relu() if self.activation else out
-
-    @property
-    def output_dim(self) -> int:
-        return self.linear.out_features
+        super().__init__(["weighted_sum"], in_dim, out_dim, activation, rng)
 
 
 class PinSage(NAUModel):
@@ -56,15 +42,9 @@ class PinSage(NAUModel):
 
     def __init__(self, dims: list[int], num_traces: int = 10, n_hops: int = 3,
                  top_k: int = 10, seed: int = 0, selection: str = "walks"):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
+        layers = stack_layers(PinSageLayer, dims, seed)
         if selection not in ("walks", "ppr"):
             raise ValueError(f"selection must be 'walks' or 'ppr', got {selection!r}")
-        rng = np.random.default_rng(seed)
-        layers = [
-            PinSageLayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
         # PPR neighborhoods are deterministic, so they need only be built
         # once; walk-based ones are re-drawn each epoch.
         scope = SelectionScope.STATIC if selection == "ppr" else SelectionScope.PER_EPOCH
@@ -99,7 +79,5 @@ def pinsage(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,
     ``selection="ppr"`` swaps the random-walk neighborhood for its
     deterministic personalized-PageRank limit.
     """
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    return PinSage(dims, num_traces, n_hops, top_k, seed=seed, selection=selection)
+    return PinSage(layer_dims(in_dim, hidden_dim, out_dim, num_layers),
+                   num_traces, n_hops, top_k, seed=seed, selection=selection)

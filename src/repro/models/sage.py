@@ -2,8 +2,10 @@
 
 A DNFA model that demonstrates overriding the *Aggregation* stage
 itself: SAGE-pool first pushes every neighbor feature through a learned
-transform and only then max-reduces, so the layer replaces the default
-level-wise executor rather than just picking built-in UDFs.
+transform and only then max-reduces, so the layer wraps the default
+level-wise executor rather than just picking built-in UDFs.  The
+reduction is the built-in ``max`` UDF, run by the hybrid executor, which
+alone picks its backend per strategy.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import numpy as np
 
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import GNNLayer, NAUModel, SelectionScope
+from ..core.nau import GNNLayer, NAUModel, SelectionScope, layer_dims, stack_layers
 from ..tensor.nn import Linear
 from ..tensor.ops import concat
-from ..tensor.scatter import scatter_max, segment_reduce_csr
 from ..tensor.tensor import Tensor
 
 __all__ = ["SAGELayer", "GraphSAGE", "graphsage"]
@@ -31,7 +32,7 @@ class SAGELayer(GNNLayer):
     def __init__(self, in_dim: int, out_dim: int, pool_dim: int | None = None,
                  activation: bool = True,
                  rng: np.random.Generator | None = None):
-        super().__init__()
+        super().__init__(aggregators=["max"])
         pool_dim = pool_dim or in_dim
         self.pool = Linear(in_dim, pool_dim, rng=rng)
         self.linear = Linear(in_dim + pool_dim, out_dim, rng=rng)
@@ -42,17 +43,11 @@ class SAGELayer(GNNLayer):
         """Transform-then-reduce: the NN op happens *inside* Aggregation.
 
         The pooled features are computed once for all vertices (dense,
-        cheap) and the reduction runs over the flat HDG like any other
-        UDF, so the hybrid strategies still apply.
+        cheap), and the default level-wise executor max-reduces them
+        over the flat HDG like any other UDF, so the hybrid strategies
+        apply unchanged.
         """
-        if hdg.depth != 1:
-            raise ValueError("SAGE-pool is a DNFA model (flat HDGs only)")
-        pooled = self.pool(feats).relu()
-        plan = hdg.plan(1, pooled.shape[0])
-        if ExecutionStrategy.parse(strategy) is ExecutionStrategy.SA:
-            return scatter_max(pooled[hdg.leaf_vertices],
-                               plan=plan.pregathered())
-        return segment_reduce_csr(pooled, reducer="max", plan=plan)
+        return super().aggregation(self.pool(feats).relu(), hdg, strategy)
 
     def update(self, feats: Tensor, nbr_feats: Tensor) -> Tensor:
         out = self.linear(concat([feats, nbr_feats], axis=-1))
@@ -69,20 +64,12 @@ class GraphSAGE(NAUModel):
     category = "DNFA"
 
     def __init__(self, dims: list[int], seed: int = 0):
-        if len(dims) < 2:
-            raise ValueError("dims must list input, hidden..., output sizes")
-        rng = np.random.default_rng(seed)
-        layers = [
-            SAGELayer(dims[i], dims[i + 1], activation=i < len(dims) - 2, rng=rng)
-            for i in range(len(dims) - 1)
-        ]
-        super().__init__(layers, SelectionScope.STATIC, name="GraphSAGE")
+        super().__init__(stack_layers(SAGELayer, dims, seed),
+                         SelectionScope.STATIC, name="GraphSAGE")
 
 
 def graphsage(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,
               seed: int = 0) -> GraphSAGE:
     """Build a GraphSAGE-pool model."""
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-    return GraphSAGE(dims, seed=seed)
+    return GraphSAGE(layer_dims(in_dim, hidden_dim, out_dim, num_layers),
+                     seed=seed)

@@ -152,8 +152,17 @@ class MicroBatcher:
                 # A peer drained the queue while this worker waited out
                 # the delay window — go back to sleeping on admission.
 
-    def close(self) -> None:
-        """Stop admitting; wake blocked workers (they drain the queue)."""
+    def close(self, drain: bool = True) -> None:
+        """Stop admitting and wake blocked workers.
+
+        With ``drain`` the workers still take every queued request;
+        without, each queued request fails here with
+        :class:`ServerOverloaded` before a worker can take it.
+        """
         with self._cond:
             self._closed = True
+            if not drain:
+                while self._queue:
+                    self._queue.popleft().future.set_exception(
+                        ServerOverloaded("server stopped before execution"))
             self._cond.notify_all()

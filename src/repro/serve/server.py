@@ -199,18 +199,7 @@ class GNNServer:
         with ``drain=False`` still-queued requests fail with
         :class:`ServerOverloaded`.
         """
-        if not drain:
-            # Fail queued requests before workers can pick them up.
-            with self.batcher._cond:
-                self.batcher._closed = True
-                while self.batcher._queue:
-                    request = self.batcher._queue.popleft()
-                    request.future.set_exception(
-                        ServerOverloaded("server stopped before execution")
-                    )
-                self.batcher._cond.notify_all()
-        else:
-            self.batcher.close()
+        self.batcher.close(drain=drain)
         for t in self._threads:
             t.join(timeout=timeout)
         self._threads.clear()

@@ -1,16 +1,21 @@
-"""Tests for the six NAU model programs: shapes, categories, learning."""
+"""Tests for the NAU model programs: shapes, categories, learning, and
+pinned parameter and loss digests."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core import FlexGraphEngine, SelectionScope
-from repro.datasets import load_dataset
+from repro.datasets import imdb_like, load_dataset, reddit_like
 from repro.graph import community_graph
 from repro.models import (
     MAGNN,
     default_metapaths,
+    gat,
     gcn,
     gin,
+    graphsage,
     jknet,
     magnn,
     pgnn,
@@ -51,6 +56,13 @@ class TestFactories:
     def test_magnn_needs_metapaths(self):
         with pytest.raises(ValueError):
             MAGNN([4, 2], [])
+
+    def test_magnn_builder_keeps_an_empty_metapath_list(self):
+        # Only a missing list means "the defaults"; an empty one is
+        # refused like MAGNN([4, 2], []) refuses it.
+        assert len(magnn(4, 4, 2).metapaths) == len(default_metapaths())
+        with pytest.raises(ValueError, match="at least one metapath"):
+            magnn(4, 4, 2, metapaths=[])
 
     def test_categories(self):
         assert gcn(4, 4, 2).category == "DNFA"
@@ -261,3 +273,144 @@ class TestGraphSAGE:
             conv.forward(feats, hdg, strategy)
         assert get_plan_cache().builds == builds
         assert hdg._plans.plans() == [hdg.plan(1, feats.shape[0])]
+
+
+# ---------------------------------------------------------------------------
+# Pinned digests: every built-in model trains bit for bit as pinned
+# ---------------------------------------------------------------------------
+#: name -> (dataset, builder): every built-in model, GCN with both
+#: aggregators, MAGNN three layers deep
+DIGEST_MODELS = {
+    "gcn": ("reddit", lambda d: gcn(d.feat_dim, 16, d.num_classes)),
+    "gcn_mean": ("reddit", lambda d: gcn(d.feat_dim, 16, d.num_classes,
+                                         aggregator="mean")),
+    "gat": ("reddit", lambda d: gat(d.feat_dim, 16, d.num_classes)),
+    "gin": ("reddit", lambda d: gin(d.feat_dim, 16, d.num_classes)),
+    "graphsage": ("reddit", lambda d: graphsage(d.feat_dim, 16, d.num_classes)),
+    "pinsage": ("reddit", lambda d: pinsage(d.feat_dim, 16, d.num_classes)),
+    "magnn": ("imdb", lambda d: magnn(d.feat_dim, 16, d.num_classes,
+                                      num_layers=3)),
+    "pgnn": ("reddit", lambda d: pgnn(d.feat_dim, 16, d.num_classes)),
+    "jknet": ("reddit", lambda d: jknet(d.feat_dim, 16, d.num_classes)),
+}
+DIGEST_DATA = {"reddit": lambda: reddit_like(600),
+               "imdb": lambda: imdb_like(60, 12, 40)}
+STRATEGIES = ("sa", "sa+fa", "ha")
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _params_digest(model) -> str:
+    state = model.state_dict()
+    return _digest(state[key] for key in sorted(state))
+
+
+def model_digests(name):
+    """``(keys, initial, {strategy: (losses, final)})`` of one built-in
+    model: its sorted ``state_dict`` keys, the digest of its initial
+    parameters, and per execution strategy the digests of three Adam
+    epochs' losses and of the parameters they leave."""
+    data, build = DIGEST_MODELS[name]
+    ds = DIGEST_DATA[data]()
+    model = build(ds)
+    keys, initial = tuple(sorted(model.state_dict())), _params_digest(model)
+    runs = {}
+    for strategy in STRATEGIES:
+        model = build(ds)
+        engine = FlexGraphEngine(model, ds.graph, strategy=strategy, seed=0)
+        optimizer = Adam(model.parameters(), lr=0.01)
+        losses = [engine.train_epoch(Tensor(ds.features), ds.labels, optimizer,
+                                     mask=ds.train_mask, epoch=epoch).loss
+                  for epoch in range(3)]
+        runs[strategy] = (_digest([np.asarray(losses, dtype=np.float64)]),
+                          _params_digest(model))
+    return keys, initial, runs
+
+
+PINNED = {
+    "gcn": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer1.linear.bias",
+         "layer1.linear.weight"),
+        "2e2e6ec867475660",
+        {"sa": ("57b3cc21a351cfaa", "11d44a5a815ba77c"),
+         "sa+fa": ("57b3cc21a351cfaa", "11d44a5a815ba77c"),
+         "ha": ("57b3cc21a351cfaa", "11d44a5a815ba77c")}),
+    "gcn_mean": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer1.linear.bias",
+         "layer1.linear.weight"),
+        "2e2e6ec867475660",
+        {"sa": ("297ae2f40b3fea21", "af5b4c12a23da2e8"),
+         "sa+fa": ("297ae2f40b3fea21", "af5b4c12a23da2e8"),
+         "ha": ("297ae2f40b3fea21", "af5b4c12a23da2e8")}),
+    "gat": (
+        ("layer0._agg0.score_vector", "layer0.linear.bias",
+         "layer0.linear.weight", "layer1._agg0.score_vector",
+         "layer1.linear.bias", "layer1.linear.weight"),
+        "3b79d707f71d3d94",
+        {"sa": ("de463b11e2459a81", "6016752643a5030e"),
+         "sa+fa": ("de463b11e2459a81", "c7373d110369fc8b"),
+         "ha": ("de463b11e2459a81", "c7373d110369fc8b")}),
+    "gin": (
+        ("layer0.eps", "layer0.fc1.bias", "layer0.fc1.weight",
+         "layer0.fc2.bias", "layer0.fc2.weight", "layer1.eps",
+         "layer1.fc1.bias", "layer1.fc1.weight", "layer1.fc2.bias",
+         "layer1.fc2.weight"),
+        "34a82a2b2ba403e0",
+        {"sa": ("94e00b7c01213739", "f141c4414963fa22"),
+         "sa+fa": ("94e00b7c01213739", "f141c4414963fa22"),
+         "ha": ("94e00b7c01213739", "f141c4414963fa22")}),
+    "graphsage": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer0.pool.bias",
+         "layer0.pool.weight", "layer1.linear.bias", "layer1.linear.weight",
+         "layer1.pool.bias", "layer1.pool.weight"),
+        "dbd9249b73837500",
+        {"sa": ("553c3500cf54e7c2", "dedaf62fa13f826b"),
+         "sa+fa": ("553c3500cf54e7c2", "dedaf62fa13f826b"),
+         "ha": ("553c3500cf54e7c2", "dedaf62fa13f826b")}),
+    "pinsage": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer1.linear.bias",
+         "layer1.linear.weight"),
+        "d172317737bfd714",
+        {"sa": ("27b56931a68d3d78", "6e0bd0382d36645b"),
+         "sa+fa": ("27b56931a68d3d78", "6e0bd0382d36645b"),
+         "ha": ("27b56931a68d3d78", "6e0bd0382d36645b")}),
+    "magnn": (
+        ("layer0._agg1.score_vector", "layer0.linear.bias",
+         "layer0.linear.weight", "layer1._agg1.score_vector",
+         "layer1.linear.bias", "layer1.linear.weight",
+         "layer2._agg1.score_vector", "layer2.linear.bias",
+         "layer2.linear.weight"),
+        "03e660496436024b",
+        {"sa": ("60f49e2ac9716ad3", "2f76daf62544b54f"),
+         "sa+fa": ("60f49e2ac9716ad3", "2f76daf62544b54f"),
+         "ha": ("60f49e2ac9716ad3", "e2adb41a746f990a")}),
+    "pgnn": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer1.linear.bias",
+         "layer1.linear.weight"),
+        "d172317737bfd714",
+        {"sa": ("9dd493dd276c98dc", "7da39e9a216dc2ae"),
+         "sa+fa": ("9dd493dd276c98dc", "7da39e9a216dc2ae"),
+         "ha": ("9dd493dd276c98dc", "7da39e9a216dc2ae")}),
+    "jknet": (
+        ("layer0.linear.bias", "layer0.linear.weight", "layer1.linear.bias",
+         "layer1.linear.weight"),
+        "2e2e6ec867475660",
+        {"sa": ("2b63e1c969943776", "0a19d734536bdead"),
+         "sa+fa": ("2b63e1c969943776", "0a19d734536bdead"),
+         "ha": ("2b63e1c969943776", "0a19d734536bdead")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_MODELS))
+def test_model_trains_bit_for_bit_as_pinned(name):
+    """Parameter names, initial draws, losses and trained parameters of
+    every built-in model under SA, SA+FA and HA, pinned as SHA-256
+    prefixes of the float32 bits.  A refactor of the model code must
+    leave all of them unchanged; a change meant to alter the numbers
+    re-pins the table and says why."""
+    assert model_digests(name) == PINNED[name]

@@ -355,6 +355,15 @@ class TestMicroBatcher:
         with pytest.raises(RuntimeError):
             batcher.submit("embed", np.array([1]))
 
+    def test_close_without_drain_fails_queued_requests(self):
+        batcher = MicroBatcher(max_batch_size=4, max_delay=0.0)
+        requests = [batcher.submit("embed", np.array([s])) for s in range(3)]
+        batcher.close(drain=False)
+        for request in requests:
+            with pytest.raises(ServerOverloaded):
+                request.future.result(timeout=0)
+        assert batcher.next_batch() is None
+
     def test_rejects_bad_requests(self):
         batcher = MicroBatcher()
         with pytest.raises(ValueError):
@@ -397,6 +406,27 @@ class TestServerOperations:
         server.stop(drain=True)
         for future in futures:
             assert future.result(timeout=1).shape[0] == 1
+
+    def test_stop_without_drain_fails_queued_requests(self, reddit):
+        model, _ = trained(gcn, reddit)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        # A long hold keeps every request queued: no worker takes one
+        # before the stop.
+        server = GNNServer(session, num_workers=2, max_batch_size=1024,
+                           max_delay=60.0)
+        server.start()
+        workers = [t for t in threading.enumerate()
+                   if t.name.startswith("gnn-serve-")]
+        assert len(workers) == 2
+        futures = [server.submit("embed", np.array([s])) for s in range(5)]
+        server.stop(drain=False, timeout=10)
+        for future in futures:
+            with pytest.raises(ServerOverloaded):
+                future.result(timeout=1)
+        assert len(server.batcher) == 0
+        assert not any(t.is_alive() for t in workers)
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("gnn-serve-")]
 
     def test_request_errors_propagate_to_futures(self, reddit):
         model, _ = trained(gcn, reddit)
