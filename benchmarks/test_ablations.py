@@ -403,7 +403,7 @@ def test_ablation_minibatch_sampling(benchmark, report):
     def run_all():
         model = gcn(ds.feat_dim, cfg.HIDDEN_DIM, ds.num_classes, seed=0)
         trainer = MiniBatchTrainer(model, ds.graph, batch_size=256, seed=0)
-        hdg = trainer.hdgs.block_source(0)
+        hdg, _ = trainer.hdgs.model_level(0)
         degrees = np.diff(hdg.leaf_offsets)
         leaf_bytes = obs.counter("profile.op.sample.fanout.bytes")
         for fanout in (5, 15):

@@ -7,8 +7,8 @@ framework changes — you provide the three stages.  This script builds a
 
 * **NeighborSelection**: each vertex's i-th neighbor type is the ring of
   vertices at distance exactly i (depth-3 HDGs, one schema leaf per
-  ring) — a JK-Net-style neighborhood written by hand with the public
-  record API;
+  ring) — a JK-Net-style neighborhood: the ring selection emits its
+  instances as arrays and the public instance-array builder packs them;
 * **Aggregation**: a hand-written UDF (mean within rings, via the
   public scatter kernel) and built-in attention across the ring types;
 * **Update**: GRU-flavored gated combination of h and the neighborhood,
@@ -31,13 +31,12 @@ from repro.core import (
     GNNLayer,
     HDG,
     NAUModel,
-    NeighborRecord,
     SchemaTree,
     SelectionScope,
-    build_hdg,
+    hdg_from_instance_arrays,
+    select_distance_ring_neighbors,
 )
 from repro.datasets import reddit_like
-from repro.graph import bfs_levels
 from repro.models import gcn
 from repro.obs.analysis import backend_report
 from repro.tensor import Adam, Linear, Tensor, scatter_mean
@@ -128,24 +127,18 @@ class TwoHopAttentionNet(NAUModel):
         super().__init__(layers, SelectionScope.STATIC, name="TwoHopAttn")
 
     def neighbor_selection(self, graph, rng) -> HDG:
-        # The nbr_udf of Figure 5, written against the public graph API:
-        # one record per (root, ring) with the ring members as leaves.
-        records = []
-        for v in range(graph.num_vertices):
-            levels = bfs_levels(graph, v, "both")
-            for distance in (1, 2):
-                ring = np.flatnonzero(levels == distance)
-                if ring.size:
-                    records.append(
-                        NeighborRecord(v, tuple(int(u) for u in ring), distance - 1)
-                    )
+        # The nbr_udf of Figure 5: one instance per (root, ring) with the
+        # ring members as leaves, emitted as the arrays (instance_roots,
+        # instance_types, leaf_flat, leaf_counts) the HDG builder takes.
+        instances = select_distance_ring_neighbors(graph, max_distance=2)
         schema = SchemaTree(("ring_1", "ring_2"))
         roots = np.arange(graph.num_vertices, dtype=np.int64)
-        return build_hdg(records, schema, roots, graph.num_vertices, flat=False)
+        return hdg_from_instance_arrays(schema, roots, *instances,
+                                        graph.num_vertices)
 
 
 def main() -> None:
-    # Small graph: the hand-written selection runs one BFS per vertex.
+    # Small graph: the ring selection runs one BFS per vertex.
     dataset = reddit_like(num_vertices=250, num_labels=4, avg_degree=12)
     print(f"dataset: {dataset}")
 

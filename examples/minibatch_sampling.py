@@ -64,7 +64,7 @@ def main() -> None:
         mb_stats = trainer.train_epoch(features, dataset.labels, opt,
                                        dataset.train_mask, epoch)
     mb_acc = trainer.evaluate(features, dataset.labels, dataset.test_mask)
-    sampled_blocks = build_seed_blocks(trainer.hdgs.block_source(0), seeds,
+    sampled_blocks = build_seed_blocks(trainer.hdgs.model_level(0)[0], seeds,
                                        trainer.fanouts, trainer.hdgs.rng)
     input_vertices = sampled_blocks[0][1]
     print(f"sampled GCN:      test acc {mb_acc:.3f} "

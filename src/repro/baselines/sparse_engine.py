@@ -21,10 +21,10 @@ import time
 
 import numpy as np
 
-from ..core.hdg import build_hdg
+from ..core.hdg import hdg_from_instance_arrays
 from ..core.hybrid import ExecutionStrategy, hierarchical_aggregate
-from ..core.selection import schema_for_metapaths, select_metapath_neighbors
-from ..graph.metapath import count_length3_instances
+from ..core.selection import schema_for_metapaths
+from ..graph.metapath import count_length3_instances, find_metapath_instances
 from ..tensor.scatter import scatter_add
 from .common import BaselineEngine, update
 from .walk_sim import propagation_random_walks, top_k_from_visits
@@ -104,14 +104,14 @@ class PyTorchEngine(BaselineEngine):
             # Naive implementations re-discover instances every epoch
             # (there is no HDG cache); this DFS dominates the epoch (§7.1:
             # >95%).
-            records = select_metapath_neighbors(
-                ds.graph, model.metapaths,
-                max_instances_per_root=model.max_instances_per_root,
-            )
             roots = np.arange(ds.graph.num_vertices, dtype=np.int64)
-            hdg = build_hdg(
-                records, schema_for_metapaths(model.metapaths), roots,
-                ds.graph.num_vertices, flat=False,
+            hdg = hdg_from_instance_arrays(
+                schema_for_metapaths(model.metapaths), roots,
+                *find_metapath_instances(
+                    ds.graph, model.metapaths,
+                    max_instances_per_root=model.max_instances_per_root,
+                ),
+                ds.graph.num_vertices,
             )
             h = self.feats
             for layer in model.layers:

@@ -194,6 +194,22 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _write_checkpoint(args, model, ds) -> None:
+    """Save a trained model with the data it was trained on: the dataset
+    and scale of a by-name run, the directory and manifest name of an
+    ``--ondisk`` one."""
+    from .storage import checkpoint_metadata, save_checkpoint
+
+    if args.ondisk:
+        data = {"ondisk": str(args.ondisk), "dataset": ds.name}
+    else:
+        data = {"dataset": args.dataset, "scale": args.scale}
+    meta = checkpoint_metadata(model, ds.graph,
+                               extra={"model": args.model, **data})
+    save_checkpoint(model.state_dict(), args.checkpoint, meta)
+    print(f"checkpoint written to {args.checkpoint}")
+
+
 def _cmd_minibatch_train(args) -> int:
     """Sampled mini-batch training via the streaming loader
     (``--minibatch`` or ``--ondisk``)."""
@@ -247,14 +263,7 @@ def _cmd_minibatch_train(args) -> int:
         print(f"\n{model.name} on {ds.name}: val acc {val:.3f}, "
               f"test acc {test:.3f}")
     if args.checkpoint:
-        from .storage import checkpoint_metadata, save_checkpoint
-
-        meta = checkpoint_metadata(
-            model, ds.graph,
-            extra={"model": args.model, "dataset": args.dataset},
-        )
-        save_checkpoint(model.state_dict(), args.checkpoint, meta)
-        print(f"checkpoint written to {args.checkpoint}")
+        _write_checkpoint(args, model, ds)
     return 0
 
 
@@ -281,15 +290,7 @@ def _cmd_train(args) -> int:
     test = engine.evaluate(feats, ds.labels, ds.test_mask)
     print(f"\n{model.name} on {ds.name}: val acc {val:.3f}, test acc {test:.3f}")
     if args.checkpoint:
-        from .storage import checkpoint_metadata, save_checkpoint
-
-        meta = checkpoint_metadata(
-            model, ds.graph,
-            extra={"model": args.model, "dataset": args.dataset,
-                   "scale": args.scale},
-        )
-        save_checkpoint(model.state_dict(), args.checkpoint, meta)
-        print(f"checkpoint written to {args.checkpoint}")
+        _write_checkpoint(args, model, ds)
     return 0
 
 

@@ -9,7 +9,7 @@ from .aggregation import Aggregator
 from .balancer import ADBBalancer, BalancePlan, induced_dependency_edges
 from .cost_model import CostModel, metrics_from_hdg
 from .engine import EpochStats, FlexGraphEngine, StageTimes
-from .hdg import HDG, build_hdg, hdg_from_flat_arrays
+from .hdg import HDG, hdg_from_flat_arrays, hdg_from_instance_arrays
 from .hybrid import ExecutionStrategy, hierarchical_aggregate
 from .nau import (
     GNNLayer,
@@ -34,7 +34,7 @@ from .step import (
     sample_blocks,
     train_step,
 )
-from .schema import NeighborRecord, SchemaTree
+from .schema import SchemaTree
 from .validate import HDGInvariantError, validate_hdg
 from .selection import (
     build_metapath_hdg,
@@ -43,12 +43,12 @@ from .selection import (
     schema_for_rings,
     select_anchor_set_neighbors,
     select_distance_ring_neighbors,
-    select_metapath_neighbors,
 )
 
 __all__ = [
-    "SchemaTree", "NeighborRecord",
-    "HDG", "build_hdg", "hdg_from_flat_arrays", "build_metapath_hdg",
+    "SchemaTree",
+    "HDG", "hdg_from_flat_arrays", "hdg_from_instance_arrays",
+    "build_metapath_hdg",
     "GNNLayer", "LinearUpdateLayer", "NAUModel", "SelectionScope",
     "layer_dims", "stack_layers",
     "ExecutionStrategy", "hierarchical_aggregate",
@@ -62,7 +62,6 @@ __all__ = [
     "validate_hdg", "HDGInvariantError",
     "CostModel", "metrics_from_hdg",
     "ADBBalancer", "BalancePlan", "induced_dependency_edges",
-    "select_metapath_neighbors", "select_anchor_set_neighbors",
-    "select_distance_ring_neighbors",
+    "select_anchor_set_neighbors", "select_distance_ring_neighbors",
     "schema_for_metapaths", "schema_for_rings", "reselect_metapath_hdg",
 ]

@@ -30,11 +30,10 @@ import numpy as np
 from ..graph.graph import group_by, range_positions
 from ..obs import counter as _obs_counter
 from ..tensor.plans import PlanMemo, ReductionPlan
-from .schema import NeighborRecord, SchemaTree
+from .schema import SchemaTree
 
 __all__ = [
     "HDG",
-    "build_hdg",
     "hdg_from_graph",
     "hdg_from_flat_arrays",
     "hdg_from_instance_arrays",
@@ -44,8 +43,8 @@ __all__ = [
 class HDG:
     """Collective hierarchical dependency graph for a set of root vertices.
 
-    Use :func:`build_hdg` (or one of the ``hdg_from_*`` array builders)
-    rather than the raw constructor.
+    Use one of the ``hdg_from_*`` array builders rather than the raw
+    constructor.
 
     Attributes
     ----------
@@ -150,7 +149,7 @@ class HDG:
 
     @property
     def num_instances(self) -> int:
-        """Number of neighbor-instance vertices (== records)."""
+        """Number of neighbor instances (leaf edges for a flat HDG)."""
         return int(self.leaf_offsets.size - 1) if self.depth == 3 else int(self.leaf_vertices.size)
 
     @property
@@ -519,10 +518,8 @@ def hdg_from_flat_arrays(
 ) -> HDG:
     """Vectorized flat-HDG construction from parallel arrays.
 
-    ``owner_roots[i]`` owns neighbor ``leaf_ids[i]`` (optionally weighted).
-    This is the bulk path the PinSage NeighborSelection uses, and the
-    layout :func:`build_hdg` produces for single-leaf records — without
-    constructing per-record Python objects.
+    ``owner_roots[i]`` owns neighbor ``leaf_ids[i]`` (optionally weighted):
+    what a flat NeighborSelection (PinSage's, PageRank's) emits.
     """
     roots = np.asarray(roots, dtype=np.int64)
     owner_roots = np.asarray(owner_roots, dtype=np.int64)
@@ -554,17 +551,29 @@ def hdg_from_instance_arrays(
 
     ``instance_roots``/``instance_types`` describe one neighbor instance
     per entry; instance ``i`` owns ``leaf_counts[i]`` consecutive vertices
-    in ``leaf_flat``; ``weights`` is one per leaf.  This is the bulk
-    path MAGNN's metapath matcher uses, and the layout :func:`build_hdg`
-    produces for hierarchical records.
+    in ``leaf_flat``; ``weights`` is one per leaf.  These four arrays are
+    what every hierarchical NeighborSelection emits (metapath instances,
+    anchor sets, distance rings).  This is the top-down construction of
+    Section 4.1: instances are grouped by their (root, type) slot, kept
+    in emission order within a slot (which is what lets the in-between
+    Dst array be elided), and their leaves follow them.
     """
     roots = np.asarray(roots, dtype=np.int64)
     instance_roots = np.asarray(instance_roots, dtype=np.int64)
     instance_types = np.asarray(instance_types, dtype=np.int64)
     leaf_flat = np.asarray(leaf_flat, dtype=np.int64)
     leaf_counts = np.asarray(leaf_counts, dtype=np.int64)
-    if instance_types.size and instance_types.max() >= schema.num_leaves:
-        raise ValueError("instance type out of schema range")
+    if not instance_roots.size == instance_types.size == leaf_counts.size:
+        raise ValueError("instance roots, types and leaf counts must align")
+    if instance_types.size and (instance_types.min() < 0
+                                or instance_types.max() >= schema.num_leaves):
+        raise ValueError(
+            f"instance type out of range for a schema with "
+            f"{schema.num_leaves} leaf types")
+    if leaf_counts.size and leaf_counts.min() <= 0:
+        raise ValueError("every neighbor instance needs at least one leaf vertex")
+    if leaf_counts.sum() != leaf_flat.size:
+        raise ValueError("leaf_counts must cover leaf_flat exactly")
     order = _order_of(roots, num_input_vertices)
     owner_order = order[instance_roots]
     if owner_order.size and owner_order.min() < 0:
@@ -609,70 +618,3 @@ def hdg_from_graph(graph, weights: np.ndarray | None = None) -> HDG:
                     SchemaTree(), indices, indptr, None, weights,
                     graph.num_vertices)
     return hdg
-
-
-def build_hdg(
-    records: list[NeighborRecord],
-    schema: SchemaTree,
-    roots: np.ndarray,
-    num_input_vertices: int,
-    flat: bool | None = None,
-) -> HDG:
-    """Build the compact HDG from NeighborSelection's formatted records.
-
-    This is the top-down construction of Section 4.1: records are
-    grouped by (root, type) slot, instances ordered consecutively per
-    slot (which is what lets the in-between Dst array be elided), and
-    leaves concatenated per instance.  The records become parallel
-    arrays for :func:`hdg_from_flat_arrays` /
-    :func:`hdg_from_instance_arrays`, which compute the layout.
-
-    Parameters
-    ----------
-    records:
-        One record per neighbor instance.
-    schema:
-        The model's global schema tree.
-    roots:
-        All root vertex ids the HDG should cover (roots with no
-        records get empty neighborhoods).
-    num_input_vertices:
-        Vertex count of the input graph (leaf id space).
-    flat:
-        Force flat/hierarchical layout; default auto-detects (flat iff
-        the schema is trivial and every record has exactly one leaf).
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    n = len(records)
-    owners = np.fromiter((r.root for r in records), dtype=np.int64, count=n)
-    types = np.fromiter((r.nei_type for r in records), dtype=np.int64, count=n)
-    counts = np.fromiter((len(r.leaves) for r in records), dtype=np.int64, count=n)
-    bad_type = np.flatnonzero(types >= schema.num_leaves)
-    if bad_type.size:
-        raise ValueError(
-            f"record type {types[bad_type[0]]} out of range for schema with "
-            f"{schema.num_leaves} leaf types"
-        )
-    bad_root = np.flatnonzero(~np.isin(owners, roots))
-    if bad_root.size:
-        raise ValueError(f"record root {owners[bad_root[0]]} not in the HDG root set")
-    if flat is None:
-        flat = schema.is_trivial and bool(np.all(counts == 1))
-    # A ``None`` weight counts as 1.0 once the first record carries one.
-    weights = None
-    if records and records[0].weight is not None:
-        weights = np.fromiter(
-            (1.0 if r.weight is None else r.weight for r in records),
-            dtype=np.float32, count=n,
-        )
-    if flat:
-        leaf_ids = np.fromiter((r.leaves[0] for r in records), dtype=np.int64, count=n)
-        return hdg_from_flat_arrays(schema, roots, owners, leaf_ids, weights,
-                                    num_input_vertices)
-    leaf_flat = np.fromiter(
-        (v for r in records for v in r.leaves), dtype=np.int64, count=int(counts.sum())
-    )
-    return hdg_from_instance_arrays(
-        schema, roots, owners, types, leaf_flat, counts, num_input_vertices,
-        weights=None if weights is None else np.repeat(weights, counts),
-    )

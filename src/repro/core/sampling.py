@@ -1,10 +1,12 @@
 """Sampled mini-batch training over HDGs — GraphSAGE-style fan-out
-sampling for flat-HDG (DNFA and INFA) NAU models.
+sampling for every NAU model.
 
 The block machinery (fan-out sampling, seed blocks, batch-local
 coordinates) lives in :mod:`repro.core.step`; this module is the
-single-machine trainer over it.  Hierarchical models bound work through
-``max_instances_per_root`` at selection time instead.
+single-machine trainer over it.  Flat-HDG (DNFA and INFA) models take
+integer fan-outs; a hierarchical (INHA) model trains on full
+neighborhoods (``fanouts=[None] * num_layers``) and bounds its work at
+selection time (MAGNN's ``max_instances_per_root``).
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ class MiniBatchEpochStats:
 
 
 class MiniBatchTrainer:
-    """GraphSAGE-style sampled training for flat-HDG NAU models.
+    """GraphSAGE-style sampled training for any NAU model.
 
     Parameters
     ----------
     model:
-        A DNFA or INFA NAU model (flat HDGs).
+        Any NAU model; a hierarchical (INHA) one needs ``None`` fan-outs.
     data:
         The input graph, or a dataset carrying one — an in-RAM
         ``Dataset`` or an out-of-core
@@ -82,7 +84,8 @@ class MiniBatchTrainer:
         Seed vertices per batch.
     fanouts:
         Per-layer neighbor budgets, bottom layer first; must have one
-        entry per model layer.
+        entry per model layer.  ``None`` keeps a layer's full
+        neighborhoods; an integer budget applies to flat HDGs only.
     prefetch_depth:
         Batches produced ahead of the training loop by background
         workers (see :class:`~repro.loader.StreamingLoader`).  ``0``
@@ -94,7 +97,7 @@ class MiniBatchTrainer:
     """
 
     def __init__(self, model: NAUModel, data, batch_size: int = 256,
-                 fanouts: list[int] | None = None,
+                 fanouts: list[int | None] | None = None,
                  strategy: ExecutionStrategy | str = ExecutionStrategy.HA,
                  seed: int = 0, prefetch_depth: int = 0,
                  num_workers: int = 2):
@@ -157,7 +160,7 @@ class MiniBatchTrainer:
         self.model.train()
         t0 = time.perf_counter()
         mark = epoch_mark()
-        hdg = self.hdgs.block_source(epoch)
+        hdg, _ = self.hdgs.model_level(epoch)
         n = self.graph.num_vertices
         pool = np.flatnonzero(mask) if mask is not None else np.arange(n)
         loader = StreamingLoader(
@@ -214,7 +217,7 @@ class MiniBatchTrainer:
         self.model.eval()
         hdg = self.hdgs.model_hdg
         if hdg is None:
-            hdg = self.hdgs.block_source(0)
+            hdg, _ = self.hdgs.model_level(0)
         with no_grad():
             h = self.model.forward(as_param_dtype(self.model, feats), hdg,
                                    self.strategy)

@@ -1,4 +1,4 @@
-"""Schema trees and neighbor records — the inputs to HDG construction.
+"""Schema trees — the shape of every HDG.
 
 A *schema tree* (Section 3.1) encodes the hierarchy of neighbor **types**
 a GNN model defines: the root stands for the target vertex and each leaf
@@ -6,16 +6,18 @@ is one neighbor type (e.g. MAGNN's metapath types MP1/MP2).  Every root
 vertex shares one global schema tree, which is why FlexGraph stores it
 once (Section 4.1, "Subgraphs for schema trees").
 
-A :class:`NeighborRecord` is the formatted record FlexGraph's
-NeighborSelection stage emits: ``(root, nei = [leaf_0..leaf_n],
-nei_type)`` — one record per neighbor instance.
+The neighbor instances FlexGraph's NeighborSelection stage emits,
+``(root, nei = [leaf_0..leaf_n], nei_type)``, are not records but four
+parallel arrays, ``(instance_roots, instance_types, leaf_flat,
+leaf_counts)``; :func:`~repro.core.hdg.hdg_from_instance_arrays` packs
+them under a schema tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["SchemaTree", "NeighborRecord"]
+__all__ = ["SchemaTree"]
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,3 @@ class SchemaTree:
         """Storage for the single global tree: one int per node."""
         return 8 * (1 + self.num_leaves)
 
-
-@dataclass
-class NeighborRecord:
-    """One "neighbor" of ``root``: its member vertices and its type.
-
-    ``weight`` optionally carries a per-neighbor importance (PinSage's
-    normalized visit frequency).
-    """
-
-    root: int
-    leaves: tuple[int, ...]
-    nei_type: int = 0
-    weight: float | None = None
-
-    def __post_init__(self):
-        self.leaves = tuple(int(v) for v in self.leaves)
-        if not self.leaves:
-            raise ValueError("a neighbor record must reference at least one leaf vertex")
-        if self.nei_type < 0:
-            raise ValueError("nei_type must be non-negative")

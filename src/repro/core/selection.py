@@ -1,11 +1,14 @@
 """NeighborSelection executors: the UDFs of Figure 5, run in bulk.
 
 Each function here plays the role of one of the paper's ``nbr_udf``
-examples — it consults the input graph through the graph engine and emits
-:class:`~repro.core.schema.NeighborRecord` rows, which
-:func:`~repro.core.hdg.build_hdg` then compacts into the HDG layout.
+examples — it consults the input graph through the graph engine and
+emits its neighbor instances ``(root, nei, nei_type)`` as the instance
+arrays ``(instance_roots, instance_types, leaf_flat, leaf_counts)``,
+which :func:`~repro.core.hdg.hdg_from_instance_arrays` packs into the
+HDG layout.
 
-* :func:`select_metapath_neighbors` — MAGNN's metapath-instance matching;
+* :func:`build_metapath_hdg` — MAGNN's metapath-instance matching,
+  straight to the HDG;
 * :func:`select_anchor_set_neighbors` — P-GNN's anchor sets;
 * :func:`select_distance_ring_neighbors` — JK-Net's shortest-path rings.
 """
@@ -18,31 +21,16 @@ from .. import obs
 from ..graph.graph import Graph, range_positions
 from ..graph.metapath import Metapath, find_metapath_instances
 from ..graph.traversal import bfs_levels
-from .schema import NeighborRecord, SchemaTree
+from .schema import SchemaTree
 
 __all__ = [
-    "select_metapath_neighbors",
     "select_anchor_set_neighbors",
     "select_distance_ring_neighbors",
 ]
 
-
-def select_metapath_neighbors(
-    graph: Graph,
-    metapaths: list[Metapath],
-    roots: np.ndarray | None = None,
-    max_instances_per_root: int | None = None,
-) -> list[NeighborRecord]:
-    """Metapath-instance neighborhoods (INHA, Figure 5's ``magnn_nbr``).
-
-    Each matched instance becomes one hierarchical record whose leaves are
-    the instance's member vertices and whose type is the metapath index.
-    """
-    instances = find_metapath_instances(graph, metapaths, roots, max_instances_per_root)
-    return [
-        NeighborRecord(inst.root, inst.vertices, inst.metapath_index)
-        for inst in instances
-    ]
+#: what a hierarchical NeighborSelection emits: ``(instance_roots,
+#: instance_types, leaf_flat, leaf_counts)``
+InstanceArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def select_anchor_set_neighbors(
@@ -51,53 +39,58 @@ def select_anchor_set_neighbors(
     anchor_set_size: int,
     roots: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-) -> list[NeighborRecord]:
+) -> InstanceArrays:
     """P-GNN anchor sets: ``num_anchor_sets`` random vertex sets shared by
     all roots; each root's i-th neighbor is the i-th anchor set.
 
     The schema tree has a single ``anchor_set`` leaf and each root has
     ``num_anchor_sets`` instances under it (the paper's three-level HDG
-    for P-GNN, Section 3.2).
+    for P-GNN, Section 3.2).  Returns the instance arrays, root by root.
     """
     if roots is None:
         roots = np.arange(graph.num_vertices, dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64)
     rng = rng or np.random.default_rng(0)
     if num_anchor_sets <= 0 or anchor_set_size <= 0:
         raise ValueError("anchor-set count and size must be positive")
-    sets = [
-        tuple(int(v) for v in rng.choice(graph.num_vertices, size=min(anchor_set_size, graph.num_vertices), replace=False))
-        for _ in range(num_anchor_sets)
-    ]
-    records = []
-    for v in np.asarray(roots, dtype=np.int64):
-        for anchor_set in sets:
-            records.append(NeighborRecord(int(v), anchor_set, 0))
-    return records
+    size = min(anchor_set_size, graph.num_vertices)
+    sets = np.array([rng.choice(graph.num_vertices, size=size, replace=False)
+                     for _ in range(num_anchor_sets)], dtype=np.int64)
+    num = roots.size * num_anchor_sets
+    return (np.repeat(roots, num_anchor_sets), np.zeros(num, dtype=np.int64),
+            np.tile(sets.reshape(-1), roots.size),
+            np.full(num, size, dtype=np.int64))
 
 
 def select_distance_ring_neighbors(
     graph: Graph,
     max_distance: int,
     roots: np.ndarray | None = None,
-) -> list[NeighborRecord]:
+) -> InstanceArrays:
     """JK-Net rings: the i-th neighbor of ``v`` is the set of vertices at
     shortest-path distance exactly ``i`` (1 <= i <= max_distance).
 
     The schema tree has one leaf per distance (``ring_1..ring_k``) and
     exactly one instance per (root, ring) when the ring is non-empty.
+    Returns the instance arrays, root by root and ring by ring.
     """
     if max_distance <= 0:
         raise ValueError("max_distance must be positive")
     if roots is None:
         roots = np.arange(graph.num_vertices, dtype=np.int64)
-    records = []
+    owners, types, rings = [], [], []
     for v in np.asarray(roots, dtype=np.int64):
         levels = bfs_levels(graph, int(v), "both")
         for d in range(1, max_distance + 1):
             ring = np.flatnonzero(levels == d)
             if ring.size:
-                records.append(NeighborRecord(int(v), tuple(int(u) for u in ring), d - 1))
-    return records
+                owners.append(v)
+                types.append(d - 1)
+                rings.append(ring)
+    counts = np.array([r.size for r in rings], dtype=np.int64)
+    leaf_flat = np.concatenate(rings) if rings else np.empty(0, dtype=np.int64)
+    return (np.array(owners, dtype=np.int64), np.array(types, dtype=np.int64),
+            leaf_flat, counts)
 
 
 def build_metapath_hdg(
@@ -110,12 +103,12 @@ def build_metapath_hdg(
     straight into a depth-3 HDG over ``roots`` (default: every vertex).
 
     Uses the vectorized length-3 edge-join matcher when every metapath has
-    3 vertices (the evaluation setup), falling back to the DFS matcher +
-    record path otherwise.  Both produce identical HDGs, and a root's
-    slots are bitwise the same whichever ``roots`` it was selected with.
+    3 vertices (the evaluation setup), falling back to the DFS matcher
+    otherwise.  Both produce identical HDGs, and a root's slots are
+    bitwise the same whichever ``roots`` it was selected with.
     """
     from ..graph.metapath import match_length3_metapath
-    from .hdg import build_hdg, hdg_from_instance_arrays
+    from .hdg import hdg_from_instance_arrays
 
     # The matchers take ``roots=None`` as every vertex, without a filter.
     hdg_roots = (np.arange(graph.num_vertices, dtype=np.int64) if roots is None
@@ -145,8 +138,11 @@ def build_metapath_hdg(
             np.full(instances.shape[0], 3, dtype=np.int64),
             graph.num_vertices,
         )
-    records = select_metapath_neighbors(graph, metapaths, roots, max_instances_per_root)
-    return build_hdg(records, schema, hdg_roots, graph.num_vertices, flat=False)
+    return hdg_from_instance_arrays(
+        schema, hdg_roots,
+        *find_metapath_instances(graph, metapaths, roots, max_instances_per_root),
+        graph.num_vertices,
+    )
 
 
 def reselect_metapath_hdg(

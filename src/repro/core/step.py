@@ -26,7 +26,9 @@ training: the paper shows mini-batch systems collapse on GCN because
 they expand *full* k-hop neighborhoods per batch (§7.1).  Because flat
 HDGs already group each root's neighbors contiguously, sampling draws
 ``fanout`` positions inside each selected root's segment, and the
-per-layer blocks are just root-restricted sub-HDGs.
+per-layer blocks are just root-restricted sub-HDGs.  A hierarchical
+(depth-3) HDG is cut into full-neighborhood blocks (``fanout=None``);
+its models bound their instances at selection time instead.
 """
 
 from __future__ import annotations
@@ -155,17 +157,6 @@ class ModelHDGs:
             self.model_hdg.persistent = True
         return self.model_hdg, rebuilt
 
-    def block_source(self, epoch: int = 0) -> HDG:
-        """The model-level HDG sampled blocks are cut from; fan-out
-        sampling needs it flat."""
-        hdg, _ = self.model_level(epoch)
-        if hdg.depth != 1:
-            raise ValueError(
-                "sampled mini-batch training requires flat HDGs; bound "
-                "hierarchical models with max_instances_per_root instead"
-            )
-        return hdg
-
 
 # ----------------------------------------------------------------------
 # Blocks: seed batch -> per-layer sub-HDGs -> batch-local coordinates
@@ -194,8 +185,9 @@ def _check_fanout(hdg: HDG, fanout: int,
                   rng: np.random.Generator | None) -> None:
     if hdg.depth != 1:
         raise ValueError(
-            "fan-out sampling applies to flat HDGs; bound hierarchical "
-            "models with max_instances_per_root at selection time"
+            "fan-out sampling applies to flat HDGs; a hierarchical HDG "
+            "takes fanout None (full neighborhoods, bounded at selection "
+            "time, e.g. by max_instances_per_root)"
         )
     if fanout <= 0:
         raise ValueError("fanout must be positive")

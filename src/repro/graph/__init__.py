@@ -13,7 +13,6 @@ from .graph import Graph, group_by, range_positions
 from .metrics import graph_summary
 from .metapath import (
     Metapath,
-    MetapathInstance,
     find_metapath_instances,
     match_length3_metapath,
 )
@@ -32,7 +31,7 @@ __all__ = [
     "Graph", "group_by", "range_positions",
     "bfs_levels", "k_hop_neighbors",
     "top_k_visited", "select_top_k_per_owner",
-    "Metapath", "MetapathInstance", "find_metapath_instances",
+    "Metapath", "find_metapath_instances",
     "match_length3_metapath",
     "graph_summary",
     "top_k_ppr_neighbors",

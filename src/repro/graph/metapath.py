@@ -23,7 +23,6 @@ from .graph import Graph, group_by
 
 __all__ = [
     "Metapath",
-    "MetapathInstance",
     "find_metapath_instances",
     "match_length3_metapath",
     "count_length3_instances",
@@ -48,29 +47,27 @@ class Metapath:
         return len(self.types)
 
 
-@dataclass
-class MetapathInstance:
-    """One matched path: its root, its vertices, and its metapath index."""
-
-    root: int
-    vertices: tuple[int, ...]
-    metapath_index: int
-
-
 def find_metapath_instances(
     graph: Graph,
     metapaths: list[Metapath],
     roots: np.ndarray | None = None,
     max_instances_per_root: int | None = None,
-) -> list[MetapathInstance]:
-    """All instances of ``metapaths`` rooted at ``roots``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All instances of ``metapaths`` rooted at ``roots``, in DFS order.
+
+    Returns the instance arrays ``(instance_roots, instance_types,
+    leaf_flat, leaf_counts)`` that
+    :func:`~repro.core.hdg.hdg_from_instance_arrays` takes: instance
+    ``i`` is rooted at ``instance_roots[i]``, matched metapath
+    ``instance_types[i]``, and its ``leaf_counts[i]`` path vertices
+    (root first) are consecutive in ``leaf_flat``.
 
     Parameters
     ----------
     graph:
         A typed graph (``graph.vertex_types`` drives the matching).
     metapaths:
-        Patterns to match; each instance records the index of its pattern.
+        Patterns to match; each instance's type is its pattern's index.
     roots:
         Root vertices to match from (default: every vertex).
     max_instances_per_root:
@@ -82,15 +79,21 @@ def find_metapath_instances(
     else:
         roots = np.asarray(roots, dtype=np.int64)
     types = graph.vertex_types
-    instances: list[MetapathInstance] = []
+    owners: list[int] = []
+    mp_ids: list[int] = []
+    leaves: list[int] = []
+    counts: list[int] = []
     for mp_idx, mp in enumerate(metapaths):
         starts = roots[types[roots] == mp.types[0]]
         for root in starts:
             found = _match_from(graph, types, int(root), mp.types, max_instances_per_root)
-            instances.extend(
-                MetapathInstance(int(root), tuple(path), mp_idx) for path in found
-            )
-    return instances
+            owners += [int(root)] * len(found)
+            mp_ids += [mp_idx] * len(found)
+            counts += [mp.length] * len(found)
+            for path in found:
+                leaves += path
+    return (np.array(owners, dtype=np.int64), np.array(mp_ids, dtype=np.int64),
+            np.array(leaves, dtype=np.int64), np.array(counts, dtype=np.int64))
 
 
 def _match_from(

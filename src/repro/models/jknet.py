@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.hdg import HDG, build_hdg
+from ..core.hdg import HDG, hdg_from_instance_arrays
 from ..core.nau import GNNLayer, NAUModel, SelectionScope, layer_dims, stack_layers
 from ..core.selection import schema_for_rings, select_distance_ring_neighbors
 from ..graph.graph import Graph
@@ -53,10 +53,12 @@ class JKNet(NAUModel):
         self.max_distance = max_distance
 
     def neighbor_selection(self, graph: Graph, rng: np.random.Generator) -> HDG:
-        records = select_distance_ring_neighbors(graph, self.max_distance)
         roots = np.arange(graph.num_vertices, dtype=np.int64)
-        schema = schema_for_rings(self.max_distance)
-        return build_hdg(records, schema, roots, graph.num_vertices, flat=False)
+        return hdg_from_instance_arrays(
+            schema_for_rings(self.max_distance), roots,
+            *select_distance_ring_neighbors(graph, self.max_distance),
+            graph.num_vertices,
+        )
 
 
 def jknet(in_dim: int, hidden_dim: int, out_dim: int, num_layers: int = 2,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.hdg import HDG, build_hdg
+from ..core.hdg import HDG, hdg_from_instance_arrays
 from ..core.nau import (LinearUpdateLayer, NAUModel, SelectionScope,
                         layer_dims, stack_layers)
 from ..core.schema import SchemaTree
@@ -46,12 +46,12 @@ class PGNN(NAUModel):
         self.anchor_set_size = anchor_set_size
 
     def neighbor_selection(self, graph: Graph, rng: np.random.Generator) -> HDG:
-        records = select_anchor_set_neighbors(
-            graph, self.num_anchor_sets, self.anchor_set_size, rng=rng
-        )
         roots = np.arange(graph.num_vertices, dtype=np.int64)
-        return build_hdg(
-            records, SchemaTree(("anchor_set",)), roots, graph.num_vertices, flat=False
+        return hdg_from_instance_arrays(
+            SchemaTree(("anchor_set",)), roots,
+            *select_anchor_set_neighbors(graph, self.num_anchor_sets,
+                                         self.anchor_set_size, rng=rng),
+            graph.num_vertices,
         )
 
 

@@ -14,9 +14,8 @@ from repro.core import (
     ExecutionStrategy,
     FlexGraphEngine,
     MiniBatchTrainer,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
+    hdg_from_instance_arrays,
     hierarchical_aggregate,
 )
 from repro.core.aggregation import (
@@ -40,6 +39,8 @@ from repro.graph import (
 from repro.core.selection import build_metapath_hdg
 from repro.models import gcn
 from repro.tensor import Adam, ReductionPlan, Tensor, scatter_add
+
+from .instances import instance_arrays
 
 STRATEGIES = [ExecutionStrategy.SA, ExecutionStrategy.SA_FA, ExecutionStrategy.HA]
 
@@ -261,11 +262,11 @@ class TestStrategyEquivalenceHierarchical:
     def test_manual_hierarchical_mean(self):
         """Hand-computed 2-instance example checks the level semantics."""
         schema = SchemaTree(("t0", "t1"))
-        records = [
-            NeighborRecord(0, (1, 2), 0),   # instance a, type 0
-            NeighborRecord(0, (3,), 1),     # instance b, type 1
-        ]
-        hdg = build_hdg(records, schema, np.arange(4), 4)
+        instances = instance_arrays([
+            (0, (1, 2), 0),   # instance a, type 0
+            (0, (3,), 1),     # instance b, type 1
+        ])
+        hdg = hdg_from_instance_arrays(schema, np.arange(4), *instances, 4)
         feats = np.array([[0.0], [2.0], [4.0], [10.0]])
         out = hierarchical_aggregate(
             hdg, Tensor(feats), [MeanAggregator()] * 3, ExecutionStrategy.HA

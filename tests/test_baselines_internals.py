@@ -129,7 +129,7 @@ class TestEngineBehaviours:
         def matcher_called(*_args, **_kwargs):
             raise AssertionError("metapath matching ran before the OOM check")
 
-        monkeypatch.setattr(sparse_engine, "select_metapath_neighbors",
+        monkeypatch.setattr(sparse_engine, "find_metapath_instances",
                             matcher_called)
         ds = load_dataset("twitter", scale="small")
         engine = PyTorchEngine(ds, "magnn", hidden_dim=8, memory_budget=1_000_000)

@@ -74,6 +74,34 @@ class TestCommands:
                      "--requests", "8"]) == 0
         assert "latency" in capsys.readouterr().out
 
+    def test_checkpoint_records_the_data_it_trained_on(self, tmp_path, capsys):
+        """Full-batch and mini-batch runs by name record the dataset and
+        scale; an ondisk run records its directory and manifest name,
+        not the unused ``--dataset`` default."""
+        from repro.storage import OnDiskDataset, load_checkpoint
+
+        root = str(tmp_path / "ondisk")
+        assert make_ondisk.main(["--dataset", "fb91", "--scale", "tiny",
+                                 root]) == 0
+        runs = {
+            "full": ["--dataset", "imdb", "--scale", "tiny"],
+            "minibatch": ["--dataset", "imdb", "--scale", "tiny",
+                          "--minibatch"],
+            "ondisk": ["--ondisk", root],
+        }
+        meta = {}
+        for run, flags in runs.items():
+            path = str(tmp_path / f"{run}.npz")
+            assert main(["train", "--model", "gcn", "--epochs", "1",
+                         "--checkpoint", path, *flags]) == 0
+            meta[run] = load_checkpoint(path)[1]
+        for run in ("full", "minibatch"):
+            assert (meta[run]["dataset"], meta[run]["scale"]) == ("imdb", "tiny")
+            assert "ondisk" not in meta[run]
+        assert meta["ondisk"]["ondisk"] == root
+        assert meta["ondisk"]["dataset"] == OnDiskDataset(root).name != "reddit"
+        assert "scale" not in meta["ondisk"]
+
     def test_train_minibatch_int8_store(self, capsys):
         assert main(["train", "--model", "gcn", "--dataset", "reddit",
                      "--scale", "tiny", "--epochs", "1", "--minibatch",

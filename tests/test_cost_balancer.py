@@ -6,15 +6,16 @@ import pytest
 from repro.core import (
     ADBBalancer,
     CostModel,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
+    hdg_from_instance_arrays,
     induced_dependency_edges,
     metrics_from_hdg,
 )
 from repro.core.hdg import hdg_from_graph
 from repro.core.selection import build_metapath_hdg
 from repro.graph import Metapath, balance_factor, heterogeneous_graph, power_law_graph
+
+from .instances import instance_arrays
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,10 @@ class TestMetrics:
         """The Section 5 example: a vertex with 1 MP1 instance and 4 MP2
         instances, dim 20, 3-vertex instances -> n=(1,4), m=(60,60)."""
         schema = SchemaTree(("MP1", "MP2"))
-        records = [NeighborRecord(0, (1, 2, 0), 0)] + [
-            NeighborRecord(0, (i, i + 1, 0), 1) for i in range(1, 5)
-        ]
-        hdg = build_hdg(records, schema, np.arange(9), 9)
+        instances = instance_arrays([(0, (1, 2, 0), 0)] + [
+            (0, (i, i + 1, 0), 1) for i in range(1, 5)
+        ])
+        hdg = hdg_from_instance_arrays(schema, np.arange(9), *instances, 9)
         m = metrics_from_hdg(hdg, feat_dim=20)
         np.testing.assert_allclose(m[0], [1.0, 4.0, 60.0, 60.0])
 
@@ -53,9 +54,9 @@ class TestMetrics:
         """A schema type with no instances anywhere must produce n=0 and
         m=0 (not NaN) for every root."""
         schema = SchemaTree(("MP1", "MP2"))
-        records = [NeighborRecord(0, (1, 2, 0), 0),
-                   NeighborRecord(3, (4, 5, 3), 0)]   # only type 0
-        hdg = build_hdg(records, schema, np.array([0, 3]), 6)
+        instances = instance_arrays([(0, (1, 2, 0), 0),
+                                     (3, (4, 5, 3), 0)])   # only type 0
+        hdg = hdg_from_instance_arrays(schema, np.array([0, 3]), *instances, 6)
         m = metrics_from_hdg(hdg, feat_dim=20)
         assert np.isfinite(m).all()
         np.testing.assert_array_equal(m[:, 1], 0.0)   # n_2 = 0

@@ -114,20 +114,26 @@ class TestMetapaths:
     def test_dfs_matches_types(self):
         g = heterogeneous_graph(30, 8, 20, seed=0)
         mp = Metapath((0, 1, 0), "MDM")
-        for inst in find_metapath_instances(g, [mp], roots=np.arange(30)):
-            types = g.vertex_types[list(inst.vertices)]
-            np.testing.assert_array_equal(types, [0, 1, 0])
+        roots, mp_ids, flat, counts = find_metapath_instances(
+            g, [mp], roots=np.arange(30))
+        assert roots.size and np.all(counts == 3) and np.all(mp_ids == 0)
+        paths = flat.reshape(-1, 3)
+        np.testing.assert_array_equal(paths[:, 0], roots)
+        np.testing.assert_array_equal(
+            g.vertex_types[paths], np.tile([0, 1, 0], (roots.size, 1)))
 
     def test_dfs_no_repeated_vertices(self):
         g = heterogeneous_graph(30, 8, 20, seed=0)
-        for inst in find_metapath_instances(g, [Metapath((0, 1, 0))]):
-            assert len(set(inst.vertices)) == len(inst.vertices)
+        paths = find_metapath_instances(g, [Metapath((0, 1, 0))])[2].reshape(-1, 3)
+        for path in paths.tolist():
+            assert len(set(path)) == len(path)
 
     def test_fast_matcher_equals_dfs(self):
         g = heterogeneous_graph(40, 10, 25, seed=3)
         for types in [(0, 1, 0), (0, 2, 0), (1, 0, 2)]:
             mp = Metapath(types)
-            ref = {tuple(i.vertices) for i in find_metapath_instances(g, [mp])}
+            flat = find_metapath_instances(g, [mp])[2]
+            ref = {tuple(r) for r in flat.reshape(-1, 3).tolist()}
             fast = {tuple(r) for r in match_length3_metapath(g, mp).tolist()}
             assert ref == fast
 
@@ -153,7 +159,8 @@ class TestMetapaths:
 
     def test_empty_when_type_missing(self):
         g = heterogeneous_graph(10, 3, 6, seed=0)
-        assert len(find_metapath_instances(g, [Metapath((7, 8, 7))])) == 0
+        for array in find_metapath_instances(g, [Metapath((7, 8, 7))]):
+            assert array.size == 0 and array.dtype == np.int64
 
 
 class TestPartitioning:

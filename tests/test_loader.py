@@ -22,7 +22,7 @@ from repro.loader import (
     plan_epoch,
 )
 from repro.loader.source import InMemorySource
-from repro.models import gcn
+from repro.models import gcn, magnn, pgnn
 from repro.storage import (
     OnDiskDataset,
     write_ondisk_dataset,
@@ -218,6 +218,33 @@ class TestTrainerParity:
         for a, b in zip(ram, ood):
             assert a.loss == b.loss
 
+    @pytest.mark.parametrize("factory", [
+        pgnn, lambda *a, **k: magnn(*a, max_instances_per_root=8, **k),
+    ], ids=["pgnn", "magnn"])
+    def test_hierarchical_model_streams_like_synchronous(self, tmp_path,
+                                                         factory):
+        """A depth-3 model's full-neighborhood batches train bitwise alike
+        synchronously, prefetched, and streamed off disk."""
+        typed = load_dataset("imdb", scale="tiny", seed=0)
+        root = str(tmp_path / "ondisk")
+        write_ondisk_dataset(typed, root, rows_per_shard=32)
+
+        def losses(data, prefetch, feats=None, labels=None):
+            model = factory(typed.feat_dim, 8, typed.num_classes, seed=0)
+            trainer = MiniBatchTrainer(
+                model, data, batch_size=32, fanouts=[None, None], seed=4,
+                prefetch_depth=prefetch, num_workers=2,
+            )
+            opt = Adam(model.parameters(), 0.01)
+            return [trainer.train_epoch(feats, labels, opt,
+                                        typed.train_mask, e).loss
+                    for e in range(2)]
+
+        feats = Tensor(typed.features)
+        sync = losses(typed.graph, 0, feats, typed.labels)
+        assert losses(typed.graph, 2, feats, typed.labels) == sync
+        assert losses(OnDiskDataset(root), 2) == sync
+
     def test_stage_stats_populated(self, ds):
         stats = self._losses(
             ds.graph, ds, 2, 2, Tensor(ds.features), ds.labels, epochs=1
@@ -313,7 +340,7 @@ class TestStreamedResidency:
         pread = gather_op.total - op_before - moved
 
         # The same batches, re-derived from (seed, epoch) alone.
-        hdg = trainer.hdgs.block_source(0)
+        hdg, _ = trainer.hdgs.model_level(0)
         plans = plan_epoch(np.flatnonzero(mask), batch_size, seed=seed, epoch=0)
         batch_inputs = [
             sample_blocks(

@@ -7,9 +7,8 @@ import pytest
 from repro.core import (
     ExecutionStrategy,
     FlexGraphEngine,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
+    hdg_from_instance_arrays,
     hierarchical_aggregate,
 )
 from repro.core.aggregation import WeightedSumAggregator, get_aggregator
@@ -21,17 +20,17 @@ from repro.graph.random_walk import random_walks
 from repro.models import gcn
 from repro.tensor import Tensor
 
+from .instances import instance_arrays
+
 
 class TestWeightedHierarchicalAggregation:
     def test_weighted_bottom_level_depth3(self):
         """Per-edge weights flow through the *bottom* level of a depth-3
         HDG identically under every strategy."""
         schema = SchemaTree(("t0",))
-        records = [
-            NeighborRecord(0, (1, 2), 0, weight=0.25),
-            NeighborRecord(0, (3,), 0, weight=0.75),
-        ]
-        hdg = build_hdg(records, schema, np.arange(4), 4, flat=False)
+        instances = instance_arrays([(0, (1, 2), 0), (0, (3,), 0)])
+        hdg = hdg_from_instance_arrays(schema, np.arange(4), *instances, 4,
+                                       weights=[0.25, 0.25, 0.75])
         feats = Tensor(np.arange(8.0).reshape(4, 2))
         aggs = [WeightedSumAggregator(), get_aggregator("sum"), get_aggregator("sum")]
         outs = [
@@ -116,7 +115,7 @@ class TestEngineEdgeCases:
 
 
 class TestSelectionExecutors:
-    """The record-based reference executors (Figure 5 fidelity paths)."""
+    """The reference executors (Figure 5 fidelity paths)."""
 
     def test_anchor_set_validation(self):
         from repro.core import select_anchor_set_neighbors
@@ -133,18 +132,18 @@ class TestSelectionExecutors:
             select_distance_ring_neighbors(g, 0)
 
     def test_records_and_bulk_magnn_paths_agree(self):
-        """The per-record reference path and the vectorized bulk path
-        must compact to the same instance multiset."""
-        from repro.core import build_metapath_hdg, select_metapath_neighbors
+        """The DFS reference path, one instance at a time, and the
+        vectorized bulk path must compact to the same instance multiset."""
+        from repro.core import build_metapath_hdg
         from repro.core.selection import schema_for_metapaths
-        from repro.graph import Metapath, heterogeneous_graph
+        from repro.graph import Metapath, find_metapath_instances, heterogeneous_graph
 
         g = heterogeneous_graph(25, 6, 15, seed=3)
         mps = [Metapath((0, 1, 0)), Metapath((0, 2, 0))]
         bulk = build_metapath_hdg(g, mps)
-        records = select_metapath_neighbors(g, mps)
-        ref = build_hdg(records, schema_for_metapaths(mps),
-                        np.arange(g.num_vertices), g.num_vertices, flat=False)
+        ref = hdg_from_instance_arrays(
+            schema_for_metapaths(mps), np.arange(g.num_vertices),
+            *find_metapath_instances(g, mps), g.num_vertices)
         assert bulk.num_instances == ref.num_instances
         np.testing.assert_array_equal(bulk.instance_offsets, ref.instance_offsets)
 

@@ -34,19 +34,10 @@ FACTORIES = {
     "magnn": lambda *a, **k: magnn(*a, max_instances_per_root=8, **k),
     "pgnn": pgnn,
 }
-#: the paths each model runs on: sampled mini-batches need flat HDGs,
-#: and the distributed trainers one model-level HDG
-PATHS = {
-    "gcn": ("engine", "minibatch", "distributed", "serve"),
-    "gat": ("engine", "minibatch", "distributed", "serve"),
-    "gin": ("engine", "minibatch", "distributed", "serve"),
-    "sage": ("engine", "minibatch", "distributed", "serve"),
-    "pinsage": ("engine", "minibatch", "distributed", "serve"),
-    "jknet": ("engine", "distributed", "serve"),
-    "magnn": ("engine", "distributed", "serve"),
-    "pgnn": ("engine", "distributed", "serve"),
-}
-CASES = [(model, path) for model, paths in PATHS.items() for path in paths]
+#: the paths every model runs on (a depth-3 model's mini-batches keep
+#: full neighborhoods: fan-out ``None``)
+PATHS = ("engine", "minibatch", "distributed", "serve")
+CASES = [(model, path) for model in FACTORIES for path in PATHS]
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +81,9 @@ def _step(path, model, ds):
     if path == "engine":
         trainer = FlexGraphEngine(model, ds.graph, seed=0)
     elif path == "minibatch":
+        fanout = None if model.category == "INHA" else 4
         trainer = MiniBatchTrainer(model, ds.graph, batch_size=64,
-                                   fanouts=[4] * model.num_layers, seed=0)
+                                   fanouts=[fanout] * model.num_layers, seed=0)
     else:
         trainer = DistributedTrainer(
             model, ds.graph, hash_partition(ds.graph.num_vertices, 2), seed=0)

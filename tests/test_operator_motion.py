@@ -28,10 +28,9 @@ import pytest
 from repro import obs
 from repro.core import (
     FlexGraphEngine,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
     hdg_from_flat_arrays,
+    hdg_from_instance_arrays,
 )
 from repro.core.aggregation import (
     AttentionAggregator,
@@ -50,6 +49,8 @@ from repro.models.gin import GINLayer
 from repro.models.magnn import MAGNNLayer, default_metapaths
 from repro.models.pinsage import PinSageLayer
 from repro.tensor import Adam, Tensor, concat, cross_entropy
+
+from .instances import instance_arrays
 
 N, D_IN, D_HID, D_OUT = 14, 6, 4, 3
 TOL = 1e-10
@@ -207,14 +208,14 @@ def _typed_hdg():
     member vertices per (root, type) slot; root 0 has no instances and
     root 1 none of the second type (empty slots)."""
     rng = np.random.default_rng(4)
-    records = []
+    instances = []
     for v in range(1, N):
         for t in range(1 if v == 1 else 2):
             for _ in range(rng.integers(1 if v == 1 else 0, 4)):
                 members = rng.choice(N, size=rng.integers(2, 4))
-                records.append(NeighborRecord(v, members, t))
-    return build_hdg(records, SchemaTree(("a", "b")), np.arange(N), N,
-                     flat=False)
+                instances.append((v, members, t))
+    return hdg_from_instance_arrays(SchemaTree(("a", "b")), np.arange(N),
+                                    *instance_arrays(instances), N)
 
 
 def _level_counts(hdg):
@@ -434,9 +435,9 @@ class TestDenseReference:
         same row for every root — W [h ; a] with a dense averaging A."""
         x, labels = data
         sets = [(2, 5, 7), (0, 5, 11, 13)]
-        records = [NeighborRecord(v, s, 0) for v in range(N) for s in sets]
-        hdg = build_hdg(records, SchemaTree(("anchor_set",)), np.arange(N),
-                        N, flat=False)
+        instances = instance_arrays([(v, s, 0) for v in range(N) for s in sets])
+        hdg = hdg_from_instance_arrays(SchemaTree(("anchor_set",)),
+                                       np.arange(N), *instances, N)
         a_row = np.zeros(N)
         for s in sets:
             a_row[list(s)] += 1.0 / len(s) / len(sets)

@@ -5,14 +5,15 @@ import pytest
 
 from repro.core import (
     HDGInvariantError,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
+    hdg_from_instance_arrays,
     validate_hdg,
 )
 from repro.core.hdg import hdg_from_graph
 from repro.graph import Graph, community_graph, top_k_ppr_neighbors
 from repro.graph.pagerank import pagerank, personalized_pagerank
+
+from .instances import instance_arrays
 
 
 class TestPageRank:
@@ -92,8 +93,9 @@ class TestValidateHDG:
         validate_hdg(hdg_from_graph(g))  # no raise
 
     def test_valid_hierarchical(self):
-        records = [NeighborRecord(0, (1, 2), 0), NeighborRecord(1, (0,), 1)]
-        hdg = build_hdg(records, SchemaTree(("a", "b")), np.arange(3), 3, flat=False)
+        instances = instance_arrays([(0, (1, 2), 0), (1, (0,), 1)])
+        hdg = hdg_from_instance_arrays(SchemaTree(("a", "b")), np.arange(3),
+                                       *instances, 3)
         validate_hdg(hdg)
 
     def test_detects_corrupted_offsets(self):

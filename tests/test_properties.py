@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ExecutionStrategy,
-    NeighborRecord,
     SchemaTree,
-    build_hdg,
+    hdg_from_instance_arrays,
     hierarchical_aggregate,
 )
 from repro.core.aggregation import get_aggregator
@@ -20,6 +19,8 @@ from repro.tensor import (
     segment_reduce_csr,
     softmax,
 )
+
+from .instances import instance_arrays
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -67,7 +68,8 @@ def random_graph(draw):
 
 @st.composite
 def hierarchical_records(draw):
-    """Random depth-3 HDG inputs over a small vertex universe."""
+    """Random depth-3 HDG inputs over a small vertex universe:
+    ``(root, leaves, type)`` instances, a schema and the vertex count."""
     n = draw(st.integers(3, 15))
     num_types = draw(st.integers(1, 3))
     num_records = draw(st.integers(1, 25))
@@ -77,9 +79,14 @@ def hierarchical_records(draw):
         root = int(rng.integers(0, n))
         size = int(rng.integers(1, 5))
         leaves = tuple(int(v) for v in rng.integers(0, n, size))
-        records.append(NeighborRecord(root, leaves, int(rng.integers(0, num_types))))
+        records.append((root, leaves, int(rng.integers(0, num_types))))
     schema = SchemaTree(tuple(f"t{i}" for i in range(num_types)))
     return records, schema, n
+
+
+def _hdg(records, schema, n):
+    return hdg_from_instance_arrays(schema, np.arange(n),
+                                    *instance_arrays(records), n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +182,28 @@ class TestHDGProperties:
     @settings(max_examples=40, deadline=None)
     def test_hdg_conserves_records(self, case):
         records, schema, n = case
-        hdg = build_hdg(records, schema, np.arange(n), n, flat=False)
+        hdg = _hdg(records, schema, n)
         assert hdg.num_instances == len(records)
-        assert hdg.leaf_vertices.size == sum(len(r.leaves) for r in records)
+        assert hdg.leaf_vertices.size == sum(len(leaves) for _, leaves, _ in records)
         # Per (root, type) instance counts must match the records.
         counts = hdg.instance_counts_per_type()
         expected = np.zeros((n, schema.num_leaves), dtype=int)
-        for r in records:
-            expected[r.root, r.nei_type] += 1
+        for root, _, t in records:
+            expected[root, t] += 1
         np.testing.assert_array_equal(counts, expected)
 
     @given(hierarchical_records())
     @settings(max_examples=30, deadline=None)
     def test_storage_optimization_never_larger(self, case):
         records, schema, n = case
-        hdg = build_hdg(records, schema, np.arange(n), n, flat=False)
+        hdg = _hdg(records, schema, n)
         assert hdg.nbytes <= hdg.nbytes_unoptimized
 
     @given(hierarchical_records(), st.sampled_from(["sum", "mean", "max", "min"]))
     @settings(max_examples=30, deadline=None)
     def test_strategies_agree_on_random_hdgs(self, case, agg_name):
         records, schema, n = case
-        hdg = build_hdg(records, schema, np.arange(n), n, flat=False)
+        hdg = _hdg(records, schema, n)
         rng = np.random.default_rng(0)
         feats = Tensor(rng.standard_normal((n, 3)))
         aggs = [get_aggregator(agg_name) for _ in range(3)]
@@ -211,7 +218,7 @@ class TestHDGProperties:
     @settings(max_examples=30, deadline=None)
     def test_restrict_then_reassemble_covers_all_roots(self, case):
         records, schema, n = case
-        hdg = build_hdg(records, schema, np.arange(n), n, flat=False)
+        hdg = _hdg(records, schema, n)
         halves = [np.arange(0, n // 2), np.arange(n // 2, n)]
         total_instances = sum(
             hdg.restrict_to_roots(h).num_instances for h in halves if h.size

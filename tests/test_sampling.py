@@ -13,9 +13,9 @@ from repro.core import (
 )
 from repro.core.hdg import HDG, hdg_from_graph
 from repro.core.schema import SchemaTree
-from repro.core.step import sample_fanout
+from repro.core.step import run_local_blocks, sample_blocks, sample_fanout
 from repro.datasets import load_dataset
-from repro.models import gcn, magnn, pinsage
+from repro.models import gcn, jknet, magnn, pgnn, pinsage
 from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.tensor import Adam, Tensor, scatter_rows
 
@@ -23,6 +23,14 @@ from repro.tensor import Adam, Tensor, scatter_rows
 @pytest.fixture(scope="module")
 def ds():
     return load_dataset("reddit", scale="tiny")
+
+
+#: the depth-3 (INHA) models, by name
+HIERARCHICAL = {
+    "magnn": lambda *a, **k: magnn(*a, max_instances_per_root=8, **k),
+    "pgnn": pgnn,
+    "jknet": jknet,
+}
 
 
 class TestScatterRows:
@@ -181,6 +189,21 @@ class TestMiniBatchTrainer:
             trainer.train_epoch(Tensor(ds.features), ds.labels,
                                 Adam(model.parameters(), 0.01))
 
+    def test_hierarchical_models_train_on_full_neighborhoods(self):
+        """A depth-3 model trains with ``None`` fan-outs, and its loss
+        falls."""
+        typed = load_dataset("imdb", scale="tiny", seed=0)
+        feats = Tensor(typed.features)
+        for name, factory in HIERARCHICAL.items():
+            model = factory(typed.feat_dim, 8, typed.num_classes)
+            trainer = MiniBatchTrainer(model, typed.graph, batch_size=32,
+                                       fanouts=[None] * model.num_layers)
+            opt = Adam(model.parameters(), 0.01)
+            losses = [trainer.train_epoch(feats, typed.labels, opt,
+                                          typed.train_mask, e).loss
+                      for e in range(3)]
+            assert losses[-1] < losses[0], (name, losses)
+
     def test_gcn_learns(self, ds):
         model = gcn(ds.feat_dim, 16, ds.num_classes, aggregator="mean")
         trainer = MiniBatchTrainer(model, ds.graph, batch_size=64, fanouts=[5, 5])
@@ -226,7 +249,7 @@ class TestMiniBatchTrainer:
         2-hop neighborhoods on a dense graph."""
         model = gcn(ds.feat_dim, 8, ds.num_classes)
         trainer = MiniBatchTrainer(model, ds.graph, batch_size=16, fanouts=[3, 3])
-        hdg = trainer.hdgs.block_source(0)
+        hdg, _ = trainer.hdgs.model_level(0)
         seeds = np.arange(16)
         blocks = build_seed_blocks(hdg, seeds, trainer.fanouts,
                                    trainer.hdgs.rng)
@@ -244,3 +267,35 @@ class TestMiniBatchTrainer:
             trainer.train_epoch(feats, ds.labels, opt, ds.train_mask, e)
         acc = trainer.evaluate(feats, ds.labels, ds.test_mask)
         assert acc > 0.8
+
+
+class TestHierarchicalBlocks:
+    """Full-neighborhood blocks cut from a depth-3 HDG compute what the
+    engine computes over the whole graph."""
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHICAL))
+    def test_blocks_match_the_engine_forward(self, name):
+        typed = load_dataset("imdb", scale="tiny", seed=0)
+        d = typed.feat_dim
+        # Equal widths: a linear Update then reduces before it projects
+        # on the whole graph and on a block alike.  The operator order
+        # is chosen from counts, and a block's counts differ.
+        model = HIERARCHICAL[name](d, d, d, seed=0)
+        engine = FlexGraphEngine(model, typed.graph, seed=0)
+        hdg, _ = engine.hdgs.model_level(0)
+        assert hdg.depth == 3
+        seeds = np.array([0, 3, 9, 20, 57, 101])
+        full = engine.forward(Tensor(typed.features)).numpy()[seeds]
+        compact = sample_blocks(hdg, seeds, [None] * model.num_layers)
+        local = run_local_blocks(model, compact,
+                                 Tensor(typed.features[compact.input_vertices]),
+                                 "ha").numpy()[compact.seed_rows]
+        if name == "magnn":
+            # The attention score ``values @ a`` is a one-column BLAS
+            # product whose per-row rounding depends on how many rows
+            # the call has: a block and the whole graph agree to a few
+            # float32 roundings, not bit for bit.
+            bound = 8 * np.finfo(np.float32).eps * np.abs(full).max()
+            assert np.abs(local - full).max() <= bound
+        else:
+            np.testing.assert_array_equal(local, full)
